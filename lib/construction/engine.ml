@@ -182,24 +182,13 @@ let mark_fruitless t i =
   if t.fruitless.(i) >= t.config.max_fruitless then t.active.(i) <- false
 
 (* One uniform draw over the online references at [level], skipping
-   [excluding]: count the eligible entries, then scan to the drawn rank.
-   No intermediate list — reference picking sits on every routing hop. *)
+   [excluding] — reference picking sits on every routing hop. *)
 let pick_online_ref t n ~level ~excluding =
-  let eligible r = r <> excluding && (node t r).Node.online in
   let count =
-    Node.refs_fold n ~level (fun acc r -> if eligible r then acc + 1 else acc) 0
+    if Node.refs_count n ~level = 0 then 0
+    else Overlay.eligible t.net ~src:n.Node.id ~excluding n.Node.refs.(level)
   in
-  if count = 0 then None
-  else begin
-    let target = Rng.int t.rng count in
-    let seen = ref 0 and chosen = ref (-1) in
-    Node.refs_iter n ~level (fun r ->
-        if eligible r then begin
-          if !seen = target then chosen := r;
-          incr seen
-        end);
-    Some !chosen
-  end
+  if count = 0 then None else Some (Overlay.draw t.net t.rng count)
 
 let probabilities t ~p_hat ~samples =
   let clamped = Aep_math.clamp_estimate ~samples:(max 1 samples) p_hat in
@@ -225,21 +214,14 @@ let deliver t ~at key payloads =
   let rec hop prev i budget =
     note_key_moved t ~src:prev ~dst:i;
     let n = node t i in
-    if Path.matches_key n.Node.path key || budget = 0 then ingest i
-    else begin
-      let len = Path.length n.Node.path in
-      let rec diverge l =
-        if l >= len then None
-        else if Path.bit n.Node.path l <> Key.bit key l then Some l
-        else diverge (l + 1)
-      in
-      match diverge 0 with
+    if budget = 0 then ingest i
+    else
+      match Overlay.divergence_level n.Node.path key with
       | None -> ingest i
       | Some l ->
         (match pick_online_ref t n ~level:l ~excluding:(-1) with
         | None -> ingest i
         | Some r -> hop i r (budget - 1))
-    end
   in
   hop at at t.config.refer_hops
 
@@ -514,23 +496,8 @@ let interact t i =
     let first =
       (* Prefer known replicas half of the time (peers keep the references
          gathered after splits); otherwise a random-walk peer. *)
-      let online =
-        Pgrid_core.Intset.fold
-          (fun acc r -> if (node t r).Node.online then acc + 1 else acc)
-          0 ni.Node.replicas
-      in
-      if online > 0 && Rng.bool t.rng then begin
-        let target = Rng.int t.rng online in
-        let seen = ref 0 and chosen = ref (-1) in
-        Pgrid_core.Intset.iter
-          (fun r ->
-            if (node t r).Node.online then begin
-              if !seen = target then chosen := r;
-              incr seen
-            end)
-          ni.Node.replicas;
-        Some !chosen
-      end
+      let online = Overlay.eligible t.net ~src:i ~excluding:(-1) ni.Node.replicas in
+      if online > 0 && Rng.bool t.rng then Some (Overlay.draw t.net t.rng online)
       else random_online_peer t ~excluding:i
     in
     match first with

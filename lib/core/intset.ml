@@ -24,6 +24,10 @@ let rank t x =
 
 let mem t x = rank t x >= 0
 
+let get t i =
+  if i < 0 || i >= t.len then invalid_arg "Intset.get: index out of range";
+  Array.unsafe_get t.data i
+
 let add t x =
   let r = rank t x in
   if r < 0 then begin

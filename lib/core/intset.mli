@@ -13,6 +13,10 @@ val cardinal : t -> int
 val is_empty : t -> bool
 val mem : t -> int -> bool
 
+(** [get t i] is the [i]-th smallest member, [0 <= i < cardinal t]:
+    with {!cardinal}, a scan that needs no closure. *)
+val get : t -> int -> int
+
 (** [add t x] inserts [x]; duplicates are ignored. *)
 val add : t -> int -> unit
 

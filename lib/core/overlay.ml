@@ -25,6 +25,7 @@ type t = {
          either side of a partition are totally ordered per overlay and
          newest-write-wins is well defined after heal *)
   mutable watchers : (change -> unit) list;
+  mutable picks : int array;  (* the members [eligible] kept last *)
 }
 
 let create rng ~n =
@@ -35,6 +36,7 @@ let create rng ~n =
     rng;
     clock = 0;
     watchers = [];
+    picks = Array.make 16 0;
   }
 
 let subscribe t f = t.watchers <- f :: t.watchers
@@ -88,55 +90,83 @@ type search_result = {
   dead_end : (Node.id * int) option;
 }
 
-(* First level at which [path] disagrees with [key], if any. *)
-let divergence_level path key =
+(* Index of the highest set bit of [x > 0]; paths and keys fit 60 bits. *)
+let msb x =
+  let x = ref x and r = ref 0 in
+  if !x lsr 32 <> 0 then (x := !x lsr 32; r := 32);
+  if !x lsr 16 <> 0 then (x := !x lsr 16; r := !r + 16);
+  if !x lsr 8 <> 0 then (x := !x lsr 8; r := !r + 8);
+  if !x lsr 4 <> 0 then (x := !x lsr 4; r := !r + 4);
+  if !x lsr 2 <> 0 then (x := !x lsr 2; r := !r + 2);
+  if !x lsr 1 <> 0 then r := !r + 1;
+  !r
+
+(* First level at which [path] disagrees with [key], or -1.  The codes of
+   [path] and of [key]'s prefix of the same length carry the same marker
+   bit, so their xor holds exactly the differing bits, and the highest
+   one is the first level that differs. *)
+let divergence path key =
   let len = Path.length path in
-  let rec go l =
-    if l >= len then None
-    else if Path.bit path l <> Key.bit key l then Some l
-    else go (l + 1)
-  in
-  go 0
+  let prefix = (Key.to_int key lsr (Key.bits - len)) lor (1 lsl len) in
+  let diff = Path.code path lxor prefix in
+  if diff = 0 then -1 else len - 1 - msb diff
+
+let divergence_level path key =
+  let l = divergence path key in
+  if l < 0 then None else Some l
+
+(* The single reference-choice kernel.  One closure-free pass keeps the
+   eligible members in [t.picks]; [draw] then makes the one uniform draw
+   over them: the draw and the choice of counting the eligible members,
+   drawing a rank and scanning to it, which the seeded experiments
+   depend on. *)
+let eligible ?admit t ~src ~excluding set =
+  let n = Intset.cardinal set in
+  if Array.length t.picks < n then t.picks <- Array.make (max n (2 * Array.length t.picks)) 0;
+  let picks = t.picks and nodes = t.nodes in
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    let id = Intset.get set i in
+    if
+      id <> excluding
+      && nodes.(id).Node.online
+      && match admit with None -> true | Some admit -> admit src id
+    then begin
+      picks.(!count) <- id;
+      incr count
+    end
+  done;
+  !count
+
+let draw t rng count = t.picks.(Rng.int rng count)
 
 (* Every routed operation admits every edge by default; a caller
-   modelling a live partition passes the cut as [admit src dst].  The
-   default is the constant-true test applied inside the same
-   count-then-scan passes, so it changes no draw and no outcome. *)
+   modelling a live partition passes the cut as [admit src dst]. *)
 let admit_all (_ : Node.id) (_ : Node.id) = true
 
-(* Forward one step toward [key]: choose a random online reference at the
-   divergence level.  Count-then-scan over the reference set keeps this
-   allocation-free (one uniform draw, no intermediate list). *)
-let forward ?(admit = admit_all) t cur key =
-  match divergence_level cur.Node.path key with
-  | None -> `Responsible
-  | Some level ->
-    let usable id = (node t id).Node.online && admit cur.Node.id id in
-    let online =
-      Node.refs_fold cur ~level (fun acc id -> if usable id then acc + 1 else acc) 0
+(* Forward one step toward [key]: a uniform online reference at the
+   divergence level. *)
+let forward ?admit t cur key =
+  let level = divergence cur.Node.path key in
+  if level < 0 then `Responsible
+  else begin
+    let count =
+      if Node.refs_count cur ~level = 0 then 0
+      else eligible ?admit t ~src:cur.Node.id ~excluding:(-1) cur.Node.refs.(level)
     in
-    if online = 0 then `Dead_end level
-    else begin
-      let target = Rng.int t.rng online in
-      let seen = ref 0 and chosen = ref (-1) in
-      Node.refs_iter cur ~level (fun id ->
-          if usable id then begin
-            if !seen = target then chosen := id;
-            incr seen
-          end);
-      `Next !chosen
-    end
+    if count = 0 then `Dead_end level else `Next (draw t t.rng count)
+  end
 
 let max_hops = 2 * Key.bits
 
-let search ?(admit = admit_all) t ~from key =
+let search ?admit t ~from key =
   let fail ?at hops =
     { responsible = None; hops; key_present = false; payloads = []; dead_end = at }
   in
   let rec go cur hops =
     if hops > max_hops then fail hops
     else begin
-      match forward ~admit t cur key with
+      match forward ?admit t cur key with
       | `Responsible ->
         {
           responsible = Some cur.Node.id;

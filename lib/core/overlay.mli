@@ -73,8 +73,10 @@ type search_result = {
 
     [admit src dst] (default: always [true]) vetoes individual edges —
     the hook through which a live network partition constrains routing
-    ({!Pgrid_simnet.Fault.connected}).  The default is applied inside the
-    same candidate scan, so omitting it changes no RNG draw. *)
+    ({!Pgrid_simnet.Fault.connected}).  It must be pure: {!eligible}
+    calls it once per online reference and its answer decides the draw,
+    so an [admit] that drew randomness or kept state would change the
+    walk.  Omitting it changes no RNG draw. *)
 val search :
   ?admit:(Node.id -> Node.id -> bool) ->
   t ->
@@ -84,16 +86,40 @@ val search :
 
 (** [divergence_level path key] is the first level at which [path]
     disagrees with [key], or [None] when [path] is a prefix of [key]
-    (the node is responsible). *)
+    (the node is responsible).  O(1): the highest set bit of the xor of
+    [Path.code path] and the code of [key]'s prefix of the same length. *)
 val divergence_level :
   Pgrid_keyspace.Path.t -> Pgrid_keyspace.Key.t -> int option
+
+(** [eligible ?admit t ~src ~excluding set] is the number of members
+    of [set] that are online, differ from [excluding] and pass
+    [admit src] (pure, as for {!search}; called once per online member
+    other than [excluding]).  It keeps them, in ascending order, for the
+    next {!draw}.  One closure-free pass; every uniform reference choice
+    (routing, construction's referrals, replica contacts) goes through
+    it. *)
+val eligible :
+  ?admit:(Node.id -> Node.id -> bool) ->
+  t ->
+  src:Node.id ->
+  excluding:Node.id ->
+  Intset.t ->
+  int
+
+(** [draw t rng n] makes one [Rng.int rng n] draw and returns that
+    member of the ones the last {!eligible} kept; [n] must be its
+    positive result.  Together they make the draw and the choice of a
+    count-then-scan: count the eligible members, draw a rank, scan to
+    it. *)
+val draw : t -> Pgrid_prng.Rng.t -> int -> Node.id
 
 (** [forward ?admit t cur key] is one routing step of {!search}, exposed
     for query engines that interleave their own bookkeeping (caches,
     batching) with the walk: [`Responsible] when [cur]'s path matches
-    [key], otherwise a uniform draw among [cur]'s usable references at
-    the divergence level ([`Next id]), or [`Dead_end level] when none is
-    online.  Consumes exactly the RNG draws {!search} would. *)
+    [key], otherwise a uniform draw ({!eligible}, {!draw}) among [cur]'s
+    usable references at the divergence level ([`Next id]), or
+    [`Dead_end level] when none is online.  Consumes exactly the RNG
+    draws {!search} would. *)
 val forward :
   ?admit:(Node.id -> Node.id -> bool) ->
   t ->

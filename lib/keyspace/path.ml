@@ -75,6 +75,7 @@ let compare a b =
   else Int.compare (bit a n) (bit b n)
 
 let equal a b = a.len = b.len && a.bits = b.bits
+let code p = p.bits lor (1 lsl p.len)
 let to_string p = String.init p.len (fun i -> if bit p i = 1 then '1' else '0')
 
 let of_string s =

@@ -73,6 +73,15 @@ val mid : t -> Key.t
 val compare : t -> t -> int
 
 val equal : t -> t -> bool
+
+(** [code p] is [bits lor (1 lsl length p)], where [bits] reads [p] as
+    a binary number, first bit most significant.  The marker bit above
+    the path makes it injective: [code p = code q] iff [equal p q].  The
+    code of [key_prefix k n] is therefore
+    [(Key.to_int k lsr (Key.bits - n)) lor (1 lsl n)], which lets a
+    caller key tables by path without building a [t] per prefix. *)
+val code : t -> int
+
 val to_string : t -> string
 
 (** [of_string s] parses a string of ['0']/['1'].

@@ -64,39 +64,39 @@ let lookup ?(telemetry = Pgrid_telemetry.Global.get ()) ?cache overlay ~from key
       dead_end = None;
     }
   in
+  (* [Node.responsible_for] is the O(1) test for "no divergence level",
+     so the level itself is computed once per hop, by the forward. *)
   let rec go cur hops stale =
     if hops > Overlay.max_hops then fail hops stale
+    else if Node.responsible_for cur key then
+      finish ~target:cur.Node.id ~hops ~stale ~served:Network
+        ~present:(Node.has_key cur key) ~payloads:(Node.lookup cur key)
     else
-      match Overlay.divergence_level cur.Node.path key with
-      | None ->
-        finish ~target:cur.Node.id ~hops ~stale ~served:Network
-          ~present:(Node.has_key cur key) ~payloads:(Node.lookup cur key)
-      | Some _ -> (
-        match cache with
-        | None -> step cur hops stale
-        | Some c -> (
-          match Qcache.probe c ~at:cur.Node.id key with
-          | Qcache.Hit_result { target; present; payloads } ->
-            if Telemetry.active telemetry then
-              Telemetry.emit telemetry
-                (Event.Cache_hit { peer = cur.Node.id; cache = Event.Result });
-            finish ~target ~hops ~stale ~served:Result_cache ~present ~payloads
-          | Qcache.Hit_route target ->
-            if Telemetry.active telemetry then
-              Telemetry.emit telemetry
-                (Event.Cache_hit { peer = cur.Node.id; cache = Event.Route });
-            let n = Overlay.node overlay target in
-            finish ~target ~hops:(hops + 1) ~stale ~served:Route_cache
-              ~present:(Node.has_key n key) ~payloads:(Node.lookup n key)
-          | Qcache.Stale target ->
-            if Telemetry.active telemetry then
-              Telemetry.emit telemetry
-                (Event.Cache_stale { peer = cur.Node.id; target });
-            step cur (hops + 1) (stale + 1)
-          | Qcache.Miss ->
-            if Telemetry.active telemetry then
-              Telemetry.emit telemetry (Event.Cache_miss { peer = cur.Node.id });
-            step cur hops stale))
+      match cache with
+      | None -> step cur hops stale
+      | Some c -> (
+        match Qcache.probe c ~at:cur.Node.id key with
+        | Qcache.Hit_result { target; present; payloads } ->
+          if Telemetry.active telemetry then
+            Telemetry.emit telemetry
+              (Event.Cache_hit { peer = cur.Node.id; cache = Event.Result });
+          finish ~target ~hops ~stale ~served:Result_cache ~present ~payloads
+        | Qcache.Hit_route target ->
+          if Telemetry.active telemetry then
+            Telemetry.emit telemetry
+              (Event.Cache_hit { peer = cur.Node.id; cache = Event.Route });
+          let n = Overlay.node overlay target in
+          finish ~target ~hops:(hops + 1) ~stale ~served:Route_cache
+            ~present:(Node.has_key n key) ~payloads:(Node.lookup n key)
+        | Qcache.Stale target ->
+          if Telemetry.active telemetry then
+            Telemetry.emit telemetry
+              (Event.Cache_stale { peer = cur.Node.id; target });
+          step cur (hops + 1) (stale + 1)
+        | Qcache.Miss ->
+          if Telemetry.active telemetry then
+            Telemetry.emit telemetry (Event.Cache_miss { peer = cur.Node.id });
+          step cur hops stale)
   and step cur hops stale =
     match Overlay.forward overlay cur key with
     | `Responsible ->
@@ -175,7 +175,7 @@ let lookup_many ?cache overlay ~from keys =
               | Some c -> (
                 (* Only the result cache can answer inside a batch; a
                    route jump would fragment the shared walk. *)
-                match Qcache.probe c ~at:cur.Node.id k with
+                match Qcache.probe_results c ~at:cur.Node.id k with
                 | Qcache.Hit_result { target; present; _ } ->
                   resolve i ~target ~depth ~served:Result_cache ~present;
                   false

@@ -58,7 +58,9 @@ type batch = {
     origin in a single shared walk: keys answered at the current node
     (responsibility or a result-cache hit) peel off, the rest bucket by
     divergence level and one forwarded message carries each bucket —
-    the fan-out happens exactly where the key paths diverge. *)
+    the fan-out happens exactly where the key paths diverge.  The walk
+    probes the result caches alone ({!Qcache.probe_results}): a route
+    jump would fragment it, so route entries are left untouched. *)
 val lookup_many :
   ?cache:Qcache.t ->
   Pgrid_core.Overlay.t ->

@@ -1,7 +1,10 @@
 (** Per-peer query caches for read-heavy traffic.
 
     Each peer that participates in (or forwards) lookups accumulates two
-    bounded LRU caches:
+    bounded LRU caches, held in flat int arrays keyed by int (the route
+    cache by {!Pgrid_keyspace.Path.code}, the result cache by
+    {!Pgrid_keyspace.Key.to_int}), so that finding, bumping and
+    refreshing an entry allocate nothing:
 
     {ul
     {- a {e route cache}: the full path of a known responsible peer,
@@ -56,6 +59,12 @@ type probe =
 (** [probe t ~at key] consults peer [at]'s caches.  Exactly one counter
     (hit / miss / stale) is charged per call. *)
 val probe : t -> at:int -> Pgrid_keyspace.Key.t -> probe
+
+(** [probe_results t ~at key] consults peer [at]'s result cache alone,
+    leaving its route cache and that cache's recency untouched: never
+    [Hit_route].  For callers that cannot take a route jump, such as a
+    shared batch walk.  Charges one counter, as {!probe} does. *)
+val probe_results : t -> at:int -> Pgrid_keyspace.Key.t -> probe
 
 (** [learn t ~at ~key ~target ~present ~payloads] records a completed
     lookup at peer [at]: a route entry for [target]'s current path and a

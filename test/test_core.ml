@@ -7,6 +7,7 @@ module Path = Pgrid_keyspace.Path
 module Reference = Pgrid_partition.Reference
 module Distribution = Pgrid_workload.Distribution
 module Node = Pgrid_core.Node
+module Intset = Pgrid_core.Intset
 module Overlay = Pgrid_core.Overlay
 module Builder = Pgrid_core.Builder
 module Deviation = Pgrid_core.Deviation
@@ -403,6 +404,98 @@ let qcheck_builder_integrity =
              | None -> false)
            keys)
 
+(* --- Reference choice and divergence ------------------------------------ *)
+
+(* The two-pass count-then-scan that [Overlay.eligible] and
+   [Overlay.draw] replaced, kept as their reference: count the eligible
+   members, draw a rank, scan to it. *)
+let count_then_scan overlay rng ~admit ~src ~excluding set =
+  let usable id =
+    id <> excluding && (Overlay.node overlay id).Node.online && admit src id
+  in
+  let count = Intset.fold (fun acc id -> if usable id then acc + 1 else acc) 0 set in
+  if count = 0 then -1
+  else begin
+    let target = Rng.int rng count in
+    let seen = ref 0 and chosen = ref (-1) in
+    Intset.iter
+      (fun id ->
+        if usable id then begin
+          if !seen = target then chosen := id;
+          incr seen
+        end)
+      set;
+    !chosen
+  end
+
+(* Random reference sets over 40 peers, some offline, some edges vetoed
+   by [admit] (or no [admit] at all), with or without an [excluding]
+   member: both must pick the same peer and leave the RNG alike. *)
+let qcheck_pick_kernel =
+  let peers = 40 in
+  let ids = QCheck.Gen.(list_size (int_bound 30) (int_bound (peers - 1))) in
+  let print (members, offline, vetoed, (with_admit, excluding, seed)) =
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    Printf.sprintf "members=[%s] offline=[%s] vetoed=[%s] admit=%b excluding=%d seed=%d"
+      (ints members) (ints offline) (ints vetoed) with_admit excluding seed
+  in
+  let gen =
+    QCheck.Gen.(
+      tup4 ids ids ids (triple bool (int_range (-1) (peers - 1)) (int_bound 10_000)))
+  in
+  QCheck.Test.make ~name:"single-pass pick = count-then-scan" ~count:500
+    (QCheck.make ~print gen) (fun (members, offline, vetoed, (with_admit, excluding, seed)) ->
+      let overlay = Overlay.create (Rng.create ~seed:1) ~n:peers in
+      List.iter (fun id -> (Overlay.node overlay id).Node.online <- false) offline;
+      let set = Intset.of_list members in
+      let src = 7 in
+      (* Vetoes only edges out of [src], so a wrong [src] shows. *)
+      let veto s id = not (s = src && List.mem id vetoed) in
+      let r1 = Rng.create ~seed and r2 = Rng.create ~seed in
+      let expected =
+        count_then_scan overlay r1
+          ~admit:(if with_admit then veto else fun _ _ -> true)
+          ~src ~excluding set
+      in
+      let admit = if with_admit then Some veto else None in
+      let count = Overlay.eligible ?admit overlay ~src ~excluding set in
+      let got = if count = 0 then -1 else Overlay.draw overlay r2 count in
+      got = expected && Rng.int r1 1_000_000 = Rng.int r2 1_000_000)
+
+(* The bit-by-bit loop [Overlay.divergence_level] replaced. *)
+let divergence_by_bits path key =
+  let len = Path.length path in
+  let rec go l =
+    if l >= len then None else if Path.bit path l <> Key.bit key l then Some l else go (l + 1)
+  in
+  go 0
+
+let qcheck_divergence_level =
+  QCheck.Test.make ~name:"O(1) divergence level = bit-by-bit loop" ~count:200
+    QCheck.small_signed_int (fun seed ->
+      let rng = Rng.create ~seed in
+      let key = Key.random rng in
+      let bits = Key.to_string key in
+      let ok = ref true in
+      for len = 0 to Key.bits do
+        (* The key's own prefix, the prefix with one bit flipped, and
+           unrelated bits: no divergence, a chosen one, and any. *)
+        let flipped =
+          String.mapi
+            (fun i c ->
+              if len > 0 && i = Rng.int rng len then if c = '0' then '1' else '0' else c)
+            (String.sub bits 0 len)
+        in
+        let unrelated = String.init len (fun _ -> if Rng.bool rng then '1' else '0') in
+        List.iter
+          (fun s ->
+            let path = Path.of_string s in
+            if Overlay.divergence_level path key <> divergence_by_bits path key then
+              ok := false)
+          [ String.sub bits 0 len; flipped; unrelated ]
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "node store" `Quick test_node_store;
@@ -432,4 +525,6 @@ let suite =
     Alcotest.test_case "overlay arena growth" `Quick test_overlay_arena_growth;
     QCheck_alcotest.to_alcotest qcheck_zero_counter;
     QCheck_alcotest.to_alcotest qcheck_builder_integrity;
+    QCheck_alcotest.to_alcotest qcheck_pick_kernel;
+    QCheck_alcotest.to_alcotest qcheck_divergence_level;
   ]

@@ -163,6 +163,26 @@ let qcheck_key_prefix_matches =
       let key = Key.random rng in
       Path.matches_key (Path.key_prefix key depth) key)
 
+let test_path_code_injective () =
+  (* Every path of length 0..6, pairwise: equal codes iff equal paths. *)
+  let paths = List.concat_map Path.enumerate_leaves [ 0; 1; 2; 3; 4; 5; 6 ] in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun q ->
+          if (Path.code p = Path.code q) <> Path.equal p q then
+            Alcotest.failf "code collision: %s vs %s" (Path.to_string p) (Path.to_string q))
+        paths)
+    paths
+
+let qcheck_key_prefix_code =
+  QCheck.Test.make ~name:"code of key_prefix is the documented formula" ~count:500
+    QCheck.(pair small_signed_int (int_bound Key.bits))
+    (fun (seed, depth) ->
+      let key = Key.random (Rng.create ~seed) in
+      Path.code (Path.key_prefix key depth)
+      = (Key.to_int key lsr (Key.bits - depth)) lor (1 lsl depth))
+
 (* --- codec -------------------------------------------------------------- *)
 
 let test_codec_order () =
@@ -266,6 +286,7 @@ let suite =
     Alcotest.test_case "path overlap fraction" `Quick test_path_overlap_fraction;
     Alcotest.test_case "path compare order" `Quick test_path_compare_order;
     Alcotest.test_case "path enumerate leaves" `Quick test_path_enumerate;
+    Alcotest.test_case "path code injective" `Quick test_path_code_injective;
     Alcotest.test_case "codec order" `Quick test_codec_order;
     Alcotest.test_case "codec case folding" `Quick test_codec_case_folding;
     Alcotest.test_case "codec numeric attributes" `Quick test_codec_float_in;
@@ -279,6 +300,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_path_string_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_matches_key_iff_interval;
     QCheck_alcotest.to_alcotest qcheck_key_prefix_matches;
+    QCheck_alcotest.to_alcotest qcheck_key_prefix_code;
     QCheck_alcotest.to_alcotest qcheck_codec_monotone;
     QCheck_alcotest.to_alcotest qcheck_dyadic_complete;
     QCheck_alcotest.to_alcotest qcheck_dyadic_sorted_disjoint;

@@ -3,6 +3,7 @@
 
 module Rng = Pgrid_prng.Rng
 module Key = Pgrid_keyspace.Key
+module Path = Pgrid_keyspace.Path
 module Distribution = Pgrid_workload.Distribution
 module Builder = Pgrid_core.Builder
 module Overlay = Pgrid_core.Overlay
@@ -568,6 +569,303 @@ let test_engine_lookup_many () =
           (Node.responsible_for (Overlay.node overlay t) item.Engine.bkey))
     b.Engine.items
 
+let test_lookup_many_probes_results_only () =
+  (* A batch can only be answered by the result cache, so it must not
+     charge route hits or bump route entries.  Plant a route entry with
+     no live result entry next to it, then run a batch over its key. *)
+  let overlay, keys = build 36 in
+  let cache = Qcache.create overlay in
+  let k, t = planted_pair overlay keys in
+  Qcache.learn cache ~at:0 ~key:k ~target:t ~present:true ~payloads:[];
+  Qcache.invalidate cache (Overlay.Key_written k);
+  let b = Engine.lookup_many ~cache overlay ~from:0 [ k ] in
+  checki "resolved" 0 b.Engine.unresolved;
+  checki "no route hits charged" 0 (Qcache.stats cache).Qcache.route_hits
+
+(* --- Qcache against a naive model ---------------------------------------- *)
+
+(* The reference the cache must match decision for decision: per-peer
+   assoc lists kept most recent first, a linear longest-prefix scan, and
+   the same generation rules.  Its probe answers are [Qcache.probe]
+   values and its [stats] a [Qcache.stats], so the two compare with
+   [=]. *)
+module Model = struct
+  type route = { path : Path.t; rtarget : int; rgen : int; repoch : int }
+
+  type result = {
+    key : Key.t;
+    xtarget : int;
+    present : bool;
+    payloads : string list;
+    xgen : int;
+    xwgen : int;
+    xepoch : int;
+  }
+
+  type t = {
+    overlay : Overlay.t;
+    route_cap : int;
+    result_cap : int;
+    routes : route list array;
+    results : result list array;
+    gen : int array;
+    mutable wgen : (Key.t * int) list;
+    mutable epoch : int;
+    mutable route_hits : int;
+    mutable result_hits : int;
+    mutable misses : int;
+    mutable stale : int;
+    mutable invalidations : int;
+    mutable evictions : int;
+  }
+
+  let create overlay ~route_cap ~result_cap =
+    let n = Overlay.size overlay in
+    {
+      overlay;
+      route_cap;
+      result_cap;
+      routes = Array.make n [];
+      results = Array.make n [];
+      gen = Array.make n 0;
+      wgen = [];
+      epoch = 0;
+      route_hits = 0;
+      result_hits = 0;
+      misses = 0;
+      stale = 0;
+      invalidations = 0;
+      evictions = 0;
+    }
+
+  let wgen m k = Option.value ~default:0 (List.assoc_opt k m.wgen)
+
+  let valid m target key =
+    let n = Overlay.node m.overlay target in
+    n.Node.online && Node.responsible_for n key
+
+  (* Most recent first; a fresh entry beyond the cap evicts the last. *)
+  let file entries e ~same ~cap ~evicted =
+    let others = List.filter (fun x -> not (same x)) entries in
+    let fresh = List.length others = List.length entries in
+    let all = e :: others in
+    if fresh && List.length all > cap then begin
+      evicted ();
+      List.filteri (fun i _ -> i < cap) all
+    end
+    else all
+
+  let learn m ~at ~key ~target ~present ~payloads =
+    if at <> target then begin
+      let path = (Overlay.node m.overlay target).Node.path in
+      let evicted () = m.evictions <- m.evictions + 1 in
+      m.routes.(at) <-
+        file m.routes.(at)
+          { path; rtarget = target; rgen = m.gen.(target); repoch = m.epoch }
+          ~same:(fun r -> Path.equal r.path path)
+          ~cap:m.route_cap ~evicted;
+      m.results.(at) <-
+        file m.results.(at)
+          {
+            key;
+            xtarget = target;
+            present;
+            payloads;
+            xgen = m.gen.(target);
+            xwgen = wgen m key;
+            xepoch = m.epoch;
+          }
+          ~same:(fun x -> Key.equal x.key key)
+          ~cap:m.result_cap ~evicted
+    end
+
+  let probe m ~at key =
+    let drop_result x = m.results.(at) <- List.filter (fun y -> y != x) m.results.(at) in
+    let drop_route r = m.routes.(at) <- List.filter (fun y -> y != r) m.routes.(at) in
+    let rec scan = function
+      | [] ->
+        m.misses <- m.misses + 1;
+        Qcache.Miss
+      | r :: rest ->
+        if r.repoch <> m.epoch || r.rgen <> m.gen.(r.rtarget) then begin
+          drop_route r;
+          scan rest
+        end
+        else if valid m r.rtarget key then begin
+          m.routes.(at) <- r :: List.filter (fun y -> y != r) m.routes.(at);
+          m.route_hits <- m.route_hits + 1;
+          Qcache.Hit_route r.rtarget
+        end
+        else begin
+          drop_route r;
+          m.stale <- m.stale + 1;
+          Qcache.Stale r.rtarget
+        end
+    in
+    let routes () =
+      m.routes.(at)
+      |> List.filter (fun r -> Path.matches_key r.path key)
+      |> List.stable_sort (fun a b -> compare (Path.length b.path) (Path.length a.path))
+      |> scan
+    in
+    match List.find_opt (fun x -> Key.equal x.key key) m.results.(at) with
+    | None -> routes ()
+    | Some x ->
+      if x.xepoch <> m.epoch || x.xgen <> m.gen.(x.xtarget) || x.xwgen <> wgen m key
+      then begin
+        drop_result x;
+        routes ()
+      end
+      else if valid m x.xtarget key then begin
+        m.results.(at) <- x :: List.filter (fun y -> y != x) m.results.(at);
+        m.result_hits <- m.result_hits + 1;
+        Qcache.Hit_result { target = x.xtarget; present = x.present; payloads = x.payloads }
+      end
+      else begin
+        drop_result x;
+        m.stale <- m.stale + 1;
+        Qcache.Stale x.xtarget
+      end
+
+  let invalidate m = function
+    | Overlay.Peer_changed id ->
+      m.gen.(id) <- m.gen.(id) + 1;
+      m.invalidations <- m.invalidations + 1
+    | Overlay.Key_written k ->
+      m.wgen <- (k, wgen m k + 1) :: List.remove_assoc k m.wgen;
+      m.invalidations <- m.invalidations + 1
+    | Overlay.Flush ->
+      m.epoch <- m.epoch + 1;
+      m.wgen <- [];
+      m.invalidations <- m.invalidations + 1
+
+  let clear m =
+    Array.fill m.routes 0 (Array.length m.routes) [];
+    Array.fill m.results 0 (Array.length m.results) []
+
+  let stats m =
+    let total a = Array.fold_left (fun acc l -> acc + List.length l) 0 a in
+    {
+      Qcache.route_hits = m.route_hits;
+      result_hits = m.result_hits;
+      misses = m.misses;
+      stale = m.stale;
+      invalidations = m.invalidations;
+      evictions = m.evictions;
+      route_entries = total m.routes;
+      result_entries = total m.results;
+    }
+end
+
+type cache_op =
+  | Learn of int * int * int * bool  (** at, key index, target, present *)
+  | Probe of int * int  (** at, key index *)
+  | Changed of int
+  | Written of int
+  | Flush_feed  (** [Overlay.Flush] through [invalidate] *)
+  | Flush
+  | Clear
+  | Toggle of int  (** a peer goes offline or back online *)
+  | Repath of int * string  (** a peer's path changes, unannounced *)
+
+let show_cache_op = function
+  | Learn (at, k, t, p) -> Printf.sprintf "learn(%d,k%d,->%d,%b)" at k t p
+  | Probe (at, k) -> Printf.sprintf "probe(%d,k%d)" at k
+  | Changed p -> Printf.sprintf "changed(%d)" p
+  | Written k -> Printf.sprintf "written(k%d)" k
+  | Flush_feed -> "flush-feed"
+  | Flush -> "flush"
+  | Clear -> "clear"
+  | Toggle p -> Printf.sprintf "toggle(%d)" p
+  | Repath (p, s) -> Printf.sprintf "repath(%d,%S)" p s
+
+(* Six peers with paths of up to two bits and eight keys spread over the
+   key space, so routes share prefixes, and validation fails often enough
+   to exercise [Stale].  Only peers 0 and 1 cache, so their small caches
+   fill and evict, which is where recency order shows. *)
+let model_peers = 6
+
+let model_keys =
+  Array.map Key.of_float [| 0.03; 0.1; 0.2; 0.33; 0.5; 0.6; 0.77; 0.9 |]
+
+let gen_bits = QCheck.Gen.(string_size ~gen:(oneofl [ '0'; '1' ]) (int_bound 2))
+
+let gen_cache_op =
+  let open QCheck.Gen in
+  let peer = int_bound (model_peers - 1) and key = int_bound (Array.length model_keys - 1) in
+  let at = int_bound 1 in
+  frequency
+    [
+      (4, map3 (fun at k (t, p) -> Learn (at, k, t, p)) at key (pair peer bool));
+      (5, map2 (fun at k -> Probe (at, k)) at key);
+      (1, map (fun p -> Changed p) peer);
+      (1, map (fun k -> Written k) key);
+      (1, return Flush_feed);
+      (1, return Flush);
+      (1, return Clear);
+      (1, map (fun p -> Toggle p) peer);
+      (1, map2 (fun p s -> Repath (p, s)) peer gen_bits);
+    ]
+
+let qcheck_qcache_matches_model =
+  let cap = QCheck.int_range 1 4 in
+  let paths =
+    QCheck.make
+      ~print:(fun l -> String.concat "," (List.map (Printf.sprintf "%S") l))
+      QCheck.Gen.(list_repeat model_peers gen_bits)
+  in
+  let ops =
+    QCheck.list_of_size QCheck.Gen.(int_bound 120) (QCheck.make ~print:show_cache_op gen_cache_op)
+  in
+  QCheck.Test.make ~name:"qcache = assoc-list model" ~count:500
+    (QCheck.quad cap cap paths ops) (fun (route_cap, result_cap, paths, ops) ->
+      let overlay = Overlay.create (Rng.create ~seed:1) ~n:model_peers in
+      List.iteri (fun i s -> Node.set_path (Overlay.node overlay i) (Path.of_string s)) paths;
+      let cache = Qcache.create ~route_cap ~result_cap overlay in
+      let model = Model.create overlay ~route_cap ~result_cap in
+      let payloads present = if present then [ "doc" ] else [] in
+      List.for_all
+        (fun op ->
+          let agree =
+            match op with
+            | Learn (at, k, target, present) ->
+              let key = model_keys.(k) and payloads = payloads present in
+              Qcache.learn cache ~at ~key ~target ~present ~payloads;
+              Model.learn model ~at ~key ~target ~present ~payloads;
+              true
+            | Probe (at, k) ->
+              Qcache.probe cache ~at model_keys.(k) = Model.probe model ~at model_keys.(k)
+            | Changed p ->
+              Qcache.invalidate cache (Overlay.Peer_changed p);
+              Model.invalidate model (Overlay.Peer_changed p);
+              true
+            | Written k ->
+              Qcache.invalidate cache (Overlay.Key_written model_keys.(k));
+              Model.invalidate model (Overlay.Key_written model_keys.(k));
+              true
+            | Flush_feed ->
+              Qcache.invalidate cache Overlay.Flush;
+              Model.invalidate model Overlay.Flush;
+              true
+            | Flush ->
+              Qcache.flush cache;
+              Model.invalidate model Overlay.Flush;
+              true
+            | Clear ->
+              Qcache.clear cache;
+              Model.clear model;
+              true
+            | Toggle p ->
+              let n = Overlay.node overlay p in
+              n.Node.online <- not n.Node.online;
+              true
+            | Repath (p, s) ->
+              Node.set_path (Overlay.node overlay p) (Path.of_string s);
+              true
+          in
+          agree && Qcache.stats cache = Model.stats model)
+        ops)
+
 (* The tentpole's correctness property: cached lookups agree with plain
    routing on responsibility and key presence before, during and after a
    balance split storm — stale entries may cost hops, never answers. *)
@@ -652,6 +950,9 @@ let suite =
     Alcotest.test_case "qcache observes events" `Quick test_qcache_observe_events;
     Alcotest.test_case "engine stale fallback" `Quick test_engine_stale_fallback;
     Alcotest.test_case "engine batched lookups" `Quick test_engine_lookup_many;
+    Alcotest.test_case "batched lookups probe results only" `Quick
+      test_lookup_many_probes_results_only;
     QCheck_alcotest.to_alcotest qcheck_conjunctive_merge_equiv;
     QCheck_alcotest.to_alcotest qcheck_cached_agrees_under_balance_storm;
+    QCheck_alcotest.to_alcotest qcheck_qcache_matches_model;
   ]
