@@ -290,6 +290,28 @@ let micro _reps =
       "prefix-routing"; "anti-entropy";
     |]
   in
+  (* PRNG and set layers.  The bounds mix the shapes the simnet draws:
+     reference counts, peer ids, the 2^30 and max_int extremes. *)
+  let shapes = [| 2; 3; 7; 40; 80; 296; 1 lsl 30; max_int |] in
+  let bounds = Array.init 64 (fun i -> shapes.(i land 7)) in
+  let draws = Array.init 64 Fun.id in
+  let rng_ints () =
+    for i = 0 to 63 do
+      ignore (Sys.opaque_identity (Pgrid_prng.Rng.int rng bounds.(i)))
+    done
+  in
+  (* One union into an emptied set, one adding fresh members (in-place
+     back merge), one of a subset (count only): the three paths of
+     construction's reference and replica exchanges. *)
+  let evens = Pgrid_core.Intset.of_list (List.init 40 (fun i -> 2 * i)) in
+  let odds = Pgrid_core.Intset.of_list (List.init 40 (fun i -> (2 * i) + 1)) in
+  let union_target = Pgrid_core.Intset.create () in
+  let unions () =
+    Pgrid_core.Intset.clear union_target;
+    Pgrid_core.Intset.union_into ~into:union_target evens;
+    Pgrid_core.Intset.union_into ~into:union_target odds;
+    Pgrid_core.Intset.union_into ~into:union_target evens
+  in
   let sim_burst () =
     let s = Pgrid_simnet.Sim.create () in
     for i = 1 to 1000 do
@@ -313,6 +335,10 @@ let micro _reps =
           (Staged.stage (fun () ->
                ignore (Pgrid_core.Overlay.search overlay ~from:0 probe_key)));
         Test.make ~name:"sim-1000-events" (Staged.stage sim_burst);
+        Test.make ~name:"rng-int-64" (Staged.stage rng_ints);
+        Test.make ~name:"rng-shuffle-64"
+          (Staged.stage (fun () -> Pgrid_prng.Rng.shuffle rng draws));
+        Test.make ~name:"intset-union" (Staged.stage unions);
         Test.make ~name:"codec-of-term"
           (* A single ~80ns call is dominated by call overhead and GC
              pacing from unrelated fixtures; a batch over varied term

@@ -75,40 +75,45 @@ let of_list xs =
   List.iter (add t) xs;
   t
 
-(* Linear two-pointer merge of two sorted arrays — this is what makes the
-   merge-time replica/ref exchange O(n + m) instead of the quadratic
-   List.mem-per-element scheme it replaces. *)
+(* Linear two-pointer merge, in place.  A first pass counts the members
+   of [src] missing from [into]; when there are none (the common case for
+   repeated replica and reference exchanges) nothing is written or
+   allocated.  Otherwise [into] grows by doubling and the merge runs from
+   the back, so every element moves at most once and no slot is written
+   before it has been read. *)
 let union_into ~into src =
-  if src.len > 0 then begin
-    let merged = Array.make (into.len + src.len) 0 in
-    let i = ref 0 and j = ref 0 and k = ref 0 in
-    while !i < into.len && !j < src.len do
-      let a = into.data.(!i) and b = src.data.(!j) in
-      if a < b then begin
-        merged.(!k) <- a;
-        incr i
-      end
-      else if b < a then begin
-        merged.(!k) <- b;
-        incr j
-      end
-      else begin
-        merged.(!k) <- a;
-        incr i;
-        incr j
-      end;
-      incr k
+  let fresh = ref 0 and i = ref 0 in
+  for j = 0 to src.len - 1 do
+    let b = src.data.(j) in
+    while !i < into.len && into.data.(!i) < b do
+      incr i
     done;
-    while !i < into.len do
-      merged.(!k) <- into.data.(!i);
-      incr i;
-      incr k
+    if !i = into.len || into.data.(!i) <> b then incr fresh
+  done;
+  if !fresh > 0 then begin
+    let n = into.len + !fresh in
+    if n > Array.length into.data then begin
+      let cap = ref (max 1 (Array.length into.data)) in
+      while !cap < n do
+        cap := 2 * !cap
+      done;
+      let grown = Array.make !cap 0 in
+      Array.blit into.data 0 grown 0 into.len;
+      into.data <- grown
+    end;
+    (* [k - i] is the number of [src] members still to insert, so the
+       walk ends with [k = i] and the untouched prefix in place. *)
+    let i = ref (into.len - 1) and k = ref (n - 1) in
+    for j = src.len - 1 downto 0 do
+      let b = src.data.(j) in
+      while !i >= 0 && into.data.(!i) > b do
+        into.data.(!k) <- into.data.(!i);
+        decr i;
+        decr k
+      done;
+      if !i >= 0 && into.data.(!i) = b then decr i;
+      into.data.(!k) <- b;
+      decr k
     done;
-    while !j < src.len do
-      merged.(!k) <- src.data.(!j);
-      incr j;
-      incr k
-    done;
-    into.data <- merged;
-    into.len <- !k
+    into.len <- n
   end

@@ -37,6 +37,8 @@ val elements : t -> int list
 val to_array : t -> int array
 val of_list : int list -> t
 
-(** [union_into ~into src] adds every member of [src] to [into] with one
-    linear two-pointer merge. *)
+(** [union_into ~into src] adds every member of [src] to [into] with a
+    linear two-pointer merge, in place.  Allocates nothing when [src]
+    adds no new member, and otherwise only when [into] must grow
+    (capacity doubles). *)
 val union_into : into:t -> t -> unit

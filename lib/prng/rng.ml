@@ -1,4 +1,21 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four 64-bit xoshiro words live unboxed in one 32-byte buffer,
+   s0..s3 at byte offsets 0, 8, 16 and 24.  The primitives below are the
+   stdlib's own declarations behind [Bytes.get_int64_ne]/[set_int64_ne];
+   declaring them here lets the compiler keep each word in a register
+   instead of allocating an [Int64] box per read, so a draw allocates
+   nothing. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  t
 
 (* splitmix64 step, used only to expand seeds into full xoshiro states. *)
 let splitmix64 state =
@@ -9,60 +26,69 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ~seed =
-  let state = ref (Int64.of_int seed) in
+(* Expand a 64-bit value into a state; xoshiro must not start from the
+   all-zero state, and splitmix64 outputs are zero only for one specific
+   input, so [fallback] is a defensive replacement. *)
+let expand seed ~fallback =
+  let state = ref seed in
   let s0 = splitmix64 state in
   let s1 = splitmix64 state in
   let s2 = splitmix64 state in
   let s3 = splitmix64 state in
-  (* xoshiro must not start from the all-zero state; splitmix64 outputs are
-     zero only for one specific input, so perturb defensively. *)
   if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+    of_words fallback (Int64.add fallback 1L) (Int64.add fallback 2L)
+      (Int64.add fallback 3L)
+  else of_words s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create ~seed = expand (Int64.of_int seed) ~fallback:1L
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One xoshiro256++ step.  Inlined into every draw, so its words stay
+   unboxed from load to store. *)
+let[@inline] bits64 t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 (logxor s2 tmp);
+  set t 24 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 5L; s1 = 6L; s2 = 7L; s3 = 8L }
-  else { s0; s1; s2; s3 }
+let split t = expand (bits64 t) ~fallback:5L
 
-let float t =
-  (* Top 53 bits give a uniform dyadic rational in [0, 1). *)
-  let x = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float x *. 0x1p-53
+(* Top 53 bits give a uniform dyadic rational in [0, 1). *)
+let[@inline] float t =
+  Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1p-53
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling over the smallest covering power of two keeps the
-     draw unbiased for every bound. *)
-  let rec mask_of m = if m >= n - 1 then m else mask_of ((m lsl 1) lor 1) in
-  let mask = mask_of 1 in
-  let rec draw () =
-    let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask in
-    if v < n then v else draw ()
-  in
-  if n = 1 then 0 else draw ()
+  if n = 1 then 0
+  else begin
+    (* Rejection sampling over the smallest covering power of two keeps the
+       draw unbiased for every bound.  The mask is [n - 1] with every bit
+       below its top bit set: the least 2^k - 1 >= n - 1. *)
+    let m = n - 1 in
+    let m = m lor (m lsr 1) in
+    let m = m lor (m lsr 2) in
+    let m = m lor (m lsr 4) in
+    let m = m lor (m lsr 8) in
+    let m = m lor (m lsr 16) in
+    let mask = m lor (m lsr 32) in
+    let v = ref n in
+    while !v >= n do
+      v := Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask
+    done;
+    !v
+  end
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = float t < p

@@ -2,31 +2,28 @@ let uniform rng ~lo ~hi =
   if not (lo < hi) then invalid_arg "Sample.uniform: lo must be < hi";
   lo +. ((hi -. lo) *. Rng.float rng)
 
+(* A uniform draw in (0, 1): the logarithms below must not see 0. *)
+let nonzero rng =
+  let u = ref (Rng.float rng) in
+  while not (!u > 0.) do
+    u := Rng.float rng
+  done;
+  !u
+
 let normal rng ~mu ~sigma =
-  (* Box-Muller.  Guard the logarithm against u1 = 0. *)
-  let rec nonzero () =
-    let u = Rng.float rng in
-    if u > 0. then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = Rng.float rng in
+  (* Box-Muller. *)
+  let u1 = nonzero rng in
+  let u2 = Rng.float rng in
   let r = sqrt (-2. *. log u1) in
   mu +. (sigma *. r *. cos (2. *. Float.pi *. u2))
 
 let pareto rng ~alpha ~k =
   if alpha <= 0. || k <= 0. then invalid_arg "Sample.pareto";
-  let rec nonzero () =
-    let u = Rng.float rng in
-    if u > 0. then u else nonzero ()
-  in
-  k /. Float.pow (nonzero ()) (1. /. alpha)
+  k /. Float.pow (nonzero rng) (1. /. alpha)
 
 let exponential rng ~rate =
   if rate <= 0. then invalid_arg "Sample.exponential";
-  let rec nonzero () =
-    let u = Rng.float rng in
-    if u > 0. then u else nonzero ()
-  in
-  -.log (nonzero ()) /. rate
+  -.log (nonzero rng) /. rate
 
 let lognormal rng ~mu ~sigma = exp (normal rng ~mu ~sigma)
 
@@ -41,12 +38,7 @@ let binomial rng ~n ~p =
 let geometric rng ~p =
   if not (p > 0. && p <= 1.) then invalid_arg "Sample.geometric";
   if p >= 1. then 1
-  else
-    let rec nonzero () =
-      let u = Rng.float rng in
-      if u > 0. then u else nonzero ()
-    in
-    1 + int_of_float (Float.floor (log (nonzero ()) /. log (1. -. p)))
+  else 1 + int_of_float (Float.floor (log (nonzero rng) /. log (1. -. p)))
 
 module Zipf = struct
   type t = { cdf : float array }

@@ -1,6 +1,5 @@
 module Rng = Pgrid_prng.Rng
 module Key = Pgrid_keyspace.Key
-module Path = Pgrid_keyspace.Path
 module Node = Pgrid_core.Node
 module Overlay = Pgrid_core.Overlay
 module Sim = Pgrid_simnet.Sim
@@ -76,11 +75,11 @@ type t = {
 }
 
 let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg =
-  if cfg.req_timeout <= 0. then invalid_arg "Storm.create: req_timeout must be positive";
-  if cfg.backoff < 1. then invalid_arg "Storm.create: backoff must be >= 1";
+  if not (cfg.req_timeout > 0.) then invalid_arg "Storm.create: req_timeout must be positive";
+  if not (cfg.backoff >= 1.) then invalid_arg "Storm.create: backoff must be >= 1";
   if cfg.max_retries < 0 then invalid_arg "Storm.create: max_retries must be >= 0";
   (match cfg.hedge_after with
-  | Some h when h <= 0. -> invalid_arg "Storm.create: hedge_after must be positive"
+  | Some h when not (h > 0.) -> invalid_arg "Storm.create: hedge_after must be positive"
   | _ -> ());
   let breaker =
     Option.map
@@ -139,19 +138,12 @@ let record_success t ~origin ~target =
 let record_failure t ~origin ~target =
   Option.iter (fun br -> Breaker.record_failure br ~origin ~target) t.breaker
 
-let diverge node key =
-  let len = Path.length node.Node.path in
-  let rec go l =
-    if l >= len then None
-    else if Path.bit node.Node.path l <> Key.bit key l then Some l
-    else go (l + 1)
-  in
-  go 0
-
+(* A hop's candidates: a fresh shuffled copy of the references at
+   [level], walked by index. *)
 let snapshot t cur ~level =
   let refs = Node.refs_array (Overlay.node t.overlay cur) ~level in
   Rng.shuffle t.rng refs;
-  Array.to_list refs
+  refs
 
 let issue t ~origin ~key =
   let qid = t.next_qid in
@@ -173,40 +165,37 @@ let issue t ~origin ~key =
   let rec route cur budget =
     if budget = 0 then finish false
     else
-      match diverge (Overlay.node t.overlay cur) key with
+      match Overlay.divergence_level (Overlay.node t.overlay cur).Node.path key with
       | None ->
         (* Responsible peer reached; the response flows back. *)
         Net.account ~src:cur ~dst:origin t.net ~bytes:t.cfg.header_bytes
           ~kind:Net.Query;
         finish true
-      | Some level -> try_refs cur level budget (snapshot t cur ~level)
-  and try_refs cur level budget = function
-    | [] -> finish false
-    | target :: rest ->
+      | Some level -> try_refs cur budget (snapshot t cur ~level) 0
+  (* [refs.(next..)] are the hop's untried candidates, in order. *)
+  and try_refs cur budget refs next =
+    if next >= Array.length refs then finish false
+    else
+      let target = refs.(next) in
       if not (admits t ~origin:cur ~target) then begin
         t.breaker_skips <- t.breaker_skips + 1;
-        try_refs cur level budget rest
+        try_refs cur budget refs (next + 1)
       end
-      else hop cur level budget target rest
+      else hop cur budget target refs (next + 1)
   (* One routing hop: a primary attempt with bounded retries, optionally
      raced by a single hedged backup via the next admitted sibling
      reference. First response wins; the loser's request id is cancelled
      so its late reply (and timeout) are ignored. *)
-  and hop cur level budget target rest =
+  and hop cur budget target refs next =
     let resolved = ref false in
     let primary_rid = ref (-1) and backup_rid = ref (-1) in
-    (* [Some (backup_target, remaining_rest)] once the hedge launched. *)
-    let backup_state = ref None in
+    (* Once hedged, the backup sits at [refs.(next)]. *)
+    let hedged = ref false in
     let primary_dead = ref false and backup_dead = ref false in
-    let fallback () =
-      match !backup_state with Some (_, rest') -> rest' | None -> rest
-    in
     let give_up_hop () =
-      let backup_in_flight =
-        match !backup_state with Some _ -> not !backup_dead | None -> false
-      in
+      let backup_in_flight = !hedged && not !backup_dead in
       if !primary_dead && not backup_in_flight then
-        try_refs cur level budget (fallback ())
+        try_refs cur budget refs (if !hedged then next + 1 else next)
     in
     let advance winner ~backup_won =
       if not !resolved then begin
@@ -214,7 +203,7 @@ let issue t ~origin ~key =
         Hashtbl.remove t.pending !primary_rid;
         Hashtbl.remove t.pending !backup_rid;
         record_success t ~origin:cur ~target:winner;
-        if !backup_state <> None then begin
+        if !hedged then begin
           if backup_won then t.hedge_wins <- t.hedge_wins + 1;
           if Telemetry.active t.tel then
             Telemetry.emit t.tel (Event.Hedge_win { qid; origin = cur; backup_won })
@@ -262,20 +251,20 @@ let issue t ~origin ~key =
     | None -> ()
     | Some h ->
       Sim.schedule t.sim ~delay:h (fun () ->
-          if (not !resolved) && !backup_state = None && not !primary_dead then begin
-            (* Pick the first admitted sibling as the backup; the rest
-               stay as the fallback list should both arms die. *)
-            let rec pick skipped = function
-              | [] -> None
-              | b :: bs ->
-                if admits t ~origin:cur ~target:b then
-                  Some (b, List.rev_append skipped bs)
-                else pick (b :: skipped) bs
-            in
-            match pick [] rest with
-            | None -> ()
-            | Some (b, rest') ->
-              backup_state := Some (b, rest');
+          if (not !resolved) && (not !hedged) && not !primary_dead then begin
+            (* Pick the first admitted sibling as the backup. *)
+            let j = ref next in
+            while !j < Array.length refs && not (admits t ~origin:cur ~target:refs.(!j)) do
+              incr j
+            done;
+            if !j < Array.length refs then begin
+              let b = refs.(!j) in
+              (* Move it to the front of the candidates; the siblings it
+                 skipped keep their order and resume the fallback, right
+                 after it. *)
+              Array.blit refs next refs (next + 1) (!j - next);
+              refs.(next) <- b;
+              hedged := true;
               t.hedges <- t.hedges + 1;
               if Telemetry.active t.tel then
                 Telemetry.emit t.tel
@@ -284,6 +273,7 @@ let issue t ~origin ~key =
                  slow or shedding peer, not to duplicate the retry
                  ladder. *)
               arm ~backup:true b 0 ~max_k:0
+            end
           end)
   in
   route origin (4 * Key.bits)

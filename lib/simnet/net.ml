@@ -59,13 +59,13 @@ type 'msg t = {
 let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?service sim rng ~nodes
     ~latency ~loss ~bucket =
   if nodes < 1 then invalid_arg "Net.create: nodes must be >= 1";
-  if loss < 0. || loss >= 1. then invalid_arg "Net.create: loss must be in [0, 1)";
-  if bucket <= 0. then invalid_arg "Net.create: bucket must be positive";
+  if not (loss >= 0. && loss < 1.) then invalid_arg "Net.create: loss must be in [0, 1)";
+  if not (bucket > 0.) then invalid_arg "Net.create: bucket must be positive";
   let service =
     match service with
     | None -> None
     | Some cfg ->
-      if cfg.service_rate <= 0. then
+      if not (cfg.service_rate > 0.) then
         invalid_arg "Net.create: service_rate must be positive";
       if cfg.queue_capacity < 1 then
         invalid_arg "Net.create: queue_capacity must be >= 1";

@@ -102,17 +102,22 @@ let pop_run t =
   t.processed <- t.processed + 1;
   run ()
 
+(* Every time check below is written so that NaN fails it: a NaN time
+   in the heap would become the clock when it pops, and every later
+   comparison against a NaN clock is false, so nothing would fire again. *)
 let schedule_at t ~time f =
+  if Float.is_nan time then invalid_arg "Sim.schedule_at: time is NaN";
   let time = Float.max time t.clock in
   let seq = t.next_seq in
   t.next_seq <- t.next_seq + 1;
   push t ~time ~seq f
 
 let schedule t ~delay f =
-  if delay < 0. then invalid_arg "Sim.schedule: negative delay";
+  if not (delay >= 0.) then invalid_arg "Sim.schedule: delay must be >= 0";
   schedule_at t ~time:(t.clock +. delay) f
 
 let run_until t ~time =
+  if Float.is_nan time then invalid_arg "Sim.run_until: time is NaN";
   let continue = ref true in
   while !continue && t.size > 0 do
     if t.times.(0) < time then pop_run t else continue := false

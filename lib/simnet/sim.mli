@@ -14,14 +14,16 @@ val create : unit -> t
 val now : t -> float
 
 (** [schedule t ~delay f] runs [f] at [now t +. delay]. Requires
-    [delay >= 0]. *)
+    [delay >= 0]; a NaN delay raises [Invalid_argument]. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
-(** [schedule_at t ~time f] runs [f] at absolute [time] (clamped to now). *)
+(** [schedule_at t ~time f] runs [f] at absolute [time] (clamped to now).
+    A NaN [time] raises [Invalid_argument]. *)
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
 (** [run_until t ~time] processes every event scheduled strictly before
-    [time], then sets the clock to [time]. *)
+    [time], then sets the clock to [time].  A NaN [time] raises
+    [Invalid_argument]. *)
 val run_until : t -> time:float -> unit
 
 (** [run t] processes events until the queue drains. *)

@@ -59,6 +59,18 @@ let test_union_into () =
   Intset.union_into ~into:c b;
   check_elems "union into empty copies" [ 2; 3; 6 ] (Intset.elements c)
 
+let test_union_into_subset_allocates_nothing () =
+  let a = Intset.of_list (List.init 100 Fun.id) in
+  let b = Intset.of_list (List.init 50 (fun i -> 2 * i)) in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Intset.union_into ~into:a b
+  done;
+  let words = Gc.minor_words () -. before in
+  if words >= 100. then
+    Alcotest.failf "1000 unions of a subset allocated %.0f minor words" words;
+  Alcotest.(check int) "still 100 members" 100 (Intset.cardinal a)
+
 (* Model-based: any interleaving of adds/removes agrees with a sorted
    deduplicated list model. *)
 let qcheck_model =
@@ -98,6 +110,8 @@ let suite =
     Alcotest.test_case "remove" `Quick test_remove;
     Alcotest.test_case "iter / fold / exists" `Quick test_iter_fold;
     Alcotest.test_case "union_into" `Quick test_union_into;
+    Alcotest.test_case "union_into subset allocates nothing" `Quick
+      test_union_into_subset_allocates_nothing;
     QCheck_alcotest.to_alcotest qcheck_model;
     QCheck_alcotest.to_alcotest qcheck_union_model;
   ]

@@ -366,6 +366,114 @@ let test_storm_breaker_opens () =
   checkb "circuits opened" true (s.Storm.breaker_opens > 0);
   checkb "open circuits skipped on later walks" true (s.Storm.breaker_skips > 0)
 
+(* A fixed-seed storm for one hot key over a lossy PlanetLab-latency net
+   with a third of the peers detached, hedging after 0.4 s and breakers
+   that open on one timeout and half-open 1.5 s later — short enough that
+   siblings skipped when a hedge picks its backup are admitted again by
+   the time both arms die.  The pinned stats and latencies depend on the
+   fallback order after a hedge (skipped siblings first, in shuffled
+   order): reversing, dropping or moving the skipped siblings each
+   changes them. *)
+let test_storm_hedged_pinned () =
+  let rng = Rng.create ~seed:27 in
+  let keys = Distribution.generate rng Distribution.Uniform ~n:1500 in
+  let overlay =
+    Builder.index rng ~peers:100 ~keys ~d_max:50 ~n_min:5 ~refs_per_level:5
+  in
+  let sim = Sim.create () in
+  let net =
+    Net.create sim (Rng.create ~seed:77) ~nodes:(Overlay.size overlay)
+      ~latency:Latency.planetlab ~loss:0.05 ~bucket:60.
+  in
+  let cfg =
+    {
+      Storm.default_config with
+      req_timeout = 1.;
+      max_retries = 1;
+      hedge_after = Some 0.4;
+      breaker = Some { Breaker.failures = 1; cooldown = 1.5 };
+    }
+  in
+  let storm = Storm.create sim (Rng.create ~seed:78) overlay net cfg in
+  let drng = Rng.create ~seed:79 in
+  for i = 0 to Net.nodes net - 1 do
+    if Rng.float drng < 0.3 then Net.set_online net i false
+  done;
+  for i = 0 to 79 do
+    let origin = Rng.int drng (Net.nodes net) in
+    if Net.online net origin then
+      Sim.schedule sim ~delay:(0.25 *. float_of_int i) (fun () ->
+          Storm.issue storm ~origin ~key:keys.(0))
+  done;
+  Sim.run sim;
+  let s = Storm.stats storm in
+  Alcotest.(check (list (pair string int)))
+    "stats"
+    [
+      ("issued", 64); ("succeeded", 60); ("failed", 4); ("timeouts", 143);
+      ("retries", 56); ("give_ups", 87); ("hedges", 121); ("hedge_wins", 46);
+      ("breaker_opens", 76); ("breaker_skips", 35);
+    ]
+    [
+      ("issued", s.Storm.issued); ("succeeded", s.Storm.succeeded);
+      ("failed", s.Storm.failed); ("timeouts", s.Storm.timeouts);
+      ("retries", s.Storm.retries); ("give_ups", s.Storm.give_ups);
+      ("hedges", s.Storm.hedges); ("hedge_wins", s.Storm.hedge_wins);
+      ("breaker_opens", s.Storm.breaker_opens);
+      ("breaker_skips", s.Storm.breaker_skips);
+    ];
+  let latencies =
+    List.sort compare
+      (List.map
+         (fun c -> c.Storm.finished_at -. c.Storm.issued_at)
+         (Storm.completions storm))
+  in
+  Alcotest.(check (list (float 0.)))
+    "sorted latencies"
+    [
+      0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x1.166000695146p-2;
+      0x1.75bdb92addf22p-2; 0x1.0557ce633ad48p-1; 0x1.05bba2018f39p-1;
+      0x1.46811d0021cbp-1; 0x1.7cc961e92e52p-1; 0x1.7f7b978b5763p-1;
+      0x1.9626225b8e618p-1; 0x1.acc565eaca32cp-1; 0x1.acf653410a52p-1;
+      0x1.c715ca90a72p-1; 0x1.fcc34a8a92b4p-1; 0x1.05fb54bd1bd6p+0;
+      0x1.081cb79791f5p+0; 0x1.3e8b5d889caap+0; 0x1.3ee51a764b594p+0;
+      0x1.4604d77852168p+0; 0x1.6f57eacb134d8p+0; 0x1.8ad748e51cd98p+0;
+      0x1.cbfb291612158p+0; 0x1.d759dac639818p+0; 0x1.f68b73faddd7p+0;
+      0x1.0830e93b72e9cp+1; 0x1.092ffa3ac5c8cp+1; 0x1.2ffcd9e46f208p+1;
+      0x1.3fdeaf58ed6p+1; 0x1.9acbe5333a438p+1; 0x1.add8e96f23398p+1;
+      0x1.be84b34c29f5p+1; 0x1.c4a09bf171298p+1; 0x1.eaed73b1866dp+1;
+      0x1.f027708773628p+1; 0x1.f4116aa3247c8p+1; 0x1.fdf8abb5d0adep+1;
+      0x1.069fc719259a2p+2; 0x1.12afb106b4f4p+2; 0x1.13c10c96e5428p+2;
+      0x1.14063eee476aap+2; 0x1.18fca9167c834p+2; 0x1.19aacd4a75d56p+2;
+      0x1.23440924d140ap+2; 0x1.244aef4b99202p+2; 0x1.2c97399310377p+2;
+      0x1.3038aa1b71474p+2; 0x1.334604af0b8ecp+2; 0x1.41a21b0f9572cp+2;
+      0x1.472f757103536p+2; 0x1.4811d46ded35ep+2; 0x1.4f3f345af5dp+2;
+      0x1.5399b2ec621fp+2; 0x1.8p+2; 0x1.a49a6d46ede5p+2; 0x1.bc23fcc09b124p+2;
+      0x1.c17deaa257d2p+2; 0x1.dd04852ce36ep+2; 0x1.0392e7fece84cp+3;
+      0x1.16ecd54be03eep+3; 0x1.40487e424e1ccp+3; 0x1.43947e3baac76p+3;
+    ]
+    latencies
+
+let test_storm_rejects_nan () =
+  let create cfg () =
+    let sim = Sim.create () in
+    let overlay, _keys = build 28 in
+    let net =
+      Net.create sim (Rng.create ~seed:1) ~nodes:(Overlay.size overlay)
+        ~latency:(Latency.Fixed 0.05) ~loss:0. ~bucket:60.
+    in
+    ignore (Storm.create sim (Rng.create ~seed:2) overlay net cfg)
+  in
+  let d = Storm.default_config in
+  Alcotest.check_raises "NaN req_timeout"
+    (Invalid_argument "Storm.create: req_timeout must be positive")
+    (create { d with req_timeout = Float.nan });
+  Alcotest.check_raises "NaN backoff" (Invalid_argument "Storm.create: backoff must be >= 1")
+    (create { d with backoff = Float.nan });
+  Alcotest.check_raises "NaN hedge_after"
+    (Invalid_argument "Storm.create: hedge_after must be positive")
+    (create { d with hedge_after = Some Float.nan })
+
 let test_lookup_batch_nobody_online () =
   (* Satellite: a batch against a fully-killed overlay returns a partial
      result (zero issued) instead of hanging in rejection sampling. *)
@@ -936,6 +1044,8 @@ let suite =
     Alcotest.test_case "storm hedge dodges dead primary" `Quick
       test_storm_hedge_dodges_dead_primary;
     Alcotest.test_case "storm breaker opens" `Quick test_storm_breaker_opens;
+    Alcotest.test_case "storm hedged run pinned" `Quick test_storm_hedged_pinned;
+    Alcotest.test_case "storm rejects NaN parameters" `Quick test_storm_rejects_nan;
     Alcotest.test_case "lookup batch nobody online" `Quick
       test_lookup_batch_nobody_online;
     Alcotest.test_case "range batch nobody online" `Quick

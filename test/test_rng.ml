@@ -187,6 +187,133 @@ let test_zipf_uniform_exponent () =
   checkb "s=0 is roughly uniform" true
     (Array.for_all (fun c -> c = 0 || (c > 1_200 && c < 2_800)) counts)
 
+(* --- Known-answer vectors ------------------------------------------------- *)
+
+(* A fixed script of draws, one line per operation.  The expected lines
+   are the generator's reference output, so a change of state layout or
+   draw code that moved any stream by one bit fails here, not only in the
+   seeded experiments downstream. *)
+let transcript seed =
+  let rng = Rng.create ~seed in
+  let lines = ref [] in
+  let line label n draw =
+    let b = Buffer.create 64 in
+    Buffer.add_string b label;
+    for _ = 1 to n do
+      Buffer.add_char b ' ';
+      Buffer.add_string b (draw ())
+    done;
+    lines := Buffer.contents b :: !lines
+  in
+  let hex64 r () = Printf.sprintf "%016Lx" (Rng.bits64 r) in
+  let bit b = if b then "1" else "0" in
+  let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  line "bits64:" 3 (hex64 rng);
+  List.iter
+    (fun n ->
+      line (Printf.sprintf "int %d:" n) 3 (fun () -> string_of_int (Rng.int rng n)))
+    [ 1; 2; 3; 7; 1 lsl 30; max_int ];
+  line "float:" 2 (fun () -> Printf.sprintf "%h" (Rng.float rng));
+  line "bool:" 8 (fun () -> bit (Rng.bool rng));
+  line "bernoulli:" 8 (fun () -> bit (Rng.bernoulli rng 0.3));
+  let child = Rng.split rng in
+  line "split child:" 2 (hex64 child);
+  line "split parent:" 1 (hex64 rng);
+  let snap = Rng.copy rng in
+  line "copy:" 1 (hex64 snap);
+  line "after copy:" 1 (hex64 rng);
+  let arr = Array.init 10 Fun.id in
+  Rng.shuffle rng arr;
+  line "shuffle:" 1 (fun () -> ints arr);
+  line "sample 3/100:" 1 (fun () -> ints (Rng.sample_without_replacement rng ~k:3 ~n:100));
+  line "sample 6/10:" 1 (fun () -> ints (Rng.sample_without_replacement rng ~k:6 ~n:10));
+  List.rev !lines
+
+let known_answers =
+  [
+    ( 0,
+      [
+        "bits64: 53175d61490b23df 61da6f3dc380d507 5c0fdf91ec9a7bfc";
+        "int 1: 0 0 0";
+        "int 2: 0 0 0";
+        "int 3: 2 1 2";
+        "int 7: 0 0 6";
+        "int 1073741824: 927278525 876544298 204203824";
+        "int 4611686018427387903: 1508576268009700774 1859016182403580472 1277412586891869943";
+        "float: 0x1.0b60a9265d628p-3 0x1.4a7d6100c748p-5";
+        "bool: 1 1 1 1 1 0 0 0";
+        "bernoulli: 0 0 0 0 1 0 1 0";
+        "split child: 599a00884f3235e6 22100ce18387e1a8";
+        "split parent: 9064494b8287afb9";
+        "copy: 4c04974c6c1b4767";
+        "after copy: 4c04974c6c1b4767";
+        "shuffle: 3 5 4 9 6 2 8 7 1 0";
+        "sample 3/100: 97 31 72";
+        "sample 6/10: 5 9 6 2 7 8";
+      ] );
+    ( 42,
+      [
+        "bits64: d0764d4f4476689f 519e4174576f3791 fbe07cfb0c24ed8c";
+        "int 1: 0 0 0";
+        "int 2: 0 0 1";
+        "int 3: 1 1 1";
+        "int 7: 5 0 3";
+        "int 1073741824: 353199846 227951471 1005860911";
+        "int 4611686018427387903: 2517998271202591834 981414017452057291 232099460311418335";
+        "float: 0x1.273cf57703ebap-1 0x1.de132e2789206p-2";
+        "bool: 0 1 1 0 1 0 0 1";
+        "bernoulli: 0 0 1 0 0 1 0 0";
+        "split child: 956e02d25c78b270 3573965295bd68b8";
+        "split parent: 680386963ebb4053";
+        "copy: 89eb358fd9821a96";
+        "after copy: 89eb358fd9821a96";
+        "shuffle: 1 6 3 8 2 0 5 4 9 7";
+        "sample 3/100: 69 28 94";
+        "sample 6/10: 5 0 7 4 2 6";
+      ] );
+    ( 20050830,
+      [
+        "bits64: ffd65d17716314f6 5b8889543f55f893 227b41970f30c6cb";
+        "int 1: 0 0 0";
+        "int 2: 1 0 1";
+        "int 3: 2 2 2";
+        "int 7: 1 3 5";
+        "int 1073741824: 16051520 132309242 374663580";
+        "int 4611686018427387903: 2174311238406219433 3805889466161551989 2359077924206967606";
+        "float: 0x1.5a4cae6af6f32p-1 0x1.c32ffe5927f6p-1";
+        "bool: 1 0 1 0 0 1 1 0";
+        "bernoulli: 1 0 1 0 0 1 0 1";
+        "split child: e897fa3561cfd394 b0973488be1c4287";
+        "split parent: 01319ea1cc3487a0";
+        "copy: 8a08e1bdc8e1663f";
+        "after copy: 8a08e1bdc8e1663f";
+        "shuffle: 8 7 6 2 1 9 0 5 3 4";
+        "sample 3/100: 28 56 81";
+        "sample 6/10: 4 5 6 1 3 7";
+      ] );
+  ]
+
+let test_known_answers () =
+  List.iter
+    (fun (seed, expected) ->
+      check (Alcotest.list Alcotest.string) (Printf.sprintf "seed %d" seed) expected
+        (transcript seed))
+    known_answers
+
+let test_draws_allocation_free () =
+  let rng = Rng.create ~seed:23 in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    sink := !sink + Rng.int rng (1 + (i land 1023));
+    if Rng.bool rng then incr sink;
+    if Rng.bernoulli rng 0.3 then incr sink
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  if words >= 100. then
+    Alcotest.failf "100k int/bool/bernoulli draws allocated %.0f minor words" words
+
 let qcheck_float_unit =
   QCheck.Test.make ~name:"Rng.float stays in [0,1)" ~count:500
     QCheck.small_signed_int (fun seed ->
@@ -227,6 +354,8 @@ let suite =
     Alcotest.test_case "lognormal positive" `Quick test_lognormal_positive;
     Alcotest.test_case "zipf skew" `Quick test_zipf;
     Alcotest.test_case "zipf uniform exponent" `Quick test_zipf_uniform_exponent;
+    Alcotest.test_case "known-answer streams" `Quick test_known_answers;
+    Alcotest.test_case "draws allocation-free" `Quick test_draws_allocation_free;
     QCheck_alcotest.to_alcotest qcheck_float_unit;
     QCheck_alcotest.to_alcotest qcheck_int_in_bounds;
   ]

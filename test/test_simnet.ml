@@ -72,8 +72,46 @@ let test_sim_nested_schedule () =
 
 let test_sim_negative_delay () =
   let sim = Sim.create () in
-  Alcotest.check_raises "negative rejected" (Invalid_argument "Sim.schedule: negative delay")
+  Alcotest.check_raises "negative rejected" (Invalid_argument "Sim.schedule: delay must be >= 0")
     (fun () -> Sim.schedule sim ~delay:(-1.) (fun () -> ()))
+
+(* A NaN time must be refused at the door: once in the heap it would
+   become the clock, and nothing scheduled after it would ever fire.  Each
+   test also checks that the refused call left the simulator working. *)
+let still_fires sim =
+  let fired = ref false in
+  Sim.schedule sim ~delay:1. (fun () -> fired := true);
+  Sim.run_until sim ~time:(Sim.now sim +. 2.);
+  checkb "later events still fire" true !fired
+
+let test_sim_schedule_nan () =
+  let sim = Sim.create () in
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Sim.schedule: delay must be >= 0")
+    (fun () -> Sim.schedule sim ~delay:Float.nan (fun () -> ()));
+  still_fires sim
+
+let test_sim_schedule_at_nan () =
+  let sim = Sim.create () in
+  Alcotest.check_raises "NaN time" (Invalid_argument "Sim.schedule_at: time is NaN")
+    (fun () -> Sim.schedule_at sim ~time:Float.nan (fun () -> ()));
+  still_fires sim
+
+let test_sim_run_until_nan () =
+  let sim = Sim.create () in
+  Alcotest.check_raises "NaN time" (Invalid_argument "Sim.run_until: time is NaN")
+    (fun () -> Sim.run_until sim ~time:Float.nan);
+  still_fires sim
+
+let test_net_rejects_nan () =
+  let create ~loss ~bucket () =
+    ignore
+      (Net.create (Sim.create ()) (Rng.create ~seed:1) ~nodes:2
+         ~latency:(Latency.Fixed 0.1) ~loss ~bucket)
+  in
+  Alcotest.check_raises "NaN loss" (Invalid_argument "Net.create: loss must be in [0, 1)")
+    (create ~loss:Float.nan ~bucket:1.);
+  Alcotest.check_raises "NaN bucket" (Invalid_argument "Net.create: bucket must be positive")
+    (create ~loss:0. ~bucket:Float.nan)
 
 let test_sim_many_events () =
   let sim = Sim.create () in
@@ -788,6 +826,10 @@ let suite =
     Alcotest.test_case "run_until boundary" `Quick test_sim_run_until;
     Alcotest.test_case "nested scheduling" `Quick test_sim_nested_schedule;
     Alcotest.test_case "negative delay" `Quick test_sim_negative_delay;
+    Alcotest.test_case "schedule rejects NaN delay" `Quick test_sim_schedule_nan;
+    Alcotest.test_case "schedule_at rejects NaN time" `Quick test_sim_schedule_at_nan;
+    Alcotest.test_case "run_until rejects NaN time" `Quick test_sim_run_until_nan;
+    Alcotest.test_case "net rejects NaN parameters" `Quick test_net_rejects_nan;
     Alcotest.test_case "many events" `Quick test_sim_many_events;
     Alcotest.test_case "fixed latency" `Quick test_latency_fixed;
     Alcotest.test_case "latency floor" `Quick test_latency_floor;
