@@ -312,6 +312,57 @@ let micro _reps =
     Pgrid_core.Intset.union_into ~into:union_target odds;
     Pgrid_core.Intset.union_into ~into:union_target evens
   in
+  (* One [Balance.pass] over 2000 peers, the write path's balancing step:
+     an index built for [d_max] 50, then 300 inserts into 1% of the key
+     space push a few partitions past it.  Building the index takes about
+     a second, so it is built once and each run gets a copy.  Bechamel
+     gives every run of a sample the same resource, so the resource is a
+     shared queue: [allocate] (untimed) adds one fresh copy per run and
+     each run takes one. *)
+  let balance_cfg = Pgrid_core.Balance.default_config ~d_max:50 ~n_min:1 in
+  let balance_template =
+    lazy
+      (let brng = Pgrid_prng.Rng.create ~seed in
+       let keys =
+         Pgrid_workload.Distribution.generate brng Pgrid_workload.Distribution.Uniform
+           ~n:20_000
+       in
+       let o =
+         Pgrid_core.Builder.index brng ~peers:2000 ~keys ~d_max:50 ~n_min:2
+           ~refs_per_level:2
+       in
+       for i = 0 to 299 do
+         let k = Pgrid_keyspace.Key.of_float (0.25 +. (0.01 *. Pgrid_prng.Rng.float brng)) in
+         ignore (Pgrid_core.Overlay.insert o ~from:(i mod 2000) k "hot")
+       done;
+       o)
+  in
+  let balance_fixtures = Queue.create () in
+  let balance_fixture () =
+    let module Node = Pgrid_core.Node in
+    let module Overlay = Pgrid_core.Overlay in
+    let t = Lazy.force balance_template in
+    let o = Overlay.create (Pgrid_prng.Rng.create ~seed) ~n:(Overlay.size t) in
+    for i = 0 to Overlay.size t - 1 do
+      let src = Overlay.node t i and dst = Overlay.node o i in
+      Node.set_path dst src.Node.path;
+      Hashtbl.iter
+        (fun k payloads ->
+          Node.ensure_key dst k;
+          List.iter (Node.insert dst k) payloads)
+        src.Node.store;
+      Node.absorb_replicas dst src.Node.replicas;
+      for level = 0 to Pgrid_keyspace.Path.length src.Node.path - 1 do
+        Node.union_refs dst ~level ~from:src
+      done
+    done;
+    Queue.push (o, Pgrid_prng.Rng.create ~seed) balance_fixtures;
+    balance_fixtures
+  in
+  let balance_pass fixtures =
+    let overlay, brng = Queue.pop fixtures in
+    Pgrid_core.Balance.pass brng overlay balance_cfg
+  in
   let sim_burst () =
     let s = Pgrid_simnet.Sim.create () in
     for i = 1 to 1000 do
@@ -347,6 +398,9 @@ let micro _reps =
                Array.iter
                  (fun t -> ignore (Pgrid_keyspace.Codec.of_term t))
                  codec_terms));
+        (* Last, so its fixtures are not in the heap while the others run. *)
+        Test.make_with_resource ~name:"balance-pass" Test.multiple
+          ~allocate:balance_fixture ~free:Queue.clear (Staged.stage balance_pass);
       ]
   in
   let cfg =

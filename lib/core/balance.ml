@@ -37,7 +37,7 @@ let validate cfg =
   if cfg.retract_members < 0 then invalid_arg "Balance: negative retract_members";
   if cfg.seed_refs < 1 then invalid_arg "Balance: seed_refs must be >= 1";
   if cfg.max_actions < 0 then invalid_arg "Balance: negative max_actions";
-  if cfg.period <= 0. then invalid_arg "Balance: period must be positive"
+  if not (cfg.period > 0.) then invalid_arg "Balance: period must be positive"
 
 type pass_report = {
   splits : int;
@@ -46,24 +46,6 @@ type pass_report = {
   copied_keys : int;
   max_load : int;
 }
-
-(* Partitions as (path, ascending online member ids, offline member
-   count), sorted by path: balancing decisions must be deterministic per
-   seed, and hash-table order is not. *)
-let census overlay =
-  let tbl = Hashtbl.create 64 in
-  for i = Overlay.size overlay - 1 downto 0 do
-    let n = node overlay i in
-    let key = Path.to_string n.Node.path in
-    let path, members, off =
-      Option.value ~default:(n.Node.path, [], 0) (Hashtbl.find_opt tbl key)
-    in
-    if n.Node.online then Hashtbl.replace tbl key (path, i :: members, off)
-    else Hashtbl.replace tbl key (path, members, off + 1)
-  done;
-  Hashtbl.fold (fun key v acc -> (key, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map snd
 
 let partition_load overlay members =
   List.fold_left (fun m i -> max m (Node.key_count (node overlay i))) 0 members
@@ -263,7 +245,7 @@ let split_partition ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay ~pa
            zeros = List.length side0;
            ones = List.length side1;
          });
-  (!dropped_total, !copied)
+  (!dropped_total, !copied, side0, side1)
 
 (* --- retract --------------------------------------------------------------- *)
 
@@ -302,44 +284,130 @@ let retract_partition ?(telemetry = Pgrid_telemetry.Global.get ()) overlay ~path
 
 (* --- pass ------------------------------------------------------------------ *)
 
-(* The first split the current census allows, in path order. *)
-let find_split overlay cfg parts =
-  List.find_opt
-    (fun (path, members, off) ->
-      off = 0
-      && List.length members > 2 * cfg.n_min
-      && Path.length path < Key.bits
-      && partition_load overlay members > cfg.d_max)
-    parts
+(* A pass's view of the partitions, in path order: taken from one
+   [Overlay.census], then patched by every action with exactly the peers
+   it re-homed, so each decision reads what a fresh census would show.
+   Loads are cached, since only an action changes one and it re-files the
+   partitions it touched.  Under [restrict], members are the admitted
+   online peers.  A partition without one is invisible to the pass, but
+   stays filed while it has offline members: they still count if a later
+   action files admitted peers there. *)
+type part = { path : Path.t; members : Node.id list; offline : int; load : int }
 
-(* The first retraction the census allows: an all-online partition at
-   the floors whose sibling is an all-online leaf, with enough headroom
-   that the merged partition stays below [d_max]. *)
-let find_retract overlay cfg parts =
-  List.find_opt
-    (fun (path, members, off) ->
-      off = 0
-      && Path.length path >= 1
-      && members <> []
-      && List.length members <= cfg.retract_members
-      && partition_load overlay members <= cfg.retract_load
-      &&
-      let sib = Path.sibling path in
-      match List.find_opt (fun (p, _, _) -> Path.equal p sib) parts with
-      | None -> false
-      | Some (_, sib_members, sib_off) ->
-        sib_off = 0 && sib_members <> []
-        (* leaf test: nothing lives strictly below either half *)
-        && List.for_all
-             (fun (p, _, _) ->
-               Path.equal p sib || Path.equal p path
-               || not
-                    (Path.is_prefix_of ~prefix:sib p
-                    || Path.is_prefix_of ~prefix:path p))
-             parts
-        && partition_load overlay members + partition_load overlay sib_members
-           <= cfg.d_max)
-    parts
+(* The parts, in the first [len] slots. *)
+type view = { mutable parts : part array; mutable len : int }
+
+let part overlay path members offline =
+  { path; members; offline; load = partition_load overlay members }
+
+let view ?restrict overlay =
+  let parts =
+    List.filter_map
+      (fun { Overlay.path; members; offline } ->
+        let members =
+          match restrict with None -> members | Some f -> List.filter f members
+        in
+        if members = [] && offline = 0 then None
+        else Some (part overlay path members offline))
+      (Overlay.census overlay)
+  in
+  let parts = Array.of_list parts in
+  { parts; len = Array.length parts }
+
+(* The first slot whose path does not sort before [path]. *)
+let seek v path =
+  let lo = ref 0 and hi = ref v.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Path.compare v.parts.(mid).path path < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let find v path =
+  let i = seek v path in
+  if i < v.len && Path.equal v.parts.(i).path path then Some i else None
+
+let remove v path =
+  let i = seek v path in
+  Array.blit v.parts (i + 1) v.parts i (v.len - i - 1);
+  v.len <- v.len - 1
+
+(* Re-home [ids] (ascending, online, admitted) under [path]. *)
+let file overlay v path ids =
+  match find v path with
+  | Some i ->
+    let p = v.parts.(i) in
+    v.parts.(i) <- part overlay path (List.merge Int.compare p.members ids) p.offline
+  | None ->
+    let i = seek v path and p = part overlay path ids 0 in
+    if v.len = Array.length v.parts then begin
+      let grown = Array.make (max 8 (2 * v.len)) p in
+      Array.blit v.parts 0 grown 0 v.len;
+      v.parts <- grown
+    end;
+    Array.blit v.parts i v.parts (i + 1) (v.len - i);
+    v.parts.(i) <- p;
+    v.len <- v.len + 1
+
+(* The first split the view allows, in path order. *)
+let find_split cfg v =
+  let rec go i =
+    if i >= v.len then None
+    else begin
+      let p = v.parts.(i) in
+      if
+        p.load > cfg.d_max
+        && p.offline = 0
+        && List.length p.members > 2 * cfg.n_min
+        && Path.length p.path < Key.bits
+      then Some p
+      else go (i + 1)
+    end
+  in
+  go 0
+
+(* Whether a [visible] part lies strictly below the one in slot [i]:
+   those directly follow it in path order. *)
+let inhabited_below v ~visible i =
+  let path = v.parts.(i).path in
+  let rec go j =
+    j < v.len
+    && Path.is_prefix_of ~prefix:path v.parts.(j).path
+    && (visible v.parts.(j) || go (j + 1))
+  in
+  go (i + 1)
+
+(* The first retraction the view allows, with its sibling: an all-online
+   partition at the floors whose sibling is an all-online leaf, with
+   enough headroom that the merged partition stays below [d_max]. *)
+let find_retract cfg ~visible v =
+  let rec go i =
+    if i >= v.len then None
+    else begin
+      let p = v.parts.(i) in
+      let sibling =
+        if
+          p.offline = 0
+          && Path.length p.path >= 1
+          && p.members <> []
+          && List.length p.members <= cfg.retract_members
+          && p.load <= cfg.retract_load
+        then find v (Path.sibling p.path)
+        else None
+      in
+      match sibling with
+      | Some j
+        when let s = v.parts.(j) in
+             s.offline = 0 && s.members <> []
+             (* leaf test: nothing lives strictly below either half *)
+             && (not (inhabited_below v ~visible i))
+             && (not (inhabited_below v ~visible j))
+             && p.load + s.load <= cfg.d_max ->
+        Some (p, v.parts.(j))
+      | _ -> go (i + 1)
+    end
+  in
+  go 0
 
 let pass ?(telemetry = Pgrid_telemetry.Global.get ()) ?restrict rng overlay cfg =
   validate cfg;
@@ -348,50 +416,44 @@ let pass ?(telemetry = Pgrid_telemetry.Global.get ()) ?restrict rng overlay cfg 
      if the far side does not exist, which is precisely how independent
      split decisions arise during a partition).  [None] filters nothing
      and leaves the draw sequence bit-identical. *)
-  let view parts =
-    match restrict with
-    | None -> parts
-    | Some f ->
-      List.filter_map
-        (fun (path, members, off) ->
-          match List.filter f members with
-          | [] -> None
-          | ms -> Some (path, ms, off))
-        parts
-  in
+  let visible p = restrict = None || p.members <> [] in
+  let v = view ?restrict overlay in
   let splits = ref 0 and retracts = ref 0 in
   let migrated = ref 0 and copied = ref 0 in
   let progress = ref true in
   while !progress && !splits + !retracts < cfg.max_actions do
     progress := false;
-    let parts = view (census overlay) in
-    match find_split overlay cfg parts with
-    | Some (path, members, _) ->
-      let dropped, c = split_partition ~telemetry rng overlay ~path ~members cfg in
+    match find_split cfg v with
+    | Some { path; members; _ } ->
+      let dropped, c, side0, side1 =
+        split_partition ~telemetry rng overlay ~path ~members cfg
+      in
+      remove v path;
+      file overlay v (Path.extend path 0) side0;
+      file overlay v (Path.extend path 1) side1;
       migrated := !migrated + dropped;
       copied := !copied + c;
       incr splits;
       progress := true
     | None -> (
-      match find_retract overlay cfg parts with
-      | Some (path, members, _) ->
-        let sib = Path.sibling path in
-        let sibling_members =
-          match List.find_opt (fun (p, _, _) -> Path.equal p sib) parts with
-          | Some (_, ms, _) -> ms
-          | None -> []
-        in
-        copied := !copied + retract_partition ~telemetry overlay ~path ~members ~sibling_members;
+      match find_retract cfg ~visible v with
+      | Some (p, s) ->
+        copied :=
+          !copied
+          + retract_partition ~telemetry overlay ~path:p.path ~members:p.members
+              ~sibling_members:s.members;
+        remove v p.path;
+        remove v s.path;
+        file overlay v (Path.parent p.path) (List.merge Int.compare p.members s.members);
         incr retracts;
         progress := true
       | None -> ())
   done;
-  let max_load =
-    List.fold_left
-      (fun m (_, members, _) -> max m (partition_load overlay members))
-      0
-      (view (census overlay))
-  in
+  let max_load = ref 0 in
+  for i = 0 to v.len - 1 do
+    max_load := max !max_load v.parts.(i).load
+  done;
+  let max_load = !max_load in
   if Telemetry.active telemetry then
     Telemetry.emit telemetry
       (Event.Balance_pass { max_load; splits = !splits; retracts = !retracts });

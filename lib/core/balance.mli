@@ -60,7 +60,7 @@ val default_config : d_max:int -> n_min:int -> config
 
 (** @raise Invalid_argument when a field is out of range ([d_max < 1],
     [n_min < 1], [retract_load >= d_max], negative floors/caps,
-    [period <= 0]). *)
+    [period] not positive, NaN included). *)
 val validate : config -> unit
 
 type pass_report = {
@@ -82,7 +82,9 @@ val partition_load : Overlay.t -> Node.id list -> int
     eligible action is applied, repeatedly, until no action remains or
     [cfg.max_actions] is reached.  Splits are preferred over
     retractions.  Returns the tally; also sets the [balance.max_load]
-    gauge on [?telemetry].
+    gauge on [?telemetry].  The pass takes one {!Overlay.census} and
+    patches it with the peers each action re-homes, so an action costs
+    one ordered scan for the next candidate, not a fresh census.
 
     [restrict] (default: none) narrows the pass to a reachability
     island: peers it rejects are treated as nonexistent, so islands of

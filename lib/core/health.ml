@@ -32,32 +32,23 @@ type report = {
 
 let node = Overlay.node
 
-(* Census over every node, online or not: a partition whose members are
-   all offline is dark, not gone. *)
-let census overlay =
-  let tbl = Hashtbl.create 64 in
-  for i = 0 to Overlay.size overlay - 1 do
-    let n = node overlay i in
-    let key = Path.to_string n.Node.path in
-    let off, on = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl key) in
-    if n.Node.online then Hashtbl.replace tbl key (off, on + 1)
-    else Hashtbl.replace tbl key (off + 1, on)
-  done;
-  Hashtbl.fold (fun path counts acc -> (path, counts) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
   if n_min < 1 then invalid_arg "Health.check: n_min must be >= 1";
-  let parts = census overlay in
+  (* The census covers every node, online or not: a partition whose
+     members are all offline is dark, not gone. *)
+  let parts = Overlay.census overlay in
   (* Replication and trie completeness, per populated partition. *)
   let trie = ref [] and under = ref [] in
   let rep_sum = ref 0. in
   List.iter
-    (fun (path, (_off, on)) ->
+    (fun { Overlay.path; members; _ } ->
+      let on = List.length members in
       rep_sum := !rep_sum +. Float.min 1. (float_of_int on /. float_of_int n_min);
-      if on = 0 then trie := Trie_incomplete { prefix = path } :: !trie
+      if on = 0 then trie := Trie_incomplete { prefix = Path.to_string path } :: !trie
       else if on < n_min then
-        under := Under_replicated { path; online = on; required = n_min } :: !under)
+        under :=
+          Under_replicated { path = Path.to_string path; online = on; required = n_min }
+          :: !under)
     parts;
   (* Referential integrity: an online node must hold an online reference
      at every level whose complement some online node inhabits.  The
@@ -65,7 +56,7 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
      partition's replicas). *)
   let inhabited_cache = Hashtbl.create 64 in
   let inhabited prefix =
-    let key = Path.to_string prefix in
+    let key = Path.code prefix in
     match Hashtbl.find_opt inhabited_cache key with
     | Some v -> v
     | None ->
@@ -166,17 +157,23 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
           | _ -> ())
       newest;
     (* Structural divergence: an online-inhabited path that is a strict
-       prefix of another (two islands split the same path while apart). *)
-    let is_prefix p q =
-      String.length p < String.length q
-      && String.sub q 0 (String.length p) = p
+       prefix of another (two islands split the same path while apart).
+       A path's strict descendants directly follow it in census order. *)
+    let live =
+      Array.of_list
+        (List.filter_map
+           (fun { Overlay.path; members; _ } -> if members = [] then None else Some path)
+           parts)
     in
-    let live = List.filter_map (fun (p, (_, on)) -> if on > 0 then Some p else None) parts in
-    List.iter
-      (fun p ->
-        let descendants = List.length (List.filter (fun q -> is_prefix p q) live) in
+    Array.iteri
+      (fun i p ->
+        let j = ref (i + 1) in
+        while !j < Array.length live && Path.is_prefix_of ~prefix:p live.(!j) do
+          incr j
+        done;
+        let descendants = !j - i - 1 in
         if descendants > 0 then
-          divv := Diverged_partition { prefix = p; descendants } :: !divv)
+          divv := Diverged_partition { prefix = Path.to_string p; descendants } :: !divv)
       live
   end;
   let by_key a b =

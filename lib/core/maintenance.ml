@@ -113,27 +113,19 @@ let farewell overlay id =
       Intset.remove r.Node.replicas id)
     n.Node.replicas
 
-(* Partitions of online peers as (path, ascending member ids), sorted by
-   path — hash-table order is not stable across OCaml versions, and both
-   repair reports and recruit choices must be deterministic per seed. *)
-let census ?(excluding = -1) overlay =
-  let tbl = Hashtbl.create 64 in
-  for i = Overlay.size overlay - 1 downto 0 do
-    let n = node overlay i in
-    if i <> excluding && n.Node.online then begin
-      let key = Path.to_string n.Node.path in
-      let members = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-      Hashtbl.replace tbl key (i :: members)
-    end
-  done;
-  Hashtbl.fold (fun path members acc -> (path, members) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+(* Ascending online member lists of the inhabited partitions, in path
+   order — both repair reports and recruit choices must be deterministic
+   per seed. *)
+let census ?excluding overlay =
+  List.filter_map
+    (fun { Overlay.members; _ } -> if members = [] then None else Some members)
+    (Overlay.census ?excluding overlay)
 
 (* The member list of the partition with the most online peers; size ties
-   break toward the lexicographically first path. *)
+   break toward the first path. *)
 let richest_partition overlay ~excluding =
   List.fold_left
-    (fun best (_, members) ->
+    (fun best members ->
       match best with
       | Some b when List.length b >= List.length members -> best
       | _ -> Some members)
@@ -291,13 +283,11 @@ let correct_on_use ?(telemetry = Pgrid_telemetry.Global.get ()) ?dead rng overla
 
 type rebalance_report = { migrations : int; rounds : int; final_spread : float }
 
-let partition_census overlay = census overlay
-
 let spread census =
   match census with
   | [] -> 1.
   | _ ->
-    let sizes = List.map (fun (_, m) -> List.length m) census in
+    let sizes = List.map List.length census in
     let mx = List.fold_left max 1 sizes and mn = List.fold_left min max_int sizes in
     float_of_int mx /. float_of_int (max 1 mn)
 
@@ -309,16 +299,14 @@ let rebalance ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay ~n_min ~m
   let continue = ref true in
   while !continue && !rounds < max_rounds do
     incr rounds;
-    let census = partition_census overlay in
+    (* Largest first; the stable sort keeps path order among ties. *)
     let sorted =
-      List.sort
-        (fun (pa, a) (pb, b) ->
-          let c = compare (List.length b) (List.length a) in
-          if c <> 0 then c else compare pa pb)
-        census
+      List.stable_sort
+        (fun a b -> compare (List.length b) (List.length a))
+        (census overlay)
     in
     match (sorted, List.rev sorted) with
-    | (_, rich) :: _, (_, poor) :: _
+    | rich :: _, poor :: _
       when List.length rich > n_min
            && List.length rich >= 2 * List.length poor
            && List.length rich > List.length poor + 1 ->
@@ -332,7 +320,7 @@ let rebalance ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay ~n_min ~m
   done;
   if Telemetry.active telemetry then
     Telemetry.emit telemetry (Event.Rebalance { migrations = !migrations; rounds = !rounds });
-  { migrations = !migrations; rounds = !rounds; final_spread = spread (partition_census overlay) }
+  { migrations = !migrations; rounds = !rounds; final_spread = spread (census overlay) }
 
 (* --- self-healing daemon ------------------------------------------------------ *)
 
@@ -426,18 +414,20 @@ let donor_partition overlay ~floor ~avoid =
 
 let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
     ?(keys = fun () -> [||]) rng overlay ~schedule ~now ~until cfg =
-  if cfg.period <= 0. then invalid_arg "Maintenance.install_daemon: period <= 0";
-  if cfg.monitor_period <= 0. then
-    invalid_arg "Maintenance.install_daemon: monitor_period <= 0";
-  if cfg.jitter < 0. || cfg.jitter >= 1. then
+  (* Written so that NaN fails every check. *)
+  if not (cfg.period > 0.) then
+    invalid_arg "Maintenance.install_daemon: period must be > 0";
+  if not (cfg.monitor_period > 0.) then
+    invalid_arg "Maintenance.install_daemon: monitor_period must be > 0";
+  if not (cfg.jitter >= 0. && cfg.jitter < 1.) then
     invalid_arg "Maintenance.install_daemon: jitter outside [0, 1)";
   if cfg.sync_budget < 0 then invalid_arg "Maintenance.install_daemon: negative budget";
   Option.iter Balance.validate cfg.balance;
   Option.iter
     (fun (r : Reconcile.config) ->
-      if r.Reconcile.period <= 0. then
+      if not (r.Reconcile.period > 0.) then
         invalid_arg "Maintenance.install_daemon: reconcile period must be > 0";
-      if r.Reconcile.gc_after < 0. then
+      if not (r.Reconcile.gc_after >= 0.) then
         invalid_arg "Maintenance.install_daemon: reconcile gc_after must be >= 0")
     cfg.reconcile;
   let stats =

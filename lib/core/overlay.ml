@@ -365,6 +365,50 @@ let anti_entropy_pair t ~a ~b ~budget =
     end
   end
 
+type partition = { path : Path.t; members : Node.id list; offline : int }
+
+module Codes = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* One path's running count in [census]. *)
+type tally = { t_path : Path.t; mutable t_members : Node.id list; mutable t_offline : int }
+
+(* Grouped by [Path.code] (injective), walking ids downward so that
+   consing leaves each member list ascending; only the distinct paths
+   are sorted. *)
+let census ?(excluding = -1) t =
+  (* Partitions hold about two peers each; sized for that, the table
+     rarely grows. *)
+  let tbl = Codes.create (t.count / 2) in
+  for i = t.count - 1 downto 0 do
+    if i <> excluding then begin
+      let n = t.nodes.(i) in
+      let code = Path.code n.Node.path in
+      let c =
+        match Codes.find tbl code with
+        | c -> c
+        | exception Not_found ->
+          let c = { t_path = n.Node.path; t_members = []; t_offline = 0 } in
+          Codes.add tbl code c;
+          c
+      in
+      if n.Node.online then c.t_members <- i :: c.t_members
+      else c.t_offline <- c.t_offline + 1
+    end
+  done;
+  let parts =
+    Codes.fold
+      (fun _ c acc -> { path = c.t_path; members = c.t_members; offline = c.t_offline } :: acc)
+      tbl []
+    |> Array.of_list
+  in
+  Array.stable_sort (fun a b -> Path.compare a.path b.path) parts;
+  Array.to_list parts
+
 let paths t =
   (* Built back-to-front so the result is in id order without a reverse
      pass or intermediate list. *)
@@ -385,19 +429,19 @@ type stats = {
 }
 
 let stats t =
-  let distinct = Hashtbl.create 64 in
   let lengths = Moments.create () in
   let storage = Moments.create () in
   let peers = ref 0 in
   iter t (fun n ->
       if n.Node.online then begin
         incr peers;
-        Hashtbl.replace distinct (Path.to_string n.Node.path) ();
         Moments.add lengths (float_of_int (Path.length n.Node.path));
         Moments.add storage (float_of_int (Node.key_count n))
       end);
   let peers = !peers in
-  let partitions = Hashtbl.length distinct in
+  let partitions =
+    List.fold_left (fun c p -> if p.members = [] then c else c + 1) 0 (census t)
+  in
   {
     peers;
     partitions;

@@ -217,6 +217,23 @@ val clock : t -> int
 (** [paths t] is every online node's current path. *)
 val paths : t -> Pgrid_keyspace.Path.t list
 
+(** One partition of a {!census}. *)
+type partition = {
+  path : Pgrid_keyspace.Path.t;
+  members : Node.id list;  (** online members, ascending *)
+  offline : int;  (** offline members *)
+}
+
+(** [census ?excluding t] groups every node but [excluding] (default:
+    none) by path: one entry per distinct path, in
+    {!Pgrid_keyspace.Path.compare} order, so a path's strict descendants
+    directly follow it.  A partition whose members are all offline is
+    listed with [members = []].  The order is the one a sort on
+    [Path.to_string] gives, which keeps every census-driven decision
+    (balancing, repair, recruiting) deterministic per seed.  O(n) plus a
+    sort of the distinct paths. *)
+val census : ?excluding:Node.id -> t -> partition list
+
 (** Structural statistics used across the experiments. *)
 type stats = {
   peers : int;

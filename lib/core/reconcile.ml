@@ -147,19 +147,19 @@ let tombstone_debt t =
    copying each key and tombstone it would orphan to the online peers
    responsible for it on the other side. *)
 
+(* In census order a path's strict descendants directly follow it, so a
+   path has an inhabited one exactly when its inhabited successor extends
+   it. *)
 let conflicts t =
-  let paths = Hashtbl.create 64 in
-  Overlay.iter t (fun n ->
-      if n.Node.online then
-        Hashtbl.replace paths (Path.to_string n.Node.path) n.Node.path);
-  let inhabited = Hashtbl.fold (fun _ p acc -> p :: acc) paths [] in
-  List.filter
-    (fun p ->
-      List.exists
-        (fun q -> Path.length q > Path.length p && Path.is_prefix_of ~prefix:p q)
-        inhabited)
-    inhabited
-  |> List.sort Path.compare
+  let rec scan acc = function
+    | p :: (q :: _ as rest) ->
+      scan (if Path.is_prefix_of ~prefix:p q then p :: acc else acc) rest
+    | [ _ ] | [] -> List.rev acc
+  in
+  scan []
+    (List.filter_map
+       (fun { Overlay.path; members; _ } -> if members = [] then None else Some path)
+       (Overlay.census t))
 
 let repair_structure ?(telemetry = Pgrid_telemetry.Global.get ()) cfg t =
   let conflict_paths = conflicts t in

@@ -3,26 +3,12 @@ module Path = Pgrid_keyspace.Path
 type leaf = { path : Path.t; peers : Node.id list; keys : int }
 
 let leaves overlay =
-  let tbl : (string, leaf) Hashtbl.t = Hashtbl.create 64 in
-  for i = 0 to Overlay.size overlay - 1 do
-    let n = Overlay.node overlay i in
-    if n.Node.online then begin
-      let key = Path.to_string n.Node.path in
-      let existing =
-        Option.value
-          ~default:{ path = n.Node.path; peers = []; keys = 0 }
-          (Hashtbl.find_opt tbl key)
-      in
-      Hashtbl.replace tbl key
-        {
-          existing with
-          peers = i :: existing.peers;
-          keys = max existing.keys (Node.key_count n);
-        }
-    end
-  done;
-  Hashtbl.fold (fun _ l acc -> { l with peers = List.sort compare l.peers } :: acc) tbl []
-  |> List.sort (fun a b -> Path.compare a.path b.path)
+  List.filter_map
+    (fun { Overlay.path; members; _ } ->
+      match members with
+      | [] -> None
+      | peers -> Some { path; peers; keys = Balance.partition_load overlay peers })
+    (Overlay.census overlay)
 
 let leaf_line l =
   let indent = String.make (2 * Path.length l.path) ' ' in

@@ -67,12 +67,12 @@ let mid p =
   let lo, hi = interval_keys p in
   Key.of_int ((lo + hi) / 2)
 
+(* Left-aligned to [Key.bits], the bits order two paths by their first
+   differing bit; a prefix ties with its extensions by zeros, and the
+   length breaks that tie, prefix first.  O(1). *)
 let compare a b =
-  let n = common_prefix_length a b in
-  if n = a.len && n = b.len then 0
-  else if n = a.len then -1 (* prefix first *)
-  else if n = b.len then 1
-  else Int.compare (bit a n) (bit b n)
+  let c = Int.compare (a.bits lsl (Key.bits - a.len)) (b.bits lsl (Key.bits - b.len)) in
+  if c <> 0 then c else Int.compare a.len b.len
 
 let equal a b = a.len = b.len && a.bits = b.bits
 let code p = p.bits lor (1 lsl p.len)

@@ -69,7 +69,9 @@ val overlap_fraction : of_:t -> t -> float
     bisection point). *)
 val mid : t -> Key.t
 
-(** Lexicographic order on bit strings with the prefix ordered first. *)
+(** Lexicographic order on bit strings with the prefix ordered first:
+    the order [String.compare] gives on {!to_string}.  A path's strict
+    descendants directly follow it in this order.  O(1). *)
 val compare : t -> t -> int
 
 val equal : t -> t -> bool

@@ -169,7 +169,185 @@ let test_validate_rejects_bad_config () =
   rejects { base with Balance.n_min = 0 };
   rejects { base with Balance.retract_load = 20 };
   rejects { base with Balance.seed_refs = 0 };
-  rejects { base with Balance.period = 0. }
+  rejects { base with Balance.period = 0. };
+  rejects { base with Balance.period = Float.nan }
+
+(* --- pinned passes ----------------------------------------------------- *)
+
+(* What a pass decided, in one line: its report, a digest of every peer's
+   path, store size, replica list and routing table, and the next draw
+   of the pass's generator (so a changed number of draws shows too). *)
+let fingerprint rng overlay reports =
+  let b = Buffer.create 8192 in
+  let ints l = List.iter (fun i -> Buffer.add_string b (string_of_int i ^ ",")) l in
+  for i = 0 to Overlay.size overlay - 1 do
+    let n = Overlay.node overlay i in
+    Buffer.add_string b (Printf.sprintf "%d %s %d r:" i (Path.to_string n.Node.path) (Node.key_count n));
+    ints (Node.replica_list n);
+    for level = 0 to Path.length n.Node.path - 1 do
+      Buffer.add_string b " l:";
+      ints (Node.refs_at n ~level)
+    done;
+    Buffer.add_char b '\n'
+  done;
+  String.concat " "
+    (List.map
+       (fun r ->
+         Printf.sprintf "%d/%d/%d/%d/%d" r.Balance.splits r.Balance.retracts
+           r.Balance.migrated_keys r.Balance.copied_keys r.Balance.max_load)
+       reports)
+  ^ Printf.sprintf " peers=%s next=%d"
+      (Digest.to_hex (Digest.string (Buffer.contents b)))
+      (Rng.int rng 1_000_000_000)
+
+let split_cfg = Balance.default_config ~d_max:10 ~n_min:2
+
+let retract_cfg =
+  {
+    (Balance.default_config ~d_max:50 ~n_min:2) with
+    Balance.retract_members = 12;
+    retract_load = 12;
+  }
+
+let golden name run expected =
+  Alcotest.test_case ("pass golden: " ^ name) `Quick (fun () ->
+      Alcotest.(check string) name expected (run ()))
+
+(* Recorded before the census became incremental. *)
+let golden_split =
+  golden "split-heavy"
+    (fun () ->
+      let overlay, _ = build 11 in
+      let rng = Rng.create ~seed:42 in
+      let r = Balance.pass rng overlay split_cfg in
+      fingerprint rng overlay [ r ])
+    "19/0/2751/0/10 peers=64cd3f0c8d8ec5e987072162605271a6 next=310986886"
+
+let golden_retract =
+  golden "retract"
+    (fun () ->
+      let overlay, _ = build 13 in
+      let rng = Rng.create ~seed:44 in
+      let r1 = Balance.pass rng overlay split_cfg in
+      let r2 = Balance.pass rng overlay retract_cfg in
+      fingerprint rng overlay [ r1; r2 ])
+    "17/0/2531/0/10 0/18/0/0/34 peers=4e5e8dd601782f351c2253bbb52b3a75 next=703576496"
+
+(* Two islands split on their own, then one retracts; a few peers sleep
+   throughout, so some partitions carry offline members the islands'
+   views must still count. *)
+let golden_restrict =
+  golden "restrict"
+    (fun () ->
+      let overlay, _ = build 17 in
+      List.iter (fun i -> (Overlay.node overlay i).Node.online <- false) [ 3; 40; 77; 150 ];
+      let rng = Rng.create ~seed:49 in
+      let even i = i mod 2 = 0 and odd i = i mod 2 = 1 in
+      let r1 = Balance.pass ~restrict:even rng overlay split_cfg in
+      let r2 = Balance.pass ~restrict:odd rng overlay split_cfg in
+      let r3 = Balance.pass ~restrict:even rng overlay retract_cfg in
+      fingerprint rng overlay [ r1; r2; r3 ])
+    "11/0/862/0/30 13/0/970/0/30 0/11/0/0/30 peers=8ed5636ff7aff8103814826548be78ee next=909544347"
+
+(* Under [restrict] a partition with no admitted online member does not
+   exist for the pass, offline members or not: it neither blocks its
+   ancestors' retraction (the leaf test) nor shows in the view.  Without
+   [restrict] the same sleeping peer is a member and blocks. *)
+let test_restrict_ignores_dark_descendants () =
+  let run restrict =
+    let overlay = Overlay.create (Rng.create ~seed:1) ~n:4 in
+    List.iter
+      (fun (i, p) -> Node.set_path (Overlay.node overlay i) (Path.of_string p))
+      [ (0, "0"); (1, "0"); (2, "1"); (3, "00") ];
+    (Overlay.node overlay 3).Node.online <- false;
+    let cfg =
+      { (Balance.default_config ~d_max:50 ~n_min:1) with Balance.retract_members = 4 }
+    in
+    (Balance.pass ?restrict (Rng.create ~seed:2) overlay cfg).Balance.retracts
+  in
+  checki "sleeping descendant blocks the merge" 0 (run None);
+  checki "invisible to a restricted pass" 1 (run (Some (fun _ -> true)))
+
+(* The pass patches its census after every action, while a pass capped
+   at one action takes a fresh census each time.  Repeating the capped
+   pass until it stops must make the very same decisions: same actions,
+   same peers moved, same draws, same final load.  Peers left one level
+   below their partition, sleeping peers and an island [restrict] make
+   the patches file into partitions that already have members, online
+   or offline. *)
+let qcheck_patched_census =
+  let setup seed =
+    let rng = Rng.create ~seed in
+    let keys = Distribution.generate rng Distribution.Uniform ~n:600 in
+    let overlay =
+      Pgrid_core.Builder.index rng ~peers:96 ~keys ~d_max:50 ~n_min:2 ~refs_per_level:2
+    in
+    for _ = 0 to Rng.int rng 8 do
+      let n = Overlay.node overlay (Rng.int rng 96) in
+      if Rng.bool rng && Path.length n.Node.path < Key.bits then begin
+        let p = Path.extend n.Node.path (Rng.int rng 2) in
+        Node.set_path n p;
+        ignore (Node.drop_keys_outside n p)
+      end;
+      if Rng.bool rng then n.Node.online <- false
+    done;
+    overlay
+  in
+  let gen = QCheck.Gen.(triple (int_bound 100_000) (int_range 1 2) (int_bound 3)) in
+  let print (seed, n_min, island) = Printf.sprintf "seed=%d n_min=%d island=%d" seed n_min island in
+  QCheck.Test.make ~name:"patched census = fresh census per action" ~count:100
+    (QCheck.make ~print gen) (fun (seed, n_min, island) ->
+      (* [island] 0: no restrict; otherwise peers with [i mod 4 = island]
+         are out of reach. *)
+      let restrict = if island = 0 then None else Some (fun i -> i mod 4 <> island) in
+      let cfgs =
+        [
+          { (Balance.default_config ~d_max:12 ~n_min) with Balance.max_actions = 10_000 };
+          {
+            (Balance.default_config ~d_max:50 ~n_min) with
+            Balance.retract_members = 8;
+            retract_load = 12;
+            max_actions = 10_000;
+          };
+        ]
+      in
+      let patched () =
+        let overlay = setup seed and rng = Rng.create ~seed in
+        let reports = List.map (fun cfg -> Balance.pass ?restrict rng overlay cfg) cfgs in
+        fingerprint rng overlay reports
+      in
+      let fresh () =
+        let overlay = setup seed and rng = Rng.create ~seed in
+        let reports =
+          List.map
+            (fun cfg ->
+              let one = { cfg with Balance.max_actions = 1 } in
+              let rec go acc =
+                let r = Balance.pass ?restrict rng overlay one in
+                let acc =
+                  {
+                    r with
+                    Balance.splits = acc.Balance.splits + r.Balance.splits;
+                    retracts = acc.Balance.retracts + r.Balance.retracts;
+                    migrated_keys = acc.Balance.migrated_keys + r.Balance.migrated_keys;
+                    copied_keys = acc.Balance.copied_keys + r.Balance.copied_keys;
+                  }
+                in
+                if r.Balance.splits + r.Balance.retracts = 0 then acc else go acc
+              in
+              go
+                {
+                  Balance.splits = 0;
+                  retracts = 0;
+                  migrated_keys = 0;
+                  copied_keys = 0;
+                  max_load = 0;
+                })
+            cfgs
+        in
+        fingerprint rng overlay reports
+      in
+      patched () = fresh ())
 
 let test_daemon_defaults_off () =
   let c = Maintenance.default_daemon_config ~n_min:2 in
@@ -199,4 +377,10 @@ let suite =
       test_validate_rejects_bad_config;
     Alcotest.test_case "daemon ships with balancing off" `Quick test_daemon_defaults_off;
     Alcotest.test_case "figures balance smoke" `Slow test_figures_balance_smoke;
+    Alcotest.test_case "restrict ignores dark descendants" `Quick
+      test_restrict_ignores_dark_descendants;
+    QCheck_alcotest.to_alcotest qcheck_patched_census;
+    golden_split;
+    golden_retract;
+    golden_restrict;
   ]

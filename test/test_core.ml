@@ -496,6 +496,55 @@ let qcheck_divergence_level =
       done;
       !ok)
 
+(* --- Census ---------------------------------------------------------------- *)
+
+(* The string-keyed census [Overlay.census] replaced (Balance's copy, plus
+   [excluding] from Maintenance's): (path, ascending online members,
+   offline count), sorted by the path's string. *)
+let census_by_strings ?(excluding = -1) overlay =
+  let tbl = Hashtbl.create 64 in
+  for i = Overlay.size overlay - 1 downto 0 do
+    if i <> excluding then begin
+      let n = Overlay.node overlay i in
+      let key = Path.to_string n.Node.path in
+      let path, members, off =
+        Option.value ~default:(n.Node.path, [], 0) (Hashtbl.find_opt tbl key)
+      in
+      if n.Node.online then Hashtbl.replace tbl key (path, i :: members, off)
+      else Hashtbl.replace tbl key (path, members, off + 1)
+    end
+  done;
+  Hashtbl.fold (fun key v acc -> (key, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
+
+(* Up to 40 peers on paths of at most 4 bits (so paths repeat and nest),
+   some offline, with or without an [excluding] peer. *)
+let qcheck_census =
+  let peer = QCheck.Gen.(pair (string_size ~gen:(oneofl [ '0'; '1' ]) (int_bound 4)) bool) in
+  let gen = QCheck.Gen.(pair (list_size (int_range 1 40) peer) (int_range (-1) 40)) in
+  let print (peers, excluding) =
+    Printf.sprintf "peers=[%s] excluding=%d"
+      (String.concat ";"
+         (List.map (fun (p, on) -> (if on then "+" else "-") ^ p) peers))
+      excluding
+  in
+  QCheck.Test.make ~name:"census = string-keyed census" ~count:500
+    (QCheck.make ~print gen) (fun (peers, excluding) ->
+      let overlay = Overlay.create (Rng.create ~seed:1) ~n:(List.length peers) in
+      List.iteri
+        (fun i (p, on) ->
+          let n = Overlay.node overlay i in
+          Node.set_path n (Path.of_string p);
+          n.Node.online <- on)
+        peers;
+      let got =
+        List.map
+          (fun { Overlay.path; members; offline } -> (path, members, offline))
+          (Overlay.census ~excluding overlay)
+      in
+      got = census_by_strings ~excluding overlay)
+
 let suite =
   [
     Alcotest.test_case "node store" `Quick test_node_store;
@@ -527,4 +576,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_builder_integrity;
     QCheck_alcotest.to_alcotest qcheck_pick_kernel;
     QCheck_alcotest.to_alcotest qcheck_divergence_level;
+    QCheck_alcotest.to_alcotest qcheck_census;
   ]

@@ -183,6 +183,22 @@ let qcheck_key_prefix_code =
       Path.code (Path.key_prefix key depth)
       = (Key.to_int key lsr (Key.bits - depth)) lor (1 lsl depth))
 
+let qcheck_path_compare_is_string_order =
+  (* A shared stem plus short tails, so prefixes, extensions and equal
+     paths come up often; stems run to the full key width. *)
+  let bits n = QCheck.Gen.(string_size ~gen:(map (fun b -> if b then '1' else '0') bool) n) in
+  let gen =
+    QCheck.Gen.(
+      int_bound (Key.bits - 4) >>= fun stem ->
+      triple (bits (return stem)) (bits (int_bound 4)) (bits (int_bound 4)))
+  in
+  QCheck.Test.make ~name:"path compare has the sign of string compare" ~count:1000
+    (QCheck.make ~print:(fun (s, x, y) -> s ^ " | " ^ x ^ " | " ^ y) gen)
+    (fun (stem, x, y) ->
+      let a = stem ^ x and b = stem ^ y in
+      let sign c = Int.compare c 0 in
+      sign (Path.compare (Path.of_string a) (Path.of_string b)) = sign (String.compare a b))
+
 (* --- codec -------------------------------------------------------------- *)
 
 let test_codec_order () =
@@ -301,6 +317,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_matches_key_iff_interval;
     QCheck_alcotest.to_alcotest qcheck_key_prefix_matches;
     QCheck_alcotest.to_alcotest qcheck_key_prefix_code;
+    QCheck_alcotest.to_alcotest qcheck_path_compare_is_string_order;
     QCheck_alcotest.to_alcotest qcheck_codec_monotone;
     QCheck_alcotest.to_alcotest qcheck_dyadic_complete;
     QCheck_alcotest.to_alcotest qcheck_dyadic_sorted_disjoint;

@@ -242,6 +242,32 @@ let qcheck_churn_invariants =
       done;
       !covered && !refs_alive)
 
+(* Every timing field rejects NaN (and its usual out-of-range value)
+   before anything is scheduled. *)
+let test_daemon_rejects_bad_config () =
+  let overlay = Overlay.create (Rng.create ~seed:1) ~n:4 in
+  let base = Maintenance.default_daemon_config ~n_min:2 in
+  let rc = Pgrid_core.Reconcile.default_config in
+  let rejects what cfg =
+    match
+      Maintenance.install_daemon (Rng.create ~seed:2) overlay
+        ~schedule:(fun ~delay:_ _ -> Alcotest.fail "scheduled before validating")
+        ~now:(fun () -> 0.)
+        ~until:1. cfg
+    with
+    | _ -> Alcotest.failf "install_daemon accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "period 0" { base with Maintenance.period = 0. };
+  rejects "period nan" { base with Maintenance.period = Float.nan };
+  rejects "monitor_period nan" { base with Maintenance.monitor_period = Float.nan };
+  rejects "jitter 1" { base with Maintenance.jitter = 1. };
+  rejects "jitter nan" { base with Maintenance.jitter = Float.nan };
+  rejects "reconcile period nan"
+    { base with Maintenance.reconcile = Some { rc with Pgrid_core.Reconcile.period = Float.nan } };
+  rejects "reconcile gc_after nan"
+    { base with Maintenance.reconcile = Some { rc with Pgrid_core.Reconcile.gc_after = Float.nan } }
+
 let suite =
   [
     Alcotest.test_case "leave preserves payloads" `Quick test_leave_preserves_payloads;
@@ -254,5 +280,6 @@ let suite =
     Alcotest.test_case "leave/join cycles" `Quick test_leave_join_cycle_stability;
     Alcotest.test_case "repair/rebalance deterministic" `Quick
       test_repair_rebalance_deterministic;
+    Alcotest.test_case "daemon rejects bad config" `Quick test_daemon_rejects_bad_config;
     QCheck_alcotest.to_alcotest qcheck_churn_invariants;
   ]

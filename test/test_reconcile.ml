@@ -250,6 +250,40 @@ let test_repair_is_deterministic () =
   in
   checkb "repair outcome identical across runs" true (run () = run ())
 
+(* The quadratic scan [Reconcile.conflicts] replaced: every inhabited
+   path that is a strict prefix of another inhabited one, sorted. *)
+let conflicts_by_scan overlay =
+  let paths = Hashtbl.create 64 in
+  Overlay.iter overlay (fun n ->
+      if n.Node.online then Hashtbl.replace paths (Path.to_string n.Node.path) n.Node.path);
+  let inhabited = Hashtbl.fold (fun _ p acc -> p :: acc) paths [] in
+  List.filter
+    (fun p ->
+      List.exists
+        (fun q -> Path.length q > Path.length p && Path.is_prefix_of ~prefix:p q)
+        inhabited)
+    inhabited
+  |> List.sort Path.compare
+
+(* Up to 40 peers on nested paths of at most 5 bits, some offline: an
+   offline-only path must neither conflict nor hide a conflict. *)
+let qcheck_conflicts =
+  let peer = QCheck.Gen.(pair (string_size ~gen:(oneofl [ '0'; '1' ]) (int_bound 5)) bool) in
+  let print peers =
+    String.concat ";" (List.map (fun (p, on) -> (if on then "+" else "-") ^ p) peers)
+  in
+  QCheck.Test.make ~name:"conflicts = quadratic scan" ~count:500
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 40) peer))
+    (fun peers ->
+      let overlay = Overlay.create (Rng.create ~seed:1) ~n:(List.length peers) in
+      List.iteri
+        (fun i (p, on) ->
+          let n = Overlay.node overlay i in
+          Node.set_path n (Path.of_string p);
+          n.Node.online <- on)
+        peers;
+      Reconcile.conflicts overlay = conflicts_by_scan overlay)
+
 let suite =
   [
     Alcotest.test_case "clock and meta on routed writes" `Quick test_clock_and_meta;
@@ -263,4 +297,5 @@ let suite =
     Alcotest.test_case "split-brain balance and repair" `Quick
       test_split_brain_balance_and_repair;
     Alcotest.test_case "repair deterministic" `Quick test_repair_is_deterministic;
+    QCheck_alcotest.to_alcotest qcheck_conflicts;
   ]
