@@ -6,34 +6,13 @@
    the micro kernels.  `bench/compare.exe` diffs two such files and flags
    regressions, so every perf PR is judged against a recorded baseline. *)
 
-(* Which way a metric improves: [Up] for quality rates (success,
-   score), [Down] for costs (deviation, losses, torn states).  Written
-   into the report so compare.exe need not guess from the metric name —
-   its substring heuristic survives only as a fallback for reports
-   written before the field existed. *)
-type direction = Up | Down
-
-(* The direction compare.exe's name heuristic would infer, for metrics
-   whose producers predate the explicit field.  Must match
-   [compare.ml]'s [metric_higher_better] markers exactly, so adding the
-   field never flips an old metric's polarity. *)
-let auto_direction name =
-  let up =
-    List.exists
-      (fun marker ->
-        let ln = String.lowercase_ascii name in
-        let lm = String.length marker and n = String.length ln in
-        let rec scan i = i + lm <= n && (String.sub ln i lm = marker || scan (i + 1)) in
-        scan 0)
-      [ "success"; "score"; "found"; "ge_frac" ]
-  in
-  if up then Up else Down
+module Experiment = Pgrid_experiment.Experiment
 
 type wall = {
   name : string;
   reps : int option;  (** repetitions override, if any *)
   seconds : float;  (** wall-clock for the whole target *)
-  values : (string * float * direction) list;
+  values : Experiment.metric list;
       (** named metric values, e.g. fig6 cells, with improvement direction *)
 }
 
@@ -70,7 +49,7 @@ let json_of_wall w =
                    [
                      ("name", Json.Str k);
                      ("value", Json.Num v);
-                     ("direction", Json.Str (match d with Up -> "up" | Down -> "down"));
+                     ("direction", Json.Str (match d with Experiment.Up -> "up" | Down -> "down"));
                    ])
                vs) );
       ]

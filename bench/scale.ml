@@ -20,6 +20,7 @@ module Sim = Pgrid_simnet.Sim
 module Net = Pgrid_simnet.Net
 module Latency = Pgrid_simnet.Latency
 module Table = Pgrid_stats.Table
+module Experiment = Pgrid_experiment.Experiment
 
 type row = {
   peers : int;
@@ -161,12 +162,12 @@ let values ~seed =
     (fun r ->
       let v name value dir = (Printf.sprintf "n=%d/%s" r.peers name, value, dir) in
       [
-        v "peers_per_second" r.peers_per_second Report.Up;
-        v "build_minor_words" r.build_minor_words Report.Down;
-        v "build_promoted_words" r.build_promoted_words Report.Down;
-        v "deviation" r.deviation Report.Down;
-        v "events_per_second" r.events_per_second Report.Up;
-        v "sim_minor_words" r.sim_minor_words Report.Down;
-        v "sim_promoted_words" r.sim_promoted_words Report.Down;
+        v "peers_per_second" r.peers_per_second Experiment.Up;
+        v "build_minor_words" r.build_minor_words Experiment.Down;
+        v "build_promoted_words" r.build_promoted_words Experiment.Down;
+        v "deviation" r.deviation Experiment.Down;
+        v "events_per_second" r.events_per_second Experiment.Up;
+        v "sim_minor_words" r.sim_minor_words Experiment.Down;
+        v "sim_promoted_words" r.sim_promoted_words Experiment.Down;
       ])
     (rows ~seed)

@@ -5,7 +5,7 @@
      bisect    -- simulate one key-space bisection with a chosen strategy
      planetlab -- run the full simulated deployment (Figures 7-9)
      reference -- print the Algorithm 1 partitioning for a workload
-     figure    -- regenerate one of the paper's figures/tables
+     figure    -- regenerate one of the paper's figures/tables or experiments
      trace     -- replay a JSON-Lines telemetry trace into a summary
 
    Experiment subcommands accept --trace FILE.jsonl (write every
@@ -22,7 +22,7 @@ module Distribution = Pgrid_workload.Distribution
 module Overlay = Pgrid_core.Overlay
 module Round = Pgrid_construction.Round
 module Net_engine = Pgrid_construction.Net_engine
-module Figures = Pgrid_experiment.Figures
+module Experiment = Pgrid_experiment.Experiment
 module Telemetry = Pgrid_telemetry.Telemetry
 module Sink = Pgrid_telemetry.Sink
 module Summary = Pgrid_telemetry.Summary
@@ -452,79 +452,51 @@ let reference_cmd =
 
 (* --- figure -------------------------------------------------------------------- *)
 
-let figure_name_arg =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"FIGURE"
-        ~doc:"One of: fig3 fig4 fig5 fig6a fig6b fig6c fig6d fig6e fig6f fig7 fig8 fig9 \
-              table1 resilience survival balance txn overload queries partition \
-              ablation-seq ablation-cost ablation-cor ablation-pht ablation-merge \
-              ablation-maintain.")
+(* [pgrid figure] prints these single-table artifacts under its own,
+   shorter titles. *)
+let cli_titles =
+  [
+    ("table1", "in-text statistics");
+    ("ablation-cost", "cost constants");
+    ("ablation-cor", "corrections");
+    ("ablation-pht", "P-Grid vs PHT");
+    ("ablation-merge", "merge vs fresh");
+  ]
 
-let figure seed name reps trace metrics =
+let figure seed (e : Experiment.t) reps smoke trace metrics =
   with_telemetry ~trace ~metrics @@ fun _telemetry ->
   (* Figures picks the handle up through Pgrid_telemetry.Global. *)
-  let print_fig6 f = print_endline (Figures.fig6_table f) in
-  let print_table title (columns, rows) = Table.print ~title ~columns ~rows in
-  match name with
-  | "fig3" -> Series.print (Figures.fig3 ())
-  | "fig4" -> Series.print (Figures.fig4 ?reps ~seed ())
-  | "fig5" -> Series.print (Figures.fig5 ?reps ~seed ())
-  | "fig6a" -> print_fig6 (Figures.fig6a ?reps ~seed ())
-  | "fig6b" -> print_fig6 (Figures.fig6b ?reps ~seed ())
-  | "fig6c" -> print_fig6 (Figures.fig6c ?reps ~seed ())
-  | "fig6d" -> print_fig6 (Figures.fig6d ?reps ~seed ())
-  | "fig6e" -> print_fig6 (Figures.fig6e ?reps ~seed ())
-  | "fig6f" -> print_fig6 (Figures.fig6f ?reps ~seed ())
-  | "fig7" -> Series.print (Figures.fig7 ~seed ())
-  | "fig8" -> Series.print (Figures.fig8 ~seed ())
-  | "fig9" -> Series.print (Figures.fig9 ~seed ())
-  | "table1" -> print_table "in-text statistics" (Figures.table1 ~seed ())
-  | "resilience" ->
-    print_table "fault-severity sweep"
-      (Figures.resilience_table (Figures.resilience ~seed ()))
-  | "survival" ->
-    let s = Figures.survival ~seed () in
-    print_table "health and query success over time" (Figures.survival_table s);
-    print_table "endurance summary" (Figures.survival_summary s)
-  | "balance" ->
-    let b = Figures.balance ~seed () in
-    print_table "partition load and query success over time" (Figures.balance_table b);
-    print_table "balance summary" (Figures.balance_summary b)
-  | "txn" ->
-    print_table "crash-severity sweep" (Figures.txn_table (Figures.txn ~seed ()))
-  | "overload" ->
-    let o = Figures.overload ~seed () in
-    print_table "offered load, goodput, sheds and backlog over time"
-      (Figures.overload_table o);
-    print_table "overload summary" (Figures.overload_summary o)
-  | "queries" ->
-    (* CLI-sized configuration; the bench target runs the paper-scale
-       million-query trace. *)
-    let q = Figures.queries ~peers:1000 ~count:20_000 ~seed () in
-    print_table "query caches on vs off" (Figures.queries_summary q);
-    print_table "storm audit and shared-walk batching" (Figures.queries_storm_summary q)
-  | "partition" ->
-    let x = Figures.partition ~seed () in
-    print_table "split-brain violations over time" (Figures.partition_table x);
-    print_table "partition summary" (Figures.partition_summary x)
-  | "ablation-seq" -> print_table "sequential vs parallel" (Figures.ablation_sequential ~seed ())
-  | "ablation-cost" -> print_table "cost constants" (Figures.ablation_cost ~seed ())
-  | "ablation-cor" -> print_table "corrections" (Figures.ablation_correction ~seed ())
-  | "ablation-pht" -> print_table "P-Grid vs PHT" (Figures.ablation_pht ~seed ())
-  | "ablation-merge" -> print_table "merge vs fresh" (Figures.ablation_merge ~seed ())
-  | "ablation-maintain" ->
-    print_table "maintenance timeline" (Figures.ablation_maintenance ~seed ())
-  | other -> Printf.eprintf "unknown figure %s\n" other
+  List.iter
+    (function
+      | Experiment.Series f -> Series.print f
+      | Grid g -> print_endline (Pgrid_experiment.Figures.fig6_table g)
+      | Table { title; columns; rows } ->
+        let title = Option.value ~default:title (List.assoc_opt e.name cli_titles) in
+        Table.print ~title ~columns ~rows)
+    (e.run ~reps ~smoke ~seed).blocks
 
 let figure_cmd =
-  let doc = "regenerate one of the paper's figures or tables" in
+  let doc = "regenerate one of the paper's figures or tables, or run an experiment" in
+  let experiments = List.map (fun (e : Experiment.t) -> (e.name, e)) Experiment.all in
+  let name_arg =
+    Arg.(
+      required
+      & pos 0 (some (enum experiments)) None
+      & info [] ~docv:"FIGURE" ~doc:("The artifact or experiment to run, " ^ doc_alts_enum experiments ^ "."))
+  in
   let reps_opt =
     Arg.(value & opt (some int) None & info [ "reps" ] ~docv:"R" ~doc:"Repetitions.")
   in
+  let smoke_arg =
+    Arg.(
+      value & flag
+      & info [ "smoke" ]
+          ~doc:
+            "Run a simulation experiment at its smoke size, the size CI checks, \
+             instead of the full size its committed baseline records.")
+  in
   Cmd.v (Cmd.info "figure" ~doc)
-    Term.(const figure $ seed_arg $ figure_name_arg $ reps_opt $ trace_arg $ metrics_arg)
+    Term.(const figure $ seed_arg $ name_arg $ reps_opt $ smoke_arg $ trace_arg $ metrics_arg)
 
 (* --- trace ----------------------------------------------------------------------- *)
 

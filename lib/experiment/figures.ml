@@ -276,26 +276,23 @@ let table1 ?peers ~seed () =
   in
   (columns, rows)
 
+(* --- simulation experiments: metrics ------------------------------------- *)
+
+type direction = Up | Down
+type metric = string * float * direction
+
+let int_metric name n dir = (name, float_of_int n, dir)
+
+(* [under tag ms] files every metric of [ms] under [tag/]. *)
+let under tag = List.map (fun (name, v, dir) -> (tag ^ "/" ^ name, v, dir))
+
+(* The name of one sample of a time series: [name@t], [t] in seconds. *)
+let at name t = Printf.sprintf "%s@%.0f" name t
+
 (* --- resilience sweep (construction & queries under faults) ------------- *)
 
 module Fault = Pgrid_simnet.Fault
 module Churn = Pgrid_simnet.Churn
-
-type resilience_row = {
-  severity : float;
-  deviation : float;
-  success_pct : float;
-  mean_latency : float;
-  issued : int;
-  succeeded : int;
-  timeouts : int;
-  retries : int;
-  give_ups : int;
-  evictions : int;
-  crashes : int;
-  loss_drops : int;
-  partition_drops : int;
-}
 
 (* One fixed fault-plan shape scaled by [severity]: a Gilbert-Elliott
    bursty-loss chain over construction and queries, a partition cutting
@@ -357,67 +354,28 @@ let resilience_run ~peers ~seed severity =
   let o = Net_engine.run rng params ~spec:Distribution.paper_text in
   let qs = o.Net_engine.query_stats in
   let rs = o.Net_engine.robust_stats in
-  let crashes, loss_drops, partition_drops =
-    match o.Net_engine.fault_stats with
-    | Some f -> (f.Fault.crashes, f.Fault.loss_drops, f.Fault.partition_drops)
-    | None -> (0, 0, 0)
+  let crashes =
+    match o.Net_engine.fault_stats with Some f -> f.Fault.crashes | None -> 0
   in
-  {
-    severity;
-    deviation = o.Net_engine.deviation;
-    success_pct =
-      100.
-      *. float_of_int qs.Net_engine.succeeded
-      /. float_of_int (max 1 qs.Net_engine.issued);
-    mean_latency = qs.Net_engine.mean_latency;
-    issued = qs.Net_engine.issued;
-    succeeded = qs.Net_engine.succeeded;
-    timeouts = rs.Net_engine.timeouts;
-    retries = rs.Net_engine.retries;
-    give_ups = rs.Net_engine.give_ups;
-    evictions = rs.Net_engine.evictions;
-    crashes;
-    loss_drops;
-    partition_drops;
-  }
+  under (Printf.sprintf "s%.1f" severity)
+    [
+      ("deviation", o.Net_engine.deviation, Down);
+      ( "success_pct",
+        100.
+        *. float_of_int qs.Net_engine.succeeded
+        /. float_of_int (max 1 qs.Net_engine.issued),
+        Up );
+      ("mean_latency", qs.Net_engine.mean_latency, Down);
+      int_metric "issued" qs.Net_engine.issued Down;
+      int_metric "timeouts" rs.Net_engine.timeouts Down;
+      int_metric "retries" rs.Net_engine.retries Down;
+      int_metric "give_ups" rs.Net_engine.give_ups Down;
+      int_metric "evictions" rs.Net_engine.evictions Down;
+      int_metric "crashes" crashes Down;
+    ]
 
-let resilience_cache : (int * int, resilience_row list) Hashtbl.t =
-  Hashtbl.create 4
-
-let resilience ?(peers = 128) ?severities ~seed () =
-  match severities with
-  | Some sevs -> List.map (resilience_run ~peers ~seed) sevs
-  | None -> (
-    match Hashtbl.find_opt resilience_cache (peers, seed) with
-    | Some rows -> rows
-    | None ->
-      let rows = List.map (resilience_run ~peers ~seed) [ 0.0; 0.5; 1.0 ] in
-      Hashtbl.add resilience_cache (peers, seed) rows;
-      rows)
-
-let resilience_table rows =
-  let columns =
-    [ "severity"; "deviation"; "success"; "latency"; "issued"; "timeouts";
-      "retries"; "give-ups"; "evictions"; "crashes"; "loss drops"; "cut drops" ]
-  in
-  ( columns,
-    List.map
-      (fun r ->
-        [
-          Printf.sprintf "%.1f" r.severity;
-          Table.fmt_float r.deviation;
-          Table.fmt_float ~decimals:1 r.success_pct ^ "%";
-          Table.fmt_float ~decimals:3 r.mean_latency ^ "s";
-          string_of_int r.issued;
-          string_of_int r.timeouts;
-          string_of_int r.retries;
-          string_of_int r.give_ups;
-          string_of_int r.evictions;
-          string_of_int r.crashes;
-          string_of_int r.loss_drops;
-          string_of_int r.partition_drops;
-        ])
-      rows )
+let resilience ?(peers = 128) ?(severities = [ 0.0; 0.5; 1.0 ]) ~seed () =
+  List.concat_map (resilience_run ~peers ~seed) severities
 
 (* --- ablations ---------------------------------------------------------- *)
 
@@ -666,31 +624,15 @@ module Query = Pgrid_query.Query
 module Telemetry = Pgrid_telemetry.Telemetry
 module Event = Pgrid_telemetry.Event
 
-type survival_point = {
-  t : float;
-  online : int;
-  score : float;
-  ref_violations : int;
-  under_replicated : int;
-  at_risk : int;
-  lost : int;
-  success_pct : float;
-  found_pct : float;
-}
+(* Every distinct key stored in [overlay], in key order. *)
+let stored_keys overlay =
+  let tbl = Hashtbl.create 1024 in
+  for i = 0 to Overlay.size overlay - 1 do
+    List.iter (fun k -> Hashtbl.replace tbl k ()) (Node.keys (Overlay.node overlay i))
+  done;
+  Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort Key.compare |> Array.of_list
 
-type survival_run = {
-  daemon : bool;
-  points : survival_point list;
-  final_lost : int;
-  min_success_pct : float;
-  mean_score : float;
-  kills : int;
-  rereplications : int;
-  exchanges : int;
-  keys_synced : int;
-  inserted : int;
-  insert_failures : int;
-}
+type survival_point = { t : float; score : float; lost : int; success_pct : float }
 
 let survival_n_min = 5
 
@@ -704,14 +646,7 @@ let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed =
   let rng = Rng.create ~seed in
   let built = Round.run rng (Round.default_params ~peers) ~spec:Distribution.Uniform in
   let overlay = built.Round.overlay in
-  let keys0 =
-    let tbl = Hashtbl.create 1024 in
-    for i = 0 to peers - 1 do
-      List.iter (fun k -> Hashtbl.replace tbl k ()) (Node.keys (Overlay.node overlay i))
-    done;
-    Hashtbl.fold (fun k () acc -> k :: acc) tbl []
-    |> List.sort Key.compare |> Array.of_list
-  in
+  let keys0 = stored_keys overlay in
   let inserted = ref [] in
   let tracked_keys () = Array.append keys0 (Array.of_list (List.rev !inserted)) in
   let sim = Sim.create () in
@@ -828,14 +763,9 @@ let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed =
         points :=
           {
             t = at;
-            online = r.Health.online;
             score = r.Health.score;
-            ref_violations = r.Health.ref_integrity;
-            under_replicated = r.Health.under_replicated;
-            at_risk = r.Health.at_risk;
             lost = r.Health.lost;
             success_pct = pct q.Query.routed;
-            found_pct = pct q.Query.found;
           }
           :: !points)
   done;
@@ -849,113 +779,48 @@ let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed =
     List.fold_left (fun s p -> s +. p.score) 0. points
     /. float_of_int (max 1 (List.length points))
   in
-  {
-    daemon;
-    points;
-    final_lost;
-    min_success_pct;
-    mean_score;
-    kills = (Fault.stats fault).Fault.kills;
-    rereplications =
-      (match dstats with Some d -> d.Maintenance.rereplications | None -> 0);
-    exchanges = (match dstats with Some d -> d.Maintenance.exchanges | None -> 0);
-    keys_synced = (match dstats with Some d -> d.Maintenance.keys_synced | None -> 0);
-    inserted = !inserted_n;
-    insert_failures = !insert_failures;
-  }
-
-type survival = {
-  peers : int;
-  horizon : float;
-  sample_every : float;
-  on : survival_run option;
-  off : survival_run option;
-}
-
-let survival_cache :
-    (int * float * float * float * bool * int, survival_run) Hashtbl.t =
-  Hashtbl.create 4
-
-let survival_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed =
-  let key = (peers, horizon, sample_every, maint_period, daemon, seed) in
-  match Hashtbl.find_opt survival_cache key with
-  | Some r -> r
-  | None ->
-    let r = survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed in
-    Hashtbl.add survival_cache key r;
-    r
+  let daemon_count f = match dstats with Some d -> f d | None -> 0 in
+  ( List.map (fun p -> p.score) points,
+    under
+      (if daemon then "on" else "off")
+      ([
+         ("min_success_pct", min_success_pct, Up);
+         ("mean_score", mean_score, Up);
+         int_metric "final_lost" final_lost Down;
+         int_metric "kills" (Fault.stats fault).Fault.kills Down;
+         int_metric "rereplications" (daemon_count (fun d -> d.Maintenance.rereplications)) Down;
+         int_metric "exchanges" (daemon_count (fun d -> d.Maintenance.exchanges)) Down;
+         int_metric "keys_synced" (daemon_count (fun d -> d.Maintenance.keys_synced)) Down;
+         int_metric "inserted" !inserted_n Down;
+         int_metric "insert_failures" !insert_failures Down;
+       ]
+      @ List.concat_map
+          (fun p ->
+            [
+              (at "score" p.t, p.score, Up);
+              (at "success_pct" p.t, p.success_pct, Up);
+              int_metric (at "lost" p.t) p.lost Down;
+            ])
+          points) )
 
 let survival ?(peers = 192) ?(horizon = 7200.) ?(sample_every = 240.)
-    ?(maint_period = 30.) ?(which = `Both) ~seed () =
+    ?(maint_period = 30.) ~seed () =
   if horizon <= 0. then invalid_arg "Figures.survival: horizon must be positive";
   if sample_every <= 0. then
     invalid_arg "Figures.survival: sample_every must be positive";
   let arm daemon =
-    survival_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed
+    survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed
   in
-  {
-    peers;
-    horizon;
-    sample_every;
-    on = (match which with `Both | `On -> Some (arm true) | `Off -> None);
-    off = (match which with `Both | `Off -> Some (arm false) | `On -> None);
-  }
-
-let survival_table s =
-  let columns =
-    [ "minutes"; "online"; "score on"; "score off"; "success on"; "success off";
-      "lost on"; "lost off"; "at-risk on"; "at-risk off" ]
+  let on_scores, on = arm true in
+  let off_scores, off = arm false in
+  (* Share of samples at which the daemon arm's health score is at least
+     / strictly above the control arm's. *)
+  let frac beats =
+    float_of_int (List.length (List.filter Fun.id (List.map2 beats on_scores off_scores)))
+    /. float_of_int (max 1 (List.length on_scores))
   in
-  let pts r = match r with Some x -> x.points | None -> [] in
-  let cell f = function Some p -> f p | None -> "-" in
-  let rec merge on off acc =
-    match (on, off) with
-    | [], [] -> List.rev acc
-    | _ ->
-      let p = match (on, off) with p :: _, _ | [], p :: _ -> Some p | _ -> None in
-      let t = match p with Some p -> p.t | None -> 0. in
-      let row =
-        [
-          Printf.sprintf "%.0f" (t /. 60.);
-          cell (fun p -> string_of_int p.online) p;
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (match on with p :: _ -> Some p | [] -> None);
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (match off with p :: _ -> Some p | [] -> None);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.success_pct ^ "%") (match on with p :: _ -> Some p | [] -> None);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.success_pct ^ "%") (match off with p :: _ -> Some p | [] -> None);
-          cell (fun p -> string_of_int p.lost) (match on with p :: _ -> Some p | [] -> None);
-          cell (fun p -> string_of_int p.lost) (match off with p :: _ -> Some p | [] -> None);
-          cell (fun p -> string_of_int p.at_risk) (match on with p :: _ -> Some p | [] -> None);
-          cell (fun p -> string_of_int p.at_risk) (match off with p :: _ -> Some p | [] -> None);
-        ]
-      in
-      merge (match on with _ :: r -> r | [] -> []) (match off with _ :: r -> r | [] -> []) (row :: acc)
-  in
-  (columns, merge (pts s.on) (pts s.off) [])
-
-let survival_summary s =
-  let columns = [ "statistic"; "daemon on"; "daemon off" ] in
-  let v f = function Some r -> f r | None -> "-" in
-  let rows =
-    [
-      [ "min query success"; v (fun r -> Table.fmt_float ~decimals:1 r.min_success_pct ^ "%") s.on;
-        v (fun r -> Table.fmt_float ~decimals:1 r.min_success_pct ^ "%") s.off ];
-      [ "mean health score"; v (fun r -> Table.fmt_float ~decimals:3 r.mean_score) s.on;
-        v (fun r -> Table.fmt_float ~decimals:3 r.mean_score) s.off ];
-      [ "lost keys at end"; v (fun r -> string_of_int r.final_lost) s.on;
-        v (fun r -> string_of_int r.final_lost) s.off ];
-      [ "permanent kills"; v (fun r -> string_of_int r.kills) s.on;
-        v (fun r -> string_of_int r.kills) s.off ];
-      [ "emergency re-replications"; v (fun r -> string_of_int r.rereplications) s.on;
-        v (fun r -> string_of_int r.rereplications) s.off ];
-      [ "anti-entropy exchanges"; v (fun r -> string_of_int r.exchanges) s.on;
-        v (fun r -> string_of_int r.exchanges) s.off ];
-      [ "keys synced"; v (fun r -> string_of_int r.keys_synced) s.on;
-        v (fun r -> string_of_int r.keys_synced) s.off ];
-      [ "keys inserted during run"; v (fun r -> string_of_int r.inserted) s.on;
-        v (fun r -> string_of_int r.inserted) s.off ];
-    ]
-  in
-  (columns, rows)
+  on @ off
+  @ [ ("dominance/ge_frac", frac ( >= ), Up); ("dominance/gt_frac", frac ( > ), Down) ]
 
 (* --- balance: skewed insert storm, online balancing on vs off ----------- *)
 
@@ -965,25 +830,8 @@ type balance_point = {
   t : float;
   partitions : int;
   max_load : int;
-  mean_load : float;
   score : float;
   success_pct : float;
-  found_pct : float;
-}
-
-type balance_run = {
-  balanced : bool;
-  points : balance_point list;
-  final_max_load : int;
-  peak_max_load : int;
-  final_partitions : int;
-  min_success_pct : float;
-  mean_score : float;
-  splits : int;
-  retracts : int;
-  keys_moved : int;
-  inserted : int;
-  insert_failures : int;
 }
 
 (* Balancing floors: partitions may subdivide down to pairs, so the
@@ -1010,14 +858,7 @@ let balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed =
       ~spec:Distribution.Uniform
   in
   let overlay = built.Round.overlay in
-  let keys0 =
-    let tbl = Hashtbl.create 1024 in
-    for i = 0 to peers - 1 do
-      List.iter (fun k -> Hashtbl.replace tbl k ()) (Node.keys (Overlay.node overlay i))
-    done;
-    Hashtbl.fold (fun k () acc -> k :: acc) tbl []
-    |> List.sort Key.compare |> Array.of_list
-  in
+  let keys0 = stored_keys overlay in
   let inserted = ref [] in
   let tracked_keys () = Array.append keys0 (Array.of_list (List.rev !inserted)) in
   let sim = Sim.create () in
@@ -1085,176 +926,63 @@ let balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed =
         in
         let pct n = 100. *. float_of_int n /. float_of_int (max 1 q.Query.issued) in
         let loads = partition_loads () in
-        let max_load = List.fold_left max 0 loads in
-        let mean_load =
-          float_of_int (List.fold_left ( + ) 0 loads)
-          /. float_of_int (max 1 (List.length loads))
-        in
         points :=
           {
             t = at;
             partitions = List.length loads;
-            max_load;
-            mean_load;
+            max_load = List.fold_left max 0 loads;
             score = r.Health.score;
             success_pct = pct q.Query.routed;
-            found_pct = pct q.Query.found;
           }
           :: !points)
   done;
   Sim.run sim;
   let final = match !points with [] -> None | last :: _ -> Some last in
+  let final_of f = match final with Some p -> f p | None -> 0 in
   let points = List.rev !points in
-  {
-    balanced;
-    points;
-    final_max_load = (match final with Some p -> p.max_load | None -> 0);
-    peak_max_load = List.fold_left (fun m p -> max m p.max_load) 0 points;
-    final_partitions = (match final with Some p -> p.partitions | None -> 0);
-    min_success_pct =
-      List.fold_left (fun m p -> Float.min m p.success_pct) 100. points;
-    mean_score =
-      List.fold_left (fun s p -> s +. p.score) 0. points
-      /. float_of_int (max 1 (List.length points));
-    splits = (match dstats with Some d -> d.Maintenance.balance_splits | None -> 0);
-    retracts = (match dstats with Some d -> d.Maintenance.balance_retracts | None -> 0);
-    keys_moved =
-      (match dstats with Some d -> d.Maintenance.balance_keys_moved | None -> 0);
-    inserted = !inserted_n;
-    insert_failures = !insert_failures;
-  }
-
-type balance = {
-  peers : int;
-  horizon : float;
-  sample_every : float;
-  d_max : int;
-  on : balance_run option;
-  off : balance_run option;
-}
-
-let balance_cache : (int * float * float * int * bool * int, balance_run) Hashtbl.t =
-  Hashtbl.create 4
-
-let balance_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed =
-  let key = (peers, horizon, sample_every, d_max, balanced, seed) in
-  match Hashtbl.find_opt balance_cache key with
-  | Some r -> r
-  | None ->
-    let r = balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed in
-    Hashtbl.add balance_cache key r;
-    r
+  let daemon_count f = match dstats with Some d -> f d | None -> 0 in
+  under
+    (if balanced then "on" else "off")
+    ([
+       int_metric "final_max_load" (final_of (fun p -> p.max_load)) Down;
+       int_metric "peak_max_load" (List.fold_left (fun m p -> max m p.max_load) 0 points) Down;
+       int_metric "final_partitions" (final_of (fun p -> p.partitions)) Down;
+       ( "min_success_pct",
+         List.fold_left (fun m p -> Float.min m p.success_pct) 100. points,
+         Up );
+       ( "mean_score",
+         List.fold_left (fun s p -> s +. p.score) 0. points
+         /. float_of_int (max 1 (List.length points)),
+         Up );
+       int_metric "splits" (daemon_count (fun d -> d.Maintenance.balance_splits)) Down;
+       int_metric "retracts" (daemon_count (fun d -> d.Maintenance.balance_retracts)) Down;
+       int_metric "keys_moved" (daemon_count (fun d -> d.Maintenance.balance_keys_moved)) Down;
+       int_metric "inserted" !inserted_n Down;
+       int_metric "insert_failures" !insert_failures Down;
+     ]
+    @ List.concat_map
+        (fun p ->
+          [
+            int_metric (at "max_load" p.t) p.max_load Down;
+            (at "score" p.t, p.score, Up);
+            (at "success_pct" p.t, p.success_pct, Up);
+          ])
+        points)
 
 let balance ?(peers = 192) ?(horizon = 3600.) ?(sample_every = 180.) ?(d_max = 50)
-    ?(which = `Both) ~seed () =
+    ~seed () =
   if horizon <= 0. then invalid_arg "Figures.balance: horizon must be positive";
   if sample_every <= 0. then
     invalid_arg "Figures.balance: sample_every must be positive";
   if d_max < 1 then invalid_arg "Figures.balance: d_max must be >= 1";
-  let arm balanced = balance_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed in
-  {
-    peers;
-    horizon;
-    sample_every;
-    d_max;
-    on = (match which with `Both | `On -> Some (arm true) | `Off -> None);
-    off = (match which with `Both | `Off -> Some (arm false) | `On -> None);
-  }
-
-let balance_table b =
-  let columns =
-    [ "minutes"; "parts on"; "parts off"; "max load on"; "max load off";
-      "score on"; "score off"; "success on"; "success off" ]
-  in
-  let pts r = match r with Some x -> x.points | None -> [] in
-  let head = function p :: _ -> Some p | [] -> None in
-  let cell f = function Some p -> f p | None -> "-" in
-  let rec merge on off acc =
-    match (on, off) with
-    | [], [] -> List.rev acc
-    | _ ->
-      let t =
-        match (on, off) with p :: _, _ | [], p :: _ -> p.t | _ -> 0.
-      in
-      let row =
-        [
-          Printf.sprintf "%.0f" (t /. 60.);
-          cell (fun p -> string_of_int p.partitions) (head on);
-          cell (fun p -> string_of_int p.partitions) (head off);
-          cell (fun p -> string_of_int p.max_load) (head on);
-          cell (fun p -> string_of_int p.max_load) (head off);
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (head on);
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (head off);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.success_pct ^ "%") (head on);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.success_pct ^ "%") (head off);
-        ]
-      in
-      merge
-        (match on with _ :: r -> r | [] -> [])
-        (match off with _ :: r -> r | [] -> [])
-        (row :: acc)
-  in
-  (columns, merge (pts b.on) (pts b.off) [])
-
-let balance_summary b =
-  let columns = [ "statistic"; "balanced"; "unbalanced" ] in
-  let v f = function Some r -> f r | None -> "-" in
-  let rows =
-    [
-      [ "final max partition load"; v (fun r -> string_of_int r.final_max_load) b.on;
-        v (fun r -> string_of_int r.final_max_load) b.off ];
-      [ "peak max partition load"; v (fun r -> string_of_int r.peak_max_load) b.on;
-        v (fun r -> string_of_int r.peak_max_load) b.off ];
-      [ Printf.sprintf "load bound (slack %.1f x d_max %d)" balance_slack b.d_max;
-        string_of_int (int_of_float (balance_slack *. float_of_int b.d_max));
-        string_of_int (int_of_float (balance_slack *. float_of_int b.d_max)) ];
-      [ "partitions at end"; v (fun r -> string_of_int r.final_partitions) b.on;
-        v (fun r -> string_of_int r.final_partitions) b.off ];
-      [ "runtime splits"; v (fun r -> string_of_int r.splits) b.on;
-        v (fun r -> string_of_int r.splits) b.off ];
-      [ "retractions"; v (fun r -> string_of_int r.retracts) b.on;
-        v (fun r -> string_of_int r.retracts) b.off ];
-      [ "keys moved by balancing"; v (fun r -> string_of_int r.keys_moved) b.on;
-        v (fun r -> string_of_int r.keys_moved) b.off ];
-      [ "min query success"; v (fun r -> Table.fmt_float ~decimals:1 r.min_success_pct ^ "%") b.on;
-        v (fun r -> Table.fmt_float ~decimals:1 r.min_success_pct ^ "%") b.off ];
-      [ "mean health score"; v (fun r -> Table.fmt_float ~decimals:3 r.mean_score) b.on;
-        v (fun r -> Table.fmt_float ~decimals:3 r.mean_score) b.off ];
-      [ "keys inserted during storm"; v (fun r -> string_of_int r.inserted) b.on;
-        v (fun r -> string_of_int r.inserted) b.off ];
-    ]
-  in
-  (columns, rows)
+  let arm balanced = balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed in
+  let on = arm true in
+  let off = arm false in
+  (("bound/max_load", balance_slack *. float_of_int d_max, Down) :: on) @ off
 
 (* --- txn: atomic document indexing under crash-during-commit faults ------ *)
 
 module Txn = Pgrid_core.Txn
-
-type txn_point = {
-  severity : float;
-  submitted : int;
-  committed : int;
-  aborted : int;
-  still_pending : int;
-  commit_pct : float;
-  torn : int;
-  lost_committed : int;
-  abort_residue : int;
-  recovered : int;
-  redelivered : int;
-  undos : int;
-  timeouts : int;
-  txn_retries : int;
-  crashes : int;
-  intents_left : int;
-}
-
-type txn_outcome = {
-  txn_peers : int;
-  txn_horizon : float;
-  doc_interval : float;
-  points : txn_point list;
-}
 
 let txn_n_min = 5
 
@@ -1272,14 +1000,7 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
   let rng = Rng.create ~seed in
   let built = Round.run rng (Round.default_params ~peers) ~spec:Distribution.Uniform in
   let overlay = built.Round.overlay in
-  let keys0 =
-    let tbl = Hashtbl.create 1024 in
-    for i = 0 to peers - 1 do
-      List.iter (fun k -> Hashtbl.replace tbl k ()) (Node.keys (Overlay.node overlay i))
-    done;
-    Hashtbl.fold (fun k () acc -> k :: acc) tbl []
-    |> List.sort Key.compare |> Array.of_list
-  in
+  let keys0 = stored_keys overlay in
   let sim = Sim.create () in
   let tel = Pgrid_telemetry.Global.get () in
   Telemetry.set_clock tel (fun () -> Sim.now sim);
@@ -1408,80 +1129,38 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
     List.length (List.filter (fun (d, ks, _) -> present (d, ks) > 0) aborted)
   in
   let s = Txn.stats mgr in
-  {
-    severity;
-    submitted = !submitted;
-    committed = List.length committed;
-    aborted = List.length aborted;
-    still_pending = Txn.in_flight mgr;
-    commit_pct =
-      100. *. float_of_int (List.length committed)
-      /. float_of_int (max 1 !submitted);
-    torn = report.Health.torn;
-    lost_committed;
-    abort_residue;
-    recovered = s.Txn.recovered;
-    redelivered = s.Txn.redelivered;
-    undos = s.Txn.undos;
-    timeouts = s.Txn.timeouts;
-    txn_retries = s.Txn.retries;
-    crashes = (match fault with Some f -> (Fault.stats f).Fault.crashes | None -> 0);
-    intents_left = Txn.intent_count mgr;
-  }
-
-let txn_cache : (int * float * float * float * int, txn_point) Hashtbl.t =
-  Hashtbl.create 4
-
-let txn_one ~peers ~horizon ~doc_interval ~severity ~seed =
-  let key = (peers, horizon, doc_interval, severity, seed) in
-  match Hashtbl.find_opt txn_cache key with
-  | Some p -> p
-  | None ->
-    let p = txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed in
-    Hashtbl.add txn_cache key p;
-    p
+  under (Printf.sprintf "s%.1f" severity)
+    [
+      ( "commit_pct",
+        100. *. float_of_int (List.length committed)
+        /. float_of_int (max 1 !submitted),
+        Up );
+      int_metric "submitted" !submitted Up;
+      int_metric "committed" (List.length committed) Up;
+      int_metric "aborted" (List.length aborted) Down;
+      int_metric "pending" (Txn.in_flight mgr) Down;
+      int_metric "torn" report.Health.torn Down;
+      int_metric "lost_committed" lost_committed Down;
+      int_metric "abort_residue" abort_residue Down;
+      int_metric "recovered" s.Txn.recovered Up;
+      int_metric "redelivered" s.Txn.redelivered Down;
+      int_metric "undos" s.Txn.undos Down;
+      int_metric "timeouts" s.Txn.timeouts Down;
+      int_metric "retries" s.Txn.retries Down;
+      int_metric "crashes"
+        (match fault with Some f -> (Fault.stats f).Fault.crashes | None -> 0)
+        Down;
+      int_metric "intents_left" (Txn.intent_count mgr) Down;
+    ]
 
 let txn ?(peers = 192) ?(horizon = 3600.) ?(doc_interval = 6.)
     ?(severities = [ 0.; 0.3; 0.6 ]) ~seed () =
   if horizon <= 0. then invalid_arg "Figures.txn: horizon must be positive";
   if doc_interval <= 0. then
     invalid_arg "Figures.txn: doc_interval must be positive";
-  {
-    txn_peers = peers;
-    txn_horizon = horizon;
-    doc_interval;
-    points =
-      List.map
-        (fun severity -> txn_one ~peers ~horizon ~doc_interval ~severity ~seed)
-        severities;
-  }
-
-let txn_table o =
-  let columns =
-    [ "severity"; "submitted"; "committed"; "aborted"; "pending"; "commit %";
-      "torn"; "lost"; "residue"; "recovered"; "timeouts"; "crashes"; "intents" ]
-  in
-  let rows =
-    List.map
-      (fun p ->
-        [
-          Table.fmt_float ~decimals:1 p.severity;
-          string_of_int p.submitted;
-          string_of_int p.committed;
-          string_of_int p.aborted;
-          string_of_int p.still_pending;
-          Table.fmt_float ~decimals:1 p.commit_pct ^ "%";
-          string_of_int p.torn;
-          string_of_int p.lost_committed;
-          string_of_int p.abort_residue;
-          string_of_int p.recovered;
-          string_of_int p.timeouts;
-          string_of_int p.crashes;
-          string_of_int p.intents_left;
-        ])
-      o.points
-  in
-  (columns, rows)
+  List.concat_map
+    (fun severity -> txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed)
+    severities
 
 (* --- overload: Zipf query storm, admission control on vs off ------------- *)
 
@@ -1491,27 +1170,10 @@ module Sample = Pgrid_prng.Sample
 
 type overload_point = {
   t : float;  (* window start, seconds *)
-  offered : float;  (* queries issued per second *)
+  issued : int;  (* queries issued during the window *)
   goodput : float;  (* successful completions per second *)
   shed : int;  (* service-queue sheds during the window *)
   backlog : int;  (* messages queued network-wide at window end *)
-  in_flight : int;  (* client requests awaiting reply or timeout *)
-}
-
-type overload_run = {
-  protected : bool;
-  points : overload_point list;
-  pre_goodput : float;
-  post_goodput : float;
-  recovery_ratio : float;
-  recovered : bool;
-  time_to_recover : float;
-  p50_completion : float;
-  p99_completion : float;
-  shed_ratio : float;
-  messages_sent : int;
-  messages_dropped : int;
-  storm_stats : Storm.stats;
 }
 
 let overload_service_rate = 2.
@@ -1530,18 +1192,16 @@ let overload_service_rate = 2.
    stays depressed (metastable collapse).  The protected arm sheds at
    arrival, breaks circuits to saturated replicas and hedges slow hops,
    so it returns to the pre-ramp baseline within a few windows. *)
-let overload_run_one ~peers ~horizon ~base_rate ~peak_rate ~protected ~seed =
+let overload_arm ?(peers = 10_000) ?(horizon = 1440.) ?(base_rate = 30.)
+    ?(peak_rate = 300.) ~protected ~seed () =
+  if peers < 8 then invalid_arg "Figures.overload: need at least 8 peers";
+  if horizon <= 0. then invalid_arg "Figures.overload: horizon must be positive";
+  if base_rate <= 0. || peak_rate <= 0. then
+    invalid_arg "Figures.overload: rates must be positive";
   let rng = Rng.create ~seed in
   let built = Round.run rng (Round.default_params ~peers) ~spec:Distribution.Uniform in
   let overlay = built.Round.overlay in
-  let keys =
-    let tbl = Hashtbl.create 1024 in
-    for i = 0 to peers - 1 do
-      List.iter (fun k -> Hashtbl.replace tbl k ()) (Node.keys (Overlay.node overlay i))
-    done;
-    Hashtbl.fold (fun k () acc -> k :: acc) tbl []
-    |> List.sort Key.compare |> Array.of_list
-  in
+  let keys = stored_keys overlay in
   (* Decorrelate popularity rank from key-space position: without the
      shuffle the sorted hot head would pile into one partition. *)
   Rng.shuffle (Rng.create ~seed:(seed + 1)) keys;
@@ -1630,11 +1290,10 @@ let overload_run_one ~peers ~horizon ~base_rate ~peak_rate ~protected ~seed =
         points :=
           {
             t = at -. window;
-            offered = float_of_int (s.Storm.issued - pi) /. window;
+            issued = s.Storm.issued - pi;
             goodput = float_of_int (s.Storm.succeeded - ps) /. window;
             shed = s.Storm.sheds - psh;
             backlog = Net.backlog net;
-            in_flight = Storm.in_flight storm;
           }
           :: !points)
   done;
@@ -1686,127 +1345,64 @@ let overload_run_one ~peers ~horizon ~base_rate ~peak_rate ~protected ~seed =
     in
     (pick 0.50, pick 0.99)
   in
-  let stats = Storm.stats storm in
-  {
-    protected;
-    points;
-    pre_goodput;
-    post_goodput;
-    recovery_ratio;
-    recovered;
-    time_to_recover;
-    p50_completion;
-    p99_completion;
-    shed_ratio =
-      float_of_int stats.Storm.sheds
-      /. float_of_int (max 1 (Net.messages_sent net));
-    messages_sent = Net.messages_sent net;
-    messages_dropped = Net.messages_dropped net;
-    storm_stats = stats;
-  }
+  let s = Storm.stats storm in
+  ( List.map (fun p -> p.issued) points,
+    under
+      (if protected then "on" else "off")
+      ([
+         ("pre_goodput", pre_goodput, Up);
+         ("post_goodput", post_goodput, Up);
+         ("recovery_ratio", recovery_ratio, Up);
+         ("recovered", (if recovered then 1. else 0.), Up);
+         ("time_to_recover", time_to_recover, Down);
+         ("p50_completion", p50_completion, Down);
+         ("p99_completion", p99_completion, Down);
+         ( "shed_ratio",
+           float_of_int s.Storm.sheds /. float_of_int (max 1 (Net.messages_sent net)),
+           Down );
+         int_metric "messages_sent" (Net.messages_sent net) Down;
+         int_metric "messages_dropped" (Net.messages_dropped net) Down;
+         int_metric "issued" s.Storm.issued Up;
+         int_metric "succeeded" s.Storm.succeeded Up;
+         int_metric "failed" s.Storm.failed Down;
+         int_metric "timeouts" s.Storm.timeouts Down;
+         int_metric "retries" s.Storm.retries Down;
+         int_metric "give_ups" s.Storm.give_ups Down;
+         int_metric "hedges" s.Storm.hedges Down;
+         int_metric "hedge_wins" s.Storm.hedge_wins Up;
+         int_metric "breaker_opens" s.Storm.breaker_opens Down;
+         int_metric "breaker_skips" s.Storm.breaker_skips Down;
+         int_metric "sheds" s.Storm.sheds Down;
+         int_metric "sheds_query" s.Storm.sheds_query Down;
+         int_metric "sheds_maintenance" s.Storm.sheds_maintenance Down;
+         int_metric "queue_peak" s.Storm.queue_peak Down;
+       ]
+      @ List.concat_map
+          (fun p ->
+            [
+              (at "goodput" p.t, p.goodput, Up);
+              int_metric (at "shed" p.t) p.shed Down;
+              int_metric (at "backlog" p.t) p.backlog Down;
+            ])
+          points) )
 
-type overload = {
-  peers : int;
-  horizon : float;
-  base_rate : float;
-  peak_rate : float;
-  on : overload_run option;
-  off : overload_run option;
-}
-
-let overload_cache :
-    (int * float * float * float * bool * int, overload_run) Hashtbl.t =
-  Hashtbl.create 4
-
-let overload_one ~peers ~horizon ~base_rate ~peak_rate ~protected ~seed =
-  let key = (peers, horizon, base_rate, peak_rate, protected, seed) in
-  match Hashtbl.find_opt overload_cache key with
-  | Some r -> r
-  | None ->
-    let r = overload_run_one ~peers ~horizon ~base_rate ~peak_rate ~protected ~seed in
-    Hashtbl.add overload_cache key r;
-    r
-
-let overload ?(peers = 10_000) ?(horizon = 1440.) ?(base_rate = 30.)
-    ?(peak_rate = 300.) ?(which = `Both) ~seed () =
-  if peers < 8 then invalid_arg "Figures.overload: need at least 8 peers";
-  if horizon <= 0. then invalid_arg "Figures.overload: horizon must be positive";
-  if base_rate <= 0. || peak_rate <= 0. then
-    invalid_arg "Figures.overload: rates must be positive";
+let overload ?peers ?horizon ?base_rate ?peak_rate ~seed () =
   let arm protected =
-    overload_one ~peers ~horizon ~base_rate ~peak_rate ~protected ~seed
+    snd (overload_arm ?peers ?horizon ?base_rate ?peak_rate ~protected ~seed ())
   in
-  {
-    peers;
-    horizon;
-    base_rate;
-    peak_rate;
-    on = (match which with `Both | `On -> Some (arm true) | `Off -> None);
-    off = (match which with `Both | `Off -> Some (arm false) | `On -> None);
-  }
-
-let overload_table o =
-  let columns =
-    [ "minutes"; "offered/s"; "goodput on"; "goodput off"; "shed on"; "shed off";
-      "backlog on"; "backlog off" ]
+  let on = arm true in
+  let off = arm false in
+  let v ms name =
+    let _, x, _ = List.find (fun (n, _, _) -> n = name) ms in
+    x
   in
-  let pts r = match r with Some x -> x.points | None -> [] in
-  let head = function p :: _ -> Some p | [] -> None in
-  let tail = function _ :: r -> r | [] -> [] in
-  let cell f = function Some p -> f p | None -> "-" in
-  let rec merge on off acc =
-    match (on, off) with
-    | [], [] -> List.rev acc
-    | _ ->
-      let p = match (on, off) with p :: _, _ | [], p :: _ -> Some p | _ -> None in
-      let t = match p with Some p -> p.t | None -> 0. in
-      let row =
-        [
-          Printf.sprintf "%.0f" (t /. 60.);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.offered) p;
-          cell (fun p -> Table.fmt_float ~decimals:1 p.goodput) (head on);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.goodput) (head off);
-          cell (fun p -> string_of_int p.shed) (head on);
-          cell (fun p -> string_of_int p.shed) (head off);
-          cell (fun p -> string_of_int p.backlog) (head on);
-          cell (fun p -> string_of_int p.backlog) (head off);
-        ]
-      in
-      merge (tail on) (tail off) (row :: acc)
-  in
-  (columns, merge (pts o.on) (pts o.off) [])
-
-let overload_summary o =
-  let columns = [ "statistic"; "protected"; "unprotected" ] in
-  let v f = function Some r -> f r | None -> "-" in
-  let both f = [ v f o.on; v f o.off ] in
-  let rows =
-    [
-      "pre-ramp goodput/s" :: both (fun r -> Table.fmt_float ~decimals:1 r.pre_goodput);
-      "post-ramp goodput/s" :: both (fun r -> Table.fmt_float ~decimals:1 r.post_goodput);
-      "recovery ratio" :: both (fun r -> Table.fmt_float ~decimals:3 r.recovery_ratio);
-      "time to recover (s)"
-      :: both (fun r ->
-             if r.recovered then Table.fmt_float ~decimals:0 r.time_to_recover
-             else Printf.sprintf ">%.0f" r.time_to_recover);
-      "p50 completion (s)" :: both (fun r -> Table.fmt_float ~decimals:2 r.p50_completion);
-      "p99 completion (s)" :: both (fun r -> Table.fmt_float ~decimals:2 r.p99_completion);
-      "shed ratio" :: both (fun r -> Table.fmt_float ~decimals:4 r.shed_ratio);
-      "queries issued" :: both (fun r -> string_of_int r.storm_stats.Storm.issued);
-      "succeeded" :: both (fun r -> string_of_int r.storm_stats.Storm.succeeded);
-      "timeouts" :: both (fun r -> string_of_int r.storm_stats.Storm.timeouts);
-      "retries" :: both (fun r -> string_of_int r.storm_stats.Storm.retries);
-      "sheds (query)" :: both (fun r -> string_of_int r.storm_stats.Storm.sheds_query);
-      "sheds (maintenance)"
-      :: both (fun r -> string_of_int r.storm_stats.Storm.sheds_maintenance);
-      "breaker opens" :: both (fun r -> string_of_int r.storm_stats.Storm.breaker_opens);
-      "breaker skips" :: both (fun r -> string_of_int r.storm_stats.Storm.breaker_skips);
-      "hedges" :: both (fun r -> string_of_int r.storm_stats.Storm.hedges);
-      "hedge wins" :: both (fun r -> string_of_int r.storm_stats.Storm.hedge_wins);
-      "queue peak" :: both (fun r -> string_of_int r.storm_stats.Storm.queue_peak);
+  on @ off
+  @ [
+      ( "protection/recovery_gain",
+        v on "on/recovery_ratio" -. v off "off/recovery_ratio",
+        Up );
+      ("protection/p99_gain", v off "off/p99_completion" -. v on "on/p99_completion", Up);
     ]
-  in
-  (columns, rows)
 
 (* --- partition: split-brain window, reconciliation on vs off ------------- *)
 
@@ -1819,28 +1415,6 @@ type partition_point = {
   resurrected : int;
   diverged : int;
   tombstones : int;
-  success_pct : float;
-  found_pct : float;
-}
-
-type partition_run = {
-  reconciling : bool;
-  points : partition_point list;
-  converged_at : float option;
-      (* seconds after heal until the first clean sample that stays clean *)
-  final_resurrected : int;
-  final_diverged : int;
-  final_lost : int;
-  peak_resurrected : int;
-  peak_diverged : int;
-  inserted : int;
-  deleted : int;
-  insert_failures : int;
-  delete_failures : int;
-  syncs : int;
-  repairs : int;
-  tombstones_purged : int;
-  splits : int;
 }
 
 let partition_n_min = 2
@@ -1857,14 +1431,7 @@ let partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
   let rng = Rng.create ~seed in
   let built = Round.run rng (Round.default_params ~peers) ~spec:Distribution.Uniform in
   let overlay = built.Round.overlay in
-  let keys0 =
-    let tbl = Hashtbl.create 1024 in
-    for i = 0 to peers - 1 do
-      List.iter (fun k -> Hashtbl.replace tbl k ()) (Node.keys (Overlay.node overlay i))
-    done;
-    Hashtbl.fold (fun k () acc -> k :: acc) tbl []
-    |> List.sort Key.compare |> Array.of_list
-  in
+  let keys0 = stored_keys overlay in
   (* The keys that *should* exist: initial and inserted, minus routed
      deletes.  A deleted key must stay gone — if it is findable again
      the audit reports it as resurrected, not lost. *)
@@ -1960,8 +1527,9 @@ let partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
   in
   Sim.schedule_at sim ~time:90. delete_loop;
   (* Sampler: a version-aware health audit (both arms — the baseline
-     maintains the sidecar too, it just never acts on it) plus a
-     200-query batch at every multiple of [sample_every]. *)
+     maintains the sidecar too, it just never acts on it) at every
+     multiple of [sample_every], then a 200-query batch whose
+     correction-on-use repairs stale routing references in both arms. *)
   let points = ref [] in
   let samples = int_of_float (horizon /. sample_every) in
   for k = 0 to samples do
@@ -1970,12 +1538,10 @@ let partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
         let keys = tracked_keys () in
         let r = Health.check ~keys ~versions:true ~n_min:partition_n_min overlay in
         Health.emit ~telemetry:tel r;
-        let q =
-          Query.lookup_batch ~heal:true
-            (Rng.create ~seed:(seed + (7919 * (k + 1))))
-            overlay ~keys ~count:200
-        in
-        let pct n = 100. *. float_of_int n /. float_of_int (max 1 q.Query.issued) in
+        ignore
+          (Query.lookup_batch ~heal:true
+             (Rng.create ~seed:(seed + (7919 * (k + 1))))
+             overlay ~keys ~count:200);
         points :=
           {
             t = at;
@@ -1984,15 +1550,15 @@ let partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
             resurrected = r.Health.resurrected;
             diverged = r.Health.diverged;
             tombstones = r.Health.tombstone_debt;
-            success_pct = pct q.Query.routed;
-            found_pct = pct q.Query.found;
           }
           :: !points)
   done;
   Sim.run sim;
   let final = match !points with [] -> None | last :: _ -> Some last in
+  let final_of f = match final with Some p -> f p | None -> 0 in
   let points = List.rev !points in
   let clean p = p.resurrected = 0 && p.diverged = 0 && p.lost = 0 in
+  (* Seconds after heal until the first clean sample that stays clean. *)
   let converged_at =
     let rec scan = function
       | [] -> None
@@ -2002,192 +1568,56 @@ let partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
     in
     scan points
   in
-  {
-    reconciling;
-    points;
-    converged_at;
-    final_resurrected = (match final with Some p -> p.resurrected | None -> 0);
-    final_diverged = (match final with Some p -> p.diverged | None -> 0);
-    final_lost = (match final with Some p -> p.lost | None -> 0);
-    peak_resurrected = List.fold_left (fun m p -> max m p.resurrected) 0 points;
-    peak_diverged = List.fold_left (fun m p -> max m p.diverged) 0 points;
-    inserted = !inserted_n;
-    deleted = !deleted_n;
-    insert_failures = !insert_failures;
-    delete_failures = !delete_failures;
-    syncs = dstats.Maintenance.exchanges;
-    repairs = dstats.Maintenance.divergences_repaired;
-    tombstones_purged = dstats.Maintenance.tombstones_purged;
-    splits = dstats.Maintenance.balance_splits;
-  }
+  let peak f = List.fold_left (fun m p -> max m (f p)) 0 points in
+  under
+    (if reconciling then "on" else "off")
+    ([
+       ("converged", (if converged_at = None then 0. else 1.), Up);
+       ("converge_seconds", Option.value ~default:horizon converged_at, Down);
+       int_metric "final_resurrected" (final_of (fun p -> p.resurrected)) Down;
+       int_metric "final_diverged" (final_of (fun p -> p.diverged)) Down;
+       int_metric "final_lost" (final_of (fun p -> p.lost)) Down;
+       int_metric "peak_resurrected" (peak (fun p -> p.resurrected)) Down;
+       int_metric "peak_diverged" (peak (fun p -> p.diverged)) Down;
+       int_metric "inserted" !inserted_n Up;
+       int_metric "deleted" !deleted_n Up;
+       int_metric "insert_failures" !insert_failures Down;
+       int_metric "delete_failures" !delete_failures Down;
+       int_metric "syncs" dstats.Maintenance.exchanges Up;
+       int_metric "repairs" dstats.Maintenance.divergences_repaired Up;
+       int_metric "tombstones_purged" dstats.Maintenance.tombstones_purged Up;
+       int_metric "splits" dstats.Maintenance.balance_splits Up;
+     ]
+    @ List.concat_map
+        (fun p ->
+          [
+            int_metric (at "resurrected" p.t) p.resurrected Down;
+            int_metric (at "diverged" p.t) p.diverged Down;
+            int_metric (at "lost" p.t) p.lost Down;
+            int_metric (at "tombstones" p.t) p.tombstones Down;
+            (at "score" p.t, p.score, Up);
+          ])
+        points)
 
-type partition = {
-  peers : int;
-  horizon : float;
-  sample_every : float;
-  heal_at : float;
-  bound : float;
-  on : partition_run option;
-  off : partition_run option;
-}
-
-let partition_cache :
-    (int * float * float * float * float * float * bool * int, partition_run)
-    Hashtbl.t =
-  Hashtbl.create 4
-
-let partition_one ~peers ~horizon ~sample_every ~start ~stop ~bound ~reconciling
-    ~seed =
-  let key = (peers, horizon, sample_every, start, stop, bound, reconciling, seed) in
-  match Hashtbl.find_opt partition_cache key with
-  | Some r -> r
-  | None ->
-    let r =
-      partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
-        ~reconciling ~seed
-    in
-    Hashtbl.add partition_cache key r;
-    r
-
-let partition ?(peers = 1024) ?(horizon = 14400.) ?(sample_every = 240.)
-    ?(which = `Both) ~seed () =
+let partition ?(peers = 1024) ?(horizon = 14400.) ?(sample_every = 240.) ~seed () =
   if horizon <= 0. then invalid_arg "Figures.partition: horizon must be positive";
   if sample_every <= 0. then
     invalid_arg "Figures.partition: sample_every must be positive";
   let start = 0.25 *. horizon and stop = 0.75 *. horizon in
   let bound = 0.125 *. horizon in
   let arm reconciling =
-    partition_one ~peers ~horizon ~sample_every ~start ~stop ~bound ~reconciling
+    partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound ~reconciling
       ~seed
   in
-  {
-    peers;
-    horizon;
-    sample_every;
-    heal_at = stop;
-    bound;
-    on = (match which with `Both | `On -> Some (arm true) | `Off -> None);
-    off = (match which with `Both | `Off -> Some (arm false) | `On -> None);
-  }
-
-let partition_table x =
-  let columns =
-    [ "minutes"; "resurrected on"; "resurrected off"; "diverged on";
-      "diverged off"; "lost on"; "lost off"; "tombstones on"; "tombstones off";
-      "score on"; "score off" ]
-  in
-  let pts r = match r with Some x -> x.points | None -> [] in
-  let head = function p :: _ -> Some p | [] -> None in
-  let tail = function _ :: r -> r | [] -> [] in
-  let cell f = function Some p -> f p | None -> "-" in
-  let rec merge on off acc =
-    match (on, off) with
-    | [], [] -> List.rev acc
-    | _ ->
-      let t = match (on, off) with p :: _, _ | [], p :: _ -> p.t | _ -> 0. in
-      let row =
-        [
-          Printf.sprintf "%.0f" (t /. 60.);
-          cell (fun p -> string_of_int p.resurrected) (head on);
-          cell (fun p -> string_of_int p.resurrected) (head off);
-          cell (fun p -> string_of_int p.diverged) (head on);
-          cell (fun p -> string_of_int p.diverged) (head off);
-          cell (fun p -> string_of_int p.lost) (head on);
-          cell (fun p -> string_of_int p.lost) (head off);
-          cell (fun p -> string_of_int p.tombstones) (head on);
-          cell (fun p -> string_of_int p.tombstones) (head off);
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (head on);
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (head off);
-        ]
-      in
-      merge (tail on) (tail off) (row :: acc)
-  in
-  (columns, merge (pts x.on) (pts x.off) [])
-
-let partition_summary x =
-  let columns = [ "statistic"; "reconciling"; "baseline" ] in
-  let v f = function Some r -> f r | None -> "-" in
-  let both f = [ v f x.on; v f x.off ] in
-  let conv r =
-    match r.converged_at with
-    | Some s -> Table.fmt_float ~decimals:0 s ^ " s"
-    | None -> "never"
-  in
-  let rows =
-    [
-      Printf.sprintf "converged within bound (%.0f s)" x.bound
-      :: both (fun r ->
-             match r.converged_at with
-             | Some s when s <= x.bound -> "yes"
-             | _ -> "no");
-      "time to converge after heal" :: both conv;
-      "resurrected deletes at end" :: both (fun r -> string_of_int r.final_resurrected);
-      "diverged partitions at end" :: both (fun r -> string_of_int r.final_diverged);
-      "lost keys at end" :: both (fun r -> string_of_int r.final_lost);
-      "peak resurrected deletes" :: both (fun r -> string_of_int r.peak_resurrected);
-      "peak diverged partitions" :: both (fun r -> string_of_int r.peak_diverged);
-      "sync exchanges" :: both (fun r -> string_of_int r.syncs);
-      "structural repairs" :: both (fun r -> string_of_int r.repairs);
-      "tombstones purged" :: both (fun r -> string_of_int r.tombstones_purged);
-      "runtime splits" :: both (fun r -> string_of_int r.splits);
-      "keys inserted during run" :: both (fun r -> string_of_int r.inserted);
-      "keys deleted during run" :: both (fun r -> string_of_int r.deleted);
-      "insert failures" :: both (fun r -> string_of_int r.insert_failures);
-      "delete failures" :: both (fun r -> string_of_int r.delete_failures);
-    ]
-  in
-  (columns, rows)
+  let on = arm true in
+  let off = arm false in
+  (("bound/converge_seconds", bound, Down) :: on) @ off
 
 (* --- queries: million-lookup Zipf storm, route/result caching on vs off -- *)
 
 module Engine = Pgrid_query.Engine
 module Qcache = Pgrid_query.Qcache
 module Path = Pgrid_keyspace.Path
-
-type queries_arm = {
-  cached : bool;
-  issued : int;
-  routed : int;
-  found : int;
-  mean_hops : float;
-  p50_hops : int;
-  p99_hops : int;
-  peak_hops : int;
-  seconds : float;  (* CPU seconds; the only machine-dependent field *)
-  qps : float;
-  hit_ratio : float;
-  result_hits : int;
-  route_hits : int;
-  stale_probes : int;
-}
-
-type queries_storm = {
-  storm_queries : int;
-  storm_routed : int;
-  wrong_responsible : int;  (* must be 0: validation on use *)
-  storm_stale : int;  (* stale hits that fell back to routing *)
-  storm_mismatch : int;  (* cached answer disagreed with the live store *)
-  storm_splits : int;
-  storm_invalidations : int;
-  storm_hit_ratio : float;
-}
-
-type queries_batch = {
-  batch_groups : int;
-  batch_keys : int;
-  batch_messages : int;  (* forwards sent by the shared walks *)
-  batch_naive : int;  (* what the same resolutions cost walked alone *)
-  batch_unresolved : int;
-}
-
-type queries = {
-  peers : int;
-  count : int;
-  on : queries_arm;
-  off : queries_arm;
-  storm : queries_storm;
-  batch : queries_batch;
-}
 
 (* Smallest hop count at or below which a [frac] share of routed queries
    completed. *)
@@ -2211,7 +1641,7 @@ let queries_percentile hist routed frac =
    [Latency.planetlab] shape the daemon experiments sample) that dwarfs
    a local probe.  Charging those costs makes [qps] the serial-replay
    throughput over the modeled network — and fully seed-deterministic,
-   so CI can compare it exactly, unlike the wall-clock [seconds]. *)
+   so CI can compare it exactly. *)
 let queries_hop_seconds = 0.15
 let queries_probe_seconds = 1e-5
 
@@ -2226,14 +1656,7 @@ let queries_run ~peers ~count ~seed =
   let built = Round.run rng (Round.default_params ~peers) ~spec:Distribution.Uniform in
   let overlay = built.Round.overlay in
   ignore (Overlay.anti_entropy overlay);
-  let keys =
-    let tbl = Hashtbl.create 1024 in
-    for i = 0 to peers - 1 do
-      List.iter (fun k -> Hashtbl.replace tbl k ()) (Node.keys (Overlay.node overlay i))
-    done;
-    Hashtbl.fold (fun k () acc -> k :: acc) tbl []
-    |> List.sort Key.compare |> Array.of_list
-  in
+  let keys = stored_keys overlay in
   (* Responsibility closure over the queried key universe.  Exact-path
      anti-entropy leaves a node whose path is a strict prefix of a
      deeper group's without that group's keys — yet a walk can
@@ -2295,7 +1718,6 @@ let queries_run ~peers ~count ~seed =
     (* All messages paid, successful or not — failed walks still cost
        their hops on the modeled network. *)
     let all_hops = ref 0 in
-    let t0 = Sys.time () in
     for i = 0 to count - 1 do
       let r = Engine.lookup ?cache overlay ~from:origins.(i) qkeys.(i) in
       all_hops := !all_hops + r.Engine.hops;
@@ -2309,7 +1731,9 @@ let queries_run ~peers ~count ~seed =
         hist.(h) <- hist.(h) + 1
       | None -> ()
     done;
-    let seconds = Sys.time () -. t0 in
+    let mean_hops =
+      if !routed = 0 then 0. else float_of_int !hops_sum /. float_of_int !routed
+    in
     let cstats =
       match cache with
       | Some c -> Qcache.stats c
@@ -2320,37 +1744,44 @@ let queries_run ~peers ~count ~seed =
           result_entries = 0;
         }
     in
-    {
-      cached;
-      issued = count;
-      routed = !routed;
-      found = !found;
-      mean_hops =
-        (if !routed = 0 then 0.
-         else float_of_int !hops_sum /. float_of_int !routed);
-      p50_hops = queries_percentile hist !routed 0.5;
-      p99_hops = queries_percentile hist !routed 0.99;
-      peak_hops = !peak;
-      seconds;
-      qps =
-        (let probes =
-           cstats.Qcache.route_hits + cstats.Qcache.result_hits
-           + cstats.Qcache.misses + cstats.Qcache.stale
-         in
-         let net_seconds =
-           (float_of_int !all_hops *. queries_hop_seconds)
-           +. (float_of_int probes *. queries_probe_seconds)
-         in
-         if net_seconds > 0. then float_of_int count /. net_seconds
-         else float_of_int count);
-      hit_ratio = Qcache.hit_ratio cstats;
-      result_hits = cstats.Qcache.result_hits;
-      route_hits = cstats.Qcache.route_hits;
-      stale_probes = cstats.Qcache.stale;
-    }
+    let qps =
+      let probes =
+        cstats.Qcache.route_hits + cstats.Qcache.result_hits
+        + cstats.Qcache.misses + cstats.Qcache.stale
+      in
+      let net_seconds =
+        (float_of_int !all_hops *. queries_hop_seconds)
+        +. (float_of_int probes *. queries_probe_seconds)
+      in
+      if net_seconds > 0. then float_of_int count /. net_seconds
+      else float_of_int count
+    in
+    ( qps,
+      mean_hops,
+      under
+        (if cached then "on" else "off")
+        ([
+           int_metric "issued" count Up;
+           int_metric "routed" !routed Up;
+           int_metric "found" !found Up;
+           ("mean_hops", mean_hops, Down);
+           int_metric "p50_hops" (queries_percentile hist !routed 0.5) Down;
+           int_metric "p99_hops" (queries_percentile hist !routed 0.99) Down;
+           int_metric "max_hops" !peak Down;
+           ("qps", qps, Up);
+         ]
+        @
+        if cached then
+          [
+            ("hit_ratio", Qcache.hit_ratio cstats, Up);
+            int_metric "result_hits" cstats.Qcache.result_hits Up;
+            int_metric "route_hits" cstats.Qcache.route_hits Up;
+            int_metric "stale_probes" cstats.Qcache.stale Down;
+          ]
+        else []) )
   in
-  let off = arm false in
-  let on = arm true in
+  let off_qps, off_hops, off = arm false in
+  let on_qps, on_hops, on = arm true in
   (* Batched lookups, measured without caches so [messages] vs [naive]
      isolates the prefix-sharing win. *)
   let batch =
@@ -2369,13 +1800,20 @@ let queries_run ~peers ~count ~seed =
       naive := !naive + b.Engine.naive_messages;
       unresolved := !unresolved + b.Engine.unresolved
     done;
-    {
-      batch_groups = groups;
-      batch_keys = !bkeys;
-      batch_messages = !messages;
-      batch_naive = !naive;
-      batch_unresolved = !unresolved;
-    }
+    under "batch"
+      [
+        int_metric "groups" groups Up;
+        int_metric "keys" !bkeys Up;
+        (* Forwards the shared walks sent, against what the same
+           resolutions cost walked one key at a time. *)
+        int_metric "messages" !messages Down;
+        int_metric "naive_messages" !naive Down;
+        int_metric "unresolved" !unresolved Down;
+        ( "saving_frac",
+          (if !naive = 0 then 0.
+           else 1. -. (float_of_int !messages /. float_of_int !naive)),
+          Up );
+      ]
   in
   (* Stale-cache correctness under a live balance storm: a skewed insert
      stream pushes hot partitions past [d_max] so Balance.pass keeps
@@ -2437,72 +1875,28 @@ let queries_run ~peers ~count ~seed =
     done;
     List.iter (fun i -> (Overlay.node overlay i).Node.online <- true) !offline;
     let cstats = Qcache.stats cache in
-    {
-      storm_queries = !q;
-      storm_routed = !routed;
-      wrong_responsible = !wrong;
-      storm_stale = cstats.Qcache.stale;
-      storm_mismatch = !mismatch;
-      storm_splits = !splits;
-      storm_invalidations = cstats.Qcache.invalidations;
-      storm_hit_ratio = Qcache.hit_ratio cstats;
-    }
+    under "storm"
+      [
+        int_metric "queries" !q Up;
+        int_metric "routed" !routed Up;
+        int_metric "wrong_responsible" !wrong Down;
+        (* A cached answer that disagreed with the live store. *)
+        int_metric "mismatch" !mismatch Down;
+        (* Stale hits that fell back to routing. *)
+        int_metric "stale" cstats.Qcache.stale Up;
+        int_metric "splits" !splits Up;
+        int_metric "invalidations" cstats.Qcache.invalidations Up;
+        ("hit_ratio", Qcache.hit_ratio cstats, Up);
+      ]
   in
-  { peers; count; on; off; storm; batch }
+  on @ off
+  @ [
+      ("speedup", on_qps /. off_qps, Up);
+      ("hop_reduction", 1. -. (on_hops /. off_hops), Up);
+    ]
+  @ storm @ batch
 
-let queries_exp_cache : (int * int * int, queries) Hashtbl.t = Hashtbl.create 4
-
-let queries ?(peers = 10_000) ?(count = 1_000_000) ~seed () =
+let queries ~peers ~count ~seed () =
   if peers < 8 then invalid_arg "Figures.queries: need at least 8 peers";
   if count < 1 then invalid_arg "Figures.queries: count must be >= 1";
-  let key = (peers, count, seed) in
-  match Hashtbl.find_opt queries_exp_cache key with
-  | Some q -> q
-  | None ->
-    let q = queries_run ~peers ~count ~seed in
-    Hashtbl.add queries_exp_cache key q;
-    q
-
-let queries_summary q =
-  let columns = [ "statistic"; "cache on"; "cache off" ] in
-  let both f = [ f q.on; f q.off ] in
-  let rows =
-    [
-      "queries issued" :: both (fun a -> string_of_int a.issued);
-      "routed" :: both (fun a -> string_of_int a.routed);
-      "found" :: both (fun a -> string_of_int a.found);
-      "mean hops" :: both (fun a -> Table.fmt_float ~decimals:3 a.mean_hops);
-      "p50 hops" :: both (fun a -> string_of_int a.p50_hops);
-      "p99 hops" :: both (fun a -> string_of_int a.p99_hops);
-      "max hops" :: both (fun a -> string_of_int a.peak_hops);
-      "queries/s (modeled net)" :: both (fun a -> Table.fmt_float ~decimals:2 a.qps);
-      "cpu seconds" :: both (fun a -> Table.fmt_float ~decimals:2 a.seconds);
-      "hit ratio" :: both (fun a -> Table.fmt_float ~decimals:4 a.hit_ratio);
-      "result-cache hits" :: both (fun a -> string_of_int a.result_hits);
-      "route-cache hits" :: both (fun a -> string_of_int a.route_hits);
-      "stale probes" :: both (fun a -> string_of_int a.stale_probes);
-    ]
-  in
-  (columns, rows)
-
-let queries_storm_summary q =
-  let columns = [ "statistic"; "value" ] in
-  let s = q.storm and b = q.batch in
-  let rows =
-    [
-      [ "storm queries"; string_of_int s.storm_queries ];
-      [ "storm routed"; string_of_int s.storm_routed ];
-      [ "wrong responsible"; string_of_int s.wrong_responsible ];
-      [ "stale fallbacks"; string_of_int s.storm_stale ];
-      [ "store mismatches"; string_of_int s.storm_mismatch ];
-      [ "splits during storm"; string_of_int s.storm_splits ];
-      [ "invalidations"; string_of_int s.storm_invalidations ];
-      [ "storm hit ratio"; Table.fmt_float ~decimals:4 s.storm_hit_ratio ];
-      [ "batch groups"; string_of_int b.batch_groups ];
-      [ "batch keys"; string_of_int b.batch_keys ];
-      [ "batch messages"; string_of_int b.batch_messages ];
-      [ "batch naive messages"; string_of_int b.batch_naive ];
-      [ "batch unresolved"; string_of_int b.batch_unresolved ];
-    ]
-  in
-  (columns, rows)
+  queries_run ~peers ~count ~seed

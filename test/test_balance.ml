@@ -11,7 +11,6 @@ module Balance = Pgrid_core.Balance
 module Health = Pgrid_core.Health
 module Maintenance = Pgrid_core.Maintenance
 module Round = Pgrid_construction.Round
-module Figures = Pgrid_experiment.Figures
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -354,14 +353,20 @@ let test_daemon_defaults_off () =
   checkb "balance disabled by default" true (c.Maintenance.balance = None)
 
 let test_figures_balance_smoke () =
-  let b = Figures.balance ~peers:64 ~horizon:240. ~sample_every:120. ~d_max:50 ~seed:7 () in
-  match ((b : Figures.balance).Figures.on, b.Figures.off) with
-  | Some on, Some off ->
-    checkb "balanced arm sampled" true (on.Figures.points <> []);
-    checkb "unbalanced arm sampled" true (off.Figures.points <> []);
-    checki "unbalanced arm never splits" 0 off.Figures.splits;
-    checkb "both arms track inserts" true (on.Figures.inserted > 0 && off.Figures.inserted > 0)
-  | _ -> Alcotest.fail "balance experiment did not produce both arms"
+  let e = Pgrid_experiment.Experiment.find "balance" in
+  let metrics = (e.run ~reps:None ~smoke:true ~seed:20050830).metrics in
+  let v name =
+    match List.find_opt (fun (n, _, _) -> n = name) metrics with
+    | Some (_, x, _) -> x
+    | None -> Alcotest.failf "metric %s missing" name
+  in
+  let sampled arm =
+    List.exists (fun (n, _, _) -> String.starts_with ~prefix:(arm ^ "/max_load@") n) metrics
+  in
+  checkb "balanced arm sampled" true (sampled "on");
+  checkb "unbalanced arm sampled" true (sampled "off");
+  checkb "unbalanced arm never splits" true (v "off/splits" = 0.);
+  checkb "both arms track inserts" true (v "on/inserted" > 0. && v "off/inserted" > 0.)
 
 let suite =
   [

@@ -72,74 +72,125 @@ let test_planetlab_artifacts () =
   let o2 = Figures.planetlab_run ~peers:48 ~seed:7 () in
   checkb "memoized" true (o1 == o2)
 
+module Experiment = Pgrid_experiment.Experiment
+
+let bench_seed = 20050830
+
+(* Smoke runs, shared by every test that reads one experiment. *)
+let smoke_runs = Hashtbl.create 8
+
+let smoke name =
+  match Hashtbl.find_opt smoke_runs name with
+  | Some out -> out
+  | None ->
+    let out = (Experiment.find name).run ~reps:None ~smoke:true ~seed:bench_seed in
+    Hashtbl.add smoke_runs name out;
+    out
+
+let value metrics name =
+  match List.find_opt (fun (n, _, _) -> n = name) metrics with
+  | Some (_, v, _) -> v
+  | None -> Alcotest.failf "metric %s missing" name
+
+let samples metrics prefix =
+  List.length
+    (List.filter (fun (n, _, _) -> String.starts_with ~prefix n) metrics)
+
+let table_shape = function
+  | Experiment.Table { columns; rows; _ } -> (List.length columns, List.length rows)
+  | _ -> Alcotest.fail "table expected"
+
 let test_survival_smoke () =
-  (* A short survival run: both arms sampled on a shared environment.
-     The daemon arm must never lose data the control arm keeps. *)
-  let s =
-    Figures.survival ~peers:96 ~horizon:1200. ~sample_every:300. ~seed:5 ()
-  in
-  let on = Option.get s.Figures.on and off = Option.get s.Figures.off in
-  checki "same sample count" (List.length on.Figures.points)
-    (List.length off.Figures.points);
-  checki "five samples" 5 (List.length on.Figures.points);
-  checkb "kill waves match across arms" true (on.Figures.kills = off.Figures.kills);
-  checkb "daemon arm did maintenance" true (on.Figures.exchanges > 0);
-  checkb "control arm did none" true (off.Figures.exchanges = 0 && off.Figures.rereplications = 0);
+  (* Both arms sampled on a shared environment; the daemon arm must
+     never lose data the control arm keeps. *)
+  let out = smoke "survival" in
+  let v = value out.Experiment.metrics in
+  checki "31 samples per arm" 31 (samples out.metrics "on/score@");
+  checki "same sample count" 31 (samples out.metrics "off/score@");
+  checkb "kill waves match across arms" true (v "on/kills" = v "off/kills");
+  checkb "daemon arm did maintenance" true (v "on/exchanges" > 0.);
+  checkb "control arm did none" true
+    (v "off/exchanges" = 0. && v "off/rereplications" = 0.);
   checkb "daemon arm loses nothing the control keeps" true
-    (on.Figures.final_lost <= off.Figures.final_lost);
-  let columns, rows = Figures.survival_table s in
-  checki "ten data columns" 10 (List.length columns);
-  checki "one row per sample" 5 (List.length rows);
-  let _, srows = Figures.survival_summary s in
-  checkb "summary has rows" true (List.length srows >= 6);
-  (* Memoized per parameter tuple. *)
-  let s2 =
-    Figures.survival ~peers:96 ~horizon:1200. ~sample_every:300. ~seed:5 ()
-  in
-  checkb "memoized" true (Option.get s.Figures.on == Option.get s2.Figures.on)
+    (v "on/final_lost" <= v "off/final_lost");
+  match out.blocks with
+  | [ series; summary ] ->
+    (* minutes + (score, success_pct, lost) x (on, off) *)
+    checki "series columns" 7 (fst (table_shape series));
+    checki "one row per sample" 31 (snd (table_shape series));
+    checki "summary columns: metric, on, off, dominance" 4 (fst (table_shape summary))
+  | _ -> Alcotest.fail "series and summary tables expected"
 
 let test_overload_smoke () =
   (* A miniature storm: both arms share the identical offered load; the
      protected arm sheds and the unprotected arm builds backlog. *)
-  let o =
-    Figures.overload ~peers:128 ~horizon:360. ~base_rate:10. ~peak_rate:120.
+  let arm protected =
+    Figures.overload_arm ~peers:128 ~horizon:360. ~base_rate:10. ~peak_rate:120. ~protected
       ~seed:6 ()
   in
-  let on = Option.get o.Figures.on and off = Option.get o.Figures.off in
-  checkb "arms tagged" true (on.Figures.protected && not off.Figures.protected);
-  checki "same window count" (List.length on.Figures.points)
-    (List.length off.Figures.points);
-  checki "24 windows" 24 (List.length on.Figures.points);
-  checkb "identical offered load across arms" true
-    (List.for_all2
-       (fun (a : Figures.overload_point) (b : Figures.overload_point) ->
-         a.Figures.offered = b.Figures.offered)
-       on.Figures.points off.Figures.points);
-  checkb "same storm issued on both arms" true
-    (on.Figures.storm_stats.Pgrid_query.Storm.issued
-    = off.Figures.storm_stats.Pgrid_query.Storm.issued);
-  checkb "protected arm sheds" true
-    (on.Figures.storm_stats.Pgrid_query.Storm.sheds > 0);
-  checkb "unprotected arm never sheds" true
-    (off.Figures.storm_stats.Pgrid_query.Storm.sheds = 0);
-  checkb "unprotected queues run deeper" true
-    (off.Figures.storm_stats.Pgrid_query.Storm.queue_peak
-    > on.Figures.storm_stats.Pgrid_query.Storm.queue_peak);
-  checkb "protected arm hedges" true
-    (on.Figures.storm_stats.Pgrid_query.Storm.hedges > 0);
-  checkb "shed ratio sane" true
-    (on.Figures.shed_ratio >= 0. && on.Figures.shed_ratio < 1.);
-  let columns, rows = Figures.overload_table o in
-  checki "eight columns" 8 (List.length columns);
-  checki "one row per window" 24 (List.length rows);
-  let _, srows = Figures.overload_summary o in
-  checkb "summary has rows" true (List.length srows >= 10);
-  (* Memoized per parameter tuple. *)
-  let o2 =
-    Figures.overload ~peers:128 ~horizon:360. ~base_rate:10. ~peak_rate:120.
-      ~seed:6 ()
+  let on_issued, on = arm true in
+  let off_issued, off = arm false in
+  let metrics = on @ off in
+  let v = value metrics in
+  checki "24 windows per arm" 24 (samples metrics "on/goodput@");
+  checki "same window count" 24 (samples metrics "off/goodput@");
+  checki "24 offered-load windows" 24 (List.length on_issued);
+  checkb "identical offered load across arms" true (on_issued = off_issued);
+  checkb "same storm issued on both arms" true (v "on/issued" = v "off/issued");
+  checkb "protected arm sheds" true (v "on/sheds" > 0.);
+  checkb "unprotected arm never sheds" true (v "off/sheds" = 0.);
+  checkb "unprotected queues run deeper" true (v "off/queue_peak" > v "on/queue_peak");
+  checkb "protected arm hedges" true (v "on/hedges" > 0.);
+  checkb "shed ratio sane" true (v "on/shed_ratio" >= 0. && v "on/shed_ratio" < 1.);
+  (* minutes + (goodput, shed, backlog) x (on, off), one row per window *)
+  checkb "series table" true
+    (table_shape (Experiment.series ~title:"t" metrics) = (7, 24))
+
+(* The claims CI gates on, at the smoke size CI runs.  A claim that reads
+   a metric the experiment does not report fails rather than reading 0. *)
+let test_smoke_claims name () =
+  let out = smoke name in
+  let names = List.map (fun (n, _, _) -> n) out.Experiment.metrics in
+  checki "metric names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let e = Experiment.find name in
+  checkb "declares claims" true (e.claims <> []);
+  List.iter
+    (fun c ->
+      let holds, line = Experiment.check out.metrics c in
+      checkb line true holds)
+    e.claims
+
+let test_claim_reads_missing_metric () =
+  let metrics = [ ("on/lost", 0., Experiment.Down) ] in
+  let holds, line =
+    Experiment.check metrics
+      { Experiment.lhs = Metric "on/lsot"; op = Eq; rhs = Const 0. }
   in
-  checkb "memoized" true (Option.get o.Figures.on == Option.get o2.Figures.on)
+  checkb "a misspelled metric fails" false holds;
+  checkb "and says which" true (Test_util.contains line "on/lsot");
+  checkb "the spelled one holds" true
+    (fst (Experiment.check metrics { lhs = Metric "on/lost"; op = Eq; rhs = Const 0. }));
+  checkb "unknown names raise" true
+    (match Experiment.find "nope" with _ -> false | exception Invalid_argument _ -> true)
+
+let test_summary_renderer () =
+  let metrics =
+    [
+      ("bound/max", 100., Experiment.Down);
+      ("on/peak", 87., Down);
+      ("on/load@0", 1., Down);
+      ("off/peak", 140.5, Down);
+      ("off/splits", 0., Down);
+    ]
+  in
+  match Experiment.summary ~title:"t" metrics with
+  | Table { columns; rows; _ } ->
+    checkb "arms as columns" true (columns = [ "metric"; "bound"; "on"; "off" ]);
+    checkb "metrics as rows, gaps dashed" true
+      (rows
+      = [ [ "max"; "100"; "-"; "-" ]; [ "peak"; "-"; "87"; "140.5" ]; [ "splits"; "-"; "-"; "0" ] ])
+  | _ -> Alcotest.fail "table expected"
 
 let test_ablation_sequential () =
   let columns, rows = Figures.ablation_sequential ~sizes:[ 32; 64 ] ~seed:3 () in
@@ -176,4 +227,10 @@ let suite =
     Alcotest.test_case "ablation sequential" `Quick test_ablation_sequential;
     Alcotest.test_case "ablation cost" `Slow test_ablation_cost;
     Alcotest.test_case "ablation correction" `Slow test_ablation_correction;
+    Alcotest.test_case "claim reads missing metric" `Quick test_claim_reads_missing_metric;
+    Alcotest.test_case "summary renderer" `Quick test_summary_renderer;
   ]
+  @ List.map
+      (fun name ->
+        Alcotest.test_case ("smoke claims: " ^ name) `Slow (test_smoke_claims name))
+      [ "resilience"; "survival"; "balance"; "txn"; "partition"; "queries" ]
