@@ -15,6 +15,9 @@
    should fail loudly when a metric silently disappears or flips
    polarity, not just when a shared one drifts.
 
+   --exact flags every change, in either direction and of any size: for
+   seed-determined values that must reproduce bit for bit.
+
    --filter SUBSTR (repeatable) keeps only entries whose name contains
    one of the given substrings; --exclude SUBSTR (repeatable) then
    drops any whose name contains one.  Both apply to every section and
@@ -46,8 +49,11 @@ let pct { old_v; new_v; _ } =
 (* Relative change in the direction that hurts: positive means worse. *)
 let badness r = if r.higher_better then -.pct r else pct r
 
+let exact = ref false
+
 let flagged ~threshold r =
-  badness r > threshold && Float.abs (r.new_v -. r.old_v) > r.floor
+  if !exact then r.new_v <> r.old_v
+  else badness r > threshold && Float.abs (r.new_v -. r.old_v) > r.floor
 
 (* Metric-name heuristic for the direction of goodness, used only for
    reports written before the explicit per-metric "direction" field
@@ -150,7 +156,7 @@ let paired ~kind ~floor ?(direction = fun _ -> false) old_entries new_entries =
     old_entries
 
 let verdict ~threshold r =
-  if flagged ~threshold r then "REGRESSION"
+  if flagged ~threshold r then if !exact then "CHANGED" else "REGRESSION"
   else if badness r < -.threshold && Float.abs (r.new_v -. r.old_v) > r.floor then
     "improved"
   else "ok"
@@ -194,6 +200,9 @@ let () =
     | "--strict" :: rest ->
       strict := true;
       parse rest
+    | "--exact" :: rest ->
+      exact := true;
+      parse rest
     | "--filter" :: v :: rest ->
       filters := v :: !filters;
       parse rest
@@ -214,7 +223,7 @@ let () =
     | _ ->
       prerr_endline
         "usage: compare BASELINE.json CANDIDATE.json [--threshold PCT] [--strict] \
-         [--filter SUBSTR]... [--exclude SUBSTR]...";
+         [--exact] [--filter SUBSTR]... [--exclude SUBSTR]...";
       exit 2
   in
   let selected name =
@@ -279,8 +288,10 @@ let () =
     List.filter (flagged ~threshold:!threshold) (walls @ values @ micros)
   in
   if regressions <> [] then begin
-    Printf.printf "\n%d regression(s) beyond +%.0f%%:\n" (List.length regressions)
-      !threshold;
+    if !exact then Printf.printf "\n%d value(s) changed:\n" (List.length regressions)
+    else
+      Printf.printf "\n%d regression(s) beyond +%.0f%%:\n" (List.length regressions)
+        !threshold;
     List.iter (fun r -> Printf.printf "  %s: %+.1f%%\n" r.name (pct r)) regressions;
     exit 1
   end
@@ -290,4 +301,5 @@ let () =
       !threshold !warnings;
     exit 1
   end
+  else if !exact then print_endline "\nevery value unchanged"
   else Printf.printf "\nno regressions beyond +%.0f%%\n" !threshold

@@ -140,11 +140,7 @@ let micro _reps =
     for i = 0 to Overlay.size t - 1 do
       let src = Overlay.node t i and dst = Overlay.node o i in
       Node.set_path dst src.Node.path;
-      Hashtbl.iter
-        (fun k payloads ->
-          Node.ensure_key dst k;
-          List.iter (Node.insert dst k) payloads)
-        src.Node.store;
+      Hashtbl.iter (fun k payloads -> ignore (Node.merge_key dst k payloads)) src.Node.store;
       Node.absorb_replicas dst src.Node.replicas;
       for level = 0 to Pgrid_keyspace.Path.length src.Node.path - 1 do
         Node.union_refs dst ~level ~from:src

@@ -206,9 +206,7 @@ let probabilities t ~p_hat ~samples =
    routed are kept where they are rather than lost. *)
 let deliver t ~at key payloads =
   let ingest i =
-    let n = node t i in
-    Node.ensure_key n key;
-    List.iter (fun p -> Node.insert n key p) payloads;
+    ignore (Node.merge_key (node t i) key payloads);
     mark_useful t i
   in
   let rec hop prev i budget =
@@ -226,20 +224,16 @@ let deliver t ~at key payloads =
   hop at at t.config.refer_hops
 
 (* Transfer every (key, payloads) of [src] outside [src]'s new path,
-   entering the network at [dst] (which forwards what it does not own). *)
+   entering the network at [dst] (which forwards what it does not own).
+   All doomed keys leave [src] before the first delivery; removing and
+   delivering them one by one would give the same stores: a key routed
+   back to [src] lands at its bucket's front either way, and the table
+   never grows past its size before the cut, so it never resizes. *)
 let hand_over t ~src ~dst =
   let s = node t src in
-  let doomed =
-    Hashtbl.fold
-      (fun k payloads acc ->
-        if Path.matches_key s.Node.path k then acc else (k, payloads) :: acc)
-      s.Node.store []
-  in
   List.iter
-    (fun (k, payloads) ->
-      Node.remove_key s k;
-      deliver t ~at:dst k payloads)
-    doomed
+    (fun (k, payloads) -> deliver t ~at:dst k payloads)
+    (Node.cut_outside s s.Node.path)
 
 (* Balanced split of a same-path pair. *)
 let do_split t i j =
@@ -349,25 +343,25 @@ let same_partition t i j =
     mark_useful t j
   end
   else begin
-    (* Replicate: reconcile stores and record each other. *)
+    (* Replicate: reconcile stores and record each other.  The overlap
+       pass above says how many keys each direction adds; a direction
+       that adds no key and carries no payload would change nothing. *)
     let gained = ref false in
-    let copy src dst =
+    let copy src dst ~fresh_keys =
       let s = node t src and d = node t dst in
-      Hashtbl.iter
-        (fun k payloads ->
-          let fresh = not (Node.has_key d k) in
-          Node.ensure_key d k;
-          List.iter (fun p -> Node.insert d k p) payloads;
-          if fresh then begin
-            note_key_moved t ~src ~dst;
-            (* Only new distinct keys count as progress; payload-level
-               reconciliation must not keep peers active forever. *)
-            gained := true
-          end)
-        s.Node.store
+      if fresh_keys > 0 || Node.payload_key_count s > 0 then
+        Hashtbl.iter
+          (fun k payloads ->
+            if Node.merge_key d k payloads then begin
+              note_key_moved t ~src ~dst;
+              (* Only new distinct keys count as progress; payload-level
+                 reconciliation must not keep peers active forever. *)
+              gained := true
+            end)
+          s.Node.store
     in
-    copy i j;
-    copy j i;
+    copy i j ~fresh_keys:(d1 - overlap);
+    copy j i ~fresh_keys:(d2 - overlap);
     (* Exchange routing tables as well (paper Figure 2, possibility 3):
        this repairs levels where a believed-empty complement was
        colonized after a degenerate descent. *)

@@ -97,12 +97,8 @@ let join st i =
     Node.set_path ni host_path;
     ignore (Node.drop_keys_outside ni ni.Node.path);
     let merge src dst =
-      let s = node st src and d = node st dst in
-      Hashtbl.iter
-        (fun k payloads ->
-          Node.ensure_key d k;
-          List.iter (fun p -> Node.insert d k p) payloads)
-        s.Node.store
+      let d = node st dst in
+      Hashtbl.iter (fun k payloads -> ignore (Node.merge_key d k payloads)) (node st src).Node.store
     in
     List.iter
       (fun j ->
@@ -149,22 +145,15 @@ let join st i =
         group;
       st.latency <- st.latency + 1
     end;
-    (* Insert the joiner's remaining out-of-partition keys by routing. *)
-    let outside =
-      Hashtbl.fold
-        (fun k payloads acc ->
-          if Path.matches_key ni.Node.path k then acc else (k, payloads) :: acc)
-        ni.Node.store []
-    in
+    (* Insert the joiner's remaining out-of-partition keys by routing
+       (routing reads no store, so cutting them all first changes
+       nothing; see [Engine.hand_over]). *)
     List.iter
       (fun (k, payloads) ->
-        Node.remove_key ni k;
-        let target = node st (route st i k) in
-        Node.ensure_key target k;
-        List.iter (fun p -> Node.insert target k p) payloads;
+        ignore (Node.merge_key (node st (route st i k)) k payloads);
         st.messages <- st.messages + 1;
         st.latency <- st.latency + 1)
-      outside;
+      (Node.cut_outside ni ni.Node.path);
     st.joined <- i :: st.joined
 
 let run rng params ~spec =

@@ -28,6 +28,9 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Intset.get: index out of range";
   Array.unsafe_get t.data i
 
+(* The shifts are int loops, not [Array.blit]: on a major-heap array the
+   blit goes through [caml_modify] for every element, while an [int
+   array] store needs no write barrier. *)
 let add t x =
   let r = rank t x in
   if r < 0 then begin
@@ -37,15 +40,21 @@ let add t x =
       Array.blit t.data 0 grown 0 t.len;
       t.data <- grown
     end;
-    Array.blit t.data at t.data (at + 1) (t.len - at);
-    t.data.(at) <- x;
+    let data = t.data in
+    for i = t.len downto at + 1 do
+      Array.unsafe_set data i (Array.unsafe_get data (i - 1))
+    done;
+    data.(at) <- x;
     t.len <- t.len + 1
   end
 
 let remove t x =
   let r = rank t x in
   if r >= 0 then begin
-    Array.blit t.data (r + 1) t.data r (t.len - r - 1);
+    let data = t.data in
+    for i = r to t.len - 2 do
+      Array.unsafe_set data i (Array.unsafe_get data (i + 1))
+    done;
     t.len <- t.len - 1
   end
 
@@ -82,37 +91,46 @@ let of_list xs =
    the back, so every element moves at most once and no slot is written
    before it has been read. *)
 let union_into ~into src =
+  let sdata = src.data and slen = src.len in
+  let idata = into.data and ilen = into.len in
+  (* [0 <= i < ilen <= length idata] and [0 <= j < slen <= length sdata]
+     bound every read below. *)
   let fresh = ref 0 and i = ref 0 in
-  for j = 0 to src.len - 1 do
-    let b = src.data.(j) in
-    while !i < into.len && into.data.(!i) < b do
+  for j = 0 to slen - 1 do
+    let b = Array.unsafe_get sdata j in
+    while !i < ilen && Array.unsafe_get idata !i < b do
       incr i
     done;
-    if !i = into.len || into.data.(!i) <> b then incr fresh
+    if !i = ilen || Array.unsafe_get idata !i <> b then incr fresh
   done;
   if !fresh > 0 then begin
-    let n = into.len + !fresh in
-    if n > Array.length into.data then begin
-      let cap = ref (max 1 (Array.length into.data)) in
-      while !cap < n do
-        cap := 2 * !cap
-      done;
-      let grown = Array.make !cap 0 in
-      Array.blit into.data 0 grown 0 into.len;
-      into.data <- grown
-    end;
+    let n = ilen + !fresh in
+    let data =
+      if n <= Array.length idata then idata
+      else begin
+        let cap = ref (max 1 (Array.length idata)) in
+        while !cap < n do
+          cap := 2 * !cap
+        done;
+        let grown = Array.make !cap 0 in
+        Array.blit idata 0 grown 0 ilen;
+        into.data <- grown;
+        grown
+      end
+    in
     (* [k - i] is the number of [src] members still to insert, so the
-       walk ends with [k = i] and the untouched prefix in place. *)
-    let i = ref (into.len - 1) and k = ref (n - 1) in
-    for j = src.len - 1 downto 0 do
-      let b = src.data.(j) in
-      while !i >= 0 && into.data.(!i) > b do
-        into.data.(!k) <- into.data.(!i);
+       walk ends with [k = i] and the untouched prefix in place; [k < n]
+       stays inside [data]. *)
+    let i = ref (ilen - 1) and k = ref (n - 1) in
+    for j = slen - 1 downto 0 do
+      let b = Array.unsafe_get sdata j in
+      while !i >= 0 && Array.unsafe_get data !i > b do
+        Array.unsafe_set data !k (Array.unsafe_get data !i);
         decr i;
         decr k
       done;
-      if !i >= 0 && into.data.(!i) = b then decr i;
-      into.data.(!k) <- b;
+      if !i >= 0 && Array.unsafe_get data !i = b then decr i;
+      Array.unsafe_set data !k b;
       decr k
     done;
     into.len <- n

@@ -86,11 +86,7 @@ let adopt overlay ~host_id ~peer =
   Node.reset_refs n ~capacity:(Path.length host.Node.path);
   Node.clear_replicas n;
   Node.set_path n host.Node.path;
-  Hashtbl.iter
-    (fun k payloads ->
-      Node.ensure_key n k;
-      List.iter (Node.insert n k) payloads)
-    host.Node.store;
+  Hashtbl.iter (fun k payloads -> ignore (Node.merge_key n k payloads)) host.Node.store;
   for level = 0 to Path.length host.Node.path - 1 do
     Node.refs_iter host ~level (fun r -> if r <> peer then Node.add_ref n ~level r)
   done;

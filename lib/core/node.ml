@@ -14,6 +14,7 @@ type t = {
   replicas : Intset.t;
   mutable online : bool;
   mutable zero_keys : int;
+  mutable payload_keys : int;
 }
 
 let create ~id =
@@ -26,6 +27,7 @@ let create ~id =
     replicas = Intset.create ();
     online = true;
     zero_keys = 0;
+    payload_keys = 0;
   }
 
 (* Version metadata is a sidecar: the legacy store never reads it, so
@@ -59,16 +61,23 @@ let meta_fold t f acc = Hashtbl.fold f t.vers acc
 let tombstone_count t =
   Hashtbl.fold (fun _ m acc -> if m.dead then acc + 1 else acc) t.vers 0
 
-(* zero_keys counts the distinct stored keys whose bit at the node's
-   current path level is 0; every store mutation below keeps it exact so
-   the construction engine never has to re-scan the store to estimate
-   load fractions. *)
+(* Two counts kept by every store mutation below, so the construction
+   engine reads them without scanning the store:
+   - [zero_keys], the distinct stored keys whose bit at the node's current
+     path level is 0, or [-1] while stale: a path change makes it stale,
+     and either {!cut_outside} recounts it in the pass it makes anyway or
+     the next {!zero_count} does;
+   - [payload_keys], the stored keys whose posting list is non-empty. *)
 let level_bit_is_zero t key =
   let level = Path.length t.path in
   level < Key.bits && Key.bit key level = 0
 
-let note_added t key = if level_bit_is_zero t key then t.zero_keys <- t.zero_keys + 1
-let note_removed t key = if level_bit_is_zero t key then t.zero_keys <- t.zero_keys - 1
+let note_added t key =
+  if t.zero_keys >= 0 && level_bit_is_zero t key then t.zero_keys <- t.zero_keys + 1
+
+let note_removed t key payloads =
+  if t.zero_keys >= 0 && level_bit_is_zero t key then t.zero_keys <- t.zero_keys - 1;
+  if payloads <> [] then t.payload_keys <- t.payload_keys - 1
 
 (* Posting lists are kept sorted and deduplicated, so insertion and
    removal are each a single pass that stops at the payload's sorted
@@ -96,17 +105,22 @@ let rec posting_remove p = function
     else if c < 0 then None
     else Option.map (fun r -> q :: r) (posting_remove p rest)
 
+(* Where a probe has just shown [key] absent, [Hashtbl.add] stands in for
+   [Hashtbl.replace]: both put the new binding at its bucket's front, but
+   [add] does not scan the bucket again. *)
 let insert_new t key payload =
   match Hashtbl.find_opt t.store key with
   | None ->
-    Hashtbl.replace t.store key [ payload ];
+    Hashtbl.add t.store key [ payload ];
     note_added t key;
+    t.payload_keys <- t.payload_keys + 1;
     true
   | Some existing -> (
     match posting_add payload existing with
     | None -> false
     | Some updated ->
       Hashtbl.replace t.store key updated;
+      if existing = [] then t.payload_keys <- t.payload_keys + 1;
       true)
 
 let insert t key payload = ignore (insert_new t key payload)
@@ -123,46 +137,64 @@ let remove_payload t key payload =
     | None -> false
     | Some updated ->
       Hashtbl.replace t.store key updated;
+      if updated = [] then t.payload_keys <- t.payload_keys - 1;
       true)
 
 let ensure_key t key =
   if not (Hashtbl.mem t.store key) then begin
-    Hashtbl.replace t.store key [];
+    Hashtbl.add t.store key [];
     note_added t key
   end
 
-let remove_key t key =
+let merge_key t key payloads =
   if Hashtbl.mem t.store key then begin
-    Hashtbl.remove t.store key;
-    note_removed t key
+    List.iter (insert t key) payloads;
+    false
   end
+  else begin
+    Hashtbl.add t.store key payloads;
+    note_added t key;
+    if payloads <> [] then t.payload_keys <- t.payload_keys + 1;
+    true
+  end
+
+let remove_key t key =
+  match Hashtbl.find_opt t.store key with
+  | None -> ()
+  | Some payloads ->
+    Hashtbl.remove t.store key;
+    note_removed t key payloads
 
 let clear_store t =
   Hashtbl.reset t.store;
   (* A crash wipes the disk, tombstones included: durability of deletes
      comes from replication, not from any single node's sidecar. *)
   Hashtbl.reset t.vers;
-  t.zero_keys <- 0
+  t.zero_keys <- 0;
+  t.payload_keys <- 0
 
 let has_key t key = Hashtbl.mem t.store key
 let lookup t key = Option.value ~default:[] (Hashtbl.find_opt t.store key)
 let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.store []
 let key_count t = Hashtbl.length t.store
-let zero_count t = t.zero_keys
+let payload_key_count t = t.payload_keys
 
-let recount_zeros t =
-  let level = Path.length t.path in
-  t.zero_keys <-
-    (if level >= Key.bits then 0
-     else
-       Hashtbl.fold
-         (fun k _ acc -> if Key.bit k level = 0 then acc + 1 else acc)
-         t.store 0)
+let zero_count t =
+  if t.zero_keys < 0 then begin
+    let level = Path.length t.path in
+    t.zero_keys <-
+      (if level >= Key.bits then 0
+       else
+         Hashtbl.fold
+           (fun k _ acc -> if Key.bit k level = 0 then acc + 1 else acc)
+           t.store 0)
+  end;
+  t.zero_keys
 
 let set_path t path =
   if not (Path.equal t.path path) then begin
     t.path <- path;
-    recount_zeros t
+    t.zero_keys <- -1
   end
 
 let ensure_capacity t level =
@@ -221,13 +253,34 @@ let replica_list t = Intset.elements t.replicas
 let replica_count t = Intset.cardinal t.replicas
 let clear_replicas t = Intset.clear t.replicas
 
-let drop_keys_outside t path =
+(* One fold, in the table's own order, collects the doomed entries and
+   counts the kept keys' zero bits; each doomed key then costs one
+   [Hashtbl.remove].  The doomed list comes out in reverse fold order, the
+   order in which hand-overs route (and so draw for) the keys. *)
+let cut_outside t path =
+  let level = Path.length t.path in
+  let counted = level < Key.bits in
+  let zeros = ref 0 in
   let doomed =
     Hashtbl.fold
-      (fun k _ acc -> if Path.matches_key path k then acc else k :: acc)
+      (fun k payloads acc ->
+        if Path.matches_key path k then begin
+          if counted && Key.bit k level = 0 then incr zeros;
+          acc
+        end
+        else (k, payloads) :: acc)
       t.store []
   in
-  List.iter (remove_key t) doomed;
+  List.iter
+    (fun (k, payloads) ->
+      Hashtbl.remove t.store k;
+      if payloads <> [] then t.payload_keys <- t.payload_keys - 1)
+    doomed;
+  t.zero_keys <- !zeros;
+  doomed
+
+let drop_keys_outside t path =
+  let doomed = cut_outside t path in
   let stale_meta =
     Hashtbl.fold
       (fun k _ acc -> if Path.matches_key path k then acc else k :: acc)

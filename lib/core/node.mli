@@ -16,8 +16,11 @@
 
     The [store] field is exposed for read-only traversal ([Hashtbl.iter]
     / [find_opt] / [length]); all mutations must go through {!insert},
-    {!ensure_key}, {!remove_key}, {!clear_store} or {!drop_keys_outside},
-    otherwise the zero-bit counter desynchronizes. *)
+    {!insert_new}, {!remove_payload}, {!ensure_key}, {!remove_key},
+    {!clear_store}, {!cut_outside} or {!drop_keys_outside}.  These keep
+    two counts exact that a direct [Hashtbl] write would desynchronize:
+    the zero-bit count ({!zero_count}) and the payload-key count
+    ({!payload_key_count}). *)
 
 type id = int
 
@@ -48,8 +51,12 @@ type t = {
   replicas : Intset.t;  (** known peers sharing this node's path *)
   mutable online : bool;
   mutable zero_keys : int;
-      (** distinct stored keys with bit 0 at level [Path.length path];
-          maintained incrementally, read via {!zero_count} *)
+      (** distinct stored keys with bit 0 at level [Path.length path], or
+          [-1] while stale after a path change; maintained incrementally,
+          read via {!zero_count} *)
+  mutable payload_keys : int;
+      (** stored keys with a non-empty posting list; maintained
+          incrementally, read via {!payload_key_count} *)
 }
 
 (** [create ~id] starts at the root path with an empty store. *)
@@ -74,6 +81,12 @@ val remove_payload : t -> Pgrid_keyspace.Key.t -> string -> bool
     is absent — construction moves keys around without touching
     application payloads. *)
 val ensure_key : t -> Pgrid_keyspace.Key.t -> unit
+
+(** [merge_key t key payloads] is {!ensure_key} followed by {!insert} of
+    each payload, in one probe when [key] is new; it reports whether
+    [key] was absent.  [payloads] must be sorted and duplicate-free, as
+    every posting list read from a store is. *)
+val merge_key : t -> Pgrid_keyspace.Key.t -> string list -> bool
 
 (** [remove_key t key] deletes [key] and its payloads if present. *)
 val remove_key : t -> Pgrid_keyspace.Key.t -> unit
@@ -118,8 +131,14 @@ val key_count : t -> int
 
 (** [zero_count t] is the number of distinct stored keys whose bit at
     level [Path.length t.path] is 0 (0 when the path exhausts the key
-    width).  O(1); kept exact by the mutators above and {!set_path}. *)
+    width).  O(1), kept exact by the mutators above, except for the first
+    read after a {!set_path} not followed by {!cut_outside}: that read
+    recounts the store. *)
 val zero_count : t -> int
+
+(** [payload_key_count t] is the number of stored keys whose posting
+    list is non-empty.  O(1); kept exact by the mutators. *)
+val payload_key_count : t -> int
 
 (** [add_ref t ~level peer] records a routing reference, growing the table
     as needed; duplicates and self-references are ignored. Requires
@@ -152,8 +171,9 @@ val union_refs : t -> level:int -> from:t -> unit
     at least [capacity] empty levels. *)
 val reset_refs : t -> capacity:int -> unit
 
-(** [set_path t path] updates the node's partition path and recounts the
-    zero-bit statistic for the new level. *)
+(** [set_path t path] updates the node's partition path.  The zero-bit
+    count for the new level is recomputed lazily: by {!cut_outside}, or
+    by the next {!zero_count}. *)
 val set_path : t -> Pgrid_keyspace.Path.t -> unit
 
 (** [add_replica t peer] records a same-partition replica (idempotent,
@@ -169,6 +189,13 @@ val replica_list : t -> id list
 
 val replica_count : t -> int
 val clear_replicas : t -> unit
+
+(** [cut_outside t path] removes the stored keys not matching [path] and
+    returns them with their payloads, in reverse store-iteration order;
+    the version sidecar is untouched.  One pass over the store, which
+    also recounts {!zero_count} over the keys it keeps. *)
+val cut_outside :
+  t -> Pgrid_keyspace.Path.t -> (Pgrid_keyspace.Key.t * string list) list
 
 (** [drop_keys_outside t path] removes stored keys (and sidecar entries,
     tombstones included) not matching [path] — performed after a split

@@ -90,17 +90,6 @@ type search_result = {
   dead_end : (Node.id * int) option;
 }
 
-(* Index of the highest set bit of [x > 0]; paths and keys fit 60 bits. *)
-let msb x =
-  let x = ref x and r = ref 0 in
-  if !x lsr 32 <> 0 then (x := !x lsr 32; r := 32);
-  if !x lsr 16 <> 0 then (x := !x lsr 16; r := !r + 16);
-  if !x lsr 8 <> 0 then (x := !x lsr 8; r := !r + 8);
-  if !x lsr 4 <> 0 then (x := !x lsr 4; r := !r + 4);
-  if !x lsr 2 <> 0 then (x := !x lsr 2; r := !r + 2);
-  if !x lsr 1 <> 0 then r := !r + 1;
-  !r
-
 (* First level at which [path] disagrees with [key], or -1.  The codes of
    [path] and of [key]'s prefix of the same length carry the same marker
    bit, so their xor holds exactly the differing bits, and the highest
@@ -109,7 +98,7 @@ let divergence path key =
   let len = Path.length path in
   let prefix = (Key.to_int key lsr (Key.bits - len)) lor (1 lsl len) in
   let diff = Path.code path lxor prefix in
-  if diff = 0 then -1 else len - 1 - msb diff
+  if diff = 0 then -1 else len - 1 - Path.msb diff
 
 let divergence_level path key =
   let l = divergence path key in

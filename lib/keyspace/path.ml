@@ -32,14 +32,23 @@ let complement_at p level =
 
 let is_prefix_of ~prefix:q p = q.len <= p.len && p.bits lsr (p.len - q.len) = q.bits
 
+let msb x =
+  let x = ref x and r = ref 0 in
+  if !x lsr 32 <> 0 then (x := !x lsr 32; r := 32);
+  if !x lsr 16 <> 0 then (x := !x lsr 16; r := !r + 16);
+  if !x lsr 8 <> 0 then (x := !x lsr 8; r := !r + 8);
+  if !x lsr 4 <> 0 then (x := !x lsr 4; r := !r + 4);
+  if !x lsr 2 <> 0 then (x := !x lsr 2; r := !r + 2);
+  if !x lsr 1 <> 0 then r := !r + 1;
+  !r
+
+(* Cut both paths to the shorter length [n]: their xor holds exactly the
+   differing bits among the first [n], and the highest one is the first
+   that differs. *)
 let common_prefix_length a b =
   let n = min a.len b.len in
-  let rec go i =
-    if i >= n then n
-    else if bit a i <> bit b i then i
-    else go (i + 1)
-  in
-  go 0
+  let diff = (a.bits lsr (a.len - n)) lxor (b.bits lsr (b.len - n)) in
+  if diff = 0 then n else n - 1 - msb diff
 
 let matches_key p k = p.len = 0 || Key.to_int k lsr (Key.bits - p.len) = p.bits
 

@@ -39,8 +39,15 @@ val complement_at : t -> int -> t
     (every path is a prefix of itself). *)
 val is_prefix_of : prefix:t -> t -> bool
 
-(** [common_prefix_length a b] is the length of the longest shared prefix. *)
+(** [common_prefix_length a b] is the length of the longest shared
+    prefix.  O(1). *)
 val common_prefix_length : t -> t -> int
+
+(** [msb x] is the index of the highest set bit of [x > 0] (bit 0 the
+    least significant); paths and keys fit its 63-bit range.  The first
+    difference of two bit strings packed first-bit-high is the [msb] of
+    their xor. *)
+val msb : int -> int
 
 (** [matches_key p k] tests whether key [k] lies in partition [p], i.e. [p]
     is a prefix of [k]'s binary expansion. *)

@@ -166,6 +166,59 @@ let test_round_invalid () =
       ignore
         (Round.run_with_keys rng (Round.default_params ~peers:4) ~assignments:[||]))
 
+(* --- Construction goldens ---------------------------------------------------- *)
+
+(* What a construction built, in one line: its counters, a digest of
+   every peer's path, replica list, routing table and store keys, and the
+   next draw of the run's generator.  The keys are listed in store
+   iteration order, unsorted: hand-overs route keys in that order, one
+   reference draw per hop, so a changed traversal order must fail here
+   even when the sorted key sets agree. *)
+let construction_fingerprint rng (o : Round.outcome) =
+  let b = Buffer.create 65536 in
+  let ints l = List.iter (fun i -> Buffer.add_string b (string_of_int i ^ ",")) l in
+  let overlay = o.Round.overlay in
+  for i = 0 to Overlay.size overlay - 1 do
+    let n = Overlay.node overlay i in
+    Buffer.add_string b
+      (Printf.sprintf "%d %s r:" i (Pgrid_keyspace.Path.to_string n.Node.path));
+    ints (Node.replica_list n);
+    for level = 0 to Pgrid_keyspace.Path.length n.Node.path - 1 do
+      Buffer.add_string b " l:";
+      ints (Node.refs_at n ~level)
+    done;
+    Buffer.add_string b " k:";
+    ints (List.map Key.to_int (Node.keys n));
+    Buffer.add_char b '\n'
+  done;
+  Printf.sprintf "%d/%d/%d/%d/%d/%d/%d/%d peers=%s next=%d" o.Round.rounds
+    o.Round.interactions o.Round.keys_moved o.Round.replication_keys o.Round.splits
+    o.Round.follows o.Round.merges o.Round.refer_steps
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+    (Rng.int rng 1_000_000_000)
+
+let construction_golden name ~seed ~spec expected =
+  Alcotest.test_case ("construction golden: " ^ name) `Quick (fun () ->
+      let rng = Rng.create ~seed in
+      let params = Round.default_params ~peers:500 in
+      let assignments =
+        Distribution.assign_to_peers rng spec ~peers:500 ~keys_per_peer:10
+      in
+      let o = Round.run_with_keys rng params ~assignments in
+      Alcotest.(check string) name expected (construction_fingerprint rng o))
+
+(* Recorded before replicate meetings skipped no-op copies and path
+   changes stopped recounting whole stores. *)
+let golden_uniform =
+  construction_golden "uniform" ~seed:2005 ~spec:Distribution.Uniform
+    "16/12932/108432/25000/826/1797/2066/8242 peers=40edc75450f07764dfb454642ff31975 \
+     next=134300011"
+
+let golden_skewed =
+  construction_golden "skewed" ~seed:830 ~spec:Distribution.paper_normal
+    "27/18831/105494/25000/653/2956/2836/10563 peers=a8e4ed62fc10ef656e9a202188ac61ce \
+     next=923427429"
+
 (* --- Sequential ------------------------------------------------------------ *)
 
 let test_sequential_builds () =
@@ -343,6 +396,8 @@ let suite =
     Alcotest.test_case "round handles skew" `Quick test_round_skew_still_works;
     Alcotest.test_case "round interaction scaling" `Quick test_round_interactions_scale;
     Alcotest.test_case "round invalid args" `Quick test_round_invalid;
+    golden_uniform;
+    golden_skewed;
     Alcotest.test_case "sequential builds" `Quick test_sequential_builds;
     Alcotest.test_case "sequential preserves data" `Quick test_sequential_no_data_loss;
     Alcotest.test_case "sequential latency growth" `Quick test_sequential_latency_grows_linearly;

@@ -335,9 +335,6 @@ let test_trie_view () =
   let short = Pgrid_core.Trie_view.render ~max_leaves:4 overlay in
   checkb "elides long tries" true (Test_util.contains short "elided")
 
-(* The incremental zero-bit counter must track a from-scratch recount
-   through any interleaving of inserts, removals (hand-overs), path
-   extensions and drop_keys_outside. *)
 (* Arena growth: adding peers past the initial capacity doubles the
    backing array; ids, node structs and their mutable state must survive
    every doubling. *)
@@ -362,12 +359,18 @@ let test_overlay_arena_growth () =
     (Invalid_argument "Overlay.node: id out of range") (fun () ->
       ignore (Overlay.node overlay 103))
 
+(* The incremental zero-bit and payload-key counts must track
+   from-scratch recounts through any interleaving of payload inserts and
+   removals, key removals (hand-overs), path extensions, cuts and
+   drop_keys_outside.  Counts are read after a random half of the steps,
+   so a stale count is read straight after [set_path] as well as after
+   later mutations. *)
 let qcheck_zero_counter =
   QCheck.Test.make ~name:"incremental zero-bit counter matches recount" ~count:100
     QCheck.small_signed_int (fun seed ->
       let rng = Rng.create ~seed in
       let n = Node.create ~id:0 in
-      let recount () =
+      let zeros () =
         let level = Path.length n.Node.path in
         if level >= Key.bits then 0
         else
@@ -375,18 +378,31 @@ let qcheck_zero_counter =
             (fun acc k -> if Key.bit k level = 0 then acc + 1 else acc)
             0 (Node.keys n)
       in
+      let payload_keys () =
+        List.length (List.filter (fun k -> Node.lookup n k <> []) (Node.keys n))
+      in
+      let some_key () = match Node.keys n with [] -> Key.random rng | k :: _ -> k in
       let ok = ref true in
-      for step = 1 to 200 do
-        (match Rng.int rng 6 with
-        | 0 | 1 -> Node.insert n (Key.random rng) (string_of_int step)
-        | 2 -> Node.ensure_key n (Key.random rng)
-        | 3 -> (
-          match Node.keys n with [] -> () | k :: _ -> Node.remove_key n k)
-        | 4 ->
+      for step = 1 to 300 do
+        (match Rng.int rng 9 with
+        | 0 | 1 -> Node.insert n (Key.random rng) (string_of_int (step mod 7))
+        | 2 -> Node.insert n (some_key ()) (string_of_int (step mod 7))
+        | 3 -> Node.ensure_key n (Key.random rng)
+        | 4 -> (
+          let k = some_key () in
+          match Node.lookup n k with
+          | [] -> ignore (Node.remove_payload n k "0")
+          | p :: _ -> ignore (Node.remove_payload n k p))
+        | 5 -> Node.remove_key n (some_key ())
+        | 6 ->
           if Path.length n.Node.path < 8 then
             Node.set_path n (Path.extend n.Node.path (Rng.int rng 2))
+        | 7 -> ignore (Node.cut_outside n n.Node.path)
         | _ -> ignore (Node.drop_keys_outside n n.Node.path));
-        if Node.zero_count n <> recount () then ok := false
+        if Rng.bool rng then begin
+          if Node.zero_count n <> zeros () then ok := false;
+          if Node.payload_key_count n <> payload_keys () then ok := false
+        end
       done;
       !ok)
 

@@ -114,6 +114,19 @@ let test_deliver_fallback_keeps_key () =
   Engine.deliver engine ~at:0 key [];
   checkb "kept locally rather than dropped" true (Node.has_key a key)
 
+(* Two root peers holding the same key, only one with a payload: the
+   replicate meeting adds no key in either direction, but the direction
+   that carries a payload must still run. *)
+let test_replicate_copies_payload_only () =
+  let key = Key.of_float 0.3 in
+  let engine, overlay = make_engine [| [ key ]; [ key ] |] in
+  Node.insert (Overlay.node overlay 0) key "v";
+  Engine.interact engine 1;
+  checki "one replicate meeting" 1 (Engine.counters engine).Engine.merges;
+  Alcotest.check (Alcotest.list Alcotest.string) "payload reconciled" [ "v" ]
+    (Node.lookup (Overlay.node overlay 1) key);
+  checki "no distinct key moved" 0 (Engine.counters engine).Engine.keys_moved
+
 let test_counters_monotone () =
   let rng = Rng.create ~seed:4 in
   let params = Round.default_params ~peers:64 in
@@ -129,5 +142,6 @@ let suite =
     Alcotest.test_case "note_useful reactivates" `Quick test_note_useful_reactivates;
     Alcotest.test_case "deliver routes keys" `Quick test_deliver_routes_key;
     Alcotest.test_case "deliver never drops keys" `Quick test_deliver_fallback_keeps_key;
+    Alcotest.test_case "replicate copies payload-only" `Quick test_replicate_copies_payload_only;
     Alcotest.test_case "counters monotone" `Quick test_counters_monotone;
   ]

@@ -86,7 +86,7 @@ let test_lost_key_detected () =
   let victim = keys.(0) in
   for i = 0 to Overlay.size overlay - 1 do
     let n = Overlay.node overlay i in
-    if Node.has_key n victim then Hashtbl.remove n.Node.store victim
+    Node.remove_key n victim
   done;
   let r = Health.check ~keys ~n_min:5 overlay in
   checkb "loss detected" true (r.Health.lost >= 1);
@@ -153,7 +153,7 @@ let test_daemon_resyncs_replicas () =
     scan 0
   in
   let n, k = pick () in
-  Hashtbl.remove n.Node.store k;
+  Node.remove_key n k;
   let sim = Sim.create () in
   let stats =
     install sim overlay keys ~seed:9 ~until:300.

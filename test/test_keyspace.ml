@@ -98,6 +98,33 @@ let test_path_common_prefix () =
   checki "disjoint at root" 0
     (Path.common_prefix_length (Path.of_string "1") (Path.of_string "0"))
 
+(* The bit-by-bit loop the O(1) [Path.common_prefix_length] replaced. *)
+let common_prefix_by_bits a b =
+  let n = min (Path.length a) (Path.length b) in
+  let rec go i = if i >= n then n else if Path.bit a i <> Path.bit b i then i else go (i + 1) in
+  go 0
+
+(* Prefixes of every length pair 0..Key.bits of two keys: one a copy of
+   the other with one bit flipped (a chosen first difference), and one
+   unrelated. *)
+let qcheck_common_prefix_length =
+  QCheck.Test.make ~name:"O(1) common_prefix_length = bit-by-bit loop" ~count:50
+    QCheck.small_signed_int (fun seed ->
+      let rng = Rng.create ~seed in
+      let a = Key.random rng in
+      let flipped = Key.of_int (Key.to_int a lxor (1 lsl Rng.int rng Key.bits)) in
+      let ok = ref true in
+      List.iter
+        (fun b ->
+          for la = 0 to Key.bits do
+            for lb = 0 to Key.bits do
+              let pa = Path.key_prefix a la and pb = Path.key_prefix b lb in
+              if Path.common_prefix_length pa pb <> common_prefix_by_bits pa pb then ok := false
+            done
+          done)
+        [ a; flipped; Key.random rng ];
+      !ok)
+
 let test_path_interval () =
   let p = Path.of_string "10" in
   let lo, hi = Path.interval p in
@@ -316,6 +343,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_path_string_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_matches_key_iff_interval;
     QCheck_alcotest.to_alcotest qcheck_key_prefix_matches;
+    QCheck_alcotest.to_alcotest qcheck_common_prefix_length;
     QCheck_alcotest.to_alcotest qcheck_key_prefix_code;
     QCheck_alcotest.to_alcotest qcheck_path_compare_is_string_order;
     QCheck_alcotest.to_alcotest qcheck_codec_monotone;
