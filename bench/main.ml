@@ -160,6 +160,21 @@ let micro _reps =
     done;
     Pgrid_simnet.Sim.run s
   in
+  (* Storm's timer pattern: 1000 timers armed into a heap of 4000
+     events, 90% cancelled (their hop resolved first), the rest drained
+     with the plain events. *)
+  let sim_timer_cancel () =
+    let module Sim = Pgrid_simnet.Sim in
+    let s = Sim.create () in
+    for i = 1 to 3000 do
+      Sim.schedule s ~delay:(float_of_int (i * 7 mod 3001)) ignore
+    done;
+    let timers =
+      Array.init 1000 (fun i -> Sim.timer s ~delay:(float_of_int (i * 13 mod 1009)) ignore)
+    in
+    Array.iteri (fun i h -> if i mod 10 <> 0 then Sim.cancel s h) timers;
+    Sim.run s
+  in
   let tests =
     Test.make_grouped ~name:"pgrid"
       [
@@ -176,6 +191,7 @@ let micro _reps =
           (Staged.stage (fun () ->
                ignore (Pgrid_core.Overlay.search overlay ~from:0 probe_key)));
         Test.make ~name:"sim-1000-events" (Staged.stage sim_burst);
+        Test.make ~name:"sim-timer-cancel" (Staged.stage sim_timer_cancel);
         Test.make ~name:"rng-int-64" (Staged.stage rng_ints);
         Test.make ~name:"rng-shuffle-64"
           (Staged.stage (fun () -> Pgrid_prng.Rng.shuffle rng draws));

@@ -8,9 +8,42 @@ module Breaker = Pgrid_simnet.Breaker
 module Telemetry = Pgrid_telemetry.Telemetry
 module Event = Pgrid_telemetry.Event
 
+(* One lookup's walk: what every hop of it needs to finish it. *)
+type lookup = {
+  qid : int;
+  origin : int;
+  key : Key.t;
+  issued_at : float;
+  mutable hops : int;
+}
+
+(* One routing hop from [cur]: a primary attempt at [target] with its
+   retry ladder, and at most one hedged backup at [refs.(next)].  An
+   attempt is live from its send until its reply wins, its last timeout
+   fires, or the hop resolves; each live attempt holds one timer. *)
+type hop = {
+  walk : lookup;
+  cur : int;
+  budget : int;
+  refs : int array;  (* [refs.(next..)] are the untried candidates *)
+  next : int;
+  target : int;
+  mutable backup : int;
+  mutable attempt : int;  (* the primary's retry number *)
+  mutable primary_rid : int;
+  mutable backup_rid : int;
+  mutable hedged : bool;
+  mutable primary_dead : bool;
+  mutable backup_dead : bool;
+  mutable resolved : bool;
+  mutable primary_timer : Sim.timer;
+  mutable backup_timer : Sim.timer;
+  mutable hedge_timer : Sim.timer;
+}
+
 type wire =
-  | Req of { rid : int; reply_to : int }
-  | Resp of { rid : int }
+  | Req of { hop : hop; rid : int; reply_to : int }
+  | Resp of { hop : hop; rid : int }
   | Heartbeat
 
 type config = {
@@ -59,7 +92,7 @@ type t = {
   cfg : config;
   tel : Telemetry.t;
   breaker : Breaker.t option;
-  pending : (int, unit -> unit) Hashtbl.t;
+  mutable in_flight : int;
   mutable next_rid : int;
   mutable next_qid : int;
   mutable issued : int;
@@ -73,6 +106,174 @@ type t = {
   mutable breaker_skips : int;
   mutable completions : completion list;
 }
+
+let admits t ~origin ~target =
+  match t.breaker with
+  | None -> true
+  | Some br -> Breaker.admits br ~origin ~target
+
+let record_success t ~origin ~target =
+  Option.iter (fun br -> Breaker.record_success br ~origin ~target) t.breaker
+
+let record_failure t ~origin ~target =
+  Option.iter (fun br -> Breaker.record_failure br ~origin ~target) t.breaker
+
+(* A hop's candidates: a fresh shuffled copy of the references at
+   [level], walked by index. *)
+let snapshot t cur ~level =
+  let refs = Node.refs_array (Overlay.node t.overlay cur) ~level in
+  Rng.shuffle t.rng refs;
+  refs
+
+let finish t w success =
+  let now = Sim.now t.sim in
+  if success then t.succeeded <- t.succeeded + 1 else t.failed <- t.failed + 1;
+  if Telemetry.active t.tel then
+    Telemetry.emit t.tel
+      (Event.Query_complete
+         { qid = w.qid; origin = w.origin; hops = w.hops; latency = now -. w.issued_at; success });
+  t.completions <- { issued_at = w.issued_at; finished_at = now; success } :: t.completions
+
+let rec route t w cur budget =
+  if budget = 0 then finish t w false
+  else
+    match Overlay.divergence_level (Overlay.node t.overlay cur).Node.path w.key with
+    | None ->
+      (* Responsible peer reached; the response flows back. *)
+      Net.account ~src:cur ~dst:w.origin t.net ~bytes:t.cfg.header_bytes ~kind:Net.Query;
+      finish t w true
+    | Some level -> try_refs t w cur budget (snapshot t cur ~level) 0
+
+and try_refs t w cur budget refs next =
+  if next >= Array.length refs then finish t w false
+  else
+    let target = refs.(next) in
+    if not (admits t ~origin:cur ~target) then begin
+      t.breaker_skips <- t.breaker_skips + 1;
+      try_refs t w cur budget refs (next + 1)
+    end
+    else start_hop t w cur budget target refs (next + 1)
+
+(* One routing hop: a primary attempt with bounded retries, optionally
+   raced by a single hedged backup via the next admitted sibling
+   reference.  First response wins; resolving the hop cancels every
+   timer it still holds, so the loser's late reply finds it resolved. *)
+and start_hop t w cur budget target refs next =
+  let h =
+    {
+      walk = w;
+      cur;
+      budget;
+      refs;
+      next;
+      target;
+      backup = -1;
+      attempt = 0;
+      primary_rid = -1;
+      backup_rid = -1;
+      hedged = false;
+      primary_dead = false;
+      backup_dead = false;
+      resolved = false;
+      primary_timer = Sim.no_timer;
+      backup_timer = Sim.no_timer;
+      hedge_timer = Sim.no_timer;
+    }
+  in
+  arm t h ~backup:false;
+  match t.cfg.hedge_after with
+  | None -> ()
+  | Some d -> h.hedge_timer <- Sim.timer t.sim ~delay:d (fun () -> hedge t h)
+
+and arm t h ~backup =
+  let rid = t.next_rid in
+  t.next_rid <- rid + 1;
+  t.in_flight <- t.in_flight + 1;
+  let tgt = if backup then h.backup else h.target in
+  if backup then h.backup_rid <- rid else h.primary_rid <- rid;
+  Net.send t.net ~src:h.cur ~dst:tgt ~bytes:t.cfg.header_bytes ~kind:Net.Query
+    (Req { hop = h; rid; reply_to = h.cur });
+  let k = if backup then 0 else h.attempt in
+  let timeout = t.cfg.req_timeout *. (t.cfg.backoff ** float_of_int k) in
+  let timer = Sim.timer t.sim ~delay:timeout (fun () -> time_out t h ~backup) in
+  if backup then h.backup_timer <- timer else h.primary_timer <- timer
+
+(* An attempt's timer fired, so the attempt is still live: resolution
+   cancels it. *)
+and time_out t h ~backup =
+  t.in_flight <- t.in_flight - 1;
+  let rid = if backup then h.backup_rid else h.primary_rid in
+  let tgt = if backup then h.backup else h.target in
+  let k = if backup then 0 else h.attempt in
+  t.timeouts <- t.timeouts + 1;
+  if Telemetry.active t.tel then
+    Telemetry.emit t.tel (Event.Timeout { rid; src = h.cur; dst = tgt; attempt = k });
+  record_failure t ~origin:h.cur ~target:tgt;
+  (* The hedge is a single attempt: its job is to dodge one slow or
+     shedding peer, not to duplicate the retry ladder. *)
+  if (not backup) && k < t.cfg.max_retries then begin
+    t.retries <- t.retries + 1;
+    if Telemetry.active t.tel then
+      Telemetry.emit t.tel (Event.Retry { rid; src = h.cur; dst = tgt; attempt = k + 1 });
+    h.attempt <- k + 1;
+    arm t h ~backup
+  end
+  else begin
+    t.give_ups <- t.give_ups + 1;
+    if Telemetry.active t.tel then Telemetry.emit t.tel (Event.Give_up { rid; src = h.cur });
+    if backup then h.backup_dead <- true
+    else begin
+      h.primary_dead <- true;
+      (* A dead primary is never hedged. *)
+      Sim.cancel t.sim h.hedge_timer
+    end;
+    let backup_in_flight = h.hedged && not h.backup_dead in
+    if h.primary_dead && not backup_in_flight then
+      try_refs t h.walk h.cur h.budget h.refs (if h.hedged then h.next + 1 else h.next)
+  end
+
+(* The hedge timer fired: the hop is unresolved, its primary alive and
+   not yet hedged. *)
+and hedge t h =
+  let refs = h.refs and next = h.next in
+  (* Pick the first admitted sibling as the backup. *)
+  let j = ref next in
+  while !j < Array.length refs && not (admits t ~origin:h.cur ~target:refs.(!j)) do
+    incr j
+  done;
+  if !j < Array.length refs then begin
+    let b = refs.(!j) in
+    (* Move it to the front of the candidates; the siblings it skipped
+       keep their order and resume the fallback, right after it. *)
+    Array.blit refs next refs (next + 1) (!j - next);
+    refs.(next) <- b;
+    h.backup <- b;
+    h.hedged <- true;
+    t.hedges <- t.hedges + 1;
+    if Telemetry.active t.tel then
+      Telemetry.emit t.tel
+        (Event.Hedge_launch { qid = h.walk.qid; origin = h.cur; primary = h.target; backup = b });
+    arm t h ~backup:true
+  end
+
+(* A live attempt's reply: the hop advances to [winner]. *)
+let resolve t h ~winner ~backup_won =
+  h.resolved <- true;
+  let primary_live = not h.primary_dead and backup_live = h.hedged && not h.backup_dead in
+  t.in_flight <- t.in_flight - Bool.to_int primary_live - Bool.to_int backup_live;
+  Sim.cancel t.sim h.primary_timer;
+  Sim.cancel t.sim h.backup_timer;
+  Sim.cancel t.sim h.hedge_timer;
+  record_success t ~origin:h.cur ~target:winner;
+  if h.hedged then begin
+    if backup_won then t.hedge_wins <- t.hedge_wins + 1;
+    if Telemetry.active t.tel then
+      Telemetry.emit t.tel (Event.Hedge_win { qid = h.walk.qid; origin = h.cur; backup_won })
+  end;
+  h.walk.hops <- h.walk.hops + 1;
+  if Telemetry.active t.tel then
+    Telemetry.emit t.tel (Event.Query_hop { qid = h.walk.qid; src = h.cur; dst = winner });
+  route t h.walk winner (h.budget - 1)
 
 let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg =
   if not (cfg.req_timeout > 0.) then invalid_arg "Storm.create: req_timeout must be positive";
@@ -96,7 +297,7 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg 
       cfg;
       tel = telemetry;
       breaker;
-      pending = Hashtbl.create 1024;
+      in_flight = 0;
       next_rid = 0;
       next_qid = 0;
       issued = 0;
@@ -113,37 +314,21 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg 
   in
   Net.set_handler net (fun me msg ->
       match msg with
-      | Req { rid; reply_to } ->
+      | Req { hop; rid; reply_to } ->
         (* Routing state is persistent: any peer that worked through its
            service queue answers. *)
         Net.send net ~src:me ~dst:reply_to ~bytes:cfg.header_bytes ~kind:Net.Query
-          (Resp { rid })
-      | Resp { rid } -> (
-        match Hashtbl.find_opt t.pending rid with
-        | Some continue ->
-          Hashtbl.remove t.pending rid;
-          continue ()
-        | None -> (* late, duplicated or cancelled *) ())
+          (Resp { hop; rid })
+      | Resp { hop = h; rid } ->
+        (* A reply counts only while its attempt is live: not a retried
+           or timed-out rid, not a duplicate, not after the hop resolved. *)
+        if not h.resolved then
+          if rid = h.primary_rid && not h.primary_dead then
+            resolve t h ~winner:h.target ~backup_won:false
+          else if h.hedged && rid = h.backup_rid && not h.backup_dead then
+            resolve t h ~winner:h.backup ~backup_won:true
       | Heartbeat -> ());
   t
-
-let admits t ~origin ~target =
-  match t.breaker with
-  | None -> true
-  | Some br -> Breaker.admits br ~origin ~target
-
-let record_success t ~origin ~target =
-  Option.iter (fun br -> Breaker.record_success br ~origin ~target) t.breaker
-
-let record_failure t ~origin ~target =
-  Option.iter (fun br -> Breaker.record_failure br ~origin ~target) t.breaker
-
-(* A hop's candidates: a fresh shuffled copy of the references at
-   [level], walked by index. *)
-let snapshot t cur ~level =
-  let refs = Node.refs_array (Overlay.node t.overlay cur) ~level in
-  Rng.shuffle t.rng refs;
-  refs
 
 let issue t ~origin ~key =
   let qid = t.next_qid in
@@ -152,131 +337,7 @@ let issue t ~origin ~key =
   let issued_at = Sim.now t.sim in
   if Telemetry.active t.tel then
     Telemetry.emit t.tel (Event.Query_issue { qid; origin });
-  let hops = ref 0 in
-  let finish success =
-    let now = Sim.now t.sim in
-    if success then t.succeeded <- t.succeeded + 1 else t.failed <- t.failed + 1;
-    if Telemetry.active t.tel then
-      Telemetry.emit t.tel
-        (Event.Query_complete
-           { qid; origin; hops = !hops; latency = now -. issued_at; success });
-    t.completions <- { issued_at; finished_at = now; success } :: t.completions
-  in
-  let rec route cur budget =
-    if budget = 0 then finish false
-    else
-      match Overlay.divergence_level (Overlay.node t.overlay cur).Node.path key with
-      | None ->
-        (* Responsible peer reached; the response flows back. *)
-        Net.account ~src:cur ~dst:origin t.net ~bytes:t.cfg.header_bytes
-          ~kind:Net.Query;
-        finish true
-      | Some level -> try_refs cur budget (snapshot t cur ~level) 0
-  (* [refs.(next..)] are the hop's untried candidates, in order. *)
-  and try_refs cur budget refs next =
-    if next >= Array.length refs then finish false
-    else
-      let target = refs.(next) in
-      if not (admits t ~origin:cur ~target) then begin
-        t.breaker_skips <- t.breaker_skips + 1;
-        try_refs cur budget refs (next + 1)
-      end
-      else hop cur budget target refs (next + 1)
-  (* One routing hop: a primary attempt with bounded retries, optionally
-     raced by a single hedged backup via the next admitted sibling
-     reference. First response wins; the loser's request id is cancelled
-     so its late reply (and timeout) are ignored. *)
-  and hop cur budget target refs next =
-    let resolved = ref false in
-    let primary_rid = ref (-1) and backup_rid = ref (-1) in
-    (* Once hedged, the backup sits at [refs.(next)]. *)
-    let hedged = ref false in
-    let primary_dead = ref false and backup_dead = ref false in
-    let give_up_hop () =
-      let backup_in_flight = !hedged && not !backup_dead in
-      if !primary_dead && not backup_in_flight then
-        try_refs cur budget refs (if !hedged then next + 1 else next)
-    in
-    let advance winner ~backup_won =
-      if not !resolved then begin
-        resolved := true;
-        Hashtbl.remove t.pending !primary_rid;
-        Hashtbl.remove t.pending !backup_rid;
-        record_success t ~origin:cur ~target:winner;
-        if !hedged then begin
-          if backup_won then t.hedge_wins <- t.hedge_wins + 1;
-          if Telemetry.active t.tel then
-            Telemetry.emit t.tel (Event.Hedge_win { qid; origin = cur; backup_won })
-        end;
-        incr hops;
-        if Telemetry.active t.tel then
-          Telemetry.emit t.tel (Event.Query_hop { qid; src = cur; dst = winner });
-        route winner (budget - 1)
-      end
-    in
-    let rec arm ~backup tgt k ~max_k =
-      let rid = t.next_rid in
-      t.next_rid <- t.next_rid + 1;
-      if backup then backup_rid := rid else primary_rid := rid;
-      Hashtbl.replace t.pending rid (fun () -> advance tgt ~backup_won:backup);
-      Net.send t.net ~src:cur ~dst:tgt ~bytes:t.cfg.header_bytes ~kind:Net.Query
-        (Req { rid; reply_to = cur });
-      let timeout = t.cfg.req_timeout *. (t.cfg.backoff ** float_of_int k) in
-      Sim.schedule t.sim ~delay:timeout (fun () ->
-          if (not !resolved) && Hashtbl.mem t.pending rid then begin
-            Hashtbl.remove t.pending rid;
-            t.timeouts <- t.timeouts + 1;
-            if Telemetry.active t.tel then
-              Telemetry.emit t.tel
-                (Event.Timeout { rid; src = cur; dst = tgt; attempt = k });
-            record_failure t ~origin:cur ~target:tgt;
-            if k < max_k then begin
-              t.retries <- t.retries + 1;
-              if Telemetry.active t.tel then
-                Telemetry.emit t.tel
-                  (Event.Retry { rid; src = cur; dst = tgt; attempt = k + 1 });
-              arm ~backup tgt (k + 1) ~max_k
-            end
-            else begin
-              t.give_ups <- t.give_ups + 1;
-              if Telemetry.active t.tel then
-                Telemetry.emit t.tel (Event.Give_up { rid; src = cur });
-              if backup then backup_dead := true else primary_dead := true;
-              give_up_hop ()
-            end
-          end)
-    in
-    arm ~backup:false target 0 ~max_k:t.cfg.max_retries;
-    match t.cfg.hedge_after with
-    | None -> ()
-    | Some h ->
-      Sim.schedule t.sim ~delay:h (fun () ->
-          if (not !resolved) && (not !hedged) && not !primary_dead then begin
-            (* Pick the first admitted sibling as the backup. *)
-            let j = ref next in
-            while !j < Array.length refs && not (admits t ~origin:cur ~target:refs.(!j)) do
-              incr j
-            done;
-            if !j < Array.length refs then begin
-              let b = refs.(!j) in
-              (* Move it to the front of the candidates; the siblings it
-                 skipped keep their order and resume the fallback, right
-                 after it. *)
-              Array.blit refs next refs (next + 1) (!j - next);
-              refs.(next) <- b;
-              hedged := true;
-              t.hedges <- t.hedges + 1;
-              if Telemetry.active t.tel then
-                Telemetry.emit t.tel
-                  (Event.Hedge_launch { qid; origin = cur; primary = target; backup = b });
-              (* The hedge is a single attempt: its job is to dodge one
-                 slow or shedding peer, not to duplicate the retry
-                 ladder. *)
-              arm ~backup:true b 0 ~max_k:0
-            end
-          end)
-  in
-  route origin (4 * Key.bits)
+  route t { qid; origin; key; issued_at; hops = 0 } origin (4 * Key.bits)
 
 let issue_random t ~key =
   let n = Overlay.size t.overlay in
@@ -296,7 +357,7 @@ let heartbeat t ~src ~dst =
   Net.send t.net ~src ~dst ~bytes:t.cfg.header_bytes ~kind:Net.Maintenance Heartbeat
 
 let completions t = t.completions
-let in_flight t = Hashtbl.length t.pending
+let in_flight t = t.in_flight
 
 let stats t =
   {

@@ -17,19 +17,25 @@
     - {b hedged requests}: when a hop has waited [hedge_after] seconds
       on its primary reference, one backup attempt is launched via the
       next admitted sibling reference ([Hedge_launch]); whichever reply
-      arrives first advances the walk ([Hedge_win]) and the loser's
-      request id is cancelled, so its late reply and pending timeout are
-      ignored.
+      arrives first advances the walk ([Hedge_win]); the loser's timeout
+      is cancelled and its late reply is ignored.
 
     All scheduling is deterministic given the engine's RNG; the service
     model itself draws nothing. *)
 
-(** Wire protocol: one [Req]/[Resp] pair per routing hop, answered from
-    persistent state, plus an inert [Heartbeat] for background
-    maintenance traffic. *)
+(** One routing hop of a lookup in progress: its candidates, its
+    attempts and their timers. *)
+type hop
+
+(** Wire protocol: one [Req]/[Resp] pair per routing attempt, answered
+    from persistent state, plus an inert [Heartbeat] for background
+    maintenance traffic.  A request carries its hop and the reply
+    echoes it, so the reply finds its hop without a table lookup; [rid]
+    names the attempt (a retry or a hedge gets a fresh one), and a reply
+    whose attempt is no longer live is ignored. *)
 type wire =
-  | Req of { rid : int; reply_to : int }
-  | Resp of { rid : int }
+  | Req of { hop : hop; rid : int; reply_to : int }
+  | Resp of { hop : hop; rid : int }
   | Heartbeat
 
 type config = {
@@ -97,7 +103,9 @@ val heartbeat : t -> src:int -> dst:int -> unit
 (** Finished lookups, most recent first. *)
 val completions : t -> completion list
 
-(** Requests whose reply or timeout is still outstanding. *)
+(** Live request attempts: sent, and neither answered by a winning
+    reply, nor timed out, nor abandoned when their hop resolved.  A
+    counter; 0 once every lookup has finished. *)
 val in_flight : t -> int
 
 val stats : t -> stats

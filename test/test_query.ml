@@ -271,6 +271,24 @@ let test_storm_completes () =
        (fun c -> c.Storm.finished_at >= c.Storm.issued_at)
        (Storm.completions storm))
 
+(* A hop that resolves cancels its timeout, so a lossless storm without
+   hedging leaves nothing queued once its last lookup has finished, long
+   before the first 4 s timeout could have fired. *)
+let test_storm_resolved_hops_leave_nothing_queued () =
+  let _overlay, keys, sim, _net, storm = storm_setup 21 in
+  let rng = Rng.create ~seed:63 in
+  for _ = 1 to 200 do
+    ignore (Storm.issue_random storm ~key:keys.(Rng.int rng (Array.length keys)))
+  done;
+  while List.length (Storm.completions storm) < 200 do
+    Sim.run_until sim ~time:(Sim.now sim +. 0.01)
+  done;
+  checkb "finished before any timeout" true
+    (Sim.now sim < Storm.default_config.Storm.req_timeout);
+  checki "all succeeded" 200 (Storm.stats storm).Storm.succeeded;
+  checki "nothing in flight" 0 (Storm.in_flight storm);
+  checki "nothing queued" 0 (Sim.pending sim)
+
 let test_storm_deterministic () =
   let run () =
     let _overlay, keys, sim, _net, storm = storm_setup 22 in
@@ -1039,6 +1057,8 @@ let suite =
     Alcotest.test_case "conjunctive payload dedup" `Quick
       test_conjunctive_dedups_payloads;
     Alcotest.test_case "storm completes" `Quick test_storm_completes;
+    Alcotest.test_case "storm: resolved hops leave nothing queued" `Quick
+      test_storm_resolved_hops_leave_nothing_queued;
     Alcotest.test_case "storm deterministic" `Quick test_storm_deterministic;
     Alcotest.test_case "storm sheds under burst" `Quick test_storm_sheds_under_burst;
     Alcotest.test_case "storm hedge dodges dead primary" `Quick

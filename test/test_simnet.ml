@@ -96,6 +96,12 @@ let test_sim_schedule_at_nan () =
     (fun () -> Sim.schedule_at sim ~time:Float.nan (fun () -> ()));
   still_fires sim
 
+let test_sim_timer_nan () =
+  let sim = Sim.create () in
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Sim.timer: delay must be >= 0")
+    (fun () -> ignore (Sim.timer sim ~delay:Float.nan (fun () -> ())));
+  still_fires sim
+
 let test_sim_run_until_nan () =
   let sim = Sim.create () in
   Alcotest.check_raises "NaN time" (Invalid_argument "Sim.run_until: time is NaN")
@@ -714,6 +720,137 @@ let qcheck_equal_time_fifo_large =
              i > last)
            events)
 
+(* Timers against a reference model: random interleavings of
+   [schedule], [timer], timers whose callback cancels an earlier handle,
+   [cancel] of any handle ever made (live, fired or already cancelled)
+   and [run_until].  The model keeps the pending events as a list sorted
+   by (time, scheduling order).  Coarse integer delays force ties.  After
+   every step the pending counts agree; a cancel of a handle the model no
+   longer holds must leave the queue as it was; at the end the firing
+   orders agree, no cancelled timer fired and [processed] counts exactly
+   the events that ran. *)
+let qcheck_timer_model =
+  QCheck.Test.make ~name:"timers and cancels match a sorted-list model" ~count:500
+    QCheck.(list (triple (int_bound 4) (int_bound 6) small_nat))
+    (fun ops ->
+      let sim = Sim.create () in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let fired = ref [] in
+      (* Model: pending (time, order, label, label to cancel) sorted. *)
+      let queue = ref [] and clock = ref 0. and order = ref 0 in
+      let model_fired = ref [] and cancelled = ref [] in
+      (* Every timer handle made so far, newest first, with its label. *)
+      let handles = ref [] and n_handles = ref 0 in
+      let nth k = List.nth !handles (!n_handles - 1 - (k mod !n_handles)) in
+      let model_cancel label =
+        if List.exists (fun (_, _, l, _) -> l = label) !queue then begin
+          queue := List.filter (fun (_, _, l, _) -> l <> label) !queue;
+          cancelled := label :: !cancelled
+        end
+      in
+      let model_add time victim =
+        let label = !order in
+        incr order;
+        queue := List.sort compare ((time, label, label, victim) :: !queue);
+        label
+      in
+      let model_run_until until =
+        let rec go () =
+          match !queue with
+          | (time, _, label, victim) :: rest when time < until ->
+            queue := rest;
+            clock := time;
+            model_fired := label :: !model_fired;
+            Option.iter model_cancel victim;
+            go ()
+          | _ -> ()
+        in
+        go ();
+        clock := Float.max !clock until
+      in
+      List.iter
+        (fun (kind, d, k) ->
+          let delay = float_of_int d in
+          (match kind with
+          | 0 ->
+            let label = model_add (!clock +. delay) None in
+            Sim.schedule sim ~delay (fun () -> fired := label :: !fired)
+          | 1 | 2 ->
+            let victim = if kind = 2 && !n_handles > 0 then Some (nth k) else None in
+            let label = model_add (!clock +. delay) (Option.map snd victim) in
+            let h =
+              Sim.timer sim ~delay (fun () ->
+                  fired := label :: !fired;
+                  Option.iter (fun (h, _) -> Sim.cancel sim h) victim)
+            in
+            handles := (h, label) :: !handles;
+            incr n_handles
+          | 3 when !n_handles > 0 ->
+            let h, label = nth k in
+            let live = List.exists (fun (_, _, l, _) -> l = label) !queue in
+            let before = Sim.pending sim in
+            Sim.cancel sim h;
+            model_cancel label;
+            if not live then check (Sim.pending sim = before)
+          | 3 -> ()
+          | _ ->
+            let until = Sim.now sim +. (0.5 *. delay) in
+            model_run_until until;
+            Sim.run_until sim ~time:until);
+          check (Sim.pending sim = List.length !queue);
+          check (Sim.now sim = !clock))
+        ops;
+      Sim.run sim;
+      model_run_until Float.infinity;
+      !ok
+      && List.rev !fired = List.rev !model_fired
+      && List.for_all (fun l -> not (List.mem l !fired)) !cancelled
+      && Sim.processed sim = List.length !fired
+      && Sim.pending sim = 0)
+
+(* Cancelling most of a large heap's timers from inside callbacks and
+   from outside: what is left fires in (time, seq) order and nothing
+   cancelled fires.  This drives remove-at-slot through deep sifts in
+   both directions on a grown heap. *)
+let qcheck_timer_cancel_at_scale =
+  QCheck.Test.make ~name:"20k timers, 90% cancelled, rest fire in order" ~count:3
+    QCheck.small_signed_int (fun seed ->
+      let rng = Rng.create ~seed in
+      let sim = Sim.create () in
+      let n = 20_000 in
+      let fired = ref [] in
+      let dead = Array.make n false in
+      let handles =
+        Array.init n (fun i ->
+            if i mod 4 = 0 then begin
+              Sim.schedule sim ~delay:(float_of_int (Rng.int rng 64)) (fun () ->
+                  fired := (Sim.now sim, i) :: !fired);
+              Sim.no_timer
+            end
+            else
+              Sim.timer sim ~delay:(float_of_int (Rng.int rng 64)) (fun () ->
+                  fired := (Sim.now sim, i) :: !fired))
+      in
+      Array.iteri
+        (fun i h ->
+          if i mod 4 <> 0 && Rng.int rng 10 < 9 then begin
+            dead.(i) <- true;
+            Sim.cancel sim h
+          end)
+        handles;
+      Sim.run sim;
+      let events = List.rev !fired in
+      let rec ordered = function
+        | (t1, s1) :: ((t2, s2) :: _ as rest) ->
+          (t1 < t2 || (t1 = t2 && s1 < s2)) && ordered rest
+        | _ -> true
+      in
+      let live = Array.fold_left (fun c d -> if d then c else c + 1) 0 dead in
+      ordered events
+      && List.length events = live
+      && List.for_all (fun (_, i) -> not dead.(i)) events)
+
 (* --- Churn properties ---------------------------------------------------- *)
 
 (* Replay a churn installation and collect, per node, the timestamped
@@ -829,6 +966,7 @@ let suite =
     Alcotest.test_case "schedule rejects NaN delay" `Quick test_sim_schedule_nan;
     Alcotest.test_case "schedule_at rejects NaN time" `Quick test_sim_schedule_at_nan;
     Alcotest.test_case "run_until rejects NaN time" `Quick test_sim_run_until_nan;
+    Alcotest.test_case "timer rejects NaN delay" `Quick test_sim_timer_nan;
     Alcotest.test_case "net rejects NaN parameters" `Quick test_net_rejects_nan;
     Alcotest.test_case "many events" `Quick test_sim_many_events;
     Alcotest.test_case "fixed latency" `Quick test_latency_fixed;
@@ -868,6 +1006,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_equal_time_fifo;
     QCheck_alcotest.to_alcotest qcheck_heap_order_at_scale;
     QCheck_alcotest.to_alcotest qcheck_equal_time_fifo_large;
+    QCheck_alcotest.to_alcotest qcheck_timer_model;
+    QCheck_alcotest.to_alcotest qcheck_timer_cancel_at_scale;
     QCheck_alcotest.to_alcotest qcheck_churn_ends_online;
     QCheck_alcotest.to_alcotest qcheck_churn_offline_durations;
     QCheck_alcotest.to_alcotest qcheck_churn_cycle_periods;
