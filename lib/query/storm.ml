@@ -33,6 +33,8 @@ type hop = {
   mutable primary_rid : int;
   mutable backup_rid : int;
   mutable hedged : bool;
+  mutable primary_probe : bool;  (* the live attempt is a half-open probe *)
+  mutable backup_probe : bool;
   mutable primary_dead : bool;
   mutable backup_dead : bool;
   mutable resolved : bool;
@@ -118,6 +120,15 @@ let record_success t ~origin ~target =
 let record_failure t ~origin ~target =
   Option.iter (fun br -> Breaker.record_failure br ~origin ~target) t.breaker
 
+(* Right after [admits] said yes: is that request the circuit's probe? *)
+let is_probe t ~origin ~target =
+  match t.breaker with
+  | None -> false
+  | Some br -> Breaker.probing br ~origin ~target
+
+let abandon t ~origin ~target =
+  Option.iter (fun br -> Breaker.abandon br ~origin ~target) t.breaker
+
 (* A hop's candidates: a fresh shuffled copy of the references at
    [level], walked by index. *)
 let snapshot t cur ~level =
@@ -172,6 +183,8 @@ and start_hop t w cur budget target refs next =
       primary_rid = -1;
       backup_rid = -1;
       hedged = false;
+      primary_probe = is_probe t ~origin:cur ~target;
+      backup_probe = false;
       primary_dead = false;
       backup_dead = false;
       resolved = false;
@@ -209,6 +222,8 @@ and time_out t h ~backup =
   if Telemetry.active t.tel then
     Telemetry.emit t.tel (Event.Timeout { rid; src = h.cur; dst = tgt; attempt = k });
   record_failure t ~origin:h.cur ~target:tgt;
+  (* That was the probe's verdict; retries skip the breaker. *)
+  if not backup then h.primary_probe <- false;
   (* The hedge is a single attempt: its job is to dodge one slow or
      shedding peer, not to duplicate the retry ladder. *)
   if (not backup) && k < t.cfg.max_retries then begin
@@ -248,6 +263,7 @@ and hedge t h =
     Array.blit refs next refs (next + 1) (!j - next);
     refs.(next) <- b;
     h.backup <- b;
+    h.backup_probe <- is_probe t ~origin:h.cur ~target:b;
     h.hedged <- true;
     t.hedges <- t.hedges + 1;
     if Telemetry.active t.tel then
@@ -264,6 +280,12 @@ let resolve t h ~winner ~backup_won =
   Sim.cancel t.sim h.primary_timer;
   Sim.cancel t.sim h.backup_timer;
   Sim.cancel t.sim h.hedge_timer;
+  (* The losing attempt gets no verdict; if it was a half-open probe,
+     its circuit must be free to probe again. *)
+  if backup_won then begin
+    if primary_live && h.primary_probe then abandon t ~origin:h.cur ~target:h.target
+  end
+  else if backup_live && h.backup_probe then abandon t ~origin:h.cur ~target:h.backup;
   record_success t ~origin:h.cur ~target:winner;
   if h.hedged then begin
     if backup_won then t.hedge_wins <- t.hedge_wins + 1;
@@ -376,3 +398,5 @@ let stats t =
     sheds_query = Net.shed_of_kind t.net Net.Query;
     queue_peak = Net.queue_peak t.net;
   }
+
+let breaker t = t.breaker

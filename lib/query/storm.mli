@@ -109,3 +109,6 @@ val completions : t -> completion list
 val in_flight : t -> int
 
 val stats : t -> stats
+
+(** The engine's circuit breakers, when the config has them. *)
+val breaker : t -> Pgrid_simnet.Breaker.t option

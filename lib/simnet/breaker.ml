@@ -68,5 +68,16 @@ let record_success t ~origin ~target =
     if Telemetry.active t.tel then
       Telemetry.emit t.tel (Event.Breaker_close { origin; target })
 
+let probing t ~origin ~target = state t ~origin ~target = Half_open
+
+let abandon t ~origin ~target =
+  match state t ~origin ~target with
+  | Half_open ->
+    (* No verdict: the cool-down is over, so the next request probes. *)
+    Hashtbl.replace t.table (origin, target) (Open (t.now ()))
+  | Closed _ | Open _ -> ()
+
+let half_open t = Hashtbl.fold (fun _ s n -> if s = Half_open then n + 1 else n) t.table 0
+
 let opens t = t.opens
 let open_count t = t.open_now

@@ -38,6 +38,22 @@ val record_failure : t -> origin:int -> target:int -> unit
 (** The caller judged one admitted request succeeded. *)
 val record_success : t -> origin:int -> target:int -> unit
 
+(** [probing t ~origin ~target]: the circuit is half-open, its single
+    probe in flight.  Right after {!admits} said yes, this tells whether
+    that request is the probe. *)
+val probing : t -> origin:int -> target:int -> bool
+
+(** [abandon t ~origin ~target]: the caller withdrew its half-open probe
+    before any verdict (a hedge race it lost).  A half-open circuit
+    becomes probe-able again at once — open with its cool-down over, so
+    the next {!admits} lets a new probe through; any other state is left
+    alone. *)
+val abandon : t -> origin:int -> target:int -> unit
+
+(** Circuits currently half-open.  Scans the table; for tests and
+    diagnostics. *)
+val half_open : t -> int
+
 (** Cumulative closed -> open transitions ([Breaker_open] events).  A
     failed half-open probe re-arms the cool-down but is not a new open:
     the circuit never closed in between. *)

@@ -391,8 +391,10 @@ let test_storm_breaker_opens () =
    the time both arms die.  The pinned stats and latencies depend on the
    fallback order after a hedge (skipped siblings first, in shuffled
    order): reversing, dropping or moving the skipped siblings each
-   changes them. *)
-let test_storm_hedged_pinned () =
+   changes them.  They were recorded with hedge losers releasing their
+   half-open probes (the run without that release left 16 circuits
+   half-open for good). *)
+let hedged_storm () =
   let rng = Rng.create ~seed:27 in
   let keys = Distribution.generate rng Distribution.Uniform ~n:1500 in
   let overlay =
@@ -424,13 +426,17 @@ let test_storm_hedged_pinned () =
           Storm.issue storm ~origin ~key:keys.(0))
   done;
   Sim.run sim;
+  storm
+
+let test_storm_hedged_pinned () =
+  let storm = hedged_storm () in
   let s = Storm.stats storm in
   Alcotest.(check (list (pair string int)))
     "stats"
     [
-      ("issued", 64); ("succeeded", 60); ("failed", 4); ("timeouts", 143);
-      ("retries", 56); ("give_ups", 87); ("hedges", 121); ("hedge_wins", 46);
-      ("breaker_opens", 76); ("breaker_skips", 35);
+      ("issued", 64); ("succeeded", 59); ("failed", 5); ("timeouts", 145);
+      ("retries", 54); ("give_ups", 91); ("hedges", 127); ("hedge_wins", 53);
+      ("breaker_opens", 70); ("breaker_skips", 22);
     ]
     [
       ("issued", s.Storm.issued); ("succeeded", s.Storm.succeeded);
@@ -450,27 +456,38 @@ let test_storm_hedged_pinned () =
     "sorted latencies"
     [
       0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x1.166000695146p-2;
-      0x1.75bdb92addf22p-2; 0x1.0557ce633ad48p-1; 0x1.05bba2018f39p-1;
-      0x1.46811d0021cbp-1; 0x1.7cc961e92e52p-1; 0x1.7f7b978b5763p-1;
-      0x1.9626225b8e618p-1; 0x1.acc565eaca32cp-1; 0x1.acf653410a52p-1;
-      0x1.c715ca90a72p-1; 0x1.fcc34a8a92b4p-1; 0x1.05fb54bd1bd6p+0;
-      0x1.081cb79791f5p+0; 0x1.3e8b5d889caap+0; 0x1.3ee51a764b594p+0;
-      0x1.4604d77852168p+0; 0x1.6f57eacb134d8p+0; 0x1.8ad748e51cd98p+0;
-      0x1.cbfb291612158p+0; 0x1.d759dac639818p+0; 0x1.f68b73faddd7p+0;
-      0x1.0830e93b72e9cp+1; 0x1.092ffa3ac5c8cp+1; 0x1.2ffcd9e46f208p+1;
-      0x1.3fdeaf58ed6p+1; 0x1.9acbe5333a438p+1; 0x1.add8e96f23398p+1;
-      0x1.be84b34c29f5p+1; 0x1.c4a09bf171298p+1; 0x1.eaed73b1866dp+1;
-      0x1.f027708773628p+1; 0x1.f4116aa3247c8p+1; 0x1.fdf8abb5d0adep+1;
-      0x1.069fc719259a2p+2; 0x1.12afb106b4f4p+2; 0x1.13c10c96e5428p+2;
-      0x1.14063eee476aap+2; 0x1.18fca9167c834p+2; 0x1.19aacd4a75d56p+2;
-      0x1.23440924d140ap+2; 0x1.244aef4b99202p+2; 0x1.2c97399310377p+2;
-      0x1.3038aa1b71474p+2; 0x1.334604af0b8ecp+2; 0x1.41a21b0f9572cp+2;
-      0x1.472f757103536p+2; 0x1.4811d46ded35ep+2; 0x1.4f3f345af5dp+2;
-      0x1.5399b2ec621fp+2; 0x1.8p+2; 0x1.a49a6d46ede5p+2; 0x1.bc23fcc09b124p+2;
-      0x1.c17deaa257d2p+2; 0x1.dd04852ce36ep+2; 0x1.0392e7fece84cp+3;
-      0x1.16ecd54be03eep+3; 0x1.40487e424e1ccp+3; 0x1.43947e3baac76p+3;
+      0x1.75bdb92addf22p-2; 0x1.0557ce633ad48p-1; 0x1.36b2db2b5f46p-1;
+      0x1.46811d0021cbp-1; 0x1.49bd45b612f6p-1; 0x1.7cc961e92e52p-1;
+      0x1.7ec9a5b83ccp-1; 0x1.7f7b978b5763p-1; 0x1.9626225b8e618p-1;
+      0x1.acc565eaca32cp-1; 0x1.c1f77d262702p-1; 0x1.05fb54bd1bd6p+0;
+      0x1.224fc33c70d9p+0; 0x1.3bea8a98952ep+0; 0x1.3ee51a764b594p+0;
+      0x1.443ce4bad938p+0; 0x1.8ad748e51cd98p+0; 0x1.97b5755562d1p+0;
+      0x1.bbd7bb18732dp+0; 0x1.cbfb291612158p+0; 0x1.db14b6997532p+0;
+      0x1.0830e93b72e9cp+1; 0x1.092ffa3ac5c8cp+1; 0x1.350c75f9e5aa8p+1;
+      0x1.413615eb8bfbp+1; 0x1.60ef1968ec9c8p+1; 0x1.972d94b0a0ac8p+1;
+      0x1.a3853c647592p+1; 0x1.eaed73b1866dp+1; 0x1.f36799aa27d58p+1;
+      0x1.f4a122b370a28p+1; 0x1.fd6eee4062cb8p+1; 0x1.fdf8abb5d0adep+1;
+      0x1.069fc719259a2p+2; 0x1.0f4ac9064ccb2p+2; 0x1.14063eee476aap+2;
+      0x1.19aacd4a75d56p+2; 0x1.1bef3503125e6p+2; 0x1.23440924d140ap+2;
+      0x1.244aef4b99202p+2; 0x1.2457b1c523532p+2; 0x1.2c97399310377p+2;
+      0x1.2d550ee9cf56cp+2; 0x1.3042d95305f7cp+2; 0x1.334604af0b8ecp+2;
+      0x1.37244289a509cp+2; 0x1.382228bf8bddcp+2; 0x1.472f757103536p+2;
+      0x1.4bdaa20063f58p+2; 0x1.663f1a2f6fbc8p+2; 0x1.9c1620441398p+2;
+      0x1.c8b78df46d1a8p+2; 0x1.ddc5369d006ep+2; 0x1.11df271819f86p+3; 0x1.2p+3;
+      0x1.43947e3baac76p+3; 0x1.6ee057b678e86p+3; 0x1.7a1203a7278cep+3;
     ]
     latencies
+
+(* A hedge race's loser gets no verdict.  When the loser was a
+   breaker's half-open probe, resolving the hop must release the probe;
+   otherwise the circuit stays half-open and refuses everything for
+   good. *)
+let test_storm_no_circuit_stuck_half_open () =
+  let storm = hedged_storm () in
+  checki "nothing in flight" 0 (Storm.in_flight storm);
+  match Storm.breaker storm with
+  | None -> Alcotest.fail "breakers are configured"
+  | Some br -> checki "no circuit half-open at quiescence" 0 (Breaker.half_open br)
 
 let test_storm_rejects_nan () =
   let create cfg () =
@@ -1057,6 +1074,8 @@ let suite =
     Alcotest.test_case "conjunctive payload dedup" `Quick
       test_conjunctive_dedups_payloads;
     Alcotest.test_case "storm completes" `Quick test_storm_completes;
+    Alcotest.test_case "storm: no circuit stuck half-open" `Quick
+      test_storm_no_circuit_stuck_half_open;
     Alcotest.test_case "storm: resolved hops leave nothing queued" `Quick
       test_storm_resolved_hops_leave_nothing_queued;
     Alcotest.test_case "storm deterministic" `Quick test_storm_deterministic;

@@ -403,6 +403,26 @@ let test_breaker_half_open_probe () =
   checkb "probe success closes" true (Breaker.admits br ~origin:0 ~target:1);
   checki "no circuit open any more" 0 (Breaker.open_count br)
 
+let test_breaker_abandon_probe () =
+  let now, br = make_breaker ~failures:1 ~cooldown:10. () in
+  Breaker.record_failure br ~origin:0 ~target:1;
+  Breaker.abandon br ~origin:0 ~target:1;
+  checkb "abandon leaves an open circuit open" false (Breaker.admits br ~origin:0 ~target:1);
+  now := 10.;
+  checkb "probe admitted" true (Breaker.admits br ~origin:0 ~target:1);
+  checkb "it is the probe" true (Breaker.probing br ~origin:0 ~target:1);
+  checki "one circuit half-open" 1 (Breaker.half_open br);
+  Breaker.abandon br ~origin:0 ~target:1;
+  checki "released" 0 (Breaker.half_open br);
+  checkb "next request probes at once" true (Breaker.admits br ~origin:0 ~target:1);
+  checkb "and only one" false (Breaker.admits br ~origin:0 ~target:1);
+  checki "still counted open" 1 (Breaker.open_count br);
+  checki "no new open transition" 1 (Breaker.opens br);
+  Breaker.record_success br ~origin:0 ~target:1;
+  Breaker.abandon br ~origin:0 ~target:1;
+  checkb "abandon leaves a closed circuit closed" true (Breaker.admits br ~origin:0 ~target:1);
+  checkb "closed is not probing" false (Breaker.probing br ~origin:0 ~target:1)
+
 let test_breaker_half_open_reopen () =
   let now, br = make_breaker ~failures:1 ~cooldown:10. () in
   Breaker.record_failure br ~origin:0 ~target:1;
@@ -988,6 +1008,7 @@ let suite =
     Alcotest.test_case "breaker success resets" `Quick test_breaker_success_resets_count;
     Alcotest.test_case "breaker half-open probe" `Quick test_breaker_half_open_probe;
     Alcotest.test_case "breaker half-open reopen" `Quick test_breaker_half_open_reopen;
+    Alcotest.test_case "breaker abandoned probe" `Quick test_breaker_abandon_probe;
     Alcotest.test_case "breaker events" `Quick test_breaker_events;
     Alcotest.test_case "unstructured degree" `Quick test_unstructured_degree;
     Alcotest.test_case "unstructured symmetric" `Quick test_unstructured_symmetric;
