@@ -33,7 +33,9 @@ type hop = {
   mutable primary_rid : int;
   mutable backup_rid : int;
   mutable hedged : bool;
-  mutable primary_probe : bool;  (* the live attempt is a half-open probe *)
+  (* The attempt was admitted as its circuit's half-open probe and has
+     had no verdict yet. *)
+  mutable primary_probe : bool;
   mutable backup_probe : bool;
   mutable primary_dead : bool;
   mutable backup_dead : bool;
