@@ -286,38 +286,89 @@ let test_lookup_heal_retries () =
    the injected faults are the only disturbance), with Poisson
    crash-restarts across most of the query phase.  The telemetry ring
    keeps the event stream for the retry-path assertions. *)
+let hardened_run ?breaker ?(telemetry = Telemetry.create ()) () =
+  let rng = Rng.create ~seed:42 in
+  let base = Net_engine.default_params ~peers:48 in
+  let ph = base.Net_engine.phases in
+  let no_churn =
+    Churn.paper_params ~start:ph.Net_engine.end_time ~stop:ph.Net_engine.end_time
+  in
+  let params =
+    {
+      base with
+      Net_engine.robust = Some Net_engine.default_robust;
+      breaker;
+      churn = Some no_churn;
+      fault_plan =
+        [
+          Fault.Crash_restart
+            {
+              start = ph.Net_engine.query_start;
+              stop = ph.Net_engine.end_time -. 1200.;
+              rate = 1. /. 2000.;
+              down_min = 120.;
+              down_max = 300.;
+            };
+        ];
+      fault_seed = 99;
+    }
+  in
+  Net_engine.run ~telemetry rng params ~spec:Distribution.Uniform
+
 let hardened_outcome =
   lazy
     (let tel = Telemetry.create () in
      let ring = Ring.create ~capacity:400_000 in
      Telemetry.add_sink tel (Sink.ring ring);
-     let rng = Rng.create ~seed:42 in
-     let base = Net_engine.default_params ~peers:48 in
-     let ph = base.Net_engine.phases in
-     let no_churn =
-       Churn.paper_params ~start:ph.Net_engine.end_time ~stop:ph.Net_engine.end_time
-     in
-     let params =
-       {
-         base with
-         Net_engine.robust = Some Net_engine.default_robust;
-         churn = Some no_churn;
-         fault_plan =
-           [
-             Fault.Crash_restart
-               {
-                 start = ph.Net_engine.query_start;
-                 stop = ph.Net_engine.end_time -. 1200.;
-                 rate = 1. /. 2000.;
-                 down_min = 120.;
-                 down_max = 300.;
-               };
-           ];
-         fault_seed = 99;
-       }
-     in
-     let o = Net_engine.run ~telemetry:tel rng params ~spec:Distribution.Uniform in
+     let o = hardened_run ~telemetry:tel () in
      (o, Ring.to_list ring))
+
+(* Every counter of a hardened run, floats in hex: a change to the
+   request path that moves one draw, send or event shows here. *)
+let hardened_pin o =
+  let qs = o.Net_engine.query_stats and rs = o.Net_engine.robust_stats in
+  let i = string_of_int and f = Printf.sprintf "%h" in
+  [
+    ("issued", i qs.Net_engine.issued);
+    ("succeeded", i qs.Net_engine.succeeded);
+    ("failed", i qs.Net_engine.failed);
+    ("mean_hops", f qs.Net_engine.mean_hops);
+    ("mean_latency", f qs.Net_engine.mean_latency);
+    ("timeouts", i rs.Net_engine.timeouts);
+    ("retries", i rs.Net_engine.retries);
+    ("give_ups", i rs.Net_engine.give_ups);
+    ("evictions", i rs.Net_engine.evictions);
+    ("breaker_opens", i rs.Net_engine.breaker_opens);
+    ("breaker_skips", i rs.Net_engine.breaker_skips);
+    ("messages_sent", i o.Net_engine.messages_sent);
+    ("messages_dropped", i o.Net_engine.messages_dropped);
+  ]
+
+let check_pin expected o =
+  Alcotest.(check (list (pair string string))) "pinned" expected (hardened_pin o)
+
+let test_hardened_pinned () =
+  check_pin
+    [
+      ("issued", "5837"); ("succeeded", "5831"); ("failed", "6");
+      ("mean_hops", "0x1.a060f03d1d05ap+0"); ("mean_latency", "0x1.c47a4d7cb1a9dp+0");
+      ("timeouts", "2111"); ("retries", "1260"); ("give_ups", "851");
+      ("evictions", "845"); ("breaker_opens", "0"); ("breaker_skips", "0");
+      ("messages_sent", "21254"); ("messages_dropped", "2103");
+    ]
+    (fst (Lazy.force hardened_outcome))
+
+(* The same run with circuit breakers: the CLI's --overload path. *)
+let test_hardened_breaker_pinned () =
+  check_pin
+    [
+      ("issued", "5837"); ("succeeded", "5831"); ("failed", "6");
+      ("mean_hops", "0x1.a060f03d1d05ap+0"); ("mean_latency", "0x1.c47a4d7cb1a9dp+0");
+      ("timeouts", "2111"); ("retries", "1260"); ("give_ups", "851");
+      ("evictions", "845"); ("breaker_opens", "6"); ("breaker_skips", "0");
+      ("messages_sent", "21254"); ("messages_dropped", "2103");
+    ]
+    (hardened_run ~breaker:Pgrid_simnet.Breaker.default_config ())
 
 let test_hardened_run_succeeds_under_crashes () =
   let o, _ = Lazy.force hardened_outcome in
@@ -425,6 +476,8 @@ let suite =
     Alcotest.test_case "lookup_batch heals dead ends" `Quick test_lookup_heal_retries;
     Alcotest.test_case "hardened run under crashes" `Quick
       test_hardened_run_succeeds_under_crashes;
+    Alcotest.test_case "hardened run pinned" `Quick test_hardened_pinned;
+    Alcotest.test_case "hardened breaker run pinned" `Quick test_hardened_breaker_pinned;
     Alcotest.test_case "retry backoff grows" `Quick test_retry_backoff_grows;
     Alcotest.test_case "repeated timeouts evict" `Quick
       test_eviction_after_repeated_timeouts;
