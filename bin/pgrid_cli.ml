@@ -22,6 +22,7 @@ module Distribution = Pgrid_workload.Distribution
 module Overlay = Pgrid_core.Overlay
 module Round = Pgrid_construction.Round
 module Net_engine = Pgrid_construction.Net_engine
+module Storm = Pgrid_query.Storm
 module Experiment = Pgrid_experiment.Experiment
 module Telemetry = Pgrid_telemetry.Telemetry
 module Sink = Pgrid_telemetry.Sink
@@ -218,17 +219,17 @@ let fault_plan_arg =
         ~doc:
           "Inject faults during the run: semicolon-separated specs from the \
            mini-language burst/partition/crash/latency/dup, times in seconds \
-           (see DESIGN.md section 9). A non-empty plan switches the query \
-           path to the hardened request/response tracker.")
+           (see DESIGN.md section 9). A non-empty plan switches queries to \
+           the hardened $(b,--robust) path.")
 
 let robust_arg =
   Arg.(
     value & flag
     & info [ "robust" ]
         ~doc:
-          "Use the hardened request/response tracker (liveness pings, \
-           timeouts, retries with backoff, stale-reference eviction) even \
-           without a fault plan.")
+          "Use the hardened query path (each hop a request/response round \
+           trip with timeouts, retries with backoff and stale-reference \
+           eviction) even without a fault plan.")
 
 let maint_period_arg =
   Arg.(
@@ -263,9 +264,10 @@ let overload_arg =
     & info [ "overload" ]
         ~doc:
           "Enable overload protection: bounded per-peer service queues with \
-           load shedding, per-(origin, target) circuit breakers on the \
-           hardened tracker (implies $(b,--robust) behavior), and shed / \
-           breaker accounting in the summary (see DESIGN.md section 14).")
+           load shedding, $(b,--robust) queries with per-(origin, target) \
+           circuit breakers (the robust Storm config's $(i,breaker) field), \
+           and shed / breaker accounting in the summary (see DESIGN.md \
+           section 14).")
 
 let txn_arg =
   Arg.(
@@ -311,10 +313,16 @@ let planetlab seed peers spec fault_plan robust maint_period no_daemon balance
       base with
       Net_engine.fault_plan;
       fault_seed = seed + 7;
-      robust = (if robust then Some Net_engine.default_robust else None);
+      robust =
+        (if overload then
+           Some
+             {
+               Net_engine.default_robust with
+               breaker = Some Pgrid_simnet.Breaker.default_config;
+             }
+         else if robust then Some Net_engine.default_robust
+         else None);
       service = (if overload then Some Pgrid_simnet.Net.default_overload else None);
-      breaker =
-        (if overload then Some Pgrid_simnet.Breaker.default_config else None);
       maint;
       txn = (if txn then Some Net_engine.default_txn_workload else None);
     }
@@ -324,26 +332,27 @@ let planetlab seed peers spec fault_plan robust maint_period no_daemon balance
   let rs = o.Net_engine.robust_stats in
   let s = o.Net_engine.stats in
   let hardened_rows =
-    if robust || fault_plan <> [] || overload then
+    match rs with
+    | None -> []
+    | Some rs ->
       [
         [ "timeouts / retries";
-          Printf.sprintf "%d / %d" rs.Net_engine.timeouts rs.Net_engine.retries ];
+          Printf.sprintf "%d / %d" rs.Storm.timeouts rs.Storm.retries ];
         [ "give-ups / evictions";
-          Printf.sprintf "%d / %d" rs.Net_engine.give_ups rs.Net_engine.evictions ];
+          Printf.sprintf "%d / %d" rs.Storm.give_ups rs.Storm.evictions ];
       ]
-    else []
   in
   let overload_rows =
-    if overload then
+    match rs with
+    | Some rs when overload ->
       [
         [ "messages shed / queue peak";
           Printf.sprintf "%d / %d" o.Net_engine.messages_shed
             o.Net_engine.queue_peak ];
         [ "breaker opens / skips";
-          Printf.sprintf "%d / %d" rs.Net_engine.breaker_opens
-            rs.Net_engine.breaker_skips ];
+          Printf.sprintf "%d / %d" rs.Storm.breaker_opens rs.Storm.breaker_skips ];
       ]
-    else []
+    | _ -> []
   in
   let fault_rows =
     match o.Net_engine.fault_stats with

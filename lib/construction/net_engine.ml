@@ -16,7 +16,7 @@ module Latency = Pgrid_simnet.Latency
 module Unstructured = Pgrid_simnet.Unstructured
 module Churn = Pgrid_simnet.Churn
 module Fault = Pgrid_simnet.Fault
-module Breaker = Pgrid_simnet.Breaker
+module Storm = Pgrid_query.Storm
 module Telemetry = Pgrid_telemetry.Telemetry
 module Event = Pgrid_telemetry.Event
 
@@ -43,36 +43,14 @@ let paper_phases =
     end_time = minutes 500.;
   }
 
-(* Liveness probes of the hardened request/response tracker.  [rid]
-   correlates a Ping with its Pong; a reply proves the target is up and
-   routable before the query hops to it.  [Txn_msg] carries one
-   transaction-protocol delivery ([Txn.transport] continuation): the
-   closure runs iff the network actually delivers — loss and offline
-   destinations drop it, which is exactly the transport contract. *)
-type wire =
-  | Ping of { rid : int; reply_to : int }
-  | Pong of { rid : int }
-  | Txn_msg of { deliver : unit -> unit }
-
-type robust = {
-  req_timeout : float;
-  backoff : float;
-  jitter : float;
-  max_retries : int;
-  evict_after : int;
-}
-
 let default_robust =
-  { req_timeout = 2.; backoff = 2.; jitter = 0.2; max_retries = 3; evict_after = 2 }
-
-type robust_stats = {
-  timeouts : int;
-  retries : int;
-  give_ups : int;
-  evictions : int;
-  breaker_opens : int;
-  breaker_skips : int;
-}
+  {
+    Storm.default_config with
+    req_timeout = 2.;
+    jitter = 0.2;
+    max_retries = 3;
+    evict_after = Some 2;
+  }
 
 (* Document-indexing workload for the transaction layer: multi-key
    atomic puts submitted from random online coordinators during the
@@ -116,13 +94,12 @@ type params = {
   mode : Engine.mode;
   phases : phases;
   churn : Churn.params option;
-  robust : robust option;
+  robust : Storm.config option;
   fault_plan : Fault.plan;
   fault_seed : int;
   maint : Maintenance.daemon_config option;
   txn : txn_workload option;
   service : Net.overload_config option;
-  breaker : Breaker.config option;
 }
 
 let default_params ~peers =
@@ -154,7 +131,6 @@ let default_params ~peers =
     maint = None;
     txn = None;
     service = None;
-    breaker = None;
   }
 
 type query_stats = {
@@ -180,7 +156,7 @@ type outcome = {
   messages_dropped : int;
   messages_shed : int;
   queue_peak : int;
-  robust_stats : robust_stats;
+  robust_stats : Storm.stats option;
   fault_stats : Fault.stats option;
   maint_stats : Maintenance.daemon_stats option;
   txn : Txn.t option;
@@ -196,9 +172,10 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
   let tel = telemetry in
   (* Telemetry timestamps are simulated seconds for the whole run. *)
   Telemetry.set_clock tel (fun () -> Sim.now sim);
-  (* The network carries unit messages: interactions are executed on
-     shared state, so only accounting and timing flow through it. *)
-  let net : wire Net.t =
+  (* Construction interactions run on shared state, so only their
+     accounting and timing flow through the network; queries and
+     transaction messages travel as real messages. *)
+  let net : Storm.wire Net.t =
     Net.create ~telemetry:tel ?service:params.service sim (Rng.split rng)
       ~nodes:params.peers ~latency:params.latency ~loss:params.loss
       ~bucket:params.bucket
@@ -259,24 +236,24 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
   let eng = Engine.create ~telemetry:tel (Rng.split rng) engine_config overlay hooks in
   engine := Some eng;
   (* --- hardened protocol mode ------------------------------------------ *)
-  (* Anything below that touches RNG state is gated: a legacy run (no
-     robust config, no fault plan) must consume exactly the same draw
-     sequence as before this mode existed. *)
-  let hardened =
-    params.robust <> None || params.fault_plan <> [] || params.breaker <> None
+  (* Transaction messages run their delivery closure on arrival; a
+     storm's handler, installed next, runs them as well. *)
+  Net.set_handler net (fun _ -> function
+    | Storm.Deliver deliver -> deliver ()
+    | Storm.Req _ | Storm.Resp _ -> ());
+  (* Queries hop as Req/Resp round trips through a [Storm] on a split of
+     its own.  The split is gated: a legacy run (no robust config, no
+     fault plan) consumes exactly the same draw sequence as before this
+     mode existed. *)
+  let storm =
+    if params.robust = None && params.fault_plan = [] then None
+    else
+      let rrng = Rng.split rng in
+      Some
+        ( rrng,
+          Storm.create ~telemetry:tel ~header_bytes:params.header_bytes sim rrng overlay net
+            (Option.value params.robust ~default:default_robust) )
   in
-  let rcfg = Option.value params.robust ~default:default_robust in
-  let robust_rng = if hardened then Some (Rng.split rng) else None in
-  let breaker =
-    Option.map
-      (fun cfg -> Breaker.create ~telemetry:tel cfg ~now:(fun () -> Sim.now sim))
-      params.breaker
-  in
-  let timeouts = ref 0
-  and retries = ref 0
-  and give_ups = ref 0
-  and evictions = ref 0
-  and breaker_skips = ref 0 in
   (* Filled in once the transaction manager (if any) is created below;
      the fault hooks read it at crash time, well after setup. *)
   let txn_mgr = ref None in
@@ -296,27 +273,6 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
            net ~seed:params.fault_seed params.fault_plan)
   in
   fault_ref := fault;
-  (* Request/response tracker: rid -> continuation to run on the Pong. *)
-  let pending : (int, unit -> unit) Hashtbl.t = Hashtbl.create 64 in
-  let next_rid = ref 0 in
-  (* Consecutive liveness failures per (holder, reference) link; reaching
-     [evict_after] triggers correction-on-use. *)
-  let fail_counts : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  if hardened || params.txn <> None then
-    Net.set_handler net (fun me msg ->
-        match msg with
-        | Ping { rid; reply_to } ->
-          (* Answered from persisted state: even a crash-restarted peer
-             replies, its path and store survive. *)
-          Net.send net ~src:me ~dst:reply_to ~bytes:params.header_bytes
-            ~kind:Net.Query (Pong { rid })
-        | Pong { rid } -> (
-          match Hashtbl.find_opt pending rid with
-          | Some continue ->
-            Hashtbl.remove pending rid;
-            continue ()
-          | None -> (* late or duplicated reply *) ())
-        | Txn_msg { deliver } -> deliver ());
   let scheduled = Array.make params.peers false in
   let rec initiation_loop i () =
     scheduled.(i) <- false;
@@ -428,13 +384,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
       if budget = 0 then false
       else begin
         let n = Overlay.node overlay cur in
-        let len = Path.length n.Node.path in
-        let rec diverge l =
-          if l >= len then None
-          else if Path.bit n.Node.path l <> Key.bit key l then Some l
-          else diverge (l + 1)
-        in
-        match diverge 0 with
+        match Overlay.divergence_level n.Node.path key with
         | None -> true (* responsible peer reached *)
         | Some level ->
           let refs = Node.refs_array n ~level in
@@ -470,129 +420,13 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
     query_log :=
       { at = issued_at; latency = !latency_total; hops = !hops; success } :: !query_log
   in
-  (* Hardened variant: every hop is gated by a Ping/Pong liveness round
-     trip through the real network, with per-request timeouts, bounded
-     retries under exponential backoff with jitter, and correction-on-use
-     eviction of references that keep timing out.  Latency is genuinely
-     elapsed simulated time. *)
-  let issue_query_robust origin =
-    let rrng = Option.get robust_rng in
-    let key = all_keys.(Rng.int rrng (Array.length all_keys)) in
-    let issued_at = Sim.now sim in
-    let qid = !next_qid in
-    incr next_qid;
-    if Telemetry.active tel then Telemetry.emit tel (Event.Query_issue { qid; origin });
-    let hops = ref 0 in
-    let finish success =
-      let latency = Sim.now sim -. issued_at in
-      if Telemetry.active tel then
-        Telemetry.emit tel
-          (Event.Query_complete { qid; origin; hops = !hops; latency; success });
-      query_log :=
-        { at = issued_at; latency; hops = !hops; success } :: !query_log
-    in
-    let diverge n =
-      let len = Path.length n.Node.path in
-      let rec go l =
-        if l >= len then None
-        else if Path.bit n.Node.path l <> Key.bit key l then Some l
-        else go (l + 1)
-      in
-      go 0
-    in
-    let snapshot cur level =
-      let refs = Node.refs_array (Overlay.node overlay cur) ~level in
-      Rng.shuffle rrng refs;
-      Array.to_list refs
-    in
-    let rec route cur budget =
-      if budget = 0 then finish false
-      else begin
-        match diverge (Overlay.node overlay cur) with
-        | None ->
-          (* Responsible peer reached; the response flows back. *)
-          account ~src:cur ~dst:origin ~bytes:params.header_bytes ~kind:Net.Query ();
-          finish true
-        | Some level ->
-          try_refs cur level budget ~refreshed:false (snapshot cur level)
-      end
-    and try_refs cur level budget ~refreshed = function
-      | [] ->
-        if refreshed then finish false
-        else
-          (* An eviction may just have refilled this level: take one
-             fresh snapshot before declaring the dead end. *)
-          try_refs cur level budget ~refreshed:true (snapshot cur level)
-      | target :: rest -> (
-        match breaker with
-        | Some br when not (Breaker.admits br ~origin:cur ~target) ->
-          (* The link's breaker is open: fail over to the next
-             reference immediately instead of hammering a peer that
-             keeps timing out. *)
-          incr breaker_skips;
-          try_refs cur level budget ~refreshed rest
-        | _ -> attempt cur level budget ~refreshed rest target 0)
-    and attempt cur level budget ~refreshed rest target k =
-      let rid = !next_rid in
-      incr next_rid;
-      Hashtbl.replace pending rid (fun () ->
-          Hashtbl.remove fail_counts (cur, target);
-          Option.iter (fun br -> Breaker.record_success br ~origin:cur ~target) breaker;
-          incr hops;
-          if Telemetry.active tel then
-            Telemetry.emit tel (Event.Query_hop { qid; src = cur; dst = target });
-          route target (budget - 1));
-      Net.send net ~src:cur ~dst:target ~bytes:params.header_bytes ~kind:Net.Query
-        (Ping { rid; reply_to = cur });
-      let timeout =
-        rcfg.req_timeout
-        *. (rcfg.backoff ** float_of_int k)
-        *. (1. +. (rcfg.jitter *. Rng.float rrng))
-      in
-      Sim.schedule sim ~delay:timeout (fun () ->
-          if Hashtbl.mem pending rid then begin
-            Hashtbl.remove pending rid;
-            incr timeouts;
-            Option.iter
-              (fun br -> Breaker.record_failure br ~origin:cur ~target)
-              breaker;
-            if Telemetry.active tel then
-              Telemetry.emit tel
-                (Event.Timeout { rid; src = cur; dst = target; attempt = k });
-            let fails =
-              1 + Option.value ~default:0 (Hashtbl.find_opt fail_counts (cur, target))
-            in
-            Hashtbl.replace fail_counts (cur, target) fails;
-            let evicted =
-              fails >= rcfg.evict_after
-              && begin
-                   Hashtbl.remove fail_counts (cur, target);
-                   let n =
-                     Maintenance.correct_on_use ~telemetry:tel ~dead:target rrng
-                       overlay ~peer:cur ~level
-                   in
-                   evictions := !evictions + n;
-                   n > 0
-                 end
-            in
-            if (not evicted) && k < rcfg.max_retries then begin
-              incr retries;
-              if Telemetry.active tel then
-                Telemetry.emit tel
-                  (Event.Retry { rid; src = cur; dst = target; attempt = k + 1 });
-              attempt cur level budget ~refreshed rest target (k + 1)
-            end
-            else begin
-              incr give_ups;
-              if Telemetry.active tel then
-                Telemetry.emit tel (Event.Give_up { rid; src = cur });
-              try_refs cur level budget ~refreshed rest
-            end
-          end)
-    in
-    route origin (4 * Key.bits)
+  let issue_query =
+    match storm with
+    | None -> issue_query
+    | Some (rrng, storm) ->
+      fun origin ->
+        Storm.issue storm ~origin ~key:all_keys.(Rng.int rrng (Array.length all_keys))
   in
-  let issue_query = if hardened then issue_query_robust else issue_query in
   Array.iteri
     (fun i _ ->
       let rec loop () =
@@ -608,7 +442,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
         loop)
     assignments;
   (* --- self-healing daemon ---------------------------------------------- *)
-  (* The split is gated exactly like [robust_rng]: a run without the
+  (* The split is gated exactly like the storm's: a run without the
      daemon consumes the same draw sequence as before it existed. *)
   let maint_stats = ref None in
   (match params.maint with
@@ -634,7 +468,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
                ~now:(fun () -> Sim.now sim)
                ~until:ph.end_time cfg)));
   (* --- transaction workload --------------------------------------------- *)
-  (* Gated exactly like [robust_rng] and the daemon: [txn = None] creates
+  (* Gated exactly like the storm and the daemon: [txn = None] creates
      nothing and consumes no draws, so legacy runs are bit-identical. *)
   (match params.txn with
   | None -> ()
@@ -652,15 +486,11 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
               params.header_bytes
               + (match phase with Txn.Prepare -> params.key_bytes | _ -> 0)
             in
-            Net.send net ~src ~dst ~bytes ~kind:Net.Maintenance
-              (Txn_msg { deliver }))
+            Net.send net ~src ~dst ~bytes ~kind:Net.Maintenance (Storm.Deliver deliver))
       }
     in
     let mgr =
-      Txn.create ~telemetry:tel ~config:w.txn_config (Rng.split trng) overlay
-        ~transport
-        ~schedule:(fun ~delay f -> Sim.schedule sim ~delay f)
-        ~now:(fun () -> Sim.now sim)
+      Txn.create ~telemetry:tel ~config:w.txn_config sim (Rng.split trng) overlay ~transport
     in
     txn_mgr := Some mgr;
     (* Document submissions: a random online coordinator indexes one
@@ -730,7 +560,20 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
     Reference.compute ~keys:all_keys ~peers:params.peers ~d_max:params.d_max
       ~n_min:params.n_min
   in
-  let queries = !query_log in
+  let queries =
+    match storm with
+    | None -> !query_log
+    | Some (_, storm) ->
+      List.map
+        (fun c ->
+          {
+            at = c.Storm.issued_at;
+            latency = c.Storm.finished_at -. c.Storm.issued_at;
+            hops = c.Storm.hops;
+            success = c.Storm.success;
+          })
+        (Storm.completions storm)
+  in
   let successes = List.filter (fun q -> q.success) queries in
   let hops_m = Moments.of_list (List.map (fun q -> float_of_int q.hops) successes) in
   let lat_m = Moments.of_list (List.map (fun q -> q.latency) successes) in
@@ -782,15 +625,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
     messages_dropped = Net.messages_dropped net;
     messages_shed = Net.messages_shed net;
     queue_peak = Net.queue_peak net;
-    robust_stats =
-      {
-        timeouts = !timeouts;
-        retries = !retries;
-        give_ups = !give_ups;
-        evictions = !evictions;
-        breaker_opens = (match breaker with None -> 0 | Some br -> Breaker.opens br);
-        breaker_skips = !breaker_skips;
-      };
+    robust_stats = Option.map (fun (_, storm) -> Storm.stats storm) storm;
     fault_stats = Option.map Fault.stats fault;
     maint_stats = !maint_stats;
     txn = !txn_mgr;

@@ -24,34 +24,10 @@ type phases = {
 (** The paper's timeline in seconds (minutes 0/45/100/300/430/500). *)
 val paper_phases : phases
 
-(** Parameters of the hardened request/response tracker (active whenever
-    a [robust] config or a non-empty [fault_plan] is given): each query
-    hop is preceded by a Ping/Pong liveness round trip with a
-    per-request timeout of
-    [req_timeout * backoff^attempt * (1 + jitter * U\[0,1))] seconds and
-    up to [max_retries] re-sends; [evict_after] consecutive timeouts on
-    the same (holder, reference) link trigger correction-on-use eviction
-    ({!Pgrid_core.Maintenance.correct_on_use}). *)
-type robust = {
-  req_timeout : float;
-  backoff : float;
-  jitter : float;
-  max_retries : int;
-  evict_after : int;
-}
-
-(** 2 s base timeout, factor-2 backoff with 20% jitter, 3 retries,
-    eviction after 2 consecutive timeouts. *)
-val default_robust : robust
-
-type robust_stats = {
-  timeouts : int;
-  retries : int;
-  give_ups : int;  (** requests abandoned (retry budget or eviction) *)
-  evictions : int;  (** references evicted by correction-on-use *)
-  breaker_opens : int;  (** circuit-breaker open transitions *)
-  breaker_skips : int;  (** hop attempts refused by an open breaker *)
-}
+(** The hardened query path's {!Pgrid_query.Storm} config: 2 s base
+    timeout, factor-2 backoff with 20% jitter, 3 retries, eviction after
+    2 consecutive timeouts, no hedging, no circuit breakers. *)
+val default_robust : Pgrid_query.Storm.config
 
 (** Document-indexing workload for the transaction layer
     ({!Pgrid_core.Txn}): from [query_start] on, every [doc_interval]
@@ -95,12 +71,15 @@ type params = {
   phases : phases;
   churn : Pgrid_simnet.Churn.params option;
       (** [None]: the paper's churn cycle over [churn_start, end_time] *)
-  robust : robust option;
+  robust : Pgrid_query.Storm.config option;
       (** [None] with an empty [fault_plan]: the legacy synchronous query
           model (dead reference = flat [retry_timeout] penalty), RNG
-          draw sequence bit-identical to pre-fault builds. Otherwise the
-          hardened tracker runs (with {!default_robust} when only a
-          fault plan is given). *)
+          draw sequence bit-identical to pre-fault builds.  Otherwise
+          the hardened path runs: every hop is a [Req]/[Resp] round trip
+          through a {!Pgrid_query.Storm} on the run's network, with this
+          config ({!default_robust} when only a fault plan is given) and
+          [header_bytes] as its message size.  Its [breaker] field puts
+          per-(origin, target) circuit breakers on the path. *)
   fault_plan : Pgrid_simnet.Fault.plan;  (** [[]]: no fault injection *)
   fault_seed : int;  (** seed of the fault layer's dedicated RNG *)
   maint : Pgrid_core.Maintenance.daemon_config option;
@@ -124,14 +103,6 @@ type params = {
           ({!Pgrid_simnet.Net.overload_config}).  [None] (the default)
           keeps delivery capacity-unbounded and the run bit-identical
           to pre-overload builds. *)
-  breaker : Pgrid_simnet.Breaker.config option;
-      (** [Some]: per-(origin, target) circuit breakers on the hardened
-          query path — [k] consecutive timeouts open the link, retries
-          fail over to sibling references until a half-open probe
-          succeeds.  Implies the hardened tracker (with
-          {!default_robust} when [robust] is [None]).  [None] (the
-          default) leaves the tracker byte-identical to PR-3
-          behaviour. *)
 }
 
 (** Paper-like defaults for ~296 peers. *)
@@ -163,7 +134,8 @@ type outcome = {
   messages_shed : int;
       (** shed by bounded service queues; 0 unless [params.service] *)
   queue_peak : int;  (** deepest service queue observed; 0 without [service] *)
-  robust_stats : robust_stats;  (** all zero on legacy runs *)
+  robust_stats : Pgrid_query.Storm.stats option;
+      (** the hardened path's counters; [None] on legacy runs *)
   fault_stats : Pgrid_simnet.Fault.stats option;
       (** [Some] iff a fault plan was installed *)
   maint_stats : Pgrid_core.Maintenance.daemon_stats option;

@@ -2,6 +2,7 @@ module Rng = Pgrid_prng.Rng
 module Key = Pgrid_keyspace.Key
 module Telemetry = Pgrid_telemetry.Telemetry
 module Event = Pgrid_telemetry.Event
+module Sim = Pgrid_simnet.Sim
 
 type op =
   | Put of { key : Key.t; payload : string }
@@ -70,8 +71,7 @@ type t = {
   rng : Rng.t;
   cfg : config;
   transport : transport;
-  schedule : delay:float -> (unit -> unit) -> unit;
-  now : unit -> float;
+  sim : Sim.t;
   decisions : (int, decision) Hashtbl.t;
   (* peer id -> its durable intent log, keyed (txn id, op index). *)
   logs : (int, (int * int, intent) Hashtbl.t) Hashtbl.t;
@@ -83,8 +83,8 @@ type t = {
   stats : stats;
 }
 
-let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(config = default_config) rng
-    overlay ~transport ~schedule ~now =
+let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(config = default_config) sim rng
+    overlay ~transport =
   if config.quorum < 1 then invalid_arg "Txn.create: quorum must be >= 1";
   if config.req_timeout <= 0. then invalid_arg "Txn.create: req_timeout <= 0";
   if config.backoff < 1. then invalid_arg "Txn.create: backoff < 1";
@@ -98,8 +98,7 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(config = default_confi
     rng;
     cfg = config;
     transport;
-    schedule;
-    now;
+    sim;
     decisions = Hashtbl.create 64;
     logs = Hashtbl.create 64;
     epochs = Array.make (Overlay.size overlay) 0;
@@ -209,10 +208,8 @@ let commit_txn t d ~acked =
   emit t (Event.Txn_commit { txn = d.d_id });
   List.iter (push_decision t d) acked
 
-let timeout_for t k =
-  t.cfg.req_timeout
-  *. (t.cfg.backoff ** float_of_int k)
-  *. (1. +. (t.cfg.jitter *. Rng.float t.rng))
+let retry_delay t k =
+  Sim.backoff_delay t.rng ~base:t.cfg.req_timeout ~backoff:t.cfg.backoff ~jitter:t.cfg.jitter k
 
 type op_state = {
   required : int;
@@ -228,7 +225,7 @@ let submit t ~coordinator ops =
   let id = t.next_id in
   t.next_id <- id + 1;
   let d =
-    { d_id = id; d_coordinator = coordinator; d_ops = ops; d_begun = t.now ();
+    { d_id = id; d_coordinator = coordinator; d_ops = ops; d_begun = Sim.now t.sim;
       d_status = Pending }
   in
   Hashtbl.replace t.decisions id d;
@@ -298,6 +295,8 @@ let submit t ~coordinator ops =
     in
     let prepare p =
       let presolved = ref false in
+      (* The live attempt's timeout; the first ack cancels it. *)
+      let timer = ref Sim.no_timer in
       let rec attempt k =
         t.transport.send ~phase:Prepare ~src:coordinator ~dst:p ~deliver:(fun () ->
             let n = Overlay.node t.overlay p in
@@ -319,21 +318,26 @@ let submit t ~coordinator ops =
                 ~deliver:(fun () ->
                   if not !presolved then begin
                     presolved := true;
+                    Sim.cancel t.sim !timer;
                     on_ack p applied
                   end)
             end);
-        t.schedule ~delay:(timeout_for t k) (fun () ->
-            if alive () && not !presolved then begin
-              t.stats.timeouts <- t.stats.timeouts + 1;
-              if k < t.cfg.max_retries then begin
-                t.stats.retries <- t.stats.retries + 1;
-                attempt (k + 1)
-              end
-              else begin
-                presolved := true;
-                give_up ()
-              end
-            end)
+        let delay = retry_delay t k in
+        (* An instant transport may have delivered the ack already. *)
+        if not !presolved then
+          timer :=
+            Sim.timer t.sim ~delay (fun () ->
+                if alive () then begin
+                  t.stats.timeouts <- t.stats.timeouts + 1;
+                  if k < t.cfg.max_retries then begin
+                    t.stats.retries <- t.stats.retries + 1;
+                    attempt (k + 1)
+                  end
+                  else begin
+                    presolved := true;
+                    give_up ()
+                  end
+                end)
       in
       attempt 0
     in
@@ -347,7 +351,8 @@ let submit t ~coordinator ops =
       | None ->
         if r < t.cfg.max_retries then begin
           t.stats.retries <- t.stats.retries + 1;
-          t.schedule ~delay:(timeout_for t r) (fun () -> route_op op_idx op (r + 1))
+          (* A backoff pause, not a timeout: nothing cancels it. *)
+          Sim.schedule t.sim ~delay:(retry_delay t r) (fun () -> route_op op_idx op (r + 1))
         end
         else op_done false
     end
@@ -368,7 +373,7 @@ let sorted_decisions t =
   |> List.sort (fun a b -> compare a.d_id b.d_id)
 
 let recover_pass t =
-  let now = t.now () in
+  let now = Sim.now t.sim in
   (* Presumed abort: a decision still pending past [recover_after] has an
      orphaned (or wedged) driver; abort it durably so participant logs
      can be resolved below.  An actually-alive driver observes the flip

@@ -11,9 +11,10 @@
       per touched key to the responsible peer and its online replicas.
       A participant that still covers the key logs a durable {e intent}
       (the write-ahead record), applies the write tentatively to its
-      store, and acks.  Prepares ride the PR-3 timeout / retry /
-      backoff machinery; a participant that never acks within the
-      retry budget is given up on.
+      store, and acks.  Each prepare has a cancellable timeout with
+      backoff and jitter ({!Pgrid_simnet.Sim.backoff_delay}); the first ack
+      cancels it, and a participant that never acks within the retry
+      budget is given up on.
     - {b Decide.}  Once every key gathered its ack quorum the
       coordinator durably records {e commit}; any key that cannot be
       prepared durably records {e abort} (presumed abort: an absent or
@@ -32,8 +33,8 @@
       presumed abort — so every settled document ends fully indexed or
       fully absent.
 
-    The module is scheduler-agnostic: time comes from [now], timers go
-    through [schedule], and messages go through a {!transport}
+    Time and timers come from a {!Pgrid_simnet.Sim.t}, and messages go
+    through a {!transport}
     (instant in-process delivery via {!local_transport}, or the
     simulated network via [Net_engine]).  It consumes randomness only
     from the [Rng.t] it is created with (timeout jitter) and from the
@@ -88,17 +89,16 @@ type stats = {
 
 type t
 
-(** [create ?telemetry ?config rng overlay ~transport ~schedule ~now]
-    makes a transaction manager over [overlay].  [rng] feeds timeout
-    jitter only. *)
+(** [create ?telemetry ?config sim rng overlay ~transport] makes a
+    transaction manager over [overlay], timed by [sim].  [rng] feeds
+    timeout jitter only. *)
 val create :
   ?telemetry:Pgrid_telemetry.Telemetry.t ->
   ?config:config ->
+  Pgrid_simnet.Sim.t ->
   Pgrid_prng.Rng.t ->
   Overlay.t ->
   transport:transport ->
-  schedule:(delay:float -> (unit -> unit) -> unit) ->
-  now:(unit -> float) ->
   t
 
 (** [local_transport overlay ?admits ()] delivers instantly in-process
@@ -110,7 +110,7 @@ val local_transport :
 
 (** [submit t ~coordinator ops] opens a transaction and starts driving
     it; returns its id immediately (the protocol completes through
-    [schedule]/[transport] callbacks — poll {!status}).  Requires
+    simulator events and [transport] callbacks — poll {!status}).  Requires
     [ops <> []] and an online coordinator. *)
 val submit : t -> coordinator:int -> op list -> int
 

@@ -298,7 +298,7 @@ module Churn = Pgrid_simnet.Churn
    bursty-loss chain over construction and queries, a partition cutting
    off a minority during part of the query phase, and Poisson
    crash-restarts late in the run.  Severity 0 keeps the hardened
-   tracker active but injects nothing — the fault-free baseline the
+   query path active but injects nothing — the fault-free baseline the
    other rows are judged against. *)
 let resilience_plan (phases : Net_engine.phases) severity =
   if severity <= 0. then []
@@ -353,7 +353,7 @@ let resilience_run ~peers ~seed severity =
   in
   let o = Net_engine.run rng params ~spec:Distribution.paper_text in
   let qs = o.Net_engine.query_stats in
-  let rs = o.Net_engine.robust_stats in
+  let rs = Option.get o.Net_engine.robust_stats in
   let crashes =
     match o.Net_engine.fault_stats with Some f -> f.Fault.crashes | None -> 0
   in
@@ -367,10 +367,10 @@ let resilience_run ~peers ~seed severity =
         Up );
       ("mean_latency", qs.Net_engine.mean_latency, Down);
       int_metric "issued" qs.Net_engine.issued Down;
-      int_metric "timeouts" rs.Net_engine.timeouts Down;
-      int_metric "retries" rs.Net_engine.retries Down;
-      int_metric "give_ups" rs.Net_engine.give_ups Down;
-      int_metric "evictions" rs.Net_engine.evictions Down;
+      int_metric "timeouts" rs.Pgrid_query.Storm.timeouts Down;
+      int_metric "retries" rs.Pgrid_query.Storm.retries Down;
+      int_metric "give_ups" rs.Pgrid_query.Storm.give_ups Down;
+      int_metric "evictions" rs.Pgrid_query.Storm.evictions Down;
       int_metric "crashes" crashes Down;
     ]
 
@@ -1021,11 +1021,7 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
     }
   in
   let mgr =
-    Txn.create ~telemetry:tel
-      (Rng.create ~seed:(seed + 4))
-      overlay ~transport
-      ~schedule:(fun ~delay f -> Sim.schedule sim ~delay f)
-      ~now:(fun () -> Sim.now sim)
+    Txn.create ~telemetry:tel sim (Rng.create ~seed:(seed + 4)) overlay ~transport
   in
   let set_online i v =
     let n = Overlay.node overlay i in

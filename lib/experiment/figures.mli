@@ -96,11 +96,11 @@ type direction = Up | Down
 type metric = string * float * direction
 
 (** [resilience ~seed ()] reruns the full networked timeline with the
-    hardened request/response tracker once per fault severity (default
+    hardened query path once per fault severity (default
     [0; 0.5; 1]) over a fixed bursty-loss + partition + crash-restart plan
     (see {!Pgrid_simnet.Fault}) scaled by the severity; severity 0 runs
-    the tracker with no faults.  Metrics [sS/deviation], [sS/success_pct],
-    [sS/mean_latency] and the tracker's counters for each severity [S].
+    that path with no faults.  Metrics [sS/deviation], [sS/success_pct],
+    [sS/mean_latency] and its counters for each severity [S].
     Default 128 peers. *)
 val resilience :
   ?peers:int -> ?severities:float list -> seed:int -> unit -> metric list

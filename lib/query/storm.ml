@@ -5,6 +5,7 @@ module Overlay = Pgrid_core.Overlay
 module Sim = Pgrid_simnet.Sim
 module Net = Pgrid_simnet.Net
 module Breaker = Pgrid_simnet.Breaker
+module Maintenance = Pgrid_core.Maintenance
 module Telemetry = Pgrid_telemetry.Telemetry
 module Event = Pgrid_telemetry.Event
 
@@ -15,6 +16,10 @@ type lookup = {
   key : Key.t;
   issued_at : float;
   mutable hops : int;
+  (* The level of the walk's current hop, and whether its candidates
+     are that level's second snapshot: a walk has one hop at a time. *)
+  mutable level : int;
+  mutable refreshed : bool;
 }
 
 (* One routing hop from [cur]: a primary attempt at [target] with its
@@ -48,28 +53,30 @@ type hop = {
 type wire =
   | Req of { hop : hop; rid : int; reply_to : int }
   | Resp of { hop : hop; rid : int }
-  | Heartbeat
+  | Deliver of (unit -> unit)
 
 type config = {
   req_timeout : float;
   backoff : float;
+  jitter : float;
   max_retries : int;
+  evict_after : int option;
   hedge_after : float option;
   breaker : Breaker.config option;
-  header_bytes : int;
 }
 
 let default_config =
   {
     req_timeout = 4.;
     backoff = 2.;
+    jitter = 0.;
     max_retries = 2;
+    evict_after = None;
     hedge_after = None;
     breaker = None;
-    header_bytes = 200;
   }
 
-type completion = { issued_at : float; finished_at : float; success : bool }
+type completion = { issued_at : float; finished_at : float; hops : int; success : bool }
 
 type stats = {
   issued : int;
@@ -78,6 +85,7 @@ type stats = {
   timeouts : int;
   retries : int;
   give_ups : int;
+  evictions : int;
   hedges : int;
   hedge_wins : int;
   breaker_opens : int;
@@ -94,8 +102,12 @@ type t = {
   overlay : Overlay.t;
   net : wire Net.t;
   cfg : config;
+  header_bytes : int;
   tel : Telemetry.t;
   breaker : Breaker.t option;
+  (* Consecutive timeouts per (holder, reference) link, kept only when
+     [cfg.evict_after] is set. *)
+  fail_counts : (int * int, int) Hashtbl.t;
   mutable in_flight : int;
   mutable next_rid : int;
   mutable next_qid : int;
@@ -105,6 +117,7 @@ type t = {
   mutable timeouts : int;
   mutable retries : int;
   mutable give_ups : int;
+  mutable evictions : int;
   mutable hedges : int;
   mutable hedge_wins : int;
   mutable breaker_skips : int;
@@ -138,6 +151,27 @@ let snapshot t cur ~level =
   Rng.shuffle t.rng refs;
   refs
 
+(* Correction-on-use: the [n]th consecutive timeout on the link from
+   [h.cur] to [target] evicts [target] from [h.cur]'s references at the
+   hop's level, which refills the level if that emptied it.  [true] iff
+   a reference was evicted. *)
+let evict t h ~target n =
+  let link = (h.cur, target) in
+  let fails = 1 + Option.value ~default:0 (Hashtbl.find_opt t.fail_counts link) in
+  if fails < n then begin
+    Hashtbl.replace t.fail_counts link fails;
+    false
+  end
+  else begin
+    Hashtbl.remove t.fail_counts link;
+    let evicted =
+      Maintenance.correct_on_use ~telemetry:t.tel ~dead:target t.rng t.overlay ~peer:h.cur
+        ~level:h.walk.level
+    in
+    t.evictions <- t.evictions + evicted;
+    evicted > 0
+  end
+
 let finish t w success =
   let now = Sim.now t.sim in
   if success then t.succeeded <- t.succeeded + 1 else t.failed <- t.failed + 1;
@@ -145,7 +179,8 @@ let finish t w success =
     Telemetry.emit t.tel
       (Event.Query_complete
          { qid = w.qid; origin = w.origin; hops = w.hops; latency = now -. w.issued_at; success });
-  t.completions <- { issued_at = w.issued_at; finished_at = now; success } :: t.completions
+  t.completions <-
+    { issued_at = w.issued_at; finished_at = now; hops = w.hops; success } :: t.completions
 
 let rec route t w cur budget =
   if budget = 0 then finish t w false
@@ -153,12 +188,22 @@ let rec route t w cur budget =
     match Overlay.divergence_level (Overlay.node t.overlay cur).Node.path w.key with
     | None ->
       (* Responsible peer reached; the response flows back. *)
-      Net.account ~src:cur ~dst:w.origin t.net ~bytes:t.cfg.header_bytes ~kind:Net.Query;
+      Net.account ~src:cur ~dst:w.origin t.net ~bytes:t.header_bytes ~kind:Net.Query;
       finish t w true
-    | Some level -> try_refs t w cur budget (snapshot t cur ~level) 0
+    | Some level ->
+      w.level <- level;
+      w.refreshed <- false;
+      try_refs t w cur budget (snapshot t cur ~level) 0
 
 and try_refs t w cur budget refs next =
-  if next >= Array.length refs then finish t w false
+  if next >= Array.length refs then
+    if w.refreshed || Option.is_none t.cfg.evict_after then finish t w false
+    else begin
+      (* An eviction may just have refilled this level: take one fresh
+         snapshot before declaring the dead end. *)
+      w.refreshed <- true;
+      try_refs t w cur budget (snapshot t cur ~level:w.level) 0
+    end
   else
     let target = refs.(next) in
     if not (admits t ~origin:cur ~target) then begin
@@ -206,10 +251,13 @@ and arm t h ~backup =
   t.in_flight <- t.in_flight + 1;
   let tgt = if backup then h.backup else h.target in
   if backup then h.backup_rid <- rid else h.primary_rid <- rid;
-  Net.send t.net ~src:h.cur ~dst:tgt ~bytes:t.cfg.header_bytes ~kind:Net.Query
+  Net.send t.net ~src:h.cur ~dst:tgt ~bytes:t.header_bytes ~kind:Net.Query
     (Req { hop = h; rid; reply_to = h.cur });
   let k = if backup then 0 else h.attempt in
-  let timeout = t.cfg.req_timeout *. (t.cfg.backoff ** float_of_int k) in
+  let timeout =
+    Sim.backoff_delay t.rng ~base:t.cfg.req_timeout ~backoff:t.cfg.backoff ~jitter:t.cfg.jitter
+      k
+  in
   let timer = Sim.timer t.sim ~delay:timeout (fun () -> time_out t h ~backup) in
   if backup then h.backup_timer <- timer else h.primary_timer <- timer
 
@@ -226,9 +274,13 @@ and time_out t h ~backup =
   record_failure t ~origin:h.cur ~target:tgt;
   (* That was the probe's verdict; retries skip the breaker. *)
   if not backup then h.primary_probe <- false;
+  let evicted =
+    match t.cfg.evict_after with None -> false | Some n -> evict t h ~target:tgt n
+  in
   (* The hedge is a single attempt: its job is to dodge one slow or
-     shedding peer, not to duplicate the retry ladder. *)
-  if (not backup) && k < t.cfg.max_retries then begin
+     shedding peer, not to duplicate the retry ladder.  An evicted
+     reference is not retried. *)
+  if (not backup) && (not evicted) && k < t.cfg.max_retries then begin
     t.retries <- t.retries + 1;
     if Telemetry.active t.tel then
       Telemetry.emit t.tel (Event.Retry { rid; src = h.cur; dst = tgt; attempt = k + 1 });
@@ -289,6 +341,7 @@ let resolve t h ~winner ~backup_won =
   end
   else if backup_live && h.backup_probe then abandon t ~origin:h.cur ~target:h.backup;
   record_success t ~origin:h.cur ~target:winner;
+  if Option.is_some t.cfg.evict_after then Hashtbl.remove t.fail_counts (h.cur, winner);
   if h.hedged then begin
     if backup_won then t.hedge_wins <- t.hedge_wins + 1;
     if Telemetry.active t.tel then
@@ -299,10 +352,16 @@ let resolve t h ~winner ~backup_won =
     Telemetry.emit t.tel (Event.Query_hop { qid = h.walk.qid; src = h.cur; dst = winner });
   route t h.walk winner (h.budget - 1)
 
-let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg =
+let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(header_bytes = 200) sim rng overlay
+    net cfg =
   if not (cfg.req_timeout > 0.) then invalid_arg "Storm.create: req_timeout must be positive";
   if not (cfg.backoff >= 1.) then invalid_arg "Storm.create: backoff must be >= 1";
+  if not (cfg.jitter >= 0. && cfg.jitter < 1.) then
+    invalid_arg "Storm.create: jitter outside [0, 1)";
   if cfg.max_retries < 0 then invalid_arg "Storm.create: max_retries must be >= 0";
+  (match cfg.evict_after with
+  | Some n when n < 1 -> invalid_arg "Storm.create: evict_after must be >= 1"
+  | _ -> ());
   (match cfg.hedge_after with
   | Some h when not (h > 0.) -> invalid_arg "Storm.create: hedge_after must be positive"
   | _ -> ());
@@ -319,8 +378,10 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg 
       overlay;
       net;
       cfg;
+      header_bytes;
       tel = telemetry;
       breaker;
+      fail_counts = Hashtbl.create 64;
       in_flight = 0;
       next_rid = 0;
       next_qid = 0;
@@ -330,6 +391,7 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg 
       timeouts = 0;
       retries = 0;
       give_ups = 0;
+      evictions = 0;
       hedges = 0;
       hedge_wins = 0;
       breaker_skips = 0;
@@ -341,7 +403,7 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg 
       | Req { hop; rid; reply_to } ->
         (* Routing state is persistent: any peer that worked through its
            service queue answers. *)
-        Net.send net ~src:me ~dst:reply_to ~bytes:cfg.header_bytes ~kind:Net.Query
+        Net.send net ~src:me ~dst:reply_to ~bytes:header_bytes ~kind:Net.Query
           (Resp { hop; rid })
       | Resp { hop = h; rid } ->
         (* A reply counts only while its attempt is live: not a retried
@@ -351,7 +413,7 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg 
             resolve t h ~winner:h.target ~backup_won:false
           else if h.hedged && rid = h.backup_rid && not h.backup_dead then
             resolve t h ~winner:h.backup ~backup_won:true
-      | Heartbeat -> ());
+      | Deliver deliver -> deliver ());
   t
 
 let issue t ~origin ~key =
@@ -361,7 +423,8 @@ let issue t ~origin ~key =
   let issued_at = Sim.now t.sim in
   if Telemetry.active t.tel then
     Telemetry.emit t.tel (Event.Query_issue { qid; origin });
-  route t { qid; origin; key; issued_at; hops = 0 } origin (4 * Key.bits)
+  route t { qid; origin; key; issued_at; hops = 0; level = 0; refreshed = false } origin
+    (4 * Key.bits)
 
 let issue_random t ~key =
   let n = Overlay.size t.overlay in
@@ -378,7 +441,7 @@ let issue_random t ~key =
     true
 
 let heartbeat t ~src ~dst =
-  Net.send t.net ~src ~dst ~bytes:t.cfg.header_bytes ~kind:Net.Maintenance Heartbeat
+  Net.send t.net ~src ~dst ~bytes:t.header_bytes ~kind:Net.Maintenance (Deliver ignore)
 
 let completions t = t.completions
 let in_flight t = t.in_flight
@@ -391,6 +454,7 @@ let stats t =
     timeouts = t.timeouts;
     retries = t.retries;
     give_ups = t.give_ups;
+    evictions = t.evictions;
     hedges = t.hedges;
     hedge_wins = t.hedge_wins;
     breaker_opens = (match t.breaker with None -> 0 | Some br -> Breaker.opens br);

@@ -6,9 +6,12 @@
     re-implements the lookup walk on top of {!Pgrid_simnet.Net} so every
     hop is a [Req]/[Resp] round trip that rides latency, loss and (when
     the network was created with a [service] model) the destination's
-    bounded service queue.  On top of the PR-3 hardening vocabulary
-    (per-request timeouts, exponential backoff, bounded retries) it adds
-    the two client-side overload defences:
+    bounded service queue.  It is the repo's one request module: the
+    hardened query path of [Net_engine] is a [Storm] too.  Each attempt
+    has a timeout (exponential backoff, optional jitter) and a bounded
+    retry ladder; optionally, references that keep timing out are evicted
+    by correction-on-use.  On top of that it adds the two client-side
+    overload defences:
 
     - {b circuit breakers} ({!Pgrid_simnet.Breaker}) per (holder,
       reference) link, so a peer that keeps timing out — or silently
@@ -28,31 +31,44 @@
 type hop
 
 (** Wire protocol: one [Req]/[Resp] pair per routing attempt, answered
-    from persistent state, plus an inert [Heartbeat] for background
-    maintenance traffic.  A request carries its hop and the reply
-    echoes it, so the reply finds its hop without a table lookup; [rid]
-    names the attempt (a retry or a hedge gets a fresh one), and a reply
-    whose attempt is no longer live is ignored. *)
+    from persistent state, plus [Deliver] for any other protocol that
+    rides the same network: its closure runs iff the network delivers
+    the message (loss, shedding and offline destinations drop it).  A
+    request carries its hop and the reply echoes it, so the reply finds
+    its hop without a table lookup; [rid] names the attempt (a retry or
+    a hedge gets a fresh one), and a reply whose attempt is no longer
+    live is ignored. *)
 type wire =
   | Req of { hop : hop; rid : int; reply_to : int }
   | Resp of { hop : hop; rid : int }
-  | Heartbeat
+  | Deliver of (unit -> unit)
 
 type config = {
-  req_timeout : float;  (** base per-request timeout, seconds *)
+  req_timeout : float;  (** base per-request timeout, seconds, > 0 *)
   backoff : float;  (** timeout multiplier per retry, >= 1 *)
+  jitter : float;
+      (** in \[0, 1): attempt [k] times out after
+          [req_timeout * backoff^k * (1 + jitter * U\[0,1))], the uniform
+          drawn right after the send; 0 draws nothing *)
   max_retries : int;  (** re-sends per primary target *)
+  evict_after : int option;
+      (** [Some n], [n >= 1]: the [n]th consecutive timeout on a (holder,
+          reference) link evicts the reference
+          ({!Pgrid_core.Maintenance.correct_on_use}) instead of retrying
+          it, and a reply resets the link's count; a hop that runs out
+          of references then takes one fresh snapshot of its level before
+          giving up *)
   hedge_after : float option;  (** [Some h]: hedge a hop after [h] seconds *)
   breaker : Pgrid_simnet.Breaker.config option;  (** [Some]: circuit breakers *)
-  header_bytes : int;  (** accounted size of [Req]/[Resp]/[Heartbeat] *)
 }
 
-(** 4 s timeout, factor-2 backoff, 2 retries, no hedging, no breakers,
-    200-byte headers — the {e unprotected} client. *)
+(** 4 s timeout, factor-2 backoff without jitter, 2 retries, no
+    eviction, no hedging, no breakers — the {e unprotected} client. *)
 val default_config : config
 
-(** One finished lookup, in simulated seconds. *)
-type completion = { issued_at : float; finished_at : float; success : bool }
+(** One finished lookup, in simulated seconds; [hops] counts the
+    answered hops. *)
+type completion = { issued_at : float; finished_at : float; hops : int; success : bool }
 
 type stats = {
   issued : int;
@@ -60,7 +76,8 @@ type stats = {
   failed : int;  (** budget exhausted or every reference dead/refused *)
   timeouts : int;
   retries : int;
-  give_ups : int;  (** per-target retry ladders exhausted *)
+  give_ups : int;  (** per-target retry ladders exhausted, or evicted *)
+  evictions : int;  (** references evicted by correction-on-use *)
   hedges : int;  (** backup attempts launched *)
   hedge_wins : int;  (** hops where the backup answered first *)
   breaker_opens : int;
@@ -73,12 +90,16 @@ type stats = {
 
 type t
 
-(** [create ?telemetry sim rng overlay net cfg] installs the storm's
-    handler on [net] (replacing any previous one) and returns the idle
-    engine.  [rng] drives origin draws and per-hop reference shuffles;
-    breaker state reads simulated time from [sim]. *)
+(** [create ?telemetry ?header_bytes sim rng overlay net cfg] installs
+    the storm's handler on [net] (replacing any previous one) and
+    returns the idle engine.  [rng] drives origin draws, per-hop
+    reference shuffles, timeout jitter and eviction refills; breaker
+    state reads simulated time from [sim].  Every message is accounted
+    at [header_bytes] (default 200).  Raises [Invalid_argument] on a
+    config outside the ranges above (NaN included). *)
 val create :
   ?telemetry:Pgrid_telemetry.Telemetry.t ->
+  ?header_bytes:int ->
   Pgrid_simnet.Sim.t ->
   Pgrid_prng.Rng.t ->
   Pgrid_core.Overlay.t ->
@@ -95,9 +116,9 @@ val issue : t -> origin:int -> key:Pgrid_keyspace.Key.t -> unit
     online origin was found. *)
 val issue_random : t -> key:Pgrid_keyspace.Key.t -> bool
 
-(** [heartbeat t ~src ~dst] sends one inert maintenance-class message —
-    background traffic for exercising the service model's priority
-    classes. *)
+(** [heartbeat t ~src ~dst] sends one maintenance-class [Deliver] that
+    does nothing on arrival — background traffic for exercising the
+    service model's priority classes. *)
 val heartbeat : t -> src:int -> dst:int -> unit
 
 (** Finished lookups, most recent first. *)

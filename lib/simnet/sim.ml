@@ -199,6 +199,10 @@ let cancel t { id; seq } =
     end
   end
 
+let backoff_delay rng ~base ~backoff ~jitter k =
+  let d = base *. (backoff ** float_of_int k) in
+  if jitter > 0. then d *. (1. +. (jitter *. Pgrid_prng.Rng.float rng)) else d
+
 let run_until t ~time =
   if Float.is_nan time then invalid_arg "Sim.run_until: time is NaN";
   while t.size > 0 && t.times.(0) < time do

@@ -1,6 +1,6 @@
 (* Tests for Pgrid_simnet.Fault (deterministic fault injection) and the
    hardened timeout / retry / backoff / eviction query path of
-   Pgrid_construction.Net_engine, plus correction-on-use at the
+   Pgrid_construction.Net_engine (a Storm), plus correction-on-use at the
    Maintenance and Query layers. *)
 
 module Rng = Pgrid_prng.Rng
@@ -18,6 +18,7 @@ module Overlay = Pgrid_core.Overlay
 module Builder = Pgrid_core.Builder
 module Maintenance = Pgrid_core.Maintenance
 module Query = Pgrid_query.Query
+module Storm = Pgrid_query.Storm
 module Distribution = Pgrid_workload.Distribution
 module Net_engine = Pgrid_construction.Net_engine
 
@@ -296,8 +297,7 @@ let hardened_run ?breaker ?(telemetry = Telemetry.create ()) () =
   let params =
     {
       base with
-      Net_engine.robust = Some Net_engine.default_robust;
-      breaker;
+      Net_engine.robust = Some { Net_engine.default_robust with breaker };
       churn = Some no_churn;
       fault_plan =
         [
@@ -326,7 +326,7 @@ let hardened_outcome =
 (* Every counter of a hardened run, floats in hex: a change to the
    request path that moves one draw, send or event shows here. *)
 let hardened_pin o =
-  let qs = o.Net_engine.query_stats and rs = o.Net_engine.robust_stats in
+  let qs = o.Net_engine.query_stats and rs = Option.get o.Net_engine.robust_stats in
   let i = string_of_int and f = Printf.sprintf "%h" in
   [
     ("issued", i qs.Net_engine.issued);
@@ -334,12 +334,12 @@ let hardened_pin o =
     ("failed", i qs.Net_engine.failed);
     ("mean_hops", f qs.Net_engine.mean_hops);
     ("mean_latency", f qs.Net_engine.mean_latency);
-    ("timeouts", i rs.Net_engine.timeouts);
-    ("retries", i rs.Net_engine.retries);
-    ("give_ups", i rs.Net_engine.give_ups);
-    ("evictions", i rs.Net_engine.evictions);
-    ("breaker_opens", i rs.Net_engine.breaker_opens);
-    ("breaker_skips", i rs.Net_engine.breaker_skips);
+    ("timeouts", i rs.Storm.timeouts);
+    ("retries", i rs.Storm.retries);
+    ("give_ups", i rs.Storm.give_ups);
+    ("evictions", i rs.Storm.evictions);
+    ("breaker_opens", i rs.Storm.breaker_opens);
+    ("breaker_skips", i rs.Storm.breaker_skips);
     ("messages_sent", i o.Net_engine.messages_sent);
     ("messages_dropped", i o.Net_engine.messages_dropped);
   ]
@@ -370,14 +370,26 @@ let test_hardened_breaker_pinned () =
     ]
     (hardened_run ~breaker:Pgrid_simnet.Breaker.default_config ())
 
+(* The hardened path validates its config before the run starts. *)
+let test_hardened_rejects_bad_config () =
+  let params =
+    {
+      (Net_engine.default_params ~peers:8) with
+      Net_engine.robust = Some { Net_engine.default_robust with req_timeout = -1. };
+    }
+  in
+  Alcotest.check_raises "negative req_timeout"
+    (Invalid_argument "Storm.create: req_timeout must be positive") (fun () ->
+      ignore (Net_engine.run (Rng.create ~seed:1) params ~spec:Distribution.Uniform))
+
 let test_hardened_run_succeeds_under_crashes () =
   let o, _ = Lazy.force hardened_outcome in
   let qs = o.Net_engine.query_stats in
-  let rs = o.Net_engine.robust_stats in
+  let rs = Option.get o.Net_engine.robust_stats in
   checkb "a real query load ran" true (qs.Net_engine.issued > 1000);
-  checkb "timeouts observed" true (rs.Net_engine.timeouts > 0);
-  checkb "retries observed" true (rs.Net_engine.retries > 0);
-  checkb "stale references evicted" true (rs.Net_engine.evictions > 0);
+  checkb "timeouts observed" true (rs.Storm.timeouts > 0);
+  checkb "retries observed" true (rs.Storm.retries > 0);
+  checkb "stale references evicted" true (rs.Storm.evictions > 0);
   (match o.Net_engine.fault_stats with
   | Some f -> checkb "crashes injected" true (f.Fault.crashes > 0)
   | None -> Alcotest.fail "fault stats missing on a faulted run");
@@ -397,8 +409,8 @@ let test_retry_backoff_grows () =
      consecutive pattern, so they are skipped (and at worst a handful of
      mismatched triples slip through; tolerate < 10%). *)
   let r = Net_engine.default_robust in
-  let lo = r.Net_engine.req_timeout *. r.Net_engine.backoff in
-  let hi = lo *. (1. +. r.Net_engine.jitter) in
+  let lo = r.Storm.req_timeout *. r.Storm.backoff in
+  let hi = lo *. (1. +. r.Storm.jitter) in
   let tbl = Hashtbl.create 256 in
   List.iter
     (fun e ->
@@ -478,6 +490,8 @@ let suite =
       test_hardened_run_succeeds_under_crashes;
     Alcotest.test_case "hardened run pinned" `Quick test_hardened_pinned;
     Alcotest.test_case "hardened breaker run pinned" `Quick test_hardened_breaker_pinned;
+    Alcotest.test_case "hardened config rejected at setup" `Quick
+      test_hardened_rejects_bad_config;
     Alcotest.test_case "retry backoff grows" `Quick test_retry_backoff_grows;
     Alcotest.test_case "repeated timeouts evict" `Quick
       test_eviction_after_repeated_timeouts;

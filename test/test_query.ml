@@ -489,25 +489,36 @@ let test_storm_no_circuit_stuck_half_open () =
   | None -> Alcotest.fail "breakers are configured"
   | Some br -> checki "no circuit half-open at quiescence" 0 (Breaker.half_open br)
 
-let test_storm_rejects_nan () =
-  let create cfg () =
-    let sim = Sim.create () in
-    let overlay, _keys = build 28 in
-    let net =
-      Net.create sim (Rng.create ~seed:1) ~nodes:(Overlay.size overlay)
-        ~latency:(Latency.Fixed 0.05) ~loss:0. ~bucket:60.
-    in
-    ignore (Storm.create sim (Rng.create ~seed:2) overlay net cfg)
+(* [Storm.create] on [cfg], for its validation. *)
+let storm_create cfg () =
+  let sim = Sim.create () in
+  let overlay, _keys = build 28 in
+  let net =
+    Net.create sim (Rng.create ~seed:1) ~nodes:(Overlay.size overlay)
+      ~latency:(Latency.Fixed 0.05) ~loss:0. ~bucket:60.
   in
+  ignore (Storm.create sim (Rng.create ~seed:2) overlay net cfg)
+
+let test_storm_rejects_nan () =
   let d = Storm.default_config in
   Alcotest.check_raises "NaN req_timeout"
     (Invalid_argument "Storm.create: req_timeout must be positive")
-    (create { d with req_timeout = Float.nan });
+    (storm_create { d with req_timeout = Float.nan });
   Alcotest.check_raises "NaN backoff" (Invalid_argument "Storm.create: backoff must be >= 1")
-    (create { d with backoff = Float.nan });
+    (storm_create { d with backoff = Float.nan });
   Alcotest.check_raises "NaN hedge_after"
     (Invalid_argument "Storm.create: hedge_after must be positive")
-    (create { d with hedge_after = Some Float.nan })
+    (storm_create { d with hedge_after = Some Float.nan })
+
+let test_storm_rejects_bad_jitter_evict () =
+  let d = Storm.default_config in
+  let bad_jitter = Invalid_argument "Storm.create: jitter outside [0, 1)" in
+  Alcotest.check_raises "negative jitter" bad_jitter (storm_create { d with jitter = -0.1 });
+  Alcotest.check_raises "jitter 1" bad_jitter (storm_create { d with jitter = 1. });
+  Alcotest.check_raises "NaN jitter" bad_jitter (storm_create { d with jitter = Float.nan });
+  Alcotest.check_raises "evict_after 0"
+    (Invalid_argument "Storm.create: evict_after must be >= 1")
+    (storm_create { d with evict_after = Some 0 })
 
 let test_lookup_batch_nobody_online () =
   (* Satellite: a batch against a fully-killed overlay returns a partial
@@ -1085,6 +1096,8 @@ let suite =
     Alcotest.test_case "storm breaker opens" `Quick test_storm_breaker_opens;
     Alcotest.test_case "storm hedged run pinned" `Quick test_storm_hedged_pinned;
     Alcotest.test_case "storm rejects NaN parameters" `Quick test_storm_rejects_nan;
+    Alcotest.test_case "storm rejects bad jitter, evict_after" `Quick
+      test_storm_rejects_bad_jitter_evict;
     Alcotest.test_case "lookup batch nobody online" `Quick
       test_lookup_batch_nobody_online;
     Alcotest.test_case "range batch nobody online" `Quick

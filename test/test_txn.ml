@@ -160,9 +160,7 @@ let manager ?(config = Txn.default_config) ?(hop = 0.5)
               then deliver ()));
     }
   in
-  Txn.create ~config (Rng.create ~seed:99) overlay ~transport
-    ~schedule:(fun ~delay f -> Sim.schedule sim ~delay f)
-    ~now:(fun () -> Sim.now sim)
+  Txn.create ~config sim (Rng.create ~seed:99) overlay ~transport
 
 let doc_ops keys payload = List.map (fun key -> Txn.Put { key; payload }) keys
 
@@ -186,6 +184,22 @@ let test_commit_applies_everywhere () =
     checki "projected key count" (List.length ks) (Array.length dks);
     checkb "projected as committed" true committed
   | _ -> Alcotest.fail "expected exactly one settled document"
+
+(* Every prepare's first ack cancels its timeout: once a lossless
+   commit's messages have all landed, and before any timeout is due, the
+   simulator holds no event. *)
+let test_commit_leaves_no_timer () =
+  let overlay, keys = build 31 in
+  let sim = Sim.create () in
+  let t = manager sim overlay in
+  let id =
+    Txn.submit t ~coordinator:(first_online overlay)
+      (doc_ops [ keys.(2); keys.(40); keys.(77) ] "doc-timer")
+  in
+  (* Prepare lands at 0.5 s, its ack at 1 s, the commit push at 1.5 s. *)
+  Sim.run_until sim ~time:(Txn.default_config.Txn.req_timeout -. 0.1);
+  checkb "committed" true (Txn.status t id = Some Txn.Committed);
+  checki "no pending event" 0 (Sim.pending sim)
 
 (* Take every holder of [key]'s partition offline; return a peer that is
    still online to act from. *)
@@ -312,6 +326,7 @@ let suite =
     Alcotest.test_case "delete storm drives retraction" `Slow
       test_delete_storm_drives_retraction;
     Alcotest.test_case "commit applies everywhere" `Quick test_commit_applies_everywhere;
+    Alcotest.test_case "commit leaves no timer" `Quick test_commit_leaves_no_timer;
     Alcotest.test_case "abort leaves no residue" `Quick test_abort_leaves_no_residue;
     Alcotest.test_case "lost commit push recovered" `Quick
       test_lost_commit_push_recovered;
