@@ -153,6 +153,24 @@ let micro _reps =
     let overlay, brng = Queue.pop fixtures in
     Pgrid_core.Balance.pass brng overlay balance_cfg
   in
+  (* One routing step at a level of 40 references, the mean of the
+     benchmark's overlays: peer 0 on path 0 refers to peers 1-40 on path
+     1.  With every peer online the pick reads no reference; with peer 40
+     offline it scans all 40. *)
+  let forward_fixture ~offline =
+    let module Node = Pgrid_core.Node in
+    let module Overlay = Pgrid_core.Overlay in
+    let o = Overlay.create (Pgrid_prng.Rng.create ~seed) ~n:41 in
+    let src = Overlay.node o 0 in
+    Node.set_path src (Pgrid_keyspace.Path.of_string "0");
+    for i = 1 to 40 do
+      Node.set_path (Overlay.node o i) (Pgrid_keyspace.Path.of_string "1");
+      Node.add_ref src ~level:0 i
+    done;
+    if offline then Node.set_online (Overlay.node o 40) false;
+    let key = Pgrid_keyspace.Key.of_float 0.75 in
+    fun () -> ignore (Sys.opaque_identity (Overlay.forward o src key))
+  in
   let sim_burst () =
     let s = Pgrid_simnet.Sim.create () in
     for i = 1 to 1000 do
@@ -190,6 +208,10 @@ let micro _reps =
         Test.make ~name:"overlay-search"
           (Staged.stage (fun () ->
                ignore (Pgrid_core.Overlay.search overlay ~from:0 probe_key)));
+        Test.make ~name:"overlay-forward-40"
+          (Staged.stage (forward_fixture ~offline:false));
+        Test.make ~name:"overlay-forward-40-offline"
+          (Staged.stage (forward_fixture ~offline:true));
         Test.make ~name:"sim-1000-events" (Staged.stage sim_burst);
         Test.make ~name:"sim-timer-cancel" (Staged.stage sim_timer_cancel);
         Test.make ~name:"rng-int-64" (Staged.stage rng_ints);

@@ -24,7 +24,7 @@ let copy_into ~offset src dst =
   Pgrid_core.Intset.iter
     (fun r -> Node.add_replica dst (r + offset))
     src.Node.replicas;
-  dst.Node.online <- src.Node.online
+  Node.set_online dst src.Node.online
 
 let overlays rng ~config ~max_rounds a b =
   if max_rounds < 1 then invalid_arg "Merge.overlays: max_rounds must be >= 1";

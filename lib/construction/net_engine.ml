@@ -188,13 +188,13 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
   Array.iteri
     (fun i own ->
       let n = Overlay.node overlay i in
-      n.Node.online <- false;
+      Node.set_online n false;
       Array.iter (Node.ensure_key n) own)
     assignments;
   let graph = Unstructured.create (Rng.split rng) ~nodes:params.peers ~degree:params.degree in
   let set_online i v =
     let was = (Overlay.node overlay i).Node.online in
-    (Overlay.node overlay i).Node.online <- v;
+    Node.set_online (Overlay.node overlay i) v;
     Net.set_online net i v;
     if was <> v && Telemetry.active tel then
       Telemetry.emit tel

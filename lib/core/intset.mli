@@ -17,6 +17,11 @@ val mem : t -> int -> bool
     with {!cardinal}, a scan that needs no closure. *)
 val get : t -> int -> int
 
+(** [rank t x] is the index of [x] (its {!get} position) when [x] is a
+    member, otherwise [lnot i] (negative), where [i] is the index at
+    which [x] would be inserted.  O(log k). *)
+val rank : t -> int -> int
+
 (** [add t x] inserts [x]; duplicates are ignored. *)
 val add : t -> int -> unit
 

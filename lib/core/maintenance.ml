@@ -171,7 +171,7 @@ let leave ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay id =
       n.Node.store;
     (* Departure announcement: replicas forget the leaver. *)
     farewell overlay id;
-    n.Node.online <- false;
+    Node.set_online n false;
     if Telemetry.active telemetry then begin
       Telemetry.emit telemetry (Event.Peer_leave { peer = id; pushed = !pushed });
       Telemetry.emit telemetry (Event.Churn_offline { peer = id })
@@ -190,7 +190,7 @@ let join ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay id ~entry =
   | None -> None
   | Some host_id ->
     adopt overlay ~host_id ~peer:id;
-    n.Node.online <- true;
+    Node.set_online n true;
     purge_stale_refs rng overlay id;
     if Telemetry.active telemetry then begin
       Telemetry.emit telemetry (Event.Peer_join { peer = id; hops = probe.Overlay.hops });

@@ -5,6 +5,14 @@ type id = int
 
 type meta = { mutable version : int; mutable dead : bool; mutable stamp : float }
 
+(* Every node of one overlay shares one census, so whether any peer is
+   offline is one read.  [set_online] is the only writer of [online] and
+   keeps the count exact. *)
+type census = { mutable offline : int }
+
+let census () = { offline = 0 }
+let offline c = c.offline
+
 type t = {
   id : id;
   mutable path : Path.t;
@@ -13,11 +21,12 @@ type t = {
   vers : (Key.t, meta) Hashtbl.t;
   replicas : Intset.t;
   mutable online : bool;
+  census : census;
   mutable zero_keys : int;
   mutable payload_keys : int;
 }
 
-let create ~id =
+let create_in census ~id =
   {
     id;
     path = Path.root;
@@ -26,9 +35,18 @@ let create ~id =
     vers = Hashtbl.create 8;
     replicas = Intset.create ();
     online = true;
+    census;
     zero_keys = 0;
     payload_keys = 0;
   }
+
+let create ~id = create_in (census ()) ~id
+
+let set_online t v =
+  if t.online <> v then begin
+    t.online <- v;
+    t.census.offline <- (t.census.offline + if v then -1 else 1)
+  end
 
 (* Version metadata is a sidecar: the legacy store never reads it, so
    maintaining it costs nothing observable (and no RNG) unless a

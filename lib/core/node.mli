@@ -20,9 +20,27 @@
     {!clear_store}, {!cut_outside} or {!drop_keys_outside}.  These keep
     two counts exact that a direct [Hashtbl] write would desynchronize:
     the zero-bit count ({!zero_count}) and the payload-key count
-    ({!payload_key_count}). *)
+    ({!payload_key_count}).
+
+    The record is [private]: every field reads as usual, but only this
+    module writes one.  In particular liveness ([online]) is written only
+    through {!set_online}, which keeps the {!census} the node belongs to
+    exact. *)
 
 type id = int
+
+(** A liveness census: the exact number of offline nodes among the ones
+    created with it.  Every node of one overlay shares one census (see
+    [Overlay.create] and [Overlay.add_peer]), so the overlay knows in
+    O(1) whether any peer is offline; routing's reference pick skips its
+    liveness scan while none is. *)
+type census
+
+(** [census ()] is a fresh census with no offline node. *)
+val census : unit -> census
+
+(** [offline c] is the number of offline nodes counted by [c]. *)
+val offline : census -> int
 
 (** Per-key write metadata, the sidecar the reconciliation layer reads
     (see {!Reconcile}): a monotone overlay-wide write version, a
@@ -33,7 +51,7 @@ type id = int
     zero-metadata case, not a special case. *)
 type meta = { mutable version : int; mutable dead : bool; mutable stamp : float }
 
-type t = {
+type t = private {
   id : id;
   mutable path : Pgrid_keyspace.Path.t;
   mutable refs : Intset.t array;
@@ -49,7 +67,8 @@ type t = {
           key (that is the tombstone).  Read-only outside this module —
           mutate via {!note_write}/{!note_delete}/{!drop_meta}. *)
   replicas : Intset.t;  (** known peers sharing this node's path *)
-  mutable online : bool;
+  mutable online : bool;  (** written only by {!set_online} *)
+  census : census;  (** shared with the other nodes of the node's overlay *)
   mutable zero_keys : int;
       (** distinct stored keys with bit 0 at level [Path.length path], or
           [-1] while stale after a path change; maintained incrementally,
@@ -59,8 +78,16 @@ type t = {
           incrementally, read via {!payload_key_count} *)
 }
 
-(** [create ~id] starts at the root path with an empty store. *)
+(** [create ~id] starts online, at the root path, with an empty store,
+    counted by a census of its own. *)
 val create : id:id -> t
+
+(** [create_in census ~id] is {!create}, counted by [census]. *)
+val create_in : census -> id:id -> t
+
+(** [set_online t v] sets [t]'s liveness and keeps its census exact;
+    setting the value it already has changes nothing. *)
+val set_online : t -> bool -> unit
 
 (** [insert t key payload] records [payload] under [key]; duplicate
     payloads under the same key are ignored. *)

@@ -25,18 +25,27 @@ type t = {
          either side of a partition are totally ordered per overlay and
          newest-write-wins is well defined after heal *)
   mutable watchers : (change -> unit) list;
-  mutable picks : int array;  (* the members [eligible] kept last *)
+  census : Node.census;  (* shared by every node, so offline peers are counted *)
+  mutable picks : int array;  (* the members a scanning [eligible] kept last *)
+  mutable direct : bool;  (* the last [eligible] kept no picks: [draw] reads [pick_set] *)
+  mutable pick_set : Intset.t;
+  mutable pick_skip : int;  (* rank of the excluded member in [pick_set], or [max_int] *)
 }
 
 let create rng ~n =
   if n < 1 then invalid_arg "Overlay.create: n must be >= 1";
+  let census = Node.census () in
   {
-    nodes = Array.init n (fun id -> Node.create ~id);
+    nodes = Array.init n (fun id -> Node.create_in census ~id);
     count = n;
     rng;
     clock = 0;
     watchers = [];
+    census;
     picks = Array.make 16 0;
+    direct = false;
+    pick_set = Intset.create ();
+    pick_skip = max_int;
   }
 
 let subscribe t f = t.watchers <- f :: t.watchers
@@ -61,7 +70,7 @@ let add_peer t =
     Array.blit t.nodes 0 grown 0 cap;
     t.nodes <- grown
   end;
-  let n = Node.create ~id:t.count in
+  let n = Node.create_in t.census ~id:t.count in
   t.nodes.(t.count) <- n;
   t.count <- t.count + 1;
   n
@@ -75,12 +84,7 @@ let exists t p =
   let rec go i = i < t.count && (p t.nodes.(i) || go (i + 1)) in
   go 0
 
-let online_count t =
-  let acc = ref 0 in
-  for i = 0 to t.count - 1 do
-    if t.nodes.(i).Node.online then incr acc
-  done;
-  !acc
+let online_count t = t.count - Node.offline t.census
 
 type search_result = {
   responsible : Node.id option;
@@ -104,34 +108,45 @@ let divergence_level path key =
   let l = divergence path key in
   if l < 0 then None else Some l
 
-(* The single reference-choice kernel.  One closure-free pass keeps the
-   eligible members in [t.picks]; [draw] then makes the one uniform draw
-   over them: the draw and the choice of counting the eligible members,
-   drawing a rank and scanning to it, which the seeded experiments
-   depend on. *)
+(* The single reference-choice kernel: the draw and the choice of
+   counting the eligible members, drawing a rank and scanning to it,
+   which the seeded experiments depend on.  While no peer is offline and
+   no [admit] vetoes an edge, every member but [excluding] is eligible:
+   the count is the cardinal, and [draw] maps its rank straight to the
+   member, stepping over [excluding].  Otherwise one closure-free pass
+   keeps the eligible members in [t.picks] for [draw]. *)
 let eligible ?admit t ~src ~excluding set =
   let n = Intset.cardinal set in
-  if Array.length t.picks < n then t.picks <- Array.make (max n (2 * Array.length t.picks)) 0;
-  let picks = t.picks and nodes = t.nodes in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    let id = Intset.get set i in
-    if
-      id <> excluding
-      && nodes.(id).Node.online
-      && match admit with None -> true | Some admit -> admit src id
-    then begin
-      picks.(!count) <- id;
-      incr count
-    end
-  done;
-  !count
+  match admit with
+  | None when Node.offline t.census = 0 ->
+    t.direct <- true;
+    t.pick_set <- set;
+    let skip = if excluding < 0 then -1 else Intset.rank set excluding in
+    t.pick_skip <- (if skip < 0 then max_int else skip);
+    if skip < 0 then n else n - 1
+  | _ ->
+    t.direct <- false;
+    if Array.length t.picks < n then
+      t.picks <- Array.make (max n (2 * Array.length t.picks)) 0;
+    let picks = t.picks and nodes = t.nodes in
+    let count = ref 0 in
+    for i = 0 to n - 1 do
+      let id = Intset.get set i in
+      if
+        id <> excluding
+        && nodes.(id).Node.online
+        && match admit with None -> true | Some admit -> admit src id
+      then begin
+        picks.(!count) <- id;
+        incr count
+      end
+    done;
+    !count
 
-let draw t rng count = t.picks.(Rng.int rng count)
-
-(* Every routed operation admits every edge by default; a caller
-   modelling a live partition passes the cut as [admit src dst]. *)
-let admit_all (_ : Node.id) (_ : Node.id) = true
+let draw t rng count =
+  let r = Rng.int rng count in
+  if t.direct then Intset.get t.pick_set (if r >= t.pick_skip then r + 1 else r)
+  else t.picks.(r)
 
 (* Forward one step toward [key]: a uniform online reference at the
    divergence level. *)
@@ -206,8 +221,13 @@ let range_search t ~from ~lo ~hi =
   let visited, total_hops, matches = shower from lo [] 0 [] in
   { visited; total_hops; matches }
 
-let insert ?(admit = admit_all) ?(stamp = 0.) t ~from key payload =
-  let r = search ~admit t ~from key in
+(* Every routed write admits every edge unless a caller modelling a live
+   partition passes the cut as [admit src dst]; a missing [admit] stays
+   [None], so the routing keeps its O(1) pick. *)
+let admits admit src dst = match admit with None -> true | Some f -> f src dst
+
+let insert ?admit ?(stamp = 0.) t ~from key payload =
+  let r = search ?admit t ~from key in
   match r.responsible with
   | None -> None
   | Some id ->
@@ -222,7 +242,7 @@ let insert ?(admit = admit_all) ?(stamp = 0.) t ~from key payload =
         if
           replica.Node.online
           && Node.responsible_for replica key
-          && admit id rid
+          && admits admit id rid
         then begin
           Node.insert replica key payload;
           Node.note_write replica key ~version ~stamp
@@ -233,8 +253,8 @@ let insert ?(admit = admit_all) ?(stamp = 0.) t ~from key payload =
 
 type delete_result = { hops : int; removed : int }
 
-let delete ?(admit = admit_all) ?(stamp = 0.) t ~from ?payload key =
-  let r = search ~admit t ~from key in
+let delete ?admit ?(stamp = 0.) t ~from ?payload key =
+  let r = search ?admit t ~from key in
   match r.responsible with
   | None -> None
   | Some id ->
@@ -267,7 +287,7 @@ let delete ?(admit = admit_all) ?(stamp = 0.) t ~from ?payload key =
         if
           replica.Node.online
           && Node.responsible_for replica key
-          && admit id rid
+          && admits admit id rid
         then removed := !removed + remove_at replica)
       peer.Node.replicas;
     notify t (Key_written key);

@@ -12,12 +12,14 @@
     stable across growth. *)
 type t
 
-(** [create rng ~n] makes [n] nodes, all at the root path, ids [0..n-1]. *)
+(** [create rng ~n] makes [n] nodes, all at the root path, ids [0..n-1],
+    sharing one {!Node.census}. *)
 val create : Pgrid_prng.Rng.t -> n:int -> t
 
-(** [add_peer t] appends a fresh node at the root path with the next
-    dense id ([size t] before the call) and returns it.  Existing ids
-    remain valid across the capacity doublings this triggers. *)
+(** [add_peer t] appends a fresh online node at the root path with the
+    next dense id ([size t] before the call), counted by the overlay's
+    census, and returns it.  Existing ids remain valid across the
+    capacity doublings this triggers. *)
 val add_peer : t -> Node.t
 
 val size : t -> int
@@ -51,7 +53,8 @@ val iter : t -> (Node.t -> unit) -> unit
 (** [exists t p] tests whether any node satisfies [p]. *)
 val exists : t -> (Node.t -> bool) -> bool
 
-(** [online_count t] is the number of online nodes. *)
+(** [online_count t] is the number of online nodes: O(1), [size t]
+    minus the census's offline count. *)
 val online_count : t -> int
 
 (** Outcome of a routed lookup. *)
@@ -95,9 +98,15 @@ val divergence_level :
     of [set] that are online, differ from [excluding] and pass
     [admit src] (pure, as for {!search}; called once per online member
     other than [excluding]).  It keeps them, in ascending order, for the
-    next {!draw}.  One closure-free pass; every uniform reference choice
-    (routing, construction's referrals, replica contacts) goes through
-    it. *)
+    next {!draw}.  Every uniform reference choice (routing,
+    construction's referrals, replica contacts) goes through it.
+
+    While no peer of [t] is offline and there is no [admit], it reads no
+    node: the count is [Intset.cardinal set], less one when [excluding]
+    is a member (found with [Intset.rank]), and {!draw} maps its rank
+    straight to the member, stepping over [excluding].  Otherwise it
+    makes one closure-free pass over [set].  Both give the same count,
+    the same draw and the same member. *)
 val eligible :
   ?admit:(Node.id -> Node.id -> bool) ->
   t ->
@@ -110,7 +119,7 @@ val eligible :
     member of the ones the last {!eligible} kept; [n] must be its
     positive result.  Together they make the draw and the choice of a
     count-then-scan: count the eligible members, draw a rank, scan to
-    it. *)
+    it.  O(1). *)
 val draw : t -> Pgrid_prng.Rng.t -> int -> Node.id
 
 (** [forward ?admit t cur key] is one routing step of {!search}, exposed

@@ -657,7 +657,7 @@ let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed =
     if not (killed.(i) && v) then begin
       let n = Overlay.node overlay i in
       if n.Node.online <> v then begin
-        n.Node.online <- v;
+        Node.set_online n v;
         if Telemetry.active tel then
           Telemetry.emit tel
             (if v then Event.Churn_online { peer = i }
@@ -681,7 +681,7 @@ let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed =
       ~on_kill:(fun i ->
         killed.(i) <- true;
         let n = Overlay.node overlay i in
-        n.Node.online <- false;
+        Node.set_online n false;
         Node.clear_store n)
       net ~seed:(seed + 3)
       [ Fault.Kill
@@ -1026,7 +1026,7 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
   let set_online i v =
     let n = Overlay.node overlay i in
     if n.Node.online <> v then begin
-      n.Node.online <- v;
+      Node.set_online n v;
       Net.set_online net i v;
       if Telemetry.active tel then
         Telemetry.emit tel
@@ -1842,14 +1842,14 @@ let queries_run ~peers ~count ~seed =
       (* Churn: take a few peers down (their cached entries turn stale),
          bring the previous round's victims back. *)
       List.iter
-        (fun i -> (Overlay.node overlay i).Node.online <- true)
+        (fun i -> Node.set_online (Overlay.node overlay i) true)
         !offline;
       offline := [];
       for _ = 1 to churn_per_round do
         let i = Rng.int srng peers in
         let n = Overlay.node overlay i in
         if n.Node.online then begin
-          n.Node.online <- false;
+          Node.set_online n false;
           offline := i :: !offline
         end
       done;
@@ -1869,7 +1869,7 @@ let queries_run ~peers ~count ~seed =
       let report = Balance.pass srng overlay bcfg in
       splits := !splits + report.Balance.splits
     done;
-    List.iter (fun i -> (Overlay.node overlay i).Node.online <- true) !offline;
+    List.iter (fun i -> Node.set_online (Overlay.node overlay i) true) !offline;
     let cstats = Qcache.stats cache in
     under "storm"
       [

@@ -30,7 +30,8 @@ type outcome = {
 
    Every node the walk visits learns the final answer ([Qcache.learn]),
    so hot partitions populate the caches of the peers that actually
-   forward traffic, not just the origins. *)
+   forward traffic, not just the origins.  Without a cache nothing
+   learns, so the walk keeps no [visited] list. *)
 let lookup ?(telemetry = Pgrid_telemetry.Global.get ()) ?cache overlay ~from key =
   let fail ?at hops stale =
     {
@@ -104,7 +105,7 @@ let lookup ?(telemetry = Pgrid_telemetry.Global.get ()) ?cache overlay ~from key
         ~present:(Node.has_key cur key) ~payloads:(Node.lookup cur key)
     | `Dead_end level -> fail ~at:(cur.Node.id, level) hops stale
     | `Next id ->
-      visited := cur.Node.id :: !visited;
+      (match cache with Some _ -> visited := cur.Node.id :: !visited | None -> ());
       go (Overlay.node overlay id) (hops + 1) stale
   in
   let origin = Overlay.node overlay from in

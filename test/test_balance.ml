@@ -145,7 +145,7 @@ let test_skips_partitions_with_offline_members () =
     let p = Path.to_string (Overlay.node overlay i).Node.path in
     if not (Hashtbl.mem seen p) then begin
       Hashtbl.add seen p ();
-      (Overlay.node overlay i).Node.online <- false
+      Node.set_online (Overlay.node overlay i) false
     end
   done;
   let before = census_paths overlay in
@@ -239,7 +239,7 @@ let golden_restrict =
   golden "restrict"
     (fun () ->
       let overlay, _ = build 17 in
-      List.iter (fun i -> (Overlay.node overlay i).Node.online <- false) [ 3; 40; 77; 150 ];
+      List.iter (fun i -> Node.set_online (Overlay.node overlay i) false) [ 3; 40; 77; 150 ];
       let rng = Rng.create ~seed:49 in
       let even i = i mod 2 = 0 and odd i = i mod 2 = 1 in
       let r1 = Balance.pass ~restrict:even rng overlay split_cfg in
@@ -258,7 +258,7 @@ let test_restrict_ignores_dark_descendants () =
     List.iter
       (fun (i, p) -> Node.set_path (Overlay.node overlay i) (Path.of_string p))
       [ (0, "0"); (1, "0"); (2, "1"); (3, "00") ];
-    (Overlay.node overlay 3).Node.online <- false;
+    Node.set_online (Overlay.node overlay 3) false;
     let cfg =
       { (Balance.default_config ~d_max:50 ~n_min:1) with Balance.retract_members = 4 }
     in
@@ -288,7 +288,7 @@ let qcheck_patched_census =
         Node.set_path n p;
         ignore (Node.drop_keys_outside n p)
       end;
-      if Rng.bool rng then n.Node.online <- false
+      if Rng.bool rng then Node.set_online n false
     done;
     overlay
   in

@@ -108,7 +108,7 @@ let test_search_hop_bound () =
 
 let test_search_from_offline () =
   let overlay, _, keys = build 5 in
-  (Overlay.node overlay 0).Node.online <- false;
+  Node.set_online (Overlay.node overlay 0) false;
   let r = Overlay.search overlay ~from:0 keys.(0) in
   checkb "offline origin fails" true (r.Overlay.responsible = None);
   checki "no hops" 0 r.Overlay.hops
@@ -119,7 +119,7 @@ let test_search_avoids_offline_refs () =
      succeed thanks to redundant references. *)
   let rng = Rng.create ~seed:66 in
   for i = 0 to Overlay.size overlay - 1 do
-    if Rng.float rng < 0.2 then (Overlay.node overlay i).Node.online <- false
+    if Rng.float rng < 0.2 then Node.set_online (Overlay.node overlay i) false
   done;
   let ok = ref 0 and total = ref 0 in
   Array.iteri
@@ -207,7 +207,7 @@ let test_anti_entropy_skips_offline () =
   Node.insert a (key 0.1) "x";
   Node.insert b (key 0.2) "y";
   Node.insert c (key 0.3) "z";
-  c.Node.online <- false;
+  Node.set_online c false;
   checki "only the online pair reconciles" 2 (Overlay.anti_entropy overlay);
   checki "offline store untouched" 1 (Node.key_count c);
   checkb "offline keys stay unshared" true (not (Node.has_key a (key 0.3)))
@@ -219,7 +219,7 @@ let test_anti_entropy_singleton () =
   Node.set_path a (Path.of_string "0");
   Node.set_path b (Path.of_string "0");
   Node.insert a (key 0.1) "x";
-  b.Node.online <- false;
+  Node.set_online b false;
   (* A's replica group has one online member: no partner, no copies. *)
   checki "singleton group is a no-op" 0 (Overlay.anti_entropy overlay)
 
@@ -243,7 +243,7 @@ let test_anti_entropy_pair_budget () =
   checki "different paths never exchange" 0
     (Overlay.anti_entropy_pair overlay ~a:0 ~b:2 ~budget:10);
   checki "self-exchange is a no-op" 0 (Overlay.anti_entropy_pair overlay ~a:0 ~b:0 ~budget:10);
-  b.Node.online <- false;
+  Node.set_online b false;
   checki "offline partner is a no-op" 0 (Overlay.anti_entropy_pair overlay ~a:0 ~b:1 ~budget:10);
   Alcotest.check_raises "negative budget rejected"
     (Invalid_argument "Overlay.anti_entropy_pair: negative budget") (fun () ->
@@ -462,7 +462,7 @@ let qcheck_pick_kernel =
   QCheck.Test.make ~name:"single-pass pick = count-then-scan" ~count:500
     (QCheck.make ~print gen) (fun (members, offline, vetoed, (with_admit, excluding, seed)) ->
       let overlay = Overlay.create (Rng.create ~seed:1) ~n:peers in
-      List.iter (fun id -> (Overlay.node overlay id).Node.online <- false) offline;
+      List.iter (fun id -> Node.set_online (Overlay.node overlay id) false) offline;
       let set = Intset.of_list members in
       let src = 7 in
       (* Vetoes only edges out of [src], so a wrong [src] shows. *)
@@ -477,6 +477,151 @@ let qcheck_pick_kernel =
       let count = Overlay.eligible ?admit overlay ~src ~excluding set in
       let got = if count = 0 then -1 else Overlay.draw overlay r2 count in
       got = expected && Rng.int r1 1_000_000 = Rng.int r2 1_000_000)
+
+(* While no peer is offline and there is no [admit], [eligible] counts
+   the set without reading a node and [draw] maps its rank straight to
+   the member.  Random sets of 0-200 of 256 all-online peers, with
+   [excluding] none (-1), absent or present: the direct pick and the
+   scan (forced by an [admit] that vetoes nothing) agree on the count,
+   the peer and the generator state after. *)
+let qcheck_direct_pick =
+  let peers = 256 in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_bound 200) (int_bound (peers - 1)))
+        (int_bound 2) (int_bound 10_000))
+  in
+  let print (members, mode, seed) =
+    Printf.sprintf "members=[%s] excluding-mode=%d seed=%d"
+      (String.concat ";" (List.map string_of_int members))
+      mode seed
+  in
+  QCheck.Test.make ~name:"direct pick = scanned pick while all online" ~count:500
+    (QCheck.make ~print gen) (fun (members, mode, seed) ->
+      let overlay = Overlay.create (Rng.create ~seed:1) ~n:peers in
+      let set = Intset.of_list members in
+      let excluding =
+        match mode with
+        | 0 -> -1
+        | 1 ->
+          (* The smallest peer id outside the set. *)
+          let rec absent i = if i < peers && Intset.mem set i then absent (i + 1) else i in
+          absent 0
+        | _ -> if members = [] then -1 else List.nth members (seed mod List.length members)
+      in
+      let pick ?admit rng =
+        let count = Overlay.eligible ?admit overlay ~src:0 ~excluding set in
+        (count, if count = 0 then -1 else Overlay.draw overlay rng count)
+      in
+      let r1 = Rng.create ~seed and r2 = Rng.create ~seed in
+      let direct = pick r1 and scanned = pick ~admit:(fun _ _ -> true) r2 in
+      direct = scanned
+      && (snd direct = -1 || snd direct <> excluding)
+      && Rng.bits64 r1 = Rng.bits64 r2)
+
+(* [Node.set_online] keeps the overlay's offline count exact, which
+   [Overlay.online_count] reads: random toggles (often repeating the
+   value a peer already has), interleaved with [add_peer], then a
+   [Merge.overlays] of the result with a second toggled overlay. *)
+let qcheck_liveness_census =
+  let op = QCheck.Gen.(pair (int_bound 63) bool) in
+  let gen = QCheck.Gen.(triple (int_range 1 20) (list_size (int_bound 120) op) (int_bound 10_000)) in
+  let print (n, ops, seed) =
+    Printf.sprintf "n=%d seed=%d ops=[%s]" n seed
+      (String.concat ";"
+         (List.map (fun (i, on) -> Printf.sprintf "%d%c" i (if on then '+' else '-')) ops))
+  in
+  let recount o =
+    let c = ref 0 in
+    Overlay.iter o (fun n -> if n.Node.online then incr c);
+    !c
+  in
+  QCheck.Test.make ~name:"offline census = recount under toggles" ~count:300
+    (QCheck.make ~print gen) (fun (n, ops, seed) ->
+      let o = Overlay.create (Rng.create ~seed) ~n in
+      let ok = ref true in
+      List.iter
+        (fun (i, on) ->
+          (* An out-of-range id grows the overlay by one peer instead. *)
+          if i < Overlay.size o then Node.set_online (Overlay.node o i) on
+          else ignore (Overlay.add_peer o);
+          ok := !ok && Overlay.online_count o = recount o)
+        ops;
+      let other = Overlay.create (Rng.create ~seed:(seed + 1)) ~n:5 in
+      Node.set_online (Overlay.node other (seed mod 5)) false;
+      let config =
+        {
+          Pgrid_construction.Engine.n_min = 1;
+          d_max = 10;
+          max_fruitless = 2;
+          refer_hops = 2;
+          mode = Pgrid_construction.Engine.Theory;
+        }
+      in
+      let m =
+        (Pgrid_construction.Merge.overlays (Rng.create ~seed) ~config ~max_rounds:1 o other)
+          .Pgrid_construction.Merge.overlay
+      in
+      !ok && Overlay.online_count m = recount m
+      && Overlay.online_count m = Overlay.online_count o + Overlay.online_count other)
+
+(* A standalone node counts itself. *)
+let test_node_census () =
+  let n = Node.create ~id:3 in
+  checki "starts online" 0 (Node.offline n.Node.census);
+  Node.set_online n false;
+  Node.set_online n false;
+  checki "one offline, however often set" 1 (Node.offline n.Node.census);
+  Node.set_online n true;
+  checki "back online" 0 (Node.offline n.Node.census)
+
+(* Whatever the path (direct or scanned), a pick is an online member
+   other than [excluding], and [Overlay.forward] never steps to an
+   offline peer. *)
+let qcheck_offline_never_picked =
+  let peers = 64 in
+  let ids = QCheck.Gen.(list_size (int_bound 60) (int_bound (peers - 1))) in
+  let gen = QCheck.Gen.(quad ids ids (int_range (-1) (peers - 1)) (int_bound 10_000)) in
+  let print (members, offline, excluding, seed) =
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    Printf.sprintf "members=[%s] offline=[%s] excluding=%d seed=%d" (ints members)
+      (ints offline) excluding seed
+  in
+  QCheck.Test.make ~name:"an offline reference is never picked" ~count:500
+    (QCheck.make ~print gen) (fun (members, offline, excluding, seed) ->
+      let overlay = Overlay.create (Rng.create ~seed) ~n:peers in
+      List.iter (fun id -> Node.set_online (Overlay.node overlay id) false) offline;
+      let set = Intset.of_list members in
+      let rng = Rng.create ~seed in
+      let usable id = id <> excluding && (Overlay.node overlay id).Node.online in
+      let any = Intset.exists usable set in
+      let picks_ok =
+        List.for_all
+          (fun _ ->
+            let count = Overlay.eligible overlay ~src:0 ~excluding set in
+            if count = 0 then not any else usable (Overlay.draw overlay rng count))
+          (List.init 20 Fun.id)
+      in
+      (* Peer 0 on path "0", every member on path "1": a key starting
+         with 1 diverges at level 0, so [forward] picks among them. *)
+      let src = Overlay.node overlay 0 in
+      Node.set_path src (Path.of_string "0");
+      Intset.iter
+        (fun id ->
+          if id <> 0 then begin
+            Node.set_path (Overlay.node overlay id) (Path.of_string "1");
+            Node.add_ref src ~level:0 id
+          end)
+        set;
+      let forward_ok =
+        match Overlay.forward overlay src (key 0.75) with
+        | `Next id -> id <> 0 && (Overlay.node overlay id).Node.online
+        | `Dead_end _ ->
+          not (Intset.exists (fun id -> id <> 0 && (Overlay.node overlay id).Node.online) set)
+        | `Responsible -> false
+      in
+      picks_ok && forward_ok)
 
 (* The bit-by-bit loop [Overlay.divergence_level] replaced. *)
 let divergence_by_bits path key =
@@ -552,7 +697,7 @@ let qcheck_census =
         (fun i (p, on) ->
           let n = Overlay.node overlay i in
           Node.set_path n (Path.of_string p);
-          n.Node.online <- on)
+          Node.set_online n on)
         peers;
       let got =
         List.map
@@ -591,6 +736,10 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_zero_counter;
     QCheck_alcotest.to_alcotest qcheck_builder_integrity;
     QCheck_alcotest.to_alcotest qcheck_pick_kernel;
+    QCheck_alcotest.to_alcotest qcheck_direct_pick;
+    QCheck_alcotest.to_alcotest qcheck_liveness_census;
+    Alcotest.test_case "node census" `Quick test_node_census;
+    QCheck_alcotest.to_alcotest qcheck_offline_never_picked;
     QCheck_alcotest.to_alcotest qcheck_divergence_level;
     QCheck_alcotest.to_alcotest qcheck_census;
   ]

@@ -250,7 +250,7 @@ let test_correct_on_use_evicts_and_refills () =
   let peer = 0 in
   let n = Overlay.node overlay peer in
   let target = List.hd (Node.refs_at n ~level:0) in
-  (Overlay.node overlay target).Node.online <- false;
+  Node.set_online (Overlay.node overlay target) false;
   let evicted =
     Maintenance.correct_on_use ~telemetry:Telemetry.disabled ~dead:target rng
       overlay ~peer ~level:0
@@ -271,7 +271,7 @@ let test_lookup_heal_retries () =
   (* Hard failures, no graceful hand-over: un-healed lookups hit dead
      ends at levels whose every reference died. *)
   let victims = Rng.sample_without_replacement rng ~k:50 ~n:150 in
-  Array.iter (fun id -> (Overlay.node overlay id).Node.online <- false) victims;
+  Array.iter (fun id -> Node.set_online (Overlay.node overlay id) false) victims;
   let plain = Query.lookup_batch (Rng.create ~seed:1) overlay ~keys ~count:300 in
   let healed =
     Query.lookup_batch ~heal:true (Rng.create ~seed:1) overlay ~keys ~count:300

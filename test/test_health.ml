@@ -50,7 +50,7 @@ let test_dark_partition_detected () =
   let overlay, keys = build 2 in
   let path = (Overlay.node overlay 0).Node.path in
   List.iter
-    (fun i -> (Overlay.node overlay i).Node.online <- false)
+    (fun i -> Node.set_online (Overlay.node overlay i) false)
     (members overlay path);
   let r = Health.check ~keys ~n_min:5 overlay in
   checki "one dark partition" 1 r.Health.trie_incomplete;
@@ -70,7 +70,7 @@ let test_under_replicated_detected () =
   let path = (Overlay.node overlay 0).Node.path in
   (match members overlay path with
   | _keep :: rest ->
-    List.iter (fun i -> (Overlay.node overlay i).Node.online <- false) rest
+    List.iter (fun i -> Node.set_online (Overlay.node overlay i) false) rest
   | [] -> Alcotest.fail "empty partition");
   let r = Health.check ~keys ~n_min:5 overlay in
   checkb "under-replication reported for the thinned partition" true
@@ -99,7 +99,7 @@ let test_lost_key_detected () =
 
 let test_emit_updates_gauges () =
   let overlay, keys = build 5 in
-  (Overlay.node overlay 0).Node.online <- false;
+  Node.set_online (Overlay.node overlay 0) false;
   let tel = Telemetry.create () in
   let r = Health.check ~keys ~n_min:5 overlay in
   Health.emit ~telemetry:tel r;
@@ -169,7 +169,7 @@ let test_daemon_rescues_dark_partition () =
      offline, stores intact. *)
   let path = (Overlay.node overlay 0).Node.path in
   List.iter
-    (fun i -> (Overlay.node overlay i).Node.online <- false)
+    (fun i -> Node.set_online (Overlay.node overlay i) false)
     (members overlay path);
   let r0 = Health.check ~keys ~n_min:5 overlay in
   checki "partition dark before" 1 r0.Health.trie_incomplete;
@@ -189,7 +189,7 @@ let test_daemon_deterministic () =
   let run () =
     let overlay, keys = build 8 in
     List.iter
-      (fun i -> (Overlay.node overlay i).Node.online <- false)
+      (fun i -> Node.set_online (Overlay.node overlay i) false)
       (members overlay (Overlay.node overlay 3).Node.path);
     let sim = Sim.create () in
     let stats =

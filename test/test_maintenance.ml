@@ -38,7 +38,7 @@ let test_leave_preserves_payloads () =
 
 let test_leave_offline_noop () =
   let overlay, _, _ = build 2 in
-  (Overlay.node overlay 3).Node.online <- false;
+  Node.set_online (Overlay.node overlay 3) false;
   checki "no-op on offline node" 0 (Maintenance.leave (Rng.create ~seed:78) overlay 3)
 
 let test_join_restores_peer () =
@@ -74,7 +74,7 @@ let test_repair_prunes_and_fills () =
   let overlay, keys, rng = build 5 in
   (* Hard failures (no graceful handover). *)
   let victims = Rng.sample_without_replacement rng ~k:45 ~n:150 in
-  Array.iter (fun id -> (Overlay.node overlay id).Node.online <- false) victims;
+  Array.iter (fun id -> Node.set_online (Overlay.node overlay id) false) victims;
   let report = Maintenance.repair rng overlay ~redundancy:2 in
   checkb "dead refs pruned" true (report.Maintenance.dead_refs_dropped > 0);
   (* After repair, no online node may keep a dead reference. *)
@@ -170,7 +170,7 @@ let test_repair_rebalance_deterministic () =
     let overlay, _, _ = build 21 in
     let rng = Rng.create ~seed:99 in
     let victims = Rng.sample_without_replacement rng ~k:40 ~n:150 in
-    Array.iter (fun id -> (Overlay.node overlay id).Node.online <- false) victims;
+    Array.iter (fun id -> Node.set_online (Overlay.node overlay id) false) victims;
     let rep = Maintenance.repair rng overlay ~redundancy:2 in
     let reb = Maintenance.rebalance rng overlay ~n_min:5 ~max_rounds:100 in
     let fingerprint =

@@ -57,7 +57,7 @@ let test_lookup_under_failures () =
   let keys = all_keys in
   let rng = Rng.create ~seed:13 in
   for i = 0 to Overlay.size overlay - 1 do
-    if Rng.float rng < 0.15 then (Overlay.node overlay i).Node.online <- false
+    if Rng.float rng < 0.15 then Node.set_online (Overlay.node overlay i) false
   done;
   let s = Query.lookup_batch rng overlay ~keys ~count:300 in
   checkb "most lookups survive failures" true (s.Query.routed > 240)
@@ -133,7 +133,7 @@ let darken_partition overlay key =
   let origin = ref None in
   for i = 0 to Overlay.size overlay - 1 do
     let n = Overlay.node overlay i in
-    if Node.responsible_for n key then n.Node.online <- false
+    if Node.responsible_for n key then Node.set_online n false
     else if !origin = None && n.Node.online then origin := Some i
   done;
   Option.get !origin
@@ -525,7 +525,7 @@ let test_lookup_batch_nobody_online () =
      result (zero issued) instead of hanging in rejection sampling. *)
   let overlay, keys = build 26 in
   for i = 0 to Overlay.size overlay - 1 do
-    (Overlay.node overlay i).Node.online <- false
+    Node.set_online (Overlay.node overlay i) false
   done;
   let rng = Rng.create ~seed:68 in
   let s = Query.lookup_batch rng overlay ~keys ~count:100 in
@@ -545,7 +545,7 @@ let test_range_batch_nobody_online () =
      the old code reported [ranges = count] — and burn no RNG draws. *)
   let overlay, _ = build 27 in
   for i = 0 to Overlay.size overlay - 1 do
-    (Overlay.node overlay i).Node.online <- false
+    Node.set_online (Overlay.node overlay i) false
   done;
   let rng = Rng.create ~seed:70 in
   let s = Query.range_batch rng overlay ~count:50 ~width:0.1 in
@@ -695,7 +695,7 @@ let test_engine_stale_fallback () =
   let cache = Qcache.create overlay in
   let k, t = planted_pair overlay keys in
   Qcache.learn cache ~at:0 ~key:k ~target:t ~present:true ~payloads:[];
-  (Overlay.node overlay t).Node.online <- false;
+  Node.set_online (Overlay.node overlay t) false;
   let r = Engine.lookup ~cache overlay ~from:0 k in
   (match r.Engine.responsible with
   | None -> Alcotest.fail "routing must still resolve past a stale entry"
@@ -1011,7 +1011,7 @@ let qcheck_qcache_matches_model =
               true
             | Toggle p ->
               let n = Overlay.node overlay p in
-              n.Node.online <- not n.Node.online;
+              Node.set_online n (not n.Node.online);
               true
             | Repath (p, s) ->
               Node.set_path (Overlay.node overlay p) (Path.of_string s);

@@ -77,11 +77,11 @@ let resurrection_fixture seed =
   | Some _ -> ());
   let holders = holders_of overlay key in
   let stale = List.nth holders (List.length holders - 1) in
-  (Overlay.node overlay stale).Node.online <- false;
+  Node.set_online (Overlay.node overlay stale) false;
   (match Overlay.delete ~stamp:20. overlay ~from:0 key with
   | None -> Alcotest.fail "delete failed to route"
   | Some _ -> ());
-  (Overlay.node overlay stale).Node.online <- true;
+  Node.set_online (Overlay.node overlay stale) true;
   checkb "stale replica kept its copy" true
     (Hashtbl.mem (Overlay.node overlay stale).Node.store key);
   let live = List.filter (fun i -> i <> stale) holders in
@@ -280,7 +280,7 @@ let qcheck_conflicts =
         (fun i (p, on) ->
           let n = Overlay.node overlay i in
           Node.set_path n (Path.of_string p);
-          n.Node.online <- on)
+          Node.set_online n on)
         peers;
       Reconcile.conflicts overlay = conflicts_by_scan overlay)
 

@@ -207,7 +207,7 @@ let darken_partition overlay key =
   let origin = ref None in
   for i = 0 to Overlay.size overlay - 1 do
     let n = Overlay.node overlay i in
-    if Node.responsible_for n key then n.Node.online <- false
+    if Node.responsible_for n key then Node.set_online n false
     else if !origin = None && n.Node.online then origin := Some i
   done;
   Option.get !origin
@@ -273,9 +273,9 @@ let test_coordinator_crash_presumed_abort () =
      state before the acks arrive. *)
   Sim.schedule sim ~delay:0.75 (fun () ->
       Txn.note_crash t coordinator;
-      (Overlay.node overlay coordinator).Node.online <- false);
+      Node.set_online (Overlay.node overlay coordinator) false);
   Sim.schedule sim ~delay:5. (fun () ->
-      (Overlay.node overlay coordinator).Node.online <- true);
+      Node.set_online (Overlay.node overlay coordinator) true);
   Sim.run sim;
   Alcotest.check Alcotest.bool "stuck pending after the crash" true
     (Txn.status t !id = Some Txn.Pending);
