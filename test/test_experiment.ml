@@ -121,15 +121,19 @@ let test_survival_smoke () =
     checki "summary columns: metric, on, off, dominance" 4 (fst (table_shape summary))
   | _ -> Alcotest.fail "series and summary tables expected"
 
+(* The two 128-peer arms of a miniature overload storm. *)
+let overload_smoke =
+  lazy
+    (let arm protected =
+       Figures.overload_arm ~peers:128 ~horizon:360. ~base_rate:10. ~peak_rate:120.
+         ~protected ~seed:6 ()
+     in
+     (arm true, arm false))
+
 let test_overload_smoke () =
   (* A miniature storm: both arms share the identical offered load; the
      protected arm sheds and the unprotected arm builds backlog. *)
-  let arm protected =
-    Figures.overload_arm ~peers:128 ~horizon:360. ~base_rate:10. ~peak_rate:120. ~protected
-      ~seed:6 ()
-  in
-  let on_issued, on = arm true in
-  let off_issued, off = arm false in
+  let (on_issued, on), (off_issued, off) = Lazy.force overload_smoke in
   let metrics = on @ off in
   let v = value metrics in
   checki "24 windows per arm" 24 (samples metrics "on/goodput@");
@@ -160,6 +164,98 @@ let test_smoke_claims name () =
       let holds, line = Experiment.check out.metrics c in
       checkb line true holds)
     e.claims
+
+module Net_engine = Pgrid_construction.Net_engine
+module Maintenance = Pgrid_core.Maintenance
+
+(* A 48-peer simnet run with the maintenance daemon and the transaction
+   workload on: the daemon's processes, the legacy query loop and the
+   document and recovery loops all run. *)
+let net_engine_metrics () =
+  let base = Net_engine.default_params ~peers:48 in
+  let o =
+    Net_engine.run (Pgrid_prng.Rng.create ~seed:42)
+      {
+        base with
+        Net_engine.maint =
+          Some
+            {
+              (Maintenance.default_daemon_config ~n_min:base.Net_engine.n_min) with
+              Maintenance.period = 30.;
+            };
+        txn = Some Net_engine.default_txn_workload;
+      }
+      ~spec:Pgrid_workload.Distribution.Uniform
+  in
+  let i name v = (name, float_of_int v) in
+  let series name pts = List.map (fun (x, y) -> (Printf.sprintf "%s@%h" name x, y)) pts in
+  let qs = o.Net_engine.query_stats in
+  let m = Option.get o.Net_engine.maint_stats in
+  let t = Option.get o.Net_engine.txn_stats in
+  [
+    ("deviation", o.Net_engine.deviation);
+    i "issued" qs.Net_engine.issued;
+    i "succeeded" qs.Net_engine.succeeded;
+    ("mean_hops", qs.Net_engine.mean_hops);
+    ("mean_latency", qs.Net_engine.mean_latency);
+    i "messages_sent" o.Net_engine.messages_sent;
+    i "messages_dropped" o.Net_engine.messages_dropped;
+    i "ticks" m.Maintenance.ticks;
+    i "exchanges" m.Maintenance.exchanges;
+    i "keys_synced" m.Maintenance.keys_synced;
+    i "levels_refreshed" m.Maintenance.levels_refreshed;
+    i "refs_evicted" m.Maintenance.refs_evicted;
+    i "refs_added" m.Maintenance.refs_added;
+    i "monitor_runs" m.Maintenance.monitor_runs;
+    i "rereplications" m.Maintenance.rereplications;
+    i "recover_passes" m.Maintenance.recover_passes;
+    i "intents_resolved" m.Maintenance.intents_resolved;
+    i "begun" t.Pgrid_core.Txn.begun;
+    i "committed" t.Pgrid_core.Txn.committed;
+    i "aborted" t.Pgrid_core.Txn.aborted;
+    i "prepares" t.Pgrid_core.Txn.prepares;
+    i "recovered" t.Pgrid_core.Txn.recovered;
+  ]
+  @ series "online" (List.map (fun (x, n) -> (x, float_of_int n)) o.Net_engine.online_series)
+  @ series "maintenance_bw" o.Net_engine.maintenance_bw
+  @ series "query_bw" o.Net_engine.query_bw
+  @ series "latency" (List.map (fun (x, mean, _) -> (x, mean)) o.Net_engine.latency_series)
+
+(* Every metric of the simulation experiments, hashed: the smoke runs,
+   the overload smoke arms and one simnet run with the daemon and
+   transactions on.  A refactor of their scheduling or set-up that
+   moves one draw, event or value changes a digest. *)
+let test_simulation_digests () =
+  let digest metrics =
+    List.map (fun (name, v, _) -> Printf.sprintf "%s %h\n" name v) metrics
+    |> String.concat ""
+    |> Digest.string
+    |> Digest.to_hex
+  in
+  let (_, on), (_, off) = Lazy.force overload_smoke in
+  let got =
+    List.map
+      (fun name -> (name, digest (smoke name).Experiment.metrics))
+      [ "survival"; "balance"; "txn"; "partition"; "queries"; "resilience" ]
+    @ [
+        ("overload", digest (on @ off));
+        ( "net_engine",
+          digest (List.map (fun (n, v) -> (n, v, Experiment.Up)) (net_engine_metrics ())) );
+      ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "digests"
+    [
+      ("survival", "c8579a7222b5cecaa866d1f2dd8a7dba");
+      ("balance", "e60aec32989a9fbf19bfd0ebe91d85a6");
+      ("txn", "cbff856c46d740b5817a90ed50fc5f6b");
+      ("partition", "a7c6de47ed82476538367972c9cfc19d");
+      ("queries", "168300ec8ca3226a2762a7c43f1a0c59");
+      ("resilience", "a9126da0eb54f3d8f180f44c01127066");
+      ("overload", "1ea17279d0a90fe0cdae18c3ff99820a");
+      ("net_engine", "792283da1ec0aff9dcff7ff4cca107c1");
+    ]
+    got
 
 let test_claim_reads_missing_metric () =
   let metrics = [ ("on/lost", 0., Experiment.Down) ] in
@@ -224,6 +320,7 @@ let suite =
     Alcotest.test_case "planetlab artifacts" `Slow test_planetlab_artifacts;
     Alcotest.test_case "survival smoke" `Slow test_survival_smoke;
     Alcotest.test_case "overload smoke" `Slow test_overload_smoke;
+    Alcotest.test_case "simulation digests" `Slow test_simulation_digests;
     Alcotest.test_case "ablation sequential" `Quick test_ablation_sequential;
     Alcotest.test_case "ablation cost" `Slow test_ablation_cost;
     Alcotest.test_case "ablation correction" `Slow test_ablation_correction;
