@@ -350,13 +350,9 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
   (* --- periodic pings -------------------------------------------------- *)
   Array.iteri
     (fun i _ ->
-      let rec ping () =
-        if Sim.now sim < ph.end_time then begin
-          if online i then account ~src:i ~bytes:params.header_bytes ~kind:Net.Maintenance ();
-          Sim.schedule sim ~delay:params.ping_interval ping
-        end
-      in
-      Sim.schedule sim ~delay:(Sample.uniform rng ~lo:0. ~hi:params.ping_interval) ping)
+      Sim.every sim ~at:(Sample.uniform rng ~lo:0. ~hi:params.ping_interval)
+        ~until:ph.end_time ~period:(fun () -> params.ping_interval) (fun () ->
+          if online i then account ~src:i ~bytes:params.header_bytes ~kind:Net.Maintenance ()))
     assignments;
   (* --- queries ---------------------------------------------------------- *)
   let all_keys =
@@ -429,17 +425,10 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
   in
   Array.iteri
     (fun i _ ->
-      let rec loop () =
-        if Sim.now sim < ph.end_time then begin
-          if online i && Sim.now sim >= ph.query_start then issue_query i;
-          Sim.schedule sim
-            ~delay:(Sample.uniform rng ~lo:params.query_min ~hi:params.query_max)
-            loop
-        end
-      in
-      Sim.schedule_at sim
-        ~time:(ph.query_start +. Sample.uniform rng ~lo:0. ~hi:params.query_max)
-        loop)
+      Sim.every sim ~at:(ph.query_start +. Sample.uniform rng ~lo:0. ~hi:params.query_max)
+        ~until:ph.end_time
+        ~period:(fun () -> Sample.uniform rng ~lo:params.query_min ~hi:params.query_max)
+        (fun () -> if online i then issue_query i))
     assignments;
   (* --- self-healing daemon ---------------------------------------------- *)
   (* The split is gated exactly like the storm's: a run without the
@@ -461,12 +450,8 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
         in
         maint_stats :=
           Some
-            (Maintenance.install_daemon ~telemetry:tel
-               ~keys:(fun () -> all_keys)
-               mrng overlay
-               ~schedule:(fun ~delay f -> Sim.schedule sim ~delay f)
-               ~now:(fun () -> Sim.now sim)
-               ~until:ph.end_time cfg)));
+            (Maintenance.install_daemon ~telemetry:tel ~keys:(fun () -> all_keys) sim mrng
+               overlay ~until:ph.end_time cfg)));
   (* --- transaction workload --------------------------------------------- *)
   (* Gated exactly like the storm and the daemon: [txn = None] creates
      nothing and consumes no draws, so legacy runs are bit-identical. *)
@@ -496,41 +481,25 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
     (* Document submissions: a random online coordinator indexes one
        document under [keys_min, keys_max] distinct keys, atomically. *)
     let next_doc = ref 0 in
-    let rec doc_loop () =
-      if Sim.now sim < ph.end_time then begin
-        if Sim.now sim >= ph.query_start then begin
-          let coordinator = Rng.int trng params.peers in
-          let span = w.keys_max - w.keys_min + 1 in
-          let k = w.keys_min + Rng.int trng span in
-          let k = min k (Array.length all_keys) in
-          let picks =
-            Rng.sample_without_replacement trng ~k ~n:(Array.length all_keys)
+    Sim.every sim ~at:(ph.query_start +. Sample.uniform trng ~lo:0. ~hi:w.doc_interval)
+      ~until:ph.end_time
+      ~period:(fun () -> Sample.exponential trng ~rate:(1. /. w.doc_interval)) (fun () ->
+        let coordinator = Rng.int trng params.peers in
+        let span = w.keys_max - w.keys_min + 1 in
+        let k = w.keys_min + Rng.int trng span in
+        let k = min k (Array.length all_keys) in
+        let picks = Rng.sample_without_replacement trng ~k ~n:(Array.length all_keys) in
+        if online coordinator then begin
+          let doc = Printf.sprintf "doc-%05d" !next_doc in
+          incr next_doc;
+          let ops =
+            Array.to_list picks
+            |> List.map (fun i -> Txn.Put { key = all_keys.(i); payload = doc })
           in
-          if online coordinator then begin
-            let doc = Printf.sprintf "doc-%05d" !next_doc in
-            incr next_doc;
-            let ops =
-              Array.to_list picks
-              |> List.map (fun i -> Txn.Put { key = all_keys.(i); payload = doc })
-            in
-            ignore (Txn.submit mgr ~coordinator ops)
-          end
-        end;
-        Sim.schedule sim
-          ~delay:(Sample.exponential trng ~rate:(1. /. w.doc_interval))
-          doc_loop
-      end
-    in
-    Sim.schedule_at sim
-      ~time:(ph.query_start +. Sample.uniform trng ~lo:0. ~hi:w.doc_interval)
-      doc_loop;
-    let rec recover_loop () =
-      if Sim.now sim < ph.end_time then begin
-        ignore (Txn.recover_pass mgr);
-        Sim.schedule sim ~delay:w.recover_period recover_loop
-      end
-    in
-    Sim.schedule_at sim ~time:(ph.query_start +. w.recover_period) recover_loop);
+          ignore (Txn.submit mgr ~coordinator ops)
+        end);
+    Sim.every sim ~at:(ph.query_start +. w.recover_period) ~until:ph.end_time
+      ~period:(fun () -> w.recover_period) (fun () -> ignore (Txn.recover_pass mgr)));
   (* --- churn ------------------------------------------------------------ *)
   let churn_params =
     match params.churn with

@@ -3,6 +3,7 @@ module Key = Pgrid_keyspace.Key
 module Path = Pgrid_keyspace.Path
 module Telemetry = Pgrid_telemetry.Telemetry
 module Event = Pgrid_telemetry.Event
+module Sim = Pgrid_simnet.Sim
 
 let node = Overlay.node
 
@@ -409,7 +410,7 @@ let donor_partition overlay ~floor ~avoid =
   |> Option.map fst
 
 let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
-    ?(keys = fun () -> [||]) rng overlay ~schedule ~now ~until cfg =
+    ?(keys = fun () -> [||]) sim rng overlay ~until cfg =
   (* Written so that NaN fails every check. *)
   if not (cfg.period > 0.) then
     invalid_arg "Maintenance.install_daemon: period must be > 0";
@@ -828,22 +829,16 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
         | _ -> ())
       report.Health.violations
   in
-  let rec run_peer i () =
-    if now () < until then begin
-      peer_tick i;
-      schedule ~delay:(next_delay ()) (run_peer i)
-    end
-  in
-  let rec run_monitor () =
-    if now () < until then begin
-      monitor_tick ();
-      schedule ~delay:cfg.monitor_period run_monitor
-    end
+  (* A process first runs a uniform fraction of its period [p] from now
+     (drawn at install), then every [p] seconds, or every [next ()]. *)
+  let every ?next p f =
+    let period = Option.value next ~default:(fun () -> p) in
+    Sim.every sim ~at:(Sim.now sim +. (Rng.float rng *. p)) ~until ~period f
   in
   for i = 0 to Overlay.size overlay - 1 do
-    schedule ~delay:(Rng.float rng *. cfg.period) (run_peer i)
+    every ~next:next_delay cfg.period (fun () -> peer_tick i)
   done;
-  schedule ~delay:(Rng.float rng *. cfg.monitor_period) run_monitor;
+  every cfg.monitor_period monitor_tick;
   (* The balancing process draws from [rng] only when enabled, and is
      scheduled after every other process, so [balance = None] leaves the
      daemon's draw sequence bit-identical to a build without it. *)
@@ -858,9 +853,8 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
       stats.balance_keys_moved <-
         stats.balance_keys_moved + r.Balance.migrated_keys + r.Balance.copied_keys
     in
-    let rec run_balance () =
-      if now () < until then begin
-        (match cfg.admit with
+    every bcfg.Balance.period (fun () ->
+        match cfg.admit with
         | None -> run_pass None
         | Some f ->
           (* Under an admission filter each reachability island balances
@@ -889,11 +883,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
             done;
             run_pass (Some in_a);
             if !split then run_pass (Some (fun i -> not (in_a i)))
-          end);
-        schedule ~delay:bcfg.Balance.period run_balance
-      end
-    in
-    schedule ~delay:(Rng.float rng *. bcfg.Balance.period) run_balance);
+          end));
   (* Transaction recovery rides the monitor period: replay online intent
      logs against the decision log, presumed-aborting stale pendings.
      Like balancing, the process is gated and scheduled last, so
@@ -901,15 +891,10 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
   (match cfg.txn with
   | None -> ()
   | Some txn ->
-    let rec run_recover () =
-      if now () < until then begin
+    every cfg.monitor_period (fun () ->
         let resolved = Txn.recover_pass txn in
         stats.recover_passes <- stats.recover_passes + 1;
-        stats.intents_resolved <- stats.intents_resolved + resolved;
-        schedule ~delay:cfg.monitor_period run_recover
-      end
-    in
-    schedule ~delay:(Rng.float rng *. cfg.monitor_period) run_recover);
+        stats.intents_resolved <- stats.intents_resolved + resolved));
   (* Reconciliation rides its own period: deterministic structural
      repair (only once the network is whole again — mid-partition the
      islands cannot see each other's splits, so "repairing" them would
@@ -932,21 +917,16 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
         done;
         !ok
     in
-    let rec run_reconcile () =
-      if now () < until then begin
+    every rcfg.Reconcile.period (fun () ->
         stats.reconcile_passes <- stats.reconcile_passes + 1;
         if whole () then begin
           let repaired = Reconcile.repair_structure ~telemetry rcfg overlay in
           stats.divergences_repaired <- stats.divergences_repaired + repaired
         end;
-        let purged = Reconcile.gc rcfg overlay ~now:(now ()) in
+        let purged = Reconcile.gc rcfg overlay ~now:(Sim.now sim) in
         if purged > 0 then begin
           stats.tombstones_purged <- stats.tombstones_purged + purged;
           if Telemetry.active telemetry then
             Telemetry.emit telemetry (Event.Reconcile_gc { peer = -1; purged })
-        end;
-        schedule ~delay:rcfg.Reconcile.period run_reconcile
-      end
-    in
-    schedule ~delay:(Rng.float rng *. rcfg.Reconcile.period) run_reconcile);
+        end));
   stats

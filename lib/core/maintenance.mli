@@ -185,10 +185,9 @@ type daemon_stats = {
   mutable tombstones_purged : int;  (** metas {!Reconcile.gc} dropped *)
 }
 
-(** [install_daemon rng overlay ~schedule ~now ~until cfg] installs the
-    paper's proactive maintenance processes on an external scheduler
-    (typically {!Pgrid_simnet.Sim} — the daemon itself is
-    scheduler-agnostic, taking [schedule]/[now] callbacks):
+(** [install_daemon sim rng overlay ~until cfg] installs the paper's
+    proactive maintenance processes as periodic processes
+    ({!Pgrid_simnet.Sim.every}) on the simulator [sim]:
 
     {ul
     {- per peer, every [period] seconds (jittered, first tick uniform in
@@ -214,16 +213,16 @@ type daemon_stats = {
        {!Balance.pass} — runtime splits of overloaded partitions and
        retractions of starved ones (see {!Balance}).}}
 
-    Scheduling stops once [now ()] reaches [until]. [keys] supplies the
-    tracked key set for the monitor (see {!Health.check}). Returns the
+    No process runs once [sim]'s clock reaches [until]. [keys]
+    supplies the tracked key set for the monitor (see {!Health.check}).
+    The config is validated before anything is scheduled. Returns the
     mutable stats record the processes update. *)
 val install_daemon :
   ?telemetry:Pgrid_telemetry.Telemetry.t ->
   ?keys:(unit -> Pgrid_keyspace.Key.t array) ->
+  Pgrid_simnet.Sim.t ->
   Pgrid_prng.Rng.t ->
   Overlay.t ->
-  schedule:(delay:float -> (unit -> unit) -> unit) ->
-  now:(unit -> float) ->
   until:float ->
   daemon_config ->
   daemon_stats

@@ -632,6 +632,126 @@ let stored_keys overlay =
   done;
   Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort Key.compare |> Array.of_list
 
+(* --- the simulation harness ---------------------------------------------
+
+   Every arm of the simulation experiments below starts alike: construct
+   from [seed], keep the stored keys, then run on a fresh simulator that
+   also clocks telemetry.  Each environmental process draws from its own
+   stream [stream a i] (seed [seed + i]), so the arms of one experiment
+   face the same churn, faults and workload:
+
+   {v
+   seed + 1             churn (survival); popularity shuffle (overload)
+   seed + 2             network
+   seed + 3             fault plan; the storm (overload)
+   seed + 4             daemon; transaction manager (txn); arrivals (overload)
+   seed + 5             insert or document stream; heartbeats (overload)
+   seed + 6             delete stream (partition)
+   seed + 7919 (k + 1)  the k-th sample's query batch
+   v} *)
+type arm = {
+  seed : int;
+  horizon : float;  (* seconds; every process stops there *)
+  overlay : Overlay.t;
+  keys0 : Key.t array;  (* the keys stored after construction, in key order *)
+  mutable inserted : Key.t list;  (* keys the insert stream stored, newest first *)
+  sim : Sim.t;
+  tel : Telemetry.t;
+}
+
+let stream a i = Rng.create ~seed:(a.seed + i)
+
+(* The clock is set after construction, so construction's events keep
+   the timestamps of whatever clock was set before. *)
+let start_arm ~seed ~horizon params =
+  let built = Round.run (Rng.create ~seed) params ~spec:Distribution.Uniform in
+  let overlay = built.Round.overlay in
+  let keys0 = stored_keys overlay in
+  let sim = Sim.create () in
+  let tel = Pgrid_telemetry.Global.get () in
+  Telemetry.set_clock tel (fun () -> Sim.now sim);
+  { seed; horizon; overlay; keys0; inserted = []; sim; tel }
+
+(* [keys0], then every inserted key in insertion order. *)
+let tracked a () = Array.append a.keys0 (Array.of_list (List.rev a.inserted))
+
+(* Traced liveness: peer [i] (and its [net] endpoint) flips only if [v] is new. *)
+let set_online ?net a i v =
+  let n = Overlay.node a.overlay i in
+  if n.Node.online <> v then begin
+    Node.set_online n v;
+    Option.iter (fun net -> Net.set_online net i v) net;
+    if Telemetry.active a.tel then
+      Telemetry.emit a.tel
+        (if v then Event.Churn_online { peer = i } else Event.Churn_offline { peer = i })
+  end
+
+(* PlanetLab latency, one endpoint per peer, on stream 2. *)
+let network ?service a ~loss =
+  Net.create ~telemetry:a.tel ?service a.sim (stream a 2) ~nodes:(Overlay.size a.overlay)
+    ~latency:Latency.planetlab ~loss ~bucket:60.
+
+let daemon a ?(keys = tracked a) cfg =
+  Maintenance.install_daemon ~telemetry:a.tel ~keys a.sim (stream a 4) a.overlay
+    ~until:a.horizon cfg
+
+type writes = { mutable ok : int; mutable failed : int }
+
+(* A routed insert every [period] seconds from t = 60: a key from
+   [key ()], then an origin from [origin ()] ([None]: a failure).  The
+   n-th key stored carries payload "doc-n" and the clock as its stamp,
+   joins [a.inserted] and goes to [on_insert]. *)
+let insert_stream a ?admit ?(on_insert = ignore) ~period ~key ~origin () =
+  let w = { ok = 0; failed = 0 } in
+  Sim.every a.sim ~at:60. ~until:a.horizon ~period:(fun () -> period) (fun () ->
+      let k = key () in
+      match origin () with
+      | None -> w.failed <- w.failed + 1
+      | Some from -> (
+        match
+          Overlay.insert ?admit ~stamp:(Sim.now a.sim) a.overlay ~from k
+            (Printf.sprintf "doc-%d" w.ok)
+        with
+        | Some _ ->
+          a.inserted <- k :: a.inserted;
+          on_insert k;
+          w.ok <- w.ok + 1
+        | None -> w.failed <- w.failed + 1));
+  w
+
+(* Runs the arm to the end, sampling at t = 0, [every], ... up to the
+   horizon: a health check of [keys ()] (emitted), then a 200-query
+   batch; [point] turns the two into the sample's point.  Returns the
+   points in time order. *)
+let run_sampled a ?versions ?heal ?(keys = tracked a) ~n_min ~every point =
+  let points = ref [] in
+  for k = 0 to int_of_float (a.horizon /. every) do
+    let t = float_of_int k *. every in
+    Sim.schedule_at a.sim ~time:t (fun () ->
+        let keys = keys () in
+        let r = Health.check ~keys ?versions ~n_min a.overlay in
+        Health.emit ~telemetry:a.tel r;
+        let q =
+          Query.lookup_batch ?heal (stream a (7919 * (k + 1))) a.overlay ~keys ~count:200
+        in
+        points := point t r q :: !points)
+  done;
+  Sim.run a.sim;
+  List.rev !points
+
+let pct (q : Query.batch_stats) =
+  100. *. float_of_int q.Query.routed /. float_of_int (max 1 q.Query.issued)
+
+(* Over points in time order: the last, the largest and the smallest
+   percentage (0, 0 and 100 with no points), and the mean. *)
+let final f points = match List.rev points with [] -> 0 | p :: _ -> f p
+let peak f points = List.fold_left (fun m p -> max m (f p)) 0 points
+let least f points = List.fold_left (fun m p -> Float.min m (f p)) 100. points
+
+let mean f points =
+  List.fold_left (fun s p -> s +. f p) 0. points
+  /. float_of_int (max 1 (List.length points))
+
 type survival_point = { t : float; score : float; lost : int; success_pct : float }
 
 let survival_n_min = 5
@@ -642,45 +762,21 @@ let survival_n_min = 5
    keep being inserted.  The daemon-off arm shares every environmental
    seed, so churn, kills and the insert stream are identical; only the
    maintenance processes differ. *)
-let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed =
-  let rng = Rng.create ~seed in
-  let built = Round.run rng (Round.default_params ~peers) ~spec:Distribution.Uniform in
-  let overlay = built.Round.overlay in
-  let keys0 = stored_keys overlay in
-  let inserted = ref [] in
-  let tracked_keys () = Array.append keys0 (Array.of_list (List.rev !inserted)) in
-  let sim = Sim.create () in
-  let tel = Pgrid_telemetry.Global.get () in
-  Telemetry.set_clock tel (fun () -> Sim.now sim);
+let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon:on ~seed =
+  let a = start_arm ~seed ~horizon (Round.default_params ~peers) in
   let killed = Array.make peers false in
-  let set_online i v =
-    if not (killed.(i) && v) then begin
-      let n = Overlay.node overlay i in
-      if n.Node.online <> v then begin
-        Node.set_online n v;
-        if Telemetry.active tel then
-          Telemetry.emit tel
-            (if v then Event.Churn_online { peer = i }
-             else Event.Churn_offline { peer = i })
-      end
-    end
-  in
-  Churn.install ~clamp:true sim
-    (Rng.create ~seed:(seed + 1))
+  Churn.install ~clamp:true a.sim (stream a 1)
     (Churn.paper_params ~start:0. ~stop:horizon)
     ~node_ids:(List.init peers (fun i -> i))
-    ~set_online;
+    ~set_online:(fun i v -> if not (killed.(i) && v) then set_online a i v);
   (* The data-loss channel.  The unit network only hosts the fault
      processes; no messages flow through it. *)
-  let net : unit Net.t =
-    Net.create sim (Rng.create ~seed:(seed + 2)) ~nodes:peers
-      ~latency:Latency.planetlab ~loss:0. ~bucket:60.
-  in
+  let net : unit Net.t = network a ~loss:0. in
   let fault =
-    Fault.install ~telemetry:tel
+    Fault.install ~telemetry:a.tel
       ~on_kill:(fun i ->
         killed.(i) <- true;
-        let n = Overlay.node overlay i in
+        let n = Overlay.node a.overlay i in
         Node.set_online n false;
         Node.clear_store n)
       net ~seed:(seed + 3)
@@ -688,14 +784,9 @@ let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed =
           { start = 0.15 *. horizon; stop = 0.75 *. horizon; count = 3 * peers / 10 } ]
   in
   let dstats =
-    if daemon then
+    if on then
       Some
-        (Maintenance.install_daemon ~telemetry:tel ~keys:tracked_keys
-           (Rng.create ~seed:(seed + 4))
-           overlay
-           ~schedule:(fun ~delay f -> Sim.schedule sim ~delay f)
-           ~now:(fun () -> Sim.now sim)
-           ~until:horizon
+        (daemon a
            {
              (Maintenance.default_daemon_config ~n_min:survival_n_min) with
              period = maint_period;
@@ -713,86 +804,39 @@ let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed =
     else None
   in
   (* Live inserts: one fresh key every 20 s from a random online origin. *)
-  let irng = Rng.create ~seed:(seed + 5) in
-  let inserted_n = ref 0 and insert_failures = ref 0 in
+  let irng = stream a 5 in
   let online_ids () =
-    let rec go i acc =
-      if i < 0 then acc
-      else go (i - 1) (if (Overlay.node overlay i).Node.online then i :: acc else acc)
-    in
-    go (peers - 1) []
+    List.filter (fun i -> (Overlay.node a.overlay i).Node.online) (List.init peers Fun.id)
   in
-  let rec insert_loop () =
-    if Sim.now sim < horizon then begin
-      let key = Key.random irng in
-      (match online_ids () with
-      | [] -> incr insert_failures
-      | ids -> (
-        let from = Rng.pick_list irng ids in
-        match
-          Overlay.insert overlay ~from key (Printf.sprintf "doc-%d" !inserted_n)
-        with
-        | Some _ ->
-          inserted := key :: !inserted;
-          incr inserted_n
-        | None -> incr insert_failures));
-      Sim.schedule sim ~delay:20. insert_loop
-    end
+  let writes =
+    insert_stream a ~period:20.
+      ~key:(fun () -> Key.random irng)
+      ~origin:(fun () ->
+        match online_ids () with [] -> None | ids -> Some (Rng.pick_list irng ids))
+      ()
   in
-  Sim.schedule_at sim ~time:60. insert_loop;
-  (* Sampler: health + a 200-query batch at every multiple of
-     [sample_every], including t = 0 and t = horizon. *)
-  let points = ref [] in
-  let samples = int_of_float (horizon /. sample_every) in
-  for k = 0 to samples do
-    let at = float_of_int k *. sample_every in
-    Sim.schedule_at sim ~time:at (fun () ->
-        let keys = tracked_keys () in
-        let r = Health.check ~keys ~n_min:survival_n_min overlay in
-        Health.emit ~telemetry:tel r;
-        (* [heal] turns on the base protocol's correction-on-use (evict
-           the dead reference, refill, retry once) for both arms, so
-           the daemon arms are compared on top of — not instead of —
-           the paper's passive repair. *)
-        let q =
-          Query.lookup_batch ~heal:true
-            (Rng.create ~seed:(seed + (7919 * (k + 1))))
-            overlay ~keys ~count:200
-        in
-        let pct n = 100. *. float_of_int n /. float_of_int (max 1 q.Query.issued) in
-        points :=
-          {
-            t = at;
-            score = r.Health.score;
-            lost = r.Health.lost;
-            success_pct = pct q.Query.routed;
-          }
-          :: !points)
-  done;
-  Sim.run sim;
-  let final_lost = match !points with [] -> 0 | last :: _ -> last.lost in
-  let points = List.rev !points in
-  let min_success_pct =
-    List.fold_left (fun m p -> Float.min m p.success_pct) 100. points
+  (* [heal] turns on the base protocol's correction-on-use (evict the
+     dead reference, refill, retry once) for both arms, so the daemon
+     arms are compared on top of — not instead of — the paper's passive
+     repair. *)
+  let points =
+    run_sampled a ~heal:true ~n_min:survival_n_min ~every:sample_every (fun t r q ->
+        { t; score = r.Health.score; lost = r.Health.lost; success_pct = pct q })
   in
-  let mean_score =
-    List.fold_left (fun s p -> s +. p.score) 0. points
-    /. float_of_int (max 1 (List.length points))
-  in
-  let daemon_count f = match dstats with Some d -> f d | None -> 0 in
+  let daemon_count f = Option.fold ~none:0 ~some:f dstats in
   ( List.map (fun p -> p.score) points,
     under
-      (if daemon then "on" else "off")
+      (if on then "on" else "off")
       ([
-         ("min_success_pct", min_success_pct, Up);
-         ("mean_score", mean_score, Up);
-         int_metric "final_lost" final_lost Down;
+         ("min_success_pct", least (fun p -> p.success_pct) points, Up);
+         ("mean_score", mean (fun p -> p.score) points, Up);
+         int_metric "final_lost" (final (fun p -> p.lost) points) Down;
          int_metric "kills" (Fault.stats fault).Fault.kills Down;
          int_metric "rereplications" (daemon_count (fun d -> d.Maintenance.rereplications)) Down;
          int_metric "exchanges" (daemon_count (fun d -> d.Maintenance.exchanges)) Down;
          int_metric "keys_synced" (daemon_count (fun d -> d.Maintenance.keys_synced)) Down;
-         int_metric "inserted" !inserted_n Down;
-         int_metric "insert_failures" !insert_failures Down;
+         int_metric "inserted" writes.ok Down;
+         int_metric "insert_failures" writes.failed Down;
        ]
       @ List.concat_map
           (fun p ->
@@ -851,28 +895,14 @@ let balance_slack = 2.0
    distribution — concentrated on the low end of the key space.  Both
    arms share the storm seed; only the daemon differs. *)
 let balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed =
-  let rng = Rng.create ~seed in
-  let built =
-    Round.run rng
+  let a =
+    start_arm ~seed ~horizon
       { (Round.default_params ~peers) with Round.keys_per_peer = 1; d_max }
-      ~spec:Distribution.Uniform
   in
-  let overlay = built.Round.overlay in
-  let keys0 = stored_keys overlay in
-  let inserted = ref [] in
-  let tracked_keys () = Array.append keys0 (Array.of_list (List.rev !inserted)) in
-  let sim = Sim.create () in
-  let tel = Pgrid_telemetry.Global.get () in
-  Telemetry.set_clock tel (fun () -> Sim.now sim);
   let dstats =
     if balanced then
       Some
-        (Maintenance.install_daemon ~telemetry:tel ~keys:tracked_keys
-           (Rng.create ~seed:(seed + 4))
-           overlay
-           ~schedule:(fun ~delay f -> Sim.schedule sim ~delay f)
-           ~now:(fun () -> Sim.now sim)
-           ~until:horizon
+        (daemon a
            {
              (Maintenance.default_daemon_config ~n_min:balance_n_min) with
              Maintenance.balance =
@@ -882,27 +912,18 @@ let balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed =
   in
   (* The storm: one Pareto-1.5 key every 3 s from a random online
      origin, starting after a minute of quiet. *)
-  let irng = Rng.create ~seed:(seed + 5) in
-  let sample_key = Distribution.sampler (Distribution.Pareto 1.5) irng in
-  let inserted_n = ref 0 and insert_failures = ref 0 in
-  let rec insert_loop () =
-    if Sim.now sim < horizon then begin
-      let key = sample_key () in
-      let from = Rng.int irng peers in
-      (match Overlay.insert overlay ~from key (Printf.sprintf "doc-%d" !inserted_n) with
-      | Some _ ->
-        inserted := key :: !inserted;
-        incr inserted_n
-      | None -> incr insert_failures);
-      Sim.schedule sim ~delay:3. insert_loop
-    end
+  let irng = stream a 5 in
+  let writes =
+    insert_stream a ~period:3.
+      ~key:(Distribution.sampler (Distribution.Pareto 1.5) irng)
+      ~origin:(fun () -> Some (Rng.int irng peers))
+      ()
   in
-  Sim.schedule_at sim ~time:60. insert_loop;
   (* Per-partition storage load over the online population. *)
   let partition_loads () =
     let tbl = Hashtbl.create 64 in
-    for i = 0 to Overlay.size overlay - 1 do
-      let n = Overlay.node overlay i in
+    for i = 0 to Overlay.size a.overlay - 1 do
+      let n = Overlay.node a.overlay i in
       if n.Node.online then begin
         let key = Pgrid_keyspace.Path.to_string n.Node.path in
         let load = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
@@ -911,54 +932,31 @@ let balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed =
     done;
     Hashtbl.fold (fun _ load acc -> load :: acc) tbl []
   in
-  let points = ref [] in
-  let samples = int_of_float (horizon /. sample_every) in
-  for k = 0 to samples do
-    let at = float_of_int k *. sample_every in
-    Sim.schedule_at sim ~time:at (fun () ->
-        let keys = tracked_keys () in
-        let r = Health.check ~keys ~n_min:balance_n_min overlay in
-        Health.emit ~telemetry:tel r;
-        let q =
-          Query.lookup_batch
-            (Rng.create ~seed:(seed + (7919 * (k + 1))))
-            overlay ~keys ~count:200
-        in
-        let pct n = 100. *. float_of_int n /. float_of_int (max 1 q.Query.issued) in
+  let points =
+    run_sampled a ~n_min:balance_n_min ~every:sample_every (fun t r q ->
         let loads = partition_loads () in
-        points :=
-          {
-            t = at;
-            partitions = List.length loads;
-            max_load = List.fold_left max 0 loads;
-            score = r.Health.score;
-            success_pct = pct q.Query.routed;
-          }
-          :: !points)
-  done;
-  Sim.run sim;
-  let final = match !points with [] -> None | last :: _ -> Some last in
-  let final_of f = match final with Some p -> f p | None -> 0 in
-  let points = List.rev !points in
-  let daemon_count f = match dstats with Some d -> f d | None -> 0 in
+        {
+          t;
+          partitions = List.length loads;
+          max_load = List.fold_left max 0 loads;
+          score = r.Health.score;
+          success_pct = pct q;
+        })
+  in
+  let daemon_count f = Option.fold ~none:0 ~some:f dstats in
   under
     (if balanced then "on" else "off")
     ([
-       int_metric "final_max_load" (final_of (fun p -> p.max_load)) Down;
-       int_metric "peak_max_load" (List.fold_left (fun m p -> max m p.max_load) 0 points) Down;
-       int_metric "final_partitions" (final_of (fun p -> p.partitions)) Down;
-       ( "min_success_pct",
-         List.fold_left (fun m p -> Float.min m p.success_pct) 100. points,
-         Up );
-       ( "mean_score",
-         List.fold_left (fun s p -> s +. p.score) 0. points
-         /. float_of_int (max 1 (List.length points)),
-         Up );
+       int_metric "final_max_load" (final (fun p -> p.max_load) points) Down;
+       int_metric "peak_max_load" (peak (fun p -> p.max_load) points) Down;
+       int_metric "final_partitions" (final (fun p -> p.partitions) points) Down;
+       ("min_success_pct", least (fun p -> p.success_pct) points, Up);
+       ("mean_score", mean (fun p -> p.score) points, Up);
        int_metric "splits" (daemon_count (fun d -> d.Maintenance.balance_splits)) Down;
        int_metric "retracts" (daemon_count (fun d -> d.Maintenance.balance_retracts)) Down;
        int_metric "keys_moved" (daemon_count (fun d -> d.Maintenance.balance_keys_moved)) Down;
-       int_metric "inserted" !inserted_n Down;
-       int_metric "insert_failures" !insert_failures Down;
+       int_metric "inserted" writes.ok Down;
+       int_metric "insert_failures" writes.failed Down;
      ]
     @ List.concat_map
         (fun p ->
@@ -997,20 +995,11 @@ let txn_n_min = 5
    every settled document must be fully indexed (committed) or fully
    scrubbed (aborted). *)
 let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
-  let rng = Rng.create ~seed in
-  let built = Round.run rng (Round.default_params ~peers) ~spec:Distribution.Uniform in
-  let overlay = built.Round.overlay in
-  let keys0 = stored_keys overlay in
-  let sim = Sim.create () in
-  let tel = Pgrid_telemetry.Global.get () in
-  Telemetry.set_clock tel (fun () -> Sim.now sim);
+  let a = start_arm ~seed ~horizon (Round.default_params ~peers) in
+  let overlay = a.overlay and keys0 = a.keys0 in
   (* The protocol network: messages carry their delivery continuation,
      so loss and offline destinations genuinely drop protocol steps. *)
-  let net : (unit -> unit) Net.t =
-    Net.create ~telemetry:tel sim
-      (Rng.create ~seed:(seed + 2))
-      ~nodes:peers ~latency:Latency.planetlab ~loss:0.02 ~bucket:60.
-  in
+  let net : (unit -> unit) Net.t = network a ~loss:0.02 in
   Net.set_handler net (fun _dst deliver -> deliver ());
   let transport =
     {
@@ -1020,31 +1009,18 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
           Net.send net ~src ~dst ~bytes ~kind:Net.Maintenance deliver);
     }
   in
-  let mgr =
-    Txn.create ~telemetry:tel sim (Rng.create ~seed:(seed + 4)) overlay ~transport
-  in
-  let set_online i v =
-    let n = Overlay.node overlay i in
-    if n.Node.online <> v then begin
-      Node.set_online n v;
-      Net.set_online net i v;
-      if Telemetry.active tel then
-        Telemetry.emit tel
-          (if v then Event.Churn_online { peer = i }
-           else Event.Churn_offline { peer = i })
-    end
-  in
+  let mgr = Txn.create ~telemetry:a.tel a.sim (stream a 4) overlay ~transport in
   let fault =
     if severity <= 0. then None
     else
       Some
-        (Fault.install ~telemetry:tel
+        (Fault.install ~telemetry:a.tel
            ~on_crash:(fun i ->
              (* Crash wipes volatile state only: in-flight coordinations
                 die, the store and the intent log survive. *)
              Txn.note_crash mgr i;
-             set_online i false)
-           ~on_restart:(fun i -> set_online i true)
+             set_online ~net a i false)
+           ~on_restart:(fun i -> set_online ~net a i true)
            net ~seed:(seed + 3)
            [
              Fault.Crash_restart
@@ -1059,16 +1035,13 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
   in
   (* Document stream: every [doc_interval] seconds a random coordinator
      atomically indexes one fresh document under 3-6 distinct keys. *)
-  let drng = Rng.create ~seed:(seed + 5) in
+  let drng = stream a 5 in
   let submitted = ref 0 in
-  let doc_stop = 0.85 *. horizon in
-  let rec doc_loop () =
-    if Sim.now sim < doc_stop then begin
+  Sim.every a.sim ~at:60. ~until:(0.85 *. horizon) ~period:(fun () -> doc_interval)
+    (fun () ->
       let coordinator = Rng.int drng peers in
       let k = 3 + Rng.int drng 4 in
-      let picks =
-        Rng.sample_without_replacement drng ~k ~n:(Array.length keys0)
-      in
+      let picks = Rng.sample_without_replacement drng ~k ~n:(Array.length keys0) in
       if (Overlay.node overlay coordinator).Node.online then begin
         let doc = Printf.sprintf "doc-%05d" !submitted in
         incr submitted;
@@ -1077,32 +1050,24 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
           |> List.map (fun i -> Txn.Put { key = keys0.(i); payload = doc })
         in
         ignore (Txn.submit mgr ~coordinator ops)
-      end;
-      Sim.schedule sim ~delay:doc_interval doc_loop
-    end
-  in
-  Sim.schedule_at sim ~time:60. doc_loop;
-  let rec recover_loop () =
-    if Sim.now sim < horizon then begin
-      ignore (Txn.recover_pass mgr);
-      Sim.schedule sim ~delay:60. recover_loop
-    end
-  in
-  Sim.schedule_at sim ~time:120. recover_loop;
+      end);
+  Sim.every a.sim ~at:120. ~until:horizon ~period:(fun () -> 60.) (fun () ->
+      ignore (Txn.recover_pass mgr));
   (* Final sweeps, after the last crash has restarted and the
      presumed-abort window of any orphaned transaction has elapsed. *)
   let final_at = horizon +. (Txn.config mgr).Txn.recover_after +. 60. in
-  Sim.schedule_at sim ~time:final_at (fun () -> ignore (Txn.recover_pass mgr));
-  Sim.schedule_at sim ~time:(final_at +. 60.) (fun () ->
-      ignore (Txn.recover_pass mgr));
-  Sim.run sim;
+  List.iter
+    (fun time -> Sim.schedule_at a.sim ~time (fun () -> ignore (Txn.recover_pass mgr)))
+    [ final_at; final_at +. 60. ];
+  Sim.run a.sim;
   (* --- audit ----------------------------------------------------------- *)
   let settled = Txn.settled_docs mgr in
   let postings = Hashtbl.create 4096 in
   for i = 0 to peers - 1 do
-    Hashtbl.iter
-      (fun k ps -> List.iter (fun p -> Hashtbl.replace postings (k, p) ()) ps)
-      (Overlay.node overlay i).Node.store
+    let n = Overlay.node overlay i in
+    List.iter
+      (fun k -> List.iter (fun p -> Hashtbl.replace postings (k, p) ()) (Node.lookup n k))
+      (Node.keys n)
   done;
   let present (doc, ks) =
     Array.fold_left
@@ -1111,7 +1076,7 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
   in
   let docs = Array.of_list (List.map (fun (d, ks, _) -> (d, ks)) settled) in
   let report = Health.check ~keys:keys0 ~docs ~n_min:txn_n_min overlay in
-  Health.emit ~telemetry:tel report;
+  Health.emit ~telemetry:a.tel report;
   let committed, aborted =
     List.partition (fun (_, _, c) -> c) settled
   in
@@ -1194,17 +1159,12 @@ let overload_arm ?(peers = 10_000) ?(horizon = 1440.) ?(base_rate = 30.)
   if horizon <= 0. then invalid_arg "Figures.overload: horizon must be positive";
   if base_rate <= 0. || peak_rate <= 0. then
     invalid_arg "Figures.overload: rates must be positive";
-  let rng = Rng.create ~seed in
-  let built = Round.run rng (Round.default_params ~peers) ~spec:Distribution.Uniform in
-  let overlay = built.Round.overlay in
-  let keys = stored_keys overlay in
+  let a = start_arm ~seed ~horizon (Round.default_params ~peers) in
+  let keys = a.keys0 in
   (* Decorrelate popularity rank from key-space position: without the
      shuffle the sorted hot head would pile into one partition. *)
-  Rng.shuffle (Rng.create ~seed:(seed + 1)) keys;
+  Rng.shuffle (stream a 1) keys;
   let zipf = Sample.Zipf.create ~n:(Array.length keys) ~s:1.1 in
-  let sim = Sim.create () in
-  let tel = Pgrid_telemetry.Global.get () in
-  Telemetry.set_clock tel (fun () -> Sim.now sim);
   let service =
     if protected then
       Some
@@ -1227,11 +1187,7 @@ let overload_arm ?(peers = 10_000) ?(horizon = 1440.) ?(base_rate = 30.)
           query_threshold = max_int / 2;
         }
   in
-  let net : Storm.wire Net.t =
-    Net.create ~telemetry:tel ?service sim
-      (Rng.create ~seed:(seed + 2))
-      ~nodes:peers ~latency:Latency.planetlab ~loss:0.02 ~bucket:60.
-  in
+  let net : Storm.wire Net.t = network ?service a ~loss:0.02 in
   let cfg =
     {
       Storm.default_config with
@@ -1239,47 +1195,35 @@ let overload_arm ?(peers = 10_000) ?(horizon = 1440.) ?(base_rate = 30.)
       breaker = (if protected then Some Breaker.default_config else None);
     }
   in
-  let storm =
-    Storm.create ~telemetry:tel sim (Rng.create ~seed:(seed + 3)) overlay net cfg
-  in
+  let storm = Storm.create ~telemetry:a.tel a.sim (stream a 3) a.overlay net cfg in
   let warm_end = horizon /. 6. and storm_end = horizon /. 2. in
   let rate now = if now >= warm_end && now < storm_end then peak_rate else base_rate in
   (* Arrival process: Poisson at the phase rate, key by Zipf popularity,
      origin uniform - all from [arng], so the two arms receive the very
      same storm. *)
-  let arng = Rng.create ~seed:(seed + 4) in
-  let rec arrivals () =
-    let now = Sim.now sim in
-    if now < horizon then begin
+  let arng = stream a 4 in
+  Sim.every a.sim ~at:(Sample.exponential arng ~rate:base_rate) ~until:horizon
+    ~period:(fun () -> Sample.exponential arng ~rate:(rate (Sim.now a.sim))) (fun () ->
       let key = keys.(Sample.Zipf.draw zipf arng - 1) in
       let origin = Rng.int arng peers in
-      Storm.issue storm ~origin ~key;
-      Sim.schedule sim ~delay:(Sample.exponential arng ~rate:(rate now)) arrivals
-    end
-  in
-  Sim.schedule_at sim ~time:(Sample.exponential arng ~rate:base_rate) arrivals;
+      Storm.issue storm ~origin ~key);
   (* Light background maintenance traffic (a heartbeat per peer per
      minute): under the protected arm's priority policy it keeps flowing
      while queries shed first. *)
-  let hrng = Rng.create ~seed:(seed + 5) in
-  Array.iteri
-    (fun i _ ->
-      let rec beat () =
-        if Sim.now sim < horizon then begin
-          let dst = Rng.int hrng peers in
-          if dst <> i then Storm.heartbeat storm ~src:i ~dst;
-          Sim.schedule sim ~delay:60. beat
-        end
-      in
-      Sim.schedule_at sim ~time:(Sample.uniform hrng ~lo:0. ~hi:60.) beat)
-    (Array.make peers ());
+  let hrng = stream a 5 in
+  for i = 0 to peers - 1 do
+    Sim.every a.sim ~at:(Sample.uniform hrng ~lo:0. ~hi:60.) ~until:horizon
+      ~period:(fun () -> 60.) (fun () ->
+        let dst = Rng.int hrng peers in
+        if dst <> i then Storm.heartbeat storm ~src:i ~dst)
+  done;
   (* Windowed sampler: deltas of the storm counters per [horizon/24]. *)
   let window = horizon /. 24. in
   let points = ref [] in
   let last = ref (0, 0, 0) in
   for k = 1 to 24 do
     let at = float_of_int k *. window in
-    Sim.schedule_at sim ~time:at (fun () ->
+    Sim.schedule_at a.sim ~time:at (fun () ->
         let s = Storm.stats storm in
         let pi, ps, psh = !last in
         last := (s.Storm.issued, s.Storm.succeeded, s.Storm.sheds);
@@ -1293,13 +1237,9 @@ let overload_arm ?(peers = 10_000) ?(horizon = 1440.) ?(base_rate = 30.)
           }
           :: !points)
   done;
-  Sim.run sim;
+  Sim.run a.sim;
   let points = List.rev !points in
-  let mean_goodput filter =
-    let sel = List.filter filter points in
-    List.fold_left (fun s p -> s +. p.goodput) 0. sel
-    /. float_of_int (max 1 (List.length sel))
-  in
+  let mean_goodput filter = mean (fun p -> p.goodput) (List.filter filter points) in
   (* Baseline: the settled half of the warm phase. Recovery: the final
      quarter of the run, half the recovery phase after the ramp ends. *)
   let pre_goodput =
@@ -1404,15 +1344,6 @@ let overload ?peers ?horizon ?base_rate ?peak_rate ~seed () =
 
 module Reconcile = Pgrid_core.Reconcile
 
-type partition_point = {
-  t : float;
-  score : float;
-  lost : int;
-  resurrected : int;
-  diverged : int;
-  tombstones : int;
-}
-
 let partition_n_min = 2
 
 (* One arm of the split-brain experiment: construct, cut the network in
@@ -1424,36 +1355,22 @@ let partition_n_min = 2
    Both arms share every environmental seed; only [reconcile] differs. *)
 let partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
     ~reconciling ~seed =
-  let rng = Rng.create ~seed in
-  let built = Round.run rng (Round.default_params ~peers) ~spec:Distribution.Uniform in
-  let overlay = built.Round.overlay in
-  let keys0 = stored_keys overlay in
+  let params = Round.default_params ~peers in
+  let a = start_arm ~seed ~horizon params in
   (* The keys that *should* exist: initial and inserted, minus routed
      deletes.  A deleted key must stay gone — if it is findable again
      the audit reports it as resurrected, not lost. *)
-  let live = ref (Array.to_list keys0) in
-  let live_n = ref (Array.length keys0) in
+  let live = ref (Array.to_list a.keys0) in
+  let live_n = ref (Array.length a.keys0) in
   let tracked_keys () = Array.of_list !live in
-  let sim = Sim.create () in
-  let tel = Pgrid_telemetry.Global.get () in
-  Telemetry.set_clock tel (fun () -> Sim.now sim);
-  let net : unit Net.t =
-    Net.create sim (Rng.create ~seed:(seed + 2)) ~nodes:peers
-      ~latency:Latency.planetlab ~loss:0. ~bucket:60.
-  in
+  let net : unit Net.t = network a ~loss:0. in
   let fault =
-    Fault.install ~telemetry:tel net ~seed:(seed + 3)
+    Fault.install ~telemetry:a.tel net ~seed:(seed + 3)
       [ Fault.Partition { start; stop; frac = 0.5 } ]
   in
   let adm src dst = Fault.connected fault ~src ~dst in
-  let d_max = (Round.default_params ~peers).Round.d_max in
   let dstats =
-    Maintenance.install_daemon ~telemetry:tel ~keys:tracked_keys
-      (Rng.create ~seed:(seed + 4))
-      overlay
-      ~schedule:(fun ~delay f -> Sim.schedule sim ~delay f)
-      ~now:(fun () -> Sim.now sim)
-      ~until:horizon
+    daemon a ~keys:tracked_keys
       {
         (Maintenance.default_daemon_config ~n_min:partition_n_min) with
         (* Construction leaves ~5 members per partition, so one island
@@ -1461,7 +1378,8 @@ let partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
            view split once it has three members and an overloaded
            store.  [d_max] matches construction, so only storm-fed
            paths split. *)
-        Maintenance.balance = Some (Balance.default_config ~d_max ~n_min:1);
+        Maintenance.balance =
+          Some (Balance.default_config ~d_max:params.Round.d_max ~n_min:1);
         admit = Some adm;
         reconcile =
           (if reconciling then
@@ -1479,119 +1397,80 @@ let partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
   in
   (* The storm: one Pareto-1.5 key every 10 s — skewed, so the hot
      low-end paths keep crossing [d_max] and split *during* the cut. *)
-  let irng = Rng.create ~seed:(seed + 5) in
-  let sample_key = Distribution.sampler (Distribution.Pareto 1.5) irng in
-  let inserted_n = ref 0 and insert_failures = ref 0 in
-  let rec insert_loop () =
-    if Sim.now sim < horizon then begin
-      let key = sample_key () in
-      let from = Rng.int irng peers in
-      (match
-         Overlay.insert ~admit:adm ~stamp:(Sim.now sim) overlay ~from key
-           (Printf.sprintf "doc-%d" !inserted_n)
-       with
-      | Some _ ->
+  let irng = stream a 5 in
+  let writes =
+    insert_stream a ~admit:adm ~period:10.
+      ~key:(Distribution.sampler (Distribution.Pareto 1.5) irng)
+      ~origin:(fun () -> Some (Rng.int irng peers))
+      ~on_insert:(fun key ->
         live := key :: !live;
-        incr live_n;
-        incr inserted_n
-      | None -> incr insert_failures);
-      Sim.schedule sim ~delay:10. insert_loop
-    end
+        incr live_n)
+      ()
   in
-  Sim.schedule_at sim ~time:60. insert_loop;
   (* The delete stream: every 30 s one routed whole-key delete of a
      random live key.  During the cut only the origin's island applies
      it; the other side's copies are exactly the stale state
      reconciliation must outvote after heal. *)
-  let drng = Rng.create ~seed:(seed + 6) in
-  let deleted_n = ref 0 and delete_failures = ref 0 in
-  let rec delete_loop () =
-    if Sim.now sim < horizon then begin
-      (if !live_n > 0 then begin
-         let at = Rng.int drng !live_n in
-         let key = List.nth !live at in
-         let from = Rng.int drng peers in
-         match Overlay.delete ~admit:adm ~stamp:(Sim.now sim) overlay ~from key with
-         | Some _ ->
-           live := List.filteri (fun i _ -> i <> at) !live;
-           decr live_n;
-           incr deleted_n
-         | None -> incr delete_failures
-       end);
-      Sim.schedule sim ~delay:30. delete_loop
-    end
+  let drng = stream a 6 in
+  let deletes = { ok = 0; failed = 0 } in
+  Sim.every a.sim ~at:90. ~until:horizon ~period:(fun () -> 30.) (fun () ->
+      if !live_n > 0 then begin
+        let at = Rng.int drng !live_n in
+        let key = List.nth !live at in
+        let from = Rng.int drng peers in
+        match Overlay.delete ~admit:adm ~stamp:(Sim.now a.sim) a.overlay ~from key with
+        | Some _ ->
+          live := List.filteri (fun i _ -> i <> at) !live;
+          decr live_n;
+          deletes.ok <- deletes.ok + 1
+        | None -> deletes.failed <- deletes.failed + 1
+      end);
+  (* The audit is version-aware in both arms — the baseline maintains
+     the sidecar too, it just never acts on it — and the query batch's
+     correction-on-use repairs stale routing references in both. *)
+  let points =
+    run_sampled a ~versions:true ~heal:true ~keys:tracked_keys ~n_min:partition_n_min
+      ~every:sample_every (fun t r _ -> (t, r))
   in
-  Sim.schedule_at sim ~time:90. delete_loop;
-  (* Sampler: a version-aware health audit (both arms — the baseline
-     maintains the sidecar too, it just never acts on it) at every
-     multiple of [sample_every], then a 200-query batch whose
-     correction-on-use repairs stale routing references in both arms. *)
-  let points = ref [] in
-  let samples = int_of_float (horizon /. sample_every) in
-  for k = 0 to samples do
-    let at = float_of_int k *. sample_every in
-    Sim.schedule_at sim ~time:at (fun () ->
-        let keys = tracked_keys () in
-        let r = Health.check ~keys ~versions:true ~n_min:partition_n_min overlay in
-        Health.emit ~telemetry:tel r;
-        ignore
-          (Query.lookup_batch ~heal:true
-             (Rng.create ~seed:(seed + (7919 * (k + 1))))
-             overlay ~keys ~count:200);
-        points :=
-          {
-            t = at;
-            score = r.Health.score;
-            lost = r.Health.lost;
-            resurrected = r.Health.resurrected;
-            diverged = r.Health.diverged;
-            tombstones = r.Health.tombstone_debt;
-          }
-          :: !points)
-  done;
-  Sim.run sim;
-  let final = match !points with [] -> None | last :: _ -> Some last in
-  let final_of f = match final with Some p -> f p | None -> 0 in
-  let points = List.rev !points in
-  let clean p = p.resurrected = 0 && p.diverged = 0 && p.lost = 0 in
+  let reports = List.map snd points in
+  let clean (_, r) = Health.(r.resurrected = 0 && r.diverged = 0 && r.lost = 0) in
   (* Seconds after heal until the first clean sample that stays clean. *)
   let converged_at =
     let rec scan = function
       | [] -> None
-      | p :: rest ->
-        if p.t >= stop && clean p && List.for_all clean rest then Some (p.t -. stop)
+      | ((t, _) as p) :: rest ->
+        if t >= stop && clean p && List.for_all clean rest then Some (t -. stop)
         else scan rest
     in
     scan points
   in
-  let peak f = List.fold_left (fun m p -> max m (f p)) 0 points in
   under
     (if reconciling then "on" else "off")
     ([
        ("converged", (if converged_at = None then 0. else 1.), Up);
        ("converge_seconds", Option.value ~default:horizon converged_at, Down);
-       int_metric "final_resurrected" (final_of (fun p -> p.resurrected)) Down;
-       int_metric "final_diverged" (final_of (fun p -> p.diverged)) Down;
-       int_metric "final_lost" (final_of (fun p -> p.lost)) Down;
-       int_metric "peak_resurrected" (peak (fun p -> p.resurrected)) Down;
-       int_metric "peak_diverged" (peak (fun p -> p.diverged)) Down;
-       int_metric "inserted" !inserted_n Up;
-       int_metric "deleted" !deleted_n Up;
-       int_metric "insert_failures" !insert_failures Down;
-       int_metric "delete_failures" !delete_failures Down;
+       int_metric "final_resurrected" (final (fun r -> r.Health.resurrected) reports) Down;
+       int_metric "final_diverged" (final (fun r -> r.Health.diverged) reports) Down;
+       int_metric "final_lost" (final (fun r -> r.Health.lost) reports) Down;
+       int_metric "peak_resurrected" (peak (fun r -> r.Health.resurrected) reports) Down;
+       int_metric "peak_diverged" (peak (fun r -> r.Health.diverged) reports) Down;
+       int_metric "inserted" writes.ok Up;
+       int_metric "deleted" deletes.ok Up;
+       int_metric "insert_failures" writes.failed Down;
+       int_metric "delete_failures" deletes.failed Down;
        int_metric "syncs" dstats.Maintenance.exchanges Up;
        int_metric "repairs" dstats.Maintenance.divergences_repaired Up;
        int_metric "tombstones_purged" dstats.Maintenance.tombstones_purged Up;
        int_metric "splits" dstats.Maintenance.balance_splits Up;
      ]
     @ List.concat_map
-        (fun p ->
+        (fun (t, r) ->
           [
-            int_metric (at "resurrected" p.t) p.resurrected Down;
-            int_metric (at "diverged" p.t) p.diverged Down;
-            int_metric (at "lost" p.t) p.lost Down;
-            int_metric (at "tombstones" p.t) p.tombstones Down;
-            (at "score" p.t, p.score, Up);
+            int_metric (at "resurrected" t) r.Health.resurrected Down;
+            int_metric (at "diverged" t) r.Health.diverged Down;
+            int_metric (at "lost" t) r.Health.lost Down;
+            int_metric (at "tombstones" t) r.Health.tombstone_debt Down;
+            (at "score" t, r.Health.score, Up);
           ])
         points)
 
@@ -1664,12 +1543,15 @@ let queries_run ~peers ~count ~seed =
   let () =
     let canonical = Hashtbl.create (Array.length keys) in
     for i = 0 to peers - 1 do
-      Hashtbl.iter
-        (fun k payloads ->
+      let n = Overlay.node overlay i in
+      List.iter
+        (fun k ->
           let existing = Option.value ~default:[] (Hashtbl.find_opt canonical k) in
-          let missing = List.filter (fun p -> not (List.mem p existing)) payloads in
+          let missing =
+            List.filter (fun p -> not (List.mem p existing)) (Node.lookup n k)
+          in
           Hashtbl.replace canonical k (missing @ existing))
-        (Overlay.node overlay i).Node.store
+        (Node.keys n)
     done;
     (* First index whose key is >= [target]; [keys] is still sorted. *)
     let lower_bound target =

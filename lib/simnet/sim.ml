@@ -199,6 +199,15 @@ let cancel t { id; seq } =
     end
   end
 
+let every t ~at ~until ~period f =
+  let rec run () =
+    if t.clock < until then begin
+      f ();
+      schedule t ~delay:(period ()) run
+    end
+  in
+  schedule_at t ~time:at run
+
 let backoff_delay rng ~base ~backoff ~jitter k =
   let d = base *. (backoff ** float_of_int k) in
   if jitter > 0. then d *. (1. +. (jitter *. Pgrid_prng.Rng.float rng)) else d

@@ -21,6 +21,15 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
     A NaN [time] raises [Invalid_argument]. *)
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
+(** [every t ~at ~until ~period f] runs [f] at [at] (clamped to now)
+    and again [period ()] seconds after each run, calling [period] after
+    [f], while the clock reads before [until]: the event due at or after
+    [until] ends the process without running [f].  Each re-arm takes
+    the next place in scheduling order.  A NaN [at], or a NaN or
+    negative [period ()], raises [Invalid_argument]. *)
+val every :
+  t -> at:float -> until:float -> period:(unit -> float) -> (unit -> unit) -> unit
+
 (** A handle on an event scheduled with {!timer}. *)
 type timer
 

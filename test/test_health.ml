@@ -125,11 +125,7 @@ let test_emit_updates_gauges () =
 (* --- Maintenance daemon -------------------------------------------------- *)
 
 let install sim overlay keys ~seed ~until cfg =
-  Maintenance.install_daemon (Rng.create ~seed) overlay
-    ~keys:(fun () -> keys)
-    ~schedule:(fun ~delay f -> Sim.schedule sim ~delay f)
-    ~now:(fun () -> Sim.now sim)
-    ~until cfg
+  Maintenance.install_daemon ~keys:(fun () -> keys) sim (Rng.create ~seed) overlay ~until cfg
 
 let test_daemon_resyncs_replicas () =
   let overlay, keys = build 6 in

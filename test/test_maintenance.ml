@@ -9,6 +9,7 @@ module Node = Pgrid_core.Node
 module Overlay = Pgrid_core.Overlay
 module Builder = Pgrid_core.Builder
 module Maintenance = Pgrid_core.Maintenance
+module Sim = Pgrid_simnet.Sim
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -248,15 +249,12 @@ let test_daemon_rejects_bad_config () =
   let overlay = Overlay.create (Rng.create ~seed:1) ~n:4 in
   let base = Maintenance.default_daemon_config ~n_min:2 in
   let rc = Pgrid_core.Reconcile.default_config in
+  let sim = Sim.create () in
   let rejects what cfg =
-    match
-      Maintenance.install_daemon (Rng.create ~seed:2) overlay
-        ~schedule:(fun ~delay:_ _ -> Alcotest.fail "scheduled before validating")
-        ~now:(fun () -> 0.)
-        ~until:1. cfg
-    with
+    (match Maintenance.install_daemon sim (Rng.create ~seed:2) overlay ~until:1. cfg with
     | _ -> Alcotest.failf "install_daemon accepted %s" what
-    | exception Invalid_argument _ -> ()
+    | exception Invalid_argument _ -> ());
+    checki (what ^ ": nothing scheduled") 0 (Sim.pending sim)
   in
   rejects "period 0" { base with Maintenance.period = 0. };
   rejects "period nan" { base with Maintenance.period = Float.nan };

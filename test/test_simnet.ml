@@ -129,6 +129,81 @@ let test_sim_many_events () =
   Sim.run sim;
   checki "all fired" 10_000 !count
 
+(* --- Sim.every ---------------------------------------------------------- *)
+
+(* The times [f] ran at, for a process whose periods cycle through [gaps]. *)
+let every_times ~at ~until gaps =
+  let sim = Sim.create () in
+  let runs = ref [] and next = ref gaps in
+  let period () =
+    match !next with
+    | g :: rest ->
+      next := rest @ [ g ];
+      g
+    | [] -> assert false
+  in
+  Sim.every sim ~at ~until ~period (fun () -> runs := Sim.now sim :: !runs);
+  Sim.run sim;
+  List.rev !runs
+
+let floats = Alcotest.(list (float 0.))
+
+let test_every_schedule () =
+  Alcotest.check floats "first at [at], then period () after each run"
+    [ 1.; 3.; 6.; 11.; 13.; 16. ]
+    (every_times ~at:1. ~until:20. [ 2.; 3.; 5. ])
+
+let test_every_until () =
+  Alcotest.check floats "nothing at [until]" [ 1.; 3.; 6.; 11.; 13. ]
+    (every_times ~at:1. ~until:16. [ 2.; 3.; 5. ]);
+  Alcotest.check floats "at = until: never" [] (every_times ~at:5. ~until:5. [ 1. ]);
+  Alcotest.check floats "at > until: never" [] (every_times ~at:6. ~until:5. [ 1. ])
+
+let test_every_period_after_f () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  Sim.every sim ~at:0. ~until:3.
+    ~period:(fun () ->
+      log := "period" :: !log;
+      1.)
+    (fun () -> log := "f" :: !log);
+  Sim.run sim;
+  Alcotest.(check (list string)) "period drawn after each run"
+    [ "f"; "period"; "f"; "period"; "f"; "period" ]
+    (List.rev !log)
+
+let test_every_ties () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let every name =
+    Sim.every sim ~at:1. ~until:3.5 ~period:(fun () -> 1.) (fun () ->
+        log := (name, Sim.now sim) :: !log)
+  in
+  every "a";
+  every "b";
+  Sim.schedule_at sim ~time:2. (fun () -> log := ("event", Sim.now sim) :: !log);
+  Sim.run sim;
+  (* At t = 2, a and b were re-armed at t = 1, after the event. *)
+  Alcotest.(check (list (pair string (float 0.)))) "scheduling order at equal times"
+    [ ("a", 1.); ("b", 1.); ("event", 2.); ("a", 2.); ("b", 2.); ("a", 3.); ("b", 3.) ]
+    (List.rev !log)
+
+let test_every_rejects () =
+  let raises what f =
+    checkb what true (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  let sim = Sim.create () in
+  raises "NaN at" (fun () ->
+      Sim.every sim ~at:Float.nan ~until:10. ~period:(fun () -> 1.) ignore);
+  checki "nothing scheduled" 0 (Sim.pending sim);
+  let run period () =
+    let sim = Sim.create () in
+    Sim.every sim ~at:0. ~until:10. ~period ignore;
+    Sim.run sim
+  in
+  raises "negative period" (run (fun () -> -1.));
+  raises "NaN period" (run (fun () -> Float.nan))
+
 (* --- Latency ------------------------------------------------------------ *)
 
 let test_latency_fixed () =
@@ -989,6 +1064,12 @@ let suite =
     Alcotest.test_case "timer rejects NaN delay" `Quick test_sim_timer_nan;
     Alcotest.test_case "net rejects NaN parameters" `Quick test_net_rejects_nan;
     Alcotest.test_case "many events" `Quick test_sim_many_events;
+    Alcotest.test_case "every: first at, then period after each run" `Quick
+      test_every_schedule;
+    Alcotest.test_case "every: nothing at or after until" `Quick test_every_until;
+    Alcotest.test_case "every: period called after f" `Quick test_every_period_after_f;
+    Alcotest.test_case "every: ties keep scheduling order" `Quick test_every_ties;
+    Alcotest.test_case "every: rejects NaN at, bad period" `Quick test_every_rejects;
     Alcotest.test_case "fixed latency" `Quick test_latency_fixed;
     Alcotest.test_case "latency floor" `Quick test_latency_floor;
     Alcotest.test_case "planetlab model" `Quick test_latency_planetlab_positive;
