@@ -1160,7 +1160,7 @@ let overload_arm ?(peers = 10_000) ?(horizon = 1440.) ?(base_rate = 30.)
   if base_rate <= 0. || peak_rate <= 0. then
     invalid_arg "Figures.overload: rates must be positive";
   let a = start_arm ~seed ~horizon (Round.default_params ~peers) in
-  let keys = a.keys0 in
+  let keys = Array.copy a.keys0 in
   (* Decorrelate popularity rank from key-space position: without the
      shuffle the sorted hot head would pile into one partition. *)
   Rng.shuffle (stream a 1) keys;
