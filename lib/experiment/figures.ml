@@ -996,7 +996,6 @@ let txn_n_min = 5
    scrubbed (aborted). *)
 let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
   let a = start_arm ~seed ~horizon (Round.default_params ~peers) in
-  let overlay = a.overlay and keys0 = a.keys0 in
   (* The protocol network: messages carry their delivery continuation,
      so loss and offline destinations genuinely drop protocol steps. *)
   let net : (unit -> unit) Net.t = network a ~loss:0.02 in
@@ -1009,7 +1008,7 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
           Net.send net ~src ~dst ~bytes ~kind:Net.Maintenance deliver);
     }
   in
-  let mgr = Txn.create ~telemetry:a.tel a.sim (stream a 4) overlay ~transport in
+  let mgr = Txn.create ~telemetry:a.tel a.sim (stream a 4) a.overlay ~transport in
   let fault =
     if severity <= 0. then None
     else
@@ -1041,13 +1040,13 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
     (fun () ->
       let coordinator = Rng.int drng peers in
       let k = 3 + Rng.int drng 4 in
-      let picks = Rng.sample_without_replacement drng ~k ~n:(Array.length keys0) in
-      if (Overlay.node overlay coordinator).Node.online then begin
+      let picks = Rng.sample_without_replacement drng ~k ~n:(Array.length a.keys0) in
+      if (Overlay.node a.overlay coordinator).Node.online then begin
         let doc = Printf.sprintf "doc-%05d" !submitted in
         incr submitted;
         let ops =
           Array.to_list picks
-          |> List.map (fun i -> Txn.Put { key = keys0.(i); payload = doc })
+          |> List.map (fun i -> Txn.Put { key = a.keys0.(i); payload = doc })
         in
         ignore (Txn.submit mgr ~coordinator ops)
       end);
@@ -1064,7 +1063,7 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
   let settled = Txn.settled_docs mgr in
   let postings = Hashtbl.create 4096 in
   for i = 0 to peers - 1 do
-    let n = Overlay.node overlay i in
+    let n = Overlay.node a.overlay i in
     List.iter
       (fun k -> List.iter (fun p -> Hashtbl.replace postings (k, p) ()) (Node.lookup n k))
       (Node.keys n)
@@ -1075,7 +1074,7 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
       0 ks
   in
   let docs = Array.of_list (List.map (fun (d, ks, _) -> (d, ks)) settled) in
-  let report = Health.check ~keys:keys0 ~docs ~n_min:txn_n_min overlay in
+  let report = Health.check ~keys:a.keys0 ~docs ~n_min:txn_n_min a.overlay in
   Health.emit ~telemetry:a.tel report;
   let committed, aborted =
     List.partition (fun (_, _, c) -> c) settled

@@ -203,7 +203,9 @@ let every t ~at ~until ~period f =
   let rec run () =
     if t.clock < until then begin
       f ();
-      schedule t ~delay:(period ()) run
+      let p = period () in
+      if not (p >= 0.) then invalid_arg "Sim.every: period must be >= 0";
+      schedule t ~delay:p run
     end
   in
   schedule_at t ~time:at run

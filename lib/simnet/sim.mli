@@ -24,9 +24,9 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** [every t ~at ~until ~period f] runs [f] at [at] (clamped to now)
     and again [period ()] seconds after each run, calling [period] after
     [f], while the clock reads before [until]: the event due at or after
-    [until] ends the process without running [f].  Each re-arm takes
-    the next place in scheduling order.  A NaN [at], or a NaN or
-    negative [period ()], raises [Invalid_argument]. *)
+    [until] ends the process without running [f].  Each re-arm takes the
+    next place in scheduling order.  [Invalid_argument] is raised at
+    once for a NaN [at], and on re-arming for a NaN or negative period. *)
 val every :
   t -> at:float -> until:float -> period:(unit -> float) -> (unit -> unit) -> unit
 
