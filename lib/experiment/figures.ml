@@ -651,7 +651,7 @@ let stored_keys overlay =
    v} *)
 type arm = {
   seed : int;
-  horizon : float;  (* seconds; every process stops there *)
+  horizon : float;  (* seconds; the daemon, inserts and sampler stop there *)
   overlay : Overlay.t;
   keys0 : Key.t array;  (* the keys stored after construction, in key order *)
   mutable inserted : Key.t list;  (* keys the insert stream stored, newest first *)
