@@ -254,6 +254,33 @@ let test_simulation_digests () =
     ]
     got
 
+(* The printed tables of the three ablations that merge or hand over
+   whole stores, at their default size, hashed: only these runs reach
+   [Sequential.join]'s merge, [Merge.copy_into] and [Maintenance]'s
+   leave/adopt/join, which neither the simulation digests nor the
+   construction goldens cover. *)
+let test_ablation_digests () =
+  let digest name =
+    (Experiment.find name).run ~reps:None ~smoke:false ~seed:bench_seed
+    |> (fun out -> out.Experiment.blocks)
+    |> List.map (function
+         | Experiment.Table { title; columns; rows } ->
+           Pgrid_stats.Table.render ~title ~columns ~rows
+         | _ -> Alcotest.failf "%s: table expected" name)
+    |> String.concat ""
+    |> Digest.string
+    |> Digest.to_hex
+  in
+  let names = [ "ablation-seq"; "ablation-merge"; "ablation-maintain" ] in
+  Alcotest.(check (list (pair string string)))
+    "digests"
+    [
+      ("ablation-seq", "65a6c276d7bef366f7cdee02a8a0de59");
+      ("ablation-merge", "baba5e696317b3d7c03d181d59851827");
+      ("ablation-maintain", "3cd17d1bc78fd7caec30517fa8255ab4");
+    ]
+    (List.map (fun name -> (name, digest name)) names)
+
 let test_claim_reads_missing_metric () =
   let metrics = [ ("on/lost", 0., Experiment.Down) ] in
   let holds, line =
@@ -318,6 +345,7 @@ let suite =
     Alcotest.test_case "survival smoke" `Slow test_survival_smoke;
     Alcotest.test_case "overload smoke" `Slow test_overload_smoke;
     Alcotest.test_case "simulation digests" `Slow test_simulation_digests;
+    Alcotest.test_case "ablation digests" `Slow test_ablation_digests;
     Alcotest.test_case "ablation sequential" `Quick test_ablation_sequential;
     Alcotest.test_case "ablation cost" `Slow test_ablation_cost;
     Alcotest.test_case "ablation correction" `Slow test_ablation_correction;
