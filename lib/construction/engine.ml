@@ -267,13 +267,13 @@ let same_partition t i j =
      0 at this level; no key list is ever materialized or sorted. *)
   let small, big = if d1 <= d2 then (ni, nj) else (nj, ni) in
   let shared = ref 0 and shared_zeros = ref 0 in
-  Hashtbl.iter
-    (fun k _ ->
+  Node.fold small
+    (fun k _ () ->
       if Node.has_key big k then begin
         incr shared;
         if level < Key.bits && Key.bit k level = 0 then incr shared_zeros
       end)
-    small.Node.store;
+    ();
   let overlap = !shared in
   let distinct_obs = Estimate.distinct_keys ~d1 ~d2 ~overlap in
   let replicas_obs = Estimate.replicas ~n_min:t.config.n_min ~d1 ~d2 ~overlap in
@@ -349,16 +349,15 @@ let same_partition t i j =
     let gained = ref false in
     let copy src dst ~fresh_keys =
       let s = node t src and d = node t dst in
-      if fresh_keys > 0 || Node.payload_key_count s > 0 then
-        Hashtbl.iter
-          (fun k payloads ->
-            if Node.merge_key d k payloads then begin
-              note_key_moved t ~src ~dst;
-              (* Only new distinct keys count as progress; payload-level
-                 reconciliation must not keep peers active forever. *)
-              gained := true
-            end)
-          s.Node.store
+      if fresh_keys > 0 || Node.payload_key_count s > 0 then begin
+        let fresh = Node.merge_store d ~from:s in
+        for _ = 1 to fresh do
+          note_key_moved t ~src ~dst
+        done;
+        (* Only new distinct keys count as progress; payload-level
+           reconciliation must not keep peers active forever. *)
+        if fresh > 0 then gained := true
+      end
     in
     copy i j ~fresh_keys:(d1 - overlap);
     copy j i ~fresh_keys:(d2 - overlap);

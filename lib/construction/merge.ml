@@ -17,7 +17,7 @@ type outcome = {
 (* Deep-copy node [src] into [dst], shifting peer ids by [offset]. *)
 let copy_into ~offset src dst =
   Node.set_path dst src.Node.path;
-  Hashtbl.iter (fun k payloads -> ignore (Node.merge_key dst k payloads)) src.Node.store;
+  ignore (Node.merge_store dst ~from:src);
   for level = 0 to Path.length src.Node.path - 1 do
     Node.refs_iter src ~level (fun r -> Node.add_ref dst ~level (r + offset))
   done;

@@ -90,10 +90,7 @@ let join st i =
     copy_routing st ~from:host_id ~to_:i;
     Node.set_path ni host_path;
     ignore (Node.drop_keys_outside ni ni.Node.path);
-    let merge src dst =
-      let d = node st dst in
-      Hashtbl.iter (fun k payloads -> ignore (Node.merge_key d k payloads)) (node st src).Node.store
-    in
+    let merge src dst = ignore (Node.merge_store (node st dst) ~from:(node st src)) in
     List.iter
       (fun j ->
         merge i j;

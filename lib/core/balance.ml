@@ -57,8 +57,8 @@ let union_stores overlay members =
   let tbl = Hashtbl.create 256 in
   List.iter
     (fun i ->
-      Hashtbl.iter
-        (fun k payloads ->
+      Node.fold (node overlay i)
+        (fun k payloads () ->
           let have = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
           let merged =
             List.fold_left
@@ -66,7 +66,7 @@ let union_stores overlay members =
               have payloads
           in
           Hashtbl.replace tbl k merged)
-        (node overlay i).Node.store)
+        ())
     members;
   tbl
 
@@ -74,15 +74,11 @@ let union_stores overlay members =
    (key, payload) copies that were actually new. *)
 let top_up overlay union i path =
   let n = node overlay i in
-  let copied = ref 0 in
-  Hashtbl.iter
-    (fun k payloads ->
-      if Path.matches_key path k then begin
-        Node.ensure_key n k;
-        List.iter (fun p -> if Node.insert_new n k p then incr copied) payloads
-      end)
-    union;
-  !copied
+  Hashtbl.fold
+    (fun k payloads copied ->
+      if Path.matches_key path k then copied + Node.add_postings n k payloads
+      else copied)
+    union 0
 
 (* --- split ----------------------------------------------------------------- *)
 

@@ -94,13 +94,13 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
   let postings = Hashtbl.create 256 in
   let holders = Hashtbl.create 256 in
   Overlay.iter overlay (fun n ->
-      Hashtbl.iter
-        (fun k payloads ->
+      Node.fold n
+        (fun k payloads () ->
           let on, total = Option.value ~default:(0, 0) (Hashtbl.find_opt holders k) in
           Hashtbl.replace holders k ((if n.Node.online then on + 1 else on), total + 1);
           if Hashtbl.mem doc_keys k then
             List.iter (fun p -> Hashtbl.replace postings (k, p) ()) payloads)
-        n.Node.store);
+        ());
   let lostv = ref [] in
   Array.iter
     (fun k -> if not (Hashtbl.mem holders k) then lostv := Data_lost { key = k } :: !lostv)
@@ -134,23 +134,21 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
      them. *)
   let resv = ref [] and divv = ref [] and debt = ref 0 in
   if versions then begin
-    (* Globally newest write per key over online peers; ties go to the
-       tombstone (the sync vote's rule). *)
+    (* Globally newest write per key over online peers, by the sync
+       vote's rule ([Node.newer]). *)
     let newest = Hashtbl.create 256 in
     Overlay.iter overlay (fun n ->
         if n.Node.online then begin
           debt := !debt + Node.tombstone_count n;
           Node.meta_fold n
             (fun k m () ->
-              match Hashtbl.find_opt newest k with
-              | Some (v, d)
-                when v > m.Node.version || (v = m.Node.version && d) -> ()
-              | _ -> Hashtbl.replace newest k (m.Node.version, m.Node.dead))
+              if Node.newer (Some m) (Hashtbl.find_opt newest k) then
+                Hashtbl.replace newest k m)
             ()
         end);
     Hashtbl.iter
-      (fun k (_, dead) ->
-        if dead then
+      (fun k (m : Node.meta) ->
+        if m.dead then
           match Hashtbl.find_opt holders k with
           | Some (on, _) when on > 0 ->
             resv := Resurrected_key { key = k; holders = on } :: !resv
@@ -267,28 +265,3 @@ let emit ?(telemetry = Pgrid_telemetry.Global.get ()) r =
            torn = r.torn;
            score = r.score;
          })
-
-let pp_violation fmt = function
-  | Ref_integrity { peer; level } ->
-    Format.fprintf fmt "ref-integrity: peer %d has no live ref at level %d" peer level
-  | Trie_incomplete { prefix } ->
-    Format.fprintf fmt "trie-incomplete: partition %s is entirely offline" prefix
-  | Under_replicated { path; online; required } ->
-    Format.fprintf fmt "under-replicated: partition %s has %d/%d online" path online
-      required
-  | Data_at_risk { key; holders } ->
-    Format.fprintf fmt "data-at-risk: key %s held only by %d offline peer(s)"
-      (Key.to_string key) holders
-  | Data_lost { key } ->
-    Format.fprintf fmt "data-lost: key %s has no holder" (Key.to_string key)
-  | Torn_write { doc; present; total } ->
-    Format.fprintf fmt "torn-write: document %s indexed under %d/%d of its keys" doc
-      present total
-  | Resurrected_key { key; holders } ->
-    Format.fprintf fmt
-      "resurrected-key: key %s live at %d peer(s) despite a newer tombstone"
-      (Key.to_string key) holders
-  | Diverged_partition { prefix; descendants } ->
-    Format.fprintf fmt
-      "diverged-partition: path %s inhabited alongside %d deeper partition(s)"
-      prefix descendants

@@ -93,5 +93,3 @@ val score :
     {!Pgrid_telemetry.Event.Health_report} event (updating the
     [health.*] and [data.*] gauges); no-op without a handle. *)
 val emit : ?telemetry:Pgrid_telemetry.Telemetry.t -> report -> unit
-
-val pp_violation : Format.formatter -> violation -> unit

@@ -87,7 +87,7 @@ let adopt overlay ~host_id ~peer =
   Node.reset_refs n ~capacity:(Path.length host.Node.path);
   Node.clear_replicas n;
   Node.set_path n host.Node.path;
-  Hashtbl.iter (fun k payloads -> ignore (Node.merge_key n k payloads)) host.Node.store;
+  ignore (Node.merge_store n ~from:host);
   for level = 0 to Path.length host.Node.path - 1 do
     Node.refs_iter host ~level (fun r -> if r <> peer then Node.add_ref n ~level r)
   done;
@@ -104,11 +104,7 @@ let adopt overlay ~host_id ~peer =
 (* Remove [id] from its group's replica lists. *)
 let farewell overlay id =
   let n = node overlay id in
-  Intset.iter
-    (fun rid ->
-      let r = node overlay rid in
-      Intset.remove r.Node.replicas id)
-    n.Node.replicas
+  Intset.iter (fun rid -> Node.remove_replica (node overlay rid) id) n.Node.replicas
 
 (* Ascending online member lists of the inhabited partitions, in path
    order — both repair reports and recruit choices must be deterministic
@@ -157,19 +153,15 @@ let leave ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay id =
            [] n.Node.replicas)
     in
     (* Push payload-bearing keys the replicas are missing. *)
-    Hashtbl.iter
-      (fun k payloads ->
+    Node.fold n
+      (fun k payloads () ->
         List.iter
           (fun rid ->
             let r = node overlay rid in
-            if Node.responsible_for r k then begin
-              Node.ensure_key r k;
-              List.iter
-                (fun p -> if Node.insert_new r k p then incr pushed)
-                payloads
-            end)
+            if Node.responsible_for r k then
+              pushed := !pushed + Node.add_postings r k payloads)
           online_replicas)
-      n.Node.store;
+      ();
     (* Departure announcement: replicas forget the leaver. *)
     farewell overlay id;
     Node.set_online n false;
@@ -384,7 +376,7 @@ let donor_partition overlay ~floor ~avoid =
   let tbl = Hashtbl.create 64 in
   for i = Overlay.size overlay - 1 downto 0 do
     let n = node overlay i in
-    if n.Node.online || Hashtbl.length n.Node.store > 0 then begin
+    if n.Node.online || Node.key_count n > 0 then begin
       let key = Path.to_string n.Node.path in
       let online_m, count =
         Option.value ~default:([], 0) (Hashtbl.find_opt tbl key)
@@ -587,7 +579,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
               | Some _ -> scan (i + 1) best_online best_off best_off_size
               | None -> scan (i + 1) (Some i) best_off best_off_size
             else begin
-              let size = Hashtbl.length n.Node.store in
+              let size = Node.key_count n in
               if size > best_off_size then scan (i + 1) best_online (Some i) size
               else scan (i + 1) best_online best_off best_off_size
             end
@@ -613,7 +605,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
             if
               i <> recruit
               && Path.equal m.Node.path r.Node.path
-              && (m.Node.online || Hashtbl.length m.Node.store > 0)
+              && (m.Node.online || Node.key_count m > 0)
             then collect (i + 1) (i :: acc)
             else collect (i + 1) acc
           end
@@ -622,49 +614,37 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
       in
       (match cfg.reconcile with
       | None ->
-        Hashtbl.iter
-          (fun k payloads ->
+        Node.fold r
+          (fun k payloads () ->
             List.iter
               (fun mid ->
                 let m = node overlay mid in
-                if Node.responsible_for m k then begin
-                  Node.ensure_key m k;
-                  List.iter (fun p -> ignore (Node.insert_new m k p)) payloads
-                end)
+                if Node.responsible_for m k then
+                  ignore (Node.add_postings m k payloads))
               mates)
-          r.Node.store
+          ()
       | Some _ ->
         (* Version-aware handover: a mate holding a tombstone at least
            as new as the recruit's copy keeps its delete; live copies
            carry their version so later syncs can still judge them. *)
-        Hashtbl.iter
-          (fun k payloads ->
+        Node.fold r
+          (fun k payloads () ->
             let km = Node.meta r k in
-            let kv = match km with Some mm -> mm.Node.version | None -> 0 in
             List.iter
               (fun mid ->
                 let m = node overlay mid in
                 if Node.responsible_for m k then begin
-                  let blocked =
-                    match Node.meta m k with
-                    | Some cur -> cur.Node.dead && cur.Node.version >= kv
-                    | None -> false
-                  in
-                  if not blocked then begin
-                    Node.ensure_key m k;
-                    List.iter (fun p -> ignore (Node.insert_new m k p)) payloads;
+                  let cur = Node.meta m k in
+                  if Node.newer km cur || not (Node.is_tombstone cur) then begin
+                    ignore (Node.add_postings m k payloads);
                     match km with
-                    | Some mm when (not mm.Node.dead) && mm.Node.version > 0 -> (
-                      match Node.meta m k with
-                      | Some cur when cur.Node.version >= mm.Node.version -> ()
-                      | _ ->
-                        Node.note_write m k ~version:mm.Node.version
-                          ~stamp:mm.Node.stamp)
+                    | Some mm when (not mm.Node.dead) && Node.newer km cur ->
+                      Node.note_write m k ~version:mm.Node.version ~stamp:mm.Node.stamp
                     | _ -> ()
                   end
                 end)
               mates)
-          r.Node.store;
+          ();
         (* The recruit's tombstones outlive its departure. *)
         Node.meta_fold r
           (fun k mm () ->
@@ -672,13 +652,12 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
               List.iter
                 (fun mid ->
                   let m = node overlay mid in
-                  if Node.responsible_for m k then
-                    match Node.meta m k with
-                    | Some cur when cur.Node.version > mm.Node.version -> ()
-                    | _ ->
-                      if Node.has_key m k then Node.remove_key m k;
-                      Node.note_delete m k ~version:mm.Node.version
-                        ~stamp:mm.Node.stamp)
+                  if
+                    Node.responsible_for m k
+                    && not (Node.newer (Node.meta m k) (Some mm))
+                  then
+                    ignore
+                      (Node.entomb m k ~version:mm.Node.version ~stamp:mm.Node.stamp))
                 mates)
           ());
       farewell overlay recruit;
@@ -704,15 +683,10 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
       &&
       let best = ref None in
       for i = 0 to Overlay.size overlay - 1 do
-        match Node.meta (node overlay i) key with
-        | Some m -> (
-          match !best with
-          | Some (v, d) when v > m.Node.version || (v = m.Node.version && d) ->
-            ()
-          | _ -> best := Some (m.Node.version, m.Node.dead))
-        | None -> ()
+        let m = Node.meta (node overlay i) key in
+        if Node.newer m !best then best := m
       done;
-      match !best with Some (_, true) -> true | _ -> false
+      Node.is_tombstone !best
     in
     if deleted then ()
     else begin
@@ -721,26 +695,24 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
         let n = node overlay i in
         match !holder with
         | Some _ -> ()
-        | None -> if Hashtbl.mem n.Node.store key then holder := Some i
+        | None -> if Node.has_key n key then holder := Some i
       done;
       match !holder with
       | None -> ()
       | Some h ->
-        let payloads = Hashtbl.find (node overlay h).Node.store key in
+        let payloads = Node.lookup (node overlay h) key in
         for i = 0 to Overlay.size overlay - 1 do
           let n = node overlay i in
           if
             i <> h && n.Node.online
             && Node.responsible_for n key
-            && not (Hashtbl.mem n.Node.store key)
+            && not (Node.has_key n key)
           then begin
-            Node.ensure_key n key;
-            List.iter (fun p -> ignore (Node.insert_new n key p)) payloads;
+            ignore (Node.add_postings n key payloads);
             (if cfg.reconcile <> None then
                match Node.meta (node overlay h) key with
-               | Some mm when (not mm.Node.dead) && mm.Node.version > 0 ->
-                 Node.note_write n key ~version:mm.Node.version
-                   ~stamp:mm.Node.stamp
+               | Some mm when not mm.Node.dead ->
+                 Node.note_write n key ~version:mm.Node.version ~stamp:mm.Node.stamp
                | _ -> ());
             stats.keys_synced <- stats.keys_synced + 1
           end
@@ -752,28 +724,21 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
   let entomb key =
     let best = ref None in
     for i = 0 to Overlay.size overlay - 1 do
-      match Node.meta (node overlay i) key with
-      | Some m when m.Node.dead -> (
-        match !best with
-        | Some (v, _) when v >= m.Node.version -> ()
-        | _ -> best := Some (m.Node.version, m.Node.stamp))
-      | _ -> ()
+      let m = Node.meta (node overlay i) key in
+      if Node.is_tombstone m && Node.newer m !best then best := m
     done;
     match !best with
     | None -> ()
-    | Some (version, stamp) ->
+    | Some { version; stamp; _ } ->
       for i = 0 to Overlay.size overlay - 1 do
         let n = node overlay i in
         if n.Node.online then begin
           let stale =
             match Node.meta n key with
-            | Some m -> (not m.Node.dead) && m.Node.version <= version
             | None -> Node.has_key n key
+            | cur -> (not (Node.is_tombstone cur)) && Node.newer !best cur
           in
-          if stale then begin
-            if Node.has_key n key then Node.remove_key n key;
-            Node.note_delete n key ~version ~stamp
-          end
+          if stale then ignore (Node.entomb n key ~version ~stamp)
         end
       done
   in
@@ -807,7 +772,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
         let n = node overlay i in
         if
           Path.to_string n.Node.path = path_s
-          && (n.Node.online || Hashtbl.length n.Node.store > 0)
+          && (n.Node.online || Node.key_count n > 0)
         then incr c
       done;
       !c

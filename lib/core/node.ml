@@ -4,6 +4,7 @@ module Path = Pgrid_keyspace.Path
 type id = int
 
 type meta = { mutable version : int; mutable dead : bool; mutable stamp : float }
+type vers = (Key.t, meta) Hashtbl.t
 
 (* Every node of one overlay shares one census, so whether any peer is
    offline is one read.  [set_online] is the only writer of [online] and
@@ -18,7 +19,7 @@ type t = {
   mutable path : Path.t;
   mutable refs : Intset.t array;
   store : (Key.t, string list) Hashtbl.t;
-  vers : (Key.t, meta) Hashtbl.t;
+  vers : vers;
   replicas : Intset.t;
   mutable online : bool;
   census : census;
@@ -56,28 +57,39 @@ let set_online t v =
 
 let meta t key = Hashtbl.find_opt t.vers key
 
-let note_write t key ~version ~stamp =
+(* The one newest-write-wins rule: the higher version wins, and a
+   tombstone wins a tie. *)
+let version_of = function None -> 0 | Some m -> m.version
+let is_tombstone = function None -> false | Some m -> m.dead
+
+let newer a b =
+  let va = version_of a and vb = version_of b in
+  va > vb || (va = vb && is_tombstone a && not (is_tombstone b))
+
+let note t key ~dead ~version ~stamp =
+  if version < 1 then invalid_arg "Node: versions start at 1";
   match Hashtbl.find_opt t.vers key with
   | Some m ->
     m.version <- version;
-    m.dead <- false;
+    m.dead <- dead;
     m.stamp <- stamp
-  | None -> Hashtbl.replace t.vers key { version; dead = false; stamp }
+  | None -> Hashtbl.replace t.vers key { version; dead; stamp }
 
-let note_delete t key ~version ~stamp =
-  match Hashtbl.find_opt t.vers key with
-  | Some m ->
-    m.version <- version;
-    m.dead <- true;
-    m.stamp <- stamp
-  | None -> Hashtbl.replace t.vers key { version; dead = true; stamp }
-
+let note_write t key ~version ~stamp = note t key ~dead:false ~version ~stamp
 let drop_meta t key = Hashtbl.remove t.vers key
-
 let meta_fold t f acc = Hashtbl.fold f t.vers acc
 
 let tombstone_count t =
   Hashtbl.fold (fun _ m acc -> if m.dead then acc + 1 else acc) t.vers 0
+
+let purge_tombstones t ~horizon =
+  let doomed =
+    Hashtbl.fold
+      (fun k m acc -> if m.dead && m.stamp <= horizon then k :: acc else acc)
+      t.vers []
+  in
+  List.iter (drop_meta t) doomed;
+  List.length doomed
 
 (* Two counts kept by every store mutation below, so the construction
    engine reads them without scanning the store:
@@ -176,12 +188,16 @@ let merge_key t key payloads =
     true
   end
 
-let remove_key t key =
+(* [drop_key t key] removes [key] and reports whether it was present. *)
+let drop_key t key =
   match Hashtbl.find_opt t.store key with
-  | None -> ()
+  | None -> false
   | Some payloads ->
     Hashtbl.remove t.store key;
-    note_removed t key payloads
+    note_removed t key payloads;
+    true
+
+let remove_key t key = ignore (drop_key t key)
 
 let clear_store t =
   Hashtbl.reset t.store;
@@ -191,9 +207,28 @@ let clear_store t =
   t.zero_keys <- 0;
   t.payload_keys <- 0
 
+(* The versioned writes: each one changes the store and records the
+   write in the sidecar together. *)
+let put t key payload ~version ~stamp =
+  insert t key payload;
+  note_write t key ~version ~stamp
+
+let entomb t key ~version ~stamp =
+  note t key ~dead:true ~version ~stamp;
+  drop_key t key
+
+let add_postings t key payloads =
+  ensure_key t key;
+  List.fold_left (fun n p -> if insert_new t key p then n + 1 else n) 0 payloads
+
+let fold t f acc = Hashtbl.fold f t.store acc
+
+let merge_store t ~from =
+  fold from (fun k payloads n -> if merge_key t k payloads then n + 1 else n) 0
+
 let has_key t key = Hashtbl.mem t.store key
 let lookup t key = Option.value ~default:[] (Hashtbl.find_opt t.store key)
-let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.store []
+let keys t = fold t (fun k _ acc -> k :: acc) []
 let key_count t = Hashtbl.length t.store
 let payload_key_count t = t.payload_keys
 
@@ -269,6 +304,7 @@ let absorb_replicas t src =
 
 let replica_list t = Intset.elements t.replicas
 let replica_count t = Intset.cardinal t.replicas
+let remove_replica t peer = Intset.remove t.replicas peer
 let clear_replicas t = Intset.clear t.replicas
 
 (* One fold, in the table's own order, collects the doomed entries and

@@ -14,18 +14,30 @@
     construction engine uses to compute load fractions and the
     degenerate-bisection check without materializing key lists.
 
-    The [store] field is exposed for read-only traversal ([Hashtbl.iter]
-    / [find_opt] / [length]); all mutations must go through {!insert},
-    {!insert_new}, {!remove_payload}, {!ensure_key}, {!remove_key},
-    {!clear_store}, {!cut_outside} or {!drop_keys_outside}.  These keep
-    two counts exact that a direct [Hashtbl] write would desynchronize:
-    the zero-bit count ({!zero_count}) and the payload-key count
-    ({!payload_key_count}).
+    {b The store.}  Only this module reads or writes a store and its
+    version sidecar.  Reads: {!has_key}, {!lookup}, {!keys},
+    {!key_count} and {!fold}, in table order.  Unversioned writes, as
+    construction and repair move keys: {!insert}, {!insert_new},
+    {!ensure_key}, {!merge_key}, {!add_postings}, {!merge_store},
+    {!remove_payload}, {!remove_key}, {!cut_outside},
+    {!drop_keys_outside} and {!clear_store}.  Versioned writes change
+    the store and the sidecar together: {!put} and {!entomb}, plus
+    {!note_write} where the caller made the store change.  The writes
+    keep the zero-bit count ({!zero_count}) and the payload-key count
+    ({!payload_key_count}) exact.
+
+    {b Newest write wins.}  Replicas that disagree about a key settle it
+    by {!newer}: the higher version wins, and a tombstone wins a tie.
+    Reconciliation's vote, the health audit's newest-write scan and the
+    maintenance rescues all compare through it.
 
     The record is [private]: every field reads as usual, but only this
-    module writes one.  In particular liveness ([online]) is written only
-    through {!set_online}, which keeps the {!census} the node belongs to
-    exact. *)
+    module writes one.  [meta] is private too, and the sidecar's type
+    [vers] is abstract.  [store] still reads as a [Hashtbl] for one
+    reason: the benchmark harness ([perf/workloads.ml]) iterates it, and
+    that code is the benchmark's fixed yardstick.  Liveness ([online])
+    is written only through {!set_online}, which keeps the {!census} the
+    node belongs to exact. *)
 
 type id = int
 
@@ -48,8 +60,14 @@ val offline : census -> int
     last write (used only to age tombstones out).  A key with no meta
     entry is implicitly [(version 0, alive)] — the state of everything
     written before versioning existed, so legacy behaviour is the
-    zero-metadata case, not a special case. *)
-type meta = { mutable version : int; mutable dead : bool; mutable stamp : float }
+    zero-metadata case, not a special case.  Recorded versions start at
+    1, as [Overlay.clock] does, so a recorded entry always outranks a
+    missing one; the versioned writes below raise [Invalid_argument] on
+    a version below 1. *)
+type meta = private { mutable version : int; mutable dead : bool; mutable stamp : float }
+
+(** A node's version sidecar, keyed like the store. *)
+type vers
 
 type t = private {
   id : id;
@@ -60,12 +78,10 @@ type t = private {
   store : (Pgrid_keyspace.Key.t, string list) Hashtbl.t;
       (** key -> payloads (e.g. posting lists); multiple payloads per key,
           kept sorted and duplicate-free so mutation is a single early-exit
-          pass.  Read-only outside this module — mutate via the functions
-          below. *)
-  vers : (Pgrid_keyspace.Key.t, meta) Hashtbl.t;
+          pass.  Read it through {!fold} and the functions below. *)
+  vers : vers;
       (** version/tombstone sidecar; a dead entry may outlive its store
-          key (that is the tombstone).  Read-only outside this module —
-          mutate via {!note_write}/{!note_delete}/{!drop_meta}. *)
+          key (that is the tombstone) *)
   replicas : Intset.t;  (** known peers sharing this node's path *)
   mutable online : bool;  (** written only by {!set_online} *)
   census : census;  (** shared with the other nodes of the node's overlay *)
@@ -123,25 +139,53 @@ val remove_key : t -> Pgrid_keyspace.Key.t -> unit
     from replication, never from one node). *)
 val clear_store : t -> unit
 
+(** [add_postings t key payloads] is {!ensure_key} followed by
+    {!insert_new} of each payload, in order; it returns how many payloads
+    were new.  [payloads] need not be sorted. *)
+val add_postings : t -> Pgrid_keyspace.Key.t -> string list -> int
+
+(** [merge_store t ~from] merges every key of [from]'s store, with its
+    payloads, into [t]'s by {!merge_key}, in [from]'s table order; it
+    returns how many keys were new to [t].  The version sidecar is not
+    copied. *)
+val merge_store : t -> from:t -> int
+
 (** [meta t key] is the version sidecar entry, if any. *)
 val meta : t -> Pgrid_keyspace.Key.t -> meta option
 
-(** [note_write t key ~version ~stamp] records a live write at
+(** [newer a b] holds when the write [a] outranks the write [b]: a higher
+    version, or the same version with [a] a tombstone and [b] not.
+    [None] reads as [(version 0, alive)]. *)
+val newer : meta option -> meta option -> bool
+
+(** [is_tombstone m] holds for a dead entry. *)
+val is_tombstone : meta option -> bool
+
+(** [put t key payload ~version ~stamp] is {!insert} plus a live write at
     [version], clearing any tombstone. *)
+val put : t -> Pgrid_keyspace.Key.t -> string -> version:int -> stamp:float -> unit
+
+(** [entomb t key ~version ~stamp] removes [key] if present and records a
+    tombstone at [version], even where the key was absent (a tombstone
+    outvotes stale copies that resurface later); it reports whether the
+    key was present. *)
+val entomb : t -> Pgrid_keyspace.Key.t -> version:int -> stamp:float -> bool
+
+(** [note_write t key ~version ~stamp] records a live write at [version],
+    clearing any tombstone; the store is left as it is. *)
 val note_write : t -> Pgrid_keyspace.Key.t -> version:int -> stamp:float -> unit
 
-(** [note_delete t key ~version ~stamp] records a tombstone at
-    [version]; the store entry itself is removed by the caller. *)
-val note_delete : t -> Pgrid_keyspace.Key.t -> version:int -> stamp:float -> unit
-
-(** [drop_meta t key] discards the sidecar entry (tombstone GC). *)
-val drop_meta : t -> Pgrid_keyspace.Key.t -> unit
-
+(** [meta_fold t f acc] folds over the sidecar entries, tombstones
+    included. *)
 val meta_fold : t -> (Pgrid_keyspace.Key.t -> meta -> 'a -> 'a) -> 'a -> 'a
 
 (** [tombstone_count t] counts dead sidecar entries (the node's
     tombstone debt). *)
 val tombstone_count : t -> int
+
+(** [purge_tombstones t ~horizon] drops the tombstones stamped at or
+    before [horizon] and returns how many it dropped. *)
+val purge_tombstones : t -> horizon:float -> int
 
 (** [has_key t key] tests presence regardless of payloads. *)
 val has_key : t -> Pgrid_keyspace.Key.t -> bool
@@ -152,6 +196,10 @@ val lookup : t -> Pgrid_keyspace.Key.t -> string list
 
 (** [keys t] lists distinct stored keys (unspecified order). *)
 val keys : t -> Pgrid_keyspace.Key.t list
+
+(** [fold t f acc] folds [f key payloads] over the store, in the table's
+    own order. *)
+val fold : t -> (Pgrid_keyspace.Key.t -> string list -> 'a -> 'a) -> 'a -> 'a
 
 (** [key_count t] is the number of distinct keys stored. *)
 val key_count : t -> int
@@ -215,6 +263,10 @@ val absorb_replicas : t -> Intset.t -> unit
 val replica_list : t -> id list
 
 val replica_count : t -> int
+
+(** [remove_replica t peer] forgets [peer] as a replica. *)
+val remove_replica : t -> id -> unit
+
 val clear_replicas : t -> unit
 
 (** [cut_outside t path] removes the stored keys not matching [path] and

@@ -234,8 +234,7 @@ let insert ?admit ?(stamp = 0.) t ~from key payload =
     let peer = node t id in
     t.clock <- t.clock + 1;
     let version = t.clock in
-    Node.insert peer key payload;
-    Node.note_write peer key ~version ~stamp;
+    Node.put peer key payload ~version ~stamp;
     Intset.iter
       (fun rid ->
         let replica = node t rid in
@@ -243,10 +242,7 @@ let insert ?admit ?(stamp = 0.) t ~from key payload =
           replica.Node.online
           && Node.responsible_for replica key
           && admits admit id rid
-        then begin
-          Node.insert replica key payload;
-          Node.note_write replica key ~version ~stamp
-        end)
+        then Node.put replica key payload ~version ~stamp)
       peer.Node.replicas;
     notify t (Key_written key);
     Some r.hops
@@ -267,8 +263,7 @@ let delete ?admit ?(stamp = 0.) t ~from ?payload key =
         (* Whole-key delete leaves a tombstone in the sidecar even where
            the key was already absent: the tombstone's job is to outvote
            stale replicas that resurface later. *)
-        Node.note_delete n key ~version ~stamp;
-        if Node.has_key n key then (Node.remove_key n key; 1) else 0
+        if Node.entomb n key ~version ~stamp then 1 else 0
       | Some p ->
         if Node.remove_payload n key p then begin
           Node.note_write n key ~version ~stamp;
@@ -311,12 +306,12 @@ let anti_entropy t =
         let union = Hashtbl.create 64 in
         List.iter
           (fun n ->
-            Hashtbl.iter
-              (fun k payloads ->
+            Node.fold n
+              (fun k payloads () ->
                 let existing = Option.value ~default:[] (Hashtbl.find_opt union k) in
                 let missing = List.filter (fun p -> not (List.mem p existing)) payloads in
                 Hashtbl.replace union k (missing @ existing))
-              n.Node.store)
+              ())
           members;
         List.iter
           (fun n ->
@@ -345,8 +340,8 @@ let anti_entropy_pair t ~a ~b ~budget =
       let copied = ref 0 in
       let copy_missing src dst =
         try
-          Hashtbl.iter
-            (fun k payloads ->
+          Node.fold src
+            (fun k payloads () ->
               if !copied >= budget then raise Exit;
               match payloads with
               | [] ->
@@ -359,7 +354,7 @@ let anti_entropy_pair t ~a ~b ~budget =
                   (fun p ->
                     if !copied < budget && Node.insert_new dst k p then incr copied)
                   payloads)
-            src.Node.store
+            ()
         with Exit -> ()
       in
       copy_missing na nb;

@@ -15,28 +15,15 @@ let default_config =
 
 type sync_result = { copied : int; tombstoned : int }
 
-(* The effective per-key state of one node: the sidecar entry if any,
-   else the implicit (version 0, alive) of the pre-versioning world.
-   [present] is store presence, independent of the sidecar (a dead entry
-   with [present = false] is a pure tombstone). *)
-type state = { v : int; dead : bool; st : float; present : bool }
-
-let state_of n key =
-  match Node.meta n key with
-  | Some m ->
-    { v = m.Node.version; dead = m.Node.dead; st = m.Node.stamp;
-      present = Node.has_key n key }
-  | None -> { v = 0; dead = false; st = 0.; present = Node.has_key n key }
-
 (* Union of both nodes' known keys — store and sidecar, so pure
    tombstones participate. *)
 let known_keys na nb =
   let seen = Hashtbl.create 64 in
-  let note k = if not (Hashtbl.mem seen k) then Hashtbl.replace seen k () in
-  Hashtbl.iter (fun k _ -> note k) na.Node.store;
-  Hashtbl.iter (fun k _ -> note k) nb.Node.store;
-  Node.meta_fold na (fun k _ () -> note k) ();
-  Node.meta_fold nb (fun k _ () -> note k) ();
+  let note k _ () = if not (Hashtbl.mem seen k) then Hashtbl.replace seen k () in
+  Node.fold na note ();
+  Node.fold nb note ();
+  Node.meta_fold na note ();
+  Node.meta_fold nb note ();
   Hashtbl.fold (fun k () acc -> k :: acc) seen []
 
 let sync_pair t ~a ~b ~budget =
@@ -63,48 +50,44 @@ let sync_pair t ~a ~b ~budget =
             if !copied < budget && Node.insert_new dst key p then incr copied)
           (Node.lookup src key)
       in
-      let entomb n key ~version ~stamp =
-        if Node.has_key n key then begin
-          Node.remove_key n key;
-          incr tombstoned
-        end;
-        Node.note_delete n key ~version ~stamp
+      let entomb n key (m : Node.meta) =
+        if Node.entomb n key ~version:m.version ~stamp:m.stamp then incr tombstoned
+      in
+      let note_write n key (m : Node.meta) =
+        Node.note_write n key ~version:m.version ~stamp:m.stamp
       in
       (try
          List.iter
            (fun key ->
              if !copied >= budget then raise Exit;
-             let sa = state_of na key and sb = state_of nb key in
-             let win, lose_n =
-               if sa.v > sb.v then (sa, nb)
-               else if sb.v > sa.v then (sb, na)
-               else if sa.dead then (sa, nb) (* tombstone beats the tie *)
-               else (sb, na)
+             let ma = Node.meta na key and mb = Node.meta nb key in
+             (* One version names one write, so equal entries are equal
+                and a tie may go to either side. *)
+             let win, win_n, lose_n =
+               if Node.newer mb ma then (mb, nb, na) else (ma, na, nb)
              in
-             if win.dead then begin
+             match win with
+             | Some w when w.dead ->
                (* Newest write is a delete: it erases every stale copy on
                   both sides and leaves the tombstone everywhere. *)
-               entomb na key ~version:win.v ~stamp:win.st;
-               entomb nb key ~version:win.v ~stamp:win.st
-             end
-             else if sa.dead || sb.dead then begin
-               (* A write strictly newer than the tombstone: the key is
-                  legitimately back; clear the tombstone and copy. *)
-               let win_n = if lose_n == na then nb else na in
-               copy_payloads win_n lose_n key;
-               Node.note_write na key ~version:win.v ~stamp:win.st;
-               Node.note_write nb key ~version:win.v ~stamp:win.st
-             end
-             else begin
-               (* Both alive: inserts are additive, so the union is the
-                  newest state regardless of which side wrote last. *)
-               copy_payloads na nb key;
-               copy_payloads nb na key;
-               if win.v > 0 then begin
-                 Node.note_write na key ~version:win.v ~stamp:win.st;
-                 Node.note_write nb key ~version:win.v ~stamp:win.st
-               end
-             end)
+               entomb na key w;
+               entomb nb key w
+             | _ ->
+               if Node.is_tombstone ma || Node.is_tombstone mb then
+                 (* A write strictly newer than the tombstone: the key is
+                    legitimately back; clear the tombstone and copy. *)
+                 copy_payloads win_n lose_n key
+               else begin
+                 (* Both alive: inserts are additive, so the union is the
+                    newest state regardless of which side wrote last. *)
+                 copy_payloads na nb key;
+                 copy_payloads nb na key
+               end;
+               Option.iter
+                 (fun w ->
+                   note_write na key w;
+                   note_write nb key w)
+                 win)
            (known_keys na nb)
        with Exit -> ());
       Node.add_replica na b;
@@ -117,16 +100,8 @@ let gc cfg t ~now =
   let horizon = now -. cfg.gc_after in
   let purged = ref 0 in
   Overlay.iter t (fun n ->
-      if n.Node.online then begin
-        let doomed =
-          Node.meta_fold n
-            (fun k m acc ->
-              if m.Node.dead && m.Node.stamp <= horizon then k :: acc else acc)
-            []
-        in
-        List.iter (Node.drop_meta n) doomed;
-        purged := !purged + List.length doomed
-      end);
+      if n.Node.online then
+        purged := !purged + Node.purge_tombstones n ~horizon);
   !purged
 
 let tombstone_debt t =
@@ -202,14 +177,11 @@ let repair_structure ?(telemetry = Pgrid_telemetry.Global.get ()) cfg t =
                   List.iter
                     (fun r ->
                       if Node.responsible_for r k then begin
-                        List.iter (fun pl -> ignore (Node.insert_new r k pl))
-                          (Node.lookup m k);
-                        if not (Node.has_key r k) then Node.ensure_key r k;
-                        match meta with
-                        | Some mm when mm.Node.version > 0 ->
-                          Node.note_write r k ~version:mm.Node.version
-                            ~stamp:mm.Node.stamp
-                        | _ -> ()
+                        ignore (Node.add_postings r k (Node.lookup m k));
+                        Option.iter
+                          (fun (mm : Node.meta) ->
+                            Node.note_write r k ~version:mm.version ~stamp:mm.stamp)
+                          meta
                       end)
                     others;
                   incr moved
@@ -222,11 +194,9 @@ let repair_structure ?(telemetry = Pgrid_telemetry.Global.get ()) cfg t =
                 if mm.Node.dead && not (Path.matches_key target k) then
                   List.iter
                     (fun r ->
-                      if Node.responsible_for r k then begin
-                        if Node.has_key r k then Node.remove_key r k;
-                        Node.note_delete r k ~version:mm.Node.version
-                          ~stamp:mm.Node.stamp
-                      end)
+                      if Node.responsible_for r k then
+                        ignore
+                          (Node.entomb r k ~version:mm.Node.version ~stamp:mm.Node.stamp))
                     others)
               ();
             Node.set_path m target;

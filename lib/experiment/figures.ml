@@ -1566,13 +1566,11 @@ let queries_run ~peers ~count ~seed =
       let lo, hi = Path.interval_keys n.Node.path in
       for j = lower_bound lo to lower_bound hi - 1 do
         let k = keys.(j) in
-        (* [ensure_key] propagates bare presence: construction indexes
+        (* [add_postings] propagates bare presence: construction indexes
            keys without payloads, which a payload-union pass would skip
            entirely. *)
-        Node.ensure_key n k;
-        List.iter
-          (fun p -> ignore (Node.insert_new n k p))
-          (Option.value ~default:[] (Hashtbl.find_opt canonical k))
+        ignore
+          (Node.add_postings n k (Option.value ~default:[] (Hashtbl.find_opt canonical k)))
       done
     done
   in

@@ -29,7 +29,7 @@ let holders_of overlay key =
   let ids = ref [] in
   for i = 0 to Overlay.size overlay - 1 do
     let n = Overlay.node overlay i in
-    if Node.responsible_for n key && Hashtbl.mem n.Node.store key then
+    if Node.responsible_for n key && Node.has_key n key then
       ids := i :: !ids
   done;
   List.rev !ids
@@ -83,7 +83,7 @@ let resurrection_fixture seed =
   | Some _ -> ());
   Node.set_online (Overlay.node overlay stale) true;
   checkb "stale replica kept its copy" true
-    (Hashtbl.mem (Overlay.node overlay stale).Node.store key);
+    (Node.has_key (Overlay.node overlay stale) key);
   let live = List.filter (fun i -> i <> stale) holders in
   (overlay, key, stale, List.hd live)
 
@@ -92,7 +92,7 @@ let test_legacy_anti_entropy_resurrects () =
   let copied = Overlay.anti_entropy_pair overlay ~a:clean ~b:stale ~budget:1000 in
   checkb "legacy union copied the stale key back" true (copied > 0);
   checkb "key resurrected at the clean replica" true
-    (Hashtbl.mem (Overlay.node overlay clean).Node.store key);
+    (Node.has_key (Overlay.node overlay clean) key);
   let r = Health.check ~versions:true ~n_min:5 overlay in
   checkb "audit reports the resurrection" true (r.Health.resurrected > 0)
 
@@ -101,9 +101,9 @@ let test_sync_pair_entombs_stale_copy () =
   let r = Reconcile.sync_pair overlay ~a:clean ~b:stale ~budget:1000 in
   checkb "sync tombstoned the stale copy" true (r.Reconcile.tombstoned > 0);
   checkb "stale replica dropped the key" true
-    (not (Hashtbl.mem (Overlay.node overlay stale).Node.store key));
+    (not (Node.has_key (Overlay.node overlay stale) key));
   checkb "clean replica still clean" true
-    (not (Hashtbl.mem (Overlay.node overlay clean).Node.store key));
+    (not (Node.has_key (Overlay.node overlay clean) key));
   (match Node.meta (Overlay.node overlay stale) key with
   | Some m -> checkb "stale replica carries the tombstone now" true m.Node.dead
   | None -> Alcotest.fail "sync left no tombstone behind");
@@ -119,7 +119,7 @@ let test_newer_write_beats_tombstone () =
   | Some _ -> ());
   ignore (Reconcile.sync_pair overlay ~a:clean ~b:stale ~budget:1000);
   checkb "re-inserted key survives at the clean replica" true
-    (Hashtbl.mem (Overlay.node overlay clean).Node.store key);
+    (Node.has_key (Overlay.node overlay clean) key);
   let h = Health.check ~versions:true ~n_min:5 overlay in
   checki "a live re-insert is not a resurrection" 0 h.Health.resurrected
 
@@ -220,7 +220,7 @@ let test_split_brain_balance_and_repair () =
       | None -> Alcotest.failf "key unroutable after repair"
       | Some id ->
         checkb "responsible peer holds the key" true
-          (Hashtbl.mem (Overlay.node overlay id).Node.store k))
+          (Node.has_key (Overlay.node overlay id) k))
     !fat
 
 let test_repair_is_deterministic () =
@@ -284,6 +284,86 @@ let qcheck_conflicts =
         peers;
       Reconcile.conflicts overlay = conflicts_by_scan overlay)
 
+(* The version rule as a property.  Two online replicas of the root
+   path take interleaved writes, each at one side only, with versions
+   drawn from one clock: versioned puts, whole-key deletes and payload
+   deletes (a payload delete records a write only where it removed
+   something, as a routed one does).  One sync with ample budget must
+   leave, per key, the newest write's tombstone on both sides when that
+   write is a delete, and otherwise the union of both sides' postings
+   at the newest version.  A second sync then has nothing to do. *)
+type write = Put of int * int | Del of int | Del_payload of int * int
+
+let qcheck_version_rule =
+  let key i = Key.of_float (0.1 +. (0.2 *. float_of_int i)) in
+  let payload j = Printf.sprintf "p%d" j in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 30)
+        (pair bool
+           (frequency
+              [
+                (3, map2 (fun k p -> Put (k, p)) (int_bound 3) (int_bound 2));
+                (1, map (fun k -> Del k) (int_bound 3));
+                (2, map2 (fun k p -> Del_payload (k, p)) (int_bound 3) (int_bound 2));
+              ])))
+  in
+  let print =
+    QCheck.Print.list (fun (on_a, w) ->
+        (if on_a then "a:" else "b:")
+        ^
+        match w with
+        | Put (k, p) -> Printf.sprintf "put k%d p%d" k p
+        | Del k -> Printf.sprintf "del k%d" k
+        | Del_payload (k, p) -> Printf.sprintf "del k%d p%d" k p)
+  in
+  QCheck.Test.make ~name:"sync settles every key by the newest write" ~count:500
+    (QCheck.make ~print ~shrink:QCheck.Shrink.list gen) (fun writes ->
+      let overlay = Overlay.create (Rng.create ~seed:1) ~n:2 in
+      let na = Overlay.node overlay 0 and nb = Overlay.node overlay 1 in
+      (* newest.(k): the version of the newest recorded write to key k and
+         whether it was a whole-key delete. *)
+      let newest = Array.make 4 (0, false) in
+      List.iteri
+        (fun i (on_a, w) ->
+          let n = if on_a then na else nb in
+          let version = i + 1 and stamp = float_of_int (i + 1) in
+          match w with
+          | Put (k, p) ->
+            Node.put n (key k) (payload p) ~version ~stamp;
+            newest.(k) <- (version, false)
+          | Del k ->
+            ignore (Node.entomb n (key k) ~version ~stamp);
+            newest.(k) <- (version, true)
+          | Del_payload (k, p) ->
+            if Node.remove_payload n (key k) (payload p) then begin
+              Node.note_write n (key k) ~version ~stamp;
+              newest.(k) <- (version, false)
+            end)
+        writes;
+      let before =
+        Array.init 4 (fun k ->
+            ( Node.has_key na (key k) || Node.has_key nb (key k),
+              List.sort_uniq String.compare (Node.lookup na (key k) @ Node.lookup nb (key k)) ))
+      in
+      ignore (Reconcile.sync_pair overlay ~a:0 ~b:1 ~budget:max_int);
+      let settled n k =
+        let version, deleted = newest.(k) in
+        let present, union = before.(k) in
+        let meta_ok =
+          match Node.meta n (key k) with
+          | None -> version = 0
+          | Some m -> m.Node.version = version && m.Node.dead = deleted
+        in
+        meta_ok
+        &&
+        if deleted then not (Node.has_key n (key k))
+        else Node.has_key n (key k) = present && Node.lookup n (key k) = union
+      in
+      List.for_all (fun k -> settled na k && settled nb k) [ 0; 1; 2; 3 ]
+      && Reconcile.sync_pair overlay ~a:0 ~b:1 ~budget:max_int
+         = { Reconcile.copied = 0; tombstoned = 0 })
+
 let suite =
   [
     Alcotest.test_case "clock and meta on routed writes" `Quick test_clock_and_meta;
@@ -298,4 +378,5 @@ let suite =
       test_split_brain_balance_and_repair;
     Alcotest.test_case "repair deterministic" `Quick test_repair_is_deterministic;
     QCheck_alcotest.to_alcotest qcheck_conflicts;
+    QCheck_alcotest.to_alcotest qcheck_version_rule;
   ]
