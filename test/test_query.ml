@@ -18,6 +18,8 @@ module Sim = Pgrid_simnet.Sim
 module Net = Pgrid_simnet.Net
 module Latency = Pgrid_simnet.Latency
 module Breaker = Pgrid_simnet.Breaker
+module Round = Pgrid_construction.Round
+module Sample = Pgrid_prng.Sample
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -303,6 +305,56 @@ let test_storm_deterministic () =
   in
   Alcotest.(check (triple int int (list (float 0.)))) "same seeds, same run"
     (run ()) (run ())
+
+(* The benchmark's simnet-storm configuration at toy size: a 300-peer
+   [Round.run] overlay, Poisson arrivals of Zipf-1.1 keys at 200/s for
+   10 simulated seconds (about 2k lookups), PlanetLab latency, 2% loss
+   and five retries.  The digest covers every completion, the messages
+   sent and the events processed, so a change that moves one reference
+   shuffle, draw or event of the storm changes it. *)
+let storm_perf_digest () =
+  let seed = 20050830 in
+  let built =
+    Round.run (Rng.create ~seed) (Round.default_params ~peers:300)
+      ~spec:Distribution.Uniform
+  in
+  let overlay = built.Round.overlay in
+  ignore (Overlay.anti_entropy overlay);
+  let keys = Distribution.generate (Rng.create ~seed:(seed + 1)) Distribution.Uniform ~n:1000 in
+  let zipf = Sample.Zipf.create ~n:(Array.length keys) ~s:1.1 in
+  let sim = Sim.create () in
+  let net =
+    Net.create sim (Rng.create ~seed:(seed + 4)) ~nodes:(Overlay.size overlay)
+      ~latency:Latency.planetlab ~loss:0.02 ~bucket:60.
+  in
+  let storm =
+    Storm.create sim (Rng.create ~seed:(seed + 3)) overlay net
+      { Storm.default_config with max_retries = 5 }
+  in
+  let arrivals = Rng.create ~seed:(seed + 2) in
+  let rec arrive () =
+    Storm.issue storm
+      ~origin:(Rng.int arrivals (Overlay.size overlay))
+      ~key:keys.(Sample.Zipf.draw zipf arrivals - 1);
+    let delay = Sample.exponential arrivals ~rate:200. in
+    if Sim.now sim +. delay < 10. then Sim.schedule sim ~delay arrive
+  in
+  Sim.schedule sim ~delay:(Sample.exponential arrivals ~rate:200.) arrive;
+  Sim.run sim;
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun c ->
+      Printf.bprintf b "%h %h %d %b\n" c.Storm.issued_at c.Storm.finished_at c.Storm.hops
+        c.Storm.success)
+    (Storm.completions storm);
+  Printf.bprintf b "issued %d sent %d processed %d\n" (Storm.stats storm).Storm.issued
+    (Net.messages_sent net) (Sim.processed sim);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_storm_perf_config_pinned () =
+  let first = storm_perf_digest () in
+  Alcotest.(check string) "second run, same digest" first (storm_perf_digest ());
+  Alcotest.(check string) "pinned digest" "ef425e1ebe11465fb9d23e8f5b86a145" first
 
 let test_storm_sheds_under_burst () =
   (* Service rate 1 msg/s against a same-instant burst: almost the whole
@@ -1090,6 +1142,8 @@ let suite =
     Alcotest.test_case "storm: resolved hops leave nothing queued" `Quick
       test_storm_resolved_hops_leave_nothing_queued;
     Alcotest.test_case "storm deterministic" `Quick test_storm_deterministic;
+    Alcotest.test_case "storm: benchmark configuration pinned" `Quick
+      test_storm_perf_config_pinned;
     Alcotest.test_case "storm sheds under burst" `Quick test_storm_sheds_under_burst;
     Alcotest.test_case "storm hedge dodges dead primary" `Quick
       test_storm_hedge_dodges_dead_primary;

@@ -227,6 +227,15 @@ let transcript seed =
   line "shuffle:" 1 (fun () -> ints arr);
   line "sample 3/100:" 1 (fun () -> ints (Rng.sample_without_replacement rng ~k:3 ~n:100));
   line "sample 6/10:" 1 (fun () -> ints (Rng.sample_without_replacement rng ~k:6 ~n:10));
+  (* Int shuffles at a storm hop's reference count and at bench micro's
+     size, each with the draw that follows it. *)
+  List.iter
+    (fun n ->
+      let arr = Array.init n Fun.id in
+      Rng.shuffle rng arr;
+      line (Printf.sprintf "int shuffle %d:" n) 1 (fun () -> ints arr);
+      line (Printf.sprintf "after int shuffle %d:" n) 1 (hex64 rng))
+    [ 39; 64 ];
   List.rev !lines
 
 let known_answers =
@@ -250,6 +259,10 @@ let known_answers =
         "shuffle: 3 5 4 9 6 2 8 7 1 0";
         "sample 3/100: 97 31 72";
         "sample 6/10: 5 9 6 2 7 8";
+        "int shuffle 39: 16 7 10 14 18 15 9 28 12 36 32 0 34 21 23 3 26 13 35 30 37 2 22 8 1 38 27 19 20 11 17 33 5 4 24 6 31 25 29";
+        "after int shuffle 39: 5563f86ebcb362a7";
+        "int shuffle 64: 0 8 20 54 2 57 62 24 32 4 42 9 55 44 56 22 43 41 51 1 40 46 16 50 63 53 15 36 7 33 58 45 38 11 17 26 3 37 27 28 49 59 12 5 14 18 39 23 35 29 30 25 47 60 13 48 61 34 31 52 10 21 19 6";
+        "after int shuffle 64: 6ccfa03289f61cea";
       ] );
     ( 42,
       [
@@ -270,6 +283,10 @@ let known_answers =
         "shuffle: 1 6 3 8 2 0 5 4 9 7";
         "sample 3/100: 69 28 94";
         "sample 6/10: 5 0 7 4 2 6";
+        "int shuffle 39: 10 22 36 20 8 18 17 16 0 25 5 2 1 9 37 14 35 21 33 19 12 29 7 28 30 23 26 38 6 13 15 24 27 11 4 3 32 34 31";
+        "after int shuffle 39: f179b57df79936d2";
+        "int shuffle 64: 58 30 33 45 25 46 52 53 2 38 18 21 44 31 22 59 29 10 7 23 17 34 61 37 55 5 27 1 26 15 12 50 13 36 47 19 20 14 24 40 42 16 56 60 48 54 62 35 28 0 4 49 6 32 39 57 51 63 8 11 9 41 3 43";
+        "after int shuffle 64: 01f4e3a543afc97d";
       ] );
     ( 20050830,
       [
@@ -290,6 +307,10 @@ let known_answers =
         "shuffle: 8 7 6 2 1 9 0 5 3 4";
         "sample 3/100: 28 56 81";
         "sample 6/10: 4 5 6 1 3 7";
+        "int shuffle 39: 26 29 14 16 28 10 12 24 8 5 31 7 18 13 22 20 11 36 33 25 30 27 21 6 0 15 19 1 37 17 34 3 35 23 4 2 38 9 32";
+        "after int shuffle 39: d853b282dacd4ba7";
+        "int shuffle 64: 49 25 23 12 43 58 21 2 41 50 56 10 57 37 11 27 48 36 29 39 42 47 7 26 35 60 1 19 15 51 4 0 8 6 28 9 5 59 38 18 44 52 55 22 62 14 3 16 53 63 61 13 54 46 17 24 34 31 45 20 40 33 32 30";
+        "after int shuffle 64: 744aa9c957945cad";
       ] );
   ]
 
