@@ -217,6 +217,8 @@ let micro _reps =
         Test.make ~name:"rng-int-64" (Staged.stage rng_ints);
         Test.make ~name:"rng-shuffle-64"
           (Staged.stage (fun () -> Pgrid_prng.Rng.shuffle rng draws));
+        Test.make ~name:"rng-shuffle-ints-64"
+          (Staged.stage (fun () -> Pgrid_prng.Rng.shuffle_ints rng draws));
         Test.make ~name:"intset-union" (Staged.stage unions);
         Test.make ~name:"codec-of-term"
           (* A single ~80ns call is dominated by call overhead and GC

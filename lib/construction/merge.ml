@@ -41,7 +41,7 @@ let overlays rng ~config ~max_rounds a b =
   let rounds = ref 0 in
   while Engine.any_active engine && !rounds < max_rounds do
     incr rounds;
-    Rng.shuffle rng order;
+    Rng.shuffle_ints rng order;
     Array.iter (fun i -> if Engine.is_active engine i then Engine.interact engine i) order
   done;
   let all_keys =

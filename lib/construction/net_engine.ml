@@ -384,7 +384,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
         | None -> true (* responsible peer reached *)
         | Some level ->
           let refs = Node.refs_array n ~level in
-          Rng.shuffle rng refs;
+          Rng.shuffle_ints rng refs;
           let rec try_refs idx =
             if idx >= Array.length refs then false
             else begin

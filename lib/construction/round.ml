@@ -100,7 +100,7 @@ let run_with_keys ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~assig
   let rounds = ref 0 in
   while Engine.any_active engine && !rounds < params.max_rounds do
     incr rounds;
-    Rng.shuffle rng order;
+    Rng.shuffle_ints rng order;
     Array.iter (fun i -> if Engine.is_active engine i then Engine.interact engine i) order
   done;
   (* Flatten + sort + dedup in place: the list pipeline this replaces

@@ -214,7 +214,7 @@ let split_partition ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay ~pa
   let seed_refs i others =
     let n = node overlay i in
     let pool = Array.of_list (List.filter (fun r -> r <> i) others) in
-    Rng.shuffle rng pool;
+    Rng.shuffle_ints rng pool;
     Array.iteri (fun rank r -> if rank < cfg.seed_refs then Node.add_ref n ~level r) pool
   in
   let rebuild_replicas i mates =

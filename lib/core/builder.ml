@@ -83,7 +83,7 @@ let of_reference rng ~reference ~keys ~refs_per_level =
                  && Path.is_prefix_of ~prefix:target (Overlay.node overlay j).Node.path)
         in
         let arr = Array.of_list candidates in
-        Rng.shuffle rng arr;
+        Rng.shuffle_ints rng arr;
         Array.iteri
           (fun rank j -> if rank < refs_per_level then Node.add_ref n ~level j)
           arr

@@ -227,7 +227,7 @@ let repair ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay ~redundancy 
           | [] -> if alive = [] then incr unfixable
           | pool ->
             let arr = Array.of_list pool in
-            Rng.shuffle rng arr;
+            Rng.shuffle_ints rng arr;
             let want = redundancy - List.length alive in
             Array.iteri
               (fun rank c ->
@@ -523,7 +523,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
           | [] -> ()
           | pool ->
             let arr = Array.of_list pool in
-            Rng.shuffle rng arr;
+            Rng.shuffle_ints rng arr;
             let want = cfg.redundancy - have in
             Array.iteri
               (fun rank c ->

@@ -119,17 +119,6 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(config = default_confi
       };
   }
 
-let local_transport overlay ?(admits = fun ~src:_ ~dst:_ -> true) () =
-  {
-    send =
-      (fun ~phase:_ ~src ~dst ~deliver ->
-        if
-          (Overlay.node overlay src).Node.online
-          && (Overlay.node overlay dst).Node.online
-          && admits ~src ~dst
-        then deliver ());
-  }
-
 let emit t kind = if Telemetry.active t.tel then Telemetry.emit t.tel kind
 let config t = t.cfg
 let key_of = function Put { key; _ } | Del { key; _ } -> key

@@ -34,10 +34,9 @@
       fully absent.
 
     Time and timers come from a {!Pgrid_simnet.Sim.t}, and messages go
-    through a {!transport}
-    (instant in-process delivery via {!local_transport}, or the
-    simulated network via [Net_engine]).  It consumes randomness only
-    from the [Rng.t] it is created with (timeout jitter) and from the
+    through a {!transport}: [Net_engine] and the txn experiment send
+    them over the simulated network.  It consumes randomness only from
+    the [Rng.t] it is created with (timeout jitter) and from the
     overlay's own stream (routing), so builds that never create a
     manager draw identically to pre-txn builds. *)
 
@@ -100,13 +99,6 @@ val create :
   Overlay.t ->
   transport:transport ->
   t
-
-(** [local_transport overlay ?admits ()] delivers instantly in-process
-    when both endpoints are online and [admits] (default: everything)
-    passes — the unit-test transport, and the shape the fault layer's
-    {!Pgrid_simnet.Fault.admits} plugs into. *)
-val local_transport :
-  Overlay.t -> ?admits:(src:int -> dst:int -> bool) -> unit -> transport
 
 (** [submit t ~coordinator ops] opens a transaction and starts driving
     it; returns its id immediately (the protocol completes through

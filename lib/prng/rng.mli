@@ -7,10 +7,15 @@
     independent child stream, which lets per-peer generators be created
     without correlation between peers.
 
-    The state is four unboxed 64-bit words in a 32-byte buffer, so
-    {!int}, {!bool} and {!bernoulli} allocate nothing, and {!bits64} and
-    {!float} allocate only the box of their result.  Known-answer
-    vectors in the test suite pin the stream of every draw function. *)
+    The state is four unboxed 64-bit words in one buffer, always 32
+    bytes long: only {!create}, {!copy} and {!split} make a [t], so
+    every draw reads and writes the words without a bounds check.
+    {!int}, {!bool}, {!bernoulli} and {!shuffle_ints} allocate nothing,
+    and {!bits64} and {!float} allocate only the box of their result.
+    {!shuffle_ints} also needs no write barrier, as its swaps store
+    ints; {!shuffle} works on any array, so its swaps go through the
+    barrier.  Known-answer vectors in the test suite pin the stream of
+    every draw function. *)
 
 type t
 
@@ -50,8 +55,18 @@ val pick : t -> 'a array -> 'a
     [l]. @raise Invalid_argument if [l] is empty. *)
 val pick_list : t -> 'a list -> 'a
 
-(** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
+(** [shuffle t arr] permutes [arr] in place (backward Fisher-Yates:
+    for [i] from [length arr - 1] down to 1, swap [arr.(i)] with
+    [arr.(int t (i + 1))]).  It is for arrays of boxed values, such as
+    keys; on an [int array], {!shuffle_ints} gives the same permutation
+    faster. *)
 val shuffle : t -> 'a array -> unit
+
+(** [shuffle_ints t arr] is [shuffle t arr] for ints, draw for draw: the
+    same permutation and the same state afterwards.  It holds the
+    generator's state in registers for the whole permutation and stores
+    it once. *)
+val shuffle_ints : t -> int array -> unit
 
 (** [sample_without_replacement t ~k ~n] draws [k] distinct integers from
     [0, n-1], in random order. Requires [0 <= k <= n]. *)

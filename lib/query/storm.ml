@@ -148,7 +148,7 @@ let abandon t ~origin ~target =
    [level], walked by index. *)
 let snapshot t cur ~level =
   let refs = Node.refs_array (Overlay.node t.overlay cur) ~level in
-  Rng.shuffle t.rng refs;
+  Rng.shuffle_ints t.rng refs;
   refs
 
 (* Correction-on-use: the [n]th consecutive timeout on the link from

@@ -232,7 +232,7 @@ let transcript seed =
   List.iter
     (fun n ->
       let arr = Array.init n Fun.id in
-      Rng.shuffle rng arr;
+      Rng.shuffle_ints rng arr;
       line (Printf.sprintf "int shuffle %d:" n) 1 (fun () -> ints arr);
       line (Printf.sprintf "after int shuffle %d:" n) 1 (hex64 rng))
     [ 39; 64 ];
@@ -333,7 +333,15 @@ let test_draws_allocation_free () =
   let words = Gc.minor_words () -. before in
   ignore (Sys.opaque_identity !sink);
   if words >= 100. then
-    Alcotest.failf "100k int/bool/bernoulli draws allocated %.0f minor words" words
+    Alcotest.failf "100k int/bool/bernoulli draws allocated %.0f minor words" words;
+  let arr = Array.init 64 Fun.id in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Rng.shuffle_ints rng arr
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 0. then
+    Alcotest.failf "1k int shuffles of 64 allocated %.0f minor words" words
 
 let qcheck_float_unit =
   QCheck.Test.make ~name:"Rng.float stays in [0,1)" ~count:500
@@ -349,6 +357,21 @@ let qcheck_int_in_bounds =
       let rng = Rng.create ~seed in
       let v = Rng.int rng n in
       v >= 0 && v < n)
+
+(* The two shuffles give the same permutation and leave the generator
+   in the same state, checked through the next four draws: the first
+   output reads only s0 and s3, and every word reaches an output within
+   three steps. *)
+let qcheck_shuffle_ints_matches_shuffle =
+  QCheck.Test.make ~name:"Rng.shuffle_ints = Rng.shuffle, draw for draw" ~count:300
+    QCheck.(pair int (int_range 0 200))
+    (fun (seed, n) ->
+      let generic = Rng.create ~seed and ints = Rng.create ~seed in
+      let a = Array.init n Fun.id and b = Array.init n Fun.id in
+      Rng.shuffle generic a;
+      Rng.shuffle_ints ints b;
+      let next rng = List.init 4 (fun _ -> Rng.bits64 rng) in
+      a = b && next generic = next ints)
 
 let suite =
   [
@@ -379,4 +402,5 @@ let suite =
     Alcotest.test_case "draws allocation-free" `Quick test_draws_allocation_free;
     QCheck_alcotest.to_alcotest qcheck_float_unit;
     QCheck_alcotest.to_alcotest qcheck_int_in_bounds;
+    QCheck_alcotest.to_alcotest qcheck_shuffle_ints_matches_shuffle;
   ]
