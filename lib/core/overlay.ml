@@ -148,6 +148,30 @@ let draw t rng count =
   if t.direct then Intset.get t.pick_set (if r >= t.pick_skip then r + 1 else r)
   else t.picks.(r)
 
+(* A uniform usable reference of [n] at [level], or -1. *)
+let pick ?admit t rng n ~level ~excluding =
+  let count =
+    if Node.refs_count n ~level = 0 then 0
+    else eligible ?admit t ~src:n.Node.id ~excluding n.Node.refs.(level)
+  in
+  if count = 0 then -1 else draw t rng count
+
+let shuffled_refs rng n ~level =
+  let refs = Node.refs_array n ~level in
+  Rng.shuffle_ints rng refs;
+  refs
+
+let random_online t rng ~excluding =
+  let n = t.count in
+  let rec try_ attempts =
+    if attempts = 0 then -1
+    else begin
+      let i = Rng.int rng n in
+      if i <> excluding && t.nodes.(i).Node.online then i else try_ (attempts - 1)
+    end
+  in
+  try_ (4 * n)
+
 (* Forward one step toward [key]: a uniform online reference at the
    divergence level. *)
 let forward ?admit t cur key =

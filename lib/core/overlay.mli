@@ -122,6 +122,34 @@ val eligible :
     it.  O(1). *)
 val draw : t -> Pgrid_prng.Rng.t -> int -> Node.id
 
+(** [pick ?admit t rng n ~level ~excluding] is the count-then-scan
+    reference choice: a uniform draw on [rng] ({!eligible}, then
+    {!draw}) among [n]'s references at [level] that are online, differ
+    from [excluding] (-1: none) and pass [admit].  [-1], with no draw,
+    when there is none.  Routing ({!forward}) and construction's
+    referrals, key hand-overs and reference copies all choose with it. *)
+val pick :
+  ?admit:(Node.id -> Node.id -> bool) ->
+  t ->
+  Pgrid_prng.Rng.t ->
+  Node.t ->
+  level:int ->
+  excluding:Node.id ->
+  Node.id
+
+(** [shuffled_refs rng n ~level] is a fresh copy of [n]'s references at
+    [level], shuffled on [rng] ({!Pgrid_prng.Rng.shuffle_ints}): the
+    candidates of a shuffle-then-try hop, which tries them in order and
+    learns liveness from the answers instead of reading it. *)
+val shuffled_refs : Pgrid_prng.Rng.t -> Node.t -> level:int -> Node.id array
+
+(** [random_online t rng ~excluding] draws peer ids uniformly
+    ([Rng.int rng (size t)] per try) until one is online and differs
+    from [excluding] (-1: none), giving up after [4 * size t] tries
+    with [-1].  The one random-peer sampler: query origins and
+    construction's random contacts. *)
+val random_online : t -> Pgrid_prng.Rng.t -> excluding:Node.id -> Node.id
+
 (** [forward ?admit t cur key] is one routing step of {!search}, exposed
     for query engines that interleave their own bookkeeping (caches,
     batching) with the walk: [`Responsible] when [cur]'s path matches

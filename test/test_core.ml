@@ -623,6 +623,80 @@ let qcheck_offline_never_picked =
       in
       picks_ok && forward_ok)
 
+(* Sequential joins route by [Overlay.forward] on an overlay made from
+   their own generator, with every peer online; before, they drew
+   [Rng.pick_list] over [Node.refs_at].  Random reference sets at a
+   random level of one node of 64 all-online peers: [Overlay.pick]
+   returns the same member (or -1 where the list is empty) and leaves
+   the generator where [pick_list] does. *)
+let qcheck_pick_is_pick_list =
+  let peers = 64 in
+  let gen =
+    QCheck.Gen.(
+      triple (list_size (int_bound 40) (int_bound (peers - 1))) (int_bound 5) (int_bound 10_000))
+  in
+  let print (members, level, seed) =
+    Printf.sprintf "members=[%s] level=%d seed=%d"
+      (String.concat ";" (List.map string_of_int members))
+      level seed
+  in
+  QCheck.Test.make ~name:"all-online pick = Rng.pick_list over refs_at" ~count:500
+    (QCheck.make ~print gen) (fun (members, level, seed) ->
+      let overlay = Overlay.create (Rng.create ~seed:1) ~n:peers in
+      let n = Overlay.node overlay 5 in
+      List.iter (fun id -> Node.add_ref n ~level id) members;
+      let r1 = Rng.create ~seed and r2 = Rng.create ~seed in
+      let expected =
+        match Node.refs_at n ~level with [] -> -1 | refs -> Rng.pick_list r1 refs
+      in
+      let got = Overlay.pick overlay r2 n ~level ~excluding:(-1) in
+      got = expected && Rng.bits64 r1 = Rng.bits64 r2)
+
+(* The rejection loop that query origins, construction's random
+   contacts and storm origins each wrote out: a uniform id per try,
+   kept when online and not [excluding], at most [4 n] tries. *)
+let rejection_sample overlay rng ~excluding =
+  let n = Overlay.size overlay in
+  let rec go attempts =
+    if attempts = 0 then None
+    else begin
+      let i = Rng.int rng n in
+      if i <> excluding && (Overlay.node overlay i).Node.online then Some i
+      else go (attempts - 1)
+    end
+  in
+  go (4 * n)
+
+(* Overlays of 1-30 peers with random ones offline (all of them, at
+   times), [excluding] none (-1) or a random peer: [random_online]
+   agrees with the reference loop on eight successive draws and on the
+   generator state after. *)
+let qcheck_random_online =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 1 30) (list_size (int_bound 40) (int_bound 29)) (int_range (-1) 29)
+        (int_bound 10_000))
+  in
+  let print (n, offline, excluding, seed) =
+    Printf.sprintf "n=%d offline=[%s] excluding=%d seed=%d" n
+      (String.concat ";" (List.map string_of_int offline))
+      excluding seed
+  in
+  QCheck.Test.make ~name:"random_online = rejection loop" ~count:500
+    (QCheck.make ~print gen) (fun (n, offline, excluding, seed) ->
+      let overlay = Overlay.create (Rng.create ~seed:1) ~n in
+      List.iter
+        (fun id -> if id < n then Node.set_online (Overlay.node overlay id) false)
+        offline;
+      let r1 = Rng.create ~seed and r2 = Rng.create ~seed in
+      List.for_all
+        (fun _ ->
+          let expected = rejection_sample overlay r1 ~excluding in
+          let got = Overlay.random_online overlay r2 ~excluding in
+          got = Option.value expected ~default:(-1))
+        (List.init 8 Fun.id)
+      && Rng.bits64 r1 = Rng.bits64 r2)
+
 (* The bit-by-bit loop [Overlay.divergence_level] replaced. *)
 let divergence_by_bits path key =
   let len = Path.length path in
@@ -737,6 +811,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_builder_integrity;
     QCheck_alcotest.to_alcotest qcheck_pick_kernel;
     QCheck_alcotest.to_alcotest qcheck_direct_pick;
+    QCheck_alcotest.to_alcotest qcheck_pick_is_pick_list;
+    QCheck_alcotest.to_alcotest qcheck_random_online;
     QCheck_alcotest.to_alcotest qcheck_liveness_census;
     Alcotest.test_case "node census" `Quick test_node_census;
     QCheck_alcotest.to_alcotest qcheck_offline_never_picked;

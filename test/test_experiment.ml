@@ -258,26 +258,44 @@ let test_simulation_digests () =
    whole stores, at their default size, hashed: only these runs reach
    [Sequential.join]'s merge, [Merge.copy_into] and [Maintenance]'s
    leave/adopt/join, which neither the simulation digests nor the
-   construction goldens cover. *)
+   construction goldens cover.  Figures 7-9 and Table 1, at their
+   default size, share one simnet run whose queries take [Net_engine]'s
+   synchronous walk, which no other digest covers; a series is hashed
+   point by point, every float in full. *)
 let test_ablation_digests () =
+  let render name = function
+    | Experiment.Table { title; columns; rows } -> Pgrid_stats.Table.render ~title ~columns ~rows
+    | Experiment.Series fig ->
+      fig.Series.title
+      :: List.concat_map
+           (fun s ->
+             s.Series.name
+             :: List.map (fun (x, y) -> Printf.sprintf "%h %h" x y) (Array.to_list s.Series.points))
+           fig.Series.series
+      |> String.concat "\n"
+    | Experiment.Grid _ -> Alcotest.failf "%s: table or series expected" name
+  in
   let digest name =
     (Experiment.find name).run ~reps:None ~smoke:false ~seed:bench_seed
     |> (fun out -> out.Experiment.blocks)
-    |> List.map (function
-         | Experiment.Table { title; columns; rows } ->
-           Pgrid_stats.Table.render ~title ~columns ~rows
-         | _ -> Alcotest.failf "%s: table expected" name)
+    |> List.map (render name)
     |> String.concat ""
     |> Digest.string
     |> Digest.to_hex
   in
-  let names = [ "ablation-seq"; "ablation-merge"; "ablation-maintain" ] in
+  let names =
+    [ "ablation-seq"; "ablation-merge"; "ablation-maintain"; "fig7"; "fig8"; "fig9"; "table1" ]
+  in
   Alcotest.(check (list (pair string string)))
     "digests"
     [
       ("ablation-seq", "65a6c276d7bef366f7cdee02a8a0de59");
       ("ablation-merge", "baba5e696317b3d7c03d181d59851827");
       ("ablation-maintain", "3cd17d1bc78fd7caec30517fa8255ab4");
+      ("fig7", "9104d927729a71258410af982b09f973");
+      ("fig8", "73342312a45456b3b059b6876e1c9d05");
+      ("fig9", "cb57b198727dd568dd699ae236186b37");
+      ("table1", "77de8fe94f7e3eb6d76abf6cbf8e988a");
     ]
     (List.map (fun name -> (name, digest name)) names)
 
