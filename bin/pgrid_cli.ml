@@ -289,7 +289,7 @@ let planetlab seed peers spec fault_plan robust maint_period no_daemon balance
     else if maint_period = None && not balance then None
     else begin
       let c =
-        Pgrid_core.Maintenance.default_daemon_config ~n_min:base.Net_engine.n_min
+        Pgrid_core.Maintenance.default_daemon_config ~n_min:Net_engine.n_min
       in
       let c =
         match maint_period with
@@ -302,8 +302,8 @@ let planetlab seed peers spec fault_plan robust maint_period no_daemon balance
              c with
              Pgrid_core.Maintenance.balance =
                Some
-                 (Pgrid_core.Balance.default_config ~d_max:base.Net_engine.d_max
-                    ~n_min:base.Net_engine.n_min);
+                 (Pgrid_core.Balance.default_config ~d_max:Net_engine.d_max
+                    ~n_min:Net_engine.n_min);
            }
          else c)
     end

@@ -181,15 +181,6 @@ let mark_fruitless t i =
   t.fruitless.(i) <- t.fruitless.(i) + 1;
   if t.fruitless.(i) >= t.config.max_fruitless then t.active.(i) <- false
 
-(* One uniform draw over the online references at [level], skipping
-   [excluding] — reference picking sits on every routing hop. *)
-let pick_online_ref t n ~level ~excluding =
-  let count =
-    if Node.refs_count n ~level = 0 then 0
-    else Overlay.eligible t.net ~src:n.Node.id ~excluding n.Node.refs.(level)
-  in
-  if count = 0 then None else Some (Overlay.draw t.net t.rng count)
-
 let probabilities t ~p_hat ~samples =
   let clamped = Aep_math.clamp_estimate ~samples:(max 1 samples) p_hat in
   let p_eff, flipped = Aep_math.normalize clamped in
@@ -216,10 +207,9 @@ let deliver t ~at key payloads =
     else
       match Overlay.divergence_level n.Node.path key with
       | None -> ingest i
-      | Some l ->
-        (match pick_online_ref t n ~level:l ~excluding:(-1) with
-        | None -> ingest i
-        | Some r -> hop i r (budget - 1))
+      | Some level ->
+        let r = Overlay.pick t.net t.rng n ~level ~excluding:(-1) in
+        if r < 0 then ingest i else hop i r (budget - 1)
   in
   hop at at t.config.refer_hops
 
@@ -444,9 +434,8 @@ let follow_decided t i j =
   else begin
     (* Copy a minority-side reference from [j] (AEP invariant: it holds
        one from its own decision at this level). *)
-    match pick_online_ref t nj ~level ~excluding:(-1) with
-    | None -> mark_fruitless t i
-    | Some r -> decide majority r
+    let r = Overlay.pick t.net t.rng nj ~level ~excluding:(-1) in
+    if r < 0 then mark_fruitless t i else decide majority r
   end
   end
 
@@ -466,22 +455,10 @@ let rec locate t i j hops =
       note_refer t ~src:i ~dst:j ~level:cpl;
       Node.add_ref (node t i) ~level:cpl j;
       Node.add_ref (node t j) ~level:cpl i;
-      match pick_online_ref t (node t j) ~level:cpl ~excluding:i with
-      | None -> None
-      | Some r -> locate t i r (hops + 1)
+      let r = Overlay.pick t.net t.rng (node t j) ~level:cpl ~excluding:i in
+      if r < 0 then None else locate t i r (hops + 1)
     end
   end
-
-let random_online_peer t ~excluding =
-  let n = Overlay.size t.net in
-  let rec try_ attempts =
-    if attempts = 0 then None
-    else begin
-      let j = Rng.int t.rng n in
-      if j <> excluding && (node t j).Node.online then Some j else try_ (attempts - 1)
-    end
-  in
-  try_ (4 * n)
 
 let interact t i =
   let ni = node t i in
@@ -490,18 +467,17 @@ let interact t i =
       (* Prefer known replicas half of the time (peers keep the references
          gathered after splits); otherwise a random-walk peer. *)
       let online = Overlay.eligible t.net ~src:i ~excluding:(-1) ni.Node.replicas in
-      if online > 0 && Rng.bool t.rng then Some (Overlay.draw t.net t.rng online)
-      else random_online_peer t ~excluding:i
+      if online > 0 && Rng.bool t.rng then Overlay.draw t.net t.rng online
+      else Overlay.random_online t.net t.rng ~excluding:i
     in
-    match first with
-    | None -> mark_fruitless t i
-    | Some first ->
-      (match locate t i first 0 with
+    if first < 0 then mark_fruitless t i
+    else
+      match locate t i first 0 with
       | None -> mark_fruitless t i
       | Some j ->
         let li = Path.length (node t i).Node.path
         and lj = Path.length (node t j).Node.path in
         if li = lj then same_partition t i j
         else if li < lj then follow_decided t i j
-        else follow_decided t j i)
+        else follow_decided t j i
   end

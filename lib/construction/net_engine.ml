@@ -72,26 +72,27 @@ let default_txn_workload =
     recover_period = 60.;
   }
 
+(* The deployment's fixed constants, after the paper's PlanetLab run. *)
+let keys_per_peer = 10
+let n_min = 5
+let d_max = 50
+let degree = 4 (* unstructured overlay degree *)
+let walk_steps = 8 (* random-walk length for peer sampling *)
+let loss = 0.02
+let bucket = 60. (* bandwidth bucket, seconds *)
+let header_bytes = 200
+let key_bytes = 64
+let retry_timeout = 2. (* legacy walk's penalty per dead reference *)
+
+let engine_config =
+  { Engine.n_min; d_max; max_fruitless = 2; refer_hops = 20; mode = Engine.Theory }
+
 type params = {
   peers : int;
-  keys_per_peer : int;
-  n_min : int;
-  d_max : int;
-  degree : int;
-  walk_steps : int;
-  latency : Latency.model;
-  loss : float;
-  bucket : float;
-  header_bytes : int;
-  key_bytes : int;
   initiate_mean : float;
   ping_interval : float;
   query_min : float;
   query_max : float;
-  retry_timeout : float;
-  max_fruitless : int;
-  refer_hops : int;
-  mode : Engine.mode;
   phases : phases;
   churn : Churn.params option;
   robust : Storm.config option;
@@ -105,24 +106,10 @@ type params = {
 let default_params ~peers =
   {
     peers;
-    keys_per_peer = 10;
-    n_min = 5;
-    d_max = 50;
-    degree = 4;
-    walk_steps = 8;
-    latency = Latency.planetlab;
-    loss = 0.02;
-    bucket = 60.;
-    header_bytes = 200;
-    key_bytes = 64;
     initiate_mean = 20.;
     ping_interval = 30.;
     query_min = 60.;
     query_max = 120.;
-    retry_timeout = 2.;
-    max_fruitless = 2;
-    refer_hops = 20;
-    mode = Engine.Theory;
     phases = paper_phases;
     churn = None;
     robust = None;
@@ -177,13 +164,11 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
      transaction messages travel as real messages. *)
   let net : Storm.wire Net.t =
     Net.create ~telemetry:tel ?service:params.service sim (Rng.split rng)
-      ~nodes:params.peers ~latency:params.latency ~loss:params.loss
-      ~bucket:params.bucket
+      ~nodes:params.peers ~latency:Latency.planetlab ~loss ~bucket
   in
   let overlay = Overlay.create (Rng.split rng) ~n:params.peers in
   let assignments =
-    Distribution.assign_to_peers rng spec ~peers:params.peers
-      ~keys_per_peer:params.keys_per_peer
+    Distribution.assign_to_peers rng spec ~peers:params.peers ~keys_per_peer
   in
   Array.iteri
     (fun i own ->
@@ -191,7 +176,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
       Node.set_online n false;
       Array.iter (Node.ensure_key n) own)
     assignments;
-  let graph = Unstructured.create (Rng.split rng) ~nodes:params.peers ~degree:params.degree in
+  let graph = Unstructured.create (Rng.split rng) ~nodes:params.peers ~degree in
   let set_online i v =
     let was = (Overlay.node overlay i).Node.online in
     Node.set_online (Overlay.node overlay i) v;
@@ -204,7 +189,6 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
   let online i = (Overlay.node overlay i).Node.online in
   let account ?src ?dst ~bytes ~kind () = Net.account ?src ?dst net ~bytes ~kind in
   (* --- construction engine wiring ------------------------------------ *)
-  let engine = ref None in
   let schedule_initiation = ref (fun _ -> ()) in
   (* Filled in once the fault plan (if any) is installed below; until
      then every contact is admitted, exactly as before. *)
@@ -213,9 +197,9 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
     {
       Engine.on_contact =
         (fun ~src ~dst ->
-          account ~src ~dst ~bytes:(2 * params.header_bytes) ~kind:Net.Maintenance ());
+          account ~src ~dst ~bytes:(2 * header_bytes) ~kind:Net.Maintenance ());
       on_key_moved =
-        (fun ~src ~dst -> account ~src ~dst ~bytes:params.key_bytes ~kind:Net.Maintenance ());
+        (fun ~src ~dst -> account ~src ~dst ~bytes:key_bytes ~kind:Net.Maintenance ());
       on_reactivate = (fun i -> !schedule_initiation i);
       contact_ok =
         (fun ~src ~dst ->
@@ -224,17 +208,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
           | Some f -> Fault.admits f ~src ~dst);
     }
   in
-  let engine_config =
-    {
-      Engine.n_min = params.n_min;
-      d_max = params.d_max;
-      max_fruitless = params.max_fruitless;
-      refer_hops = params.refer_hops;
-      mode = params.mode;
-    }
-  in
   let eng = Engine.create ~telemetry:tel (Rng.split rng) engine_config overlay hooks in
-  engine := Some eng;
   (* --- hardened protocol mode ------------------------------------------ *)
   (* Transaction messages run their delivery closure on arrival; a
      storm's handler, installed next, runs them as well. *)
@@ -251,7 +225,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
       let rrng = Rng.split rng in
       Some
         ( rrng,
-          Storm.create ~telemetry:tel ~header_bytes:params.header_bytes sim rrng overlay net
+          Storm.create ~telemetry:tel ~header_bytes sim rrng overlay net
             (Option.value params.robust ~default:default_robust) )
   in
   (* Filled in once the transaction manager (if any) is created below;
@@ -304,7 +278,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
       Sim.schedule_at sim ~time:join_at (fun () ->
           set_online i true;
           (* Bootstrap handshake. *)
-          account ~src:i ~bytes:(3 * params.header_bytes) ~kind:Net.Maintenance ()))
+          account ~src:i ~bytes:(3 * header_bytes) ~kind:Net.Maintenance ()))
     assignments;
   (* --- replication phase ---------------------------------------------- *)
   Array.iteri
@@ -318,20 +292,18 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
           if online i then begin
             let seen = Hashtbl.create 8 in
             let attempts = ref 0 in
-            while Hashtbl.length seen < params.n_min && !attempts < 8 * params.n_min do
+            while Hashtbl.length seen < n_min && !attempts < 8 * n_min do
               incr attempts;
               let target =
                 Unstructured.random_walk graph rng ~online ~start:i
-                  ~steps:params.walk_steps
+                  ~steps:walk_steps
               in
               if target <> i && online target then Hashtbl.replace seen target ()
             done;
             Hashtbl.iter
               (fun target () ->
                 account ~src:i ~dst:target
-                  ~bytes:
-                    ((params.walk_steps * params.header_bytes)
-                    + (Array.length own * params.key_bytes))
+                  ~bytes:((walk_steps * header_bytes) + (Array.length own * key_bytes))
                   ~kind:Net.Maintenance ();
                 let nt = Overlay.node overlay target in
                 Array.iter (Node.ensure_key nt) own)
@@ -352,7 +324,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
     (fun i _ ->
       Sim.every sim ~at:(Sample.uniform rng ~lo:0. ~hi:params.ping_interval)
         ~until:ph.end_time ~period:(fun () -> params.ping_interval) (fun () ->
-          if online i then account ~src:i ~bytes:params.header_bytes ~kind:Net.Maintenance ()))
+          if online i then account ~src:i ~bytes:header_bytes ~kind:Net.Maintenance ()))
     assignments;
   (* --- queries ---------------------------------------------------------- *)
   let all_keys =
@@ -372,8 +344,8 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
     let latency_total = ref 0. in
     let hops = ref 0 in
     let send_msg ?src ?dst () =
-      account ?src ?dst ~bytes:params.header_bytes ~kind:Net.Query ();
-      latency_total := !latency_total +. Latency.sample params.latency rng
+      account ?src ?dst ~bytes:header_bytes ~kind:Net.Query ();
+      latency_total := !latency_total +. Latency.sample Latency.planetlab rng
     in
     (* Route hop by hop; dead references cost a timeout and a retry. *)
     let rec route cur budget =
@@ -383,8 +355,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
         match Overlay.divergence_level n.Node.path key with
         | None -> true (* responsible peer reached *)
         | Some level ->
-          let refs = Node.refs_array n ~level in
-          Rng.shuffle_ints rng refs;
+          let refs = Overlay.shuffled_refs rng n ~level in
           let rec try_refs idx =
             if idx >= Array.length refs then false
             else begin
@@ -396,7 +367,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
               if online next then route next (budget - 1)
               else begin
                 (* Timeout, then retry an alternative reference. *)
-                latency_total := !latency_total +. params.retry_timeout;
+                latency_total := !latency_total +. retry_timeout;
                 try_refs (idx + 1)
               end
             end
@@ -467,10 +438,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
       {
         Txn.send =
           (fun ~phase ~src ~dst ~deliver ->
-            let bytes =
-              params.header_bytes
-              + (match phase with Txn.Prepare -> params.key_bytes | _ -> 0)
-            in
+            let bytes = header_bytes + (match phase with Txn.Prepare -> key_bytes | _ -> 0) in
             Net.send net ~src ~dst ~bytes ~kind:Net.Maintenance (Storm.Deliver deliver))
       }
     in
@@ -526,8 +494,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
   Option.iter (fun m -> ignore (Txn.recover_pass m)) !txn_mgr;
   (* --- evaluation ---------------------------------------------------------- *)
   let reference =
-    Reference.compute ~keys:all_keys ~peers:params.peers ~d_max:params.d_max
-      ~n_min:params.n_min
+    Reference.compute ~keys:all_keys ~peers:params.peers ~d_max ~n_min
   in
   let queries =
     match storm with

@@ -48,37 +48,37 @@ type txn_workload = {
     3-6 keys per document, recovery every 60 s. *)
 val default_txn_workload : txn_workload
 
+(** {1 Fixed constants}
+
+    The deployment is the paper's and no caller varies it: 10 keys per
+    peer; [n_min = 5] replicas and [d_max = 50] keys per peer ({!n_min},
+    {!d_max}); an unstructured overlay of degree 4 sampled by 8-step
+    random walks; {!Pgrid_simnet.Latency.planetlab} latency, 2% loss
+    and 60 s bandwidth buckets; 200-byte headers and 64-byte keys; on
+    the legacy query path a flat 2 s penalty per dead reference; and an
+    {!Engine} in [Theory] mode that retires a peer after 2 fruitless
+    interactions and follows at most 20 referrals. *)
+
+val n_min : int
+val d_max : int
+
 type params = {
   peers : int;
-  keys_per_peer : int;
-  n_min : int;
-  d_max : int;
-  degree : int;  (** unstructured overlay degree *)
-  walk_steps : int;  (** random-walk length for peer sampling *)
-  latency : Pgrid_simnet.Latency.model;
-  loss : float;
-  bucket : float;  (** bandwidth bucket (seconds) *)
-  header_bytes : int;
-  key_bytes : int;
   initiate_mean : float;  (** mean pause between construction initiations *)
   ping_interval : float;  (** periodic routing-table ping *)
   query_min : float;  (** paper: a query every 1-2 minutes per peer *)
   query_max : float;
-  retry_timeout : float;  (** per dead-reference timeout penalty *)
-  max_fruitless : int;
-  refer_hops : int;
-  mode : Engine.mode;
   phases : phases;
   churn : Pgrid_simnet.Churn.params option;
       (** [None]: the paper's churn cycle over [churn_start, end_time] *)
   robust : Pgrid_query.Storm.config option;
       (** [None] with an empty [fault_plan]: the legacy synchronous query
-          model (dead reference = flat [retry_timeout] penalty), RNG
+          model (dead reference = flat 2 s penalty), RNG
           draw sequence bit-identical to pre-fault builds.  Otherwise
           the hardened path runs: every hop is a [Req]/[Resp] round trip
           through a {!Pgrid_query.Storm} on the run's network, with this
           config ({!default_robust} when only a fault plan is given) and
-          [header_bytes] as its message size.  Its [breaker] field puts
+          200-byte messages.  Its [breaker] field puts
           per-(origin, target) circuit breakers on the path. *)
   fault_plan : Pgrid_simnet.Fault.plan;  (** [[]]: no fault injection *)
   fault_seed : int;  (** seed of the fault layer's dedicated RNG *)

@@ -41,17 +41,14 @@ let node st i = Overlay.node st.overlay i
    message and a serial round-trip. *)
 let route st entry key =
   let rec go cur guard =
-    let n = node st cur in
-    match Overlay.divergence_level n.Node.path key with
-    | None -> cur
-    | Some level when guard > 0 -> (
-      match Node.refs_at n ~level with
-      | [] -> cur
-      | refs ->
+    if guard = 0 then cur
+    else
+      match Overlay.forward st.overlay (node st cur) key with
+      | `Responsible | `Dead_end _ -> cur
+      | `Next next ->
         st.messages <- st.messages + 1;
         st.latency <- st.latency + 1;
-        go (Rng.pick_list st.rng refs) (guard - 1))
-    | Some _ -> cur
+        go next (guard - 1)
   in
   go entry (4 * Key.bits)
 

@@ -178,11 +178,8 @@ let forward ?admit t cur key =
   let level = divergence cur.Node.path key in
   if level < 0 then `Responsible
   else begin
-    let count =
-      if Node.refs_count cur ~level = 0 then 0
-      else eligible ?admit t ~src:cur.Node.id ~excluding:(-1) cur.Node.refs.(level)
-    in
-    if count = 0 then `Dead_end level else `Next (draw t t.rng count)
+    let next = pick ?admit t t.rng cur ~level ~excluding:(-1) in
+    if next < 0 then `Dead_end level else `Next next
   end
 
 let max_hops = 2 * Key.bits

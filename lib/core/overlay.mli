@@ -98,8 +98,9 @@ val divergence_level :
     of [set] that are online, differ from [excluding] and pass
     [admit src] (pure, as for {!search}; called once per online member
     other than [excluding]).  It keeps them, in ascending order, for the
-    next {!draw}.  Every uniform reference choice (routing,
-    construction's referrals, replica contacts) goes through it.
+    next {!draw}.  {!pick} is the pair for a reference level; only
+    construction's replica contact, whose coin flip sits between the
+    count and the draw, calls the two itself.
 
     While no peer of [t] is offline and there is no [admit], it reads no
     node: the count is [Intset.cardinal set], less one when [excluding]
@@ -151,12 +152,12 @@ val shuffled_refs : Pgrid_prng.Rng.t -> Node.t -> level:int -> Node.id array
 val random_online : t -> Pgrid_prng.Rng.t -> excluding:Node.id -> Node.id
 
 (** [forward ?admit t cur key] is one routing step of {!search}, exposed
-    for query engines that interleave their own bookkeeping (caches,
-    batching) with the walk: [`Responsible] when [cur]'s path matches
-    [key], otherwise a uniform draw ({!eligible}, {!draw}) among [cur]'s
-    usable references at the divergence level ([`Next id]), or
-    [`Dead_end level] when none is online.  Consumes exactly the RNG
-    draws {!search} would. *)
+    for query engines and sequential joins that interleave their own
+    bookkeeping (caches, batching, message counts) with the walk:
+    [`Responsible] when [cur]'s path matches [key], otherwise a {!pick}
+    on the overlay's own generator among [cur]'s usable references at
+    the divergence level ([`Next id]), or [`Dead_end level] when none
+    is online.  Consumes exactly the RNG draws {!search} would. *)
 val forward :
   ?admit:(Node.id -> Node.id -> bool) ->
   t ->

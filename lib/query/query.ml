@@ -18,17 +18,6 @@ type batch_stats = {
   evicted_refs : int;
 }
 
-let random_online_node rng overlay =
-  let n = Overlay.size overlay in
-  let rec try_ attempts =
-    if attempts = 0 then None
-    else begin
-      let i = Rng.int rng n in
-      if (Overlay.node overlay i).Node.online then Some i else try_ (attempts - 1)
-    end
-  in
-  try_ (4 * n)
-
 (* Synchronous batches have no transport delay of their own; [now] lets
    a daemon-driven caller thread its sim clock through so emitted
    [Query_complete] latencies are real.  The default freezes the clock
@@ -48,9 +37,8 @@ let lookup_batch ?(telemetry = Pgrid_telemetry.Global.get ())
      avoids burning [4n] rejection draws per requested query. *)
   let want = if Overlay.online_count overlay = 0 then 0 else count in
   for qid = 1 to want do
-    match random_online_node rng overlay with
-    | None -> ()
-    | Some origin ->
+    let origin = Overlay.random_online overlay rng ~excluding:(-1) in
+    if origin >= 0 then begin
       incr issued;
       let key = keys.(Rng.int rng (Array.length keys)) in
       if Telemetry.active telemetry then
@@ -82,6 +70,7 @@ let lookup_batch ?(telemetry = Pgrid_telemetry.Global.get ())
         Moments.add hops (float_of_int r.Overlay.hops);
         if r.Overlay.hops > !max_hops then max_hops := r.Overlay.hops
       | None -> ())
+    end
   done;
   {
     issued = !issued;
@@ -114,9 +103,8 @@ let range_batch ?(telemetry = Pgrid_telemetry.Global.get ()) ?(now = zero_clock)
      count the queries actually issued. *)
   let want = if Overlay.online_count overlay = 0 then 0 else count in
   for qid = 1 to want do
-    match random_online_node rng overlay with
-    | None -> ()
-    | Some origin ->
+    let origin = Overlay.random_online overlay rng ~excluding:(-1) in
+    if origin >= 0 then begin
       incr issued;
       let start = Rng.float rng *. (1. -. width) in
       (* [start + width] can round one ulp past the intended right edge
@@ -136,6 +124,7 @@ let range_batch ?(telemetry = Pgrid_telemetry.Global.get ()) ?(now = zero_clock)
       Moments.add partitions (float_of_int (List.length r.Overlay.visited));
       Moments.add hops (float_of_int r.Overlay.total_hops);
       Moments.add results (float_of_int (List.length r.Overlay.matches))
+    end
   done;
   {
     ranges = !issued;

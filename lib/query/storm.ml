@@ -144,12 +144,8 @@ let is_probe t ~origin ~target =
 let abandon t ~origin ~target =
   Option.iter (fun br -> Breaker.abandon br ~origin ~target) t.breaker
 
-(* A hop's candidates: a fresh shuffled copy of the references at
-   [level], walked by index. *)
-let snapshot t cur ~level =
-  let refs = Node.refs_array (Overlay.node t.overlay cur) ~level in
-  Rng.shuffle_ints t.rng refs;
-  refs
+(* A hop's candidates, walked by index. *)
+let snapshot t cur ~level = Overlay.shuffled_refs t.rng (Overlay.node t.overlay cur) ~level
 
 (* Correction-on-use: the [n]th consecutive timeout on the link from
    [h.cur] to [target] evicts [target] from [h.cur]'s references at the
@@ -425,20 +421,6 @@ let issue t ~origin ~key =
     Telemetry.emit t.tel (Event.Query_issue { qid; origin });
   route t { qid; origin; key; issued_at; hops = 0; level = 0; refreshed = false } origin
     (4 * Key.bits)
-
-let issue_random t ~key =
-  let n = Overlay.size t.overlay in
-  let rec pick attempts =
-    if attempts = 0 then None
-    else
-      let i = Rng.int t.rng n in
-      if (Overlay.node t.overlay i).Node.online then Some i else pick (attempts - 1)
-  in
-  match pick (4 * n) with
-  | None -> false
-  | Some origin ->
-    issue t ~origin ~key;
-    true
 
 let heartbeat t ~src ~dst =
   Net.send t.net ~src ~dst ~bytes:t.header_bytes ~kind:Net.Maintenance (Deliver ignore)

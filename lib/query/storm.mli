@@ -92,8 +92,9 @@ type t
 
 (** [create ?telemetry ?header_bytes sim rng overlay net cfg] installs
     the storm's handler on [net] (replacing any previous one) and
-    returns the idle engine.  [rng] drives origin draws, per-hop
-    reference shuffles, timeout jitter and eviction refills; breaker
+    returns the idle engine.  [rng] drives per-hop reference shuffles
+    ({!Pgrid_core.Overlay.shuffled_refs}), timeout jitter and eviction
+    refills; breaker
     state reads simulated time from [sim].  Every message is accounted
     at [header_bytes] (default 200).  Raises [Invalid_argument] on a
     config outside the ranges above (NaN included). *)
@@ -108,13 +109,10 @@ val create :
   t
 
 (** [issue t ~origin ~key] starts one asynchronous lookup; its outcome
-    is recorded in {!completions} / {!stats} when the walk finishes. *)
+    is recorded in {!completions} / {!stats} when the walk finishes.
+    [origin] must be a peer id; {!Pgrid_core.Overlay.random_online}
+    draws a uniform online one. *)
 val issue : t -> origin:int -> key:Pgrid_keyspace.Key.t -> unit
-
-(** [issue_random t ~key] issues from a uniformly drawn online origin;
-    [false] (and no draw consumed beyond the rejection scan) when no
-    online origin was found. *)
-val issue_random : t -> key:Pgrid_keyspace.Key.t -> bool
 
 (** [heartbeat t ~src ~dst] sends one maintenance-class [Deliver] that
     does nothing on arrival — background traffic for exercising the

@@ -180,7 +180,7 @@ let net_engine_metrics () =
         Net_engine.maint =
           Some
             {
-              (Maintenance.default_daemon_config ~n_min:base.Net_engine.n_min) with
+              (Maintenance.default_daemon_config ~n_min:Net_engine.n_min) with
               Maintenance.period = 30.;
             };
         txn = Some Net_engine.default_txn_workload;

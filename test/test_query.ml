@@ -250,15 +250,18 @@ let storm_setup ?service ?(cfg = Storm.default_config) ?(loss = 0.) seed =
     Net.create ?service sim (Rng.create ~seed:(seed + 50))
       ~nodes:(Overlay.size overlay) ~latency:(Latency.Fixed 0.05) ~loss ~bucket:60.
   in
-  let storm = Storm.create sim (Rng.create ~seed:(seed + 51)) overlay net cfg in
-  (overlay, keys, sim, net, storm)
+  (* The storm's generator also draws the tests' random origins. *)
+  let srng = Rng.create ~seed:(seed + 51) in
+  let storm = Storm.create sim srng overlay net cfg in
+  (overlay, keys, sim, net, srng, storm)
 
 let test_storm_completes () =
-  let _overlay, keys, sim, _net, storm = storm_setup 21 in
+  let overlay, keys, sim, _net, srng, storm = storm_setup 21 in
   let rng = Rng.create ~seed:61 in
   for _ = 1 to 200 do
-    checkb "origin found" true
-      (Storm.issue_random storm ~key:keys.(Rng.int rng (Array.length keys)))
+    let origin = Overlay.random_online overlay srng ~excluding:(-1) in
+    checkb "origin found" true (origin >= 0);
+    Storm.issue storm ~origin ~key:keys.(Rng.int rng (Array.length keys))
   done;
   Sim.run sim;
   let s = Storm.stats storm in
@@ -277,10 +280,11 @@ let test_storm_completes () =
    hedging leaves nothing queued once its last lookup has finished, long
    before the first 4 s timeout could have fired. *)
 let test_storm_resolved_hops_leave_nothing_queued () =
-  let _overlay, keys, sim, _net, storm = storm_setup 21 in
+  let overlay, keys, sim, _net, srng, storm = storm_setup 21 in
   let rng = Rng.create ~seed:63 in
   for _ = 1 to 200 do
-    ignore (Storm.issue_random storm ~key:keys.(Rng.int rng (Array.length keys)))
+    let origin = Overlay.random_online overlay srng ~excluding:(-1) in
+    Storm.issue storm ~origin ~key:keys.(Rng.int rng (Array.length keys))
   done;
   while List.length (Storm.completions storm) < 200 do
     Sim.run_until sim ~time:(Sim.now sim +. 0.01)
@@ -293,10 +297,11 @@ let test_storm_resolved_hops_leave_nothing_queued () =
 
 let test_storm_deterministic () =
   let run () =
-    let _overlay, keys, sim, _net, storm = storm_setup 22 in
+    let overlay, keys, sim, _net, srng, storm = storm_setup 22 in
     let rng = Rng.create ~seed:62 in
     for _ = 1 to 100 do
-      ignore (Storm.issue_random storm ~key:keys.(Rng.int rng (Array.length keys)))
+      let origin = Overlay.random_online overlay srng ~excluding:(-1) in
+      Storm.issue storm ~origin ~key:keys.(Rng.int rng (Array.length keys))
     done;
     Sim.run sim;
     let s = Storm.stats storm in
@@ -362,9 +367,9 @@ let test_storm_sheds_under_burst () =
   let service =
     { Net.service_rate = 1.; queue_capacity = 4; query_threshold = 2 }
   in
-  let _overlay, keys, sim, net, storm = storm_setup ~service 23 in
+  let overlay, keys, sim, net, srng, storm = storm_setup ~service 23 in
   for _ = 1 to 300 do
-    ignore (Storm.issue_random storm ~key:keys.(0))
+    Storm.issue storm ~origin:(Overlay.random_online overlay srng ~excluding:(-1)) ~key:keys.(0)
   done;
   Sim.run sim;
   let s = Storm.stats storm in
@@ -380,7 +385,7 @@ let test_storm_hedge_dodges_dead_primary () =
   let cfg =
     { Storm.default_config with hedge_after = Some 0.5; max_retries = 0 }
   in
-  let overlay, keys, sim, net, storm = storm_setup ~cfg 24 in
+  let overlay, keys, sim, net, _srng, storm = storm_setup ~cfg 24 in
   ignore overlay;
   (* Make every peer's first-choice reference look dead by dropping 30%
      of peers from the network (they stay "online" in the overlay, so
@@ -418,7 +423,7 @@ let test_storm_breaker_opens () =
       breaker = Some { Breaker.failures = 2; cooldown = 1000. };
     }
   in
-  let _overlay, keys, sim, net, storm = storm_setup ~cfg 25 in
+  let _overlay, keys, sim, net, _srng, storm = storm_setup ~cfg 25 in
   (* Detach a third of the peers: repeated timeouts against them must
      trip their circuits and stop the hammering. *)
   let rng = Rng.create ~seed:66 in
