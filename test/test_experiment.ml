@@ -25,6 +25,18 @@ let test_fig3_shape () =
 
 let fig45 = lazy (Figures.fig4 ~n:400 ~reps:8 ~seed:123 (), Figures.fig5 ~n:400 ~reps:8 ~seed:123 ())
 
+(* Every point of a figure, every float in full. *)
+let series_text fig =
+  fig.Series.title
+  :: List.concat_map
+       (fun s ->
+         s.Series.name
+         :: List.map (fun (x, y) -> Printf.sprintf "%h %h" x y) (Array.to_list s.Series.points))
+       fig.Series.series
+  |> String.concat "\n"
+
+let series_digest fig = Digest.to_hex (Digest.string (series_text fig))
+
 let test_fig4_shape () =
   let fig4, _ = Lazy.force fig45 in
   checki "five models" 5 (List.length fig4.Series.series);
@@ -32,7 +44,8 @@ let test_fig4_shape () =
   let aut = series_by_name fig4 "AUT" in
   (* AEP biased upward at small p, AUT close to zero. *)
   checkb "AEP bias visible" true (value_at aep 0.1 > 5.);
-  checkb "AUT near zero" true (Float.abs (value_at aut 0.1) < 6.)
+  checkb "AUT near zero" true (Float.abs (value_at aut 0.1) < 6.);
+  Alcotest.(check string) "digest" "7e2cd3aaa5b09518a76c70361488cdaa" (series_digest fig4)
 
 let test_fig5_shape () =
   let _, fig5 = Lazy.force fig45 in
@@ -41,7 +54,8 @@ let test_fig5_shape () =
   (* AUT costs more than the AEP mean-value prediction at p = 1/2, and the
      AEP cost rises as p falls. *)
   checkb "AUT above MVA at 1/2" true (value_at aut 0.5 > value_at mva 0.5);
-  checkb "cost rises for small p" true (value_at mva 0.05 > value_at mva 0.5)
+  checkb "cost rises for small p" true (value_at mva 0.05 > value_at mva 0.5);
+  Alcotest.(check string) "digest" "fe9a77fd1f03bd9d14d8effe3c0be11e" (series_digest fig5)
 
 let test_fig6_table_rendering () =
   let f =
@@ -265,14 +279,7 @@ let test_simulation_digests () =
 let test_ablation_digests () =
   let render name = function
     | Experiment.Table { title; columns; rows } -> Pgrid_stats.Table.render ~title ~columns ~rows
-    | Experiment.Series fig ->
-      fig.Series.title
-      :: List.concat_map
-           (fun s ->
-             s.Series.name
-             :: List.map (fun (x, y) -> Printf.sprintf "%h %h" x y) (Array.to_list s.Series.points))
-           fig.Series.series
-      |> String.concat "\n"
+    | Experiment.Series fig -> series_text fig
     | Experiment.Grid _ -> Alcotest.failf "%s: table or series expected" name
   in
   let digest name =
@@ -284,7 +291,16 @@ let test_ablation_digests () =
     |> Digest.to_hex
   in
   let names =
-    [ "ablation-seq"; "ablation-merge"; "ablation-maintain"; "fig7"; "fig8"; "fig9"; "table1" ]
+    [
+      "ablation-seq";
+      "ablation-merge";
+      "ablation-maintain";
+      "ablation-pht";
+      "fig7";
+      "fig8";
+      "fig9";
+      "table1";
+    ]
   in
   Alcotest.(check (list (pair string string)))
     "digests"
@@ -292,6 +308,7 @@ let test_ablation_digests () =
       ("ablation-seq", "65a6c276d7bef366f7cdee02a8a0de59");
       ("ablation-merge", "baba5e696317b3d7c03d181d59851827");
       ("ablation-maintain", "3cd17d1bc78fd7caec30517fa8255ab4");
+      ("ablation-pht", "087b0b3babb6578ab16764305275b5c0");
       ("fig7", "9104d927729a71258410af982b09f973");
       ("fig8", "73342312a45456b3b059b6876e1c9d05");
       ("fig9", "cb57b198727dd568dd699ae236186b37");
@@ -350,8 +367,11 @@ let test_ablation_cost () =
   | _ -> Alcotest.fail "one row expected"
 
 let test_ablation_correction () =
-  let _, rows = Figures.ablation_correction ~n:300 ~reps:5 ~seed:3 () in
-  checki "six p values" 6 (List.length rows)
+  let columns, rows = Figures.ablation_correction ~n:300 ~reps:5 ~seed:3 () in
+  checki "six p values" 6 (List.length rows);
+  Alcotest.(check string)
+    "digest" "fccb329d0a1333a153d2bca5d6564a31"
+    (Pgrid_stats.Table.render ~title:"" ~columns ~rows |> Digest.string |> Digest.to_hex)
 
 let suite =
   [
