@@ -324,7 +324,7 @@ let planetlab seed peers spec fault_plan robust maint_period no_daemon balance
          else None);
       service = (if overload then Some Pgrid_simnet.Net.default_overload else None);
       maint;
-      txn = (if txn then Some Net_engine.default_txn_workload else None);
+      txn;
     }
   in
   let o = Net_engine.run ~telemetry rng params ~spec in

@@ -52,26 +52,6 @@ let default_robust =
     evict_after = Some 2;
   }
 
-(* Document-indexing workload for the transaction layer: multi-key
-   atomic puts submitted from random online coordinators during the
-   query phase, with a periodic recovery pass. *)
-type txn_workload = {
-  txn_config : Txn.config;
-  doc_interval : float;
-  keys_min : int;
-  keys_max : int;
-  recover_period : float;
-}
-
-let default_txn_workload =
-  {
-    txn_config = Txn.default_config;
-    doc_interval = 10.;
-    keys_min = 3;
-    keys_max = 6;
-    recover_period = 60.;
-  }
-
 (* The deployment's fixed constants, after the paper's PlanetLab run. *)
 let keys_per_peer = 10
 let n_min = 5
@@ -83,6 +63,13 @@ let bucket = 60. (* bandwidth bucket, seconds *)
 let header_bytes = 200
 let key_bytes = 64
 let retry_timeout = 2. (* legacy walk's penalty per dead reference *)
+
+(* The transaction workload: a document every 10 s (mean) under 3-6
+   keys, and a recovery pass every 60 s. *)
+let doc_interval = 10.
+let keys_min = 3
+let keys_max = 6
+let recover_period = 60.
 
 let engine_config =
   { Engine.n_min; d_max; max_fruitless = 2; refer_hops = 20; mode = Engine.Theory }
@@ -99,7 +86,7 @@ type params = {
   fault_plan : Fault.plan;
   fault_seed : int;
   maint : Maintenance.daemon_config option;
-  txn : txn_workload option;
+  txn : bool;
   service : Net.overload_config option;
 }
 
@@ -116,7 +103,7 @@ let default_params ~peers =
     fault_plan = [];
     fault_seed = 0;
     maint = None;
-    txn = None;
+    txn = false;
     service = None;
   }
 
@@ -225,7 +212,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
       let rrng = Rng.split rng in
       Some
         ( rrng,
-          Storm.create ~telemetry:tel ~header_bytes sim rrng overlay net
+          Storm.create ~telemetry:tel sim rrng overlay net
             (Option.value params.robust ~default:default_robust) )
   in
   (* Filled in once the transaction manager (if any) is created below;
@@ -424,15 +411,9 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
             (Maintenance.install_daemon ~telemetry:tel ~keys:(fun () -> all_keys) sim mrng
                overlay ~until:ph.end_time cfg)));
   (* --- transaction workload --------------------------------------------- *)
-  (* Gated exactly like the storm and the daemon: [txn = None] creates
+  (* Gated exactly like the storm and the daemon: [txn = false] creates
      nothing and consumes no draws, so legacy runs are bit-identical. *)
-  (match params.txn with
-  | None -> ()
-  | Some w ->
-    if w.keys_min < 1 || w.keys_max < w.keys_min then
-      invalid_arg "Net_engine.run: bad txn keys_min/keys_max";
-    if w.doc_interval <= 0. || w.recover_period <= 0. then
-      invalid_arg "Net_engine.run: bad txn periods";
+  if params.txn then begin
     let trng = Rng.split rng in
     let transport =
       {
@@ -442,19 +423,17 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
             Net.send net ~src ~dst ~bytes ~kind:Net.Maintenance (Storm.Deliver deliver))
       }
     in
-    let mgr =
-      Txn.create ~telemetry:tel ~config:w.txn_config sim (Rng.split trng) overlay ~transport
-    in
+    let mgr = Txn.create ~telemetry:tel sim (Rng.split trng) overlay ~transport in
     txn_mgr := Some mgr;
     (* Document submissions: a random online coordinator indexes one
        document under [keys_min, keys_max] distinct keys, atomically. *)
     let next_doc = ref 0 in
-    Sim.every sim ~at:(ph.query_start +. Sample.uniform trng ~lo:0. ~hi:w.doc_interval)
+    Sim.every sim ~at:(ph.query_start +. Sample.uniform trng ~lo:0. ~hi:doc_interval)
       ~until:ph.end_time
-      ~period:(fun () -> Sample.exponential trng ~rate:(1. /. w.doc_interval)) (fun () ->
+      ~period:(fun () -> Sample.exponential trng ~rate:(1. /. doc_interval)) (fun () ->
         let coordinator = Rng.int trng params.peers in
-        let span = w.keys_max - w.keys_min + 1 in
-        let k = w.keys_min + Rng.int trng span in
+        let span = keys_max - keys_min + 1 in
+        let k = keys_min + Rng.int trng span in
         let k = min k (Array.length all_keys) in
         let picks = Rng.sample_without_replacement trng ~k ~n:(Array.length all_keys) in
         if online coordinator then begin
@@ -466,8 +445,9 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
           in
           ignore (Txn.submit mgr ~coordinator ops)
         end);
-    Sim.every sim ~at:(ph.query_start +. w.recover_period) ~until:ph.end_time
-      ~period:(fun () -> w.recover_period) (fun () -> ignore (Txn.recover_pass mgr)));
+    Sim.every sim ~at:(ph.query_start +. recover_period) ~until:ph.end_time
+      ~period:(fun () -> recover_period) (fun () -> ignore (Txn.recover_pass mgr))
+  end;
   (* --- churn ------------------------------------------------------------ *)
   let churn_params =
     match params.churn with

@@ -29,25 +29,6 @@ val paper_phases : phases
     2 consecutive timeouts, no hedging, no circuit breakers. *)
 val default_robust : Pgrid_query.Storm.config
 
-(** Document-indexing workload for the transaction layer
-    ({!Pgrid_core.Txn}): from [query_start] on, every [doc_interval]
-    seconds (exponential) a random online coordinator atomically indexes
-    one document under [keys_min .. keys_max] distinct keys, and every
-    [recover_period] seconds a {!Pgrid_core.Txn.recover_pass} replays
-    outstanding intent logs (plus one final sweep after the run, once
-    churned peers are back). *)
-type txn_workload = {
-  txn_config : Pgrid_core.Txn.config;
-  doc_interval : float;
-  keys_min : int;
-  keys_max : int;
-  recover_period : float;
-}
-
-(** {!Pgrid_core.Txn.default_config}, a document every 10 s mean,
-    3-6 keys per document, recovery every 60 s. *)
-val default_txn_workload : txn_workload
-
 (** {1 Fixed constants}
 
     The deployment is the paper's and no caller varies it: 10 keys per
@@ -88,15 +69,20 @@ type params = {
           [query_start], running until [end_time].  [None] (the default)
           leaves the run — including its RNG draw sequence —
           bit-identical to pre-daemon builds. *)
-  txn : txn_workload option;
-      (** [Some]: run the transaction workload, with protocol messages
-          (prepare / ack / commit / abort) carried by the simulated
-          network as maintenance traffic — so loss, latency and offline
-          peers genuinely delay or drop them.  When a fault plan is
-          active, crashes invalidate the crashed peer's in-flight
+  txn : bool;
+      (** [true]: run the document-indexing workload of the transaction
+          layer ({!Pgrid_core.Txn}).  From [query_start] on, every 10 s
+          (exponential mean) a random online coordinator atomically
+          indexes one document under 3-6 distinct keys, and every 60 s
+          a {!Pgrid_core.Txn.recover_pass} replays outstanding intent
+          logs (plus one final sweep after the run, once churned peers
+          are back).  Protocol messages (prepare / ack / commit /
+          abort) ride the simulated network as maintenance traffic — so
+          loss, latency and offline peers genuinely delay or drop
+          them.  When a fault plan is active, crashes invalidate the crashed peer's in-flight
           coordinations ({!Pgrid_core.Txn.note_crash}); when the
           maintenance daemon is also installed its health monitor audits
-          settled documents for torn writes.  [None] (the default)
+          settled documents for torn writes.  [false] (the default)
           leaves the run bit-identical to pre-transaction builds. *)
   service : Pgrid_simnet.Net.overload_config option;
       (** [Some]: bounded per-peer service queues with load shedding

@@ -7,16 +7,10 @@ module Node = Pgrid_core.Node
 module Overlay = Pgrid_core.Overlay
 module Deviation = Pgrid_core.Deviation
 
-type params = {
-  peers : int;
-  keys_per_peer : int;
-  n_min : int;
-  d_max : int;
-  refs_per_level : int;
-}
-
-let default_params ~peers =
-  { peers; keys_per_peer = 10; n_min = 5; d_max = 50; refs_per_level = 2 }
+(* The parallel construction's parameters, so both constructions are
+   compared at the same values; a join copies 2 references per level. *)
+let { Round.keys_per_peer; n_min; d_max; _ } = Round.default_params ~peers:0
+let refs_per_level = 2
 
 type outcome = {
   overlay : Overlay.t;
@@ -28,7 +22,6 @@ type outcome = {
 
 type state = {
   rng : Rng.t;
-  params : params;
   overlay : Overlay.t;
   mutable joined : int list;
   mutable messages : int;
@@ -55,9 +48,8 @@ let route st entry key =
 let copy_routing st ~from ~to_ =
   let src = node st from and dst = node st to_ in
   for level = 0 to Path.length src.Node.path - 1 do
-    let keep = st.params.refs_per_level in
     List.iteri
-      (fun rank r -> if rank < keep then Node.add_ref dst ~level r)
+      (fun rank r -> if rank < refs_per_level then Node.add_ref dst ~level r)
       (Node.refs_at src ~level)
   done
 
@@ -100,8 +92,8 @@ let join st i =
     let population = List.length members + 1 in
     let load = Node.key_count ni in
     if
-      load > st.params.d_max
-      && population >= 2 * st.params.n_min
+      load > d_max
+      && population >= 2 * n_min
       && Path.length host_path < Key.bits
     then begin
       (* Coordinated partition split: all members (every one holds the
@@ -125,7 +117,7 @@ let join st i =
           List.iteri
             (fun rank' j' ->
               if side_of rank' <> side_of rank then begin
-                if Node.refs_count nj ~level < st.params.refs_per_level then
+                if Node.refs_count nj ~level < refs_per_level then
                   Node.add_ref nj ~level j'
               end
               else if j' <> j then Node.add_replica nj j')
@@ -144,20 +136,17 @@ let join st i =
       (Node.cut_outside ni ni.Node.path);
     st.joined <- i :: st.joined
 
-let run rng params ~spec =
-  if params.peers < 2 then invalid_arg "Sequential.run: need at least 2 peers";
-  let overlay = Overlay.create rng ~n:params.peers in
-  let assignments =
-    Distribution.assign_to_peers rng spec ~peers:params.peers
-      ~keys_per_peer:params.keys_per_peer
-  in
+let run rng ~peers ~spec =
+  if peers < 2 then invalid_arg "Sequential.run: need at least 2 peers";
+  let overlay = Overlay.create rng ~n:peers in
+  let assignments = Distribution.assign_to_peers rng spec ~peers ~keys_per_peer in
   Array.iteri
     (fun i own ->
       let n = Overlay.node overlay i in
       Array.iter (Node.ensure_key n) own)
     assignments;
-  let st = { rng; params; overlay; joined = []; messages = 0; latency = 0 } in
-  for i = 0 to params.peers - 1 do
+  let st = { rng; overlay; joined = []; messages = 0; latency = 0 } in
+  for i = 0 to peers - 1 do
     join st i
   done;
   let all_keys =
@@ -166,10 +155,7 @@ let run rng params ~spec =
     |> List.sort_uniq Key.compare
     |> Array.of_list
   in
-  let reference =
-    Reference.compute ~keys:all_keys ~peers:params.peers ~d_max:params.d_max
-      ~n_min:params.n_min
-  in
+  let reference = Reference.compute ~keys:all_keys ~peers ~d_max ~n_min in
   {
     overlay;
     reference;

@@ -9,17 +9,9 @@
     but the *latency* is the serialized sum of join round-trips —
     O(n log n) — whereas the parallel construction finishes in O(log^2 n)
     rounds.  The [ablation-seq] bench regenerates exactly this
-    comparison. *)
-
-type params = {
-  peers : int;
-  keys_per_peer : int;
-  n_min : int;
-  d_max : int;
-  refs_per_level : int;  (** routing redundancy copied on join *)
-}
-
-val default_params : peers:int -> params
+    comparison, at the parallel construction's parameters
+    ({!Round.default_params}: [keys_per_peer], [n_min], [d_max]); a join
+    copies 2 references per level. *)
 
 type outcome = {
   overlay : Pgrid_core.Overlay.t;
@@ -31,5 +23,4 @@ type outcome = {
           so every hop of every join adds to the completion time *)
 }
 
-val run :
-  Pgrid_prng.Rng.t -> params -> spec:Pgrid_workload.Distribution.spec -> outcome
+val run : Pgrid_prng.Rng.t -> peers:int -> spec:Pgrid_workload.Distribution.spec -> outcome

@@ -12,9 +12,7 @@ type config = {
   n_min : int;
   retract_load : int;
   retract_members : int;
-  seed_refs : int;
   max_actions : int;
-  period : float;
 }
 
 let default_config ~d_max ~n_min =
@@ -23,10 +21,11 @@ let default_config ~d_max ~n_min =
     n_min;
     retract_load = max 1 (d_max / 4);
     retract_members = n_min;
-    seed_refs = 4;
     max_actions = 32;
-    period = 60.;
   }
+
+(* Cross-references a split seeds per member at the new level. *)
+let cross_refs = 4
 
 let validate cfg =
   if cfg.d_max < 1 then invalid_arg "Balance: d_max must be >= 1";
@@ -35,9 +34,7 @@ let validate cfg =
   if cfg.retract_load >= cfg.d_max then
     invalid_arg "Balance: retract_load must leave headroom below d_max";
   if cfg.retract_members < 0 then invalid_arg "Balance: negative retract_members";
-  if cfg.seed_refs < 1 then invalid_arg "Balance: seed_refs must be >= 1";
-  if cfg.max_actions < 0 then invalid_arg "Balance: negative max_actions";
-  if not (cfg.period > 0.) then invalid_arg "Balance: period must be positive"
+  if cfg.max_actions < 0 then invalid_arg "Balance: negative max_actions"
 
 type pass_report = {
   splits : int;
@@ -215,7 +212,7 @@ let split_partition ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay ~pa
     let n = node overlay i in
     let pool = Array.of_list (List.filter (fun r -> r <> i) others) in
     Rng.shuffle_ints rng pool;
-    Array.iteri (fun rank r -> if rank < cfg.seed_refs then Node.add_ref n ~level r) pool
+    Array.iteri (fun rank r -> if rank < cross_refs then Node.add_ref n ~level r) pool
   in
   let rebuild_replicas i mates =
     let n = node overlay i in

@@ -17,9 +17,10 @@
        incremental {!Node.zero_count}/{!Node.key_count} statistics), so
        membership divides in proportion to load; floors guarantee both
        halves keep at least [n_min] members.  Keys migrate to the
-       responsible half and each member seeds routing references to the
-       complementary half, preserving referential integrity (extending
-       a path keeps every inbound third-party reference valid).}
+       responsible half and each member seeds up to 4 routing
+       references to the complementary half, preserving referential
+       integrity (extending a path keeps every inbound third-party
+       reference valid).}
     {- {b retract}: a partition whose load and membership have fallen
        below the configured floors merges with its sibling — when the
        sibling is a leaf — via an {!Overlay.anti_entropy_pair}-style
@@ -49,18 +50,15 @@ type config = {
           or split/retract would thrash) *)
   retract_members : int;
       (** retract only a partition whose membership fell to this floor *)
-  seed_refs : int;  (** cross-references seeded per member at the new level *)
   max_actions : int;  (** cap on splits + retracts per {!pass} *)
-  period : float;  (** seconds between daemon passes *)
 }
 
 (** [retract_load = max 1 (d_max / 4)], [retract_members = n_min],
-    [seed_refs = 4], [max_actions = 32], [period = 60.]. *)
+    [max_actions = 32]. *)
 val default_config : d_max:int -> n_min:int -> config
 
 (** @raise Invalid_argument when a field is out of range ([d_max < 1],
-    [n_min < 1], [retract_load >= d_max], negative floors/caps,
-    [period] not positive, NaN included). *)
+    [n_min < 1], [retract_load >= d_max], negative floors/caps). *)
 val validate : config -> unit
 
 type pass_report = {

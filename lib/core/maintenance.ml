@@ -315,8 +315,6 @@ let rebalance ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay ~n_min ~m
 
 type daemon_config = {
   period : float;
-  jitter : float;
-  sync_budget : int;
   redundancy : int;
   n_min : int;
   critical : int;
@@ -324,14 +322,12 @@ type daemon_config = {
   balance : Balance.config option;
   txn : Txn.t option;
   admit : (Node.id -> Node.id -> bool) option;
-  reconcile : Reconcile.config option;
+  reconcile : float option;
 }
 
 let default_daemon_config ~n_min =
   {
     period = 30.;
-    jitter = 0.5;
-    sync_budget = 64;
     redundancy = 2;
     n_min;
     critical = 1;
@@ -341,6 +337,14 @@ let default_daemon_config ~n_min =
     admit = None;
     reconcile = None;
   }
+
+(* Each gap between one peer's ticks is [period * (1 + jitter * U(-1, 1))];
+   an exchange copies at most [sync_budget] (key, payload) pairs; balance
+   and reconcile passes each run every 60 s. *)
+let jitter = 0.5
+let sync_budget = 64
+let balance_period = 60.
+let reconcile_period = 60.
 
 type daemon_stats = {
   mutable ticks : int;
@@ -408,15 +412,10 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
     invalid_arg "Maintenance.install_daemon: period must be > 0";
   if not (cfg.monitor_period > 0.) then
     invalid_arg "Maintenance.install_daemon: monitor_period must be > 0";
-  if not (cfg.jitter >= 0. && cfg.jitter < 1.) then
-    invalid_arg "Maintenance.install_daemon: jitter outside [0, 1)";
-  if cfg.sync_budget < 0 then invalid_arg "Maintenance.install_daemon: negative budget";
   Option.iter Balance.validate cfg.balance;
   Option.iter
-    (fun (r : Reconcile.config) ->
-      if not (r.Reconcile.period > 0.) then
-        invalid_arg "Maintenance.install_daemon: reconcile period must be > 0";
-      if not (r.Reconcile.gc_after >= 0.) then
+    (fun gc_after ->
+      if not (gc_after >= 0.) then
         invalid_arg "Maintenance.install_daemon: reconcile gc_after must be >= 0")
     cfg.reconcile;
   let stats =
@@ -446,7 +445,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
     match cfg.admit with None -> fun _ _ -> true | Some f -> f
   in
   let next_delay () =
-    cfg.period *. (1. +. (cfg.jitter *. ((2. *. Rng.float rng) -. 1.)))
+    cfg.period *. (1. +. (jitter *. ((2. *. Rng.float rng) -. 1.)))
   in
   (* One peer's periodic upkeep: budgeted anti-entropy with one random
      online replica, then a proactive refresh of one random routing
@@ -469,7 +468,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
         match cfg.reconcile with
         | None ->
           let copied =
-            Overlay.anti_entropy_pair overlay ~a:i ~b ~budget:cfg.sync_budget
+            Overlay.anti_entropy_pair overlay ~a:i ~b ~budget:sync_budget
           in
           if copied > 0 then begin
             stats.exchanges <- stats.exchanges + 1;
@@ -478,7 +477,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
               Telemetry.emit telemetry (Event.Anti_entropy { a = i; b; copied })
           end
         | Some _ ->
-          let r = Reconcile.sync_pair overlay ~a:i ~b ~budget:cfg.sync_budget in
+          let r = Reconcile.sync_pair overlay ~a:i ~b ~budget:sync_budget in
           if r.Reconcile.copied > 0 || r.Reconcile.tombstoned > 0 then begin
             stats.exchanges <- stats.exchanges + 1;
             stats.keys_synced <- stats.keys_synced + r.Reconcile.copied;
@@ -818,7 +817,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
       stats.balance_keys_moved <-
         stats.balance_keys_moved + r.Balance.migrated_keys + r.Balance.copied_keys
     in
-    every bcfg.Balance.period (fun () ->
+    every balance_period (fun () ->
         match cfg.admit with
         | None -> run_pass None
         | Some f ->
@@ -868,7 +867,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
      bit-identical. *)
   (match cfg.reconcile with
   | None -> ()
-  | Some rcfg ->
+  | Some gc_after ->
     let whole () =
       match cfg.admit with
       | None -> true
@@ -882,13 +881,13 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
         done;
         !ok
     in
-    every rcfg.Reconcile.period (fun () ->
+    every reconcile_period (fun () ->
         stats.reconcile_passes <- stats.reconcile_passes + 1;
         if whole () then begin
-          let repaired = Reconcile.repair_structure ~telemetry rcfg overlay in
+          let repaired = Reconcile.repair_structure ~telemetry overlay in
           stats.divergences_repaired <- stats.divergences_repaired + repaired
         end;
-        let purged = Reconcile.gc rcfg overlay ~now:(Sim.now sim) in
+        let purged = Reconcile.gc ~gc_after overlay ~now:(Sim.now sim) in
         if purged > 0 then begin
           stats.tombstones_purged <- stats.tombstones_purged + purged;
           if Telemetry.active telemetry then

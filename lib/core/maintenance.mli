@@ -101,13 +101,13 @@ val rebalance :
   max_rounds:int ->
   rebalance_report
 
-(** Configuration of the self-healing maintenance daemon. *)
+(** Configuration of the self-healing maintenance daemon.  Its fixed
+    constants: each gap between one peer's upkeep ticks is
+    [period * (1 + 0.5 * U(-1, 1))], desynchronizing peers; one
+    anti-entropy exchange copies at most 64 (key, payload) pairs; the
+    balance and reconcile processes each run every 60 s. *)
 type daemon_config = {
   period : float;  (** mean seconds between one peer's upkeep ticks *)
-  jitter : float;
-      (** relative period spread in [0, 1): each gap is
-          [period * (1 + jitter * U(-1, 1))], desynchronizing peers *)
-  sync_budget : int;  (** max (key, payload) copies per anti-entropy exchange *)
   redundancy : int;  (** refs per routing level the refresh tops up to *)
   n_min : int;  (** replication target the health monitor audits against *)
   critical : int;
@@ -138,8 +138,8 @@ type daemon_config = {
           as two independent islands rather than through walls the data plane
           cannot cross.  [None] (the default) admits everyone and
           leaves the daemon's RNG draw sequence bit-identical *)
-  reconcile : Reconcile.config option;
-      (** post-partition reconciliation (see {!Reconcile}): replaces the
+  reconcile : float option;
+      (** [Some gc_after]: post-partition reconciliation (see {!Reconcile}): replaces the
           per-peer {!Overlay.anti_entropy_pair} exchange with the
           version-aware {!Reconcile.sync_pair}, makes the health monitor
           audit the write-version sidecar
@@ -148,13 +148,13 @@ type daemon_config = {
           copies, and emergency rescue paths refuse to resurrect
           deleted keys), and adds a dedicated process running
           {!Reconcile.repair_structure} (only while the network is
-          whole under [admit]) plus {!Reconcile.gc} every
-          [reconcile.period] seconds.  [None] (the default) disables
+          whole under [admit]) plus {!Reconcile.gc} with tombstone
+          lifetime [gc_after] seconds.  [None] (the default) disables
           all of it and leaves the daemon's RNG draw sequence
           bit-identical *)
 }
 
-(** [period = 30.], [jitter = 0.5], [sync_budget = 64], [redundancy = 2],
+(** [period = 30.], [redundancy = 2],
     [critical = 1], [monitor_period = 60.], [balance = None],
     [txn = None], [admit = None], [reconcile = None]. *)
 val default_daemon_config : n_min:int -> daemon_config
@@ -209,7 +209,7 @@ type daemon_stats = {
        then adopts the endangered partition (emitting [Re_replicate]).
        [Data_at_risk] keys are copied from a sleeping holder back to
        the online members of the responsible partition.}
-    {- with [cfg.balance = Some b]: every [b.period] seconds one
+    {- with [cfg.balance = Some b]: every 60 seconds one
        {!Balance.pass} — runtime splits of overloaded partitions and
        retractions of starved ones (see {!Balance}).}}
 

@@ -3,15 +3,8 @@ module Path = Pgrid_keyspace.Path
 module Telemetry = Pgrid_telemetry.Telemetry
 module Event = Pgrid_telemetry.Event
 
-type config = {
-  gc_after : float;
-  sync_budget : int;
-  seed_refs : int;
-  period : float;
-}
-
-let default_config =
-  { gc_after = 3600.; sync_budget = 200; seed_refs = 4; period = 120. }
+(* References a demoted peer gets to the other side of a repaired split. *)
+let seed_refs = 4
 
 type sync_result = { copied : int; tombstoned : int }
 
@@ -96,8 +89,8 @@ let sync_pair t ~a ~b ~budget =
     end
   end
 
-let gc cfg t ~now =
-  let horizon = now -. cfg.gc_after in
+let gc ~gc_after t ~now =
+  let horizon = now -. gc_after in
   let purged = ref 0 in
   Overlay.iter t (fun n ->
       if n.Node.online then
@@ -136,7 +129,7 @@ let conflicts t =
        (fun { Overlay.path; members; _ } -> if members = [] then None else Some path)
        (Overlay.census t))
 
-let repair_structure ?(telemetry = Pgrid_telemetry.Global.get ()) cfg t =
+let repair_structure ?(telemetry = Pgrid_telemetry.Global.get ()) t =
   let conflict_paths = conflicts t in
   List.iter
     (fun p ->
@@ -211,7 +204,7 @@ let repair_structure ?(telemetry = Pgrid_telemetry.Global.get ()) cfg t =
         List.iter
           (fun r ->
             List.iter (fun m -> Node.add_ref r ~level m.Node.id) members;
-            if !seed < cfg.seed_refs then begin
+            if !seed < seed_refs then begin
               List.iter (fun m -> Node.add_ref m ~level r.Node.id) members;
               incr seed
             end)

@@ -24,16 +24,6 @@
     deterministically (no randomness, so repeated runs converge and no
     experiment RNG stream is perturbed). *)
 
-type config = {
-  gc_after : float;  (** tombstone lifetime, seconds of simulated time *)
-  sync_budget : int;  (** per-pair copy budget, as for anti-entropy *)
-  seed_refs : int;  (** cross-refs seeded per repaired split, per side *)
-  period : float;  (** daemon reconcile-process period, seconds *)
-}
-
-(** gc_after 3600, sync_budget 200, seed_refs 4, period 120. *)
-val default_config : config
-
 type sync_result = {
   copied : int;  (** live (key, payload) copies moved, both directions *)
   tombstoned : int;  (** stale live entries erased by a newer tombstone *)
@@ -46,11 +36,12 @@ type sync_result = {
     tombstones — is settled by the vote above instead of unioned. *)
 val sync_pair : Overlay.t -> a:Node.id -> b:Node.id -> budget:int -> sync_result
 
-(** [gc cfg t ~now] drops tombstones stamped [gc_after] or more before
-    [now] from every online node, returning the number purged.  A purged
-    tombstone can no longer veto a copy staler than itself, so
-    [gc_after] bounds the partition duration deletes survive. *)
-val gc : config -> Overlay.t -> now:float -> int
+(** [gc ~gc_after t ~now] drops tombstones stamped [gc_after] or more
+    seconds (simulated time) before [now] from every online node,
+    returning the number purged.  A purged tombstone can no longer veto
+    a copy staler than itself, so [gc_after] bounds the partition
+    duration deletes survive. *)
+val gc : gc_after:float -> Overlay.t -> now:float -> int
 
 (** [tombstone_debt t] is the total number of live tombstones across
     online nodes — the gauge the health report surfaces. *)
@@ -61,14 +52,15 @@ val tombstone_debt : Overlay.t -> int
     sorted. *)
 val conflicts : Overlay.t -> Pgrid_keyspace.Path.t list
 
-(** [repair_structure ?telemetry cfg t] repairs every current conflict:
+(** [repair_structure ?telemetry t] repairs every current conflict:
     peers still at a conflicted path are demoted into one child (the
     uninhabited one if any, else the one with fewer peers, ties to the
     0-side), after copying each key {e and} tombstone the demotion would
     orphan to the online peers responsible for it on the other side;
     cross-references and replica links are then seeded at the new level
-    ([seed_refs] per side).  Deterministic.  Emits one
+    (a demoted peer references up to 4 peers of the other side).
+    Deterministic.  Emits one
     [Reconcile_repair] event per repaired path and returns the number of
     conflicts repaired (deeper conflicts uncovered by a repair are
     caught by the next pass). *)
-val repair_structure : ?telemetry:Pgrid_telemetry.Telemetry.t -> config -> Overlay.t -> int
+val repair_structure : ?telemetry:Pgrid_telemetry.Telemetry.t -> Overlay.t -> int

@@ -14,24 +14,12 @@ type transport = {
   send : phase:phase -> src:int -> dst:int -> deliver:(unit -> unit) -> unit;
 }
 
-type config = {
-  quorum : int;
-  req_timeout : float;
-  backoff : float;
-  jitter : float;
-  max_retries : int;
-  recover_after : float;
-}
-
-let default_config =
-  {
-    quorum = 1;
-    req_timeout = 2.;
-    backoff = 2.;
-    jitter = 0.2;
-    max_retries = 3;
-    recover_after = 300.;
-  }
+(* The retry profile: one ack settles a key; a 2 s base timeout grows
+   by [Sim.backoff] with 20% jitter for 3 retries. *)
+let req_timeout = 2.
+let jitter = 0.2
+let max_retries = 3
+let recover_after = 300.
 
 type status = Pending | Committed | Aborted
 
@@ -69,7 +57,6 @@ type t = {
   overlay : Overlay.t;
   tel : Telemetry.t;
   rng : Rng.t;
-  cfg : config;
   transport : transport;
   sim : Sim.t;
   decisions : (int, decision) Hashtbl.t;
@@ -83,20 +70,11 @@ type t = {
   stats : stats;
 }
 
-let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(config = default_config) sim rng
-    overlay ~transport =
-  if config.quorum < 1 then invalid_arg "Txn.create: quorum must be >= 1";
-  if config.req_timeout <= 0. then invalid_arg "Txn.create: req_timeout <= 0";
-  if config.backoff < 1. then invalid_arg "Txn.create: backoff < 1";
-  if config.jitter < 0. || config.jitter >= 1. then
-    invalid_arg "Txn.create: jitter outside [0, 1)";
-  if config.max_retries < 0 then invalid_arg "Txn.create: negative retries";
-  if config.recover_after <= 0. then invalid_arg "Txn.create: recover_after <= 0";
+let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay ~transport =
   {
     overlay;
     tel = telemetry;
     rng;
-    cfg = config;
     transport;
     sim;
     decisions = Hashtbl.create 64;
@@ -120,7 +98,6 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(config = default_confi
   }
 
 let emit t kind = if Telemetry.active t.tel then Telemetry.emit t.tel kind
-let config t = t.cfg
 let key_of = function Put { key; _ } | Del { key; _ } -> key
 
 let peer_log t p =
@@ -197,15 +174,9 @@ let commit_txn t d ~acked =
   emit t (Event.Txn_commit { txn = d.d_id });
   List.iter (push_decision t d) acked
 
-let retry_delay t k =
-  Sim.backoff_delay t.rng ~base:t.cfg.req_timeout ~backoff:t.cfg.backoff ~jitter:t.cfg.jitter k
+let retry_delay t k = Sim.backoff_delay t.rng ~base:req_timeout ~jitter k
 
-type op_state = {
-  required : int;
-  mutable os_acks : int;
-  mutable outstanding : int;
-  mutable settled : bool;
-}
+type op_state = { mutable outstanding : int; mutable settled : bool }
 
 let submit t ~coordinator ops =
   if ops = [] then invalid_arg "Txn.submit: empty transaction";
@@ -250,14 +221,7 @@ let submit t ~coordinator ops =
                 n.Node.online && Node.responsible_for n key))
       |> List.sort_uniq compare
     in
-    let st =
-      {
-        required = max 1 (min t.cfg.quorum (List.length participants));
-        os_acks = 0;
-        outstanding = List.length participants;
-        settled = false;
-      }
-    in
+    let st = { outstanding = List.length participants; settled = false } in
     let on_ack p applied =
       ignore applied;
       if t.epochs.(coordinator) = epoch && d.d_status <> Pending then
@@ -267,9 +231,9 @@ let submit t ~coordinator ops =
       else if alive () then begin
         t.stats.acks <- t.stats.acks + 1;
         Hashtbl.replace acked p ();
-        st.os_acks <- st.os_acks + 1;
         st.outstanding <- st.outstanding - 1;
-        if (not st.settled) && st.os_acks >= st.required then begin
+        (* The first ack settles the key. *)
+        if not st.settled then begin
           st.settled <- true;
           op_done true
         end
@@ -318,7 +282,7 @@ let submit t ~coordinator ops =
             Sim.timer t.sim ~delay (fun () ->
                 if alive () then begin
                   t.stats.timeouts <- t.stats.timeouts + 1;
-                  if k < t.cfg.max_retries then begin
+                  if k < max_retries then begin
                     t.stats.retries <- t.stats.retries + 1;
                     attempt (k + 1)
                   end
@@ -338,7 +302,7 @@ let submit t ~coordinator ops =
       match res.Overlay.responsible with
       | Some rid -> fan_out op_idx op rid
       | None ->
-        if r < t.cfg.max_retries then begin
+        if r < max_retries then begin
           t.stats.retries <- t.stats.retries + 1;
           (* A backoff pause, not a timeout: nothing cancels it. *)
           Sim.schedule t.sim ~delay:(retry_delay t r) (fun () -> route_op op_idx op (r + 1))
@@ -369,7 +333,7 @@ let recover_pass t =
      through its [alive] guard and stops. *)
   List.iter
     (fun d ->
-      if d.d_status = Pending && now -. d.d_begun > t.cfg.recover_after then begin
+      if d.d_status = Pending && now -. d.d_begun > recover_after then begin
         d.d_status <- Aborted;
         t.active <- t.active - 1;
         t.stats.aborted <- t.stats.aborted + 1;

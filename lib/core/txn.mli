@@ -15,7 +15,7 @@
       backoff and jitter ({!Pgrid_simnet.Sim.backoff_delay}); the first ack
       cancels it, and a participant that never acks within the retry
       budget is given up on.
-    - {b Decide.}  Once every key gathered its ack quorum the
+    - {b Decide.}  Once every key gathered an ack the
       coordinator durably records {e commit}; any key that cannot be
       prepared durably records {e abort} (presumed abort: an absent or
       pending decision is never read as commit).
@@ -55,20 +55,18 @@ type transport = {
   send : phase:phase -> src:int -> dst:int -> deliver:(unit -> unit) -> unit;
 }
 
-type config = {
-  quorum : int;  (** acks required per key (capped at the fan-out size) *)
-  req_timeout : float;  (** base prepare-ack timeout, seconds *)
-  backoff : float;  (** timeout multiplier per retry *)
-  jitter : float;  (** fractional timeout jitter, [0, 1) *)
-  max_retries : int;  (** re-sends per participant after the first try *)
-  recover_after : float;
-      (** age beyond which a still-pending transaction is resolved by
-          presumed abort during {!recover_pass} *)
-}
+(** {1 Retry profile}
 
-(** quorum 1, 2 s base timeout, factor-2 backoff with 20% jitter,
-    3 retries, presumed abort after 300 s — the PR-3 retry profile. *)
-val default_config : config
+    One ack settles a key.  A prepare's ack timeout starts at
+    {!req_timeout} and grows by {!Pgrid_simnet.Sim.backoff} per retry,
+    with 20% jitter; a participant gets 3 re-sends after the first try. *)
+
+(** Base prepare-ack timeout: 2 s. *)
+val req_timeout : float
+
+(** Age beyond which a still-pending transaction is resolved by presumed
+    abort during {!recover_pass}: 300 s. *)
+val recover_after : float
 
 type status = Pending | Committed | Aborted
 
@@ -88,12 +86,11 @@ type stats = {
 
 type t
 
-(** [create ?telemetry ?config sim rng overlay ~transport] makes a
+(** [create ?telemetry sim rng overlay ~transport] makes a
     transaction manager over [overlay], timed by [sim].  [rng] feeds
     timeout jitter only. *)
 val create :
   ?telemetry:Pgrid_telemetry.Telemetry.t ->
-  ?config:config ->
   Pgrid_simnet.Sim.t ->
   Pgrid_prng.Rng.t ->
   Overlay.t ->
@@ -107,7 +104,6 @@ val create :
 val submit : t -> coordinator:int -> op list -> int
 
 val status : t -> int -> status option
-val config : t -> config
 
 (** Transactions whose decision is still pending. *)
 val in_flight : t -> int

@@ -22,17 +22,20 @@ let fig3 () =
 
 let p_grid = [ 0.05; 0.1; 0.15; 0.2; 0.25; 0.3; 0.35; 0.4; 0.45; 0.5 ]
 
+(* Samples per interaction of the sampled partition models. *)
+let model_samples = 10
+
 (* One (deviation, interactions) sample per model run. *)
-let run_model rng model ~n ~p ~samples =
+let run_model rng model ~n ~p =
   match model with
   | `Mva ->
     let o = Mva.run_exact ~n ~p in
     (o.Mva.p0 -. (float_of_int n *. p), o.Mva.interactions)
   | `Sam ->
-    let o = Mva.run_sampled rng ~n ~p ~samples in
+    let o = Mva.run_sampled rng ~n ~p ~samples:model_samples in
     (o.Mva.p0 -. (float_of_int n *. p), o.Mva.interactions)
   | `Discrete strategy ->
-    let o = Discrete.run rng strategy ~n ~p ~samples in
+    let o = Discrete.run rng strategy ~n ~p ~samples:model_samples in
     ( float_of_int o.Discrete.p0 -. (float_of_int n *. p),
       float_of_int o.Discrete.interactions )
 
@@ -45,7 +48,7 @@ let models =
     ("AUT", `Discrete Discrete.Autonomous);
   ]
 
-let fig45_data_uncached ~n ~samples ~reps ~seed =
+let fig45_data_uncached ~n ~reps ~seed =
   List.map
     (fun (name, model) ->
       let dev_pts, int_pts =
@@ -55,7 +58,7 @@ let fig45_data_uncached ~n ~samples ~reps ~seed =
             let devs = Moments.create () and ints = Moments.create () in
             let actual_reps = match model with `Mva -> 1 | _ -> reps in
             for _ = 1 to actual_reps do
-              let d, i = run_model rng model ~n ~p ~samples in
+              let d, i = run_model rng model ~n ~p in
               Moments.add devs d;
               Moments.add ints i
             done;
@@ -68,23 +71,23 @@ let fig45_data_uncached ~n ~samples ~reps ~seed =
 
 let fig45_cache = Hashtbl.create 4
 
-let fig45_data ?(n = 1000) ?(samples = 10) ?(reps = 100) ~seed () =
-  let key = (n, samples, reps, seed) in
+let fig45_data ?(n = 1000) ?(reps = 100) ~seed () =
+  let key = (n, reps, seed) in
   match Hashtbl.find_opt fig45_cache key with
   | Some data -> data
   | None ->
-    let data = fig45_data_uncached ~n ~samples ~reps ~seed in
+    let data = fig45_data_uncached ~n ~reps ~seed in
     Hashtbl.add fig45_cache key data;
     data
 
-let fig4 ?n ?samples ?reps ~seed () =
-  let data = fig45_data ?n ?samples ?reps ~seed () in
+let fig4 ?n ?reps ~seed () =
+  let data = fig45_data ?n ?reps ~seed () in
   Series.figure ~title:"Figure 4: mean(p0(t) - n p) over repetitions" ~x_label:"p"
     ~y_label:"deviation from n*p"
     (List.map (fun (name, dev, _) -> Series.make name dev) data)
 
-let fig5 ?n ?samples ?reps ~seed () =
-  let data = fig45_data ?n ?samples ?reps ~seed () in
+let fig5 ?n ?reps ~seed () =
+  let data = fig45_data ?n ?reps ~seed () in
   Series.figure ~title:"Figure 5: mean total number of interactions" ~x_label:"p"
     ~y_label:"interactions"
     (List.map (fun (name, _, ints) -> Series.make name ints) data)
@@ -374,8 +377,7 @@ let resilience_run ~peers ~seed severity =
       int_metric "crashes" crashes Down;
     ]
 
-let resilience ?(peers = 128) ?(severities = [ 0.0; 0.5; 1.0 ]) ~seed () =
-  List.concat_map (resilience_run ~peers ~seed) severities
+let resilience ~seed () = List.concat_map (resilience_run ~peers:128 ~seed) [ 0.0; 0.5; 1.0 ]
 
 (* --- ablations ---------------------------------------------------------- *)
 
@@ -388,9 +390,7 @@ let ablation_sequential ?(sizes = [ 64; 128; 256; 512 ]) ~seed () =
     List.map
       (fun n ->
         let rng = Rng.create ~seed in
-        let seq = Sequential.run rng (Sequential.default_params ~peers:n)
-            ~spec:Distribution.Uniform
-        in
+        let seq = Sequential.run rng ~peers:n ~spec:Distribution.Uniform in
         let rng2 = Rng.create ~seed in
         let par = Round.run rng2 (Round.default_params ~peers:n)
             ~spec:Distribution.Uniform
@@ -420,7 +420,7 @@ let ablation_cost ?(sizes = [ 250; 500; 1000; 2000 ]) ?(reps = 20) ~seed () =
           let rng = Rng.create ~seed in
           let m = Moments.create () in
           for _ = 1 to reps do
-            let o = Discrete.run rng strategy ~n ~p ~samples:10 in
+            let o = Discrete.run rng strategy ~n ~p ~samples:model_samples in
             Moments.add m (float_of_int o.Discrete.interactions /. float_of_int n)
           done;
           Moments.mean m
@@ -438,7 +438,7 @@ let ablation_cost ?(sizes = [ 250; 500; 1000; 2000 ]) ?(reps = 20) ~seed () =
   in
   (columns, rows)
 
-let ablation_correction ?(n = 1000) ?(samples = 10) ?(reps = 50) ~seed () =
+let ablation_correction ?(n = 1000) ?(reps = 50) ~seed () =
   let columns = [ "p"; "AEP (none)"; "COR-T (Eqs. 9-10)"; "COR (calibrated)" ] in
   let rows =
     List.map
@@ -447,7 +447,7 @@ let ablation_correction ?(n = 1000) ?(samples = 10) ?(reps = 50) ~seed () =
           let rng = Rng.create ~seed in
           let m = Moments.create () in
           for _ = 1 to reps do
-            let o = Discrete.run rng strategy ~n ~p ~samples in
+            let o = Discrete.run rng strategy ~n ~p ~samples:model_samples in
             Moments.add m (float_of_int o.Discrete.p0 -. (float_of_int n *. p))
           done;
           Moments.mean m
@@ -464,7 +464,8 @@ let ablation_correction ?(n = 1000) ?(samples = 10) ?(reps = 50) ~seed () =
 
 (* --- X4: order-preserving overlay vs PHT-over-DHT ----------------------- *)
 
-let ablation_pht ?(peers = 256) ?(keys = 2560) ~seed () =
+let ablation_pht ~seed () =
+  let peers = 256 and keys = 2560 in
   let rng = Rng.create ~seed in
   let key_pop = Distribution.generate rng Distribution.Uniform ~n:keys in
   let overlay =
@@ -508,7 +509,8 @@ let ablation_pht ?(peers = 256) ?(keys = 2560) ~seed () =
 
 (* --- X5: merging independently created indices --------------------------- *)
 
-let ablation_merge ?(peers = 128) ~seed () =
+let ablation_merge ~seed () =
+  let peers = 128 in
   let half = peers / 2 in
   let params = Round.default_params ~peers:half in
   let build s =
@@ -549,7 +551,8 @@ let ablation_merge ?(peers = 128) ~seed () =
 
 (* --- X6: maintenance after churn ------------------------------------------ *)
 
-let ablation_maintenance ?(peers = 200) ~seed () =
+let ablation_maintenance ~seed () =
+  let peers = 200 in
   let rng = Rng.create ~seed in
   let o = Round.run rng (Round.default_params ~peers) ~spec:Distribution.Uniform in
   let overlay = o.Round.overlay in
@@ -762,7 +765,7 @@ let survival_n_min = 5
    keep being inserted.  The daemon-off arm shares every environmental
    seed, so churn, kills and the insert stream are identical; only the
    maintenance processes differ. *)
-let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon:on ~seed =
+let survival_run_one ~peers ~horizon ~sample_every ~daemon:on ~seed =
   let a = start_arm ~seed ~horizon (Round.default_params ~peers) in
   let killed = Array.make peers false in
   Churn.install ~clamp:true a.sim (stream a 1)
@@ -789,7 +792,6 @@ let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon:on ~see
         (daemon a
            {
              (Maintenance.default_daemon_config ~n_min:survival_n_min) with
-             period = maint_period;
              critical = 2;
              (* Half the network can be offline at a churn trough; two
                 online references per level dead-end far too often, so
@@ -847,14 +849,11 @@ let survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon:on ~see
             ])
           points) )
 
-let survival ?(peers = 192) ?(horizon = 7200.) ?(sample_every = 240.)
-    ?(maint_period = 30.) ~seed () =
+let survival ?(horizon = 7200.) ?(sample_every = 240.) ~seed () =
   if horizon <= 0. then invalid_arg "Figures.survival: horizon must be positive";
   if sample_every <= 0. then
     invalid_arg "Figures.survival: sample_every must be positive";
-  let arm daemon =
-    survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed
-  in
+  let arm daemon = survival_run_one ~peers:192 ~horizon ~sample_every ~daemon ~seed in
   let on_scores, on = arm true in
   let off_scores, off = arm false in
   (* Share of samples at which the daemon arm's health score is at least
@@ -967,13 +966,14 @@ let balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed =
           ])
         points)
 
-let balance ?(peers = 192) ?(horizon = 3600.) ?(sample_every = 180.) ?(d_max = 50)
-    ~seed () =
+let balance ?(horizon = 3600.) ?(sample_every = 180.) ~seed () =
   if horizon <= 0. then invalid_arg "Figures.balance: horizon must be positive";
   if sample_every <= 0. then
     invalid_arg "Figures.balance: sample_every must be positive";
-  if d_max < 1 then invalid_arg "Figures.balance: d_max must be >= 1";
-  let arm balanced = balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed in
+  let d_max = 50 in
+  let arm balanced =
+    balance_run_one ~peers:192 ~horizon ~sample_every ~d_max ~balanced ~seed
+  in
   let on = arm true in
   let off = arm false in
   (("bound/max_load", balance_slack *. float_of_int d_max, Down) :: on) @ off
@@ -994,7 +994,7 @@ let txn_n_min = 5
    crashes orphaned.  The audit then judges the durable stores directly:
    every settled document must be fully indexed (committed) or fully
    scrubbed (aborted). *)
-let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
+let txn_run_one ~peers ~horizon ~severity ~seed =
   let a = start_arm ~seed ~horizon (Round.default_params ~peers) in
   (* The protocol network: messages carry their delivery continuation,
      so loss and offline destinations genuinely drop protocol steps. *)
@@ -1032,11 +1032,11 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
                };
            ])
   in
-  (* Document stream: every [doc_interval] seconds a random coordinator
-     atomically indexes one fresh document under 3-6 distinct keys. *)
+  (* Document stream: every 6 s a random coordinator atomically indexes
+     one fresh document under 3-6 distinct keys. *)
   let drng = stream a 5 in
   let submitted = ref 0 in
-  Sim.every a.sim ~at:60. ~until:(0.85 *. horizon) ~period:(fun () -> doc_interval)
+  Sim.every a.sim ~at:60. ~until:(0.85 *. horizon) ~period:(fun () -> 6.)
     (fun () ->
       let coordinator = Rng.int drng peers in
       let k = 3 + Rng.int drng 4 in
@@ -1054,7 +1054,7 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
       ignore (Txn.recover_pass mgr));
   (* Final sweeps, after the last crash has restarted and the
      presumed-abort window of any orphaned transaction has elapsed. *)
-  let final_at = horizon +. (Txn.config mgr).Txn.recover_after +. 60. in
+  let final_at = horizon +. Txn.recover_after +. 60. in
   List.iter
     (fun time -> Sim.schedule_at a.sim ~time (fun () -> ignore (Txn.recover_pass mgr)))
     [ final_at; final_at +. 60. ];
@@ -1113,14 +1113,11 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
       int_metric "intents_left" (Txn.intent_count mgr) Down;
     ]
 
-let txn ?(peers = 192) ?(horizon = 3600.) ?(doc_interval = 6.)
-    ?(severities = [ 0.; 0.3; 0.6 ]) ~seed () =
+let txn ?(horizon = 3600.) ~seed () =
   if horizon <= 0. then invalid_arg "Figures.txn: horizon must be positive";
-  if doc_interval <= 0. then
-    invalid_arg "Figures.txn: doc_interval must be positive";
   List.concat_map
-    (fun severity -> txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed)
-    severities
+    (fun severity -> txn_run_one ~peers:192 ~horizon ~severity ~seed)
+    [ 0.; 0.3; 0.6 ]
 
 (* --- overload: Zipf query storm, admission control on vs off ------------- *)
 
@@ -1321,10 +1318,8 @@ let overload_arm ?(peers = 10_000) ?(horizon = 1440.) ?(base_rate = 30.)
             ])
           points) )
 
-let overload ?peers ?horizon ?base_rate ?peak_rate ~seed () =
-  let arm protected =
-    snd (overload_arm ?peers ?horizon ?base_rate ?peak_rate ~protected ~seed ())
-  in
+let overload ?peers ?horizon ~seed () =
+  let arm protected = snd (overload_arm ?peers ?horizon ~protected ~seed ()) in
   let on = arm true in
   let off = arm false in
   let v ms name =
@@ -1341,7 +1336,6 @@ let overload ?peers ?horizon ?base_rate ?peak_rate ~seed () =
 
 (* --- partition: split-brain window, reconciliation on vs off ------------- *)
 
-module Reconcile = Pgrid_core.Reconcile
 
 let partition_n_min = 2
 
@@ -1380,18 +1374,10 @@ let partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
         Maintenance.balance =
           Some (Balance.default_config ~d_max:params.Round.d_max ~n_min:1);
         admit = Some adm;
-        reconcile =
-          (if reconciling then
-             Some
-               {
-                 Reconcile.default_config with
-                 Reconcile.period = 60.;
-                 (* Tombstones must outlive the cut plus the time
-                    reconciliation is allowed to take, or GC would turn
-                    un-synced deletes back into resurrections. *)
-                 gc_after = stop -. start +. bound;
-               }
-           else None);
+        (* Tombstones must outlive the cut plus the time reconciliation
+           is allowed to take, or GC would turn un-synced deletes back
+           into resurrections. *)
+        reconcile = (if reconciling then Some (stop -. start +. bound) else None);
       }
   in
   (* The storm: one Pareto-1.5 key every 10 s — skewed, so the hot

@@ -10,17 +10,15 @@
     for small [p] (the regime where sampling errors hurt most). *)
 val fig3 : unit -> Pgrid_stats.Series.figure
 
-(** Figures 4 and 5: one bisection at [n] peers, [samples]-key estimates,
+(** Figures 4 and 5: one bisection at [n] peers, 10-key estimates,
     [reps] repetitions per point over the paper's p grid
     (0.05 ... 0.5).  [fig4] reports the mean deviation [p0 - n*p]
     (SAM/AEP biased up, COR and AUT near zero); [fig5] the mean total
     number of interactions (AEP family below AUT, all rising as p falls;
     MVA as the deterministic baseline). *)
-val fig4 :
-  ?n:int -> ?samples:int -> ?reps:int -> seed:int -> unit -> Pgrid_stats.Series.figure
+val fig4 : ?n:int -> ?reps:int -> seed:int -> unit -> Pgrid_stats.Series.figure
 
-val fig5 :
-  ?n:int -> ?samples:int -> ?reps:int -> seed:int -> unit -> Pgrid_stats.Series.figure
+val fig5 : ?n:int -> ?reps:int -> seed:int -> unit -> Pgrid_stats.Series.figure
 
 (** A Figure-6-style aggregate: label of the x-category, then one value
     per distribution (U, P0.5, P1.0, P1.5, N, A). *)
@@ -95,15 +93,14 @@ type direction = Up | Down
 
 type metric = string * float * direction
 
-(** [resilience ~seed ()] reruns the full networked timeline with the
-    hardened query path once per fault severity (default
-    [0; 0.5; 1]) over a fixed bursty-loss + partition + crash-restart plan
-    (see {!Pgrid_simnet.Fault}) scaled by the severity; severity 0 runs
-    that path with no faults.  Metrics [sS/deviation], [sS/success_pct],
-    [sS/mean_latency] and its counters for each severity [S].
-    Default 128 peers. *)
-val resilience :
-  ?peers:int -> ?severities:float list -> seed:int -> unit -> metric list
+(** [resilience ~seed ()] reruns the full networked timeline at 128
+    peers with the hardened query path once per fault severity
+    ([0; 0.5; 1]) over a fixed bursty-loss + partition + crash-restart
+    plan (see {!Pgrid_simnet.Fault}) scaled by the severity; severity 0
+    runs that path with no faults.  Metrics [sS/deviation],
+    [sS/success_pct], [sS/mean_latency] and its counters for each
+    severity [S]. *)
+val resilience : seed:int -> unit -> metric list
 
 (** Ablation X1 (Section 4.3): sequential joins vs parallel construction —
     messages comparable, serialized latency vs flat round count. *)
@@ -114,26 +111,27 @@ val ablation_sequential : ?sizes:int list -> seed:int -> unit -> string list * s
 val ablation_cost : ?sizes:int list -> ?reps:int -> seed:int -> unit -> string list * string list list
 
 (** Ablation X3: the three sampling-bias corrections (none / Taylor
-    Eqs. 9-10 / response calibration) on the single-bisection deviation. *)
+    Eqs. 9-10 / response calibration) on the single-bisection deviation,
+    with 10-key estimates. *)
 val ablation_correction :
-  ?n:int -> ?samples:int -> ?reps:int -> seed:int -> unit -> string list * string list list
+  ?n:int -> ?reps:int -> seed:int -> unit -> string list * string list list
 
 (** Ablation X4 (paper Section 6 / reference [22]): range queries on the
     order-preserving overlay vs. a Prefix Hash Tree layered over a
-    uniform-hashing DHT, message costs side by side. *)
-val ablation_pht :
-  ?peers:int -> ?keys:int -> seed:int -> unit -> string list * string list list
+    uniform-hashing DHT, message costs side by side; 256 peers, 2560
+    keys. *)
+val ablation_pht : seed:int -> unit -> string list * string list list
 
 (** Ablation X5 (paper Section 1): fusing two independently constructed
     overlays with the same interaction protocol, against a from-scratch
-    build over the union. *)
-val ablation_merge : ?peers:int -> seed:int -> unit -> string list * string list list
+    build over the union; two communities of 64 peers. *)
+val ablation_merge : seed:int -> unit -> string list * string list list
 
 (** Ablation X6 (paper Sections 1/6 maintenance model): graceful leaves,
     routing repair, re-joins and replication re-balancing on a
-    constructed overlay, with query success measured at each step. *)
-val ablation_maintenance :
-  ?peers:int -> seed:int -> unit -> string list * string list list
+    constructed 200-peer overlay, with query success measured at each
+    step. *)
+val ablation_maintenance : seed:int -> unit -> string list * string list list
 
 (** [survival ~seed ()]: the self-healing experiment behind
     [SURVIVAL_0001.json].  A 192-peer overlay takes hours of paper churn
@@ -145,16 +143,9 @@ val ablation_maintenance :
     [sample_every].  Arms [on]/[off]: lost keys, query success, health
     score and daemon counters, and [dominance/ge_frac] /
     [dominance/gt_frac], the share of samples where the daemon arm's
-    score is at least / above the control's.  Defaults: a 7200 s horizon
-    sampled every 240 s, a 30 s maintenance period. *)
-val survival :
-  ?peers:int ->
-  ?horizon:float ->
-  ?sample_every:float ->
-  ?maint_period:float ->
-  seed:int ->
-  unit ->
-  metric list
+    score is at least / above the control's.  The daemon ticks every
+    30 s.  Defaults: a 7200 s horizon sampled every 240 s. *)
+val survival : ?horizon:float -> ?sample_every:float -> seed:int -> unit -> metric list
 
 (** The documented slack factor of the balance experiment: the balanced
     arm's max partition load is expected to stay within
@@ -162,65 +153,45 @@ val survival :
     continuously, and membership floors bound trie depth). *)
 val balance_slack : float
 
-(** [balance ~seed ()]: a U-built overlay (one key per peer, so
+(** [balance ~seed ()]: a 192-peer U-built overlay (one key per peer, so
     partitions are few and fat) takes a Pareto-1.5 insert storm — the
     paper's most skewed synthetic distribution — with the daemon's online
     balancing ({!Pgrid_core.Balance}) on in arm [on] and no daemon in arm
     [off].  Per arm: final and peak max partition load, splits,
     retractions, query success and health; [bound/max_load] is
-    [balance_slack * d_max].  Defaults: 192 peers, a 3600 s horizon
-    sampled every 180 s, [d_max = 50]. *)
-val balance :
-  ?peers:int ->
-  ?horizon:float ->
-  ?sample_every:float ->
-  ?d_max:int ->
-  seed:int ->
-  unit ->
-  metric list
+    [balance_slack * d_max], with [d_max = 50].  Defaults: a 3600 s
+    horizon sampled every 180 s. *)
+val balance : ?horizon:float -> ?sample_every:float -> seed:int -> unit -> metric list
 
 (** [txn ~seed ()]: atomic document indexing under crash-during-commit
-    faults.  A constructed overlay takes a stream of multi-key document
+    faults.  A constructed 192-peer overlay takes a stream of multi-key document
     inserts through {!Pgrid_core.Txn} while a Poisson crash-restart
     process, its rate scaled by the severity, knocks peers over
     mid-protocol; protocol messages ride a lossy simulated network and a
     periodic {!Pgrid_core.Txn.recover_pass} replays intent logs.  The
-    audit judges the durable stores: per severity [S] (default
-    [0; 0.3; 0.6]), [sS/torn], [sS/lost_committed], [sS/abort_residue]
+    audit judges the durable stores: per severity [S] ([0; 0.3; 0.6]),
+    [sS/torn], [sS/lost_committed], [sS/abort_residue]
     and [sS/intents_left] must be 0, beside volumes, commit rate and
-    protocol counters.  Defaults: 192 peers, a 3600 s horizon, a document
-    every 6 s. *)
-val txn :
-  ?peers:int ->
-  ?horizon:float ->
-  ?doc_interval:float ->
-  ?severities:float list ->
-  seed:int ->
-  unit ->
-  metric list
+    protocol counters.  A document every 6 s.  Default: a 3600 s
+    horizon. *)
+val txn : ?horizon:float -> seed:int -> unit -> metric list
 
 (** [overload ~seed ()]: a two-arm Zipf-1.1 lookup storm through the
     simulated network ({!Pgrid_query.Storm}) with every peer behind a
-    bounded service rate.  Offered load ramps from [base_rate] to
-    [peak_rate] queries/s over the middle third of the run and back,
+    bounded service rate.  Offered load ramps from 30 to 300 queries/s
+    over the middle third of the run and back,
     severalfold past the hot partitions' replica capacity.  Arm [on]
     bounds queues (sheds), breaks circuits and hedges; arm [off] has
     unbounded queues, no breakers and no hedging, and shows metastable
     collapse.  Per arm: pre/post-ramp goodput, recovery, completion
     percentiles, shed ratio, storm counters and 24 windows of goodput /
     sheds / backlog; [protection/*] compares the arms.  Defaults: 10k
-    peers, a 1440 s run, 30 -> 300 queries/s. *)
-val overload :
-  ?peers:int ->
-  ?horizon:float ->
-  ?base_rate:float ->
-  ?peak_rate:float ->
-  seed:int ->
-  unit ->
-  metric list
+    peers, a 1440 s run. *)
+val overload : ?peers:int -> ?horizon:float -> seed:int -> unit -> metric list
 
 (** One arm of {!overload}: the queries issued in each of its 24 windows,
-    and its [on/*] or [off/*] metrics.  Arrivals come from streams seeded
+    and its [on/*] or [off/*] metrics.  Offered load ramps from
+    [base_rate] (default 30) to [peak_rate] (default 300) queries/s.  Arrivals come from streams seeded
     apart from the protection, so both arms' windows must match. *)
 val overload_arm :
   ?peers:int ->

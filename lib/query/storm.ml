@@ -57,7 +57,6 @@ type wire =
 
 type config = {
   req_timeout : float;
-  backoff : float;
   jitter : float;
   max_retries : int;
   evict_after : int option;
@@ -68,7 +67,6 @@ type config = {
 let default_config =
   {
     req_timeout = 4.;
-    backoff = 2.;
     jitter = 0.;
     max_retries = 2;
     evict_after = None;
@@ -96,13 +94,15 @@ type stats = {
   queue_peak : int;
 }
 
+(* Every message is accounted at 200 bytes. *)
+let header_bytes = 200
+
 type t = {
   sim : Sim.t;
   rng : Rng.t;
   overlay : Overlay.t;
   net : wire Net.t;
   cfg : config;
-  header_bytes : int;
   tel : Telemetry.t;
   breaker : Breaker.t option;
   (* Consecutive timeouts per (holder, reference) link, kept only when
@@ -184,7 +184,7 @@ let rec route t w cur budget =
     match Overlay.divergence_level (Overlay.node t.overlay cur).Node.path w.key with
     | None ->
       (* Responsible peer reached; the response flows back. *)
-      Net.account ~src:cur ~dst:w.origin t.net ~bytes:t.header_bytes ~kind:Net.Query;
+      Net.account ~src:cur ~dst:w.origin t.net ~bytes:header_bytes ~kind:Net.Query;
       finish t w true
     | Some level ->
       w.level <- level;
@@ -247,12 +247,11 @@ and arm t h ~backup =
   t.in_flight <- t.in_flight + 1;
   let tgt = if backup then h.backup else h.target in
   if backup then h.backup_rid <- rid else h.primary_rid <- rid;
-  Net.send t.net ~src:h.cur ~dst:tgt ~bytes:t.header_bytes ~kind:Net.Query
+  Net.send t.net ~src:h.cur ~dst:tgt ~bytes:header_bytes ~kind:Net.Query
     (Req { hop = h; rid; reply_to = h.cur });
   let k = if backup then 0 else h.attempt in
   let timeout =
-    Sim.backoff_delay t.rng ~base:t.cfg.req_timeout ~backoff:t.cfg.backoff ~jitter:t.cfg.jitter
-      k
+    Sim.backoff_delay t.rng ~base:t.cfg.req_timeout ~jitter:t.cfg.jitter k
   in
   let timer = Sim.timer t.sim ~delay:timeout (fun () -> time_out t h ~backup) in
   if backup then h.backup_timer <- timer else h.primary_timer <- timer
@@ -348,10 +347,8 @@ let resolve t h ~winner ~backup_won =
     Telemetry.emit t.tel (Event.Query_hop { qid = h.walk.qid; src = h.cur; dst = winner });
   route t h.walk winner (h.budget - 1)
 
-let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(header_bytes = 200) sim rng overlay
-    net cfg =
+let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg =
   if not (cfg.req_timeout > 0.) then invalid_arg "Storm.create: req_timeout must be positive";
-  if not (cfg.backoff >= 1.) then invalid_arg "Storm.create: backoff must be >= 1";
   if not (cfg.jitter >= 0. && cfg.jitter < 1.) then
     invalid_arg "Storm.create: jitter outside [0, 1)";
   if cfg.max_retries < 0 then invalid_arg "Storm.create: max_retries must be >= 0";
@@ -374,7 +371,6 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(header_bytes = 200) si
       overlay;
       net;
       cfg;
-      header_bytes;
       tel = telemetry;
       breaker;
       fail_counts = Hashtbl.create 64;
@@ -423,7 +419,7 @@ let issue t ~origin ~key =
     (4 * Key.bits)
 
 let heartbeat t ~src ~dst =
-  Net.send t.net ~src ~dst ~bytes:t.header_bytes ~kind:Net.Maintenance (Deliver ignore)
+  Net.send t.net ~src ~dst ~bytes:header_bytes ~kind:Net.Maintenance (Deliver ignore)
 
 let completions t = t.completions
 let in_flight t = t.in_flight

@@ -45,11 +45,11 @@ type wire =
 
 type config = {
   req_timeout : float;  (** base per-request timeout, seconds, > 0 *)
-  backoff : float;  (** timeout multiplier per retry, >= 1 *)
   jitter : float;
       (** in \[0, 1): attempt [k] times out after
-          [req_timeout * backoff^k * (1 + jitter * U\[0,1))], the uniform
-          drawn right after the send; 0 draws nothing *)
+          [req_timeout * 2^k * (1 + jitter * U\[0,1))]
+          ({!Pgrid_simnet.Sim.backoff_delay}), the uniform drawn right
+          after the send; 0 draws nothing *)
   max_retries : int;  (** re-sends per primary target *)
   evict_after : int option;
       (** [Some n], [n >= 1]: the [n]th consecutive timeout on a (holder,
@@ -90,17 +90,16 @@ type stats = {
 
 type t
 
-(** [create ?telemetry ?header_bytes sim rng overlay net cfg] installs
+(** [create ?telemetry sim rng overlay net cfg] installs
     the storm's handler on [net] (replacing any previous one) and
     returns the idle engine.  [rng] drives per-hop reference shuffles
     ({!Pgrid_core.Overlay.shuffled_refs}), timeout jitter and eviction
     refills; breaker
     state reads simulated time from [sim].  Every message is accounted
-    at [header_bytes] (default 200).  Raises [Invalid_argument] on a
+    at 200 bytes.  Raises [Invalid_argument] on a
     config outside the ranges above (NaN included). *)
 val create :
   ?telemetry:Pgrid_telemetry.Telemetry.t ->
-  ?header_bytes:int ->
   Pgrid_simnet.Sim.t ->
   Pgrid_prng.Rng.t ->
   Pgrid_core.Overlay.t ->

@@ -210,7 +210,9 @@ let every t ~at ~until ~period f =
   in
   schedule_at t ~time:at run
 
-let backoff_delay rng ~base ~backoff ~jitter k =
+let backoff = 2.
+
+let backoff_delay rng ~base ~jitter k =
   let d = base *. (backoff ** float_of_int k) in
   if jitter > 0. then d *. (1. +. (jitter *. Pgrid_prng.Rng.float rng)) else d
 

@@ -50,12 +50,14 @@ val timer : t -> delay:float -> (unit -> unit) -> timer
     keep their order. *)
 val cancel : t -> timer -> unit
 
-(** [backoff_delay rng ~base ~backoff ~jitter k] is the delay before
-    attempt [k + 1] of a retry ladder (the timeout of attempt [k], 0 for
-    the first send): [base * backoff^k * (1 + jitter * U\[0,1))].  It
-    draws one float from [rng] when [jitter > 0] and nothing otherwise. *)
-val backoff_delay :
-  Pgrid_prng.Rng.t -> base:float -> backoff:float -> jitter:float -> int -> float
+(** The timeout multiplier per retry of every retry ladder: 2. *)
+val backoff : float
+
+(** [backoff_delay rng ~base ~jitter k] is the delay before attempt
+    [k + 1] of a retry ladder (the timeout of attempt [k], 0 for the
+    first send): [base * backoff^k * (1 + jitter * U\[0,1))].  It draws
+    one float from [rng] when [jitter > 0] and nothing otherwise. *)
+val backoff_delay : Pgrid_prng.Rng.t -> base:float -> jitter:float -> int -> float
 
 (** [run_until t ~time] processes every event scheduled strictly before
     [time], then sets the clock to [time].  A NaN [time] raises

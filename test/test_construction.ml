@@ -223,7 +223,7 @@ let golden_skewed =
 
 let test_sequential_builds () =
   let rng = Rng.create ~seed:12 in
-  let o = Sequential.run rng (Sequential.default_params ~peers:128) ~spec:Distribution.Uniform in
+  let o = Sequential.run rng ~peers:128 ~spec:Distribution.Uniform in
   let s = Overlay.stats o.Sequential.overlay in
   checkb "partitions formed" true (s.Overlay.partitions > 3);
   checkb "messages counted" true (o.Sequential.messages > 0);
@@ -231,7 +231,7 @@ let test_sequential_builds () =
 
 let test_sequential_no_data_loss () =
   let rng = Rng.create ~seed:13 in
-  let o = Sequential.run rng (Sequential.default_params ~peers:64) ~spec:Distribution.Uniform in
+  let o = Sequential.run rng ~peers:64 ~spec:Distribution.Uniform in
   let total_stored =
     List.init (Overlay.size o.Sequential.overlay) (fun i ->
         Node.key_count (Overlay.node o.Sequential.overlay i))
@@ -242,7 +242,7 @@ let test_sequential_no_data_loss () =
 let test_sequential_latency_grows_linearly () =
   let latency n =
     let rng = Rng.create ~seed:14 in
-    (Sequential.run rng (Sequential.default_params ~peers:n) ~spec:Distribution.Uniform)
+    (Sequential.run rng ~peers:n ~spec:Distribution.Uniform)
       .Sequential.serial_latency
   in
   let l128 = latency 128 and l512 = latency 512 in

@@ -197,7 +197,7 @@ let net_engine_metrics () =
               (Maintenance.default_daemon_config ~n_min:Net_engine.n_min) with
               Maintenance.period = 30.;
             };
-        txn = Some Net_engine.default_txn_workload;
+        txn = true;
       }
       ~spec:Pgrid_workload.Distribution.Uniform
   in

@@ -409,7 +409,7 @@ let test_retry_backoff_grows () =
      consecutive pattern, so they are skipped (and at worst a handful of
      mismatched triples slip through; tolerate < 10%). *)
   let r = Net_engine.default_robust in
-  let lo = r.Storm.req_timeout *. r.Storm.backoff in
+  let lo = r.Storm.req_timeout *. Pgrid_simnet.Sim.backoff in
   let hi = lo *. (1. +. r.Storm.jitter) in
   let tbl = Hashtbl.create 256 in
   List.iter

@@ -248,7 +248,6 @@ let qcheck_churn_invariants =
 let test_daemon_rejects_bad_config () =
   let overlay = Overlay.create (Rng.create ~seed:1) ~n:4 in
   let base = Maintenance.default_daemon_config ~n_min:2 in
-  let rc = Pgrid_core.Reconcile.default_config in
   let sim = Sim.create () in
   let rejects what cfg =
     (match Maintenance.install_daemon sim (Rng.create ~seed:2) overlay ~until:1. cfg with
@@ -259,12 +258,7 @@ let test_daemon_rejects_bad_config () =
   rejects "period 0" { base with Maintenance.period = 0. };
   rejects "period nan" { base with Maintenance.period = Float.nan };
   rejects "monitor_period nan" { base with Maintenance.monitor_period = Float.nan };
-  rejects "jitter 1" { base with Maintenance.jitter = 1. };
-  rejects "jitter nan" { base with Maintenance.jitter = Float.nan };
-  rejects "reconcile period nan"
-    { base with Maintenance.reconcile = Some { rc with Pgrid_core.Reconcile.period = Float.nan } };
-  rejects "reconcile gc_after nan"
-    { base with Maintenance.reconcile = Some { rc with Pgrid_core.Reconcile.gc_after = Float.nan } }
+  rejects "reconcile gc_after nan" { base with Maintenance.reconcile = Some Float.nan }
 
 let suite =
   [

@@ -561,8 +561,6 @@ let test_storm_rejects_nan () =
   Alcotest.check_raises "NaN req_timeout"
     (Invalid_argument "Storm.create: req_timeout must be positive")
     (storm_create { d with req_timeout = Float.nan });
-  Alcotest.check_raises "NaN backoff" (Invalid_argument "Storm.create: backoff must be >= 1")
-    (storm_create { d with backoff = Float.nan });
   Alcotest.check_raises "NaN hedge_after"
     (Invalid_argument "Storm.create: hedge_after must be positive")
     (storm_create { d with hedge_after = Some Float.nan })

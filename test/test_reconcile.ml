@@ -126,11 +126,10 @@ let test_newer_write_beats_tombstone () =
 let test_tombstone_gc () =
   let overlay, key, stale, clean = resurrection_fixture 14 in
   ignore (Reconcile.sync_pair overlay ~a:clean ~b:stale ~budget:1000);
-  let cfg = { Reconcile.default_config with Reconcile.gc_after = 100. } in
   checkb "tombstone debt outstanding" true (Reconcile.tombstone_debt overlay > 0);
-  checki "young tombstones survive gc" 0 (Reconcile.gc cfg overlay ~now:60.);
+  checki "young tombstones survive gc" 0 (Reconcile.gc ~gc_after:100. overlay ~now:60.);
   ignore key;
-  let purged = Reconcile.gc cfg overlay ~now:1000. in
+  let purged = Reconcile.gc ~gc_after:100. overlay ~now:1000. in
   checkb "expired tombstones purged" true (purged > 0);
   checki "debt cleared" 0 (Reconcile.tombstone_debt overlay)
 
@@ -205,9 +204,7 @@ let test_split_brain_balance_and_repair () =
   checkb "conflicts lists the parent path" true
     (List.exists (fun p -> Path.equal p !path) (Reconcile.conflicts overlay));
   (* Heal: deterministic structural repair re-homes the stragglers. *)
-  let repaired =
-    Reconcile.repair_structure Reconcile.default_config overlay
-  in
+  let repaired = Reconcile.repair_structure overlay in
   checkb "repair resolved the conflict" true (repaired > 0);
   let h2 = Health.check ~versions:true ~n_min:1 overlay in
   checki "no divergence after repair" 0 h2.Health.diverged;
@@ -243,7 +240,7 @@ let test_repair_is_deterministic () =
           ignore (Node.drop_keys_outside n (Path.extend path 0))
         end)
       members;
-    ignore (Reconcile.repair_structure Reconcile.default_config overlay);
+    ignore (Reconcile.repair_structure overlay);
     List.map
       (fun i -> Path.to_string (Overlay.node overlay i).Node.path)
       (List.init (Overlay.size overlay) (fun i -> i))

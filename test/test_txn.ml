@@ -146,8 +146,7 @@ let test_delete_storm_drives_retraction () =
 (* A manager over [overlay] driven by [sim], with every protocol message
    delayed [hop] seconds and gated by [admit ~phase ~dst] at delivery
    time (both endpoints must also be online, like a real network). *)
-let manager ?(config = Txn.default_config) ?(hop = 0.5)
-    ?(admit = fun ~phase:_ ~dst:_ -> true) sim overlay =
+let manager ?(hop = 0.5) ?(admit = fun ~phase:_ ~dst:_ -> true) sim overlay =
   let transport =
     {
       Txn.send =
@@ -160,7 +159,7 @@ let manager ?(config = Txn.default_config) ?(hop = 0.5)
               then deliver ()));
     }
   in
-  Txn.create ~config sim (Rng.create ~seed:99) overlay ~transport
+  Txn.create sim (Rng.create ~seed:99) overlay ~transport
 
 let doc_ops keys payload = List.map (fun key -> Txn.Put { key; payload }) keys
 
@@ -197,7 +196,7 @@ let test_commit_leaves_no_timer () =
       (doc_ops [ keys.(2); keys.(40); keys.(77) ] "doc-timer")
   in
   (* Prepare lands at 0.5 s, its ack at 1 s, the commit push at 1.5 s. *)
-  Sim.run_until sim ~time:(Txn.default_config.Txn.req_timeout -. 0.1);
+  Sim.run_until sim ~time:(Txn.req_timeout -. 0.1);
   checkb "committed" true (Txn.status t id = Some Txn.Committed);
   checki "no pending event" 0 (Sim.pending sim)
 
@@ -262,8 +261,7 @@ let test_coordinator_crash_presumed_abort () =
      scrubs the tentative copies. *)
   let overlay, keys = build 34 in
   let sim = Sim.create () in
-  let config = { Txn.default_config with Txn.recover_after = 30. } in
-  let t = manager ~config sim overlay in
+  let t = manager sim overlay in
   let coordinator = first_online overlay in
   let ks = [ keys.(9); keys.(33); keys.(71) ] in
   let id = ref (-1) in
@@ -281,7 +279,7 @@ let test_coordinator_crash_presumed_abort () =
     (Txn.status t !id = Some Txn.Pending);
   checkb "tentative copies exist" true (Txn.intent_count t > 0);
   checki "young pendings left alone" 0 (Txn.recover_pass t);
-  Sim.schedule sim ~delay:60. (fun () -> ());
+  Sim.schedule sim ~delay:(Txn.recover_after +. 60.) (fun () -> ());
   Sim.run sim;
   let resolved = Txn.recover_pass t in
   checkb "presumed abort resolved the orphans" true (resolved > 0);
