@@ -60,7 +60,7 @@ let degree = 4 (* unstructured overlay degree *)
 let walk_steps = 8 (* random-walk length for peer sampling *)
 let loss = 0.02
 let bucket = 60. (* bandwidth bucket, seconds *)
-let header_bytes = 200
+let header_bytes = Storm.header_bytes
 let key_bytes = 64
 let retry_timeout = 2. (* legacy walk's penalty per dead reference *)
 

@@ -79,10 +79,11 @@ type params = {
           are back).  Protocol messages (prepare / ack / commit /
           abort) ride the simulated network as maintenance traffic — so
           loss, latency and offline peers genuinely delay or drop
-          them.  When a fault plan is active, crashes invalidate the crashed peer's in-flight
-          coordinations ({!Pgrid_core.Txn.note_crash}); when the
-          maintenance daemon is also installed its health monitor audits
-          settled documents for torn writes.  [false] (the default)
+          them.  When a fault plan is active, crashes invalidate the
+          crashed peer's in-flight coordinations
+          ({!Pgrid_core.Txn.note_crash}); when the maintenance daemon is
+          also installed its health monitor audits settled documents for
+          torn writes.  [false] (the default)
           leaves the run bit-identical to pre-transaction builds. *)
   service : Pgrid_simnet.Net.overload_config option;
       (** [Some]: bounded per-peer service queues with load shedding

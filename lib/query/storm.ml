@@ -94,7 +94,6 @@ type stats = {
   queue_peak : int;
 }
 
-(* Every message is accounted at 200 bytes. *)
 let header_bytes = 200
 
 type t = {

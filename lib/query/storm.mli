@@ -90,14 +90,16 @@ type stats = {
 
 type t
 
-(** [create ?telemetry sim rng overlay net cfg] installs
-    the storm's handler on [net] (replacing any previous one) and
-    returns the idle engine.  [rng] drives per-hop reference shuffles
+(** Bytes accounted per storm message: 200. *)
+val header_bytes : int
+
+(** [create ?telemetry sim rng overlay net cfg] installs the storm's
+    handler on [net] (replacing any previous one) and returns the idle
+    engine.  [rng] drives per-hop reference shuffles
     ({!Pgrid_core.Overlay.shuffled_refs}), timeout jitter and eviction
-    refills; breaker
-    state reads simulated time from [sim].  Every message is accounted
-    at 200 bytes.  Raises [Invalid_argument] on a
-    config outside the ranges above (NaN included). *)
+    refills; breaker state reads simulated time from [sim].  Every
+    message is accounted at {!header_bytes}.  Raises [Invalid_argument]
+    on a config outside the ranges above (NaN included). *)
 val create :
   ?telemetry:Pgrid_telemetry.Telemetry.t ->
   Pgrid_simnet.Sim.t ->
