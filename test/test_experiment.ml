@@ -272,10 +272,11 @@ let test_simulation_digests () =
    whole stores, at their default size, hashed: only these runs reach
    [Sequential.join]'s merge, [Merge.copy_into] and [Maintenance]'s
    leave/adopt/join, which neither the simulation digests nor the
-   construction goldens cover.  Figures 7-9 and Table 1, at their
-   default size, share one simnet run whose queries take [Net_engine]'s
-   synchronous walk, which no other digest covers; a series is hashed
-   point by point, every float in full. *)
+   construction goldens cover.  [ablation-pht] pins the range-query
+   comparison against the PHT baseline.  Figures 7-9 and Table 1, at
+   their default size, share one simnet run whose queries take
+   [Net_engine]'s synchronous walk, which no other digest covers; a
+   series is hashed point by point, every float in full. *)
 let test_ablation_digests () =
   let render name = function
     | Experiment.Table { title; columns; rows } -> Pgrid_stats.Table.render ~title ~columns ~rows
