@@ -645,6 +645,54 @@ let test_engine_cacheless_matches_search () =
     checkb "same presence" true (s.Overlay.key_present = e.Engine.key_present)
   done
 
+(* The walk's edges: two peers of path "0" whose only level-0 reference
+   is each other, so a key of the "1" half cycles between them until the
+   hop budget runs out.  Every arm must stop on its budget, not on a
+   dead end, and a failed cached walk must teach no cache anything. *)
+let test_walk_budget_exhausted () =
+  let cycling () =
+    let overlay = Overlay.create (Rng.create ~seed:5) ~n:2 in
+    let a = Overlay.node overlay 0 and b = Overlay.node overlay 1 in
+    Node.set_path a (Path.of_string "0");
+    Node.set_path b (Path.of_string "0");
+    Node.add_ref a ~level:0 1;
+    Node.add_ref b ~level:0 0;
+    overlay
+  in
+  let key = Key.of_float 0.9 in
+  let s = Overlay.search (cycling ()) ~from:0 key in
+  checkb "search fails" true (s.Overlay.responsible = None);
+  checki "search spends its budget" (Overlay.max_hops + 1) s.Overlay.hops;
+  checkb "search: no dead end" true (s.Overlay.dead_end = None);
+  let uncached = Engine.lookup (cycling ()) ~from:0 key in
+  checkb "uncached lookup fails" true (uncached.Engine.responsible = None);
+  checki "uncached lookup spends its budget" (Overlay.max_hops + 1) uncached.Engine.hops;
+  checkb "uncached lookup: no dead end" true (uncached.Engine.dead_end = None);
+  let overlay = cycling () in
+  let cache = Qcache.create overlay in
+  let cached = Engine.lookup ~cache overlay ~from:0 key in
+  checkb "cached lookup fails" true (cached.Engine.responsible = None);
+  checki "cached lookup spends its budget" (Overlay.max_hops + 1) cached.Engine.hops;
+  checkb "cached lookup: no dead end" true (cached.Engine.dead_end = None);
+  let st = Qcache.stats cache in
+  checki "cached walk learns nothing" 0 (st.Qcache.route_entries + st.Qcache.result_entries);
+  checki "every visited peer probed and missed" (Overlay.max_hops + 1) st.Qcache.misses;
+  (* Construction's hand-over keeps a key where its referral budget runs
+     out: 5 forwards from peer 0 end at peer 1, and the key is counted
+     as moved once per peer it reached, the injection peer included. *)
+  let overlay = cycling () in
+  let module C = Pgrid_construction.Engine in
+  let config =
+    { C.n_min = 5; d_max = 50; max_fruitless = 2; refer_hops = 5; mode = C.Theory }
+  in
+  let eng = C.create (Rng.create ~seed:6) config overlay C.no_hooks in
+  C.deliver eng ~at:0 key [ "v" ];
+  checkb "kept where the budget ran out" true
+    (Node.has_key (Overlay.node overlay 1) key
+    && not (Node.has_key (Overlay.node overlay 0) key));
+  checki "one key move per peer reached" (config.C.refer_hops + 1)
+    (C.counters eng).C.keys_moved
+
 (* Route a key once so we know a genuine (origin, target) pair with
    origin <> target, then the cache tests can plant entries by hand. *)
 let planted_pair overlay keys =
@@ -1163,6 +1211,8 @@ let suite =
       test_conjunctive_uneven_postings;
     Alcotest.test_case "engine cacheless = search" `Quick
       test_engine_cacheless_matches_search;
+    Alcotest.test_case "walk stops on an exhausted budget" `Quick
+      test_walk_budget_exhausted;
     Alcotest.test_case "qcache lru eviction" `Quick test_qcache_lru_eviction;
     Alcotest.test_case "qcache invalidation kinds" `Quick
       test_qcache_invalidation_kinds;
