@@ -191,27 +191,27 @@ let probabilities t ~p_hat ~samples =
   in
   (probs, flipped)
 
-(* Deliver one key (with payloads) starting at peer [at]: ingest when the
-   partition matches, else forward along a routing reference toward the
-   key.  Every hop moves the key once (bandwidth).  Keys that cannot be
-   routed are kept where they are rather than lost. *)
+(* Deliver one key (with payloads) starting at peer [at]: a walk toward
+   the key on the engine's generator, ingested where it stops, whether
+   at a matching partition, at a dead end or after [refer_hops] hops.
+   Every peer the key reaches counts one key move (bandwidth), the
+   first one included; keys that cannot be routed are kept rather than
+   lost. *)
 let deliver t ~at key payloads =
-  let ingest i =
-    ignore (Node.merge_key (node t i) key payloads);
-    mark_useful t i
+  let prev = ref at in
+  let moved (n : Node.t) =
+    note_key_moved t ~src:!prev ~dst:n.id;
+    prev := n.id
   in
-  let rec hop prev i budget =
-    note_key_moved t ~src:prev ~dst:i;
-    let n = node t i in
-    if budget = 0 then ingest i
-    else
-      match Overlay.divergence_level n.Node.path key with
-      | None -> ingest i
-      | Some level ->
-        let r = Overlay.pick t.net t.rng n ~level ~excluding:(-1) in
-        if r < 0 then ingest i else hop i r (budget - 1)
+  let w =
+    Overlay.walk t.net t.rng (node t at) key ~budget:t.config.refer_hops ~visit:(fun n ->
+        moved n;
+        Overlay.Forward)
   in
-  hop at at t.config.refer_hops
+  (* [visit] already counted the move into a dead end's peer. *)
+  (match w.stop with Overlay.Dead_end _ -> () | _ -> moved w.at);
+  ignore (Node.merge_key w.at key payloads);
+  mark_useful t w.at.id
 
 (* Transfer every (key, payloads) of [src] outside [src]'s new path,
    entering the network at [dst] (which forwards what it does not own).
@@ -440,7 +440,9 @@ let follow_decided t i j =
   end
 
 (* Locate an interaction partner: walk refer recommendations until the
-   contacted peer's partition is compatible (equal or prefix-related). *)
+   contacted peer's partition is compatible (equal or prefix-related).
+   Not an [Overlay.walk]: it heads for [i]'s path, not a key, and
+   exchanges references at every step. *)
 let rec locate t i j hops =
   note_contact t ~src:i ~dst:j;
   if not ((node t j).Node.online && t.hooks.contact_ok ~src:i ~dst:j) then None

@@ -60,8 +60,9 @@ val config : t -> config
     is offline). *)
 val interact : t -> int -> unit
 
-(** [deliver t ~at key payloads] injects a key at peer [at], routing it to
-    a matching partition (used by re-insertion and hand-overs). *)
+(** [deliver t ~at key payloads] injects a key at peer [at] and keeps it
+    where an {!Pgrid_core.Overlay.walk} of at most [refer_hops] hops
+    toward it stops (used by re-insertion and hand-overs). *)
 val deliver : t -> at:int -> Pgrid_keyspace.Key.t -> string list -> unit
 
 val is_active : t -> int -> bool

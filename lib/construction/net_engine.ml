@@ -1,7 +1,6 @@
 module Rng = Pgrid_prng.Rng
 module Sample = Pgrid_prng.Sample
 module Key = Pgrid_keyspace.Key
-module Path = Pgrid_keyspace.Path
 module Reference = Pgrid_partition.Reference
 module Distribution = Pgrid_workload.Distribution
 module Node = Pgrid_core.Node
@@ -29,19 +28,6 @@ type phases = {
   churn_start : float;
   end_time : float;
 }
-
-let minutes m = 60. *. m
-
-let paper_phases =
-  {
-    join_end = minutes 100.;
-    replicate_start = minutes 45.;
-    construct_start = minutes 100.;
-    construct_end = minutes 300.;
-    query_start = minutes 300.;
-    churn_start = minutes 430.;
-    end_time = minutes 500.;
-  }
 
 let default_robust =
   {
@@ -97,7 +83,17 @@ let default_params ~peers =
     ping_interval = 30.;
     query_min = 60.;
     query_max = 120.;
-    phases = paper_phases;
+    (* The paper's timeline: minutes 0/45/100/300/430/500. *)
+    phases =
+      {
+        join_end = 6000.;
+        replicate_start = 2700.;
+        construct_start = 6000.;
+        construct_end = 18000.;
+        query_start = 18000.;
+        churn_start = 25800.;
+        end_time = 30000.;
+      };
     churn = None;
     robust = None;
     fault_plan = [];
@@ -139,11 +135,45 @@ type outcome = {
 
 type query_record = { at : float; latency : float; hops : int; success : bool }
 
-let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
-  if params.peers < 8 then invalid_arg "Net_engine.run: need at least 8 peers";
-  let ph = params.phases in
+(* What [setup] builds before any process is scheduled. *)
+type world = {
+  params : params;
+  ph : phases;
+  rng : Rng.t;
+  sim : Sim.t;
+  tel : Telemetry.t;
+  net : Storm.wire Net.t;
+  overlay : Overlay.t;
+  own_keys : Key.t array array;  (* each peer's keys *)
+  all_keys : Key.t array;
+  graph : Unstructured.t;
+}
+
+(* The construction engine and what else its hooks reach: the hardened
+   query path, the fault layer and the transaction manager. *)
+type stack = {
+  eng : Engine.t;
+  storm : (Rng.t * Storm.t) option;
+  fault : Fault.t option;
+  txn : Txn.t option ref;
+      (* filled by [transactions]: made here, its [Rng.split] would move
+         ahead of the daemon's *)
+  scheduled : bool array;  (* peer [i] has an initiation pending *)
+}
+
+let online w i = (Overlay.node w.overlay i).Node.online
+
+let set_online w i v =
+  let n = Overlay.node w.overlay i in
+  let was = n.Node.online in
+  Node.set_online n v;
+  Net.set_online w.net i v;
+  if was <> v && Telemetry.active w.tel then
+    Telemetry.emit w.tel
+      (if v then Event.Churn_online { peer = i } else Event.Churn_offline { peer = i })
+
+let setup tel rng params ~spec =
   let sim = Sim.create () in
-  let tel = telemetry in
   (* Telemetry timestamps are simulated seconds for the whole run. *)
   Telemetry.set_clock tel (fun () -> Sim.now sim);
   (* Construction interactions run on shared state, so only their
@@ -154,340 +184,310 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
       ~nodes:params.peers ~latency:Latency.planetlab ~loss ~bucket
   in
   let overlay = Overlay.create (Rng.split rng) ~n:params.peers in
-  let assignments =
-    Distribution.assign_to_peers rng spec ~peers:params.peers ~keys_per_peer
-  in
+  let own_keys = Distribution.assign_to_peers rng spec ~peers:params.peers ~keys_per_peer in
   Array.iteri
     (fun i own ->
       let n = Overlay.node overlay i in
       Node.set_online n false;
+      Net.set_online net i false;
       Array.iter (Node.ensure_key n) own)
-    assignments;
+    own_keys;
   let graph = Unstructured.create (Rng.split rng) ~nodes:params.peers ~degree in
-  let set_online i v =
-    let was = (Overlay.node overlay i).Node.online in
-    Node.set_online (Overlay.node overlay i) v;
-    Net.set_online net i v;
-    if was <> v && Telemetry.active tel then
-      Telemetry.emit tel
-        (if v then Event.Churn_online { peer = i } else Event.Churn_offline { peer = i })
+  let all_keys =
+    Array.to_list own_keys
+    |> List.concat_map Array.to_list
+    |> List.sort_uniq Key.compare
+    |> Array.of_list
   in
-  Array.iteri (fun i _ -> Net.set_online net i false) assignments;
-  let online i = (Overlay.node overlay i).Node.online in
-  let account ?src ?dst ~bytes ~kind () = Net.account ?src ?dst net ~bytes ~kind in
-  (* --- construction engine wiring ------------------------------------ *)
-  let schedule_initiation = ref (fun _ -> ()) in
-  (* Filled in once the fault plan (if any) is installed below; until
-     then every contact is admitted, exactly as before. *)
-  let fault_ref = ref None in
+  { params; ph = params.phases; rng; sim; tel; net; overlay; own_keys; all_keys; graph }
+
+(* Peer [i]'s initiations: one every exponential [initiate_mean] s while
+   construction runs and [i] stays active. *)
+let rec arm_initiation w c i =
+  c.scheduled.(i) <- true;
+  Sim.schedule w.sim
+    ~delay:(Sample.exponential w.rng ~rate:(1. /. w.params.initiate_mean))
+    (fun () -> initiate w c i)
+
+and initiate w c i =
+  c.scheduled.(i) <- false;
+  if Sim.now w.sim < w.ph.construct_end && Engine.is_active c.eng i then begin
+    if online w i then Engine.interact c.eng i;
+    if Engine.is_active c.eng i then arm_initiation w c i
+  end
+
+let wire_construction w =
+  (* The engine's hooks restart initiation processes and consult the
+     fault layer, and both of those call the engine: the hooks read
+     [reactivate] and [fault] once the engine exists.  Until the fault
+     plan is installed every contact is admitted. *)
+  let reactivate = ref ignore and fault = ref None in
   let hooks =
     {
       Engine.on_contact =
         (fun ~src ~dst ->
-          account ~src ~dst ~bytes:(2 * header_bytes) ~kind:Net.Maintenance ());
+          Net.account ~src ~dst w.net ~bytes:(2 * header_bytes) ~kind:Net.Maintenance);
       on_key_moved =
-        (fun ~src ~dst -> account ~src ~dst ~bytes:key_bytes ~kind:Net.Maintenance ());
-      on_reactivate = (fun i -> !schedule_initiation i);
+        (fun ~src ~dst -> Net.account ~src ~dst w.net ~bytes:key_bytes ~kind:Net.Maintenance);
+      on_reactivate = (fun i -> !reactivate i);
       contact_ok =
         (fun ~src ~dst ->
-          match !fault_ref with
-          | None -> true
-          | Some f -> Fault.admits f ~src ~dst);
+          match !fault with None -> true | Some f -> Fault.admits f ~src ~dst);
     }
   in
-  let eng = Engine.create ~telemetry:tel (Rng.split rng) engine_config overlay hooks in
-  (* --- hardened protocol mode ------------------------------------------ *)
+  let eng = Engine.create ~telemetry:w.tel (Rng.split w.rng) engine_config w.overlay hooks in
   (* Transaction messages run their delivery closure on arrival; a
      storm's handler, installed next, runs them as well. *)
-  Net.set_handler net (fun _ -> function
+  Net.set_handler w.net (fun _ -> function
     | Storm.Deliver deliver -> deliver ()
     | Storm.Req _ | Storm.Resp _ -> ());
+  let params = w.params in
   (* Queries hop as Req/Resp round trips through a [Storm] on a split of
-     its own.  The split is gated: a legacy run (no robust config, no
-     fault plan) consumes exactly the same draw sequence as before this
-     mode existed. *)
+     its own, made only off the legacy path (no robust config, no fault
+     plan). *)
   let storm =
     if params.robust = None && params.fault_plan = [] then None
     else
-      let rrng = Rng.split rng in
+      let rrng = Rng.split w.rng in
       Some
         ( rrng,
-          Storm.create ~telemetry:tel sim rrng overlay net
+          Storm.create ~telemetry:w.tel w.sim rrng w.overlay w.net
             (Option.value params.robust ~default:default_robust) )
   in
-  (* Filled in once the transaction manager (if any) is created below;
-     the fault hooks read it at crash time, well after setup. *)
-  let txn_mgr = ref None in
-  let fault =
+  let txn = ref None in
+  fault :=
     if params.fault_plan = [] then None
     else
       Some
-        (Fault.install ~telemetry:tel
+        (Fault.install ~telemetry:w.tel
            ~on_crash:(fun i ->
              Engine.note_crash eng i;
-             Option.iter (fun m -> Txn.note_crash m i) !txn_mgr;
-             set_online i false)
+             Option.iter (fun m -> Txn.note_crash m i) !txn;
+             set_online w i false)
            ~on_restart:(fun i ->
-             set_online i true;
+             set_online w i true;
              (* Fresh volatile state: the peer re-enters construction. *)
              Engine.note_useful eng i)
-           net ~seed:params.fault_seed params.fault_plan)
-  in
-  fault_ref := fault;
-  let scheduled = Array.make params.peers false in
-  let rec initiation_loop i () =
-    scheduled.(i) <- false;
-    let now = Sim.now sim in
-    if now < ph.construct_end && Engine.is_active eng i then begin
-      if online i then Engine.interact eng i;
-      if Engine.is_active eng i then begin
-        scheduled.(i) <- true;
-        Sim.schedule sim ~delay:(Sample.exponential rng ~rate:(1. /. params.initiate_mean))
-          (initiation_loop i)
-      end
-    end
-  in
-  (schedule_initiation :=
+           w.net ~seed:params.fault_seed params.fault_plan);
+  let c = { eng; storm; fault = !fault; txn; scheduled = Array.make params.peers false } in
+  (reactivate :=
      fun i ->
-       if
-         (not scheduled.(i))
-         && Sim.now sim >= ph.construct_start
-         && Sim.now sim < ph.construct_end
-       then begin
-         scheduled.(i) <- true;
-         Sim.schedule sim ~delay:(Sample.exponential rng ~rate:(1. /. params.initiate_mean))
-           (initiation_loop i)
-       end);
-  (* --- joins ---------------------------------------------------------- *)
+       let now = Sim.now w.sim in
+       if (not c.scheduled.(i)) && now >= w.ph.construct_start && now < w.ph.construct_end
+       then arm_initiation w c i);
+  c
+
+let joins_and_replication w =
   Array.iteri
     (fun i _ ->
-      let join_at = Sample.uniform rng ~lo:1. ~hi:ph.join_end in
-      Sim.schedule_at sim ~time:join_at (fun () ->
-          set_online i true;
+      let join_at = Sample.uniform w.rng ~lo:1. ~hi:w.ph.join_end in
+      Sim.schedule_at w.sim ~time:join_at (fun () ->
+          set_online w i true;
           (* Bootstrap handshake. *)
-          account ~src:i ~bytes:(3 * header_bytes) ~kind:Net.Maintenance ()))
-    assignments;
-  (* --- replication phase ---------------------------------------------- *)
+          Net.account ~src:i w.net ~bytes:(3 * header_bytes) ~kind:Net.Maintenance))
+    w.own_keys;
+  (* Each peer copies its keys to [n_min] random-walk targets. *)
   Array.iteri
     (fun i own ->
       let at =
-        Sample.uniform rng
-          ~lo:(Float.max ph.replicate_start 2.)
-          ~hi:ph.construct_start
+        Sample.uniform w.rng ~lo:(Float.max w.ph.replicate_start 2.) ~hi:w.ph.construct_start
       in
-      Sim.schedule_at sim ~time:at (fun () ->
-          if online i then begin
+      Sim.schedule_at w.sim ~time:at (fun () ->
+          if online w i then begin
             let seen = Hashtbl.create 8 in
             let attempts = ref 0 in
             while Hashtbl.length seen < n_min && !attempts < 8 * n_min do
               incr attempts;
               let target =
-                Unstructured.random_walk graph rng ~online ~start:i
+                Unstructured.random_walk w.graph w.rng ~online:(online w) ~start:i
                   ~steps:walk_steps
               in
-              if target <> i && online target then Hashtbl.replace seen target ()
+              if target <> i && online w target then Hashtbl.replace seen target ()
             done;
             Hashtbl.iter
               (fun target () ->
-                account ~src:i ~dst:target
+                Net.account ~src:i ~dst:target w.net
                   ~bytes:((walk_steps * header_bytes) + (Array.length own * key_bytes))
-                  ~kind:Net.Maintenance ();
-                let nt = Overlay.node overlay target in
-                Array.iter (Node.ensure_key nt) own)
+                  ~kind:Net.Maintenance;
+                Array.iter (Node.ensure_key (Overlay.node w.overlay target)) own)
               seen
           end))
-    assignments;
-  (* --- construction kick-off ------------------------------------------ *)
+    w.own_keys
+
+let start_construction w c =
   Array.iteri
     (fun i _ ->
-      Sim.schedule_at sim
-        ~time:(ph.construct_start +. Sample.uniform rng ~lo:0. ~hi:60.)
+      Sim.schedule_at w.sim
+        ~time:(w.ph.construct_start +. Sample.uniform w.rng ~lo:0. ~hi:60.)
+        (fun () -> initiate w c i))
+    w.own_keys
+
+let pings w =
+  let interval = w.params.ping_interval in
+  Array.iteri
+    (fun i _ ->
+      Sim.every w.sim ~at:(Sample.uniform w.rng ~lo:0. ~hi:interval) ~until:w.ph.end_time
+        ~period:(fun () -> interval)
         (fun () ->
-          scheduled.(i) <- true;
-          initiation_loop i ()))
-    assignments;
-  (* --- periodic pings -------------------------------------------------- *)
-  Array.iteri
-    (fun i _ ->
-      Sim.every sim ~at:(Sample.uniform rng ~lo:0. ~hi:params.ping_interval)
-        ~until:ph.end_time ~period:(fun () -> params.ping_interval) (fun () ->
-          if online i then account ~src:i ~bytes:header_bytes ~kind:Net.Maintenance ()))
-    assignments;
-  (* --- queries ---------------------------------------------------------- *)
-  let all_keys =
-    Array.to_list assignments
-    |> List.concat_map Array.to_list
-    |> List.sort_uniq Key.compare
-    |> Array.of_list
+          if online w i then Net.account ~src:i w.net ~bytes:header_bytes ~kind:Net.Maintenance))
+    w.own_keys
+
+(* The legacy query model: route hop by hop, where a dead reference
+   costs a flat [retry_timeout] and the next one is tried.  Not an
+   [Overlay.walk]: each hop is shuffle-then-try over
+   [Overlay.shuffled_refs], and every message draws its latency. *)
+let legacy_query w ~qid origin key =
+  let issued_at = Sim.now w.sim in
+  if Telemetry.active w.tel then Telemetry.emit w.tel (Event.Query_issue { qid; origin });
+  let latency = ref 0. and hops = ref 0 in
+  let send_msg ?src ?dst () =
+    Net.account ?src ?dst w.net ~bytes:header_bytes ~kind:Net.Query;
+    latency := !latency +. Latency.sample Latency.planetlab w.rng
   in
-  let query_log = ref [] in
-  let next_qid = ref 0 in
-  let issue_query origin =
-    let key = all_keys.(Rng.int rng (Array.length all_keys)) in
-    let issued_at = Sim.now sim in
-    let qid = !next_qid in
-    incr next_qid;
-    if Telemetry.active tel then Telemetry.emit tel (Event.Query_issue { qid; origin });
-    let latency_total = ref 0. in
-    let hops = ref 0 in
-    let send_msg ?src ?dst () =
-      account ?src ?dst ~bytes:header_bytes ~kind:Net.Query ();
-      latency_total := !latency_total +. Latency.sample Latency.planetlab rng
-    in
-    (* Route hop by hop; dead references cost a timeout and a retry. *)
-    let rec route cur budget =
-      if budget = 0 then false
-      else begin
-        let n = Overlay.node overlay cur in
-        match Overlay.divergence_level n.Node.path key with
-        | None -> true (* responsible peer reached *)
-        | Some level ->
-          let refs = Overlay.shuffled_refs rng n ~level in
-          let rec try_refs idx =
-            if idx >= Array.length refs then false
-            else begin
-              let next = refs.(idx) in
-              send_msg ~src:cur ~dst:next ();
-              if Telemetry.active tel then
-                Telemetry.emit tel (Event.Query_hop { qid; src = cur; dst = next });
-              incr hops;
-              if online next then route next (budget - 1)
-              else begin
-                (* Timeout, then retry an alternative reference. *)
-                latency_total := !latency_total +. retry_timeout;
-                try_refs (idx + 1)
-              end
-            end
-          in
-          try_refs 0
-      end
-    in
-    let success = route origin (4 * Key.bits) in
-    if success then begin
-      (* Response travels straight back to the origin. *)
-      send_msg ~dst:origin ()
-    end;
-    if Telemetry.active tel then
-      Telemetry.emit tel
-        (Event.Query_complete
-           { qid; origin; hops = !hops; latency = !latency_total; success });
-    query_log :=
-      { at = issued_at; latency = !latency_total; hops = !hops; success } :: !query_log
+  let rec route cur budget =
+    budget > 0
+    &&
+    let n = Overlay.node w.overlay cur in
+    match Overlay.divergence_level n.Node.path key with
+    | None -> true (* responsible peer reached *)
+    | Some level ->
+      let refs = Overlay.shuffled_refs w.rng n ~level in
+      let rec try_refs idx =
+        idx < Array.length refs
+        &&
+        let next = refs.(idx) in
+        send_msg ~src:cur ~dst:next ();
+        if Telemetry.active w.tel then
+          Telemetry.emit w.tel (Event.Query_hop { qid; src = cur; dst = next });
+        incr hops;
+        if online w next then route next (budget - 1)
+        else begin
+          (* Timeout, then retry an alternative reference. *)
+          latency := !latency +. retry_timeout;
+          try_refs (idx + 1)
+        end
+      in
+      try_refs 0
   in
-  let issue_query =
-    match storm with
-    | None -> issue_query
+  let success = route origin Overlay.max_relay_hops in
+  (* The response travels straight back to the origin. *)
+  if success then send_msg ~dst:origin ();
+  if Telemetry.active w.tel then
+    Telemetry.emit w.tel
+      (Event.Query_complete { qid; origin; hops = !hops; latency = !latency; success });
+  { at = issued_at; latency = !latency; hops = !hops; success }
+
+(* Every online peer queries a random key every [query_min, query_max]
+   seconds; returns the legacy walk's records, newest first. *)
+let queries w c =
+  let log = ref [] and next_qid = ref 0 in
+  let n_keys = Array.length w.all_keys in
+  let issue =
+    match c.storm with
     | Some (rrng, storm) ->
+      fun origin -> Storm.issue storm ~origin ~key:w.all_keys.(Rng.int rrng n_keys)
+    | None ->
       fun origin ->
-        Storm.issue storm ~origin ~key:all_keys.(Rng.int rrng (Array.length all_keys))
+        let key = w.all_keys.(Rng.int w.rng n_keys) in
+        let qid = !next_qid in
+        incr next_qid;
+        log := legacy_query w ~qid origin key :: !log
   in
+  let p = w.params in
   Array.iteri
     (fun i _ ->
-      Sim.every sim ~at:(ph.query_start +. Sample.uniform rng ~lo:0. ~hi:params.query_max)
-        ~until:ph.end_time
-        ~period:(fun () -> Sample.uniform rng ~lo:params.query_min ~hi:params.query_max)
-        (fun () -> if online i then issue_query i))
-    assignments;
-  (* --- self-healing daemon ---------------------------------------------- *)
-  (* The split is gated exactly like the storm's: a run without the
-     daemon consumes the same draw sequence as before it existed. *)
-  let maint_stats = ref None in
-  (match params.maint with
-  | None -> ()
-  | Some cfg ->
-    let mrng = Rng.split rng in
-    Sim.schedule_at sim ~time:ph.query_start (fun () ->
-        (* Hand the daemon the transaction manager (if one was not set
-           explicitly): its health monitor then audits settled documents
-           for torn writes.  Read at fire time — [txn_mgr] is populated
-           during setup, after this closure is created. *)
-        let cfg =
-          match (cfg.Maintenance.txn, !txn_mgr) with
-          | None, (Some _ as m) -> { cfg with Maintenance.txn = m }
-          | _ -> cfg
-        in
-        maint_stats :=
-          Some
-            (Maintenance.install_daemon ~telemetry:tel ~keys:(fun () -> all_keys) sim mrng
-               overlay ~until:ph.end_time cfg)));
-  (* --- transaction workload --------------------------------------------- *)
-  (* Gated exactly like the storm and the daemon: [txn = false] creates
-     nothing and consumes no draws, so legacy runs are bit-identical. *)
-  if params.txn then begin
-    let trng = Rng.split rng in
+      Sim.every w.sim ~at:(w.ph.query_start +. Sample.uniform w.rng ~lo:0. ~hi:p.query_max)
+        ~until:w.ph.end_time
+        ~period:(fun () -> Sample.uniform w.rng ~lo:p.query_min ~hi:p.query_max)
+        (fun () -> if online w i then issue i))
+    w.own_keys;
+  log
+
+(* Gated like the storm's split: no daemon, no draw. *)
+let daemon w c =
+  let stats = ref None in
+  Option.iter
+    (fun cfg ->
+      let mrng = Rng.split w.rng in
+      Sim.schedule_at w.sim ~time:w.ph.query_start (fun () ->
+          (* With the transaction manager, the daemon's health monitor
+             audits settled documents for torn writes. *)
+          let cfg =
+            match (cfg.Maintenance.txn, !(c.txn)) with
+            | None, (Some _ as m) -> { cfg with Maintenance.txn = m }
+            | _ -> cfg
+          in
+          stats :=
+            Some
+              (Maintenance.install_daemon ~telemetry:w.tel ~keys:(fun () -> w.all_keys) w.sim
+                 mrng w.overlay ~until:w.ph.end_time cfg)))
+    w.params.maint;
+  stats
+
+(* Gated like the storm and the daemon: [txn = false] makes no draw. *)
+let transactions w c =
+  if w.params.txn then begin
+    let trng = Rng.split w.rng in
     let transport =
       {
         Txn.send =
           (fun ~phase ~src ~dst ~deliver ->
             let bytes = header_bytes + (match phase with Txn.Prepare -> key_bytes | _ -> 0) in
-            Net.send net ~src ~dst ~bytes ~kind:Net.Maintenance (Storm.Deliver deliver))
+            Net.send w.net ~src ~dst ~bytes ~kind:Net.Maintenance (Storm.Deliver deliver));
       }
     in
-    let mgr = Txn.create ~telemetry:tel sim (Rng.split trng) overlay ~transport in
-    txn_mgr := Some mgr;
+    let mgr = Txn.create ~telemetry:w.tel w.sim (Rng.split trng) w.overlay ~transport in
+    c.txn := Some mgr;
     (* Document submissions: a random online coordinator indexes one
        document under [keys_min, keys_max] distinct keys, atomically. *)
-    let next_doc = ref 0 in
-    Sim.every sim ~at:(ph.query_start +. Sample.uniform trng ~lo:0. ~hi:doc_interval)
-      ~until:ph.end_time
-      ~period:(fun () -> Sample.exponential trng ~rate:(1. /. doc_interval)) (fun () ->
-        let coordinator = Rng.int trng params.peers in
-        let span = keys_max - keys_min + 1 in
-        let k = keys_min + Rng.int trng span in
-        let k = min k (Array.length all_keys) in
-        let picks = Rng.sample_without_replacement trng ~k ~n:(Array.length all_keys) in
-        if online coordinator then begin
+    let next_doc = ref 0 and n_keys = Array.length w.all_keys in
+    Sim.every w.sim ~at:(w.ph.query_start +. Sample.uniform trng ~lo:0. ~hi:doc_interval)
+      ~until:w.ph.end_time
+      ~period:(fun () -> Sample.exponential trng ~rate:(1. /. doc_interval))
+      (fun () ->
+        let coordinator = Rng.int trng w.params.peers in
+        let k = min (keys_min + Rng.int trng (keys_max - keys_min + 1)) n_keys in
+        let picks = Rng.sample_without_replacement trng ~k ~n:n_keys in
+        if online w coordinator then begin
           let doc = Printf.sprintf "doc-%05d" !next_doc in
           incr next_doc;
-          let ops =
-            Array.to_list picks
-            |> List.map (fun i -> Txn.Put { key = all_keys.(i); payload = doc })
-          in
-          ignore (Txn.submit mgr ~coordinator ops)
+          Array.to_list picks
+          |> List.map (fun i -> Txn.Put { key = w.all_keys.(i); payload = doc })
+          |> Txn.submit mgr ~coordinator
+          |> ignore
         end);
-    Sim.every sim ~at:(ph.query_start +. recover_period) ~until:ph.end_time
-      ~period:(fun () -> recover_period) (fun () -> ignore (Txn.recover_pass mgr))
-  end;
-  (* --- churn ------------------------------------------------------------ *)
-  let churn_params =
-    match params.churn with
+    Sim.every w.sim ~at:(w.ph.query_start +. recover_period) ~until:w.ph.end_time
+      ~period:(fun () -> recover_period)
+      (fun () -> ignore (Txn.recover_pass mgr))
+  end
+
+let churn w =
+  let params =
+    match w.params.churn with
     | Some c -> c
-    | None -> Churn.paper_params ~start:ph.churn_start ~stop:ph.end_time
+    | None -> Churn.paper_params ~start:w.ph.churn_start ~stop:w.ph.end_time
   in
-  Churn.install sim rng churn_params
-    ~node_ids:(List.init params.peers (fun i -> i))
-    ~set_online;
-  (* --- online population sampling --------------------------------------- *)
-  let online_series = ref [] in
-  let rec sample_online () =
-    if Sim.now sim <= ph.end_time then begin
-      online_series := (Sim.now sim /. 60., Net.online_count net) :: !online_series;
-      Sim.schedule sim ~delay:60. sample_online
-    end
-  in
-  Sim.schedule_at sim ~time:0. sample_online;
-  (* --- run --------------------------------------------------------------- *)
-  (* Let the last churned peers come back online before evaluating. *)
-  Sim.run_until sim ~time:(ph.end_time +. 600.);
-  (* Final recovery sweep once the last churned peers are back: resolves
-     intents whose disks were unreachable while their peer was down. *)
-  Option.iter (fun m -> ignore (Txn.recover_pass m)) !txn_mgr;
-  (* --- evaluation ---------------------------------------------------------- *)
-  let reference =
-    Reference.compute ~keys:all_keys ~peers:params.peers ~d_max ~n_min
-  in
+  Churn.install w.sim w.rng params
+    ~node_ids:(List.init w.params.peers (fun i -> i))
+    ~set_online:(set_online w)
+
+(* Online peers every minute up to [end_time] inclusive, newest first. *)
+let sample_population w =
+  let series = ref [] in
+  Sim.every w.sim ~at:0. ~until:(Float.succ w.ph.end_time) ~period:(fun () -> 60.) (fun () ->
+      series := (Sim.now w.sim /. 60., Net.online_count w.net) :: !series);
+  series
+
+let evaluate w c ~legacy_log ~online_series ~maint_stats =
+  let params = w.params and net = w.net in
+  let reference = Reference.compute ~keys:w.all_keys ~peers:params.peers ~d_max ~n_min in
   let queries =
-    match storm with
-    | None -> !query_log
+    match c.storm with
+    | None -> legacy_log
     | Some (_, storm) ->
       List.map
-        (fun c ->
-          {
-            at = c.Storm.issued_at;
-            latency = c.Storm.finished_at -. c.Storm.issued_at;
-            hops = c.Storm.hops;
-            success = c.Storm.success;
-          })
+        (fun { Storm.issued_at; finished_at; hops; success } ->
+          { at = issued_at; latency = finished_at -. issued_at; hops; success })
         (Storm.completions storm)
   in
   let successes = List.filter (fun q -> q.success) queries in
@@ -503,47 +503,60 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
     }
   in
   (* Query latency per 10-minute bucket (successful queries). *)
+  let buckets = Hashtbl.create 32 in
+  List.iter
+    (fun q ->
+      let b = 10. *. Float.round (q.at /. 600.) in
+      match Hashtbl.find_opt buckets b with
+      | Some m -> Moments.add m q.latency
+      | None -> Hashtbl.add buckets b (Moments.of_list [ q.latency ]))
+    successes;
   let latency_series =
-    let tbl = Hashtbl.create 32 in
-    List.iter
-      (fun q ->
-        if q.success then begin
-          let bucket = 10. *. Float.round (q.at /. 600.) in
-          let m =
-            match Hashtbl.find_opt tbl bucket with
-            | Some m -> m
-            | None ->
-              let m = Moments.create () in
-              Hashtbl.add tbl bucket m;
-              m
-          in
-          Moments.add m q.latency
-        end)
-      queries;
-    Hashtbl.fold (fun b m acc -> (b, Moments.mean m, Moments.stddev m) :: acc) tbl []
+    Hashtbl.fold (fun b m acc -> (b, Moments.mean m, Moments.stddev m) :: acc) buckets []
     |> List.sort compare
   in
   let per_peer series =
     List.map (fun (t, bps) -> (t /. 60., bps /. float_of_int params.peers)) series
   in
+  let txn = !(c.txn) in
   {
-    overlay;
+    overlay = w.overlay;
     reference;
-    deviation = Deviation.of_overlay ~reference overlay;
-    online_series = List.rev !online_series;
+    deviation = Deviation.of_overlay ~reference w.overlay;
+    online_series = List.rev online_series;
     maintenance_bw = per_peer (Net.bandwidth net Net.Maintenance);
     query_bw = per_peer (Net.bandwidth net Net.Query);
     latency_series;
     query_stats;
-    stats = Overlay.stats overlay;
-    counters = Engine.counters eng;
+    stats = Overlay.stats w.overlay;
+    counters = Engine.counters c.eng;
     messages_sent = Net.messages_sent net;
     messages_dropped = Net.messages_dropped net;
     messages_shed = Net.messages_shed net;
     queue_peak = Net.queue_peak net;
-    robust_stats = Option.map (fun (_, storm) -> Storm.stats storm) storm;
-    fault_stats = Option.map Fault.stats fault;
-    maint_stats = !maint_stats;
-    txn = !txn_mgr;
-    txn_stats = Option.map Txn.stats !txn_mgr;
+    robust_stats = Option.map (fun (_, storm) -> Storm.stats storm) c.storm;
+    fault_stats = Option.map Fault.stats c.fault;
+    maint_stats;
+    txn;
+    txn_stats = Option.map Txn.stats txn;
   }
+
+let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
+  if params.peers < 8 then invalid_arg "Net_engine.run: need at least 8 peers";
+  let w = setup telemetry rng params ~spec in
+  let c = wire_construction w in
+  joins_and_replication w;
+  start_construction w c;
+  pings w;
+  let legacy_log = queries w c in
+  let maint_stats = daemon w c in
+  transactions w c;
+  churn w;
+  let online_series = sample_population w in
+  (* Let the last churned peers come back online before evaluating. *)
+  Sim.run_until w.sim ~time:(w.ph.end_time +. 600.);
+  (* Final recovery sweep once the last churned peers are back: resolves
+     intents whose disks were unreachable while their peer was down. *)
+  Option.iter (fun m -> ignore (Txn.recover_pass m)) !(c.txn);
+  evaluate w c ~legacy_log:!legacy_log ~online_series:!online_series
+    ~maint_stats:!maint_stats

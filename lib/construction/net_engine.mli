@@ -21,9 +21,6 @@ type phases = {
   end_time : float;
 }
 
-(** The paper's timeline in seconds (minutes 0/45/100/300/430/500). *)
-val paper_phases : phases
-
 (** The hardened query path's {!Pgrid_query.Storm} config: 2 s base
     timeout, factor-2 backoff with 20% jitter, 3 retries, eviction after
     2 consecutive timeouts, no hedging, no circuit breakers. *)
@@ -54,45 +51,32 @@ type params = {
       (** [None]: the paper's churn cycle over [churn_start, end_time] *)
   robust : Pgrid_query.Storm.config option;
       (** [None] with an empty [fault_plan]: the legacy synchronous query
-          model (dead reference = flat 2 s penalty), RNG
-          draw sequence bit-identical to pre-fault builds.  Otherwise
-          the hardened path runs: every hop is a [Req]/[Resp] round trip
-          through a {!Pgrid_query.Storm} on the run's network, with this
-          config ({!default_robust} when only a fault plan is given) and
-          200-byte messages.  Its [breaker] field puts
-          per-(origin, target) circuit breakers on the path. *)
+          walk, where a dead reference costs a flat 2 s.  Otherwise every
+          hop is a [Req]/[Resp] round trip through a {!Pgrid_query.Storm}
+          with this config ({!default_robust} when only a fault plan is
+          given); its [breaker] field adds per-(origin, target) circuit
+          breakers. *)
   fault_plan : Pgrid_simnet.Fault.plan;  (** [[]]: no fault injection *)
   fault_seed : int;  (** seed of the fault layer's dedicated RNG *)
   maint : Pgrid_core.Maintenance.daemon_config option;
-      (** [Some]: install the self-healing maintenance daemon
-          ({!Pgrid_core.Maintenance.install_daemon}) on the simulator at
-          [query_start], running until [end_time].  [None] (the default)
-          leaves the run — including its RNG draw sequence —
-          bit-identical to pre-daemon builds. *)
+      (** [Some]: the self-healing maintenance daemon
+          ({!Pgrid_core.Maintenance.install_daemon}) runs from
+          [query_start] to [end_time]. *)
   txn : bool;
-      (** [true]: run the document-indexing workload of the transaction
-          layer ({!Pgrid_core.Txn}).  From [query_start] on, every 10 s
-          (exponential mean) a random online coordinator atomically
-          indexes one document under 3-6 distinct keys, and every 60 s
-          a {!Pgrid_core.Txn.recover_pass} replays outstanding intent
-          logs (plus one final sweep after the run, once churned peers
-          are back).  Protocol messages (prepare / ack / commit /
-          abort) ride the simulated network as maintenance traffic — so
-          loss, latency and offline peers genuinely delay or drop
-          them.  When a fault plan is active, crashes invalidate the
-          crashed peer's in-flight coordinations
-          ({!Pgrid_core.Txn.note_crash}); when the maintenance daemon is
-          also installed its health monitor audits settled documents for
-          torn writes.  [false] (the default)
-          leaves the run bit-identical to pre-transaction builds. *)
+      (** [true]: from [query_start] on, a random online coordinator
+          atomically indexes one document under 3-6 distinct keys every
+          10 s (exponential mean) through {!Pgrid_core.Txn}, and a
+          {!Pgrid_core.Txn.recover_pass} runs every 60 s and once after
+          the run.  Its messages ride the network as maintenance traffic;
+          fault-plan crashes reach {!Pgrid_core.Txn.note_crash}, and the
+          daemon's health monitor audits settled documents for torn
+          writes. *)
   service : Pgrid_simnet.Net.overload_config option;
-      (** [Some]: bounded per-peer service queues with load shedding
-          ({!Pgrid_simnet.Net.overload_config}).  [None] (the default)
-          keeps delivery capacity-unbounded and the run bit-identical
-          to pre-overload builds. *)
+      (** [Some]: bounded per-peer service queues with load shedding. *)
 }
 
-(** Paper-like defaults for ~296 peers. *)
+(** Paper-like defaults for ~296 peers, on the paper's timeline
+    (minutes 0/45/100/300/430/500, in seconds). *)
 val default_params : peers:int -> params
 
 type query_stats = {
@@ -135,7 +119,9 @@ type outcome = {
 }
 
 (** [run ?telemetry rng params ~spec] executes the full timeline.
-    Deterministic for a given seed. [telemetry] (default
+    Deterministic for a given seed; an option left off ([robust],
+    [fault_plan], [maint], [txn], [service]) draws nothing, so it leaves
+    the rest of the run as it was without that layer. [telemetry] (default
     {!Pgrid_telemetry.Global.get}) observes the whole run with
     simulated-time stamps: engine operations (via {!Engine}), per-kind
     message traffic (via {!Pgrid_simnet.Net}), churn transitions and the

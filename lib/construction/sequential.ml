@@ -30,20 +30,17 @@ type state = {
 
 let node st i = Overlay.node st.overlay i
 
-(* Route from [entry] toward [key] among joined peers; every hop costs a
-   message and a serial round-trip. *)
+(* Route from [entry] toward [key] among joined peers, on the overlay's
+   generator ([st.rng] made it); every hop costs a message and a serial
+   round-trip, counted once the walk has stopped, wherever it stopped. *)
 let route st entry key =
-  let rec go cur guard =
-    if guard = 0 then cur
-    else
-      match Overlay.forward st.overlay (node st cur) key with
-      | `Responsible | `Dead_end _ -> cur
-      | `Next next ->
-        st.messages <- st.messages + 1;
-        st.latency <- st.latency + 1;
-        go next (guard - 1)
+  let w =
+    Overlay.walk st.overlay st.rng (node st entry) key ~budget:Overlay.max_relay_hops
+      ~visit:(fun _ -> Overlay.Forward)
   in
-  go entry (4 * Key.bits)
+  st.messages <- st.messages + w.hops;
+  st.latency <- st.latency + w.hops;
+  w.at.Node.id
 
 let copy_routing st ~from ~to_ =
   let src = node st from and dst = node st to_ in

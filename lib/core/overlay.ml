@@ -183,29 +183,52 @@ let forward ?admit t cur key =
   end
 
 let max_hops = 2 * Key.bits
+let max_relay_hops = 4 * Key.bits
+
+let rng t = t.rng
+
+type 'a visit = Forward | Forward_charged | Stop of 'a
+type 'a stop = Responsible | Dead_end of int | Spent | Stopped of 'a
+type 'a walk = { stop : 'a stop; at : Node.t; hops : int }
+
+(* [forward]'s step, inlined so that a hop allocates nothing. *)
+let walk_admit admit t rng start key ~budget ~visit =
+  let rec go cur hops =
+    if hops >= budget then { stop = Spent; at = cur; hops }
+    else
+      let level = divergence cur.Node.path key in
+      if level < 0 then { stop = Responsible; at = cur; hops }
+      else
+        match visit cur with
+        | Forward -> step cur level hops
+        | Forward_charged -> step cur level (hops + 1)
+        | Stop x -> { stop = Stopped x; at = cur; hops }
+  and step cur level hops =
+    let next = pick ?admit t rng cur ~level ~excluding:(-1) in
+    if next < 0 then { stop = Dead_end level; at = cur; hops }
+    else go t.nodes.(next) (hops + 1)
+  in
+  go start 0
+
+let walk t rng start key ~budget ~visit = walk_admit None t rng start key ~budget ~visit
 
 let search ?admit t ~from key =
-  let fail ?at hops =
-    { responsible = None; hops; key_present = false; payloads = []; dead_end = at }
-  in
-  let rec go cur hops =
-    if hops > max_hops then fail hops
-    else begin
-      match forward ?admit t cur key with
-      | `Responsible ->
-        {
-          responsible = Some cur.Node.id;
-          hops;
-          key_present = Node.has_key cur key;
-          payloads = Node.lookup cur key;
-          dead_end = None;
-        }
-      | `Dead_end level -> fail ~at:(cur.Node.id, level) hops
-      | `Next id -> go (node t id) (hops + 1)
-    end
-  in
   let origin = node t from in
-  if origin.Node.online then go origin 0 else fail 0
+  (* An offline origin has no budget: it fails at once, with 0 hops. *)
+  let budget = if origin.Node.online then max_hops + 1 else 0 in
+  let w = walk_admit admit t t.rng origin key ~budget ~visit:(fun _ -> Forward) in
+  match w.stop with
+  | Responsible ->
+    {
+      responsible = Some w.at.Node.id;
+      hops = w.hops;
+      key_present = Node.has_key w.at key;
+      payloads = Node.lookup w.at key;
+      dead_end = None;
+    }
+  | stop ->
+    let dead_end = match stop with Dead_end l -> Some (w.at.Node.id, l) | _ -> None in
+    { responsible = None; hops = w.hops; key_present = false; payloads = []; dead_end }
 
 type range_result = {
   visited : Node.id list;
@@ -242,12 +265,13 @@ let range_search t ~from ~lo ~hi =
   let visited, total_hops, matches = shower from lo [] 0 [] in
   { visited; total_hops; matches }
 
-(* Every routed write admits every edge unless a caller modelling a live
-   partition passes the cut as [admit src dst]; a missing [admit] stays
-   [None], so the routing keeps its O(1) pick. *)
-let admits admit src dst = match admit with None -> true | Some f -> f src dst
-
-let insert ?admit ?(stamp = 0.) t ~from key payload =
+(* A routed write: route to [key]'s responsible peer, take the next
+   write version, and [write] it there and at each replica that is
+   online, still covers the key and is reachable.  Offline replicas keep
+   their copy; draining them is the recovery layer's job (they hold a
+   durable intent for any tentative write they accepted).  A missing
+   [admit] admits every edge, so the routing keeps its O(1) pick. *)
+let routed_write admit t ~from key write =
   let r = search ?admit t ~from key in
   match r.responsible with
   | None -> None
@@ -255,59 +279,44 @@ let insert ?admit ?(stamp = 0.) t ~from key payload =
     let peer = node t id in
     t.clock <- t.clock + 1;
     let version = t.clock in
-    Node.put peer key payload ~version ~stamp;
+    write peer version;
     Intset.iter
       (fun rid ->
         let replica = node t rid in
         if
           replica.Node.online
           && Node.responsible_for replica key
-          && admits admit id rid
-        then Node.put replica key payload ~version ~stamp)
+          && match admit with None -> true | Some f -> f id rid
+        then write replica version)
       peer.Node.replicas;
     notify t (Key_written key);
     Some r.hops
 
+let insert ?admit ?(stamp = 0.) t ~from key payload =
+  routed_write admit t ~from key (fun n version -> Node.put n key payload ~version ~stamp)
+
 type delete_result = { hops : int; removed : int }
 
 let delete ?admit ?(stamp = 0.) t ~from ?payload key =
-  let r = search ?admit t ~from key in
-  match r.responsible with
-  | None -> None
-  | Some id ->
-    let peer = node t id in
-    t.clock <- t.clock + 1;
-    let version = t.clock in
-    let remove_at n =
+  let removed = ref 0 in
+  let remove_at n version =
+    let hit =
       match payload with
       | None ->
         (* Whole-key delete leaves a tombstone in the sidecar even where
            the key was already absent: the tombstone's job is to outvote
            stale replicas that resurface later. *)
-        if Node.entomb n key ~version ~stamp then 1 else 0
+        Node.entomb n key ~version ~stamp
       | Some p ->
-        if Node.remove_payload n key p then begin
-          Node.note_write n key ~version ~stamp;
-          1
-        end
-        else 0
+        let hit = Node.remove_payload n key p in
+        if hit then Node.note_write n key ~version ~stamp;
+        hit
     in
-    (* Same fan-out discipline as [insert]: the responsible peer plus its
-       online replicas that still cover the key.  Offline replicas keep
-       their copy; draining them is the recovery layer's job (they hold a
-       durable intent for any tentative write they accepted). *)
-    let removed = ref (remove_at peer) in
-    Intset.iter
-      (fun rid ->
-        let replica = node t rid in
-        if
-          replica.Node.online
-          && Node.responsible_for replica key
-          && admits admit id rid
-        then removed := !removed + remove_at replica)
-      peer.Node.replicas;
-    notify t (Key_written key);
-    Some { hops = r.hops; removed = !removed }
+    if hit then incr removed
+  in
+  Option.map
+    (fun hops -> { hops; removed = !removed })
+    (routed_write admit t ~from key remove_at)
 
 let anti_entropy t =
   let by_path = Hashtbl.create 64 in

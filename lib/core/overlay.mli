@@ -70,9 +70,10 @@ type search_result = {
 
 (** [search ?admit t ~from key] routes bit-by-bit from [from]: while the
     current node's path disagrees with [key] at some level [l], the query
-    is forwarded to a (random, online) level-[l] reference.  Fails after
-    exhausting the references of a level or a hop budget of
-    [2 * Key.bits]. Offline [from] fails immediately with 0 hops.
+    is forwarded to a (random, online) level-[l] reference ({!walk}).
+    Fails at a level with no online reference, or with
+    [hops = max_hops + 1] and no [dead_end] when the budget is spent.
+    Offline [from] fails immediately with 0 hops.
 
     [admit src dst] (default: always [true]) vetoes individual edges —
     the hook through which a live network partition constrains routing
@@ -127,8 +128,8 @@ val draw : t -> Pgrid_prng.Rng.t -> int -> Node.id
     reference choice: a uniform draw on [rng] ({!eligible}, then
     {!draw}) among [n]'s references at [level] that are online, differ
     from [excluding] (-1: none) and pass [admit].  [-1], with no draw,
-    when there is none.  Routing ({!forward}) and construction's
-    referrals, key hand-overs and reference copies all choose with it. *)
+    when there is none.  Every routed step ({!walk}, {!forward}) and
+    construction's referrals and reference copies choose with it. *)
 val pick :
   ?admit:(Node.id -> Node.id -> bool) ->
   t ->
@@ -151,22 +152,57 @@ val shuffled_refs : Pgrid_prng.Rng.t -> Node.t -> level:int -> Node.id array
     construction's random contacts. *)
 val random_online : t -> Pgrid_prng.Rng.t -> excluding:Node.id -> Node.id
 
-(** [forward ?admit t cur key] is one routing step of {!search}, exposed
-    for query engines and sequential joins that interleave their own
-    bookkeeping (caches, batching, message counts) with the walk:
-    [`Responsible] when [cur]'s path matches [key], otherwise a {!pick}
-    on the overlay's own generator among [cur]'s usable references at
-    the divergence level ([`Next id]), or [`Dead_end level] when none
-    is online.  Consumes exactly the RNG draws {!search} would. *)
+(** [rng t] is the generator {!search} and {!forward} draw on. *)
+val rng : t -> Pgrid_prng.Rng.t
+
+(** {!search}'s budget: it fails on reaching a peer after
+    [max_hops + 1] forwards ([max_hops = 2 * Key.bits]). *)
+val max_hops : int
+
+(** The budget of the walks that relay a message peer to peer (storm
+    queries, the network engine's legacy walk, sequential joins):
+    [4 * Key.bits].  Not {!max_hops}: a walk that cycles on a wrong
+    reference would stop at another hop. *)
+val max_relay_hops : int
+
+(** What a {!walk}'s [visit] hook says at a peer it would forward from:
+    take the step, take it after counting one wasted hop (with no budget
+    check in between), or stop there. *)
+type 'a visit = Forward | Forward_charged | Stop of 'a
+
+(** Why a {!walk} ended at [at]: [at] is responsible for the key, has
+    no usable reference at the level, was reached with the budget
+    spent, or [visit] stopped the walk. *)
+type 'a stop = Responsible | Dead_end of int | Spent | Stopped of 'a
+
+type 'a walk = { stop : 'a stop; at : Node.t; hops : int }
+
+(** [walk t rng start key ~budget ~visit] is the synchronous walk toward
+    [key] that {!search}, cached lookups, sequential joins and
+    construction's key hand-overs share.  At each peer: stop if [budget]
+    hops are counted, or if the peer is responsible; else ask [visit],
+    then {!pick} on [rng] among the references at the divergence level.
+    [start] may be offline.  With [rng t] and a [visit] that always
+    forwards, each hop is one {!forward}, draw for draw. *)
+val walk :
+  t ->
+  Pgrid_prng.Rng.t ->
+  Node.t ->
+  Pgrid_keyspace.Key.t ->
+  budget:int ->
+  visit:(Node.t -> 'a visit) ->
+  'a walk
+
+(** [forward ?admit t cur key] is one {!walk} step on [rng t]:
+    [`Responsible], [`Next] a {!pick} at the divergence level, or
+    [`Dead_end level].  For loops that are not one walk: batched
+    lookups, which fork at each divergence, and single-step timing. *)
 val forward :
   ?admit:(Node.id -> Node.id -> bool) ->
   t ->
   Node.t ->
   Pgrid_keyspace.Key.t ->
   [ `Responsible | `Dead_end of int | `Next of Node.id ]
-
-(** The hop budget of {!search}: [2 * Key.bits]. *)
-val max_hops : int
 
 (** Outcome of a range query. *)
 type range_result = {

@@ -16,100 +16,66 @@ type outcome = {
   dead_end : (int * int) option;
 }
 
-(* The cached walk mirrors [Overlay.search] hop for hop when every probe
-   misses — [Overlay.forward] is the same step, consuming the same RNG
-   draws — so the cache-off arm of an experiment is exactly the paper's
-   search.  Cache probes graft onto each visited node:
-
-   - result hit: the answer is served where the query stands; no
-     further hops.
-   - route hit: one hop straight to the validated responsible peer.
-   - stale: the remembered peer failed validation.  The wasted contact
-     costs one hop and the walk falls back to normal routing from the
-     same node — a stale entry can slow a query down, never corrupt it.
-
-   Every node the walk visits learns the final answer ([Qcache.learn]),
-   so hot partitions populate the caches of the peers that actually
-   forward traffic, not just the origins.  Without a cache nothing
-   learns, so the walk keeps no [visited] list. *)
+(* One [Overlay.walk] on the overlay's own generator: without a cache
+   it is [Overlay.search].  With one, [visit] probes each peer the walk
+   would forward from.  A result hit answers there; a route hit costs
+   one hop to the validated responsible peer; a stale entry costs one
+   wasted hop, then the walk forwards from the same peer, so it can slow
+   a query down, never corrupt it.  Every peer the walk forwarded from
+   learns the answer, so the caches of the peers that carry traffic
+   fill, not just the origins'. *)
 let lookup ?(telemetry = Pgrid_telemetry.Global.get ()) ?cache overlay ~from key =
-  let fail ?at hops stale =
-    {
-      responsible = None;
-      hops;
-      key_present = false;
-      payloads = [];
-      served = Network;
-      stale;
-      dead_end = at;
-    }
-  in
-  let visited = ref [] in
-  let learn_all ~target ~present ~payloads =
+  let visited = ref [] and stale = ref 0 in
+  let visit =
     match cache with
-    | None -> ()
-    | Some c ->
-      List.iter
-        (fun at -> Qcache.learn c ~at ~key ~target ~present ~payloads)
-        !visited
-  in
-  let finish ~target ~hops ~stale ~served ~present ~payloads =
-    learn_all ~target ~present ~payloads;
-    {
-      responsible = Some target;
-      hops;
-      key_present = present;
-      payloads;
-      served;
-      stale;
-      dead_end = None;
-    }
-  in
-  (* [Node.responsible_for] is the O(1) test for "no divergence level",
-     so the level itself is computed once per hop, by the forward. *)
-  let rec go cur hops stale =
-    if hops > Overlay.max_hops then fail hops stale
-    else if Node.responsible_for cur key then
-      finish ~target:cur.Node.id ~hops ~stale ~served:Network
-        ~present:(Node.has_key cur key) ~payloads:(Node.lookup cur key)
-    else
-      match cache with
-      | None -> step cur hops stale
-      | Some c -> (
-        match Qcache.probe c ~at:cur.Node.id key with
+    | None -> fun _ -> Overlay.Forward
+    | Some c -> (
+      fun cur ->
+        let peer = cur.Node.id in
+        match Qcache.probe c ~at:peer key with
         | Qcache.Hit_result { target; present; payloads } ->
           if Telemetry.active telemetry then
-            Telemetry.emit telemetry
-              (Event.Cache_hit { peer = cur.Node.id; cache = Event.Result });
-          finish ~target ~hops ~stale ~served:Result_cache ~present ~payloads
+            Telemetry.emit telemetry (Event.Cache_hit { peer; cache = Event.Result });
+          Overlay.Stop (Result_cache, target, present, payloads)
         | Qcache.Hit_route target ->
           if Telemetry.active telemetry then
-            Telemetry.emit telemetry
-              (Event.Cache_hit { peer = cur.Node.id; cache = Event.Route });
+            Telemetry.emit telemetry (Event.Cache_hit { peer; cache = Event.Route });
           let n = Overlay.node overlay target in
-          finish ~target ~hops:(hops + 1) ~stale ~served:Route_cache
-            ~present:(Node.has_key n key) ~payloads:(Node.lookup n key)
+          Overlay.Stop (Route_cache, target, Node.has_key n key, Node.lookup n key)
         | Qcache.Stale target ->
           if Telemetry.active telemetry then
-            Telemetry.emit telemetry
-              (Event.Cache_stale { peer = cur.Node.id; target });
-          step cur (hops + 1) (stale + 1)
+            Telemetry.emit telemetry (Event.Cache_stale { peer; target });
+          visited := peer :: !visited;
+          incr stale;
+          Overlay.Forward_charged
         | Qcache.Miss ->
           if Telemetry.active telemetry then
-            Telemetry.emit telemetry (Event.Cache_miss { peer = cur.Node.id });
-          step cur hops stale)
-  and step cur hops stale =
-    match Overlay.forward overlay cur key with
-    | `Responsible ->
-      finish ~target:cur.Node.id ~hops ~stale ~served:Network
-        ~present:(Node.has_key cur key) ~payloads:(Node.lookup cur key)
-    | `Dead_end level -> fail ~at:(cur.Node.id, level) hops stale
-    | `Next id ->
-      (match cache with Some _ -> visited := cur.Node.id :: !visited | None -> ());
-      go (Overlay.node overlay id) (hops + 1) stale
+            Telemetry.emit telemetry (Event.Cache_miss { peer });
+          visited := peer :: !visited;
+          Overlay.Forward)
   in
   let origin = Overlay.node overlay from in
-  if origin.Node.online then go origin 0 0 else fail 0 0
+  (* An offline origin has no budget: it fails at once, with 0 hops. *)
+  let budget = if origin.Node.online then Overlay.max_hops + 1 else 0 in
+  let w = Overlay.walk overlay (Overlay.rng overlay) origin key ~budget ~visit in
+  let outcome ?dead_end responsible hops key_present payloads served =
+    { responsible; hops; key_present; payloads; served; stale = !stale; dead_end }
+  in
+  let answer served target present payloads =
+    Option.iter
+      (fun c ->
+        List.iter (fun at -> Qcache.learn c ~at ~key ~target ~present ~payloads) !visited)
+      cache;
+    (* A route jump is the one hop the walk did not count. *)
+    let hops = if served = Route_cache then w.hops + 1 else w.hops in
+    outcome (Some target) hops present payloads served
+  in
+  match w.stop with
+  | Overlay.Responsible ->
+    answer Network w.at.Node.id (Node.has_key w.at key) (Node.lookup w.at key)
+  | Overlay.Stopped (served, target, present, payloads) -> answer served target present payloads
+  | Overlay.Dead_end level -> outcome ~dead_end:(w.at.Node.id, level) None w.hops false [] Network
+  | Overlay.Spent -> outcome None w.hops false [] Network
 
 type batch_item = {
   bkey : Key.t;
@@ -133,22 +99,28 @@ type batch = {
    message carries the whole bucket and the fan-out happens exactly
    where the key paths diverge.  [messages] counts forwards actually
    sent; [naive_messages] is what the same resolutions would have cost
-   had each key walked alone (the sum of resolution depths). *)
+   had each key walked alone (the sum of resolution depths).  Not an
+   [Overlay.walk]: the shared walk forks at every divergence level, so
+   it takes one [forward] step per bucket. *)
 let lookup_many ?cache overlay ~from keys =
   let keys = Array.of_list keys in
   let count = Array.length keys in
-  let results = Array.make count None in
+  let items =
+    Array.map
+      (fun bkey ->
+        { bkey; bresponsible = None; bpresent = false; bdepth = 0; bserved = Network })
+      keys
+  in
   let messages = ref 0 in
   let resolve i ~target ~depth ~served ~present =
-    results.(i) <-
-      Some
-        {
-          bkey = keys.(i);
-          bresponsible = Some target;
-          bpresent = present;
-          bdepth = depth;
-          bserved = served;
-        }
+    items.(i) <-
+      {
+        bkey = keys.(i);
+        bresponsible = Some target;
+        bpresent = present;
+        bdepth = depth;
+        bserved = served;
+      }
   in
   let rec walk cur depth trail pending =
     if depth > Overlay.max_hops then ()
@@ -204,8 +176,7 @@ let lookup_many ?cache overlay ~from keys =
             | [] -> ()
             | rep :: _ -> (
               match Overlay.forward overlay cur keys.(rep) with
-              | `Responsible -> ()
-              | `Dead_end _ -> ()
+              | `Responsible | `Dead_end _ -> ()
               | `Next id ->
                 incr messages;
                 walk (Overlay.node overlay id) (depth + 1)
@@ -217,25 +188,7 @@ let lookup_many ?cache overlay ~from keys =
   let origin = Overlay.node overlay from in
   if origin.Node.online && count > 0 then
     walk origin 0 [] (List.init count Fun.id);
-  let items =
-    Array.mapi
-      (fun i r ->
-        match r with
-        | Some item -> item
-        | None ->
-          {
-            bkey = keys.(i);
-            bresponsible = None;
-            bpresent = false;
-            bdepth = 0;
-            bserved = Network;
-          })
-      results
-  in
-  let naive = ref 0 and unresolved = ref 0 in
-  Array.iter
-    (fun item ->
-      if item.bresponsible = None then incr unresolved
-      else naive := !naive + item.bdepth)
-    items;
-  { items; messages = !messages; naive_messages = !naive; unresolved = !unresolved }
+  let resolved = List.filter (fun it -> it.bresponsible <> None) (Array.to_list items) in
+  let naive = List.fold_left (fun acc it -> acc + it.bdepth) 0 resolved in
+  let unresolved = count - List.length resolved in
+  { items; messages = !messages; naive_messages = naive; unresolved }

@@ -22,11 +22,10 @@ type outcome = {
   dead_end : (int * int) option;  (** as {!Pgrid_core.Overlay.search} *)
 }
 
-(** [lookup ?telemetry ?cache overlay ~from key] routes from [from]
-    toward [key], probing [cache] at every visited node and teaching
-    every visited node the final answer.  A stale cache entry costs one
-    extra hop and falls back to routing; validation on use means the
-    responsible peer returned is always genuinely responsible.  Emits
+(** [lookup ?telemetry ?cache overlay ~from key] is the walk of
+    {!Pgrid_core.Overlay.search}, probing [cache] at every peer it
+    forwards from; each of them learns the answer.  A stale entry costs
+    one extra hop; validation on use keeps the answer genuine.  Emits
     [Cache_hit] / [Cache_miss] / [Cache_stale] when [telemetry] is
     active. *)
 val lookup :

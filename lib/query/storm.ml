@@ -177,6 +177,9 @@ let finish t w success =
   t.completions <-
     { issued_at = w.issued_at; finished_at = now; hops = w.hops; success } :: t.completions
 
+(* Not an [Overlay.walk]: each hop is shuffle-then-try over
+   [Overlay.shuffled_refs], learning liveness from timed-out requests
+   instead of reading it. *)
 let rec route t w cur budget =
   if budget = 0 then finish t w false
   else
@@ -415,7 +418,7 @@ let issue t ~origin ~key =
   if Telemetry.active t.tel then
     Telemetry.emit t.tel (Event.Query_issue { qid; origin });
   route t { qid; origin; key; issued_at; hops = 0; level = 0; refreshed = false } origin
-    (4 * Key.bits)
+    Overlay.max_relay_hops
 
 let heartbeat t ~src ~dst =
   Net.send t.net ~src ~dst ~bytes:header_bytes ~kind:Net.Maintenance (Deliver ignore)
