@@ -191,32 +191,29 @@ type 'a visit = Forward | Forward_charged | Stop of 'a
 type 'a stop = Responsible | Dead_end of int | Spent | Stopped of 'a
 type 'a walk = { stop : 'a stop; at : Node.t; hops : int }
 
-(* [forward]'s step, inlined so that a hop allocates nothing. *)
-let walk_admit admit t rng start key ~budget ~visit =
-  let rec go cur hops =
-    if hops >= budget then { stop = Spent; at = cur; hops }
+(* [forward]'s step, inlined, and a top-level loop, so that a walk
+   allocates only its result. *)
+let rec walk_from admit t rng key ~budget ~visit cur hops =
+  if hops >= budget then { stop = Spent; at = cur; hops }
+  else
+    let level = divergence cur.Node.path key in
+    if level < 0 then { stop = Responsible; at = cur; hops }
     else
-      let level = divergence cur.Node.path key in
-      if level < 0 then { stop = Responsible; at = cur; hops }
-      else
-        match visit cur with
-        | Forward -> step cur level hops
-        | Forward_charged -> step cur level (hops + 1)
-        | Stop x -> { stop = Stopped x; at = cur; hops }
-  and step cur level hops =
-    let next = pick ?admit t rng cur ~level ~excluding:(-1) in
-    if next < 0 then { stop = Dead_end level; at = cur; hops }
-    else go t.nodes.(next) (hops + 1)
-  in
-  go start 0
+      match visit cur with
+      | Stop x -> { stop = Stopped x; at = cur; hops }
+      | (Forward | Forward_charged) as v ->
+        let hops = match v with Forward_charged -> hops + 1 | _ -> hops in
+        let next = pick ?admit t rng cur ~level ~excluding:(-1) in
+        if next < 0 then { stop = Dead_end level; at = cur; hops }
+        else walk_from admit t rng key ~budget ~visit t.nodes.(next) (hops + 1)
 
-let walk t rng start key ~budget ~visit = walk_admit None t rng start key ~budget ~visit
+let walk t rng start key ~budget ~visit = walk_from None t rng key ~budget ~visit start 0
 
 let search ?admit t ~from key =
   let origin = node t from in
   (* An offline origin has no budget: it fails at once, with 0 hops. *)
   let budget = if origin.Node.online then max_hops + 1 else 0 in
-  let w = walk_admit admit t t.rng origin key ~budget ~visit:(fun _ -> Forward) in
+  let w = walk_from admit t t.rng key ~budget ~visit:(fun _ -> Forward) origin 0 in
   match w.stop with
   | Responsible ->
     {

@@ -16,6 +16,9 @@ type outcome = {
   dead_end : (int * int) option;
 }
 
+let outcome ~stale ~dead_end responsible hops key_present payloads served =
+  { responsible; hops; key_present; payloads; served; stale; dead_end }
+
 (* One [Overlay.walk] on the overlay's own generator: without a cache
    it is [Overlay.search].  With one, [visit] probes each peer the walk
    would forward from.  A result hit answers there; a route hit costs
@@ -58,24 +61,22 @@ let lookup ?(telemetry = Pgrid_telemetry.Global.get ()) ?cache overlay ~from key
   (* An offline origin has no budget: it fails at once, with 0 hops. *)
   let budget = if origin.Node.online then Overlay.max_hops + 1 else 0 in
   let w = Overlay.walk overlay (Overlay.rng overlay) origin key ~budget ~visit in
-  let outcome ?dead_end responsible hops key_present payloads served =
-    { responsible; hops; key_present; payloads; served; stale = !stale; dead_end }
-  in
   let answer served target present payloads =
-    Option.iter
-      (fun c ->
-        List.iter (fun at -> Qcache.learn c ~at ~key ~target ~present ~payloads) !visited)
-      cache;
+    (match cache with
+    | None -> ()
+    | Some c ->
+      List.iter (fun at -> Qcache.learn c ~at ~key ~target ~present ~payloads) !visited);
     (* A route jump is the one hop the walk did not count. *)
     let hops = if served = Route_cache then w.hops + 1 else w.hops in
-    outcome (Some target) hops present payloads served
+    outcome ~stale:!stale ~dead_end:None (Some target) hops present payloads served
   in
   match w.stop with
   | Overlay.Responsible ->
     answer Network w.at.Node.id (Node.has_key w.at key) (Node.lookup w.at key)
   | Overlay.Stopped (served, target, present, payloads) -> answer served target present payloads
-  | Overlay.Dead_end level -> outcome ~dead_end:(w.at.Node.id, level) None w.hops false [] Network
-  | Overlay.Spent -> outcome None w.hops false [] Network
+  | Overlay.Dead_end level ->
+    outcome ~stale:!stale ~dead_end:(Some (w.at.Node.id, level)) None w.hops false [] Network
+  | Overlay.Spent -> outcome ~stale:!stale ~dead_end:None None w.hops false [] Network
 
 type batch_item = {
   bkey : Key.t;
