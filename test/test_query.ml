@@ -863,9 +863,9 @@ module Model = struct
     overlay : Overlay.t;
     route_cap : int;
     result_cap : int;
-    routes : route list array;
-    results : result list array;
-    gen : int array;
+    mutable routes : route list array;
+    mutable results : result list array;
+    mutable gen : int array;
     mutable wgen : (Key.t * int) list;
     mutable epoch : int;
     mutable route_hits : int;
@@ -894,6 +894,12 @@ module Model = struct
       invalidations = 0;
       evictions = 0;
     }
+
+  (* Mirrors [Overlay.add_peer]: one more peer, with no entries. *)
+  let add_peer m =
+    m.routes <- Array.append m.routes [| [] |];
+    m.results <- Array.append m.results [| [] |];
+    m.gen <- Array.append m.gen [| 0 |]
 
   let wgen m k = Option.value ~default:0 (List.assoc_opt k m.wgen)
 
@@ -936,8 +942,37 @@ module Model = struct
           ~cap:m.result_cap ~evicted
     end
 
-  let probe m ~at key =
+  (* The result entry's answer; a hit or a stale probe is charged, a
+     miss is not. *)
+  let from_results m ~at key =
     let drop_result x = m.results.(at) <- List.filter (fun y -> y != x) m.results.(at) in
+    match List.find_opt (fun x -> Key.equal x.key key) m.results.(at) with
+    | None -> Qcache.Miss
+    | Some x ->
+      if x.xepoch <> m.epoch || x.xgen <> m.gen.(x.xtarget) || x.xwgen <> wgen m key
+      then begin
+        drop_result x;
+        Qcache.Miss
+      end
+      else if valid m x.xtarget key then begin
+        m.results.(at) <- x :: List.filter (fun y -> y != x) m.results.(at);
+        m.result_hits <- m.result_hits + 1;
+        Qcache.Hit_result { target = x.xtarget; present = x.present; payloads = x.payloads }
+      end
+      else begin
+        drop_result x;
+        m.stale <- m.stale + 1;
+        Qcache.Stale x.xtarget
+      end
+
+  let probe_results m ~at key =
+    match from_results m ~at key with
+    | Qcache.Miss ->
+      m.misses <- m.misses + 1;
+      Qcache.Miss
+    | outcome -> outcome
+
+  let probe m ~at key =
     let drop_route r = m.routes.(at) <- List.filter (fun y -> y != r) m.routes.(at) in
     let rec scan = function
       | [] ->
@@ -959,30 +994,13 @@ module Model = struct
           Qcache.Stale r.rtarget
         end
     in
-    let routes () =
+    match from_results m ~at key with
+    | Qcache.Miss ->
       m.routes.(at)
       |> List.filter (fun r -> Path.matches_key r.path key)
       |> List.stable_sort (fun a b -> compare (Path.length b.path) (Path.length a.path))
       |> scan
-    in
-    match List.find_opt (fun x -> Key.equal x.key key) m.results.(at) with
-    | None -> routes ()
-    | Some x ->
-      if x.xepoch <> m.epoch || x.xgen <> m.gen.(x.xtarget) || x.xwgen <> wgen m key
-      then begin
-        drop_result x;
-        routes ()
-      end
-      else if valid m x.xtarget key then begin
-        m.results.(at) <- x :: List.filter (fun y -> y != x) m.results.(at);
-        m.result_hits <- m.result_hits + 1;
-        Qcache.Hit_result { target = x.xtarget; present = x.present; payloads = x.payloads }
-      end
-      else begin
-        drop_result x;
-        m.stale <- m.stale + 1;
-        Qcache.Stale x.xtarget
-      end
+    | outcome -> outcome
 
   let invalidate m = function
     | Overlay.Peer_changed id ->
@@ -1017,6 +1035,7 @@ end
 type cache_op =
   | Learn of int * int * int * bool  (** at, key index, target, present *)
   | Probe of int * int  (** at, key index *)
+  | Probe_results of int * int  (** at, key index *)
   | Changed of int
   | Written of int
   | Flush_feed  (** [Overlay.Flush] through [invalidate] *)
@@ -1024,10 +1043,32 @@ type cache_op =
   | Clear
   | Toggle of int  (** a peer goes offline or back online *)
   | Repath of int * string  (** a peer's path changes, unannounced *)
+  | Observe of int * int  (** index into [observed], peer *)
+  | Add_peer
+
+(* A peer operand is taken modulo the overlay's current size, so
+   generated operations can name peers that [Add_peer] adds later. *)
+let observed =
+  [|
+    (fun p -> Event.Migrate { peer = p; level = 0; keys = 1 });
+    (fun p -> Event.Ref_evict { peer = 0; level = 0; target = p });
+    (fun _ -> Event.Balance_split { path = ""; level = 0; zeros = 1; ones = 1 });
+    (fun _ -> Event.Retract { path = "0"; members = 1; merged_keys = 0 });
+    (fun _ -> Event.Partition_heal { fault = "cut"; cut = 1 });
+    (fun p -> Event.Cache_miss { peer = p });
+  |]
+
+(* The overlay change each of [observed] stands for, if any. *)
+let observed_change i p =
+  match i with
+  | 0 | 1 -> Some (Overlay.Peer_changed p)
+  | 2 | 3 | 4 -> Some Overlay.Flush
+  | _ -> None
 
 let show_cache_op = function
   | Learn (at, k, t, p) -> Printf.sprintf "learn(%d,k%d,->%d,%b)" at k t p
   | Probe (at, k) -> Printf.sprintf "probe(%d,k%d)" at k
+  | Probe_results (at, k) -> Printf.sprintf "probe_results(%d,k%d)" at k
   | Changed p -> Printf.sprintf "changed(%d)" p
   | Written k -> Printf.sprintf "written(k%d)" k
   | Flush_feed -> "flush-feed"
@@ -1035,6 +1076,8 @@ let show_cache_op = function
   | Clear -> "clear"
   | Toggle p -> Printf.sprintf "toggle(%d)" p
   | Repath (p, s) -> Printf.sprintf "repath(%d,%S)" p s
+  | Observe (i, p) -> Printf.sprintf "observe(%d,%d)" i p
+  | Add_peer -> "add_peer"
 
 (* Six peers with paths of up to two bits and eight keys spread over the
    key space, so routes share prefixes, and validation fails often enough
@@ -1064,64 +1107,112 @@ let gen_cache_op =
       (1, map2 (fun p s -> Repath (p, s)) peer gen_bits);
     ]
 
-let qcheck_qcache_matches_model =
+(* Every operation, at any peer, the overlay growing past the size the
+   cache was created at. *)
+let gen_cache_op_growing =
+  let open QCheck.Gen in
+  let peer = int_bound 9 and key = int_bound (Array.length model_keys - 1) in
+  let at = frequency [ (3, int_bound 1); (1, int_bound 9) ] in
+  frequency
+    [
+      (4, map3 (fun at k (t, p) -> Learn (at, k, t, p)) at key (pair peer bool));
+      (3, map2 (fun at k -> Probe (at, k)) at key);
+      (2, map2 (fun at k -> Probe_results (at, k)) at key);
+      (1, map (fun p -> Changed p) peer);
+      (1, map (fun k -> Written k) key);
+      (1, return Flush_feed);
+      (1, return Flush);
+      (1, return Clear);
+      (1, map (fun p -> Toggle p) peer);
+      (1, map2 (fun p s -> Repath (p, s)) peer gen_bits);
+      (2, map2 (fun i p -> Observe (i, p)) (int_bound (Array.length observed - 1)) peer);
+      (1, return Add_peer);
+    ]
+
+(* Runs [ops] on a cache and on the model side by side; after each step
+   the probe outcomes and [Qcache.stats] must agree. *)
+let cache_agrees_with_model (route_cap, result_cap, paths, ops) =
+  let overlay = Overlay.create (Rng.create ~seed:1) ~n:model_peers in
+  List.iteri (fun i s -> Node.set_path (Overlay.node overlay i) (Path.of_string s)) paths;
+  let cache = Qcache.create ~route_cap ~result_cap overlay in
+  let model = Model.create overlay ~route_cap ~result_cap in
+  let payloads present = if present then [ "doc" ] else [] in
+  let peer p = p mod Overlay.size overlay in
+  let change c =
+    Qcache.invalidate cache c;
+    Model.invalidate model c
+  in
+  List.for_all
+    (fun op ->
+      let agree =
+        match op with
+        | Learn (at, k, target, present) ->
+          let key = model_keys.(k) and payloads = payloads present in
+          let at = peer at and target = peer target in
+          Qcache.learn cache ~at ~key ~target ~present ~payloads;
+          Model.learn model ~at ~key ~target ~present ~payloads;
+          true
+        | Probe (at, k) ->
+          let at = peer at in
+          Qcache.probe cache ~at model_keys.(k) = Model.probe model ~at model_keys.(k)
+        | Probe_results (at, k) ->
+          let at = peer at in
+          Qcache.probe_results cache ~at model_keys.(k)
+          = Model.probe_results model ~at model_keys.(k)
+        | Changed p ->
+          change (Overlay.Peer_changed (peer p));
+          true
+        | Written k ->
+          change (Overlay.Key_written model_keys.(k));
+          true
+        | Flush_feed ->
+          change Overlay.Flush;
+          true
+        | Flush ->
+          Qcache.flush cache;
+          Model.invalidate model Overlay.Flush;
+          true
+        | Clear ->
+          Qcache.clear cache;
+          Model.clear model;
+          true
+        | Toggle p ->
+          let n = Overlay.node overlay (peer p) in
+          Node.set_online n (not n.Node.online);
+          true
+        | Repath (p, s) ->
+          Node.set_path (Overlay.node overlay (peer p)) (Path.of_string s);
+          true
+        | Observe (i, p) ->
+          let p = peer p in
+          Qcache.observe cache (observed.(i) p);
+          Option.iter (Model.invalidate model) (observed_change i p);
+          true
+        | Add_peer ->
+          ignore (Overlay.add_peer overlay);
+          Model.add_peer model;
+          true
+      in
+      agree && Qcache.stats cache = Model.stats model)
+    ops
+
+let model_arbitrary gen_op =
   let cap = QCheck.int_range 1 4 in
   let paths =
     QCheck.make
       ~print:(fun l -> String.concat "," (List.map (Printf.sprintf "%S") l))
       QCheck.Gen.(list_repeat model_peers gen_bits)
   in
-  let ops =
-    QCheck.list_of_size QCheck.Gen.(int_bound 120) (QCheck.make ~print:show_cache_op gen_cache_op)
-  in
+  let ops = QCheck.list_of_size QCheck.Gen.(int_bound 120) (QCheck.make ~print:show_cache_op gen_op) in
+  QCheck.quad cap cap paths ops
+
+let qcheck_qcache_matches_model =
   QCheck.Test.make ~name:"qcache = assoc-list model" ~count:500
-    (QCheck.quad cap cap paths ops) (fun (route_cap, result_cap, paths, ops) ->
-      let overlay = Overlay.create (Rng.create ~seed:1) ~n:model_peers in
-      List.iteri (fun i s -> Node.set_path (Overlay.node overlay i) (Path.of_string s)) paths;
-      let cache = Qcache.create ~route_cap ~result_cap overlay in
-      let model = Model.create overlay ~route_cap ~result_cap in
-      let payloads present = if present then [ "doc" ] else [] in
-      List.for_all
-        (fun op ->
-          let agree =
-            match op with
-            | Learn (at, k, target, present) ->
-              let key = model_keys.(k) and payloads = payloads present in
-              Qcache.learn cache ~at ~key ~target ~present ~payloads;
-              Model.learn model ~at ~key ~target ~present ~payloads;
-              true
-            | Probe (at, k) ->
-              Qcache.probe cache ~at model_keys.(k) = Model.probe model ~at model_keys.(k)
-            | Changed p ->
-              Qcache.invalidate cache (Overlay.Peer_changed p);
-              Model.invalidate model (Overlay.Peer_changed p);
-              true
-            | Written k ->
-              Qcache.invalidate cache (Overlay.Key_written model_keys.(k));
-              Model.invalidate model (Overlay.Key_written model_keys.(k));
-              true
-            | Flush_feed ->
-              Qcache.invalidate cache Overlay.Flush;
-              Model.invalidate model Overlay.Flush;
-              true
-            | Flush ->
-              Qcache.flush cache;
-              Model.invalidate model Overlay.Flush;
-              true
-            | Clear ->
-              Qcache.clear cache;
-              Model.clear model;
-              true
-            | Toggle p ->
-              let n = Overlay.node overlay p in
-              Node.set_online n (not n.Node.online);
-              true
-            | Repath (p, s) ->
-              Node.set_path (Overlay.node overlay p) (Path.of_string s);
-              true
-          in
-          agree && Qcache.stats cache = Model.stats model)
-        ops)
+    (model_arbitrary gen_cache_op) cache_agrees_with_model
+
+let qcheck_qcache_matches_model_growing =
+  QCheck.Test.make ~name:"qcache = model: every operation, growing overlay" ~count:1000
+    ~long_factor:50 (model_arbitrary gen_cache_op_growing) cache_agrees_with_model
 
 (* The tentpole's correctness property: cached lookups agree with plain
    routing on responsibility and key presence before, during and after a
@@ -1224,4 +1315,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_conjunctive_merge_equiv;
     QCheck_alcotest.to_alcotest qcheck_cached_agrees_under_balance_storm;
     QCheck_alcotest.to_alcotest qcheck_qcache_matches_model;
+    QCheck_alcotest.to_alcotest qcheck_qcache_matches_model_growing;
   ]
