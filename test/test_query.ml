@@ -723,6 +723,50 @@ let test_qcache_lru_eviction () =
   checkb "result entries bounded by cap" true (s.Qcache.result_entries <= 2);
   checkb "evictions happened" true (s.Qcache.evictions > 0)
 
+(* Each of 4096 peers caches the same key, with a payload that names the
+   peer, and a route to the same path: some 8k entries outgrow the
+   cache's first storage several times over, and an entry found under
+   the wrong peer shows in the answer. *)
+let test_qcache_many_entries () =
+  let peers = 4096 in
+  let overlay = Overlay.create (Rng.create ~seed:1) ~n:peers in
+  let cache = Qcache.create ~route_cap:1 ~result_cap:1 overlay in
+  let key = Key.of_float 0.3 and owner at = (at + 1) mod peers in
+  let doc at = [ string_of_int at ] in
+  let learn_all () =
+    for at = 0 to peers - 1 do
+      Qcache.learn cache ~at ~key ~target:(owner at) ~present:true ~payloads:(doc at)
+    done
+  in
+  let check_all () =
+    for at = 0 to peers - 1 do
+      match Qcache.probe_results cache ~at key with
+      | Qcache.Hit_result { target; present = true; payloads }
+        when target = owner at && payloads = doc at ->
+        ()
+      | _ -> Alcotest.failf "peer %d: wrong outcome" at
+    done
+  in
+  learn_all ();
+  check_all ();
+  let s = Qcache.stats cache in
+  checki "route entries" peers s.Qcache.route_entries;
+  checki "result entries" peers s.Qcache.result_entries;
+  checki "no evictions" 0 s.Qcache.evictions;
+  for at = 0 to peers - 1 do
+    match Qcache.probe cache ~at (Key.of_float 0.7) with
+    | Qcache.Hit_route target when target = owner at -> ()
+    | _ -> Alcotest.failf "peer %d: expected its route" at
+  done;
+  Qcache.clear cache;
+  let s = Qcache.stats cache in
+  checki "no entries after clear" 0 (s.Qcache.route_entries + s.Qcache.result_entries);
+  (match Qcache.probe cache ~at:1 key with
+  | Qcache.Miss -> ()
+  | _ -> Alcotest.fail "expected a miss after clear");
+  learn_all ();
+  check_all ()
+
 let test_qcache_invalidation_kinds () =
   let overlay, keys = build 32 in
   let cache = Qcache.create overlay in
@@ -1305,6 +1349,7 @@ let suite =
     Alcotest.test_case "walk stops on an exhausted budget" `Quick
       test_walk_budget_exhausted;
     Alcotest.test_case "qcache lru eviction" `Quick test_qcache_lru_eviction;
+    Alcotest.test_case "qcache holds thousands of entries" `Quick test_qcache_many_entries;
     Alcotest.test_case "qcache invalidation kinds" `Quick
       test_qcache_invalidation_kinds;
     Alcotest.test_case "qcache observes events" `Quick test_qcache_observe_events;
