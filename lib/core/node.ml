@@ -227,7 +227,8 @@ let merge_store t ~from =
   fold from (fun k payloads n -> if merge_key t k payloads then n + 1 else n) 0
 
 let has_key t key = Hashtbl.mem t.store key
-let lookup t key = Option.value ~default:[] (Hashtbl.find_opt t.store key)
+let lookup_opt t key = Hashtbl.find_opt t.store key
+let lookup t key = Option.value ~default:[] (lookup_opt t key)
 let keys t = fold t (fun k _ acc -> k :: acc) []
 let key_count t = Hashtbl.length t.store
 let payload_key_count t = t.payload_keys

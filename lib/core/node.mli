@@ -194,6 +194,11 @@ val has_key : t -> Pgrid_keyspace.Key.t -> bool
     absent). *)
 val lookup : t -> Pgrid_keyspace.Key.t -> string list
 
+(** [lookup_opt t key] is [Some] the sorted payload list under [key],
+    or [None] when [key] is absent: presence and payloads in one
+    probe. *)
+val lookup_opt : t -> Pgrid_keyspace.Key.t -> string list option
+
 (** [keys t] lists distinct stored keys (unspecified order). *)
 val keys : t -> Pgrid_keyspace.Key.t list
 

@@ -216,11 +216,12 @@ let search ?admit t ~from key =
   let w = walk_from admit t t.rng key ~budget ~visit:(fun _ -> Forward) origin 0 in
   match w.stop with
   | Responsible ->
+    let found = Node.lookup_opt w.at key in
     {
       responsible = Some w.at.Node.id;
       hops = w.hops;
-      key_present = Node.has_key w.at key;
-      payloads = Node.lookup w.at key;
+      key_present = Option.is_some found;
+      payloads = Option.value found ~default:[];
       dead_end = None;
     }
   | stop ->

@@ -43,8 +43,9 @@ let lookup ?(telemetry = Pgrid_telemetry.Global.get ()) ?cache overlay ~from key
         | Qcache.Hit_route target ->
           if Telemetry.active telemetry then
             Telemetry.emit telemetry (Event.Cache_hit { peer; cache = Event.Route });
-          let n = Overlay.node overlay target in
-          Overlay.Stop (Route_cache, target, Node.has_key n key, Node.lookup n key)
+          let found = Node.lookup_opt (Overlay.node overlay target) key in
+          Overlay.Stop
+            (Route_cache, target, Option.is_some found, Option.value found ~default:[])
         | Qcache.Stale target ->
           if Telemetry.active telemetry then
             Telemetry.emit telemetry (Event.Cache_stale { peer; target });
@@ -72,7 +73,8 @@ let lookup ?(telemetry = Pgrid_telemetry.Global.get ()) ?cache overlay ~from key
   in
   match w.stop with
   | Overlay.Responsible ->
-    answer Network w.at.Node.id (Node.has_key w.at key) (Node.lookup w.at key)
+    let found = Node.lookup_opt w.at key in
+    answer Network w.at.Node.id (Option.is_some found) (Option.value found ~default:[])
   | Overlay.Stopped (served, target, present, payloads) -> answer served target present payloads
   | Overlay.Dead_end level ->
     outcome ~stale:!stale ~dead_end:(Some (w.at.Node.id, level)) None w.hops false [] Network
@@ -132,14 +134,14 @@ let lookup_many ?cache overlay ~from keys =
             let k = keys.(i) in
             match Overlay.divergence_level cur.Node.path k with
             | None ->
-              let present = Node.has_key cur k in
+              let found = Node.lookup_opt cur k in
+              let present = Option.is_some found in
               (match cache with
               | None -> ()
               | Some c ->
+                let payloads = Option.value found ~default:[] in
                 List.iter
-                  (fun at ->
-                    Qcache.learn c ~at ~key:k ~target:cur.Node.id ~present
-                      ~payloads:(Node.lookup cur k))
+                  (fun at -> Qcache.learn c ~at ~key:k ~target:cur.Node.id ~present ~payloads)
                   trail);
               resolve i ~target:cur.Node.id ~depth ~served:Network ~present;
               false
