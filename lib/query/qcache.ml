@@ -5,199 +5,45 @@ module Overlay = Pgrid_core.Overlay
 module Telemetry = Pgrid_telemetry.Telemetry
 module Event = Pgrid_telemetry.Event
 
-(* One peer's route or result cache: a bounded LRU map from int keys to
-   slots, kept in flat int arrays so that a probe, a recency bump and a
-   refresh allocate nothing and the heap holds no block per entry.  At
-   the query-storm scale (millions of probes, about a million live
-   entries) both the allocation and the pointer chasing of boxed entries
-   cost more than the hops the cache saves.
+(* Every peer's route and result caches share one arena of slots and
+   one hash table keyed by (list, key), so that a probe, a recency bump
+   and a refresh allocate nothing and the heap holds no block per entry
+   and none per peer.  At the query-storm scale (millions of probes,
+   about a million live entries) both the allocation and the pointer
+   chasing of boxed entries cost more than the hops the cache saves.
 
-   Slot 0 is the nil of the hash chains and of the free list, and the
-   sentinel of the circular recency list: [older.(0)] is the most
-   recently used slot and [newer.(0)] the eviction candidate.  A slot
-   holds [width] ints of value, plus a payload list when the cache keeps
-   one.  The arrays double
-   as entries arrive, up to [cap] slots, so a peer pays for the entries
-   it holds rather than for its capacity. *)
-module Lru = struct
-  type t = {
-    cap : int;
-    width : int;
-    mutable size : int;
-    mutable free : int;  (* freed slots, linked through [chain] *)
-    mutable unused : int;  (* first slot never handed out *)
-    mutable keys : int array;
-    mutable older : int array;
-    mutable newer : int array;
-    mutable chain : int array;  (* next slot in the same bucket *)
-    mutable buckets : int array;  (* power-of-two length *)
-    mutable shift : int;  (* [Sys.int_size - log2 (length buckets)] *)
-    mutable vals : int array;
-    mutable payloads : string list array;  (* empty when not kept *)
-  }
+   List [2 * peer] is a peer's route cache and [2 * peer + 1] its result
+   cache: a bounded LRU list of slots, newest to oldest through the
+   [older]/[newer] links.  The arena grows by whole chunks, so growth
+   never copies a live slot.  Slot 0 is the nil of the links, the hash
+   chains and the free list; it is never handed out. *)
 
-  (* Slots and hash buckets a cache starts with. *)
-  let initial_bits = 3
-  let initial = 1 lsl initial_bits
-
-  let create ~cap ~width ~payloads =
-    let slots = min cap initial + 1 in
-    {
-      cap;
-      width;
-      size = 0;
-      free = 0;
-      unused = 1;
-      keys = Array.make slots 0;
-      older = Array.make slots 0;
-      newer = Array.make slots 0;
-      chain = Array.make slots 0;
-      buckets = Array.make initial 0;
-      shift = Sys.int_size - initial_bits;
-      vals = Array.make (slots * width) 0;
-      payloads = Array.make (if payloads then slots else 0) [];
-    }
-
-  (* Fibonacci hashing: the top bits of the product mix every key bit,
-     which matters for route codes, whose low bits are a path's last
-     bits, and for keys made from floats, whose low bits are zero. *)
-  let hash t k = (k * 0x9E3779B97F4A7C1) lsr t.shift
-
-  let find t k =
-    let s = ref t.buckets.(hash t k) in
-    while !s <> 0 && t.keys.(!s) <> k do
-      s := t.chain.(!s)
-    done;
-    !s
-
-  let get t s j = t.vals.((s * t.width) + j)
-  let set t s j v = t.vals.((s * t.width) + j) <- v
-  let full t = t.size = t.cap
-  let oldest t = t.newer.(0)
-
-  let unlink t s =
-    let o = t.older.(s) and n = t.newer.(s) in
-    t.newer.(o) <- n;
-    t.older.(n) <- o
-
-  let push t s =
-    let head = t.older.(0) in
-    t.older.(s) <- head;
-    t.newer.(s) <- 0;
-    t.newer.(head) <- s;
-    t.older.(0) <- s
-
-  let bump t s =
-    if t.older.(0) <> s then begin
-      unlink t s;
-      push t s
-    end
-
-  let remove t s =
-    unlink t s;
-    let b = hash t t.keys.(s) in
-    if t.buckets.(b) = s then t.buckets.(b) <- t.chain.(s)
-    else begin
-      let p = ref t.buckets.(b) in
-      while t.chain.(!p) <> s do
-        p := t.chain.(!p)
-      done;
-      t.chain.(!p) <- t.chain.(s)
-    end;
-    if Array.length t.payloads > 0 then t.payloads.(s) <- [];
-    t.chain.(s) <- t.free;
-    t.free <- s;
-    t.size <- t.size - 1
-
-  (* Called with every slot live and fewer than [cap] of them. *)
-  let grow t =
-    let old = Array.length t.keys in
-    let slots = min (2 * (old - 1)) t.cap + 1 in
-    let extend a fill =
-      let b = Array.make slots fill in
-      Array.blit a 0 b 0 old;
-      b
-    in
-    t.keys <- extend t.keys 0;
-    t.older <- extend t.older 0;
-    t.newer <- extend t.newer 0;
-    t.chain <- extend t.chain 0;
-    if Array.length t.payloads > 0 then t.payloads <- extend t.payloads [];
-    let vals = Array.make (slots * t.width) 0 in
-    Array.blit t.vals 0 vals 0 (old * t.width);
-    t.vals <- vals;
-    let nb = ref (Array.length t.buckets) and shift = ref t.shift in
-    while !nb < slots - 1 do
-      nb := 2 * !nb;
-      decr shift
-    done;
-    if !nb > Array.length t.buckets then begin
-      t.buckets <- Array.make !nb 0;
-      t.shift <- !shift;
-      for s = 1 to old - 1 do
-        let b = hash t t.keys.(s) in
-        t.chain.(s) <- t.buckets.(b);
-        t.buckets.(b) <- s
-      done
-    end
-
-  (* [add t k] files the absent key [k] in a slot, most recent first, and
-     returns the slot.  The caller makes room first: [not (full t)]. *)
-  let add t k =
-    let s =
-      if t.free <> 0 then begin
-        let s = t.free in
-        t.free <- t.chain.(s);
-        s
-      end
-      else begin
-        if t.unused = Array.length t.keys then grow t;
-        let s = t.unused in
-        t.unused <- s + 1;
-        s
-      end
-    in
-    t.keys.(s) <- k;
-    let b = hash t k in
-    t.chain.(s) <- t.buckets.(b);
-    t.buckets.(b) <- s;
-    push t s;
-    t.size <- t.size + 1;
-    s
-end
-
-(* Value columns.  Validity of an entry is generational, so invalidation
-   never walks the caches: bumping one counter retires every entry that
-   depends on it.  An entry records, at insert time,
+(* A slot's fields, [stride] ints from [(slot mod chunk_slots) * stride]
+   in its chunk.  The value columns: validity of an entry is
+   generational, so invalidation never walks the caches: bumping one
+   counter retires every entry that depends on it.  An entry records, at
+   insert time,
      - the generation of the peer it points at ([Peer_changed] bumps it),
      - the global epoch ([Flush] bumps it),
      - for results, the write generation of its key ([Key_written]).
    Route slots also keep their path's length, results their presence. *)
-let col_target = 0
-let col_gen = 1
-let col_epoch = 2
-let col_len = 3
-let col_wgen = 3
-let col_present = 4
+let f_key = 0
+let f_list = 1 (* -1 while the slot is free *)
+let f_older = 2
+let f_newer = 3
+let f_chain = 4 (* next slot in the same bucket, or in the free list *)
+let col_target = 5
+let col_gen = 6
+let col_epoch = 7
+let col_len = 8
+let col_wgen = 8
+let col_present = 9
+let stride = 10
+let chunk_bits = 11
+let chunk_slots = 1 lsl chunk_bits
 
-type peer_cache = {
-  routes : Lru.t;  (* [Path.code] of a known responsible peer -> that peer *)
-  results : Lru.t;  (* [Key.to_int] -> the answer *)
-  len_count : int array;  (* live route entries per path length *)
-  mutable top : int;  (* longest path length with a route entry, or -1 *)
-}
-
-let new_peer_cache ~route_cap ~result_cap =
-  {
-    routes = Lru.create ~cap:route_cap ~width:4 ~payloads:false;
-    results = Lru.create ~cap:result_cap ~width:5 ~payloads:true;
-    len_count = Array.make (Key.bits + 1) 0;
-    top = -1;
-  }
-
-(* Stands for every peer without a cache: it holds nothing, so a probe
-   finds nothing there, and nothing is ever filed in it. *)
-let absent = new_peer_cache ~route_cap:0 ~result_cap:0
+(* Route entries per path length, per peer. *)
+let lens = Key.bits + 1
 
 type stats = {
   route_hits : int;
@@ -233,31 +79,159 @@ type t = {
   telemetry : Telemetry.t;
   route_cap : int;
   result_cap : int;
-  mutable peers : peer_cache array;  (* by peer id, grown on demand *)
-  mutable gen : int array;  (* per-peer generation, grown on demand *)
+  mutable chunks : int array array;  (* [chunk_slots * stride] ints each *)
+  mutable payloads : string list array array;  (* [chunk_slots] each *)
+  mutable unused : int;  (* first slot never handed out *)
+  mutable free : int;  (* freed slots, linked through [f_chain] *)
+  mutable buckets : int array;  (* power-of-two length, >= the arena's slots *)
+  mutable shift : int;  (* [Sys.int_size - log2 (length buckets)] *)
+  (* By list id, grown on demand with the peer arrays: *)
+  mutable newest : int array;
+  mutable oldest : int array;
+  mutable size : int array;
+  (* By peer id, grown on demand: *)
+  mutable len_count : int array;  (* [lens] per peer: live route entries per length *)
+  mutable top : int array;  (* longest path length with a route entry, or -1 *)
+  mutable gen : int array;  (* the peer's generation *)
   mutable epoch : int;
   wgen : int Itbl.t;  (* per-key write generation *)
   c : counters;
 }
 
+let get t s f = t.chunks.(s lsr chunk_bits).(((s land (chunk_slots - 1)) * stride) + f)
+let set t s f v = t.chunks.(s lsr chunk_bits).(((s land (chunk_slots - 1)) * stride) + f) <- v
+let payloads_at t s = t.payloads.(s lsr chunk_bits).(s land (chunk_slots - 1))
+let set_payloads t s p = t.payloads.(s lsr chunk_bits).(s land (chunk_slots - 1)) <- p
+
+(* Fibonacci hashing: the top bits of the product mix every key bit,
+   which matters for route codes, whose low bits are a path's last
+   bits, and for keys made from floats, whose low bits are zero.  The
+   list id goes in first, so one key's entries at different peers
+   spread over the buckets. *)
+let hash t l k = ((k + (l * 0x2545F4914F6CDD1D)) * 0x9E3779B97F4A7C1) lsr t.shift
+
+let find t l k =
+  let s = ref t.buckets.(hash t l k) in
+  while !s <> 0 && (get t !s f_key <> k || get t !s f_list <> l) do
+    s := get t !s f_chain
+  done;
+  !s
+
+let unlink t s =
+  let l = get t s f_list and o = get t s f_older and n = get t s f_newer in
+  if o = 0 then t.oldest.(l) <- n else set t o f_newer n;
+  if n = 0 then t.newest.(l) <- o else set t n f_older o
+
+let push t s =
+  let l = get t s f_list in
+  let head = t.newest.(l) in
+  set t s f_older head;
+  set t s f_newer 0;
+  if head = 0 then t.oldest.(l) <- s else set t head f_newer s;
+  t.newest.(l) <- s
+
+let bump t s =
+  if t.newest.(get t s f_list) <> s then begin
+    unlink t s;
+    push t s
+  end
+
+let remove t s =
+  unlink t s;
+  let l = get t s f_list in
+  let b = hash t l (get t s f_key) in
+  if t.buckets.(b) = s then t.buckets.(b) <- get t s f_chain
+  else begin
+    let p = ref t.buckets.(b) in
+    while get t !p f_chain <> s do
+      p := get t !p f_chain
+    done;
+    set t !p f_chain (get t s f_chain)
+  end;
+  set_payloads t s [];
+  set t s f_list (-1);
+  set t s f_chain t.free;
+  t.free <- s;
+  t.size.(l) <- t.size.(l) - 1
+
+(* Adds a chunk, doubling the buckets when the arena outgrows them:
+   chunks are smaller than the buckets, so once is enough. *)
+let add_chunk t =
+  t.chunks <- Array.append t.chunks [| Array.make (chunk_slots * stride) 0 |];
+  t.payloads <- Array.append t.payloads [| Array.make chunk_slots [] |];
+  if Array.length t.chunks * chunk_slots > Array.length t.buckets then begin
+    t.buckets <- Array.make (2 * Array.length t.buckets) 0;
+    t.shift <- t.shift - 1;
+    for s = 1 to t.unused - 1 do
+      let l = get t s f_list in
+      if l >= 0 then begin
+        let b = hash t l (get t s f_key) in
+        set t s f_chain t.buckets.(b);
+        t.buckets.(b) <- s
+      end
+    done
+  end
+
+(* [add t l k] files the absent key [k] in list [l], most recent first,
+   and returns its slot.  The caller makes room first. *)
+let add t l k =
+  let s =
+    if t.free <> 0 then begin
+      let s = t.free in
+      t.free <- get t s f_chain;
+      s
+    end
+    else begin
+      if t.unused >= Array.length t.chunks * chunk_slots then add_chunk t;
+      let s = t.unused in
+      t.unused <- s + 1;
+      s
+    end
+  in
+  set t s f_key k;
+  set t s f_list l;
+  let b = hash t l k in
+  set t s f_chain t.buckets.(b);
+  t.buckets.(b) <- s;
+  push t s;
+  t.size.(l) <- t.size.(l) + 1;
+  s
+
+(* Makes room for peer [id] in the arrays indexed by peer or list. *)
+let ensure t id =
+  let n = Array.length t.top in
+  if id >= n then begin
+    let m = max (id + 1) (2 * n) in
+    let extend a per fill =
+      let b = Array.make (m * per) fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.newest <- extend t.newest 2 0;
+    t.oldest <- extend t.oldest 2 0;
+    t.size <- extend t.size 2 0;
+    t.len_count <- extend t.len_count lens 0;
+    t.top <- extend t.top 1 (-1);
+    t.gen <- extend t.gen 1 0
+  end
+
 let gen_of t id = if id < Array.length t.gen then t.gen.(id) else 0
 
-let bump t id =
-  if id >= Array.length t.gen then begin
-    let grown = Array.make (max (id + 1) ((2 * Array.length t.gen) + 1)) 0 in
-    Array.blit t.gen 0 grown 0 (Array.length t.gen);
-    t.gen <- grown
-  end;
+let bump_gen t id =
+  ensure t id;
   t.gen.(id) <- t.gen.(id) + 1
 
-let wgen_of t k = match Itbl.find t.wgen k with g -> g | exception Not_found -> 0
+(* No key has a write generation until one is written: skip the hash. *)
+let wgen_of t k =
+  if Itbl.length t.wgen = 0 then 0
+  else match Itbl.find t.wgen k with g -> g | exception Not_found -> 0
 
 let emit_invalidate t ~peer ~reason =
   if Telemetry.active t.telemetry then
     Telemetry.emit t.telemetry (Event.Cache_invalidate { peer; reason })
 
 let invalidate_peer ?(reason = "peer_changed") t id =
-  bump t id;
+  bump_gen t id;
   t.c.c_invalidations <- t.c.c_invalidations + 1;
   emit_invalidate t ~peer:id ~reason
 
@@ -292,14 +266,25 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(route_cap = 512)
     ?(result_cap = 512) overlay =
   if route_cap < 1 || result_cap < 1 then
     invalid_arg "Qcache.create: capacities must be >= 1";
+  let n = Overlay.size overlay in
   let t =
     {
       overlay;
       telemetry;
       route_cap;
       result_cap;
-      peers = Array.make (Overlay.size overlay) absent;
-      gen = Array.make (Overlay.size overlay) 0;
+      chunks = [||];
+      payloads = [||];
+      unused = 1;
+      free = 0;
+      buckets = Array.make chunk_slots 0;
+      shift = Sys.int_size - chunk_bits;
+      newest = Array.make (2 * n) 0;
+      oldest = Array.make (2 * n) 0;
+      size = Array.make (2 * n) 0;
+      len_count = Array.make (n * lens) 0;
+      top = Array.make n (-1);
+      gen = Array.make n 0;
       epoch = 0;
       wgen = Itbl.create 256;
       c =
@@ -316,37 +301,26 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(route_cap = 512)
   Overlay.subscribe overlay (fun change -> invalidate t change);
   t
 
-let cache_at t id = if id < Array.length t.peers then t.peers.(id) else absent
+let routes at = 2 * at
+let results at = (2 * at) + 1
 
-let peer_cache t id =
-  if id >= Array.length t.peers then begin
-    let grown = Array.make (max (id + 1) (2 * Array.length t.peers)) absent in
-    Array.blit t.peers 0 grown 0 (Array.length t.peers);
-    t.peers <- grown
-  end;
-  let pc = t.peers.(id) in
-  if pc != absent then pc
-  else begin
-    let pc = new_peer_cache ~route_cap:t.route_cap ~result_cap:t.result_cap in
-    t.peers.(id) <- pc;
-    pc
-  end
+let len_incr t at l =
+  let i = (at * lens) + l in
+  t.len_count.(i) <- t.len_count.(i) + 1;
+  if l > t.top.(at) then t.top.(at) <- l
 
-let len_incr pc l =
-  pc.len_count.(l) <- pc.len_count.(l) + 1;
-  if l > pc.top then pc.top <- l
-
-let len_decr pc l =
-  pc.len_count.(l) <- pc.len_count.(l) - 1;
-  if l = pc.top then
-    while pc.top >= 0 && pc.len_count.(pc.top) = 0 do
-      pc.top <- pc.top - 1
+let len_decr t at l =
+  let i = (at * lens) + l in
+  t.len_count.(i) <- t.len_count.(i) - 1;
+  if l = t.top.(at) then
+    while t.top.(at) >= 0 && t.len_count.((at * lens) + t.top.(at)) = 0 do
+      t.top.(at) <- t.top.(at) - 1
     done
 
-let remove_route pc s =
-  let l = Lru.get pc.routes s col_len in
-  Lru.remove pc.routes s;
-  len_decr pc l
+let remove_route t at s =
+  let l = get t s col_len in
+  remove t s;
+  len_decr t at l
 
 type probe =
   | Hit_result of { target : int; present : bool; payloads : string list }
@@ -374,30 +348,28 @@ let miss t =
 (* The result cache's answer, charging a hit or a stale probe but not a
    miss, which is the caller's to charge once the route cache has had
    its say. *)
-let from_results t pc key =
-  let r = pc.results in
+let from_results t at key =
   let k = Key.to_int key in
-  let s = Lru.find r k in
+  let s = find t (results at) k in
   if s = 0 then Miss
   else begin
-    let target = Lru.get r s col_target in
+    let target = get t s col_target in
     if
-      Lru.get r s col_epoch <> t.epoch
-      || Lru.get r s col_gen <> gen_of t target
-      || Lru.get r s col_wgen <> wgen_of t k
+      get t s col_epoch <> t.epoch
+      || get t s col_gen <> gen_of t target
+      || get t s col_wgen <> wgen_of t k
     then begin
       (* Generationally retired: indistinguishable from a miss. *)
-      Lru.remove r s;
+      remove t s;
       Miss
     end
     else if target_valid t target key then begin
-      Lru.bump r s;
+      bump t s;
       t.c.c_result_hits <- t.c.c_result_hits + 1;
-      Hit_result
-        { target; present = Lru.get r s col_present = 1; payloads = r.Lru.payloads.(s) }
+      Hit_result { target; present = get t s col_present = 1; payloads = payloads_at t s }
     end
     else begin
-      Lru.remove r s;
+      remove t s;
       stale t target
     end
   end
@@ -405,98 +377,94 @@ let from_results t pc key =
 (* Longest-prefix probe from length [l] down: only lengths that hold
    entries are tried, and each prefix is looked up by its [Path.code],
    computed from the key without building a path. *)
-let rec probe_routes t pc key l =
+let rec probe_routes t at key l =
   if l < 0 then miss t
-  else if pc.len_count.(l) = 0 then probe_routes t pc key (l - 1)
+  else if t.len_count.((at * lens) + l) = 0 then probe_routes t at key (l - 1)
   else begin
-    let r = pc.routes in
-    let s = Lru.find r ((Key.to_int key lsr (Key.bits - l)) lor (1 lsl l)) in
-    if s = 0 then probe_routes t pc key (l - 1)
+    let s = find t (routes at) ((Key.to_int key lsr (Key.bits - l)) lor (1 lsl l)) in
+    if s = 0 then probe_routes t at key (l - 1)
     else begin
-      let target = Lru.get r s col_target in
-      if Lru.get r s col_epoch <> t.epoch || Lru.get r s col_gen <> gen_of t target
-      then begin
-        remove_route pc s;
-        probe_routes t pc key (l - 1)
+      let target = get t s col_target in
+      if get t s col_epoch <> t.epoch || get t s col_gen <> gen_of t target then begin
+        remove_route t at s;
+        probe_routes t at key (l - 1)
       end
       else if target_valid t target key then begin
-        Lru.bump r s;
+        bump t s;
         t.c.c_route_hits <- t.c.c_route_hits + 1;
         Hit_route target
       end
       else begin
-        remove_route pc s;
+        remove_route t at s;
         stale t target
       end
     end
   end
 
 let probe t ~at key =
-  let pc = cache_at t at in
-  match from_results t pc key with
-  | Miss -> probe_routes t pc key pc.top
+  match from_results t at key with
+  | Miss -> probe_routes t at key (if at < Array.length t.top then t.top.(at) else -1)
   | outcome -> outcome
 
 let probe_results t ~at key =
-  match from_results t (cache_at t at) key with Miss -> miss t | outcome -> outcome
+  match from_results t at key with Miss -> miss t | outcome -> outcome
 
 let learn t ~at ~key ~target ~present ~payloads =
   if at <> target then begin
-    let pc = peer_cache t at in
+    ensure t at;
     let gen = gen_of t target in
     let path = (Overlay.node t.overlay target).Node.path in
-    let r = pc.routes in
+    let r = routes at in
     let code = Path.code path in
-    let s = Lru.find r code in
+    let s = find t r code in
     let s =
       if s <> 0 then begin
-        Lru.bump r s;
+        bump t s;
         s
       end
       else begin
-        if Lru.full r then begin
-          remove_route pc (Lru.oldest r);
+        if t.size.(r) = t.route_cap then begin
+          remove_route t at t.oldest.(r);
           t.c.c_evictions <- t.c.c_evictions + 1
         end;
-        len_incr pc (Path.length path);
-        Lru.add r code
+        len_incr t at (Path.length path);
+        add t r code
       end
     in
-    Lru.set r s col_target target;
-    Lru.set r s col_gen gen;
-    Lru.set r s col_epoch t.epoch;
-    Lru.set r s col_len (Path.length path);
-    let x = pc.results in
+    set t s col_target target;
+    set t s col_gen gen;
+    set t s col_epoch t.epoch;
+    set t s col_len (Path.length path);
+    let x = results at in
     let k = Key.to_int key in
-    let s = Lru.find x k in
+    let s = find t x k in
     let s =
       if s <> 0 then begin
-        Lru.bump x s;
+        bump t s;
         s
       end
       else begin
-        if Lru.full x then begin
-          Lru.remove x (Lru.oldest x);
+        if t.size.(x) = t.result_cap then begin
+          remove t t.oldest.(x);
           t.c.c_evictions <- t.c.c_evictions + 1
         end;
-        Lru.add x k
+        add t x k
       end
     in
-    Lru.set x s col_target target;
-    Lru.set x s col_gen gen;
-    Lru.set x s col_epoch t.epoch;
-    Lru.set x s col_wgen (wgen_of t k);
-    Lru.set x s col_present (Bool.to_int present);
-    x.Lru.payloads.(s) <- payloads
+    set t s col_target target;
+    set t s col_gen gen;
+    set t s col_epoch t.epoch;
+    set t s col_wgen (wgen_of t k);
+    set t s col_present (Bool.to_int present);
+    set_payloads t s payloads
   end
 
 let stats t =
-  let route_entries = ref 0 and result_entries = ref 0 in
-  Array.iter
-    (fun pc ->
-      route_entries := !route_entries + pc.routes.Lru.size;
-      result_entries := !result_entries + pc.results.Lru.size)
-    t.peers;
+  let entries kind =
+    let n = ref 0 in
+    Array.iteri (fun l size -> if l land 1 = kind then n := !n + size) t.size;
+    !n
+  in
   {
     route_hits = t.c.c_route_hits;
     result_hits = t.c.c_result_hits;
@@ -504,8 +472,8 @@ let stats t =
     stale = t.c.c_stale;
     invalidations = t.c.c_invalidations;
     evictions = t.c.c_evictions;
-    route_entries = !route_entries;
-    result_entries = !result_entries;
+    route_entries = entries 0;
+    result_entries = entries 1;
   }
 
 let hit_ratio s =
@@ -513,4 +481,12 @@ let hit_ratio s =
   if probes = 0 then 0.
   else float_of_int (s.route_hits + s.result_hits) /. float_of_int probes
 
-let clear t = Array.fill t.peers 0 (Array.length t.peers) absent
+let clear t =
+  t.chunks <- [||];
+  t.payloads <- [||];
+  t.unused <- 1;
+  t.free <- 0;
+  List.iter
+    (fun a -> Array.fill a 0 (Array.length a) 0)
+    [ t.buckets; t.newest; t.oldest; t.size; t.len_count ];
+  Array.fill t.top 0 (Array.length t.top) (-1)

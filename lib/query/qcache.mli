@@ -1,10 +1,12 @@
 (** Per-peer query caches for read-heavy traffic.
 
     Each peer that participates in (or forwards) lookups accumulates two
-    bounded LRU caches, held in flat int arrays keyed by int (the route
-    cache by {!Pgrid_keyspace.Path.code}, the result cache by
-    {!Pgrid_keyspace.Key.to_int}), so that finding, bumping and
-    refreshing an entry allocate nothing:
+    bounded LRU caches of int-keyed entries (the route cache keyed by
+    {!Pgrid_keyspace.Path.code}, the result cache by
+    {!Pgrid_keyspace.Key.to_int}).  Every peer's entries share one slot
+    arena, which grows in fixed-size chunks, and one hash table keyed by
+    (peer, cache, key), so that finding, bumping and refreshing an entry
+    allocate nothing and no peer owns an array:
 
     {ul
     {- a {e route cache}: the full path of a known responsible peer,
@@ -34,7 +36,7 @@
 type t
 
 (** [create ?telemetry ?route_cap ?result_cap overlay] makes an empty
-    cache bundle (per-peer caches materialize lazily) and subscribes it
+    cache bundle (the arena grows as entries arrive) and subscribes it
     to [overlay]'s change feed.  [route_cap] / [result_cap] (default 512
     each) bound each peer's two caches individually.  [telemetry]
     receives [Cache_invalidate] events; hits, misses and stale probes
@@ -92,7 +94,7 @@ val observe : t -> Pgrid_telemetry.Event.kind -> unit
 (** [flush t] retires every entry (epoch bump; O(1)). *)
 val flush : ?reason:string -> t -> unit
 
-(** [clear t] drops every entry and resets the recency lists — a memory
+(** [clear t] drops every entry and the arena's chunks — a memory
     release, unlike the generational {!flush}. *)
 val clear : t -> unit
 
