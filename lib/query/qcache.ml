@@ -136,9 +136,27 @@ let bump t s =
     push t s
   end
 
+let routes at = 2 * at
+let results at = (2 * at) + 1
+
+let len_incr t at l =
+  let i = (at * lens) + l in
+  t.len_count.(i) <- t.len_count.(i) + 1;
+  if l > t.top.(at) then t.top.(at) <- l
+
+let len_decr t at l =
+  let i = (at * lens) + l in
+  t.len_count.(i) <- t.len_count.(i) - 1;
+  if l = t.top.(at) then
+    while t.top.(at) >= 0 && t.len_count.((at * lens) + t.top.(at)) = 0 do
+      t.top.(at) <- t.top.(at) - 1
+    done
+
+(* A route entry also leaves its path length's count. *)
 let remove t s =
   unlink t s;
   let l = get t s f_list in
+  if l land 1 = 0 then len_decr t (l lsr 1) (get t s col_len);
   let b = hash t l (get t s f_key) in
   if t.buckets.(b) = s then t.buckets.(b) <- get t s f_chain
   else begin
@@ -301,27 +319,6 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(route_cap = 512)
   Overlay.subscribe overlay (fun change -> invalidate t change);
   t
 
-let routes at = 2 * at
-let results at = (2 * at) + 1
-
-let len_incr t at l =
-  let i = (at * lens) + l in
-  t.len_count.(i) <- t.len_count.(i) + 1;
-  if l > t.top.(at) then t.top.(at) <- l
-
-let len_decr t at l =
-  let i = (at * lens) + l in
-  t.len_count.(i) <- t.len_count.(i) - 1;
-  if l = t.top.(at) then
-    while t.top.(at) >= 0 && t.len_count.((at * lens) + t.top.(at)) = 0 do
-      t.top.(at) <- t.top.(at) - 1
-    done
-
-let remove_route t at s =
-  let l = get t s col_len in
-  remove t s;
-  len_decr t at l
-
 type probe =
   | Hit_result of { target : int; present : bool; payloads : string list }
   | Hit_route of int
@@ -386,7 +383,7 @@ let rec probe_routes t at key l =
     else begin
       let target = get t s col_target in
       if get t s col_epoch <> t.epoch || get t s col_gen <> gen_of t target then begin
-        remove_route t at s;
+        remove t s;
         probe_routes t at key (l - 1)
       end
       else if target_valid t target key then begin
@@ -395,7 +392,7 @@ let rec probe_routes t at key l =
         Hit_route target
       end
       else begin
-        remove_route t at s;
+        remove t s;
         stale t target
       end
     end
@@ -424,7 +421,7 @@ let learn t ~at ~key ~target ~present ~payloads =
       end
       else begin
         if t.size.(r) = t.route_cap then begin
-          remove_route t at t.oldest.(r);
+          remove t t.oldest.(r);
           t.c.c_evictions <- t.c.c_evictions + 1
         end;
         len_incr t at (Path.length path);
