@@ -535,6 +535,101 @@ let test_storm_hedged_pinned () =
     ]
     latencies
 
+(* A fixed-seed storm over a lossy PlanetLab-latency net with a third of
+   the peers detached, jittered timeouts and correction-on-use after two
+   consecutive timeouts: every eviction redraws the level's references,
+   and a hop that runs out of candidates takes its level's second
+   snapshot before giving up.  Lookups of many keys overlap, so walks
+   finish and start while others wait on their timers.  The pinned stats
+   and latencies move if one jitter draw, snapshot, eviction or event
+   of the storm does. *)
+let evicting_storm () =
+  let rng = Rng.create ~seed:28 in
+  let keys = Distribution.generate rng Distribution.Uniform ~n:1500 in
+  let overlay =
+    Builder.index rng ~peers:120 ~keys ~d_max:50 ~n_min:5 ~refs_per_level:3
+  in
+  let sim = Sim.create () in
+  let net =
+    Net.create sim (Rng.create ~seed:87) ~nodes:(Overlay.size overlay)
+      ~latency:Latency.planetlab ~loss:0.05 ~bucket:60.
+  in
+  let cfg =
+    { Storm.default_config with req_timeout = 1.; jitter = 0.3; evict_after = Some 2 }
+  in
+  let storm = Storm.create sim (Rng.create ~seed:88) overlay net cfg in
+  let drng = Rng.create ~seed:89 in
+  for i = 0 to Net.nodes net - 1 do
+    if Rng.float drng < 0.3 then Net.set_online net i false
+  done;
+  for i = 0 to 119 do
+    let origin = Rng.int drng (Net.nodes net) in
+    let key = keys.(Rng.int drng (Array.length keys)) in
+    if Net.online net origin then
+      Sim.schedule sim ~delay:(0.1 *. float_of_int i) (fun () ->
+          Storm.issue storm ~origin ~key)
+  done;
+  Sim.run sim;
+  storm
+
+let test_storm_evicting_pinned () =
+  let storm = evicting_storm () in
+  let s = Storm.stats storm in
+  checki "nothing in flight" 0 (Storm.in_flight storm);
+  Alcotest.(check (list (pair string int)))
+    "stats"
+    [
+      ("issued", 90); ("succeeded", 84); ("failed", 6); ("timeouts", 217);
+      ("retries", 122); ("give_ups", 95); ("evictions", 87);
+    ]
+    [
+      ("issued", s.Storm.issued); ("succeeded", s.Storm.succeeded);
+      ("failed", s.Storm.failed); ("timeouts", s.Storm.timeouts);
+      ("retries", s.Storm.retries); ("give_ups", s.Storm.give_ups);
+      ("evictions", s.Storm.evictions);
+    ];
+  let latencies =
+    List.sort compare
+      (List.map
+         (fun c -> c.Storm.finished_at -. c.Storm.issued_at)
+         (Storm.completions storm))
+  in
+  Alcotest.(check (list (float 0.)))
+    "sorted latencies"
+    [
+      0x0p+0; 0x0p+0; 0x0p+0; 0x1.a5a4dc2cac478p-3; 0x1.c45e48cb644cp-3;
+      0x1.60c3b24a0cfp-2; 0x1.7892344ca086p-2; 0x1.805c9dee90378p-2;
+      0x1.8987292a32fcp-2; 0x1.b1c9ba56a20fp-2; 0x1.01142c8f5dc68p-1;
+      0x1.163ff652455c8p-1; 0x1.1851d08523788p-1; 0x1.253a06b9a96ap-1;
+      0x1.2eeb8fbf47ac4p-1; 0x1.3955a5c2d4fc3p-1; 0x1.4a3bcdd8c773p-1;
+      0x1.574cc53f02d3p-1; 0x1.7918204ca672p-1; 0x1.a1c2c925d9e9p-1;
+      0x1.a29c4d44ebf8p-1; 0x1.a48715774d19p-1; 0x1.ac10a69d97fbp-1;
+      0x1.b4efa5312244p-1; 0x1.eff378cd94dep-1; 0x1.10b641f0f82c8p+0;
+      0x1.3fc049c15ec4cp+0; 0x1.429cecfacc8c8p+0; 0x1.43b3c78780328p+0;
+      0x1.5624eca82505ap+0; 0x1.69ce7c8132f48p+0; 0x1.6ba8fcf9af028p+0;
+      0x1.7bef662dd7a5p+0; 0x1.8c1ecd12ad11p+0; 0x1.af2222d925cecp+0;
+      0x1.b99bcedf78748p+0; 0x1.ebcde2962fef8p+0; 0x1.ef38afe8fd25p+0;
+      0x1.041285d8775d2p+1; 0x1.053e4cbd5c74p+1; 0x1.1b47ab326cf78p+1;
+      0x1.48d0797177ffcp+1; 0x1.4f60d154af524p+1; 0x1.bd14be56c0ffp+1;
+      0x1.ed0c5d14c21b8p+1; 0x1.ffceea481004ap+1; 0x1.0a55e295b2e86p+2;
+      0x1.0dda9bee09df2p+2; 0x1.0ed1fb5980db2p+2; 0x1.0eea3a672d66dp+2;
+      0x1.180f27084490dp+2; 0x1.1b5c525475bf3p+2; 0x1.2497f4db867a9p+2;
+      0x1.2aaebf9526babp+2; 0x1.2b175bb1885f2p+2; 0x1.2cc2aef37fed8p+2;
+      0x1.37a0dc58444a9p+2; 0x1.387dccda4795dp+2; 0x1.3d603b4b00f7dp+2;
+      0x1.49905c49e8082p+2; 0x1.4fae516753f54p+2; 0x1.7121182639bcep+2;
+      0x1.77cf58101ee85p+2; 0x1.77da4cec761a4p+2; 0x1.8aa64176e5f03p+2;
+      0x1.f33e512167497p+2; 0x1.01e9010d38aep+3; 0x1.07ded6ee9043bp+3;
+      0x1.0e2e6fc882d52p+3; 0x1.0ec05dc9bb7ep+3; 0x1.0f29b1b982536p+3;
+      0x1.10030b8c3696fp+3; 0x1.12c6f7fa98f44p+3; 0x1.271f2bdf80f5ap+3;
+      0x1.3d329be5d64adp+3; 0x1.4fd6040754db6p+3; 0x1.6ea7927d01cf1p+3;
+      0x1.7c96aa8be625bp+3; 0x1.817a0ac1b38c8p+3; 0x1.a4b7ed96ca3b3p+3;
+      0x1.c44fda438d8edp+3; 0x1.d6a5094f46195p+3; 0x1.de8cb3218a84ep+3;
+      0x1.f76c3f2c3369cp+3; 0x1.034765a8e9012p+4; 0x1.0ff40145b634ap+4;
+      0x1.11b80e91f2f83p+4; 0x1.3dcd144d081d6p+4; 0x1.4c4171d7ff03p+4;
+      0x1.97983c89e9e2bp+4;
+    ]
+    latencies
+
 (* A hedge race's loser gets no verdict.  When the loser was a
    breaker's half-open probe, resolving the hop must release the probe;
    otherwise the circuit stays half-open and refuses everything for
@@ -1335,6 +1430,7 @@ let suite =
       test_storm_hedge_dodges_dead_primary;
     Alcotest.test_case "storm breaker opens" `Quick test_storm_breaker_opens;
     Alcotest.test_case "storm hedged run pinned" `Quick test_storm_hedged_pinned;
+    Alcotest.test_case "storm evicting run pinned" `Quick test_storm_evicting_pinned;
     Alcotest.test_case "storm rejects NaN parameters" `Quick test_storm_rejects_nan;
     Alcotest.test_case "storm rejects bad jitter, evict_after" `Quick
       test_storm_rejects_bad_jitter_evict;
