@@ -335,8 +335,10 @@ let pings w =
 (* The legacy query model: route hop by hop, where a dead reference
    costs a flat [retry_timeout] and the next one is tried.  Not an
    [Overlay.walk]: each hop is shuffle-then-try over
-   [Overlay.shuffled_refs], and every message draws its latency. *)
-let legacy_query w ~qid origin key =
+   [Overlay.shuffled_refs], and every message draws its latency.  The
+   walk is synchronous and never returns to a hop it has left, so every
+   hop of every query shuffles into the one buffer [buf]. *)
+let legacy_query w buf ~qid origin key =
   let issued_at = Sim.now w.sim in
   if Telemetry.active w.tel then Telemetry.emit w.tel (Event.Query_issue { qid; origin });
   let latency = ref 0. and hops = ref 0 in
@@ -351,9 +353,12 @@ let legacy_query w ~qid origin key =
     match Overlay.divergence_level n.Node.path key with
     | None -> true (* responsible peer reached *)
     | Some level ->
-      let refs = Overlay.shuffled_refs w.rng n ~level in
+      let need = Node.refs_count n ~level in
+      if need > Array.length !buf then buf := Array.make (max need (2 * Array.length !buf)) 0;
+      let refs = !buf in
+      let len = Overlay.shuffled_refs w.rng n ~level refs in
       let rec try_refs idx =
-        idx < Array.length refs
+        idx < len
         &&
         let next = refs.(idx) in
         send_msg ~src:cur ~dst:next ();
@@ -380,7 +385,7 @@ let legacy_query w ~qid origin key =
 (* Every online peer queries a random key every [query_min, query_max]
    seconds; returns the legacy walk's records, newest first. *)
 let queries w c =
-  let log = ref [] and next_qid = ref 0 in
+  let log = ref [] and next_qid = ref 0 and buf = ref (Array.make 16 0) in
   let n_keys = Array.length w.all_keys in
   let issue =
     match c.storm with
@@ -391,7 +396,7 @@ let queries w c =
         let key = w.all_keys.(Rng.int w.rng n_keys) in
         let qid = !next_qid in
         incr next_qid;
-        log := legacy_query w ~qid origin key :: !log
+        log := legacy_query w buf ~qid origin key :: !log
   in
   let p = w.params in
   Array.iteri

@@ -78,6 +78,7 @@ let exists p t =
 
 let elements t = List.init t.len (fun i -> t.data.(i))
 let to_array t = Array.sub t.data 0 t.len
+let blit t dst = Array.blit t.data 0 dst 0 t.len
 
 let of_list xs =
   let t = create ~capacity:(max 1 (List.length xs)) () in

@@ -40,6 +40,11 @@ val exists : (int -> bool) -> t -> bool
 val elements : t -> int list
 
 val to_array : t -> int array
+
+(** [blit t dst] writes the members in ascending order into
+    [dst.(0) .. dst.(cardinal t - 1)].  Raises [Invalid_argument] when
+    [dst] is shorter than [cardinal t]. *)
+val blit : t -> int array -> unit
 val of_list : int list -> t
 
 (** [union_into ~into src] adds every member of [src] to [into] with a

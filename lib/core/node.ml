@@ -270,7 +270,6 @@ let add_ref t ~level peer =
 let in_range t level = level >= 0 && level < Array.length t.refs
 let refs_at t ~level = if in_range t level then Intset.elements t.refs.(level) else []
 let refs_count t ~level = if in_range t level then Intset.cardinal t.refs.(level) else 0
-let refs_array t ~level = if in_range t level then Intset.to_array t.refs.(level) else [||]
 
 let refs_iter t ~level f =
   if in_range t level then Intset.iter f t.refs.(level)

@@ -231,9 +231,6 @@ val refs_at : t -> level:int -> id list
 
 val refs_count : t -> level:int -> int
 
-(** [refs_array t ~level] is a fresh array of the references at [level]
-    (callers may permute it freely). *)
-val refs_array : t -> level:int -> id array
 val refs_iter : t -> level:int -> (id -> unit) -> unit
 val refs_fold : t -> level:int -> ('a -> id -> 'a) -> 'a -> 'a
 val has_ref : t -> level:int -> id -> bool

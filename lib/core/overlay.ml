@@ -156,10 +156,11 @@ let pick ?admit t rng n ~level ~excluding =
   in
   if count = 0 then -1 else draw t rng count
 
-let shuffled_refs rng n ~level =
-  let refs = Node.refs_array n ~level in
-  Rng.shuffle_ints rng refs;
-  refs
+let shuffled_refs rng n ~level into =
+  let len = Node.refs_count n ~level in
+  if len > 0 then Intset.blit n.Node.refs.(level) into;
+  Rng.shuffle_ints_prefix rng into ~len;
+  len
 
 let random_online t rng ~excluding =
   let n = t.count in

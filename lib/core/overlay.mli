@@ -139,11 +139,17 @@ val pick :
   excluding:Node.id ->
   Node.id
 
-(** [shuffled_refs rng n ~level] is a fresh copy of [n]'s references at
-    [level], shuffled on [rng] ({!Pgrid_prng.Rng.shuffle_ints}): the
-    candidates of a shuffle-then-try hop, which tries them in order and
-    learns liveness from the answers instead of reading it. *)
-val shuffled_refs : Pgrid_prng.Rng.t -> Node.t -> level:int -> Node.id array
+(** [shuffled_refs rng n ~level into] copies [n]'s references at
+    [level] into the first slots of [into], shuffles them there on [rng]
+    ({!Pgrid_prng.Rng.shuffle_ints_prefix}, the draws of
+    {!Pgrid_prng.Rng.shuffle_ints} on a fresh array) and returns their
+    count: the candidates of a shuffle-then-try hop, which tries them
+    in order and learns liveness from the answers instead of reading
+    it.  The caller owns [into] and reuses it from hop to hop, so a hop
+    allocates nothing; the copy does not change when [n]'s references
+    do.  [into] must hold at least [Node.refs_count n ~level] ids
+    ([Invalid_argument] otherwise). *)
+val shuffled_refs : Pgrid_prng.Rng.t -> Node.t -> level:int -> Node.id array -> int
 
 (** [random_online t rng ~excluding] draws peer ids uniformly
     ([Rng.int rng (size t)] per try) until one is online and differs

@@ -123,11 +123,13 @@ let shuffle t arr =
 (* [shuffle] specialised to ints, draw for draw: the same [int t (i + 1)]
    per position, with the four words held in local variables from the
    first draw to the last and written back once, and swaps that are
-   plain stores. *)
-let shuffle_ints t (arr : int array) =
+   plain stores.  Only the first [len] slots take part, so a caller can
+   shuffle a prefix of a buffer it keeps. *)
+let shuffle_ints_prefix t (arr : int array) ~len =
+  if len < 0 || len > Array.length arr then invalid_arg "Rng.shuffle_ints_prefix: bad len";
   let s0 = ref (get t 0) and s1 = ref (get t 8) in
   let s2 = ref (get t 16) and s3 = ref (get t 24) in
-  for i = Array.length arr - 1 downto 1 do
+  for i = len - 1 downto 1 do
     let mask = cover i in
     let j = ref (i + 1) in
     while !j > i do
@@ -147,6 +149,8 @@ let shuffle_ints t (arr : int array) =
   set t 8 !s1;
   set t 16 !s2;
   set t 24 !s3
+
+let shuffle_ints t arr = shuffle_ints_prefix t arr ~len:(Array.length arr)
 
 let sample_without_replacement t ~k ~n =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";

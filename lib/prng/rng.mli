@@ -10,7 +10,7 @@
     The state is four unboxed 64-bit words in one buffer, always 32
     bytes long: only {!create}, {!copy} and {!split} make a [t], so
     every draw reads and writes the words without a bounds check.
-    {!int}, {!bool}, {!bernoulli} and {!shuffle_ints} allocate nothing,
+    {!int}, {!bool}, {!bernoulli} and the int shuffles allocate nothing,
     and {!bits64} and {!float} allocate only the box of their result.
     {!shuffle_ints} also needs no write barrier, as its swaps store
     ints; {!shuffle} works on any array, so its swaps go through the
@@ -67,6 +67,13 @@ val shuffle : t -> 'a array -> unit
     generator's state in registers for the whole permutation and stores
     it once. *)
 val shuffle_ints : t -> int array -> unit
+
+(** [shuffle_ints_prefix t arr ~len] permutes [arr.(0) .. arr.(len - 1)]
+    as {!shuffle_ints} permutes a fresh array of those [len] values,
+    draw for draw, and leaves the rest of [arr] as it was: a caller can
+    reuse one buffer for candidate lists of any length up to its size.
+    Raises [Invalid_argument] unless [0 <= len <= length arr]. *)
+val shuffle_ints_prefix : t -> int array -> len:int -> unit
 
 (** [sample_without_replacement t ~k ~n] draws [k] distinct integers from
     [0, n-1], in random order. Requires [0 <= k <= n]. *)

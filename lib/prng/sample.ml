@@ -2,15 +2,17 @@ let uniform rng ~lo ~hi =
   if not (lo < hi) then invalid_arg "Sample.uniform: lo must be < hi";
   lo +. ((hi -. lo) *. Rng.float rng)
 
-(* A uniform draw in (0, 1): the logarithms below must not see 0. *)
-let nonzero rng =
+(* A uniform draw in (0, 1): the logarithms below must not see 0.  It
+   and [normal] are inlined into the samplers below, so a lognormal draw
+   (a message latency) boxes only its result and its uniforms. *)
+let[@inline] nonzero rng =
   let u = ref (Rng.float rng) in
   while not (!u > 0.) do
     u := Rng.float rng
   done;
   !u
 
-let normal rng ~mu ~sigma =
+let[@inline] normal rng ~mu ~sigma =
   (* Box-Muller. *)
   let u1 = nonzero rng in
   let u2 = Rng.float rng in

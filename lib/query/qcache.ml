@@ -478,9 +478,12 @@ let hit_ratio s =
   if probes = 0 then 0.
   else float_of_int (s.route_hits + s.result_hits) /. float_of_int probes
 
+(* The chunks stay: every slot is past [unused] again, so none is read
+   before [add] rewrites it, and the buckets keep their size, which
+   still covers the arena.  Only the payload column holds pointers, so
+   it is emptied. *)
 let clear t =
-  t.chunks <- [||];
-  t.payloads <- [||];
+  Array.iter (fun p -> Array.fill p 0 chunk_slots []) t.payloads;
   t.unused <- 1;
   t.free <- 0;
   List.iter

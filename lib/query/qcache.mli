@@ -94,8 +94,9 @@ val observe : t -> Pgrid_telemetry.Event.kind -> unit
 (** [flush t] retires every entry (epoch bump; O(1)). *)
 val flush : ?reason:string -> t -> unit
 
-(** [clear t] drops every entry and the arena's chunks — a memory
-    release, unlike the generational {!flush}. *)
+(** [clear t] drops every entry, unlike the generational {!flush},
+    which only retires them.  The arena keeps its slots for the entries
+    that follow, so a cleared cache refills without allocating. *)
 val clear : t -> unit
 
 (** Cumulative counters ([*_hits] / [misses] / [stale] are per-{!probe})

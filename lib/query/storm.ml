@@ -9,30 +9,38 @@ module Maintenance = Pgrid_core.Maintenance
 module Telemetry = Pgrid_telemetry.Telemetry
 module Event = Pgrid_telemetry.Event
 
-(* One lookup's walk: what every hop of it needs to finish it. *)
-type lookup = {
-  qid : int;
-  origin : int;
-  key : Key.t;
-  issued_at : float;
+(* One lookup's walk and its current routing hop: a walk has one hop at
+   a time, so the hop's state lives in the walk.  A hop from [cur] is a
+   primary attempt at [target] with its retry ladder, and at most one
+   hedged backup at [refs.(next)].  An attempt is live from its send
+   until its reply wins, its last timeout fires, or the hop resolves;
+   each live attempt holds one timer.
+
+   Finished walks return to the engine's free list and carry later
+   lookups.  That is safe because rids are never reused: a late reply
+   echoes a rid that no later hop of any walk sends, so it matches no
+   live attempt.  [resolved] is set from the reply that wins a hop until
+   the next hop starts, and on a finished walk.  The three timer
+   closures are built once per walk record and read the walk's state
+   when they fire. *)
+type walk = {
+  mutable qid : int;
+  mutable origin : int;
+  mutable key : Key.t;
+  mutable issued_at : float;
   mutable hops : int;
-  (* The level of the walk's current hop, and whether its candidates
-     are that level's second snapshot: a walk has one hop at a time. *)
+  (* The hop's level, and whether its candidates are that level's
+     second snapshot. *)
   mutable level : int;
   mutable refreshed : bool;
-}
-
-(* One routing hop from [cur]: a primary attempt at [target] with its
-   retry ladder, and at most one hedged backup at [refs.(next)].  An
-   attempt is live from its send until its reply wins, its last timeout
-   fires, or the hop resolves; each live attempt holds one timer. *)
-type hop = {
-  walk : lookup;
-  cur : int;
-  budget : int;
-  refs : int array;  (* [refs.(next..)] are the untried candidates *)
-  next : int;
-  target : int;
+  mutable cur : int;
+  mutable budget : int;
+  (* The candidates are [refs.(0 .. len - 1)], a snapshot the walk owns
+     ([Overlay.shuffled_refs]); [refs.(next .. len - 1)] are untried. *)
+  mutable refs : int array;
+  mutable len : int;
+  mutable next : int;
+  mutable target : int;
   mutable backup : int;
   mutable attempt : int;  (* the primary's retry number *)
   mutable primary_rid : int;
@@ -48,11 +56,14 @@ type hop = {
   mutable primary_timer : Sim.timer;
   mutable backup_timer : Sim.timer;
   mutable hedge_timer : Sim.timer;
+  on_primary_timeout : unit -> unit;
+  on_backup_timeout : unit -> unit;
+  on_hedge : unit -> unit;
 }
 
 type wire =
-  | Req of { hop : hop; rid : int; reply_to : int }
-  | Resp of { hop : hop; rid : int }
+  | Req of { walk : walk; rid : int; reply_to : int }
+  | Resp of { walk : walk; rid : int }
   | Deliver of (unit -> unit)
 
 type config = {
@@ -107,6 +118,9 @@ type t = {
   (* Consecutive timeouts per (holder, reference) link, kept only when
      [cfg.evict_after] is set. *)
   fail_counts : (int * int, int) Hashtbl.t;
+  (* Finished walks, ready for reuse: [idle.(0 .. idle_count - 1)]. *)
+  mutable idle : walk array;
+  mutable idle_count : int;
   mutable in_flight : int;
   mutable next_rid : int;
   mutable next_qid : int;
@@ -129,10 +143,10 @@ let admits t ~origin ~target =
   | Some br -> Breaker.admits br ~origin ~target
 
 let record_success t ~origin ~target =
-  Option.iter (fun br -> Breaker.record_success br ~origin ~target) t.breaker
+  match t.breaker with None -> () | Some br -> Breaker.record_success br ~origin ~target
 
 let record_failure t ~origin ~target =
-  Option.iter (fun br -> Breaker.record_failure br ~origin ~target) t.breaker
+  match t.breaker with None -> () | Some br -> Breaker.record_failure br ~origin ~target
 
 (* Right after [admits] said yes: is that request the circuit's probe? *)
 let is_probe t ~origin ~target =
@@ -141,17 +155,23 @@ let is_probe t ~origin ~target =
   | Some br -> Breaker.probing br ~origin ~target
 
 let abandon t ~origin ~target =
-  Option.iter (fun br -> Breaker.abandon br ~origin ~target) t.breaker
+  match t.breaker with None -> () | Some br -> Breaker.abandon br ~origin ~target
 
-(* A hop's candidates, walked by index. *)
-let snapshot t cur ~level = Overlay.shuffled_refs t.rng (Overlay.node t.overlay cur) ~level
+(* The hop's candidates: [w.cur]'s references at [w.level], shuffled
+   into the walk's buffer, which grows to the largest level it meets. *)
+let snapshot t w =
+  let n = Overlay.node t.overlay w.cur in
+  let need = Node.refs_count n ~level:w.level in
+  if need > Array.length w.refs then w.refs <- Array.make (max need (2 * Array.length w.refs)) 0;
+  w.len <- Overlay.shuffled_refs t.rng n ~level:w.level w.refs
 
 (* Correction-on-use: the [n]th consecutive timeout on the link from
-   [h.cur] to [target] evicts [target] from [h.cur]'s references at the
+   [w.cur] to [target] evicts [target] from [w.cur]'s references at the
    hop's level, which refills the level if that emptied it.  [true] iff
-   a reference was evicted. *)
-let evict t h ~target n =
-  let link = (h.cur, target) in
+   a reference was evicted.  The walk's snapshot is a copy, so it keeps
+   its candidates. *)
+let evict t w ~target n =
+  let link = (w.cur, target) in
   let fails = 1 + Option.value ~default:0 (Hashtbl.find_opt t.fail_counts link) in
   if fails < n then begin
     Hashtbl.replace t.fail_counts link fails;
@@ -160,13 +180,14 @@ let evict t h ~target n =
   else begin
     Hashtbl.remove t.fail_counts link;
     let evicted =
-      Maintenance.correct_on_use ~telemetry:t.tel ~dead:target t.rng t.overlay ~peer:h.cur
-        ~level:h.walk.level
+      Maintenance.correct_on_use ~telemetry:t.tel ~dead:target t.rng t.overlay ~peer:w.cur
+        ~level:w.level
     in
     t.evictions <- t.evictions + evicted;
     evicted > 0
   end
 
+(* Every timer of the walk has fired or been cancelled by now. *)
 let finish t w success =
   let now = Sim.now t.sim in
   if success then t.succeeded <- t.succeeded + 1 else t.failed <- t.failed + 1;
@@ -175,7 +196,15 @@ let finish t w success =
       (Event.Query_complete
          { qid = w.qid; origin = w.origin; hops = w.hops; latency = now -. w.issued_at; success });
   t.completions <-
-    { issued_at = w.issued_at; finished_at = now; hops = w.hops; success } :: t.completions
+    { issued_at = w.issued_at; finished_at = now; hops = w.hops; success } :: t.completions;
+  w.resolved <- true;
+  if t.idle_count = Array.length t.idle then begin
+    let idle = Array.make (max 16 (2 * t.idle_count)) w in
+    Array.blit t.idle 0 idle 0 t.idle_count;
+    t.idle <- idle
+  end;
+  t.idle.(t.idle_count) <- w;
+  t.idle_count <- t.idle_count + 1
 
 (* Not an [Overlay.walk]: each hop is shuffle-then-try over
    [Overlay.shuffled_refs], learning liveness from timed-out requests
@@ -189,90 +218,86 @@ let rec route t w cur budget =
       Net.account ~src:cur ~dst:w.origin t.net ~bytes:header_bytes ~kind:Net.Query;
       finish t w true
     | Some level ->
+      w.cur <- cur;
+      w.budget <- budget;
       w.level <- level;
       w.refreshed <- false;
-      try_refs t w cur budget (snapshot t cur ~level) 0
+      snapshot t w;
+      try_refs t w 0
 
-and try_refs t w cur budget refs next =
-  if next >= Array.length refs then
+and try_refs t w next =
+  if next >= w.len then
     if w.refreshed || Option.is_none t.cfg.evict_after then finish t w false
     else begin
       (* An eviction may just have refilled this level: take one fresh
          snapshot before declaring the dead end. *)
       w.refreshed <- true;
-      try_refs t w cur budget (snapshot t cur ~level:w.level) 0
+      snapshot t w;
+      try_refs t w 0
     end
   else
-    let target = refs.(next) in
-    if not (admits t ~origin:cur ~target) then begin
+    let target = w.refs.(next) in
+    if not (admits t ~origin:w.cur ~target) then begin
       t.breaker_skips <- t.breaker_skips + 1;
-      try_refs t w cur budget refs (next + 1)
+      try_refs t w (next + 1)
     end
-    else start_hop t w cur budget target refs (next + 1)
+    else start_hop t w target (next + 1)
 
 (* One routing hop: a primary attempt with bounded retries, optionally
    raced by a single hedged backup via the next admitted sibling
    reference.  First response wins; resolving the hop cancels every
    timer it still holds, so the loser's late reply finds it resolved. *)
-and start_hop t w cur budget target refs next =
-  let h =
-    {
-      walk = w;
-      cur;
-      budget;
-      refs;
-      next;
-      target;
-      backup = -1;
-      attempt = 0;
-      primary_rid = -1;
-      backup_rid = -1;
-      hedged = false;
-      primary_probe = is_probe t ~origin:cur ~target;
-      backup_probe = false;
-      primary_dead = false;
-      backup_dead = false;
-      resolved = false;
-      primary_timer = Sim.no_timer;
-      backup_timer = Sim.no_timer;
-      hedge_timer = Sim.no_timer;
-    }
-  in
-  arm t h ~backup:false;
+and start_hop t w target next =
+  w.next <- next;
+  w.target <- target;
+  w.backup <- -1;
+  w.attempt <- 0;
+  w.primary_rid <- -1;
+  w.backup_rid <- -1;
+  w.hedged <- false;
+  w.primary_probe <- is_probe t ~origin:w.cur ~target;
+  w.backup_probe <- false;
+  w.primary_dead <- false;
+  w.backup_dead <- false;
+  w.resolved <- false;
+  w.primary_timer <- Sim.no_timer;
+  w.backup_timer <- Sim.no_timer;
+  w.hedge_timer <- Sim.no_timer;
+  arm t w ~backup:false;
   match t.cfg.hedge_after with
   | None -> ()
-  | Some d -> h.hedge_timer <- Sim.timer t.sim ~delay:d (fun () -> hedge t h)
+  | Some d -> w.hedge_timer <- Sim.timer t.sim ~delay:d w.on_hedge
 
-and arm t h ~backup =
+and arm t w ~backup =
   let rid = t.next_rid in
   t.next_rid <- rid + 1;
   t.in_flight <- t.in_flight + 1;
-  let tgt = if backup then h.backup else h.target in
-  if backup then h.backup_rid <- rid else h.primary_rid <- rid;
-  Net.send t.net ~src:h.cur ~dst:tgt ~bytes:header_bytes ~kind:Net.Query
-    (Req { hop = h; rid; reply_to = h.cur });
-  let k = if backup then 0 else h.attempt in
+  let tgt = if backup then w.backup else w.target in
+  if backup then w.backup_rid <- rid else w.primary_rid <- rid;
+  Net.send t.net ~src:w.cur ~dst:tgt ~bytes:header_bytes ~kind:Net.Query
+    (Req { walk = w; rid; reply_to = w.cur });
+  let k = if backup then 0 else w.attempt in
   let timeout =
     Sim.backoff_delay t.rng ~base:t.cfg.req_timeout ~jitter:t.cfg.jitter k
   in
-  let timer = Sim.timer t.sim ~delay:timeout (fun () -> time_out t h ~backup) in
-  if backup then h.backup_timer <- timer else h.primary_timer <- timer
+  if backup then w.backup_timer <- Sim.timer t.sim ~delay:timeout w.on_backup_timeout
+  else w.primary_timer <- Sim.timer t.sim ~delay:timeout w.on_primary_timeout
 
 (* An attempt's timer fired, so the attempt is still live: resolution
    cancels it. *)
-and time_out t h ~backup =
+and time_out t w ~backup =
   t.in_flight <- t.in_flight - 1;
-  let rid = if backup then h.backup_rid else h.primary_rid in
-  let tgt = if backup then h.backup else h.target in
-  let k = if backup then 0 else h.attempt in
+  let rid = if backup then w.backup_rid else w.primary_rid in
+  let tgt = if backup then w.backup else w.target in
+  let k = if backup then 0 else w.attempt in
   t.timeouts <- t.timeouts + 1;
   if Telemetry.active t.tel then
-    Telemetry.emit t.tel (Event.Timeout { rid; src = h.cur; dst = tgt; attempt = k });
-  record_failure t ~origin:h.cur ~target:tgt;
+    Telemetry.emit t.tel (Event.Timeout { rid; src = w.cur; dst = tgt; attempt = k });
+  record_failure t ~origin:w.cur ~target:tgt;
   (* That was the probe's verdict; retries skip the breaker. *)
-  if not backup then h.primary_probe <- false;
+  if not backup then w.primary_probe <- false;
   let evicted =
-    match t.cfg.evict_after with None -> false | Some n -> evict t h ~target:tgt n
+    match t.cfg.evict_after with None -> false | Some n -> evict t w ~target:tgt n
   in
   (* The hedge is a single attempt: its job is to dodge one slow or
      shedding peer, not to duplicate the retry ladder.  An evicted
@@ -280,74 +305,74 @@ and time_out t h ~backup =
   if (not backup) && (not evicted) && k < t.cfg.max_retries then begin
     t.retries <- t.retries + 1;
     if Telemetry.active t.tel then
-      Telemetry.emit t.tel (Event.Retry { rid; src = h.cur; dst = tgt; attempt = k + 1 });
-    h.attempt <- k + 1;
-    arm t h ~backup
+      Telemetry.emit t.tel (Event.Retry { rid; src = w.cur; dst = tgt; attempt = k + 1 });
+    w.attempt <- k + 1;
+    arm t w ~backup
   end
   else begin
     t.give_ups <- t.give_ups + 1;
-    if Telemetry.active t.tel then Telemetry.emit t.tel (Event.Give_up { rid; src = h.cur });
-    if backup then h.backup_dead <- true
+    if Telemetry.active t.tel then Telemetry.emit t.tel (Event.Give_up { rid; src = w.cur });
+    if backup then w.backup_dead <- true
     else begin
-      h.primary_dead <- true;
+      w.primary_dead <- true;
       (* A dead primary is never hedged. *)
-      Sim.cancel t.sim h.hedge_timer
+      Sim.cancel t.sim w.hedge_timer
     end;
-    let backup_in_flight = h.hedged && not h.backup_dead in
-    if h.primary_dead && not backup_in_flight then
-      try_refs t h.walk h.cur h.budget h.refs (if h.hedged then h.next + 1 else h.next)
+    let backup_in_flight = w.hedged && not w.backup_dead in
+    if w.primary_dead && not backup_in_flight then
+      try_refs t w (if w.hedged then w.next + 1 else w.next)
   end
 
 (* The hedge timer fired: the hop is unresolved, its primary alive and
    not yet hedged. *)
-and hedge t h =
-  let refs = h.refs and next = h.next in
+and hedge t w =
+  let refs = w.refs and next = w.next in
   (* Pick the first admitted sibling as the backup. *)
   let j = ref next in
-  while !j < Array.length refs && not (admits t ~origin:h.cur ~target:refs.(!j)) do
+  while !j < w.len && not (admits t ~origin:w.cur ~target:refs.(!j)) do
     incr j
   done;
-  if !j < Array.length refs then begin
+  if !j < w.len then begin
     let b = refs.(!j) in
     (* Move it to the front of the candidates; the siblings it skipped
        keep their order and resume the fallback, right after it. *)
     Array.blit refs next refs (next + 1) (!j - next);
     refs.(next) <- b;
-    h.backup <- b;
-    h.backup_probe <- is_probe t ~origin:h.cur ~target:b;
-    h.hedged <- true;
+    w.backup <- b;
+    w.backup_probe <- is_probe t ~origin:w.cur ~target:b;
+    w.hedged <- true;
     t.hedges <- t.hedges + 1;
     if Telemetry.active t.tel then
       Telemetry.emit t.tel
-        (Event.Hedge_launch { qid = h.walk.qid; origin = h.cur; primary = h.target; backup = b });
-    arm t h ~backup:true
+        (Event.Hedge_launch { qid = w.qid; origin = w.cur; primary = w.target; backup = b });
+    arm t w ~backup:true
   end
 
 (* A live attempt's reply: the hop advances to [winner]. *)
-let resolve t h ~winner ~backup_won =
-  h.resolved <- true;
-  let primary_live = not h.primary_dead and backup_live = h.hedged && not h.backup_dead in
+let resolve t w ~winner ~backup_won =
+  w.resolved <- true;
+  let primary_live = not w.primary_dead and backup_live = w.hedged && not w.backup_dead in
   t.in_flight <- t.in_flight - Bool.to_int primary_live - Bool.to_int backup_live;
-  Sim.cancel t.sim h.primary_timer;
-  Sim.cancel t.sim h.backup_timer;
-  Sim.cancel t.sim h.hedge_timer;
+  Sim.cancel t.sim w.primary_timer;
+  Sim.cancel t.sim w.backup_timer;
+  Sim.cancel t.sim w.hedge_timer;
   (* The losing attempt gets no verdict; if it was a half-open probe,
      its circuit must be free to probe again. *)
   if backup_won then begin
-    if primary_live && h.primary_probe then abandon t ~origin:h.cur ~target:h.target
+    if primary_live && w.primary_probe then abandon t ~origin:w.cur ~target:w.target
   end
-  else if backup_live && h.backup_probe then abandon t ~origin:h.cur ~target:h.backup;
-  record_success t ~origin:h.cur ~target:winner;
-  if Option.is_some t.cfg.evict_after then Hashtbl.remove t.fail_counts (h.cur, winner);
-  if h.hedged then begin
+  else if backup_live && w.backup_probe then abandon t ~origin:w.cur ~target:w.backup;
+  record_success t ~origin:w.cur ~target:winner;
+  if Option.is_some t.cfg.evict_after then Hashtbl.remove t.fail_counts (w.cur, winner);
+  if w.hedged then begin
     if backup_won then t.hedge_wins <- t.hedge_wins + 1;
     if Telemetry.active t.tel then
-      Telemetry.emit t.tel (Event.Hedge_win { qid = h.walk.qid; origin = h.cur; backup_won })
+      Telemetry.emit t.tel (Event.Hedge_win { qid = w.qid; origin = w.cur; backup_won })
   end;
-  h.walk.hops <- h.walk.hops + 1;
+  w.hops <- w.hops + 1;
   if Telemetry.active t.tel then
-    Telemetry.emit t.tel (Event.Query_hop { qid = h.walk.qid; src = h.cur; dst = winner });
-  route t h.walk winner (h.budget - 1)
+    Telemetry.emit t.tel (Event.Query_hop { qid = w.qid; src = w.cur; dst = winner });
+  route t w winner (w.budget - 1)
 
 let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg =
   if not (cfg.req_timeout > 0.) then invalid_arg "Storm.create: req_timeout must be positive";
@@ -376,6 +401,8 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg 
       tel = telemetry;
       breaker;
       fail_counts = Hashtbl.create 64;
+      idle = [||];
+      idle_count = 0;
       in_flight = 0;
       next_rid = 0;
       next_qid = 0;
@@ -394,21 +421,70 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg 
   in
   Net.set_handler net (fun me msg ->
       match msg with
-      | Req { hop; rid; reply_to } ->
+      | Req { walk; rid; reply_to } ->
         (* Routing state is persistent: any peer that worked through its
            service queue answers. *)
         Net.send net ~src:me ~dst:reply_to ~bytes:header_bytes ~kind:Net.Query
-          (Resp { hop; rid })
-      | Resp { hop = h; rid } ->
+          (Resp { walk; rid })
+      | Resp { walk = w; rid } ->
         (* A reply counts only while its attempt is live: not a retried
-           or timed-out rid, not a duplicate, not after the hop resolved. *)
-        if not h.resolved then
-          if rid = h.primary_rid && not h.primary_dead then
-            resolve t h ~winner:h.target ~backup_won:false
-          else if h.hedged && rid = h.backup_rid && not h.backup_dead then
-            resolve t h ~winner:h.backup ~backup_won:true
+           or timed-out rid, not a duplicate, not after the hop resolved,
+           and never on a later hop or lookup, which send fresh rids. *)
+        if not w.resolved then
+          if rid = w.primary_rid && not w.primary_dead then
+            resolve t w ~winner:w.target ~backup_won:false
+          else if w.hedged && rid = w.backup_rid && not w.backup_dead then
+            resolve t w ~winner:w.backup ~backup_won:true
       | Deliver deliver -> deliver ());
   t
+
+(* A walk record for a new lookup: a finished one if there is one. *)
+let fresh_walk t ~qid ~origin ~key ~issued_at =
+  if t.idle_count > 0 then begin
+    t.idle_count <- t.idle_count - 1;
+    let w = t.idle.(t.idle_count) in
+    w.qid <- qid;
+    w.origin <- origin;
+    w.key <- key;
+    w.issued_at <- issued_at;
+    w.hops <- 0;
+    w
+  end
+  else
+    let rec w =
+      {
+        qid;
+        origin;
+        key;
+        issued_at;
+        hops = 0;
+        level = 0;
+        refreshed = false;
+        cur = origin;
+        budget = 0;
+        refs = Array.make 16 0;
+        len = 0;
+        next = 0;
+        target = -1;
+        backup = -1;
+        attempt = 0;
+        primary_rid = -1;
+        backup_rid = -1;
+        hedged = false;
+        primary_probe = false;
+        backup_probe = false;
+        primary_dead = false;
+        backup_dead = false;
+        resolved = true;
+        primary_timer = Sim.no_timer;
+        backup_timer = Sim.no_timer;
+        hedge_timer = Sim.no_timer;
+        on_primary_timeout = (fun () -> time_out t w ~backup:false);
+        on_backup_timeout = (fun () -> time_out t w ~backup:true);
+        on_hedge = (fun () -> hedge t w);
+      }
+    in
+    w
 
 let issue t ~origin ~key =
   let qid = t.next_qid in
@@ -417,8 +493,7 @@ let issue t ~origin ~key =
   let issued_at = Sim.now t.sim in
   if Telemetry.active t.tel then
     Telemetry.emit t.tel (Event.Query_issue { qid; origin });
-  route t { qid; origin; key; issued_at; hops = 0; level = 0; refreshed = false } origin
-    Overlay.max_relay_hops
+  route t (fresh_walk t ~qid ~origin ~key ~issued_at) origin Overlay.max_relay_hops
 
 let heartbeat t ~src ~dst =
   Net.send t.net ~src ~dst ~bytes:header_bytes ~kind:Net.Maintenance (Deliver ignore)

@@ -24,23 +24,31 @@
       is cancelled and its late reply is ignored.
 
     All scheduling is deterministic given the engine's RNG; the service
-    model itself draws nothing. *)
+    model itself draws nothing.
 
-(** One routing hop of a lookup in progress: its candidates, its
-    attempts and their timers. *)
-type hop
+    With telemetry off, a lookup allocates nothing that outlives its
+    events except its {!completion} and the [Req]/[Resp] payloads in
+    transit: its walk record, the walk's reference buffer and the
+    walk's three timer closures are recycled from finished lookups, and
+    timer handles are ints. *)
+
+(** A lookup in progress and its current routing hop: its candidates,
+    its attempts and their timers.  Walk records are recycled: a
+    finished lookup's record carries a later one. *)
+type walk
 
 (** Wire protocol: one [Req]/[Resp] pair per routing attempt, answered
     from persistent state, plus [Deliver] for any other protocol that
     rides the same network: its closure runs iff the network delivers
     the message (loss, shedding and offline destinations drop it).  A
-    request carries its hop and the reply echoes it, so the reply finds
+    request carries its walk and the reply echoes it, so the reply finds
     its hop without a table lookup; [rid] names the attempt (a retry or
-    a hedge gets a fresh one), and a reply whose attempt is no longer
-    live is ignored. *)
+    a hedge gets a fresh one; rids are never reused), and a reply whose
+    attempt is no longer live is ignored, even when its walk has since
+    moved to a later hop or a later lookup. *)
 type wire =
-  | Req of { hop : hop; rid : int; reply_to : int }
-  | Resp of { hop : hop; rid : int }
+  | Req of { walk : walk; rid : int; reply_to : int }
+  | Resp of { walk : walk; rid : int }
   | Deliver of (unit -> unit)
 
 type config = {
@@ -96,8 +104,9 @@ val header_bytes : int
 (** [create ?telemetry sim rng overlay net cfg] installs the storm's
     handler on [net] (replacing any previous one) and returns the idle
     engine.  [rng] drives per-hop reference shuffles
-    ({!Pgrid_core.Overlay.shuffled_refs}), timeout jitter and eviction
-    refills; breaker state reads simulated time from [sim].  Every
+    ({!Pgrid_core.Overlay.shuffled_refs} into the walk's own buffer, so
+    an eviction during the hop does not change its candidates), timeout
+    jitter and eviction refills; breaker state reads simulated time from [sim].  Every
     message is accounted at {!header_bytes}.  Raises [Invalid_argument]
     on a config outside the ranges above (NaN included). *)
 val create :

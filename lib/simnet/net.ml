@@ -6,8 +6,6 @@ type kind = Maintenance | Query
 
 type fate = { drop : bool; copies : int; delay_factor : float }
 
-let default_fate = { drop = false; copies = 1; delay_factor = 1. }
-
 type overload_config = {
   service_rate : float;
   queue_capacity : int;
@@ -38,6 +36,19 @@ type 'msg service = {
    and a bucket record per insert — once per simulated message. *)
 type buckets = { mutable bytes : float array; mutable used : int }
 
+(* One message in transit.  An envelope's [arrive] closure is built once,
+   when the envelope is made; after delivery the envelope returns to the
+   network's pool and carries the next message, so sending schedules a
+   closure that already exists.  A pooled envelope keeps its last
+   message until it is reused. *)
+type 'msg envelope = {
+  mutable src : int;
+  mutable dst : int;
+  mutable kind : kind;
+  mutable msg : 'msg;
+  arrive : unit -> unit;
+}
+
 type 'msg t = {
   sim : Sim.t;
   rng : Rng.t;
@@ -54,6 +65,8 @@ type 'msg t = {
   mutable dropped : int;
   mutable fault : (src:int -> dst:int -> fate) option;
   service : 'msg service option;
+  mutable pool : 'msg envelope array;  (* [pool.(0 .. pooled - 1)] are free *)
+  mutable pooled : int;
 }
 
 let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?service sim rng ~nodes
@@ -98,6 +111,8 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?service sim rng ~nodes
     dropped = 0;
     fault = None;
     service;
+    pool = [||];
+    pooled = 0;
   }
 
 let sim t = t.sim
@@ -114,7 +129,8 @@ let online_count t =
 let table t = function Maintenance -> t.maintenance | Query -> t.query
 let traffic = function Maintenance -> Event.Maintenance | Query -> Event.Query
 
-let account ?(src = -1) ?(dst = -1) t ~bytes ~kind =
+(* [account] without its optional arguments, for the send path. *)
+let account_link t ~src ~dst ~bytes ~kind =
   let tbl = table t kind in
   let idx = int_of_float (Sim.now t.sim /. t.bucket) in
   if idx >= Array.length tbl.bytes then begin
@@ -126,6 +142,8 @@ let account ?(src = -1) ?(dst = -1) t ~bytes ~kind =
   if idx >= tbl.used then tbl.used <- idx + 1;
   if Telemetry.active t.tel then
     Telemetry.emit t.tel (Event.Msg_send { src; dst; bytes; traffic = traffic kind })
+
+let account ?(src = -1) ?(dst = -1) t ~bytes ~kind = account_link t ~src ~dst ~bytes ~kind
 
 let note_drop t ~src ~dst =
   t.dropped <- t.dropped + 1;
@@ -186,9 +204,36 @@ let arrive t ~src ~dst ~kind msg =
       end
     end
 
+(* The envelope goes back to the pool before the message is handed on,
+   so the sends its handler makes can take it. *)
+let land_envelope t e =
+  let src = e.src and dst = e.dst and kind = e.kind and msg = e.msg in
+  if t.pooled = Array.length t.pool then begin
+    let pool = Array.make (max 16 (2 * t.pooled)) e in
+    Array.blit t.pool 0 pool 0 t.pooled;
+    t.pool <- pool
+  end;
+  t.pool.(t.pooled) <- e;
+  t.pooled <- t.pooled + 1;
+  arrive t ~src ~dst ~kind msg
+
+let envelope t ~src ~dst ~kind msg =
+  if t.pooled = 0 then
+    let rec e = { src; dst; kind; msg; arrive = (fun () -> land_envelope t e) } in
+    e
+  else begin
+    t.pooled <- t.pooled - 1;
+    let e = t.pool.(t.pooled) in
+    e.src <- src;
+    e.dst <- dst;
+    e.kind <- kind;
+    e.msg <- msg;
+    e
+  end
+
 let deliver t ~src ~dst ~kind ~factor msg =
   let delay = Latency.sample t.latency t.rng *. factor in
-  Sim.schedule t.sim ~delay (fun () -> arrive t ~src ~dst ~kind msg)
+  Sim.schedule t.sim ~delay (envelope t ~src ~dst ~kind msg).arrive
 
 let send t ~src ~dst ~bytes ~kind msg =
   if src < 0 || src >= t.node_count || dst < 0 || dst >= t.node_count then
@@ -198,11 +243,11 @@ let send t ~src ~dst ~bytes ~kind msg =
        still see the attempt or traffic under churn is under-counted. *)
     note_drop t ~src ~dst
   else begin
-    account ~src ~dst t ~bytes ~kind;
+    account_link t ~src ~dst ~bytes ~kind;
     t.sent <- t.sent + 1;
     match t.fault with
     | None ->
-      if Rng.float t.rng < t.loss then note_drop t ~src ~dst
+      if Rng.bernoulli t.rng t.loss then note_drop t ~src ~dst
       else deliver t ~src ~dst ~kind ~factor:1. msg
     | Some fate_of ->
       (* The fault layer owns the loss decision (it folds base loss into

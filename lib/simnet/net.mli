@@ -14,9 +14,6 @@ type kind = Maintenance | Query
     scales the sampled latency (latency-spike windows). *)
 type fate = { drop : bool; copies : int; delay_factor : float }
 
-(** Pass-through fate: delivered once at nominal latency. *)
-val default_fate : fate
-
 (** Bounded per-peer service model. Each online peer processes one
     message every [1 / service_rate] seconds from a FIFO queue whose
     head is the message in service. A message arriving when the queue
@@ -76,7 +73,15 @@ val online_count : 'msg t -> int
     transit or when [dst] is offline at delivery time (the paper's query
     failures under churn come from exactly this). Sending from an offline
     node is accounted as a drop (counter + [Msg_drop] event) without
-    touching the wire. *)
+    touching the wire.
+
+    A message in transit rides a recycled envelope whose delivery
+    closure was built with it, so a send allocates no closure and, with
+    telemetry off, nothing that outlives the delivery event beyond the
+    caller's message.  The envelope returns to the network's pool just
+    before the handler runs; a pooled envelope keeps its last message
+    until it carries another, so at most the peak number of messages
+    in flight stay reachable that way. *)
 val send : 'msg t -> src:int -> dst:int -> bytes:int -> kind:kind -> 'msg -> unit
 
 (** [set_fault t hook] interposes [hook] on every in-transit decision:

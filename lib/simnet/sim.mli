@@ -3,7 +3,13 @@
     A deterministic replacement for the paper's PlanetLab wall clock: a
     priority queue of timed callbacks.  Simulated time is in seconds.
     Events at equal times fire in scheduling order (a monotonic sequence
-    number breaks ties), so runs are fully reproducible. *)
+    number breaks ties), so runs are fully reproducible.
+
+    The queue is a 4-ary heap of (time, sequence number, slot) in
+    unboxed arrays; each callback waits in a slot table until it runs.
+    Running an event allocates nothing, and scheduling one allocates
+    nothing beyond the caller's closure (none when the caller reuses
+    one).  At most 2{^26} events may be pending at once. *)
 
 type t
 
@@ -30,8 +36,9 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
 val every :
   t -> at:float -> until:float -> period:(unit -> float) -> (unit -> unit) -> unit
 
-(** A handle on an event scheduled with {!timer}. *)
-type timer
+(** A handle on an event scheduled with {!timer}: an int, so storing
+    one in a record field needs no write barrier. *)
+type timer [@@immediate]
 
 (** A handle that was never armed: cancelling it does nothing.  Useful
     to initialise a field that will later hold a live timer. *)

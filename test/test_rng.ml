@@ -358,20 +358,30 @@ let qcheck_int_in_bounds =
       let v = Rng.int rng n in
       v >= 0 && v < n)
 
-(* The two shuffles give the same permutation and leave the generator
-   in the same state, checked through the next four draws: the first
-   output reads only s0 and s3, and every word reaches an output within
-   three steps. *)
+(* The int shuffles give the generic shuffle's permutation and leave
+   the generator in the same state, checked through the next four draws:
+   the first output reads only s0 and s3, and every word reaches an
+   output within three steps.  The prefix form shuffles the first [n]
+   slots of a longer buffer holding other values past them: the prefix
+   ends as a fresh [n]-array would and the tail is untouched. *)
 let qcheck_shuffle_ints_matches_shuffle =
   QCheck.Test.make ~name:"Rng.shuffle_ints = Rng.shuffle, draw for draw" ~count:300
-    QCheck.(pair int (int_range 0 200))
-    (fun (seed, n) ->
+    QCheck.(triple int (int_range 0 200) (int_range 0 40))
+    (fun (seed, n, extra) ->
       let generic = Rng.create ~seed and ints = Rng.create ~seed in
+      let prefix = Rng.create ~seed in
       let a = Array.init n Fun.id and b = Array.init n Fun.id in
+      let buf = Array.init (n + extra) (fun i -> if i < n then i else -i) in
       Rng.shuffle generic a;
       Rng.shuffle_ints ints b;
+      Rng.shuffle_ints_prefix prefix buf ~len:n;
       let next rng = List.init 4 (fun _ -> Rng.bits64 rng) in
-      a = b && next generic = next ints)
+      let after = next generic in
+      a = b
+      && after = next ints
+      && Array.sub buf 0 n = a
+      && Array.sub buf n extra = Array.init extra (fun i -> -(n + i))
+      && after = next prefix)
 
 let suite =
   [

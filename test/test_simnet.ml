@@ -108,6 +108,30 @@ let test_sim_run_until_nan () =
     (fun () -> Sim.run_until sim ~time:Float.nan);
   still_fires sim
 
+(* The heap moves only unboxed times and ints and the callbacks wait in
+   the slot table, so popping and running events allocates nothing, and
+   neither does cancelling a timer. *)
+let test_sim_run_allocates_nothing () =
+  let sim = Sim.create () in
+  let count = ref 0 in
+  let tick () = incr count in
+  let rng = Rng.create ~seed:3 in
+  let timers =
+    Array.init 10_000 (fun i ->
+        let delay = float_of_int (Rng.int rng 500) in
+        if i land 1 = 0 then begin
+          Sim.schedule sim ~delay tick;
+          Sim.no_timer
+        end
+        else Sim.timer sim ~delay tick)
+  in
+  let before = Gc.minor_words () in
+  Array.iteri (fun i h -> if i mod 4 = 1 then Sim.cancel sim h) timers;
+  Sim.run sim;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "events run" 7_500 !count;
+  if words > 10. then Alcotest.failf "running 7,500 events allocated %.0f minor words" words
+
 let test_net_rejects_nan () =
   let create ~loss ~bucket () =
     ignore
@@ -826,6 +850,7 @@ let qcheck_equal_time_fifo_large =
    the events that ran. *)
 let qcheck_timer_model =
   QCheck.Test.make ~name:"timers and cancels match a sorted-list model" ~count:500
+    ~long_factor:20
     QCheck.(list (triple (int_bound 4) (int_bound 6) small_nat))
     (fun ops ->
       let sim = Sim.create () in
@@ -910,6 +935,7 @@ let qcheck_timer_model =
    both directions on a grown heap. *)
 let qcheck_timer_cancel_at_scale =
   QCheck.Test.make ~name:"20k timers, 90% cancelled, rest fire in order" ~count:3
+    ~long_factor:10
     QCheck.small_signed_int (fun seed ->
       let rng = Rng.create ~seed in
       let sim = Sim.create () in
@@ -1064,6 +1090,8 @@ let suite =
     Alcotest.test_case "timer rejects NaN delay" `Quick test_sim_timer_nan;
     Alcotest.test_case "net rejects NaN parameters" `Quick test_net_rejects_nan;
     Alcotest.test_case "many events" `Quick test_sim_many_events;
+    Alcotest.test_case "running events allocates nothing" `Quick
+      test_sim_run_allocates_nothing;
     Alcotest.test_case "every: first at, then period after each run" `Quick
       test_every_schedule;
     Alcotest.test_case "every: nothing at or after until" `Quick test_every_until;
