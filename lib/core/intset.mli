@@ -45,6 +45,7 @@ val to_array : t -> int array
     [dst.(0) .. dst.(cardinal t - 1)].  Raises [Invalid_argument] when
     [dst] is shorter than [cardinal t]. *)
 val blit : t -> int array -> unit
+
 val of_list : int list -> t
 
 (** [union_into ~into src] adds every member of [src] to [into] with a

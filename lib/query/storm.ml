@@ -22,7 +22,9 @@ module Event = Pgrid_telemetry.Event
    live attempt.  [resolved] is set from the reply that wins a hop until
    the next hop starts, and on a finished walk.  The three timer
    closures are built once per walk record and read the walk's state
-   when they fire. *)
+   when they fire; a hop's timers have all fired or been cancelled
+   before its walk moves on (resolution cancels them, and the fallback
+   runs only once no attempt is live), so none fires on a later hop. *)
 type walk = {
   mutable qid : int;
   mutable origin : int;

@@ -7,9 +7,10 @@
 
     The queue is a 4-ary heap of (time, sequence number, slot) in
     unboxed arrays; each callback waits in a slot table until it runs.
-    Running an event allocates nothing, and scheduling one allocates
-    nothing beyond the caller's closure (none when the caller reuses
-    one).  At most 2{^26} events may be pending at once. *)
+    Running or cancelling an event allocates nothing, and the queue
+    stores a new event without allocating (its arrays grow by
+    doubling), so a caller that reuses its closures leaves no garbage
+    per event.  At most 2{^26} events may be pending at once. *)
 
 type t
 
