@@ -153,6 +153,44 @@ let micro _reps =
     let overlay, brng = Queue.pop fixtures in
     Pgrid_core.Balance.pass brng overlay balance_cfg
   in
+  (* One refresh of the partition index, warm: a 5000-peer overlay whose
+     index is current takes 100 routed writes, then one [Overlay.census]
+     brings the index up to date from the peers they changed.  The
+     writes insert a pool of 100 keys on one run and delete them on the
+     next, so every run changes key counts while the stores keep their
+     size.  Building the overlay takes a few seconds, outside the timed
+     runs.  balance-pass, whose fixture is a fresh copy, measures the
+     cold refresh, where every peer has changed. *)
+  let census_overlay =
+    lazy
+      (let crng = Pgrid_prng.Rng.create ~seed in
+       let keys =
+         Pgrid_workload.Distribution.generate crng Pgrid_workload.Distribution.Uniform
+           ~n:50_000
+       in
+       let o =
+         Pgrid_core.Builder.index crng ~peers:5000 ~keys ~d_max:50 ~n_min:2
+           ~refs_per_level:2
+       in
+       ignore (Pgrid_core.Overlay.census o);
+       o)
+  in
+  let census_pool =
+    let crng = Pgrid_prng.Rng.create ~seed:(seed + 1) in
+    Array.init 100 (fun _ -> Pgrid_keyspace.Key.of_float (Pgrid_prng.Rng.float crng))
+  in
+  let census_pool_in = ref false in
+  let census_refresh o =
+    let module Overlay = Pgrid_core.Overlay in
+    Array.iteri
+      (fun i k ->
+        let from = i * 50 in
+        if !census_pool_in then ignore (Overlay.delete o ~from k)
+        else ignore (Overlay.insert o ~from k "hot"))
+      census_pool;
+    census_pool_in := not !census_pool_in;
+    ignore (Sys.opaque_identity (Overlay.census o))
+  in
   (* One routing step at a level of 40 references, the mean of the
      benchmark's overlays: peer 0 on path 0 refers to peers 1-40 on path
      1.  With every peer online the pick reads no reference; with peer 40
@@ -228,7 +266,10 @@ let micro _reps =
                Array.iter
                  (fun t -> ignore (Pgrid_keyspace.Codec.of_term t))
                  codec_terms));
-        (* Last, so its fixtures are not in the heap while the others run. *)
+        (* Last, so their fixtures are not in the heap while the others run. *)
+        Test.make_with_resource ~name:"census-refresh" Test.uniq
+          ~allocate:(fun () -> Lazy.force census_overlay)
+          ~free:ignore (Staged.stage census_refresh);
         Test.make_with_resource ~name:"balance-pass" Test.multiple
           ~allocate:balance_fixture ~free:Queue.clear (Staged.stage balance_pass);
       ]

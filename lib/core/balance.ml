@@ -19,7 +19,7 @@ let default_config ~d_max ~n_min =
   {
     d_max;
     n_min;
-    retract_load = max 1 (d_max / 4);
+    retract_load = min (d_max - 1) (max 1 (d_max / 4));
     retract_members = n_min;
     max_actions = 32;
   }
@@ -43,9 +43,6 @@ type pass_report = {
   copied_keys : int;
   max_load : int;
 }
-
-let partition_load overlay members =
-  List.fold_left (fun m i -> max m (Node.key_count (node overlay i))) 0 members
 
 (* Union of the partition's stores: key -> deduplicated payload list.
    Payload lists per key are short (document postings), so List.mem is
@@ -238,7 +235,7 @@ let split_partition ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay ~pa
            zeros = List.length side0;
            ones = List.length side1;
          });
-  (!dropped_total, !copied, side0, side1)
+  (!dropped_total, !copied)
 
 (* --- retract --------------------------------------------------------------- *)
 
@@ -277,127 +274,87 @@ let retract_partition ?(telemetry = Pgrid_telemetry.Global.get ()) overlay ~path
 
 (* --- pass ------------------------------------------------------------------ *)
 
-(* A pass's view of the partitions, in path order: taken from one
-   [Overlay.census], then patched by every action with exactly the peers
-   it re-homed, so each decision reads what a fresh census would show.
-   Loads are cached, since only an action changes one and it re-files the
-   partitions it touched.  Under [restrict], members are the admitted
-   online peers.  A partition without one is invisible to the pass, but
-   stays filed while it has offline members: they still count if a later
-   action files admitted peers there. *)
-type part = { path : Path.t; members : Node.id list; offline : int; load : int }
+(* What a pass sees of the overlay's partition index, as the last
+   refresh left it: every partition, or under [restrict] only its
+   admitted online members, with the load over those.  A partition
+   without one is invisible to a restricted pass, but its offline
+   members still count. *)
+type sight = {
+  count : int;
+  members : int -> Node.id list;
+  load : int -> int;
+  restricted : bool;
+}
 
-(* The parts, in the first [len] slots. *)
-type view = { mutable parts : part array; mutable len : int }
+let look ?restrict overlay =
+  let count = Overlay.partitions overlay in
+  let all i = (Overlay.partition overlay i).Overlay.members in
+  match restrict with
+  | None -> { count; members = all; load = Overlay.load overlay; restricted = false }
+  | Some f ->
+    let members = Array.init count (fun i -> List.filter f (all i)) in
+    let loads = Array.map (Overlay.load_of overlay) members in
+    { count; members = Array.get members; load = Array.get loads; restricted = true }
 
-let part overlay path members offline =
-  { path; members; offline; load = partition_load overlay members }
+let visible v i = (not v.restricted) || v.members i <> []
 
-let view ?restrict overlay =
-  let parts =
-    List.filter_map
-      (fun { Overlay.path; members; offline } ->
-        let members =
-          match restrict with None -> members | Some f -> List.filter f members
-        in
-        if members = [] && offline = 0 then None
-        else Some (part overlay path members offline))
-      (Overlay.census overlay)
-  in
-  let parts = Array.of_list parts in
-  { parts; len = Array.length parts }
+let path overlay i = (Overlay.partition overlay i).Overlay.path
+let offline overlay i = (Overlay.partition overlay i).Overlay.offline
 
-(* The first slot whose path does not sort before [path]. *)
-let seek v path =
-  let lo = ref 0 and hi = ref v.len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Path.compare v.parts.(mid).path path < 0 then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let find v path =
-  let i = seek v path in
-  if i < v.len && Path.equal v.parts.(i).path path then Some i else None
-
-let remove v path =
-  let i = seek v path in
-  Array.blit v.parts (i + 1) v.parts i (v.len - i - 1);
-  v.len <- v.len - 1
-
-(* Re-home [ids] (ascending, online, admitted) under [path]. *)
-let file overlay v path ids =
-  match find v path with
-  | Some i ->
-    let p = v.parts.(i) in
-    v.parts.(i) <- part overlay path (List.merge Int.compare p.members ids) p.offline
-  | None ->
-    let i = seek v path and p = part overlay path ids 0 in
-    if v.len = Array.length v.parts then begin
-      let grown = Array.make (max 8 (2 * v.len)) p in
-      Array.blit v.parts 0 grown 0 v.len;
-      v.parts <- grown
-    end;
-    Array.blit v.parts i v.parts (i + 1) (v.len - i);
-    v.parts.(i) <- p;
-    v.len <- v.len + 1
-
-(* The first split the view allows, in path order. *)
-let find_split cfg v =
+(* The slot of the first split the sight allows, in path order, or -1. *)
+let find_split cfg overlay v =
   let rec go i =
-    if i >= v.len then None
-    else begin
-      let p = v.parts.(i) in
-      if
-        p.load > cfg.d_max
-        && p.offline = 0
-        && List.length p.members > 2 * cfg.n_min
-        && Path.length p.path < Key.bits
-      then Some p
-      else go (i + 1)
-    end
+    if i >= v.count then -1
+    else if
+      v.load i > cfg.d_max
+      && offline overlay i = 0
+      && List.length (v.members i) > 2 * cfg.n_min
+      && Path.length (path overlay i) < Key.bits
+    then i
+    else go (i + 1)
   in
   go 0
 
-(* Whether a [visible] part lies strictly below the one in slot [i]:
+(* Whether a [visible] partition lies strictly below the one in slot [i]:
    those directly follow it in path order. *)
-let inhabited_below v ~visible i =
-  let path = v.parts.(i).path in
+let inhabited_below overlay v i =
+  let prefix = path overlay i in
   let rec go j =
-    j < v.len
-    && Path.is_prefix_of ~prefix:path v.parts.(j).path
-    && (visible v.parts.(j) || go (j + 1))
+    j < v.count
+    && Path.is_prefix_of ~prefix (path overlay j)
+    && (visible v j || go (j + 1))
   in
   go (i + 1)
 
-(* The first retraction the view allows, with its sibling: an all-online
-   partition at the floors whose sibling is an all-online leaf, with
-   enough headroom that the merged partition stays below [d_max]. *)
-let find_retract cfg ~visible v =
+(* The slots of the first retraction the sight allows, with its sibling:
+   an all-online partition at the floors whose sibling is an all-online
+   leaf, with enough headroom that the merged partition stays below
+   [d_max]. *)
+let find_retract cfg overlay v =
   let rec go i =
-    if i >= v.len then None
+    if i >= v.count then None
     else begin
-      let p = v.parts.(i) in
-      let sibling =
+      let p = path overlay i in
+      let j =
         if
-          p.offline = 0
-          && Path.length p.path >= 1
-          && p.members <> []
-          && List.length p.members <= cfg.retract_members
-          && p.load <= cfg.retract_load
-        then find v (Path.sibling p.path)
-        else None
+          offline overlay i = 0
+          && Path.length p >= 1
+          && v.members i <> []
+          && List.length (v.members i) <= cfg.retract_members
+          && v.load i <= cfg.retract_load
+        then Overlay.find overlay (Path.sibling p)
+        else -1
       in
-      match sibling with
-      | Some j
-        when let s = v.parts.(j) in
-             s.offline = 0 && s.members <> []
-             (* leaf test: nothing lives strictly below either half *)
-             && (not (inhabited_below v ~visible i))
-             && (not (inhabited_below v ~visible j))
-             && p.load + s.load <= cfg.d_max ->
-        Some (p, v.parts.(j))
-      | _ -> go (i + 1)
+      if
+        j >= 0
+        && offline overlay j = 0
+        && v.members j <> []
+        (* leaf test: nothing lives strictly below either half *)
+        && (not (inhabited_below overlay v i))
+        && (not (inhabited_below overlay v j))
+        && v.load i + v.load j <= cfg.d_max
+      then Some (i, j)
+      else go (i + 1)
     end
   in
   go 0
@@ -408,43 +365,39 @@ let pass ?(telemetry = Pgrid_telemetry.Global.get ()) ?restrict rng overlay cfg 
      predicate rejects are invisible (not offline — an island balances as
      if the far side does not exist, which is precisely how independent
      split decisions arise during a partition).  [None] filters nothing
-     and leaves the draw sequence bit-identical. *)
-  let visible p = restrict = None || p.members <> [] in
-  let v = view ?restrict overlay in
+     and leaves the draw sequence bit-identical.  Each action's writes
+     list the peers it re-homed in the overlay's census, so the next
+     look refreshes the index from those alone. *)
+  let v = ref (look ?restrict overlay) in
   let splits = ref 0 and retracts = ref 0 in
   let migrated = ref 0 and copied = ref 0 in
   let progress = ref true in
   while !progress && !splits + !retracts < cfg.max_actions do
-    progress := false;
-    match find_split cfg v with
-    | Some { path; members; _ } ->
-      let dropped, c, side0, side1 =
-        split_partition ~telemetry rng overlay ~path ~members cfg
+    let i = find_split cfg overlay !v in
+    if i >= 0 then begin
+      let dropped, c =
+        split_partition ~telemetry rng overlay ~path:(path overlay i)
+          ~members:(!v.members i) cfg
       in
-      remove v path;
-      file overlay v (Path.extend path 0) side0;
-      file overlay v (Path.extend path 1) side1;
       migrated := !migrated + dropped;
       copied := !copied + c;
-      incr splits;
-      progress := true
-    | None -> (
-      match find_retract cfg ~visible v with
-      | Some (p, s) ->
+      incr splits
+    end
+    else begin
+      match find_retract cfg overlay !v with
+      | Some (i, j) ->
         copied :=
           !copied
-          + retract_partition ~telemetry overlay ~path:p.path ~members:p.members
-              ~sibling_members:s.members;
-        remove v p.path;
-        remove v s.path;
-        file overlay v (Path.parent p.path) (List.merge Int.compare p.members s.members);
-        incr retracts;
-        progress := true
-      | None -> ())
+          + retract_partition ~telemetry overlay ~path:(path overlay i)
+              ~members:(!v.members i) ~sibling_members:(!v.members j);
+        incr retracts
+      | None -> progress := false
+    end;
+    if !progress then v := look ?restrict overlay
   done;
   let max_load = ref 0 in
-  for i = 0 to v.len - 1 do
-    max_load := max !max_load v.parts.(i).load
+  for i = 0 to !v.count - 1 do
+    max_load := max !max_load (!v.load i)
   done;
   let max_load = !max_load in
   if Telemetry.active telemetry then

@@ -53,8 +53,9 @@ type config = {
   max_actions : int;  (** cap on splits + retracts per {!pass} *)
 }
 
-(** [retract_load = max 1 (d_max / 4)], [retract_members = n_min],
-    [max_actions = 32]. *)
+(** [retract_load = min (d_max - 1) (max 1 (d_max / 4))],
+    [retract_members = n_min], [max_actions = 32]: it passes {!validate}
+    for every [d_max >= 1] and [n_min >= 1]. *)
 val default_config : d_max:int -> n_min:int -> config
 
 (** @raise Invalid_argument when a field is out of range ([d_max < 1],
@@ -69,20 +70,16 @@ type pass_report = {
   max_load : int;  (** highest per-partition load after the pass *)
 }
 
-(** [partition_load overlay members] is the storage load of one
-    partition: the largest distinct-key count among its members (replicas
-    converge on the same key set, so the maximum is the partition's
-    effective load; O(1) per member via {!Node.key_count}). *)
-val partition_load : Overlay.t -> Node.id list -> int
-
 (** [pass rng overlay cfg] runs one balancing scan: partitions are
     visited in path order (deterministic per seed) and the first
     eligible action is applied, repeatedly, until no action remains or
     [cfg.max_actions] is reached.  Splits are preferred over
     retractions.  Returns the tally; also sets the [balance.max_load]
-    gauge on [?telemetry].  The pass takes one {!Overlay.census} and
-    patches it with the peers each action re-homes, so an action costs
-    one ordered scan for the next candidate, not a fresh census.
+    gauge on [?telemetry].  The pass reads partitions and their loads
+    ({!Overlay.load}) from the overlay's partition index and refreshes
+    it after each action, which costs the peers that action re-homed,
+    not a fresh census; an action then costs one ordered scan for the
+    next candidate.
 
     [restrict] (default: none) narrows the pass to a reachability
     island: peers it rejects are treated as nonexistent, so islands of

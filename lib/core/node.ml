@@ -6,15 +6,16 @@ type id = int
 type meta = { mutable version : int; mutable dead : bool; mutable stamp : float }
 type vers = (Key.t, meta) Hashtbl.t
 
-(* Every node of one overlay shares one census, so whether any peer is
-   offline is one read.  [set_online] is the only writer of [online] and
-   keeps the count exact. *)
-type census = { mutable offline : int }
+(* Every node of one overlay shares one census.  It counts the offline
+   nodes, so whether any peer is offline is one read; [set_online] is the
+   only writer of [online] and keeps the count exact.  It also lists, in
+   its first [n_changed] slots, each node whose path, liveness or key
+   count changed since the list was last taken: a write that changes one
+   calls [mark], which lists its node unless the node's [marked] flag
+   says it is listed already. *)
+type census = { mutable offline : int; mutable changed : t array; mutable n_changed : int }
 
-let census () = { offline = 0 }
-let offline c = c.offline
-
-type t = {
+and t = {
   id : id;
   mutable path : Path.t;
   mutable refs : Intset.t array;
@@ -25,28 +26,59 @@ type t = {
   census : census;
   mutable zero_keys : int;
   mutable payload_keys : int;
+  mutable marked : bool;
 }
 
+let census () = { offline = 0; changed = [||]; n_changed = 0 }
+let offline c = c.offline
+
+let mark t =
+  if not t.marked then begin
+    t.marked <- true;
+    let c = t.census in
+    if c.n_changed = Array.length c.changed then begin
+      let grown = Array.make (max 16 (2 * c.n_changed)) t in
+      Array.blit c.changed 0 grown 0 c.n_changed;
+      c.changed <- grown
+    end;
+    c.changed.(c.n_changed) <- t;
+    c.n_changed <- c.n_changed + 1
+  end
+
+let take_changed c f =
+  for i = 0 to c.n_changed - 1 do
+    let n = c.changed.(i) in
+    n.marked <- false;
+    f n
+  done;
+  c.n_changed <- 0
+
 let create_in census ~id =
-  {
-    id;
-    path = Path.root;
-    refs = Array.init 8 (fun _ -> Intset.create ());
-    store = Hashtbl.create 32;
-    vers = Hashtbl.create 8;
-    replicas = Intset.create ();
-    online = true;
-    census;
-    zero_keys = 0;
-    payload_keys = 0;
-  }
+  let t =
+    {
+      id;
+      path = Path.root;
+      refs = Array.init 8 (fun _ -> Intset.create ());
+      store = Hashtbl.create 32;
+      vers = Hashtbl.create 8;
+      replicas = Intset.create ();
+      online = true;
+      census;
+      zero_keys = 0;
+      payload_keys = 0;
+      marked = false;
+    }
+  in
+  mark t;
+  t
 
 let create ~id = create_in (census ()) ~id
 
 let set_online t v =
   if t.online <> v then begin
     t.online <- v;
-    t.census.offline <- (t.census.offline + if v then -1 else 1)
+    t.census.offline <- (t.census.offline + if v then -1 else 1);
+    mark t
   end
 
 (* Version metadata is a sidecar: the legacy store never reads it, so
@@ -97,17 +129,20 @@ let purge_tombstones t ~horizon =
      path level is 0, or [-1] while stale: a path change makes it stale,
      and either {!cut_outside} recounts it in the pass it makes anyway or
      the next {!zero_count} does;
-   - [payload_keys], the stored keys whose posting list is non-empty. *)
+   - [payload_keys], the stored keys whose posting list is non-empty.
+   A mutation that adds or removes a key also marks the node. *)
 let level_bit_is_zero t key =
   let level = Path.length t.path in
   level < Key.bits && Key.bit key level = 0
 
 let note_added t key =
-  if t.zero_keys >= 0 && level_bit_is_zero t key then t.zero_keys <- t.zero_keys + 1
+  if t.zero_keys >= 0 && level_bit_is_zero t key then t.zero_keys <- t.zero_keys + 1;
+  mark t
 
 let note_removed t key payloads =
   if t.zero_keys >= 0 && level_bit_is_zero t key then t.zero_keys <- t.zero_keys - 1;
-  if payloads <> [] then t.payload_keys <- t.payload_keys - 1
+  if payloads <> [] then t.payload_keys <- t.payload_keys - 1;
+  mark t
 
 (* Posting lists are kept sorted and deduplicated, so insertion and
    removal are each a single pass that stops at the payload's sorted
@@ -205,7 +240,8 @@ let clear_store t =
      comes from replication, not from any single node's sidecar. *)
   Hashtbl.reset t.vers;
   t.zero_keys <- 0;
-  t.payload_keys <- 0
+  t.payload_keys <- 0;
+  mark t
 
 (* The versioned writes: each one changes the store and records the
    write in the sidecar together. *)
@@ -248,7 +284,8 @@ let zero_count t =
 let set_path t path =
   if not (Path.equal t.path path) then begin
     t.path <- path;
-    t.zero_keys <- -1
+    t.zero_keys <- -1;
+    mark t
   end
 
 let ensure_capacity t level =
@@ -331,6 +368,7 @@ let cut_outside t path =
       if payloads <> [] then t.payload_keys <- t.payload_keys - 1)
     doomed;
   t.zero_keys <- !zeros;
+  if doomed <> [] then mark t;
   doomed
 
 let drop_keys_outside t path =

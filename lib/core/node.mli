@@ -24,7 +24,8 @@
     the store and the sidecar together: {!put} and {!entomb}, plus
     {!note_write} where the caller made the store change.  The writes
     keep the zero-bit count ({!zero_count}) and the payload-key count
-    ({!payload_key_count}) exact.
+    ({!payload_key_count}) exact, and list the node in its {!census}
+    when they add or remove a key.
 
     {b Newest write wins.}  Replicas that disagree about a key settle it
     by {!newer}: the higher version wins, and a tombstone wins a tie.
@@ -36,16 +37,21 @@
     [vers] is abstract.  [store] still reads as a [Hashtbl] for one
     reason: the benchmark harness ([perf/workloads.ml]) iterates it, and
     that code is the benchmark's fixed yardstick.  Liveness ([online])
-    is written only through {!set_online}, which keeps the {!census} the
-    node belongs to exact. *)
+    is written only through {!set_online} and the path only through
+    {!set_path}; both keep the {!census} the node belongs to exact. *)
 
 type id = int
 
-(** A liveness census: the exact number of offline nodes among the ones
-    created with it.  Every node of one overlay shares one census (see
-    [Overlay.create] and [Overlay.add_peer]), so the overlay knows in
-    O(1) whether any peer is offline; routing's reference pick skips its
-    liveness scan while none is. *)
+(** A census of the nodes created with it.  Every node of one overlay
+    shares one census (see [Overlay.create] and [Overlay.add_peer]).  It
+    keeps two things:
+    - the exact number of offline nodes, so the overlay knows in O(1)
+      whether any peer is offline; routing's reference pick skips its
+      liveness scan while none is;
+    - the nodes whose path, liveness or key count ({!key_count}) changed
+      since the last {!take_changed}, each listed once, in the order of
+      their first change.  A node counts as changed when it is created.
+      [Overlay] keeps its partition index current from this list. *)
 type census
 
 (** [census ()] is a fresh census with no offline node. *)
@@ -92,6 +98,8 @@ type t = private {
   mutable payload_keys : int;
       (** stored keys with a non-empty posting list; maintained
           incrementally, read via {!payload_key_count} *)
+  mutable marked : bool;
+      (** listed among its census's changed nodes (see {!take_changed}) *)
 }
 
 (** [create ~id] starts online, at the root path, with an empty store,
@@ -104,6 +112,11 @@ val create_in : census -> id:id -> t
 (** [set_online t v] sets [t]'s liveness and keeps its census exact;
     setting the value it already has changes nothing. *)
 val set_online : t -> bool -> unit
+
+(** [take_changed c f] calls [f] on every node listed as changed in [c],
+    in the order of their first change, and empties the list.  [f] must
+    not write a node. *)
+val take_changed : census -> (t -> unit) -> unit
 
 (** [insert t key payload] records [payload] under [key]; duplicate
     payloads under the same key are ignored. *)

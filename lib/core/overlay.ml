@@ -15,6 +15,38 @@ module Moments = Pgrid_stats.Moments
    (global anti-entropy) not worth itemizing. *)
 type change = Peer_changed of Node.id | Key_written of Pgrid_keyspace.Key.t | Flush
 
+type partition = { path : Path.t; members : Node.id list; offline : int }
+
+module Codes = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* One partition of the index.  [part] and [load] are as of the last
+   refresh; during a refresh [offline] runs ahead of [part.offline] and
+   [arrivals] holds the members filed there by it. *)
+type entry = {
+  mutable part : partition;
+  mutable load : int;
+  mutable offline : int;
+  mutable arrivals : Node.id list;
+  mutable touched : bool;  (* on the refresh's list of entries to settle *)
+}
+
+let new_entry path =
+  {
+    part = { path; members = []; offline = 0 };
+    load = 0;
+    offline = 0;
+    arrivals = [];
+    touched = false;
+  }
+
+(* The entry of a peer not filed yet; never written. *)
+let unfiled = new_entry Path.root
+
 type t = {
   mutable nodes : Node.t array;
   mutable count : int;
@@ -30,6 +62,11 @@ type t = {
   mutable direct : bool;  (* the last [eligible] kept no picks: [draw] reads [pick_set] *)
   mutable pick_set : Intset.t;
   mutable pick_skip : int;  (* rank of the excluded member in [pick_set], or [max_int] *)
+  entries : entry Codes.t;  (* the index, by [Path.code] *)
+  mutable order : entry array;  (* the index in path order in the first [parts] slots; as long as [nodes] *)
+  mutable parts : int;
+  mutable filed : entry array;  (* by id, like [nodes]: where the last refresh filed it *)
+  mutable filed_online : bool array;  (* by id: whether it was online then *)
 }
 
 let create rng ~n =
@@ -46,6 +83,11 @@ let create rng ~n =
     direct = false;
     pick_set = Intset.create ();
     pick_skip = max_int;
+    entries = Codes.create (max 16 (n / 2));
+    parts = 0;
+    order = Array.make n unfiled;
+    filed = Array.make n unfiled;
+    filed_online = Array.make n false;
   }
 
 let subscribe t f = t.watchers <- f :: t.watchers
@@ -64,11 +106,17 @@ let node t id =
 let add_peer t =
   let cap = Array.length t.nodes in
   if t.count = cap then begin
+    let grow a filler =
+      let grown = Array.make (2 * cap) filler in
+      Array.blit a 0 grown 0 cap;
+      grown
+    in
     (* Slots past [count] are never read; any existing node works as
-       filler for [Array.make]. *)
-    let grown = Array.make (2 * cap) t.nodes.(0) in
-    Array.blit t.nodes 0 grown 0 cap;
-    t.nodes <- grown
+       filler. *)
+    t.nodes <- grow t.nodes t.nodes.(0);
+    t.order <- grow t.order unfiled;
+    t.filed <- grow t.filed unfiled;
+    t.filed_online <- grow t.filed_online false
   end;
   let n = Node.create_in t.census ~id:t.count in
   t.nodes.(t.count) <- n;
@@ -398,49 +446,143 @@ let anti_entropy_pair t ~a ~b ~budget =
     end
   end
 
-type partition = { path : Path.t; members : Node.id list; offline : int }
+(* --- the partition index --------------------------------------------------- *)
 
-module Codes = Hashtbl.Make (struct
-  type t = int
+let load_of t members =
+  List.fold_left (fun m i -> max m (Node.key_count t.nodes.(i))) 0 members
 
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
+(* The first slot of [order] whose path does not sort before [path]. *)
+let seek t path =
+  let lo = ref 0 and hi = ref t.parts in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Path.compare t.order.(mid).part.path path < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-(* One path's running count in [census]. *)
-type tally = { t_path : Path.t; mutable t_members : Node.id list; mutable t_offline : int }
+(* Whether an entry still has a member, online or not. *)
+let settled e = e.part.members <> [] || e.offline > 0
 
-(* Grouped by [Path.code] (injective), walking ids downward so that
-   consing leaves each member list ascending; only the distinct paths
-   are sorted. *)
-let census ?(excluding = -1) t =
-  (* Partitions hold about two peers each; sized for that, the table
-     rarely grows. *)
-  let tbl = Codes.create (t.count / 2) in
-  for i = t.count - 1 downto 0 do
-    if i <> excluding then begin
-      let n = t.nodes.(i) in
-      let code = Path.code n.Node.path in
-      let c =
-        match Codes.find tbl code with
-        | c -> c
-        | exception Not_found ->
-          let c = { t_path = n.Node.path; t_members = []; t_offline = 0 } in
-          Codes.add tbl code c;
-          c
-      in
-      if n.Node.online then c.t_members <- i :: c.t_members
-      else c.t_offline <- c.t_offline + 1
+(* [order] without the entries left empty, merged with [fresh] (new
+   entries, in no order): compacted in place, then merged from the back,
+   largest path first.  A partition has a member, so [order], as long as
+   [nodes], has room. *)
+let reorder t fresh =
+  let fresh = List.sort (fun a b -> Path.compare b.part.path a.part.path) fresh in
+  let kept = ref 0 in
+  for i = 0 to t.parts - 1 do
+    let e = t.order.(i) in
+    if settled e then begin
+      t.order.(!kept) <- e;
+      incr kept
     end
   done;
-  let parts =
-    Codes.fold
-      (fun _ c acc -> { path = c.t_path; members = c.t_members; offline = c.t_offline } :: acc)
-      tbl []
-    |> Array.of_list
+  let len = !kept + List.length fresh in
+  let i = ref (!kept - 1) and rest = ref fresh in
+  for k = len - 1 downto 0 do
+    match !rest with
+    | e :: tail when !i < 0 || Path.compare t.order.(!i).part.path e.part.path < 0 ->
+      t.order.(k) <- e;
+      rest := tail
+    | _ ->
+      t.order.(k) <- t.order.(!i);
+      decr i
+  done;
+  if t.parts > len then Array.fill t.order len (t.parts - len) unfiled;
+  t.parts <- len
+
+(* Files every peer its census lists as changed, then settles each entry
+   it touched: the members it kept, merged with its arrivals, and their
+   load.  Entries left empty leave the index and new ones join it. *)
+let refresh t =
+  let touched = ref [] and fresh = ref [] in
+  let touch e =
+    if not e.touched then begin
+      e.touched <- true;
+      touched := e :: !touched
+    end
   in
-  Array.stable_sort (fun a b -> Path.compare a.path b.path) parts;
-  Array.to_list parts
+  Node.take_changed t.census (fun n ->
+      let id = n.Node.id and online = n.Node.online in
+      let old = t.filed.(id) and was_online = t.filed_online.(id) in
+      if old != unfiled then begin
+        if not was_online then old.offline <- old.offline - 1;
+        touch old
+      end;
+      let code = Path.code n.Node.path in
+      let e =
+        match Codes.find t.entries code with
+        | e -> e
+        | exception Not_found ->
+          let e = new_entry n.Node.path in
+          Codes.add t.entries code e;
+          fresh := e :: !fresh;
+          e
+      in
+      touch e;
+      if not online then e.offline <- e.offline + 1
+      else if old != e || not was_online then e.arrivals <- id :: e.arrivals;
+      t.filed.(id) <- e;
+      t.filed_online.(id) <- online);
+  let emptied = ref false in
+  List.iter
+    (fun e ->
+      e.touched <- false;
+      let kept =
+        List.filter (fun id -> t.filed.(id) == e && t.filed_online.(id)) e.part.members
+      in
+      let members =
+        match e.arrivals with
+        | [] -> kept
+        | arrivals -> List.merge Int.compare kept (List.sort Int.compare arrivals)
+      in
+      e.arrivals <- [];
+      e.part <- { e.part with members; offline = e.offline };
+      e.load <- load_of t members;
+      if not (settled e) then begin
+        Codes.remove t.entries (Path.code e.part.path);
+        emptied := true
+      end)
+    !touched;
+  if !emptied || !fresh <> [] then reorder t !fresh
+
+let partitions t =
+  refresh t;
+  t.parts
+
+let check_slot t i = if i < 0 || i >= t.parts then invalid_arg "Overlay: no such partition"
+
+let partition t i =
+  check_slot t i;
+  t.order.(i).part
+
+let load t i =
+  check_slot t i;
+  t.order.(i).load
+
+let find t path =
+  let i = seek t path in
+  if i < t.parts && Path.equal t.order.(i).part.path path then i else -1
+
+(* The index's partitions; [excluding]'s own is rebuilt without it. *)
+let census ?(excluding = -1) t =
+  refresh t;
+  let ex = if excluding >= 0 && excluding < t.count then t.filed.(excluding) else unfiled in
+  let acc = ref [] in
+  for i = t.parts - 1 downto 0 do
+    let e = t.order.(i) in
+    if e != ex then acc := e.part :: !acc
+    else begin
+      let p = e.part in
+      let p =
+        if t.filed_online.(excluding) then
+          { p with members = List.filter (fun id -> id <> excluding) p.members }
+        else { p with offline = p.offline - 1 }
+      in
+      if p.members <> [] || p.offline > 0 then acc := p :: !acc
+    end
+  done;
+  !acc
 
 let paths t =
   (* Built back-to-front so the result is in id order without a reverse

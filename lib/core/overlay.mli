@@ -310,9 +310,47 @@ type partition = {
     directly follow it.  A partition whose members are all offline is
     listed with [members = []].  The order is the one a sort on
     [Path.to_string] gives, which keeps every census-driven decision
-    (balancing, repair, recruiting) deterministic per seed.  O(n) plus a
-    sort of the distinct paths. *)
+    (balancing, repair, recruiting) deterministic per seed.
+
+    The census is read from the overlay's partition index (below), which
+    is refreshed first.  A refresh costs O(c log c) for the c peers whose
+    path, liveness or key count changed since the last one, plus the
+    members of the partitions they left or joined, plus O(p) for the p
+    partitions when one appears or disappears; reading the list costs
+    O(p), and [excluding] adds the members of its own partition. *)
 val census : ?excluding:Node.id -> t -> partition list
+
+(** {2 The partition index}
+
+    The overlay keeps every partition of its {!census}, in the same
+    order, with its {e load}: the largest {!Node.key_count} among its
+    online members (replicas converge on one key set, so the largest
+    store is the partition's effective storage load), or 0 when none is
+    online.  Only {!Node}'s writes change a path, a liveness or a store,
+    and each lists its node in the census the overlay's nodes share
+    ({!Node.take_changed}), so the index is brought up to date from the
+    changed peers alone.  {!census} and {!partitions} refresh it; the
+    slot readers below read it as that refresh left it. *)
+
+(** [partitions t] refreshes the index and returns its number of
+    partitions, which occupy slots [0] to [partitions t - 1] in path
+    order. *)
+val partitions : t -> int
+
+(** [partition t i] is the partition in slot [i].
+    @raise Invalid_argument when there is no slot [i]. *)
+val partition : t -> int -> partition
+
+(** [load t i] is the load of the partition in slot [i].
+    @raise Invalid_argument when there is no slot [i]. *)
+val load : t -> int -> int
+
+(** [find t path] is the slot of the partition at [path], or [-1]. *)
+val find : t -> Pgrid_keyspace.Path.t -> int
+
+(** [load_of t members] is the load of a partition with the online
+    members [members]: the largest {!Node.key_count} among them. *)
+val load_of : t -> Node.id list -> int
 
 (** Structural statistics used across the experiments. *)
 type stats = {

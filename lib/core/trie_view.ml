@@ -3,12 +3,14 @@ module Path = Pgrid_keyspace.Path
 type leaf = { path : Path.t; peers : Node.id list; keys : int }
 
 let leaves overlay =
-  List.filter_map
-    (fun { Overlay.path; members; _ } ->
-      match members with
-      | [] -> None
-      | peers -> Some { path; peers; keys = Balance.partition_load overlay peers })
-    (Overlay.census overlay)
+  let acc = ref [] in
+  for i = Overlay.partitions overlay - 1 downto 0 do
+    match Overlay.partition overlay i with
+    | { members = []; _ } -> ()
+    | { path; members = peers; _ } ->
+      acc := { path; peers; keys = Overlay.load overlay i } :: !acc
+  done;
+  !acc
 
 let leaf_line l =
   let indent = String.make (2 * Path.length l.path) ' ' in

@@ -920,16 +920,12 @@ let balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed =
   in
   (* Per-partition storage load over the online population. *)
   let partition_loads () =
-    let tbl = Hashtbl.create 64 in
-    for i = 0 to Overlay.size a.overlay - 1 do
-      let n = Overlay.node a.overlay i in
-      if n.Node.online then begin
-        let key = Pgrid_keyspace.Path.to_string n.Node.path in
-        let load = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
-        Hashtbl.replace tbl key (max load (Node.key_count n))
-      end
+    let loads = ref [] in
+    for i = 0 to Overlay.partitions a.overlay - 1 do
+      if (Overlay.partition a.overlay i).Overlay.members <> [] then
+        loads := Overlay.load a.overlay i :: !loads
     done;
-    Hashtbl.fold (fun _ load acc -> load :: acc) tbl []
+    !loads
   in
   let points =
     run_sampled a ~n_min:balance_n_min ~every:sample_every (fun t r q ->

@@ -345,6 +345,184 @@ let qcheck_patched_census =
       in
       patched () = fresh ())
 
+(* [default_config] must be a config its own [validate] accepts, at the
+   smallest [d_max] too: [retract_load] stays below it. *)
+let test_default_config_validates () =
+  for d_max = 1 to 64 do
+    for n_min = 1 to 8 do
+      match Balance.validate (Balance.default_config ~d_max ~n_min) with
+      | () -> ()
+      | exception Invalid_argument msg -> Alcotest.failf "d_max=%d n_min=%d: %s" d_max n_min msg
+    done
+  done;
+  let overlay, _ = build 11 in
+  ignore (Balance.pass (Rng.create ~seed:1) overlay (Balance.default_config ~d_max:1 ~n_min:1))
+
+(* --- the partition index ----------------------------------------------- *)
+
+module Codes = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* The census computed from nothing, as [Overlay.census] did before the
+   overlay kept an index: grouped by [Path.code], walking ids downward
+   so each member list comes out ascending, then the distinct paths
+   sorted. *)
+let census_from_scratch ?(excluding = -1) overlay =
+  let tbl = Codes.create 16 in
+  for i = Overlay.size overlay - 1 downto 0 do
+    if i <> excluding then begin
+      let n = Overlay.node overlay i in
+      let code = Path.code n.Node.path in
+      let path, members, offline =
+        Option.value ~default:(n.Node.path, [], 0) (Codes.find_opt tbl code)
+      in
+      Codes.replace tbl code
+        (if n.Node.online then (path, i :: members, offline) else (path, members, offline + 1))
+    end
+  done;
+  Codes.fold (fun _ (path, members, offline) acc -> { Overlay.path; members; offline } :: acc) tbl []
+  |> List.stable_sort (fun a b -> Path.compare a.Overlay.path b.Overlay.path)
+
+type index_op =
+  | Move of int * int  (** peer; 0/1 extend by that bit, 2 parent, 3 sibling *)
+  | Toggle of int
+  | Insert of int * int  (** origin, key in millionths of the key space *)
+  | Delete of int * int  (** origin, which of the keys inserted so far *)
+  | Remove_key of int * int  (** peer, which of its keys *)
+  | Trim of int  (** drop the peer's keys outside its path *)
+  | Add_peer
+  | Pass of int * bool  (** island (0: none), split config or retract config *)
+  | Read of int  (** census excluding that peer, or none when negative *)
+
+let show_index_op = function
+  | Move (p, m) -> Printf.sprintf "move %d %d" p m
+  | Toggle p -> Printf.sprintf "toggle %d" p
+  | Insert (o, k) -> Printf.sprintf "insert %d %d" o k
+  | Delete (o, k) -> Printf.sprintf "delete %d %d" o k
+  | Remove_key (p, k) -> Printf.sprintf "remove_key %d %d" p k
+  | Trim p -> Printf.sprintf "trim %d" p
+  | Add_peer -> "add_peer"
+  | Pass (island, split) -> Printf.sprintf "pass %d %s" island (if split then "split" else "retract")
+  | Read e -> Printf.sprintf "read %d" e
+
+(* Node-level ops draw from a dozen peers, so moves, reads and trims of
+   one peer interleave. *)
+let gen_index_op =
+  let open QCheck.Gen in
+  let peer = int_bound 11 in
+  frequency
+    [
+      (3, map2 (fun p m -> Move (p, m)) peer (int_bound 3));
+      (2, map (fun p -> Toggle p) peer);
+      (4, map2 (fun o k -> Insert (o, k)) (int_bound 63) (int_bound 999_999));
+      (2, map2 (fun o k -> Delete (o, k)) (int_bound 63) (int_bound 1000));
+      (2, map2 (fun p k -> Remove_key (p, k)) peer (int_bound 1000));
+      (2, map (fun p -> Trim p) peer);
+      (1, return Add_peer);
+      (2, map2 (fun i s -> Pass (i, s)) (int_bound 3) bool);
+      (3, map (fun e -> Read e) (int_range (-1) 11));
+    ]
+
+(* Whether every read of the index, with and without [excluding], shows
+   what a census from nothing shows, and each partition's load is the
+   largest key count among its online members. *)
+let index_agrees ?excluding overlay =
+  let expected = census_from_scratch ?excluding overlay in
+  let got = Overlay.census ?excluding overlay in
+  let all = census_from_scratch overlay in
+  let slots = List.init (Overlay.partitions overlay) (Overlay.partition overlay) in
+  let loads_ok =
+    List.for_all
+      (fun i ->
+        let { Overlay.members; _ } = Overlay.partition overlay i in
+        Overlay.load overlay i
+        = List.fold_left (fun m id -> max m (Node.key_count (Overlay.node overlay id))) 0 members)
+      (List.init (List.length slots) Fun.id)
+  in
+  got = expected && slots = all && loads_ok
+  && List.for_all2
+       (fun (l : Pgrid_core.Trie_view.leaf) i -> l.keys = Overlay.load overlay i)
+       (Pgrid_core.Trie_view.leaves overlay)
+       (List.filter
+          (fun i -> (Overlay.partition overlay i).Overlay.members <> [])
+          (List.init (List.length slots) Fun.id))
+
+let index_setup seed =
+  let rng = Rng.create ~seed in
+  let keys = Distribution.generate rng Distribution.Uniform ~n:300 in
+  Pgrid_core.Builder.index rng ~peers:64 ~keys ~d_max:40 ~n_min:2 ~refs_per_level:2
+
+let run_index_ops seed ops =
+  let overlay = index_setup seed and rng = Rng.create ~seed in
+  let inserted = ref [||] in
+  let split = { (Balance.default_config ~d_max:12 ~n_min:1) with Balance.max_actions = 8 } in
+  let retract =
+    { (Balance.default_config ~d_max:50 ~n_min:1) with Balance.retract_members = 8; retract_load = 12 }
+  in
+  let peer p = Overlay.node overlay (p mod Overlay.size overlay) in
+  List.for_all
+    (fun op ->
+      match op with
+      | Move (p, m) ->
+        let n = peer p in
+        let path = n.Node.path in
+        (match m with
+        | (0 | 1) when Path.length path < Key.bits -> Node.set_path n (Path.extend path m)
+        | 2 when Path.length path > 0 -> Node.set_path n (Path.parent path)
+        | 3 when Path.length path > 0 -> Node.set_path n (Path.sibling path)
+        | _ -> ());
+        true
+      | Toggle p ->
+        let n = peer p in
+        Node.set_online n (not n.Node.online);
+        true
+      | Insert (o, k) ->
+        let key = Key.of_float (float_of_int k /. 1e6) in
+        inserted := Array.append !inserted [| key |];
+        ignore (Overlay.insert overlay ~from:(o mod Overlay.size overlay) key "x");
+        true
+      | Delete (o, k) ->
+        if !inserted <> [||] then
+          ignore
+            (Overlay.delete overlay ~from:(o mod Overlay.size overlay)
+               !inserted.(k mod Array.length !inserted));
+        true
+      | Remove_key (p, k) ->
+        let n = peer p in
+        (match Node.keys n with
+        | [] -> ()
+        | keys -> Node.remove_key n (List.nth keys (k mod List.length keys)));
+        true
+      | Trim p ->
+        let n = peer p in
+        ignore (Node.drop_keys_outside n n.Node.path);
+        true
+      | Add_peer ->
+        ignore (Overlay.add_peer overlay);
+        true
+      | Pass (island, s) ->
+        let restrict = if island = 0 then None else Some (fun i -> i mod 4 <> island) in
+        ignore (Balance.pass ?restrict rng overlay (if s then split else retract));
+        true
+      | Read e ->
+        let excluding = if e < 0 then None else Some (e mod Overlay.size overlay) in
+        index_agrees ?excluding overlay)
+    ops
+  && index_agrees overlay
+
+let qcheck_index_matches_census =
+  let gen = QCheck.Gen.(pair (int_bound 100_000) (list_size (int_range 1 40) gen_index_op)) in
+  let print (seed, ops) =
+    Printf.sprintf "seed=%d ops=[%s]" seed (String.concat "; " (List.map show_index_op ops))
+  in
+  let shrink (seed, ops) = QCheck.Iter.map (fun ops -> (seed, ops)) (QCheck.Shrink.list ops) in
+  QCheck.Test.make ~name:"partition index = census from scratch" ~count:100 ~long_factor:20
+    (QCheck.make ~print ~shrink gen) (fun (seed, ops) -> run_index_ops seed ops)
+
 let test_daemon_defaults_off () =
   let c = Maintenance.default_daemon_config ~n_min:2 in
   checkb "balance disabled by default" true (c.Maintenance.balance = None)
@@ -377,11 +555,13 @@ let suite =
       test_skips_partitions_with_offline_members;
     Alcotest.test_case "validate rejects bad configs" `Quick
       test_validate_rejects_bad_config;
+    Alcotest.test_case "default config validates" `Quick test_default_config_validates;
     Alcotest.test_case "daemon ships with balancing off" `Quick test_daemon_defaults_off;
     Alcotest.test_case "figures balance smoke" `Slow test_figures_balance_smoke;
     Alcotest.test_case "restrict ignores dark descendants" `Quick
       test_restrict_ignores_dark_descendants;
     QCheck_alcotest.to_alcotest qcheck_patched_census;
+    QCheck_alcotest.to_alcotest qcheck_index_matches_census;
     golden_split;
     golden_retract;
     golden_restrict;
