@@ -431,25 +431,18 @@ let gen_index_op =
    what a census from nothing shows, and each partition's load is the
    largest key count among its online members. *)
 let index_agrees ?excluding overlay =
-  let expected = census_from_scratch ?excluding overlay in
-  let got = Overlay.census ?excluding overlay in
-  let all = census_from_scratch overlay in
-  let slots = List.init (Overlay.partitions overlay) (Overlay.partition overlay) in
-  let loads_ok =
-    List.for_all
-      (fun i ->
-        let { Overlay.members; _ } = Overlay.partition overlay i in
-        Overlay.load overlay i
-        = List.fold_left (fun m id -> max m (Node.key_count (Overlay.node overlay id))) 0 members)
-      (List.init (List.length slots) Fun.id)
+  let slots = List.init (Overlay.partitions overlay) Fun.id in
+  let part i = Overlay.partition overlay i in
+  let largest members =
+    List.fold_left (fun m id -> max m (Node.key_count (Overlay.node overlay id))) 0 members
   in
-  got = expected && slots = all && loads_ok
-  && List.for_all2
-       (fun (l : Pgrid_core.Trie_view.leaf) i -> l.keys = Overlay.load overlay i)
-       (Pgrid_core.Trie_view.leaves overlay)
-       (List.filter
-          (fun i -> (Overlay.partition overlay i).Overlay.members <> [])
-          (List.init (List.length slots) Fun.id))
+  Overlay.census ?excluding overlay = census_from_scratch ?excluding overlay
+  && List.map part slots = census_from_scratch overlay
+  && List.for_all (fun i -> Overlay.load overlay i = largest (part i).Overlay.members) slots
+  && List.map (fun (l : Pgrid_core.Trie_view.leaf) -> l.keys) (Pgrid_core.Trie_view.leaves overlay)
+     = List.filter_map
+         (fun i -> if (part i).Overlay.members = [] then None else Some (Overlay.load overlay i))
+         slots
 
 let index_setup seed =
   let rng = Rng.create ~seed in
