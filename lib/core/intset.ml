@@ -78,7 +78,12 @@ let exists p t =
 
 let elements t = List.init t.len (fun i -> t.data.(i))
 let to_array t = Array.sub t.data 0 t.len
-let blit t dst = Array.blit t.data 0 dst 0 t.len
+(* An int loop for the reason [add]'s comment gives. *)
+let blit t dst =
+  if t.len > Array.length dst then invalid_arg "Intset.blit: destination too short";
+  for i = 0 to t.len - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get t.data i)
+  done
 
 let of_list xs =
   let t = create ~capacity:(max 1 (List.length xs)) () in

@@ -2,9 +2,9 @@
 
     Recursively bisecting [0, 1) induces a binary trie; a partition is
     identified by the sequence of left/right (0/1) decisions from the root.
-    A peer's [path] in P-Grid is exactly such a bit string.  Paths are
-    packed into a single int (max {!Key.bits} bits), so comparisons and
-    prefix tests are O(1). *)
+    A peer's [path] in P-Grid is exactly such a bit string.  A path is a
+    two-field block: its bits packed into one int (at most {!Key.bits}
+    of them) and its length, so comparisons and prefix tests are O(1). *)
 
 type t
 

@@ -18,29 +18,34 @@ module Event = Pgrid_telemetry.Event
    never copies a live slot.  Slot 0 is the nil of the links, the hash
    chains and the free list; it is never handed out. *)
 
-(* A slot's fields, [stride] ints from [(slot mod chunk_slots) * stride]
-   in its chunk.  The value columns: validity of an entry is
-   generational, so invalidation never walks the caches: bumping one
-   counter retires every entry that depends on it.  An entry records, at
-   insert time,
-     - the generation of the peer it points at ([Peer_changed] bumps it),
-     - the global epoch ([Flush] bumps it),
-     - for results, the write generation of its key ([Key_written]).
-   Route slots also keep their path's length, results their presence. *)
+(* A slot is [stride] ints from [(slot mod chunk_slots) * stride] in its
+   chunk, the middle three packing two fields each:
+     - the key (a [Path.code] for a route, [Key.to_int] for a result);
+     - the list id and the next slot in the same bucket, or in the free
+       list (list -1 while the slot is free);
+     - the older and the newer neighbour in the list;
+     - the target peer and [aux]: a route's path length, a result's
+       presence;
+     - the stamp: the invalidation clock when the entry was learned.
+   Validity is stamped, so invalidation never walks the caches.  Every
+   invalidation ticks one clock and records the tick where it applies:
+   on the peer ([Peer_changed]), on the key ([Key_written]) or for the
+   whole cache ([Flush]).  An entry is retired once any record that
+   applies to it is later than its stamp.  Slot ids and list ids must
+   fit in 31 bits, so peer ids in 30. *)
 let f_key = 0
-let f_list = 1 (* -1 while the slot is free *)
-let f_older = 2
-let f_newer = 3
-let f_chain = 4 (* next slot in the same bucket, or in the free list *)
-let col_target = 5
-let col_gen = 6
-let col_epoch = 7
-let col_len = 8
-let col_wgen = 8
-let col_present = 9
-let stride = 10
+let f_link = 1 (* list | chain *)
+let f_lru = 2 (* older | newer *)
+let f_entry = 3 (* target | aux *)
+let f_stamp = 4
+let stride = 5
+let slot_bits = 31
+let slot_mask = (1 lsl slot_bits) - 1
+let aux_bits = 8
+let max_peers = 1 lsl (slot_bits - 1)
 let chunk_bits = 11
 let chunk_slots = 1 lsl chunk_bits
+let max_chunks = (slot_mask + 1) / chunk_slots
 
 (* Route entries per path length, per peer. *)
 let lens = Key.bits + 1
@@ -82,7 +87,7 @@ type t = {
   mutable chunks : int array array;  (* [chunk_slots * stride] ints each *)
   mutable payloads : string list array array;  (* [chunk_slots] each *)
   mutable unused : int;  (* first slot never handed out *)
-  mutable free : int;  (* freed slots, linked through [f_chain] *)
+  mutable free : int;  (* freed slots, linked through their chains *)
   mutable buckets : int array;  (* power-of-two length, >= the arena's slots *)
   mutable shift : int;  (* [Sys.int_size - log2 (length buckets)] *)
   (* By list id, grown on demand with the peer arrays: *)
@@ -92,9 +97,10 @@ type t = {
   (* By peer id, grown on demand: *)
   mutable len_count : int array;  (* [lens] per peer: live route entries per length *)
   mutable top : int array;  (* longest path length with a route entry, or -1 *)
-  mutable gen : int array;  (* the peer's generation *)
-  mutable epoch : int;
-  wgen : int Itbl.t;  (* per-key write generation *)
+  mutable changed : int array;  (* the peer's last invalidation tick *)
+  mutable clock : int;  (* ticks once per invalidation *)
+  mutable flushed : int;  (* the last flush's tick *)
+  written : int Itbl.t;  (* per key, the last write's tick since the last flush *)
   c : counters;
 }
 
@@ -102,6 +108,16 @@ let get t s f = t.chunks.(s lsr chunk_bits).(((s land (chunk_slots - 1)) * strid
 let set t s f v = t.chunks.(s lsr chunk_bits).(((s land (chunk_slots - 1)) * stride) + f) <- v
 let payloads_at t s = t.payloads.(s lsr chunk_bits).(s land (chunk_slots - 1))
 let set_payloads t s p = t.payloads.(s lsr chunk_bits).(s land (chunk_slots - 1)) <- p
+
+(* The packed fields.  A free slot's list is -1: [asr] keeps the sign. *)
+let list_of t s = get t s f_link asr slot_bits
+let chain_of t s = get t s f_link land slot_mask
+let set_link t s l chain = set t s f_link ((l lsl slot_bits) lor chain)
+let set_chain t s chain = set t s f_link ((get t s f_link land lnot slot_mask) lor chain)
+let set_older t s o = set t s f_lru ((o lsl slot_bits) lor (get t s f_lru land slot_mask))
+let set_newer t s n = set t s f_lru ((get t s f_lru land lnot slot_mask) lor n)
+let target_of t s = get t s f_entry lsr aux_bits
+let aux_of t s = get t s f_entry land ((1 lsl aux_bits) - 1)
 
 (* Fibonacci hashing: the top bits of the product mix every key bit,
    which matters for route codes, whose low bits are a path's last
@@ -112,26 +128,26 @@ let hash t l k = ((k + (l * 0x2545F4914F6CDD1D)) * 0x9E3779B97F4A7C1) lsr t.shif
 
 let find t l k =
   let s = ref t.buckets.(hash t l k) in
-  while !s <> 0 && (get t !s f_key <> k || get t !s f_list <> l) do
-    s := get t !s f_chain
+  while !s <> 0 && (get t !s f_key <> k || list_of t !s <> l) do
+    s := chain_of t !s
   done;
   !s
 
 let unlink t s =
-  let l = get t s f_list and o = get t s f_older and n = get t s f_newer in
-  if o = 0 then t.oldest.(l) <- n else set t o f_newer n;
-  if n = 0 then t.newest.(l) <- o else set t n f_older o
+  let l = list_of t s and lru = get t s f_lru in
+  let o = lru lsr slot_bits and n = lru land slot_mask in
+  if o = 0 then t.oldest.(l) <- n else set_newer t o n;
+  if n = 0 then t.newest.(l) <- o else set_older t n o
 
 let push t s =
-  let l = get t s f_list in
+  let l = list_of t s in
   let head = t.newest.(l) in
-  set t s f_older head;
-  set t s f_newer 0;
-  if head = 0 then t.oldest.(l) <- s else set t head f_newer s;
+  set t s f_lru (head lsl slot_bits);
+  if head = 0 then t.oldest.(l) <- s else set_newer t head s;
   t.newest.(l) <- s
 
 let bump t s =
-  if t.newest.(get t s f_list) <> s then begin
+  if t.newest.(list_of t s) <> s then begin
     unlink t s;
     push t s
   end
@@ -155,36 +171,36 @@ let len_decr t at l =
 (* A route entry also leaves its path length's count. *)
 let remove t s =
   unlink t s;
-  let l = get t s f_list in
-  if l land 1 = 0 then len_decr t (l lsr 1) (get t s col_len);
+  let l = list_of t s in
+  if l land 1 = 0 then len_decr t (l lsr 1) (aux_of t s);
   let b = hash t l (get t s f_key) in
-  if t.buckets.(b) = s then t.buckets.(b) <- get t s f_chain
+  if t.buckets.(b) = s then t.buckets.(b) <- chain_of t s
   else begin
     let p = ref t.buckets.(b) in
-    while get t !p f_chain <> s do
-      p := get t !p f_chain
+    while chain_of t !p <> s do
+      p := chain_of t !p
     done;
-    set t !p f_chain (get t s f_chain)
+    set_chain t !p (chain_of t s)
   end;
   set_payloads t s [];
-  set t s f_list (-1);
-  set t s f_chain t.free;
+  set_link t s (-1) t.free;
   t.free <- s;
   t.size.(l) <- t.size.(l) - 1
 
 (* Adds a chunk, doubling the buckets when the arena outgrows them:
    chunks are smaller than the buckets, so once is enough. *)
 let add_chunk t =
+  if Array.length t.chunks = max_chunks then failwith "Qcache: too many entries";
   t.chunks <- Array.append t.chunks [| Array.make (chunk_slots * stride) 0 |];
   t.payloads <- Array.append t.payloads [| Array.make chunk_slots [] |];
   if Array.length t.chunks * chunk_slots > Array.length t.buckets then begin
     t.buckets <- Array.make (2 * Array.length t.buckets) 0;
     t.shift <- t.shift - 1;
     for s = 1 to t.unused - 1 do
-      let l = get t s f_list in
+      let l = list_of t s in
       if l >= 0 then begin
         let b = hash t l (get t s f_key) in
-        set t s f_chain t.buckets.(b);
+        set_chain t s t.buckets.(b);
         t.buckets.(b) <- s
       end
     done
@@ -196,7 +212,7 @@ let add t l k =
   let s =
     if t.free <> 0 then begin
       let s = t.free in
-      t.free <- get t s f_chain;
+      t.free <- chain_of t s;
       s
     end
     else begin
@@ -207,9 +223,8 @@ let add t l k =
     end
   in
   set t s f_key k;
-  set t s f_list l;
   let b = hash t l k in
-  set t s f_chain t.buckets.(b);
+  set_link t s l t.buckets.(b);
   t.buckets.(b) <- s;
   push t s;
   t.size.(l) <- t.size.(l) + 1;
@@ -230,40 +245,40 @@ let ensure t id =
     t.size <- extend t.size 2 0;
     t.len_count <- extend t.len_count lens 0;
     t.top <- extend t.top 1 (-1);
-    t.gen <- extend t.gen 1 0
+    t.changed <- extend t.changed 1 0
   end
 
-let gen_of t id = if id < Array.length t.gen then t.gen.(id) else 0
+let changed_at t id = if id < Array.length t.changed then t.changed.(id) else 0
 
-let bump_gen t id =
-  ensure t id;
-  t.gen.(id) <- t.gen.(id) + 1
+(* No key is written until one is: skip the hash. *)
+let written_at t k =
+  if Itbl.length t.written = 0 then 0
+  else match Itbl.find t.written k with w -> w | exception Not_found -> 0
 
-(* No key has a write generation until one is written: skip the hash. *)
-let wgen_of t k =
-  if Itbl.length t.wgen = 0 then 0
-  else match Itbl.find t.wgen k with g -> g | exception Not_found -> 0
+let tick t =
+  t.clock <- t.clock + 1;
+  t.clock
 
 let emit_invalidate t ~peer ~reason =
   if Telemetry.active t.telemetry then
     Telemetry.emit t.telemetry (Event.Cache_invalidate { peer; reason })
 
 let invalidate_peer ?(reason = "peer_changed") t id =
-  bump_gen t id;
+  ensure t id;
+  t.changed.(id) <- tick t;
   t.c.c_invalidations <- t.c.c_invalidations + 1;
   emit_invalidate t ~peer:id ~reason
 
 let invalidate_key ?(reason = "write") t key =
-  let k = Key.to_int key in
-  Itbl.replace t.wgen k (wgen_of t k + 1);
+  Itbl.replace t.written (Key.to_int key) (tick t);
   t.c.c_invalidations <- t.c.c_invalidations + 1;
   emit_invalidate t ~peer:(-1) ~reason
 
 let flush ?(reason = "flush") t =
-  (* The epoch bump retires every entry at once; the write generations
-     only existed to compare against live entries, so they can go too. *)
-  t.epoch <- t.epoch + 1;
-  Itbl.reset t.wgen;
+  (* The flush's tick retires every entry at once; the key records only
+     existed to compare against live entries, so they can go too. *)
+  t.flushed <- tick t;
+  Itbl.reset t.written;
   t.c.c_invalidations <- t.c.c_invalidations + 1;
   emit_invalidate t ~peer:(-1) ~reason
 
@@ -302,9 +317,10 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?(route_cap = 512)
       size = Array.make (2 * n) 0;
       len_count = Array.make (n * lens) 0;
       top = Array.make n (-1);
-      gen = Array.make n 0;
-      epoch = 0;
-      wgen = Itbl.create 256;
+      changed = Array.make n 0;
+      clock = 0;
+      flushed = 0;
+      written = Itbl.create 256;
       c =
         {
           c_route_hits = 0;
@@ -334,6 +350,13 @@ let target_valid t target key =
   let n = Overlay.node t.overlay target in
   n.Node.online && Node.responsible_for n key
 
+(* Whether a flush or an invalidation of [target] came after the entry
+   in slot [s] was learned: such an entry is indistinguishable from a
+   miss. *)
+let retired t s target =
+  let stamp = get t s f_stamp in
+  t.flushed > stamp || changed_at t target > stamp
+
 let stale t target =
   t.c.c_stale <- t.c.c_stale + 1;
   Stale target
@@ -350,20 +373,15 @@ let from_results t at key =
   let s = find t (results at) k in
   if s = 0 then Miss
   else begin
-    let target = get t s col_target in
-    if
-      get t s col_epoch <> t.epoch
-      || get t s col_gen <> gen_of t target
-      || get t s col_wgen <> wgen_of t k
-    then begin
-      (* Generationally retired: indistinguishable from a miss. *)
+    let target = target_of t s in
+    if retired t s target || written_at t k > get t s f_stamp then begin
       remove t s;
       Miss
     end
     else if target_valid t target key then begin
       bump t s;
       t.c.c_result_hits <- t.c.c_result_hits + 1;
-      Hit_result { target; present = get t s col_present = 1; payloads = payloads_at t s }
+      Hit_result { target; present = aux_of t s = 1; payloads = payloads_at t s }
     end
     else begin
       remove t s;
@@ -381,8 +399,8 @@ let rec probe_routes t at key l =
     let s = find t (routes at) ((Key.to_int key lsr (Key.bits - l)) lor (1 lsl l)) in
     if s = 0 then probe_routes t at key (l - 1)
     else begin
-      let target = get t s col_target in
-      if get t s col_epoch <> t.epoch || get t s col_gen <> gen_of t target then begin
+      let target = target_of t s in
+      if retired t s target then begin
         remove t s;
         probe_routes t at key (l - 1)
       end
@@ -407,9 +425,10 @@ let probe_results t ~at key =
   match from_results t at key with Miss -> miss t | outcome -> outcome
 
 let learn t ~at ~key ~target ~present ~payloads =
+  if at < 0 || at >= max_peers || target < 0 || target >= max_peers then
+    invalid_arg "Qcache.learn: peer ids must be in [0, 2^30)";
   if at <> target then begin
     ensure t at;
-    let gen = gen_of t target in
     let path = (Overlay.node t.overlay target).Node.path in
     let r = routes at in
     let code = Path.code path in
@@ -428,10 +447,8 @@ let learn t ~at ~key ~target ~present ~payloads =
         add t r code
       end
     in
-    set t s col_target target;
-    set t s col_gen gen;
-    set t s col_epoch t.epoch;
-    set t s col_len (Path.length path);
+    set t s f_entry ((target lsl aux_bits) lor Path.length path);
+    set t s f_stamp t.clock;
     let x = results at in
     let k = Key.to_int key in
     let s = find t x k in
@@ -448,11 +465,8 @@ let learn t ~at ~key ~target ~present ~payloads =
         add t x k
       end
     in
-    set t s col_target target;
-    set t s col_gen gen;
-    set t s col_epoch t.epoch;
-    set t s col_wgen (wgen_of t k);
-    set t s col_present (Bool.to_int present);
+    set t s f_entry ((target lsl aux_bits) lor Bool.to_int present);
+    set t s f_stamp t.clock;
     set_payloads t s payloads
   end
 

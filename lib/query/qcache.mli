@@ -23,10 +23,11 @@
     wrong responsible peer.
 
     Invalidation exists for hit-ratio hygiene and is O(1) per event,
-    generational rather than scanning: entries record the generation of
-    the peer they point at, the write generation of their key and the
-    global epoch; {!invalidate} bumps the corresponding counter and the
-    entry silently dies.  The cache subscribes to
+    stamped rather than scanning: every invalidation ticks one clock and
+    records the tick on the peer it names, on the key it names or, for
+    a flush, on the whole cache; an entry carries the tick it was
+    learned at and silently dies once its target, its key (result
+    entries only) or the whole cache was invalidated after it.  The cache subscribes to
     {!Pgrid_core.Overlay.subscribe} at creation, so load-balance splits
     and retracts, migrations, structural repairs, reference evictions
     and routed writes invalidate automatically; {!observe} additionally
@@ -71,7 +72,9 @@ val probe_results : t -> at:int -> Pgrid_keyspace.Key.t -> probe
 (** [learn t ~at ~key ~target ~present ~payloads] records a completed
     lookup at peer [at]: a route entry for [target]'s current path and a
     result entry for [key].  A no-op when [at = target] (a responsible
-    peer never needs a shortcut to itself). *)
+    peer never needs a shortcut to itself).  Raises [Invalid_argument]
+    when [at] or [target] is outside [0, 2^30), before anything is
+    allocated: peer ids are packed into 30 bits. *)
 val learn :
   t ->
   at:int ->
@@ -91,10 +94,11 @@ val invalidate : t -> Pgrid_core.Overlay.change -> unit
     are ignored. *)
 val observe : t -> Pgrid_telemetry.Event.kind -> unit
 
-(** [flush t] retires every entry (epoch bump; O(1)). *)
+(** [flush t] retires every entry learned before it (one clock tick;
+    O(1)). *)
 val flush : ?reason:string -> t -> unit
 
-(** [clear t] drops every entry, unlike the generational {!flush},
+(** [clear t] drops every entry, unlike the stamped {!flush},
     which only retires them.  The arena keeps its slots for the entries
     that follow, so a cleared cache refills without allocating. *)
 val clear : t -> unit

@@ -264,14 +264,14 @@ let test_restrict_ignores_dark_descendants () =
   checki "sleeping descendant blocks the merge" 0 (run None);
   checki "invisible to a restricted pass" 1 (run (Some (fun _ -> true)))
 
-(* The pass patches its census after every action, while a pass capped
-   at one action takes a fresh census each time.  Repeating the capped
-   pass until it stops must make the very same decisions: same actions,
-   same peers moved, same draws, same final load.  Peers left one level
-   below their partition, sleeping peers and an island [restrict] make
-   the patches file into partitions that already have members, online
-   or offline. *)
-let qcheck_patched_census =
+(* One pass that may take many actions against a pass capped at one
+   action, repeated until it stops: both must make the very same
+   decisions, with the same actions, the same peers moved, the same
+   draws and the same final load.  Peers left one level below their
+   partition, sleeping peers and an island [restrict] make the actions
+   move peers into partitions that already have members, online or
+   offline. *)
+let qcheck_many_action_pass =
   let setup seed =
     let rng = Rng.create ~seed in
     let keys = Distribution.generate rng Distribution.Uniform ~n:600 in
@@ -291,7 +291,7 @@ let qcheck_patched_census =
   in
   let gen = QCheck.Gen.(triple (int_bound 100_000) (int_range 1 2) (int_bound 3)) in
   let print (seed, n_min, island) = Printf.sprintf "seed=%d n_min=%d island=%d" seed n_min island in
-  QCheck.Test.make ~name:"patched census = fresh census per action" ~count:100
+  QCheck.Test.make ~name:"pass = repeated one-action passes" ~count:100
     (QCheck.make ~print gen) (fun (seed, n_min, island) ->
       (* [island] 0: no restrict; otherwise peers with [i mod 4 = island]
          are out of reach. *)
@@ -307,12 +307,12 @@ let qcheck_patched_census =
           };
         ]
       in
-      let patched () =
+      let many () =
         let overlay = setup seed and rng = Rng.create ~seed in
         let reports = List.map (fun cfg -> Balance.pass ?restrict rng overlay cfg) cfgs in
         fingerprint rng overlay reports
       in
-      let fresh () =
+      let repeated () =
         let overlay = setup seed and rng = Rng.create ~seed in
         let reports =
           List.map
@@ -343,7 +343,7 @@ let qcheck_patched_census =
         in
         fingerprint rng overlay reports
       in
-      patched () = fresh ())
+      many () = repeated ())
 
 (* [default_config] must be a config its own [validate] accepts, at the
    smallest [d_max] too: [retract_load] stays below it. *)
@@ -553,7 +553,7 @@ let suite =
     Alcotest.test_case "figures balance smoke" `Slow test_figures_balance_smoke;
     Alcotest.test_case "restrict ignores dark descendants" `Quick
       test_restrict_ignores_dark_descendants;
-    QCheck_alcotest.to_alcotest qcheck_patched_census;
+    QCheck_alcotest.to_alcotest qcheck_many_action_pass;
     QCheck_alcotest.to_alcotest qcheck_index_matches_census;
     golden_split;
     golden_retract;

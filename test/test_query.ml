@@ -895,6 +895,73 @@ let test_qcache_invalidation_kinds () =
   | _ -> Alcotest.fail "expected a miss after Flush");
   checkb "invalidations counted" true ((Qcache.stats cache).Qcache.invalidations > 0)
 
+(* The arena's footprint: some 10k entries on a 64-peer overlay must
+   cost at most 6 words a slot (five packed ints and the payload word)
+   plus the buckets, the arena being whole 2048-slot chunks and the
+   buckets the smallest power of two that covers it. *)
+let test_qcache_slot_footprint () =
+  let peers = 64 in
+  let overlay = Overlay.create (Rng.create ~seed:3) ~n:peers in
+  let cache = Qcache.create ~result_cap:1024 overlay in
+  let before = Obj.reachable_words (Obj.repr cache) in
+  for i = 0 to 9_999 do
+    let at = i mod peers in
+    Qcache.learn cache ~at ~key:(Key.of_int (i * 7919)) ~target:((at + 1) mod peers)
+      ~present:true ~payloads:[]
+  done;
+  let s = Qcache.stats cache in
+  let entries = s.Qcache.route_entries + s.Qcache.result_entries in
+  checki "entries" (10_000 + peers) entries;
+  let chunk = 2048 in
+  let slots = (entries + chunk) / chunk * chunk in
+  let rec cover b = if b >= slots then b else cover (2 * b) in
+  let grown = Obj.reachable_words (Obj.repr cache) - before in
+  let bound = (6 * slots) + (cover chunk - chunk) + 64 in
+  if grown > bound then
+    Alcotest.failf "cache grew by %d words for %d slots; at most %d allowed" grown slots bound
+
+(* Stamps order an invalidation against the entries around it: an entry
+   learned after its target was invalidated is live, and one learned
+   before is retired, which reads as a miss, not as a stale probe. *)
+let test_qcache_invalidation_boundary () =
+  let overlay, keys = build 37 in
+  let cache = Qcache.create overlay in
+  let k, t = planted_pair overlay keys in
+  let plant () = Qcache.learn cache ~at:0 ~key:k ~target:t ~present:true ~payloads:[] in
+  Qcache.invalidate cache (Overlay.Peer_changed t);
+  plant ();
+  (match Qcache.probe cache ~at:0 k with
+  | Qcache.Hit_result { target; _ } -> checki "learned after the invalidation" t target
+  | _ -> Alcotest.fail "expected a hit for an entry learned after the invalidation");
+  plant ();
+  Qcache.invalidate cache (Overlay.Peer_changed t);
+  (match Qcache.probe cache ~at:0 k with
+  | Qcache.Miss -> ()
+  | _ -> Alcotest.fail "expected a miss for an entry learned before the invalidation");
+  checki "retired, not stale" 0 (Qcache.stats cache).Qcache.stale
+
+(* Peer ids are packed into 30 bits: a larger one is refused before the
+   cache grows a peer array to fit it. *)
+let test_qcache_peer_id_limit () =
+  let overlay = Overlay.create (Rng.create ~seed:4) ~n:4 in
+  let cache = Qcache.create overlay in
+  let before = Obj.reachable_words (Obj.repr cache) in
+  let learn ~at ~target =
+    Qcache.learn cache ~at ~key:(Key.of_float 0.5) ~target ~present:true ~payloads:[]
+  in
+  let raises ~at ~target =
+    match learn ~at ~target with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  let words = Gc.minor_words () in
+  let refused = raises ~at:(1 lsl 30) ~target:0 in
+  let allocated = Gc.minor_words () -. words in
+  checkb "at = 2^30 refused" true refused;
+  checkb "target = 2^30 refused" true (raises ~at:0 ~target:(1 lsl 30));
+  checkb "refused without allocating" true (allocated < 64.);
+  checki "cache unchanged" before (Obj.reachable_words (Obj.repr cache))
+
 let test_qcache_observe_events () =
   let overlay, keys = build 33 in
   let cache = Qcache.create overlay in
@@ -1449,6 +1516,10 @@ let suite =
     Alcotest.test_case "qcache invalidation kinds" `Quick
       test_qcache_invalidation_kinds;
     Alcotest.test_case "qcache observes events" `Quick test_qcache_observe_events;
+    Alcotest.test_case "qcache slot footprint" `Quick test_qcache_slot_footprint;
+    Alcotest.test_case "qcache invalidation boundary" `Quick
+      test_qcache_invalidation_boundary;
+    Alcotest.test_case "qcache peer id limit" `Quick test_qcache_peer_id_limit;
     Alcotest.test_case "engine stale fallback" `Quick test_engine_stale_fallback;
     Alcotest.test_case "engine batched lookups" `Quick test_engine_lookup_many;
     Alcotest.test_case "batched lookups probe results only" `Quick
