@@ -313,6 +313,101 @@ let micro _reps =
     ~rows:(List.sort compare !rows);
   []
 
+(* --- identity manifest ---------------------------------------------------- *)
+
+(* One manifest line, laid out as md5sum's: [Experiment.digest] of
+   everything the artifact reported, then its name, the size it ran at
+   and its seed. *)
+let manifest_line name size seed out =
+  Printf.printf "%s  %s %s seed=%d\n%!" (Experiment.digest out) name size seed
+
+let of_values values = { Experiment.blocks = []; metrics = values }
+
+(* A 48-peer simnet run with the maintenance daemon and the transaction
+   workload on: the daemon's processes, the legacy query loop and the
+   document and recovery loops all run. *)
+let net_engine_run ~seed =
+  let module Net_engine = Pgrid_construction.Net_engine in
+  let module Maintenance = Pgrid_core.Maintenance in
+  let base = Net_engine.default_params ~peers:48 in
+  let o =
+    Net_engine.run (Pgrid_prng.Rng.create ~seed)
+      {
+        base with
+        Net_engine.maint =
+          Some
+            {
+              (Maintenance.default_daemon_config ~n_min:Net_engine.n_min) with
+              Maintenance.period = 30.;
+            };
+        txn = true;
+      }
+      ~spec:Pgrid_workload.Distribution.Uniform
+  in
+  let f name v = (name, v, Experiment.Down) in
+  let i name v = f name (float_of_int v) in
+  let series name pts = List.map (fun (x, y) -> f (Printf.sprintf "%s@%h" name x) y) pts in
+  let qs = o.Net_engine.query_stats in
+  let m = Option.get o.Net_engine.maint_stats in
+  let t = Option.get o.Net_engine.txn_stats in
+  of_values
+    ([
+       f "deviation" o.Net_engine.deviation;
+       i "issued" qs.Net_engine.issued;
+       i "succeeded" qs.Net_engine.succeeded;
+       f "mean_hops" qs.Net_engine.mean_hops;
+       f "mean_latency" qs.Net_engine.mean_latency;
+       i "messages_sent" o.Net_engine.messages_sent;
+       i "messages_dropped" o.Net_engine.messages_dropped;
+       i "ticks" m.Maintenance.ticks;
+       i "exchanges" m.Maintenance.exchanges;
+       i "keys_synced" m.Maintenance.keys_synced;
+       i "levels_refreshed" m.Maintenance.levels_refreshed;
+       i "refs_evicted" m.Maintenance.refs_evicted;
+       i "refs_added" m.Maintenance.refs_added;
+       i "monitor_runs" m.Maintenance.monitor_runs;
+       i "rereplications" m.Maintenance.rereplications;
+       i "recover_passes" m.Maintenance.recover_passes;
+       i "intents_resolved" m.Maintenance.intents_resolved;
+       i "begun" t.Pgrid_core.Txn.begun;
+       i "committed" t.Pgrid_core.Txn.committed;
+       i "aborted" t.Pgrid_core.Txn.aborted;
+       i "prepares" t.Pgrid_core.Txn.prepares;
+       i "recovered" t.Pgrid_core.Txn.recovered;
+     ]
+    @ series "online" (List.map (fun (x, n) -> (x, float_of_int n)) o.Net_engine.online_series)
+    @ series "maintenance_bw" o.Net_engine.maintenance_bw
+    @ series "query_bw" o.Net_engine.query_bw
+    @ series "latency" (List.map (fun (x, mean, _) -> (x, mean)) o.Net_engine.latency_series))
+
+(* Both arms of a 128-peer overload storm: the storm, shedding, breakers
+   and hedging of the overload experiment at a size tier-1 can afford. *)
+let overload_arms ~seed =
+  let arm protected =
+    let issued, metrics =
+      Figures.overload_arm ~peers:128 ~horizon:360. ~base_rate:10. ~peak_rate:120. ~protected
+        ~seed ()
+    in
+    List.mapi (fun w n -> (Printf.sprintf "issued@%d" w, float_of_int n, Experiment.Down)) issued
+    @ metrics
+  in
+  of_values (arm true @ arm false)
+
+(* [identity reps]: one manifest line per registry entry, at the smoke
+   size under --smoke, then one per library run.  The smoke manifest
+   leaves out overload, whose smoke run takes a minute; the 128-peer
+   arms stand in for it. *)
+let identity reps =
+  let size = (if !smoke then "smoke" else "full") ^ Option.fold ~none:"" ~some:(Printf.sprintf "/%d") reps in
+  List.iter
+    (fun (e : Experiment.t) ->
+      if not (!smoke && e.name = "overload") then
+        manifest_line e.name size seed (e.run ~reps ~smoke:!smoke ~seed))
+    Experiment.all;
+  manifest_line "net-engine" "peers=48" 42 (net_engine_run ~seed:42);
+  manifest_line "overload-arms" "peers=128" 6 (overload_arms ~seed:6);
+  true
+
 let targets =
   List.map (fun (e : Experiment.t) -> (e.name, experiment e)) Experiment.all
   @ [ ("scale", scale); ("micro", micro) ]
@@ -455,6 +550,10 @@ let () =
           names
       in
       fun () -> check experiments
+    | "identity" :: args -> (
+      match parse_positional args with
+      | [], reps -> fun () -> identity reps
+      | _ -> usage_error "identity takes no target names, only a repetitions count")
     | args ->
       let chosen, reps = parse_positional args in
       fun () ->

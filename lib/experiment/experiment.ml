@@ -10,6 +10,37 @@ type block =
 
 type output = { blocks : block list; metrics : metric list }
 
+(* --- identity ------------------------------------------------------------ *)
+
+let digest out =
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let cells row = String.concat "\t" row in
+  let floats row = cells (List.map (Printf.sprintf "%h") row) in
+  List.iter
+    (function
+      | Series f ->
+        line "series %s\t%s\t%s" f.Series.title f.x_label f.y_label;
+        List.iter
+          (fun s ->
+            line "%s" s.Series.name;
+            Array.iter (fun (x, y) -> line "%s" (floats [ x; y ])) s.points)
+          f.series
+      | Grid g ->
+        line "grid %s" g.Figures.title;
+        line "%s" (cells g.distributions);
+        List.iteri
+          (fun i category -> line "%s\t%s" category (floats (Array.to_list g.values.(i))))
+          g.categories
+      | Table { title; columns; rows } ->
+        line "table %s" title;
+        List.iter (fun row -> line "%s" (cells row)) (columns :: rows))
+    out.blocks;
+  List.iter
+    (fun (name, v, dir) -> line "%s\t%h\t%s" name v (match dir with Up -> "up" | Down -> "down"))
+    out.metrics;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 (* --- claims -------------------------------------------------------------- *)
 
 type expr =

@@ -21,6 +21,12 @@ type block =
 
 type output = { blocks : block list; metrics : metric list }
 
+(** [digest out] is the MD5, in hex, of one rendering of [out]: every
+    block (titles, labels, every cell) and every metric, each float in
+    [%h], so two outputs share a digest only if they are the same to the
+    last bit.  The identity manifests ([test/identity/]) record it. *)
+val digest : output -> string
+
 (** {1 Claims}
 
     A claim compares two expressions over an experiment's metrics, e.g.
