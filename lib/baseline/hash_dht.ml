@@ -23,8 +23,6 @@ let hash_string s =
   String.iter (fun c -> h := mix ((!h * 31) + Char.code c)) s;
   mix !h
 
-let hash_key k = mix (Key.to_int k)
-
 (* First node index (into the sorted positions) at or after [hash],
    wrapping around. *)
 let successor_index positions hash =

@@ -16,11 +16,9 @@ val create : Pgrid_prng.Rng.t -> nodes:int -> t
 
 val size : t -> int
 
-(** [hash_string s] / [hash_key k]: the uniform placement hash (64-bit
-    mix truncated to ring width). *)
+(** [hash_string s]: the uniform placement hash (64-bit mix truncated
+    to ring width). *)
 val hash_string : string -> int
-
-val hash_key : Pgrid_keyspace.Key.t -> int
 
 (** [responsible t ~hash] is the node index owning ring position [hash]
     (its successor on the ring). *)

@@ -12,6 +12,10 @@ let increments ~alpha ~beta ~flipped ~n ~p0 ~p1 ~u =
     (split +. (beta *. p1 /. n), split +. (p0 /. n) +. ((1. -. beta) *. p1 /. n))
   else (split +. (p1 /. n) +. ((1. -. beta) *. p0 /. n), split +. (beta *. p0 /. n))
 
+(* The generic engine: at each step [probabilities_of ()] yields the
+   (alpha, beta) pair to use and whether the stepping peer believes the
+   sides' roles are flipped (its estimate exceeded 1/2); [run_exact] and
+   [run_sampled] are instances. *)
 let run_with ~n ~probabilities_of =
   if n < 1 then invalid_arg "Mva.run_with: n must be >= 1";
   let fn = float_of_int n in

@@ -43,11 +43,3 @@ val run_mixture : n:int -> p:float -> samples:int -> outcome
     derived (identity gives [run_mixture]). *)
 val run_mixture_with :
   n:int -> p:float -> samples:int -> adjust:(float -> float) -> outcome
-
-(** [run_with ~n ~probabilities_of] is the generic engine: at each step
-    [probabilities_of ()] must yield the (alpha, beta) pair to use and
-    whether the stepping peer believes the sides' roles are flipped
-    (its estimate exceeded 1/2); [run_exact]/[run_sampled] are
-    instances. *)
-val run_with :
-  n:int -> probabilities_of:(unit -> Aep_math.probabilities * bool) -> outcome

@@ -51,11 +51,6 @@ let merge a b =
     }
   end
 
-let of_array xs =
-  let t = create () in
-  Array.iter (add t) xs;
-  t
-
 let of_list xs =
   let t = create () in
   List.iter (add t) xs;

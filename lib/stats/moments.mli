@@ -36,8 +36,5 @@ val total : t -> float
     streams (Chan's parallel combination). *)
 val merge : t -> t -> t
 
-(** [of_array xs] folds a whole array. *)
-val of_array : float array -> t
-
 (** [of_list xs] folds a whole list. *)
 val of_list : float list -> t
