@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation and runs the simulation experiments (see DESIGN.md section
    4 and EXPERIMENTS.md), all read from Pgrid_experiment.Experiment.all,
-   plus the bench-only scale and micro targets.
+   plus the bench-only scale and micro targets and the identity manifest.
 
    Usage:
      dune exec bench/main.exe                    -- everything, in order
@@ -10,9 +10,15 @@
      dune exec bench/main.exe fig6a fig6e micro  -- several artifacts
      dune exec bench/main.exe micro              -- Bechamel micro-benchmarks
      dune exec bench/main.exe check txn balance  -- smoke runs, claims checked
+     dune exec bench/main.exe identity --smoke 1 -- identity manifest lines
 
    check runs each named experiment at its smoke size, prints every claim
    with its verdict and exits 1 if any claim fails.
+   identity prints one line per registry entry and per library run:
+   Experiment.digest of its output, then its name, size and seed.
+   test/identity/ diffs them against the committed manifests (dune
+   runtest: --smoke at 1 repetition; dune build @identity-full: default
+   size and repetitions).
    --smoke runs the simulation experiments at their smoke size.
    --json FILE writes a machine-readable report (wall-clock seconds per
    target, every metric a target reports, Bechamel ns/run for the micro
