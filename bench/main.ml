@@ -404,7 +404,9 @@ let overload_arms ~seed =
    leaves out overload, whose smoke run takes a minute; the 128-peer
    arms stand in for it. *)
 let identity reps =
-  let size = (if !smoke then "smoke" else "full") ^ Option.fold ~none:"" ~some:(Printf.sprintf "/%d") reps in
+  let size =
+    (if !smoke then "smoke" else "full") ^ Option.fold ~none:"" ~some:(Printf.sprintf "/%d") reps
+  in
   List.iter
     (fun (e : Experiment.t) ->
       if not (!smoke && e.name = "overload") then

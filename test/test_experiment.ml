@@ -165,12 +165,16 @@ let test_smoke_claims name () =
       checkb line true holds)
     e.claims
 
-(* The identity manifests (test/identity): every registry entry has a
-   line in the full manifest and, overload aside, in the smoke one, each
-   entry once; every line names a registry entry, one of the two library
-   runs or a CLI output file. *)
-let manifest_names path =
+(* The contents of a file of test/identity: [dune runtest] runs the suite
+   in test/, [dune exec] from the root. *)
+let identity_file name =
+  let path = Filename.concat "identity" name in
+  let path = if Sys.file_exists path then path else Filename.concat "test" path in
   In_channel.with_open_text path In_channel.input_all
+
+(* [(name, md5)] of each line of an identity manifest. *)
+let manifest_names path =
+  identity_file path
   |> String.split_on_char '\n'
   |> List.filter (( <> ) "")
   |> List.map (fun line ->
@@ -178,10 +182,14 @@ let manifest_names path =
          | md5 :: "" :: name :: _ -> (name, md5)
          | _ -> Alcotest.failf "%s: malformed line %S" path line)
 
+(* Every registry entry has a line in the full manifest and, overload
+   aside, in the smoke one, each entry once; every line names a registry
+   entry, one of the two library runs or a file cli.sh writes. *)
 let test_manifests_complete () =
   let registry = List.map (fun (e : Experiment.t) -> e.name) Experiment.all in
   let library = [ "net-engine"; "overload-arms" ] in
-  let cli name = Filename.check_suffix name ".txt" || Filename.check_suffix name ".jsonl" in
+  let script = identity_file "cli.sh" in
+  let cli name = Test_util.contains script (" " ^ name) in
   List.iter
     (fun (path, expected) ->
       let names = List.map fst (manifest_names path) in
@@ -194,8 +202,8 @@ let test_manifests_complete () =
             (List.mem name registry || List.mem name library || cli name))
         names)
     [
-      ("identity/smoke.manifest", List.filter (( <> ) "overload") registry @ library);
-      ("identity/full.manifest", registry @ library);
+      ("smoke.manifest", List.filter (( <> ) "overload") registry @ library);
+      ("full.manifest", registry @ library);
     ]
 
 (* ablation-cor reads Calibration.cache and Aep_math's memos.  Run twice
@@ -206,7 +214,7 @@ let test_memoised_artifact_twice () =
     Experiment.digest
       ((Experiment.find "ablation-cor").run ~reps:(Some 1) ~smoke:true ~seed:bench_seed)
   in
-  let recorded = List.assoc "ablation-cor" (manifest_names "identity/smoke.manifest") in
+  let recorded = List.assoc "ablation-cor" (manifest_names "smoke.manifest") in
   Alcotest.(check string) "first run" recorded (run ());
   Alcotest.(check string) "second run" recorded (run ())
 
