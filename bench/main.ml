@@ -197,6 +197,25 @@ let micro _reps =
     census_pool_in := not !census_pool_in;
     ignore (Sys.opaque_identity (Overlay.census o))
   in
+  (* The two whole-overlay audits on the paper's construction of 1000
+     peers (uniform keys, default parameters) with every tenth peer then
+     taken offline: [Health.check] (replication, referential integrity,
+     one pass over the stores) and [Overlay.integrity_errors] (every
+     reference of every online peer).  Both ask, per routing level with
+     no usable reference, whether the complement is inhabited. *)
+  let audit_overlay =
+    lazy
+      (let module Round = Pgrid_construction.Round in
+       let built =
+         Round.run (Pgrid_prng.Rng.create ~seed) (Round.default_params ~peers:1000)
+           ~spec:Pgrid_workload.Distribution.Uniform
+       in
+       let o = built.Round.overlay in
+       for i = 0 to 99 do
+         Pgrid_core.Node.set_online (Pgrid_core.Overlay.node o (10 * i)) false
+       done;
+       o)
+  in
   (* One routing step at a level of 40 references, the mean of the
      benchmark's overlays: peer 0 on path 0 refers to peers 1-40 on path
      1.  With every peer online the pick reads no reference; with peer 40
@@ -276,6 +295,14 @@ let micro _reps =
         Test.make_with_resource ~name:"census-refresh" Test.uniq
           ~allocate:(fun () -> Lazy.force census_overlay)
           ~free:ignore (Staged.stage census_refresh);
+        Test.make_with_resource ~name:"health-check-1k" Test.uniq
+          ~allocate:(fun () -> Lazy.force audit_overlay)
+          ~free:ignore
+          (Staged.stage (fun o -> ignore (Pgrid_core.Health.check ~n_min:2 o)));
+        Test.make_with_resource ~name:"integrity-errors-1k" Test.uniq
+          ~allocate:(fun () -> Lazy.force audit_overlay)
+          ~free:ignore
+          (Staged.stage (fun o -> ignore (Pgrid_core.Overlay.integrity_errors o)));
         Test.make_with_resource ~name:"balance-pass" Test.multiple
           ~allocate:balance_fixture ~free:Queue.clear (Staged.stage balance_pass);
       ]

@@ -315,15 +315,10 @@ let find_split cfg overlay v =
   in
   go 0
 
-(* Whether a [visible] partition lies strictly below the one in slot [i]:
-   those directly follow it in path order. *)
+(* Whether a [visible] partition lies strictly below the one in slot [i]. *)
 let inhabited_below overlay v i =
-  let prefix = path overlay i in
-  let rec go j =
-    j < v.count
-    && Path.is_prefix_of ~prefix (path overlay j)
-    && (visible v j || go (j + 1))
-  in
+  let _, past = Overlay.subtree overlay (path overlay i) in
+  let rec go j = j < past && (visible v j || go (j + 1)) in
   go (i + 1)
 
 (* The slots of the first retraction the sight allows, with its sibling:

@@ -69,26 +69,17 @@ let of_reference rng ~reference ~keys ~refs_per_level =
             members.(i))
         members.(i))
     partitions;
-  (* Routing references: peers of the complementary subtree per level. *)
-  let all_ids = Array.init population (fun i -> i) in
-  Array.iter
-    (fun id ->
-      let n = Overlay.node overlay id in
-      for level = 0 to Path.length n.Node.path - 1 do
-        let target = Path.complement_at n.Node.path level in
-        let candidates =
-          Array.to_list all_ids
-          |> List.filter (fun j ->
-                 j <> id
-                 && Path.is_prefix_of ~prefix:target (Overlay.node overlay j).Node.path)
-        in
-        let arr = Array.of_list candidates in
-        Rng.shuffle_ints rng arr;
-        Array.iteri
-          (fun rank j -> if rank < refs_per_level then Node.add_ref n ~level j)
-          arr
-      done)
-    all_ids;
+  (* Routing references: peers of the complementary subtree per level,
+     shuffled from ascending id order (every peer is online). *)
+  for id = 0 to population - 1 do
+    let n = Overlay.node overlay id in
+    for level = 0 to Path.length n.Node.path - 1 do
+      let target = Path.complement_at n.Node.path level in
+      let arr = Array.of_list (List.rev (Overlay.online_below overlay target ~excluding:id)) in
+      Rng.shuffle_ints rng arr;
+      Array.iteri (fun rank j -> if rank < refs_per_level then Node.add_ref n ~level j) arr
+    done
+  done;
   overlay
 
 let index rng ~peers ~keys ~d_max ~n_min ~refs_per_level =

@@ -5,13 +5,13 @@ module Event = Pgrid_telemetry.Event
 
 type violation =
   | Ref_integrity of { peer : Node.id; level : int }
-  | Trie_incomplete of { prefix : string }
-  | Under_replicated of { path : string; online : int; required : int }
+  | Trie_incomplete of { prefix : Path.t }
+  | Under_replicated of { path : Path.t; online : int; required : int }
   | Data_at_risk of { key : Key.t; holders : int }
   | Data_lost of { key : Key.t }
   | Torn_write of { doc : string; present : int; total : int }
   | Resurrected_key of { key : Key.t; holders : int }
-  | Diverged_partition of { prefix : string; descendants : int }
+  | Diverged_partition of { prefix : Path.t; descendants : int }
 
 type report = {
   violations : violation list;
@@ -44,31 +44,13 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
     (fun { Overlay.path; members; _ } ->
       let on = List.length members in
       rep_sum := !rep_sum +. Float.min 1. (float_of_int on /. float_of_int n_min);
-      if on = 0 then trie := Trie_incomplete { prefix = Path.to_string path } :: !trie
+      if on = 0 then trie := Trie_incomplete { prefix = path } :: !trie
       else if on < n_min then
-        under :=
-          Under_replicated { path = Path.to_string path; online = on; required = n_min }
-          :: !under)
+        under := Under_replicated { path; online = on; required = n_min } :: !under)
     parts;
   (* Referential integrity: an online node must hold an online reference
-     at every level whose complement some online node inhabits.  The
-     inhabited test is memoized per prefix (paths repeat across a
-     partition's replicas). *)
-  let inhabited_cache = Hashtbl.create 64 in
-  let inhabited prefix =
-    let key = Path.code prefix in
-    match Hashtbl.find_opt inhabited_cache key with
-    | Some v -> v
-    | None ->
-      let v =
-        Overlay.exists overlay (fun m ->
-            m.Node.online
-            && (Path.is_prefix_of ~prefix m.Node.path
-               || Path.is_prefix_of ~prefix:m.Node.path prefix))
-      in
-      Hashtbl.add inhabited_cache key v;
-      v
-  in
+     at every level whose complement an online node inhabits, at, below
+     or above it ([Overlay.inhabited_around]). *)
   let refv = ref [] in
   let levels_checked = ref 0 in
   for i = 0 to Overlay.size overlay - 1 do
@@ -81,7 +63,8 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
             (fun acc r -> acc || (node overlay r).Node.online)
             false
         in
-        if (not live) && inhabited (Path.complement_at n.Node.path level) then
+        let complement = Path.complement_at n.Node.path level in
+        if (not live) && Overlay.inhabited_around overlay complement then
           refv := Ref_integrity { peer = i; level } :: !refv
       done
   done;
@@ -155,24 +138,20 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
           | _ -> ())
       newest;
     (* Structural divergence: an online-inhabited path that is a strict
-       prefix of another (two islands split the same path while apart).
-       A path's strict descendants directly follow it in census order. *)
-    let live =
-      Array.of_list
-        (List.filter_map
-           (fun { Overlay.path; members; _ } -> if members = [] then None else Some path)
-           parts)
-    in
-    Array.iteri
-      (fun i p ->
-        let j = ref (i + 1) in
-        while !j < Array.length live && Path.is_prefix_of ~prefix:p live.(!j) do
-          incr j
+       prefix of another (two islands split the same path while apart);
+       those follow it in its subtree's slots. *)
+    for i = 0 to Overlay.partitions overlay - 1 do
+      let { Overlay.path = prefix; members; _ } = Overlay.partition overlay i in
+      if members <> [] then begin
+        let _, past = Overlay.subtree overlay prefix in
+        let descendants = ref 0 in
+        for j = i + 1 to past - 1 do
+          if (Overlay.partition overlay j).Overlay.members <> [] then incr descendants
         done;
-        let descendants = !j - i - 1 in
-        if descendants > 0 then
-          divv := Diverged_partition { prefix = Path.to_string p; descendants } :: !divv)
-      live
+        if !descendants > 0 then
+          divv := Diverged_partition { prefix; descendants = !descendants } :: !divv
+      end
+    done
   end;
   let by_key a b =
     match (a, b) with
@@ -196,7 +175,7 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
   let by_prefix a b =
     match (a, b) with
     | Diverged_partition { prefix = x; _ }, Diverged_partition { prefix = y; _ } ->
-      compare x y
+      Path.compare x y
     | _ -> 0
   in
   let trie = List.rev !trie

@@ -18,11 +18,15 @@ module Key = Pgrid_keyspace.Key
 type violation =
   | Ref_integrity of { peer : Node.id; level : int }
       (** [peer]'s level-[level] complement is inhabited by an online
-          node, yet the peer has no online reference at that level *)
-  | Trie_incomplete of { prefix : string }
+          node at, below or above it ({!Overlay.inhabited_around}), yet
+          the peer has no online reference at that level.  The paper's
+          referential integrity asks only for a node at or below it
+          ({!Overlay.inhabited_below}, which {!Overlay.integrity_errors}
+          reads); the two differ only on a trie that is not prefix-free. *)
+  | Trie_incomplete of { prefix : Pgrid_keyspace.Path.t }
       (** a populated partition whose every member is offline: the
           region is temporarily dark (queries into it dead-end) *)
-  | Under_replicated of { path : string; online : int; required : int }
+  | Under_replicated of { path : Pgrid_keyspace.Path.t; online : int; required : int }
       (** a partition with at least one online member but fewer than
           [required = n_min] *)
   | Data_at_risk of { key : Key.t; holders : int }
@@ -37,7 +41,7 @@ type violation =
       (** [versions] only: the key is live at [holders] online peer(s)
           although the globally newest write for it is a tombstone — a
           routed delete has been undone by a stale copy *)
-  | Diverged_partition of { prefix : string; descendants : int }
+  | Diverged_partition of { prefix : Pgrid_keyspace.Path.t; descendants : int }
       (** [versions] only: an online-inhabited path that is a strict
           prefix of [descendants] other online-inhabited path(s) — two
           islands split the same path independently while partitioned *)

@@ -9,38 +9,12 @@ let node = Overlay.node
 
 (* --- shared helpers -------------------------------------------------------- *)
 
-(* Online peers whose paths branch into the complement [prefix]. *)
-let complement_candidates overlay prefix ~excluding =
-  let rec collect i acc =
-    if i >= Overlay.size overlay then acc
-    else begin
-      let m = node overlay i in
-      if i <> excluding && m.Node.online && Path.is_prefix_of ~prefix m.Node.path
-      then collect (i + 1) (i :: acc)
-      else collect (i + 1) acc
-    end
-  in
-  collect 0 []
-
-(* Online peers sharing exactly [path], excluding one id. *)
-let partition_members overlay path ~excluding =
-  let rec collect i acc =
-    if i >= Overlay.size overlay then acc
-    else begin
-      let m = node overlay i in
-      if i <> excluding && m.Node.online && Path.equal m.Node.path path then
-        collect (i + 1) (i :: acc)
-      else collect (i + 1) acc
-    end
-  in
-  collect 0 []
-
 (* Refill one emptied routing level with a random complement peer. *)
 let refill_level rng overlay i level =
   let n = node overlay i in
   if level < Path.length n.Node.path && Node.refs_count n ~level = 0 then begin
     let prefix = Path.complement_at n.Node.path level in
-    match complement_candidates overlay prefix ~excluding:i with
+    match Overlay.online_below overlay prefix ~excluding:i with
     | [] -> ()
     | pool -> Node.add_ref n ~level (Rng.pick_list rng pool)
   end
@@ -118,12 +92,11 @@ let census ?excluding overlay =
    break toward the first path. *)
 let richest_partition overlay ~excluding =
   List.fold_left
-    (fun best members ->
-      match best with
-      | Some b when List.length b >= List.length members -> best
-      | _ -> Some members)
-    None
-    (census ~excluding overlay)
+    (fun (best, size) members ->
+      let n = List.length members in
+      if n > size then (members, n) else (best, size))
+    ([], 0) (census ~excluding overlay)
+  |> fst
 
 (* --- leave ------------------------------------------------------------------ *)
 
@@ -135,9 +108,10 @@ let leave ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay id =
     (* A partition must not die with its last member: recruit a stand-in
        from the most-replicated partition before departing (emergency
        replication balancing). *)
-    if partition_members overlay n.Node.path ~excluding:id = [] then begin
+    let own = Overlay.find overlay n.Node.path in
+    if (Overlay.partition overlay own).Overlay.members = [ id ] then begin
       match richest_partition overlay ~excluding:id with
-      | Some (_ :: _ :: _ as rich) ->
+      | _ :: _ :: _ as rich ->
         (* Only partitions that can spare a member qualify. *)
         let recruit = Rng.pick_list rng rich in
         farewell overlay recruit;
@@ -222,7 +196,7 @@ let repair ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay ~redundancy 
           match
             List.filter
               (fun c -> not (List.mem c alive))
-              (complement_candidates overlay prefix_here ~excluding:i)
+              (Overlay.online_below overlay prefix_here ~excluding:i)
           with
           | [] -> if alive = [] then incr unfixable
           | pool ->
@@ -375,35 +349,22 @@ type daemon_stats = {
    rescue path under heavy churn (half the network offline makes every
    partition look too thin to spare anyone).  Deterministic: partitions
    scanned in path order, sizes tie toward the first path.  Returns the
-   online-member recruit pool. *)
+   online-member recruit pool, ascending. *)
 let donor_partition overlay ~floor ~avoid =
-  let tbl = Hashtbl.create 64 in
-  for i = Overlay.size overlay - 1 downto 0 do
-    let n = node overlay i in
-    if n.Node.online || Node.key_count n > 0 then begin
-      let key = Path.to_string n.Node.path in
-      let online_m, count =
-        Option.value ~default:([], 0) (Hashtbl.find_opt tbl key)
-      in
-      let online_m = if n.Node.online then i :: online_m else online_m in
-      Hashtbl.replace tbl key (online_m, count + 1)
+  let best = ref None and most = ref floor in
+  for i = 0 to Overlay.partitions overlay - 1 do
+    let { Overlay.path; members; _ } = Overlay.partition overlay i in
+    let alive = Overlay.alive overlay i in
+    (* At least two online members: recruiting the donor's only online
+       peer would darken the donor's own key range. *)
+    if
+      List.compare_length_with members 2 >= 0 && alive > !most && not (Path.equal path avoid)
+    then begin
+      best := Some members;
+      most := alive
     end
   done;
-  Hashtbl.fold (fun path v acc -> (path, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.fold_left
-       (fun best (path, (online_m, count)) ->
-         (* At least two online members: recruiting the donor's only
-            online peer would darken the donor's own key range. *)
-         match online_m with
-         | [] | [ _ ] -> best
-         | _ when path = avoid || count <= floor -> best
-         | _ -> (
-           match best with
-           | Some (_, bcount) when bcount >= count -> best
-           | _ -> Some (online_m, count)))
-       None
-  |> Option.map fst
+  !best
 
 let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
     ?(keys = fun () -> [||]) sim rng overlay ~until cfg =
@@ -517,7 +478,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
           match
             List.filter
               (fun c -> (not (Node.has_ref n ~level c)) && adm i c)
-              (complement_candidates overlay prefix ~excluding:i)
+              (Overlay.online_below overlay prefix ~excluding:i)
           with
           | [] -> ()
           | pool ->
@@ -560,56 +521,43 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
      hands its payloads to its former partition first (its mates keep the
      data), then adopts the endangered partition's lowest-id online
      member. *)
-  let rereplicate path_s =
+  let rereplicate path =
     (* Host: the partition member the recruit will copy from.  Prefer
        the lowest-id online member; a completely dark partition falls
-       back to the offline member with the most data (killed peers keep
-       their path but their store is wiped, so store size separates a
-       survivor from a corpse). *)
+       back to the offline member with the most data, the lowest id on
+       ties (killed peers keep their path but their store is wiped, so
+       store size separates a survivor from a corpse). *)
     let host =
-      let rec scan i best_online best_off best_off_size =
-        if i >= Overlay.size overlay then
-          (match best_online with Some _ -> best_online | None -> best_off)
-        else begin
-          let n = node overlay i in
-          if Path.to_string n.Node.path = path_s then
-            if n.Node.online then
-              match best_online with
-              | Some _ -> scan (i + 1) best_online best_off best_off_size
-              | None -> scan (i + 1) (Some i) best_off best_off_size
-            else begin
-              let size = Node.key_count n in
-              if size > best_off_size then scan (i + 1) best_online (Some i) size
-              else scan (i + 1) best_online best_off best_off_size
-            end
-          else scan (i + 1) best_online best_off best_off_size
-        end
-      in
-      scan 0 None None (-1)
+      match Overlay.find overlay path with
+      | -1 -> None
+      | i -> (
+        match (Overlay.partition overlay i).Overlay.members with
+        | first :: _ -> Some first
+        | [] ->
+          List.fold_left
+            (fun (best, most) id ->
+              let size = Node.key_count (node overlay id) in
+              if size > most then (Some id, size) else (best, most))
+            (None, -1) (Overlay.offline_members overlay i)
+          |> fst)
     in
-    match (host, donor_partition overlay ~floor:(cfg.critical + 1) ~avoid:path_s) with
+    match (host, donor_partition overlay ~floor:(cfg.critical + 1) ~avoid:path) with
     | Some host_id, Some donors ->
       let recruit = Rng.pick_list rng donors in
       let r = node overlay recruit in
       (* Hand the recruit's payloads to every *surviving* mate, offline
-         ones included (anti-entropy squares them up on reconnect).
-         Restricting the handover to online mates could destroy the last
-         copy of a key: adopt wipes the recruit's store, and the only
-         other holders may be riding out a churn cycle. *)
+         ones included (anti-entropy squares them up on reconnect), in
+         ascending id order.  Restricting the handover to online mates
+         could destroy the last copy of a key: adopt wipes the
+         recruit's store, and the only other holders may be riding out
+         a churn cycle. *)
       let mates =
-        let rec collect i acc =
-          if i >= Overlay.size overlay then List.rev acc
-          else begin
-            let m = node overlay i in
-            if
-              i <> recruit
-              && Path.equal m.Node.path r.Node.path
-              && (m.Node.online || Node.key_count m > 0)
-            then collect (i + 1) (i :: acc)
-            else collect (i + 1) acc
-          end
-        in
-        collect 0 []
+        let i = Overlay.find overlay r.Node.path in
+        List.merge Int.compare (Overlay.partition overlay i).Overlay.members
+          (List.filter
+             (fun m -> Node.key_count (node overlay m) > 0)
+             (Overlay.offline_members overlay i))
+        |> List.filter (( <> ) recruit)
       in
       (match cfg.reconcile with
       | None ->
@@ -664,7 +612,8 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
       purge_stale_refs rng overlay recruit;
       stats.rereplications <- stats.rereplications + 1;
       if Telemetry.active telemetry then
-        Telemetry.emit telemetry (Event.Re_replicate { path = path_s; peer = recruit })
+        Telemetry.emit telemetry
+          (Event.Re_replicate { path = Path.to_string path; peer = recruit })
     | _ -> ()
   in
   (* A key is at risk when every holder is offline.  Copy its payloads
@@ -700,22 +649,19 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
       | None -> ()
       | Some h ->
         let payloads = Node.lookup (node overlay h) key in
-        for i = 0 to Overlay.size overlay - 1 do
-          let n = node overlay i in
-          if
-            i <> h && n.Node.online
-            && Node.responsible_for n key
-            && not (Node.has_key n key)
-          then begin
-            ignore (Node.add_postings n key payloads);
-            (if cfg.reconcile <> None then
-               match Node.meta (node overlay h) key with
-               | Some mm when not mm.Node.dead ->
-                 Node.note_write n key ~version:mm.Node.version ~stamp:mm.Node.stamp
-               | _ -> ());
-            stats.keys_synced <- stats.keys_synced + 1
-          end
-        done
+        List.iter
+          (fun i ->
+            let n = node overlay i in
+            if i <> h && not (Node.has_key n key) then begin
+              ignore (Node.add_postings n key payloads);
+              (if cfg.reconcile <> None then
+                 match Node.meta (node overlay h) key with
+                 | Some mm when not mm.Node.dead ->
+                   Node.note_write n key ~version:mm.Node.version ~stamp:mm.Node.stamp
+                 | _ -> ());
+              stats.keys_synced <- stats.keys_synced + 1
+            end)
+          (Overlay.online_covering overlay key)
     end
   in
   (* The inverse rescue, fired on [Resurrected_key]: push the newest
@@ -765,18 +711,10 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
        *online* members is usually just churn noise that resolves
        itself within minutes; a partition with few *alive* members is
        about to lose its data for good.  Rescues fire on the latter. *)
-    let alive_of path_s =
-      let c = ref 0 in
-      for i = 0 to Overlay.size overlay - 1 do
-        let n = node overlay i in
-        if
-          Path.to_string n.Node.path = path_s
-          && (n.Node.online || Node.key_count n > 0)
-        then incr c
-      done;
-      !c
+    let rescue path =
+      let i = Overlay.find overlay path in
+      if i < 0 || Overlay.alive overlay i <= cfg.critical then rereplicate path
     in
-    let rescue path = if alive_of path <= cfg.critical then rereplicate path in
     List.iter
       (function
         | Health.Under_replicated { path; online; _ } when online <= cfg.critical ->

@@ -11,7 +11,16 @@
 
     Every operation reports to its [?telemetry] handle (default
     {!Pgrid_telemetry.Global.get}): [Peer_leave]/[Peer_join] with churn
-    transitions, and [Repair]/[Rebalance] outcome events. *)
+    transitions, and [Repair]/[Rebalance] outcome events.
+
+    Every grouping of peers by path is read from the overlay's partition
+    index.  A routing level's complement is inhabited when
+    {!Overlay.inhabited_below} holds (an online peer at or below it,
+    the paper's referential integrity), and its refill candidates are
+    {!Overlay.online_below}.  The daemon reacts to {!Health.check},
+    whose [Ref_integrity] reads {!Overlay.inhabited_around} (also a peer
+    above the complement); the two differ only on a trie that is not
+    prefix-free. *)
 
 (** [leave rng overlay id] performs a graceful departure: the node pushes
     any payload-bearing keys its online replicas are missing, announces

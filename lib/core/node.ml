@@ -45,6 +45,8 @@ let mark t =
     c.n_changed <- c.n_changed + 1
   end
 
+let changed c = c.n_changed > 0
+
 let take_changed c f =
   for i = 0 to c.n_changed - 1 do
     let n = c.changed.(i) in

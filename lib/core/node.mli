@@ -113,6 +113,9 @@ val create_in : census -> id:id -> t
     setting the value it already has changes nothing. *)
 val set_online : t -> bool -> unit
 
+(** [changed c] is whether [c] lists a changed node. *)
+val changed : census -> bool
+
 (** [take_changed c f] calls [f] on every node listed as changed in [c],
     in the order of their first change, and empties the list.  [f] must
     not write a node. *)

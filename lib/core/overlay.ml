@@ -24,13 +24,13 @@ module Codes = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* One partition of the index.  [part] and [load] are as of the last
-   refresh; during a refresh [offline] runs ahead of [part.offline] and
-   [arrivals] holds the members filed there by it. *)
+(* One partition of the index.  [part], [absent] (its offline members,
+   ascending) and [load] are as of the last refresh; during a refresh
+   [arrivals] holds the members, online or not, filed there by it. *)
 type entry = {
   mutable part : partition;
+  mutable absent : Node.id list;
   mutable load : int;
-  mutable offline : int;
   mutable arrivals : Node.id list;
   mutable touched : bool;  (* on the refresh's list of entries to settle *)
 }
@@ -38,8 +38,8 @@ type entry = {
 let new_entry path =
   {
     part = { path; members = []; offline = 0 };
+    absent = [];
     load = 0;
-    offline = 0;
     arrivals = [];
     touched = false;
   }
@@ -127,10 +127,6 @@ let iter t f =
   for i = 0 to t.count - 1 do
     f t.nodes.(i)
   done
-
-let exists t p =
-  let rec go i = i < t.count && (p t.nodes.(i) || go (i + 1)) in
-  go 0
 
 let online_count t = t.count - Node.offline t.census
 
@@ -365,44 +361,6 @@ let delete ?admit ?(stamp = 0.) t ~from ?payload key =
     (fun hops -> { hops; removed = !removed })
     (routed_write admit t ~from key remove_at)
 
-let anti_entropy t =
-  let by_path = Hashtbl.create 64 in
-  iter t (fun n ->
-      if n.Node.online then begin
-        let key = Path.to_string n.Node.path in
-        let group = Option.value ~default:[] (Hashtbl.find_opt by_path key) in
-        Hashtbl.replace by_path key (n :: group)
-      end);
-  let moved = ref 0 in
-  Hashtbl.iter
-    (fun _ group ->
-      match group with
-      | [] | [ _ ] -> ()
-      | members ->
-        (* Union of the group's stores, then fill each member's gaps. *)
-        let union = Hashtbl.create 64 in
-        List.iter
-          (fun n ->
-            Node.fold n
-              (fun k payloads () ->
-                let existing = Option.value ~default:[] (Hashtbl.find_opt union k) in
-                let missing = List.filter (fun p -> not (List.mem p existing)) payloads in
-                Hashtbl.replace union k (missing @ existing))
-              ())
-          members;
-        List.iter
-          (fun n ->
-            Hashtbl.iter
-              (fun k payloads ->
-                List.iter
-                  (fun p -> if Node.insert_new n k p then incr moved)
-                  payloads)
-              union)
-          members)
-    by_path;
-  if !moved > 0 then notify t Flush;
-  !moved
-
 let anti_entropy_pair t ~a ~b ~budget =
   if budget < 0 then invalid_arg "Overlay.anti_entropy_pair: negative budget";
   if a = b then 0
@@ -451,17 +409,18 @@ let anti_entropy_pair t ~a ~b ~budget =
 let load_of t members =
   List.fold_left (fun m i -> max m (Node.key_count t.nodes.(i))) 0 members
 
-(* The first slot of [order] whose path does not sort before [path]. *)
-let seek t path =
-  let lo = ref 0 and hi = ref t.parts in
+(* The first slot from [lo] whose path fails [before], which holds for
+   the slots before some point and fails for all after it. *)
+let bisect t lo before =
+  let lo = ref lo and hi = ref t.parts in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Path.compare t.order.(mid).part.path path < 0 then lo := mid + 1 else hi := mid
+    if before t.order.(mid).part.path then lo := mid + 1 else hi := mid
   done;
   !lo
 
 (* Whether an entry still has a member, online or not. *)
-let settled e = e.part.members <> [] || e.offline > 0
+let settled e = e.part.members <> [] || e.absent <> []
 
 (* [order] without the entries left empty, merged with [fresh] (new
    entries, in no order): compacted in place, then merged from the back,
@@ -491,10 +450,18 @@ let reorder t fresh =
   if t.parts > len then Array.fill t.order len (t.parts - len) unfiled;
   t.parts <- len
 
+(* The ids of [l], in order, filed at [e] with liveness [online]. *)
+let[@tail_mod_cons] rec keep t e online = function
+  | [] -> []
+  | id :: rest ->
+    if t.filed.(id) == e && t.filed_online.(id) = online then id :: keep t e online rest
+    else keep t e online rest
+
 (* Files every peer its census lists as changed, then settles each entry
-   it touched: the members it kept, merged with its arrivals, and their
-   load.  Entries left empty leave the index and new ones join it. *)
-let refresh t =
+   it touched: the online and offline members it kept, each merged with
+   its arrivals, and their load.  Entries left empty leave the index and
+   new ones join it. *)
+let refile t =
   let touched = ref [] and fresh = ref [] in
   let touch e =
     if not e.touched then begin
@@ -504,11 +471,8 @@ let refresh t =
   in
   Node.take_changed t.census (fun n ->
       let id = n.Node.id and online = n.Node.online in
-      let old = t.filed.(id) and was_online = t.filed_online.(id) in
-      if old != unfiled then begin
-        if not was_online then old.offline <- old.offline - 1;
-        touch old
-      end;
+      let old = t.filed.(id) in
+      if old != unfiled then touch old;
       let code = Path.code n.Node.path in
       let e =
         match Codes.find t.entries code with
@@ -520,24 +484,21 @@ let refresh t =
           e
       in
       touch e;
-      if not online then e.offline <- e.offline + 1
-      else if old != e || not was_online then e.arrivals <- id :: e.arrivals;
+      if old != e || t.filed_online.(id) <> online then e.arrivals <- id :: e.arrivals;
       t.filed.(id) <- e;
       t.filed_online.(id) <- online);
   let emptied = ref false in
   List.iter
     (fun e ->
       e.touched <- false;
-      let kept =
-        List.filter (fun id -> t.filed.(id) == e && t.filed_online.(id)) e.part.members
-      in
+      (* [List.sort] allocates even on an empty list. *)
+      let arrivals = match e.arrivals with [] -> [] | l -> List.sort Int.compare l in
       let members =
-        match e.arrivals with
-        | [] -> kept
-        | arrivals -> List.merge Int.compare kept (List.sort Int.compare arrivals)
+        List.merge Int.compare (keep t e true e.part.members) (keep t e true arrivals)
       in
+      e.absent <- List.merge Int.compare (keep t e false e.absent) (keep t e false arrivals);
       e.arrivals <- [];
-      e.part <- { e.part with members; offline = e.offline };
+      e.part <- { e.part with members; offline = List.length e.absent };
       e.load <- load_of t members;
       if not (settled e) then begin
         Codes.remove t.entries (Path.code e.part.path);
@@ -545,6 +506,8 @@ let refresh t =
       end)
     !touched;
   if !emptied || !fresh <> [] then reorder t !fresh
+
+let refresh t = if Node.changed t.census then refile t
 
 let partitions t =
   refresh t;
@@ -560,9 +523,64 @@ let load t i =
   check_slot t i;
   t.order.(i).load
 
-let find t path =
-  let i = seek t path in
+let offline_members t i =
+  check_slot t i;
+  t.order.(i).absent
+
+let alive t i =
+  check_slot t i;
+  let e = t.order.(i) in
+  List.fold_left
+    (fun c id -> if Node.key_count t.nodes.(id) > 0 then c + 1 else c)
+    (List.length e.part.members) e.absent
+
+(* The slot at [path] as the last refresh left it, or -1. *)
+let slot t path =
+  let i = bisect t 0 (fun p -> Path.compare p path < 0) in
   if i < t.parts && Path.equal t.order.(i).part.path path then i else -1
+
+let find t path =
+  refresh t;
+  slot t path
+
+(* In path order a path's descendants directly follow it. *)
+let subtree t path =
+  refresh t;
+  let first = bisect t 0 (fun p -> Path.compare p path < 0) in
+  (first, bisect t first (fun p -> Path.is_prefix_of ~prefix:path p))
+
+let inhabited_below t prefix =
+  let first, past = subtree t prefix in
+  let rec go i = i < past && (t.order.(i).part.members <> [] || go (i + 1)) in
+  go first
+
+let inhabited_around t prefix =
+  inhabited_below t prefix
+  ||
+  let rec up len =
+    len >= 0
+    && ((let i = slot t (Path.prefix prefix len) in
+         i >= 0 && t.order.(i).part.members <> [])
+       || up (len - 1))
+  in
+  up (Path.length prefix - 1)
+
+let online_below t prefix ~excluding =
+  let first, past = subtree t prefix in
+  let ids = ref [] in
+  for i = first to past - 1 do
+    List.iter (fun id -> if id <> excluding then ids := id :: !ids) t.order.(i).part.members
+  done;
+  List.sort (fun a b -> Int.compare b a) !ids
+
+let online_covering t key =
+  refresh t;
+  let ids = ref [] in
+  for len = 0 to Key.bits do
+    let i = slot t (Path.key_prefix key len) in
+    if i >= 0 then ids := List.rev_append t.order.(i).part.members !ids
+  done;
+  List.sort Int.compare !ids
 
 (* The index's partitions; [excluding]'s own is rebuilt without it. *)
 let census ?(excluding = -1) t =
@@ -627,29 +645,50 @@ let stats t =
     storage;
   }
 
+(* Each partition's union, over its online members in descending id
+   order, then each member's gaps filled from it. *)
+let anti_entropy t =
+  let moved = ref 0 in
+  for i = 0 to partitions t - 1 do
+    match List.rev_map (fun id -> t.nodes.(id)) t.order.(i).part.members with
+    | [] | [ _ ] -> ()
+    | members ->
+      let union = Hashtbl.create 64 in
+      List.iter
+        (fun n ->
+          Node.fold n
+            (fun k payloads () ->
+              let existing = Option.value ~default:[] (Hashtbl.find_opt union k) in
+              let missing = List.filter (fun p -> not (List.mem p existing)) payloads in
+              Hashtbl.replace union k (missing @ existing))
+            ())
+        members;
+      List.iter
+        (fun n ->
+          Hashtbl.iter
+            (fun k payloads ->
+              List.iter (fun p -> if Node.insert_new n k p then incr moved) payloads)
+            union)
+        members
+  done;
+  if !moved > 0 then notify t Flush;
+  !moved
+
 let integrity_errors t =
   let errors = ref 0 in
   (* A level may legitimately have no references when nobody populates the
      complement (empty key-space regions are never colonized). *)
-  let complement_inhabited prefix =
-    exists t (fun n -> n.Node.online && Path.is_prefix_of ~prefix n.Node.path)
-  in
   iter t (fun n ->
       if n.Node.online then
         for level = 0 to Path.length n.Node.path - 1 do
           let expected = Path.complement_at n.Node.path level in
-          let refs = Node.refs_at n ~level in
-          if refs = [] then begin
-            if complement_inhabited expected then incr errors
+          if Node.refs_count n ~level = 0 then begin
+            if inhabited_below t expected then incr errors
           end
           else
-            List.iter
-              (fun id ->
+            Node.refs_iter n ~level (fun id ->
                 let rp = (node t id).Node.path in
-                if
-                  Path.length rp > level
-                  && not (Path.is_prefix_of ~prefix:expected rp)
+                if Path.length rp > level && not (Path.is_prefix_of ~prefix:expected rp)
                 then incr errors)
-              refs
         done);
   !errors

@@ -50,9 +50,6 @@ val notify : t -> change -> unit
 (** [iter t f] applies [f] to every node in id order. *)
 val iter : t -> (Node.t -> unit) -> unit
 
-(** [exists t p] tests whether any node satisfies [p]. *)
-val exists : t -> (Node.t -> bool) -> bool
-
 (** [online_count t] is the number of online nodes: O(1), [size t]
     minus the census's offline count. *)
 val online_count : t -> int
@@ -272,10 +269,12 @@ val delete :
   Pgrid_keyspace.Key.t ->
   delete_result option
 
-(** [anti_entropy t] reconciles replicas: nodes sharing a path exchange
-    missing keys (union of their stores). Returns the number of
-    (key, payload) pairs copied — the paper's replica-synchronization
-    step. Offline nodes participate neither as source nor target. *)
+(** [anti_entropy t] reconciles replicas: the online members of each
+    partition of the index exchange missing keys (union of their
+    stores, built over the members in descending id order). Returns the
+    number of (key, payload) pairs copied — the paper's
+    replica-synchronization step. Offline nodes participate neither as
+    source nor target. *)
 val anti_entropy : t -> int
 
 (** [anti_entropy_pair t ~a ~b ~budget] is the incremental, pairwise form
@@ -345,8 +344,45 @@ val partition : t -> int -> partition
     @raise Invalid_argument when there is no slot [i]. *)
 val load : t -> int -> int
 
-(** [find t path] is the slot of the partition at [path], or [-1]. *)
+(** [offline_members t i] is slot [i]'s offline members, ascending (the
+    ids its [offline] counts), and [alive t i] its online members plus
+    the offline ones whose store is not empty (a killed peer's store is
+    wiped).  @raise Invalid_argument when there is no slot [i]. *)
+val offline_members : t -> int -> Node.id list
+
+val alive : t -> int -> int
+
+(** The readers below refresh the index first.
+
+    [find t path] is the slot of the partition at [path], or [-1]. *)
 val find : t -> Pgrid_keyspace.Path.t -> int
+
+(** [subtree t path] is the slot range [(first, past)] of the partitions
+    at or below [path], which are contiguous in path order: two binary
+    searches. *)
+val subtree : t -> Pgrid_keyspace.Path.t -> int * int
+
+(** Is a prefix inhabited by an online peer?  [inhabited_below t prefix]
+    asks for one at or below [prefix] (the slots of {!subtree} up to the
+    first with an online member); {!integrity_errors} reads it, and it
+    is the paper's referential integrity: a level whose complement holds
+    a peer needs a reference into it.  [inhabited_around] also counts a
+    peer above [prefix] (one {!find} per strict ancestor); {!Health.check}
+    reads it.  The two differ only on a trie that is not prefix-free,
+    where one inhabited path is a strict prefix of another. *)
+val inhabited_below : t -> Pgrid_keyspace.Path.t -> bool
+
+val inhabited_around : t -> Pgrid_keyspace.Path.t -> bool
+
+(** [online_below t prefix ~excluding] is the online peers at or below
+    [prefix] other than [excluding] (-1: none), in descending id order,
+    the order {!Maintenance}'s seeded refills index. *)
+val online_below : t -> Pgrid_keyspace.Path.t -> excluding:Node.id -> Node.id list
+
+(** [online_covering t key] is the online peers whose path is a prefix
+    of [key] (those {!Node.responsible_for} it), ascending: one {!find}
+    per prefix length. *)
+val online_covering : t -> Pgrid_keyspace.Key.t -> Node.id list
 
 (** [load_of t members] is the load of a partition with the online
     members [members]: the largest {!Node.key_count} among them. *)
@@ -367,5 +403,6 @@ val stats : t -> stats
 (** [integrity_errors t] counts routing-table violations: a level-[l]
     reference whose path provably does not branch into the complement at
     [l] (references shorter than [l+1] bits cannot be judged and are not
-    counted), plus levels of online nodes with no references at all. *)
+    counted), plus levels of online nodes with no references although
+    the complement is {!inhabited_below}. *)
 val integrity_errors : t -> int

@@ -134,32 +134,27 @@ let repair_structure ?(telemetry = Pgrid_telemetry.Global.get ()) t =
   List.iter
     (fun p ->
       let level = Path.length p in
-      let members = ref [] and n0 = ref 0 and n1 = ref 0 in
-      Overlay.iter t (fun n ->
-          if n.Node.online then
-            if Path.equal n.Node.path p then members := n :: !members
-            else if
-              Path.length n.Node.path > level
-              && Path.is_prefix_of ~prefix:p n.Node.path
-            then if Path.bit n.Node.path level = 0 then incr n0 else incr n1);
-      let members = List.rev !members in
+      (* [p]'s own slot, if any, comes first in its subtree; the rest
+         lie strictly below it, on side 0 or 1 by their bit at [level]. *)
+      let first, past = Overlay.subtree t p in
+      let path j = (Overlay.partition t j).Overlay.path
+      and online j = (Overlay.partition t j).Overlay.members in
+      let below = if first < past && Path.equal (path first) p then first + 1 else first in
+      let side b =
+        List.init (past - below) (( + ) below)
+        |> List.concat_map (fun j -> if Path.bit (path j) level = b then online j else [])
+        |> List.sort Int.compare
+      in
+      let side0 = side 0 and side1 = side 1 in
+      let members = List.map (Overlay.node t) (if below > first then online first else []) in
       if members <> [] then begin
-        let bit =
-          if !n0 = 0 then 0 else if !n1 = 0 then 1 else if !n0 <= !n1 then 0 else 1
-        in
+        let n0 = List.length side0 and n1 = List.length side1 in
+        let bit = if n0 = 0 then 0 else if n1 = 0 then 1 else if n0 <= n1 then 0 else 1 in
         let target = Path.extend p bit in
         let moved = ref 0 in
         (* Online peers on the other side of the completed split, by
            increasing id so the repair is deterministic. *)
-        let others = ref [] in
-        Overlay.iter t (fun n ->
-            if
-              n.Node.online
-              && Path.length n.Node.path > level
-              && Path.is_prefix_of ~prefix:p n.Node.path
-              && Path.bit n.Node.path level = 1 - bit
-            then others := n :: !others);
-        let others = List.rev !others in
+        let others = List.map (Overlay.node t) (if bit = 0 then side1 else side0) in
         List.iter
           (fun m ->
             (* Re-home everything the demotion would orphan. *)
@@ -209,17 +204,14 @@ let repair_structure ?(telemetry = Pgrid_telemetry.Global.get ()) t =
               incr seed
             end)
           others;
-        let mates = ref [] in
-        Overlay.iter t (fun n ->
-            if n.Node.online && Path.equal n.Node.path target then
-              mates := n :: !mates);
+        let mates = (Overlay.partition t (Overlay.find t target)).Overlay.members in
         List.iter
           (fun m ->
             List.iter
-              (fun n ->
-                Node.add_replica m n.Node.id;
-                Node.add_replica n m.Node.id)
-              !mates)
+              (fun id ->
+                Node.add_replica m id;
+                Node.add_replica (Overlay.node t id) m.Node.id)
+              mates)
           members;
         Telemetry.emit telemetry
           (Event.Reconcile_repair

@@ -394,6 +394,7 @@ type index_op =
   | Delete of int * int  (** origin, which of the keys inserted so far *)
   | Remove_key of int * int  (** peer, which of its keys *)
   | Trim of int  (** drop the peer's keys outside its path *)
+  | Clear of int  (** empty the peer's store *)
   | Add_peer
   | Pass of int * bool  (** island (0: none), split config or retract config *)
   | Read of int  (** census excluding that peer, or none when negative *)
@@ -405,6 +406,7 @@ let show_index_op = function
   | Delete (o, k) -> Printf.sprintf "delete %d %d" o k
   | Remove_key (p, k) -> Printf.sprintf "remove_key %d %d" p k
   | Trim p -> Printf.sprintf "trim %d" p
+  | Clear p -> Printf.sprintf "clear %d" p
   | Add_peer -> "add_peer"
   | Pass (island, split) -> Printf.sprintf "pass %d %s" island (if split then "split" else "retract")
   | Read e -> Printf.sprintf "read %d" e
@@ -422,6 +424,7 @@ let gen_index_op =
       (2, map2 (fun o k -> Delete (o, k)) (int_bound 63) (int_bound 1000));
       (2, map2 (fun p k -> Remove_key (p, k)) peer (int_bound 1000));
       (2, map (fun p -> Trim p) peer);
+      (2, map (fun p -> Clear p) peer);
       (1, return Add_peer);
       (2, map2 (fun i s -> Pass (i, s)) (int_bound 3) bool);
       (3, map (fun e -> Read e) (int_range (-1) 11));
@@ -449,7 +452,10 @@ let index_setup seed =
   let keys = Distribution.generate rng Distribution.Uniform ~n:300 in
   Pgrid_core.Builder.index rng ~peers:64 ~keys ~d_max:40 ~n_min:2 ~refs_per_level:2
 
-let run_index_ops seed ops =
+(* Runs [ops] on a fresh overlay; [Read] asks [agrees], and so does
+   every step when [each_step]. *)
+let run_index_ops ?(each_step = false) ~(agrees : ?excluding:Node.id -> Overlay.t -> bool) seed
+    ops =
   let overlay = index_setup seed and rng = Rng.create ~seed in
   let inserted = ref [||] in
   let split = { (Balance.default_config ~d_max:12 ~n_min:1) with Balance.max_actions = 8 } in
@@ -459,7 +465,7 @@ let run_index_ops seed ops =
   let peer p = Overlay.node overlay (p mod Overlay.size overlay) in
   List.for_all
     (fun op ->
-      match op with
+      (match op with
       | Move (p, m) ->
         let n = peer p in
         let path = n.Node.path in
@@ -494,6 +500,9 @@ let run_index_ops seed ops =
         let n = peer p in
         ignore (Node.drop_keys_outside n n.Node.path);
         true
+      | Clear p ->
+        Node.clear_store (peer p);
+        true
       | Add_peer ->
         ignore (Overlay.add_peer overlay);
         true
@@ -503,9 +512,10 @@ let run_index_ops seed ops =
         true
       | Read e ->
         let excluding = if e < 0 then None else Some (e mod Overlay.size overlay) in
-        index_agrees ?excluding overlay)
+        agrees ?excluding overlay)
+      && ((not each_step) || agrees overlay))
     ops
-  && index_agrees overlay
+  && agrees overlay
 
 let qcheck_index_matches_census =
   let gen = QCheck.Gen.(pair (int_bound 100_000) (list_size (int_range 1 40) gen_index_op)) in
@@ -514,7 +524,102 @@ let qcheck_index_matches_census =
   in
   let shrink (seed, ops) = QCheck.Iter.map (fun ops -> (seed, ops)) (QCheck.Shrink.list ops) in
   QCheck.Test.make ~name:"partition index = census from scratch" ~count:100 ~long_factor:20
-    (QCheck.make ~print ~shrink gen) (fun (seed, ops) -> run_index_ops seed ops)
+    (QCheck.make ~print ~shrink gen) (fun (seed, ops) ->
+      run_index_ops ~agrees:index_agrees seed ops)
+
+(* The scans the index's path reads replaced, over every peer in id
+   order: the members of [path] by liveness, ascending; the online peers
+   at or below [prefix] but [excluding], descending; and the two
+   inhabited tests. *)
+let scan_members overlay path ~online =
+  List.filter
+    (fun i ->
+      let n = Overlay.node overlay i in
+      n.Node.online = online && Path.equal n.Node.path path)
+    (List.init (Overlay.size overlay) Fun.id)
+
+let scan_below overlay prefix ~excluding =
+  List.rev
+    (List.filter
+       (fun i ->
+         let n = Overlay.node overlay i in
+         i <> excluding && n.Node.online && Path.is_prefix_of ~prefix n.Node.path)
+       (List.init (Overlay.size overlay) Fun.id))
+
+let scan_inhabited overlay prefix ~above =
+  List.exists
+    (fun i ->
+      let n = Overlay.node overlay i in
+      n.Node.online
+      && (Path.is_prefix_of ~prefix n.Node.path
+         || (above && Path.is_prefix_of ~prefix:n.Node.path prefix)))
+    (List.init (Overlay.size overlay) Fun.id)
+
+(* Whether every path read of the index equals its scan, on every peer's
+   path, each of its complements, its parent and its children. *)
+let reads_agree ?(excluding = -1) overlay =
+  let count = Overlay.partitions overlay in
+  let slots = List.init count Fun.id in
+  let slot_agrees i =
+    let { Overlay.path; members; _ } = Overlay.partition overlay i in
+    let offline = scan_members overlay path ~online:false in
+    let key = Path.mid path in
+    members = scan_members overlay path ~online:true
+    && Overlay.online_covering overlay key
+       = List.filter
+           (fun i ->
+             let n = Overlay.node overlay i in
+             n.Node.online && Node.responsible_for n key)
+           (List.init (Overlay.size overlay) Fun.id)
+    && Overlay.offline_members overlay i = offline
+    && Overlay.alive overlay i
+       = List.length members
+         + List.length
+             (List.filter (fun id -> Node.key_count (Overlay.node overlay id) > 0) offline)
+  in
+  let prefixes =
+    List.init (Overlay.size overlay) (fun i ->
+        let p = (Overlay.node overlay i).Node.path in
+        let len = Path.length p in
+        (p :: List.init len (Path.complement_at p))
+        @ (if len > 0 then [ Path.parent p ] else [])
+        @ if len < Key.bits then [ Path.extend p 0; Path.extend p 1 ] else [])
+    |> List.concat
+    |> List.sort_uniq Path.compare
+  in
+  let prefix_agrees prefix =
+    let first, past = Overlay.subtree overlay prefix in
+    let under =
+      List.filter
+        (fun i -> Path.is_prefix_of ~prefix (Overlay.partition overlay i).Overlay.path)
+        slots
+    in
+    under = List.init (past - first) (( + ) first)
+    && (first = past || first < count)
+    && List.for_all
+         (fun i -> Path.compare (Overlay.partition overlay i).Overlay.path prefix < 0)
+         (List.init first Fun.id)
+    && Overlay.find overlay prefix
+       = (match
+            List.filter (fun i -> Path.equal (Overlay.partition overlay i).Overlay.path prefix) slots
+          with
+         | [ i ] -> i
+         | _ -> -1)
+    && Overlay.inhabited_below overlay prefix = scan_inhabited overlay prefix ~above:false
+    && Overlay.inhabited_around overlay prefix = scan_inhabited overlay prefix ~above:true
+    && Overlay.online_below overlay prefix ~excluding = scan_below overlay prefix ~excluding
+  in
+  List.for_all slot_agrees slots && List.for_all prefix_agrees prefixes
+
+let qcheck_index_reads_match_scans =
+  let gen = QCheck.Gen.(pair (int_bound 100_000) (list_size (int_range 1 20) gen_index_op)) in
+  let print (seed, ops) =
+    Printf.sprintf "seed=%d ops=[%s]" seed (String.concat "; " (List.map show_index_op ops))
+  in
+  let shrink (seed, ops) = QCheck.Iter.map (fun ops -> (seed, ops)) (QCheck.Shrink.list ops) in
+  QCheck.Test.make ~name:"partition index path reads = scans" ~count:30 ~long_factor:20
+    (QCheck.make ~print ~shrink gen) (fun (seed, ops) ->
+      run_index_ops ~each_step:true ~agrees:reads_agree seed ops)
 
 let test_daemon_defaults_off () =
   let c = Maintenance.default_daemon_config ~n_min:2 in
@@ -555,6 +660,7 @@ let suite =
       test_restrict_ignores_dark_descendants;
     QCheck_alcotest.to_alcotest qcheck_many_action_pass;
     QCheck_alcotest.to_alcotest qcheck_index_matches_census;
+    QCheck_alcotest.to_alcotest qcheck_index_reads_match_scans;
     golden_split;
     golden_retract;
     golden_restrict;

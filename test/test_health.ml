@@ -58,7 +58,7 @@ let test_dark_partition_detected () =
   checkb "violation names the path" true
     (List.exists
        (function
-         | Health.Trie_incomplete { prefix } -> prefix = Path.to_string path
+         | Health.Trie_incomplete { prefix } -> Path.equal prefix path
          | _ -> false)
        r.Health.violations);
   let pristine, pkeys = build 2 in
@@ -77,7 +77,7 @@ let test_under_replicated_detected () =
     (List.exists
        (function
          | Health.Under_replicated { path = p; online; required } ->
-           p = Path.to_string path && online = 1 && required = 5
+           Path.equal p path && online = 1 && required = 5
          | _ -> false)
        r.Health.violations)
 
