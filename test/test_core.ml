@@ -780,6 +780,170 @@ let qcheck_census =
       in
       got = census_by_strings ~excluding overlay)
 
+(* --- Routing tables ------------------------------------------------------ *)
+
+(* One operation on the routing tables of a few nodes of one overlay. *)
+type ref_op =
+  | Add of int * int * int  (** node, level, peer *)
+  | Union of int * int * int  (** into, from, level *)
+  | Set of int * int * int list
+  | Remove of int * int * int
+  | Reset of int * int  (** node, capacity *)
+  | Has of int * int * int
+  | Fill of int * int * int  (** node, level, count: [set_refs] of [0 .. count-1] *)
+
+let ref_nodes = 5
+let ref_levels = 6
+
+let print_ref_op = function
+  | Add (n, l, p) -> Printf.sprintf "add %d@%d %d" n l p
+  | Union (a, b, l) -> Printf.sprintf "union %d<-%d@%d" a b l
+  | Set (n, l, ps) ->
+    Printf.sprintf "set %d@%d [%s]" n l (String.concat ";" (List.map string_of_int ps))
+  | Remove (n, l, p) -> Printf.sprintf "remove %d@%d %d" n l p
+  | Reset (n, c) -> Printf.sprintf "reset %d cap %d" n c
+  | Has (n, l, p) -> Printf.sprintf "has %d@%d %d" n l p
+  | Fill (n, l, c) -> Printf.sprintf "fill %d@%d %d" n l c
+
+(* Peers 0-39 (the nodes themselves among them, so self-references are
+   exercised); now and then a fill of a few thousand ids, and rarely one
+   longer than 16,384, so the tables outgrow one chunk of storage. *)
+let gen_ref_op =
+  let open QCheck.Gen in
+  let node = int_bound (ref_nodes - 1) and level = int_bound (ref_levels - 1) in
+  let peer = int_bound 39 in
+  frequency
+    [
+      (20, map3 (fun n l p -> Add (n, l, p)) node level peer);
+      (8, map3 (fun a b l -> Union (a, b, l)) node node level);
+      (6, map3 (fun n l ps -> Set (n, l, ps)) node level (list_size (int_bound 12) peer));
+      (8, map3 (fun n l p -> Remove (n, l, p)) node level peer);
+      (2, map2 (fun n c -> Reset (n, c)) node (int_bound 10));
+      (6, map3 (fun n l p -> Has (n, l, p)) node level peer);
+      (4, map3 (fun n l c -> Fill (n, l, c)) node level (int_range 100 2000));
+      (1, map3 (fun n l c -> Fill (n, l, c)) node level (int_range 16_380 16_400));
+    ]
+
+(* The node an operation writes, if any. *)
+let ref_op_writes op n =
+  match op with
+  | Add (m, _, _) | Union (m, _, _) | Set (m, _, _) | Remove (m, _, _) | Reset (m, _)
+  | Fill (m, _, _) ->
+    m = n
+  | Has _ -> false
+
+(* The model: per node, a sorted list per level. *)
+let rec merge_sorted a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+    if x < y then x :: merge_sorted a' b
+    else if y < x then y :: merge_sorted a b'
+    else x :: merge_sorted a' b'
+
+let model_add_all self l ps =
+  List.filter (( <> ) self) (merge_sorted l (List.sort_uniq compare ps))
+
+let apply_ref_op overlay model op =
+  let node = Overlay.node overlay in
+  match op with
+  | Add (n, l, p) ->
+    Node.add_ref (node n) ~level:l p;
+    model.(n).(l) <- model_add_all n model.(n).(l) [ p ];
+    true
+  | Union (a, b, l) ->
+    Node.union_refs (node a) ~level:l ~from:(node b);
+    model.(a).(l) <- model_add_all a model.(a).(l) model.(b).(l);
+    true
+  | Set (n, l, ps) ->
+    Node.set_refs (node n) ~level:l ps;
+    model.(n).(l) <- model_add_all n [] ps;
+    true
+  | Remove (n, l, p) ->
+    Node.remove_ref (node n) ~level:l p;
+    model.(n).(l) <- List.filter (( <> ) p) model.(n).(l);
+    true
+  | Reset (n, c) ->
+    Node.reset_refs (node n) ~capacity:c;
+    Array.fill model.(n) 0 ref_levels [];
+    true
+  | Has (n, l, p) -> Node.has_ref (node n) ~level:l p = List.mem p model.(n).(l)
+  | Fill (n, l, c) ->
+    let ps = List.init c Fun.id in
+    Node.set_refs (node n) ~level:l ps;
+    model.(n).(l) <- model_add_all n [] ps;
+    true
+
+(* Every read of every (node, level), one level past the model's too,
+   against the model; [step] seeds the shuffle.  A shuffle of more than
+   4,096 ids is compared only on the node the step wrote ([touched]):
+   the comparison would cost more than the rest of the check. *)
+let tables_agree overlay model ~touched step =
+  let ok = ref true in
+  for n = 0 to ref_nodes - 1 do
+    let nd = Overlay.node overlay n in
+    for l = 0 to ref_levels do
+      let want = if l < ref_levels then model.(n).(l) else [] in
+      let expected = Array.of_list want in
+      let len = Array.length expected in
+      let agrees i p = i < len && expected.(i) = p in
+      let seen = ref 0 in
+      Node.refs_iter nd ~level:l (fun p ->
+          if not (agrees !seen p) then ok := false;
+          incr seen);
+      let folded =
+        Node.refs_fold nd ~level:l (fun i p -> if agrees i p then i + 1 else len + 1) 0
+      in
+      let shuffle_agrees () =
+        let into = Array.make (len + 1) (-1) in
+        let shuffled = Overlay.shuffled_refs (Rng.create ~seed:step) nd ~level:l into in
+        Rng.shuffle_ints (Rng.create ~seed:step) expected;
+        shuffled = len && Array.sub into 0 len = expected
+      in
+      if
+        Node.refs_at nd ~level:l <> want
+        || Node.refs_count nd ~level:l <> len
+        || !seen <> len || folded <> len
+        || ((len <= 4096 || touched n) && not (shuffle_agrees ()))
+      then ok := false
+    done
+  done;
+  !ok
+
+let qcheck_routing_tables =
+  let print ops = String.concat ", " (List.map print_ref_op ops) in
+  QCheck.Test.make ~name:"routing tables = per-level Intset model" ~count:25 ~long_factor:20
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 30) gen_ref_op))
+    (fun ops ->
+      let overlay = Overlay.create (Rng.create ~seed:1) ~n:ref_nodes in
+      let model = Array.init ref_nodes (fun _ -> Array.make ref_levels []) in
+      List.for_all Fun.id
+        (List.mapi
+           (fun step op ->
+             apply_ref_op overlay model op
+             && tables_agree overlay model ~touched:(ref_op_writes op) step)
+           ops))
+
+(* A routed search allocates its result and nothing per hop: at most
+   15 words, the result record, its [Some], the walk's own record and
+   the store probe's option, where a hop that allocated one word would
+   add about five. *)
+let test_search_allocates_result_only () =
+  let overlay, _, keys = build 7 in
+  let rng = Rng.create ~seed:77 in
+  let count = 2_000 in
+  let from = Array.init count (fun _ -> Rng.int rng (Overlay.size overlay)) in
+  let at = Array.init count (fun _ -> keys.(Rng.int rng (Array.length keys))) in
+  let hops = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to count - 1 do
+    hops := !hops + (Overlay.search overlay ~from:from.(i) at.(i)).Overlay.hops
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb "searches take hops" true (!hops > count);
+  if words > 15. *. float_of_int count then
+    Alcotest.failf "%d searches allocated %.0f minor words" count words
+
 let suite =
   [
     Alcotest.test_case "node store" `Quick test_node_store;
@@ -818,4 +982,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_offline_never_picked;
     QCheck_alcotest.to_alcotest qcheck_divergence_level;
     QCheck_alcotest.to_alcotest qcheck_census;
+    QCheck_alcotest.to_alcotest qcheck_routing_tables;
+    Alcotest.test_case "search allocates only its result" `Quick
+      test_search_allocates_result_only;
   ]
