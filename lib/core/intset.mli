@@ -1,8 +1,39 @@
 (** Deduplicating set of integers (peer ids) backed by a sorted dynamic
     array: O(log k) membership, O(k) insert/remove shift, allocation-free
-    ascending iteration.  Sized for routing-table levels and replica
-    lists, where k stays small and deterministic iteration order keeps
-    the seeded experiments reproducible. *)
+    ascending iteration.  Sized for replica lists, where k stays small
+    and deterministic iteration order keeps the seeded experiments
+    reproducible.
+
+    {b Run kernels.}  The functions [run_*] work on a {e run}: [len]
+    ascending, distinct ids at [data.(off) .. data.(off + len - 1)].  A
+    set is the run at offset 0 of its own array, and each level of a
+    routing table is a run in its overlay's arena ({!Node}); both go
+    through these kernels.  Each raises [Invalid_argument] when a run it
+    reads or writes does not fit in its array. *)
+
+(** [run_rank data off len x] is the index of [x] in the run when it is
+    a member, otherwise [lnot i], where [i] is the index at which [x]
+    would be inserted.  O(log len). *)
+val run_rank : int array -> int -> int -> int -> int
+
+(** [run_insert data off len at x] shifts the run's ids from index [at]
+    up by one and writes [x] at [at]: the run then has [len + 1] ids.
+    [data.(off + len)] must be in the array. *)
+val run_insert : int array -> int -> int -> int -> int -> unit
+
+(** [run_delete data off len at] removes the id at index [at], shifting
+    the later ids down by one: the run then has [len - 1] ids. *)
+val run_delete : int array -> int -> int -> int -> unit
+
+(** [run_fresh idata ioff ilen sdata soff slen] counts the ids of the
+    second run missing from the first, in one linear pass. *)
+val run_fresh : int array -> int -> int -> int array -> int -> int -> int
+
+(** [run_merge data off ilen sdata soff slen n] merges the second run
+    into the first in place, from the back, when [n] is [ilen] plus
+    their {!run_fresh} count: the first run then holds [n] ids, the
+    union.  The two runs must not overlap. *)
+val run_merge : int array -> int -> int -> int array -> int -> int -> int -> unit
 
 type t
 

@@ -1,36 +1,9 @@
-(* A path is [len] bits stored in the low bits of [bits]; the j-th bit of
-   the path (j = 0 first) sits at position [len - 1 - j]. *)
-type t = { bits : int; len : int }
-
-let root = { bits = 0; len = 0 }
-let length p = p.len
-
-let extend p b =
-  if b <> 0 && b <> 1 then invalid_arg "Path.extend: bit must be 0 or 1";
-  if p.len >= Key.bits then invalid_arg "Path.extend: path full";
-  { bits = (p.bits lsl 1) lor b; len = p.len + 1 }
-
-let bit p i =
-  if i < 0 || i >= p.len then invalid_arg "Path.bit: index out of range";
-  (p.bits lsr (p.len - 1 - i)) land 1
-
-let parent p =
-  if p.len = 0 then invalid_arg "Path.parent: root has no parent";
-  { bits = p.bits lsr 1; len = p.len - 1 }
-
-let prefix p n =
-  if n < 0 || n > p.len then invalid_arg "Path.prefix: bad length";
-  { bits = p.bits lsr (p.len - n); len = n }
-
-let sibling p =
-  if p.len = 0 then invalid_arg "Path.sibling: root has no sibling";
-  { p with bits = p.bits lxor 1 }
-
-let complement_at p level =
-  if level < 0 || level >= p.len then invalid_arg "Path.complement_at";
-  sibling (prefix p (level + 1))
-
-let is_prefix_of ~prefix:q p = q.len <= p.len && p.bits lsr (p.len - q.len) = q.bits
+(* A path is its own code: its [len] bits in the low bits, the j-th bit of
+   the path (j = 0 first) at position [len - 1 - j], and a marker bit at
+   position [len] above them.  The length is the marker's position, the
+   [msb] of the code.  [Key.bits] is 60, so a code stays below 2^61 and
+   fits an immediate int: a path costs no block and no load. *)
+type t = int
 
 let msb x =
   let x = ref x and r = ref 0 in
@@ -42,30 +15,75 @@ let msb x =
   if !x lsr 1 <> 0 then r := !r + 1;
   !r
 
+let make bits len = bits lor (1 lsl len)
+let root = 1
+let length p = msb p
+
+(* The bits without the marker. *)
+let bits p = p lxor (1 lsl length p)
+
+let extend p b =
+  if b <> 0 && b <> 1 then invalid_arg "Path.extend: bit must be 0 or 1";
+  if length p >= Key.bits then invalid_arg "Path.extend: path full";
+  (p lsl 1) lor b
+
+let bit p i =
+  let len = length p in
+  if i < 0 || i >= len then invalid_arg "Path.bit: index out of range";
+  (p lsr (len - 1 - i)) land 1
+
+let parent p =
+  if p = root then invalid_arg "Path.parent: root has no parent";
+  p lsr 1
+
+(* Shifting the code drops the last bits and keeps the marker on top. *)
+let prefix p n =
+  let len = length p in
+  if n < 0 || n > len then invalid_arg "Path.prefix: bad length";
+  p lsr (len - n)
+
+let sibling p =
+  if p = root then invalid_arg "Path.sibling: root has no sibling";
+  p lxor 1
+
+let complement_at p level =
+  if level < 0 || level >= length p then invalid_arg "Path.complement_at";
+  sibling (prefix p (level + 1))
+
+let is_prefix_of ~prefix:q p =
+  let lq = length q and lp = length p in
+  lq <= lp && p lsr (lp - lq) = q
+
 (* Cut both paths to the shorter length [n]: their xor holds exactly the
-   differing bits among the first [n], and the highest one is the first
-   that differs. *)
+   differing bits among the first [n] (the markers meet and cancel), and
+   the highest one is the first that differs. *)
 let common_prefix_length a b =
-  let n = min a.len b.len in
-  let diff = (a.bits lsr (a.len - n)) lxor (b.bits lsr (b.len - n)) in
+  let la = length a and lb = length b in
+  let n = min la lb in
+  let diff = (a lsr (la - n)) lxor (b lsr (lb - n)) in
   if diff = 0 then n else n - 1 - msb diff
 
-let matches_key p k = p.len = 0 || Key.to_int k lsr (Key.bits - p.len) = p.bits
+let key_code k n = make (Key.to_int k lsr (Key.bits - n)) n
+
+let matches_key p k =
+  let len = length p in
+  key_code k len = p
 
 let key_prefix k n =
   if n < 0 || n > Key.bits then invalid_arg "Path.key_prefix: bad length";
-  { bits = Key.to_int k lsr (Key.bits - n); len = n }
+  key_code k n
 
 let interval_keys p =
-  let shift = Key.bits - p.len in
-  (p.bits lsl shift, (p.bits + 1) lsl shift)
+  let shift = Key.bits - length p in
+  let b = bits p in
+  (b lsl shift, (b + 1) lsl shift)
 
 let interval p =
   let lo, hi = interval_keys p in
   let scale = float_of_int (1 lsl Key.bits) in
   (float_of_int lo /. scale, float_of_int hi /. scale)
 
-let width p = 1. /. float_of_int (1 lsl p.len)
+let width p = 1. /. float_of_int (1 lsl length p)
 
 let overlap_fraction ~of_:q k =
   if is_prefix_of ~prefix:k q then 1.
@@ -80,12 +98,13 @@ let mid p =
    differing bit; a prefix ties with its extensions by zeros, and the
    length breaks that tie, prefix first.  O(1). *)
 let compare a b =
-  let c = Int.compare (a.bits lsl (Key.bits - a.len)) (b.bits lsl (Key.bits - b.len)) in
-  if c <> 0 then c else Int.compare a.len b.len
+  let la = length a and lb = length b in
+  let c = Int.compare (bits a lsl (Key.bits - la)) (bits b lsl (Key.bits - lb)) in
+  if c <> 0 then c else Int.compare la lb
 
-let equal a b = a.len = b.len && a.bits = b.bits
-let code p = p.bits lor (1 lsl p.len)
-let to_string p = String.init p.len (fun i -> if bit p i = 1 then '1' else '0')
+let equal = Int.equal
+let code p = p
+let to_string p = String.init (length p) (fun i -> if bit p i = 1 then '1' else '0')
 
 let of_string s =
   if String.length s > Key.bits then invalid_arg "Path.of_string: too long";
@@ -97,8 +116,8 @@ let of_string s =
       | _ -> invalid_arg "Path.of_string: expected only '0'/'1'")
     root s
 
-let pp fmt p = Format.pp_print_string fmt (if p.len = 0 then "<root>" else to_string p)
+let pp fmt p = Format.pp_print_string fmt (if p = root then "<root>" else to_string p)
 
 let enumerate_leaves depth =
   if depth < 0 || depth > Key.bits then invalid_arg "Path.enumerate_leaves";
-  List.init (1 lsl depth) (fun i -> { bits = i; len = depth })
+  List.init (1 lsl depth) (fun i -> make i depth)

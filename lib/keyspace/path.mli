@@ -2,11 +2,14 @@
 
     Recursively bisecting [0, 1) induces a binary trie; a partition is
     identified by the sequence of left/right (0/1) decisions from the root.
-    A peer's [path] in P-Grid is exactly such a bit string.  A path is a
-    two-field block: its bits packed into one int (at most {!Key.bits}
-    of them) and its length, so comparisons and prefix tests are O(1). *)
+    A peer's [path] in P-Grid is exactly such a bit string.  A path is
+    an immediate int, its own {!code}: its bits (at most {!Key.bits} of
+    them) below a marker bit whose position is the length.  Comparisons
+    and prefix tests are O(1), and storing or reading a path touches no
+    block.  Order paths with {!compare}, not the polymorphic one: that
+    orders the codes, shorter paths first. *)
 
-type t
+type t [@@immediate]
 
 (** The root path (empty bit string), denoting the whole key space. *)
 val root : t
