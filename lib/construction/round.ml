@@ -103,6 +103,7 @@ let run_with_keys ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~assig
     Rng.shuffle_ints rng order;
     Array.iter (fun i -> if Engine.is_active engine i then Engine.interact engine i) order
   done;
+  Overlay.compact_refs overlay;
   (* Flatten + sort + dedup in place: the list pipeline this replaces
      materialized two peers*keys_per_peer element lists (a million cells
      at 100k peers) before ever reaching the sort. *)

@@ -13,7 +13,7 @@
    array] store needs no write barrier. *)
 
 (* Index of [x] in the run if present, otherwise [lnot insertion_point]. *)
-let run_rank data off len x =
+let run_rank (data : int array) off len (x : int) =
   let lo = ref 0 and hi = ref len and found = ref (-1) in
   while !found < 0 && !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -22,25 +22,25 @@ let run_rank data off len x =
   done;
   if !found >= 0 then !found else lnot !lo
 
-let check_run data off len =
+let check_run (data : int array) off len =
   if off < 0 || len < 0 || off + len > Array.length data then
     invalid_arg "Intset: run out of range"
 
-let run_insert data off len at x =
+let run_insert (data : int array) off len at (x : int) =
   check_run data off (len + 1);
   for i = off + len downto off + at + 1 do
     Array.unsafe_set data i (Array.unsafe_get data (i - 1))
   done;
   data.(off + at) <- x
 
-let run_delete data off len at =
+let run_delete (data : int array) off len at =
   check_run data off len;
   for i = off + at to off + len - 2 do
     Array.unsafe_set data i (Array.unsafe_get data (i + 1))
   done
 
 (* [0 <= i < ilen] and [0 <= j < slen] bound every read below. *)
-let run_fresh idata ioff ilen sdata soff slen =
+let run_fresh (idata : int array) ioff ilen (sdata : int array) soff slen =
   check_run idata ioff ilen;
   check_run sdata soff slen;
   let fresh = ref 0 and i = ref 0 in
@@ -57,7 +57,7 @@ let run_fresh idata ioff ilen sdata soff slen =
    no slot is written before it has been read.  [k - i] is the number of
    source members still to insert, so the walk ends with [k = i] and the
    untouched prefix in place. *)
-let run_merge data off ilen sdata soff slen n =
+let run_merge (data : int array) off ilen (sdata : int array) soff slen n =
   check_run data off n;
   check_run sdata soff slen;
   let i = ref (ilen - 1) and k = ref (n - 1) in

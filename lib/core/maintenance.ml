@@ -27,7 +27,7 @@ let purge_stale_refs rng overlay id =
   for i = 0 to Overlay.size overlay - 1 do
     if i <> id then begin
       let n = node overlay i in
-      for level = 0 to Array.length n.Node.refs - 1 do
+      for level = 0 to Node.levels n - 1 do
         if Node.has_ref n ~level id then begin
           let consistent =
             level < Path.length n.Node.path
@@ -47,7 +47,7 @@ let purge_stale_refs rng overlay id =
   (* The adopted routing table can have empty levels of its own: copying
      the host's references skips [id] itself, so a level whose only
      entry was [id] arrives empty.  Refill those too. *)
-  for level = 0 to Array.length moved.Node.refs - 1 do
+  for level = 0 to Node.levels moved - 1 do
     refill_level rng overlay id level
   done
 
@@ -223,7 +223,7 @@ let repair ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay ~redundancy 
 let correct_on_use ?(telemetry = Pgrid_telemetry.Global.get ()) ?dead rng overlay
     ~peer ~level =
   let n = node overlay peer in
-  if level < 0 || level >= Array.length n.Node.refs then 0
+  if level < 0 || level >= Node.levels n then 0
   else begin
     let refs = Node.refs_at n ~level in
     let stale =

@@ -12,13 +12,39 @@ type vers = (Key.t, meta) Hashtbl.t
    its first [n_changed] slots, each node whose path, liveness or key
    count changed since the list was last taken: a write that changes one
    calls [mark], which lists its node unless the node's [marked] flag
-   says it is listed already. *)
-type census = { mutable offline : int; mutable changed : t array; mutable n_changed : int }
+   says it is listed already.
+
+   The census also holds the routing arena: every reference id of its
+   nodes, as one sorted run per (node, level), in chunks of [chunk_words]
+   ints (a longer run gets a chunk of its own).  A run is a header word
+   and then [cap] slots, of which the first [len] hold the ids in
+   ascending order.  A node's [runs.(level)] is the run's descriptor
+   (chunk, offset of its first id, [len]), or 0 for no run; so reading a
+   level's ids reads the node, the descriptor and the ids.  The header
+   names its owner (the node's [slot] in [members], and the level) and
+   [cap]; a dead run's header is [lnot cap].  Chunks [0 .. n_chunks - 2]
+   are covered by headers to their ends, the last one to [top]. *)
+type census = {
+  mutable offline : int;
+  mutable changed : t array;
+  mutable n_changed : int;
+  mutable chunks : int array array;
+  mutable n_chunks : int;
+  mutable top : int;  (* words used in chunk [n_chunks - 1] *)
+  mutable live : int;  (* words of live runs, headers included *)
+  mutable gaps : int;  (* words of dead runs and of chunk tails *)
+  mutable reading : int;  (* [refs_iter]/[refs_fold] calls under way *)
+  mutable members : t array;
+  mutable n_members : int;
+}
+
+and table = int array
 
 and t = {
   id : id;
   mutable path : Path.t;
-  mutable refs : Intset.t array;
+  mutable runs : table;
+  slot : int;
   store : (Key.t, string list) Hashtbl.t;
   vers : vers;
   replicas : Intset.t;
@@ -29,7 +55,21 @@ and t = {
   mutable marked : bool;
 }
 
-let census () = { offline = 0; changed = [||]; n_changed = 0 }
+let census () =
+  {
+    offline = 0;
+    changed = [||];
+    n_changed = 0;
+    chunks = [||];
+    n_chunks = 0;
+    top = 0;
+    live = 0;
+    gaps = 0;
+    reading = 0;
+    members = [||];
+    n_members = 0;
+  }
+
 let offline c = c.offline
 
 let mark t =
@@ -56,11 +96,13 @@ let take_changed c f =
   c.n_changed <- 0
 
 let create_in census ~id =
+  let c = census in
   let t =
     {
       id;
       path = Path.root;
-      refs = Array.init 8 (fun _ -> Intset.create ());
+      runs = Array.make 8 0;
+      slot = c.n_members;
       store = Hashtbl.create 32;
       vers = Hashtbl.create 8;
       replicas = Intset.create ();
@@ -71,6 +113,13 @@ let create_in census ~id =
       marked = false;
     }
   in
+  if c.n_members = Array.length c.members then begin
+    let grown = Array.make (max 16 (2 * c.n_members)) t in
+    Array.blit c.members 0 grown 0 c.n_members;
+    c.members <- grown
+  end;
+  c.members.(c.n_members) <- t;
+  c.n_members <- c.n_members + 1;
   mark t;
   t
 
@@ -290,50 +339,307 @@ let set_path t path =
     mark t
   end
 
-let ensure_capacity t level =
-  let n = Array.length t.refs in
+(* --- The routing arena ----------------------------------------------------- *)
+
+let chunk_words = 1 lsl 14
+let field = (1 lsl 20) - 1  (* len, cap and offset fields are 20 bits *)
+let desc k off len = (k lsl 40) lor (off lsl 20) lor len
+let desc_len d = d land field
+let desc_off d = (d lsr 20) land field
+let desc_chunk d = d lsr 40
+let header t level cap = (t.slot lsl 28) lor (level lsl 20) lor cap
+let cap_of h = h land field
+
+let run t level =
+  if level >= 0 && level < Array.length t.runs then Array.unsafe_get t.runs level else 0
+
+let levels t = Array.length t.runs
+
+(* The table keeps at least [level + 1] levels, doubling as it grows. *)
+let ensure_levels t level =
+  let n = Array.length t.runs in
   if level >= n then begin
-    let grown =
-      Array.init
-        (max (level + 1) (2 * n))
-        (fun i -> if i < n then t.refs.(i) else Intset.create ())
+    let grown = Array.make (max (level + 1) (2 * n)) 0 in
+    Array.blit t.runs 0 grown 0 n;
+    t.runs <- grown
+  end
+
+let kill c d =
+  let chunk = c.chunks.(desc_chunk d) and h = desc_off d - 1 in
+  let cap = cap_of chunk.(h) in
+  chunk.(h) <- lnot cap;
+  c.live <- c.live - 1 - cap;
+  c.gaps <- c.gaps + 1 + cap
+
+(* Compaction slides every live run, in arena order, down to the first
+   free word, with no spare capacity; a run that does not fit in the rest
+   of a chunk starts the next one, and a run emptied by removals is
+   dropped.  The write position never passes the read position, so the
+   slide needs no second arena.  Chunks past the last one written are
+   released. *)
+let compact_arena c =
+  let wk = ref 0 and wo = ref 0 and live = ref 0 and gaps = ref 0 in
+  for k = 0 to c.n_chunks - 1 do
+    let src = c.chunks.(k) in
+    let limit = if k = c.n_chunks - 1 then c.top else Array.length src in
+    let p = ref 0 in
+    while !p < limit do
+      let h = src.(!p) in
+      if h < 0 then p := !p + 1 + lnot h
+      else begin
+        let owner = c.members.(h lsr 28) and level = (h lsr 20) land 0xff in
+        let len = desc_len owner.runs.(level) in
+        if len = 0 then owner.runs.(level) <- 0
+        else begin
+          while !wo + 1 + len > Array.length c.chunks.(!wk) do
+            let tail = Array.length c.chunks.(!wk) - !wo in
+            if tail > 0 then c.chunks.(!wk).(!wo) <- lnot (tail - 1);
+            gaps := !gaps + tail;
+            incr wk;
+            wo := 0
+          done;
+          let dst = c.chunks.(!wk) in
+          dst.(!wo) <- header owner level len;
+          for i = 1 to len do
+            Array.unsafe_set dst (!wo + i) (Array.unsafe_get src (!p + i))
+          done;
+          owner.runs.(level) <- desc !wk (!wo + 1) len;
+          wo := !wo + 1 + len;
+          live := !live + 1 + len
+        end;
+        p := !p + 1 + cap_of h
+      end
+    done
+  done;
+  if c.n_chunks > 0 then begin
+    for k = !wk + 1 to c.n_chunks - 1 do
+      c.chunks.(k) <- [||]
+    done;
+    c.n_chunks <- !wk + 1;
+    c.top <- !wo
+  end;
+  c.live <- !live;
+  c.gaps <- !gaps
+
+(* Only between reads: a [refs_iter] or [refs_fold] callback may write
+   another node's table, and its own run must stay where it is. *)
+let compact_refs c = if c.reading = 0 then compact_arena c
+
+(* A fresh run of capacity [cap] for [t]'s [level] at the end of the
+   arena, after a compaction when gaps outnumber live words.  The
+   last chunk doubles while it is shorter than [chunk_words]; a run that
+   fits in no chunk gets one of its own. *)
+let alloc t level cap =
+  if cap > field then invalid_arg "Node: too many references at one level";
+  let c = t.census in
+  if c.gaps > c.live then compact_refs c;
+  let need = cap + 1 in
+  let last = c.n_chunks - 1 in
+  if last >= 0 && c.top + need > Array.length c.chunks.(last) && c.top + need <= chunk_words
+  then begin
+    let old = c.chunks.(last) in
+    let size = ref (Array.length old) in
+    while !size < c.top + need do
+      size := 2 * !size
+    done;
+    let grown = Array.make !size 0 in
+    Array.blit old 0 grown 0 c.top;
+    c.chunks.(last) <- grown
+  end;
+  if last < 0 || c.top + need > Array.length c.chunks.(last) then begin
+    if last >= 0 then begin
+      let tail = Array.length c.chunks.(last) - c.top in
+      if tail > 0 then c.chunks.(last).(c.top) <- lnot (tail - 1);
+      c.gaps <- c.gaps + tail
+    end;
+    if c.n_chunks = Array.length c.chunks then begin
+      let grown = Array.make (max 4 (2 * c.n_chunks)) [||] in
+      Array.blit c.chunks 0 grown 0 c.n_chunks;
+      c.chunks <- grown
+    end;
+    let size =
+      if need > chunk_words then need
+      else if last < 0 then max 64 need
+      else chunk_words
     in
-    t.refs <- grown
+    c.chunks.(c.n_chunks) <- Array.make size 0;
+    c.n_chunks <- c.n_chunks + 1;
+    c.top <- 0
+  end;
+  let k = c.n_chunks - 1 in
+  c.chunks.(k).(c.top) <- header t level cap;
+  let d = desc k (c.top + 1) 0 in
+  c.top <- c.top + need;
+  c.live <- c.live + need;
+  d
+
+(* The descriptor of [t]'s [level] once its run can hold [n] ids: the
+   run as it is, grown in place at the end of the arena, or moved to a
+   new run with half again as much room.  With [keep], the ids are
+   copied along. *)
+let reserve t level n ~keep =
+  let c = t.census in
+  let d = t.runs.(level) in
+  if d <> 0 && n <= cap_of c.chunks.(desc_chunk d).(desc_off d - 1) then d
+  else begin
+    let k = desc_chunk d and off = desc_off d in
+    let last = c.n_chunks - 1 in
+    if d <> 0 && k = last && off + cap_of c.chunks.(k).(off - 1) = c.top
+       && off + n <= Array.length c.chunks.(k)
+    then begin
+      let chunk = c.chunks.(k) in
+      let cap = cap_of chunk.(off - 1) in
+      chunk.(off - 1) <- header t level n;
+      c.top <- off + n;
+      c.live <- c.live + n - cap;
+      d
+    end
+    else begin
+      let fresh = alloc t level (n + (n / 2)) in
+      (* [alloc] may have compacted: read the old run afresh. *)
+      let d = t.runs.(level) in
+      if d = 0 then fresh
+      else begin
+        let len = desc_len d in
+        if keep then begin
+          let src = c.chunks.(desc_chunk d) and dst = c.chunks.(desc_chunk fresh) in
+          let so = desc_off d and fo = desc_off fresh in
+          for i = 0 to len - 1 do
+            Array.unsafe_set dst (fo + i) (Array.unsafe_get src (so + i))
+          done
+        end;
+        kill c d;
+        fresh lor len
+      end
+    end
   end
 
 let add_ref t ~level peer =
   if level < 0 then invalid_arg "Node.add_ref: negative level";
-  ensure_capacity t level;
-  if peer <> t.id then Intset.add t.refs.(level) peer
+  ensure_levels t level;
+  if peer <> t.id then begin
+    let d = t.runs.(level) in
+    let len = desc_len d in
+    let r =
+      if d = 0 then -1 else Intset.run_rank t.census.chunks.(desc_chunk d) (desc_off d) len peer
+    in
+    if r < 0 then begin
+      let d = reserve t level (len + 1) ~keep:true in
+      Intset.run_insert t.census.chunks.(desc_chunk d) (desc_off d) len (lnot r) peer;
+      t.runs.(level) <- d + 1
+    end
+  end
 
-let in_range t level = level >= 0 && level < Array.length t.refs
-let refs_at t ~level = if in_range t level then Intset.elements t.refs.(level) else []
-let refs_count t ~level = if in_range t level then Intset.cardinal t.refs.(level) else 0
+let refs_count t ~level = desc_len (run t level)
 
-let refs_iter t ~level f =
-  if in_range t level then Intset.iter f t.refs.(level)
+let refs_nth t ~level i =
+  let d = run t level in
+  if i < 0 || i >= desc_len d then invalid_arg "Node.refs_nth: index out of range";
+  Array.unsafe_get t.census.chunks.(desc_chunk d) (desc_off d + i)
 
+let refs_rank t ~level x =
+  let d = run t level in
+  if d = 0 then -1 else Intset.run_rank t.census.chunks.(desc_chunk d) (desc_off d) (desc_len d) x
+
+let has_ref t ~level peer = refs_rank t ~level peer >= 0
+
+let refs_blit t ~level into =
+  let d = run t level in
+  let len = desc_len d in
+  if len > Array.length into then invalid_arg "Node.refs_blit: destination too short";
+  if len > 0 then begin
+    let chunk = t.census.chunks.(desc_chunk d) and off = desc_off d in
+    for i = 0 to len - 1 do
+      Array.unsafe_set into i (Array.unsafe_get chunk (off + i))
+    done
+  end;
+  len
+
+let refs_at t ~level =
+  let d = run t level in
+  let chunk = if d = 0 then [||] else t.census.chunks.(desc_chunk d) in
+  List.init (desc_len d) (fun i -> chunk.(desc_off d + i))
+
+(* While a callback runs, no compaction moves the run being read. *)
 let refs_fold t ~level f acc =
-  if in_range t level then Intset.fold f acc t.refs.(level) else acc
+  let d = run t level in
+  let len = desc_len d in
+  if len = 0 then acc
+  else begin
+    let c = t.census in
+    let chunk = c.chunks.(desc_chunk d) and off = desc_off d in
+    c.reading <- c.reading + 1;
+    match
+      let acc = ref acc in
+      for i = off to off + len - 1 do
+        acc := f !acc (Array.unsafe_get chunk i)
+      done;
+      !acc
+    with
+    | acc ->
+      c.reading <- c.reading - 1;
+      acc
+    | exception e ->
+      c.reading <- c.reading - 1;
+      raise e
+  end
 
-let has_ref t ~level peer = in_range t level && Intset.mem t.refs.(level) peer
-let remove_ref t ~level peer = if in_range t level then Intset.remove t.refs.(level) peer
+let refs_iter t ~level f = refs_fold t ~level (fun () r -> f r) ()
+
+let remove_ref t ~level peer =
+  let r = refs_rank t ~level peer in
+  if r >= 0 then begin
+    let d = t.runs.(level) in
+    Intset.run_delete t.census.chunks.(desc_chunk d) (desc_off d) (desc_len d) r;
+    t.runs.(level) <- d - 1
+  end
 
 let set_refs t ~level peers =
   if level < 0 then invalid_arg "Node.set_refs: negative level";
-  ensure_capacity t level;
-  Intset.clear t.refs.(level);
-  List.iter (fun p -> if p <> t.id then Intset.add t.refs.(level) p) peers
+  ensure_levels t level;
+  let ids = Array.of_list (List.sort_uniq Int.compare (List.filter (( <> ) t.id) peers)) in
+  let n = Array.length ids in
+  if n > 0 || t.runs.(level) <> 0 then begin
+    let d = reserve t level n ~keep:false in
+    let chunk = t.census.chunks.(desc_chunk d) and off = desc_off d in
+    Array.iteri (fun i p -> chunk.(off + i) <- p) ids;
+    t.runs.(level) <- desc (desc_chunk d) off n
+  end
 
 let union_refs t ~level ~from =
-  if in_range from level && not (Intset.is_empty from.refs.(level)) then begin
-    ensure_capacity t level;
-    Intset.union_into ~into:t.refs.(level) from.refs.(level);
-    Intset.remove t.refs.(level) t.id
+  let s = run from level in
+  let slen = desc_len s in
+  if slen > 0 then begin
+    ensure_levels t level;
+    let d = t.runs.(level) in
+    let len = desc_len d in
+    let fresh =
+      if d = 0 then slen
+      else
+        Intset.run_fresh t.census.chunks.(desc_chunk d) (desc_off d) len
+          from.census.chunks.(desc_chunk s) (desc_off s) slen
+    in
+    if fresh > 0 then begin
+      let d = reserve t level (len + fresh) ~keep:true in
+      (* [reserve] may have compacted: read [from]'s run afresh. *)
+      let s = run from level in
+      Intset.run_merge t.census.chunks.(desc_chunk d) (desc_off d) len
+        from.census.chunks.(desc_chunk s) (desc_off s) slen (len + fresh);
+      t.runs.(level) <- d + fresh;
+      remove_ref t ~level t.id
+    end
   end
 
 let reset_refs t ~capacity =
-  t.refs <- Array.init (max 8 capacity) (fun _ -> Intset.create ())
+  Array.iter (fun d -> if d <> 0 then kill t.census d) t.runs;
+  t.runs <- Array.make (max 8 capacity) 0
+
+let routing_words c =
+  let words = ref (Obj.reachable_words (Obj.repr c.chunks)) in
+  for i = 0 to c.n_members - 1 do
+    words := !words + Obj.reachable_words (Obj.repr c.members.(i).runs)
+  done;
+  !words
 
 let add_replica t peer = if peer <> t.id then Intset.add t.replicas peer
 

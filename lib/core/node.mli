@@ -7,8 +7,11 @@
     [l].  Multiple references per level provide the redundancy that makes
     routing resilient under churn.
 
-    Refs and replicas are deduplicating sorted integer sets ({!Intset}),
-    so membership is O(log k) and merge-time exchange is linear.  The
+    Each level's references are a sorted run of ids in the routing arena
+    that every node of one overlay shares through its {!census}; the
+    replicas are an {!Intset}.  Both are deduplicating and ascending, so
+    membership is O(log k) and merge-time exchange is linear, and both
+    go through {!Intset}'s run kernels.  The
     node additionally maintains an incremental count of stored keys whose
     bit at the current path level is 0 ({!zero_count}), which the
     construction engine uses to compute load fractions and the
@@ -44,14 +47,19 @@ type id = int
 
 (** A census of the nodes created with it.  Every node of one overlay
     shares one census (see [Overlay.create] and [Overlay.add_peer]).  It
-    keeps two things:
+    keeps three things:
     - the exact number of offline nodes, so the overlay knows in O(1)
       whether any peer is offline; routing's reference pick skips its
       liveness scan while none is;
     - the nodes whose path, liveness or key count ({!key_count}) changed
       since the last {!take_changed}, each listed once, in the order of
       their first change.  A node counts as changed when it is created.
-      [Overlay] keeps its partition index current from this list. *)
+      [Overlay] keeps its partition index current from this list;
+    - the routing arena: every reference id of its nodes, one sorted run
+      per (node, level), in fixed-size chunks of ints.  A run grows in
+      place while it has room or ends the arena, and otherwise moves to
+      the end, leaving a gap.  {!compact_refs} closes the gaps; a write
+      also does so first whenever they outgrow the live runs. *)
 type census
 
 (** [census ()] is a fresh census with no offline node. *)
@@ -75,12 +83,18 @@ type meta = private { mutable version : int; mutable dead : bool; mutable stamp 
 (** A node's version sidecar, keyed like the store. *)
 type vers
 
+(** A node's routing table: one run descriptor per level.  Read it
+    through {!refs_count}, {!refs_nth}, {!refs_iter} and the other
+    [refs_*] functions. *)
+type table
+
 type t = private {
   id : id;
   mutable path : Pgrid_keyspace.Path.t;
-  mutable refs : Intset.t array;
-      (** [refs.(l)]: peers in the complement at level [l]; the array has
-          at least [Path.length path] used slots *)
+  mutable runs : table;
+      (** the peers in the complement at each level, as runs in the
+          census's arena; {!levels} levels *)
+  slot : int;  (** the node's index among its census's nodes *)
   store : (Pgrid_keyspace.Key.t, string list) Hashtbl.t;
       (** key -> payloads (e.g. posting lists); multiple payloads per key,
           kept sorted and duplicate-free so mutation is a single early-exit
@@ -236,18 +250,46 @@ val zero_count : t -> int
     list is non-empty.  O(1); kept exact by the mutators. *)
 val payload_key_count : t -> int
 
+(** [levels t] is the number of levels the routing table holds: 8 when
+    created or reset below that, and otherwise grown by doubling (or to
+    [level + 1]) by a write to a level past the end.  Every level past
+    the path's length is empty, unless a caller wrote one. *)
+val levels : t -> int
+
 (** [add_ref t ~level peer] records a routing reference, growing the table
     as needed; duplicates and self-references are ignored. Requires
-    [level >= 0]. *)
+    [level >= 0], and at most 2^20 - 1 references at one level
+    ([Invalid_argument] otherwise, as for the other writes). *)
 val add_ref : t -> level:int -> id -> unit
 
 (** [refs_at t ~level] is the sorted (possibly empty) reference list at
     [level].  Allocates; hot paths should use {!refs_fold}/{!refs_iter}. *)
 val refs_at : t -> level:int -> id list
 
+(** [refs_count t ~level] is the number of references at [level] (0 for
+    a level past the table). *)
 val refs_count : t -> level:int -> int
 
+(** [refs_nth t ~level i] is the [i]-th smallest reference at [level],
+    [0 <= i < refs_count t ~level]: with {!refs_count}, a scan that
+    needs no closure. *)
+val refs_nth : t -> level:int -> int -> id
+
+(** [refs_rank t ~level x] is the {!refs_nth} index of [x] when it is a
+    reference at [level], otherwise negative ([lnot] of the index at
+    which it would go).  O(log k). *)
+val refs_rank : t -> level:int -> id -> int
+
+(** [refs_blit t ~level into] writes the references at [level] in
+    ascending order into the first slots of [into] and returns their
+    count.  Raises [Invalid_argument] when [into] is shorter. *)
+val refs_blit : t -> level:int -> id array -> int
+
+(** [refs_iter] and [refs_fold] visit the references at [level] in
+    ascending order.  The callback may write other nodes' tables, but
+    not [t]'s. *)
 val refs_iter : t -> level:int -> (id -> unit) -> unit
+
 val refs_fold : t -> level:int -> ('a -> id -> 'a) -> 'a -> 'a
 val has_ref : t -> level:int -> id -> bool
 val remove_ref : t -> level:int -> id -> unit
@@ -261,8 +303,20 @@ val set_refs : t -> level:int -> id list -> unit
 val union_refs : t -> level:int -> from:t -> unit
 
 (** [reset_refs t ~capacity] discards the whole routing table, leaving
-    at least [capacity] empty levels. *)
+    [max 8 capacity] empty levels. *)
 val reset_refs : t -> capacity:int -> unit
+
+(** [compact_refs c] closes the gaps in [c]'s routing arena: every
+    non-empty run slides down to the first free word, with no spare
+    capacity, and chunks left empty are released.  It moves no
+    reference and changes no order, so no read can tell; it is skipped
+    while a {!refs_iter} or {!refs_fold} callback runs. *)
+val compact_refs : census -> unit
+
+(** [routing_words c] is the size in words ([Obj.reachable_words]) of
+    [c]'s routing storage: the arena's chunks and every node's
+    descriptors. *)
+val routing_words : census -> int
 
 (** [set_path t path] updates the node's partition path.  The zero-bit
     count for the new level is recomputed lazily: by {!cut_outside}, or

@@ -59,9 +59,11 @@ type t = {
   mutable watchers : (change -> unit) list;
   census : Node.census;  (* shared by every node, so offline peers are counted *)
   mutable picks : int array;  (* the members a scanning [eligible] kept last *)
-  mutable direct : bool;  (* the last [eligible] kept no picks: [draw] reads [pick_set] *)
-  mutable pick_set : Intset.t;
-  mutable pick_skip : int;  (* rank of the excluded member in [pick_set], or [max_int] *)
+  mutable direct : bool;  (* the last [eligible] kept no picks: [draw] reads its members *)
+  mutable pick_set : Intset.t;  (* those members: [pick_set], or with [pick_level >= 0] *)
+  mutable pick_node : Node.t;  (* the references of [pick_node] at [pick_level] *)
+  mutable pick_level : int;
+  mutable pick_skip : int;  (* rank of the excluded member among them, or [max_int] *)
   entries : entry Codes.t;  (* the index, by [Path.code] *)
   mutable order : entry array;  (* the index in path order in the first [parts] slots; as long as [nodes] *)
   mutable parts : int;
@@ -69,11 +71,14 @@ type t = {
   mutable filed_online : bool array;  (* by id: whether it was online then *)
 }
 
+let no_set = Intset.create ()
+
 let create rng ~n =
   if n < 1 then invalid_arg "Overlay.create: n must be >= 1";
   let census = Node.census () in
+  let nodes = Array.init n (fun id -> Node.create_in census ~id) in
   {
-    nodes = Array.init n (fun id -> Node.create_in census ~id);
+    nodes;
     count = n;
     rng;
     clock = 0;
@@ -81,7 +86,9 @@ let create rng ~n =
     census;
     picks = Array.make 16 0;
     direct = false;
-    pick_set = Intset.create ();
+    pick_set = no_set;
+    pick_node = nodes.(0);
+    pick_level = -1;
     pick_skip = max_int;
     entries = Codes.create (max 16 (n / 2));
     parts = 0;
@@ -129,6 +136,7 @@ let iter t f =
   done
 
 let online_count t = t.count - Node.offline t.census
+let compact_refs t = Node.compact_refs t.census
 
 type search_result = {
   responsible : Node.id option;
@@ -154,55 +162,68 @@ let divergence_level path key =
 
 (* The single reference-choice kernel: the draw and the choice of
    counting the eligible members, drawing a rank and scanning to it,
-   which the seeded experiments depend on.  While no peer is offline and
-   no [admit] vetoes an edge, every member but [excluding] is eligible:
-   the count is the cardinal, and [draw] maps its rank straight to the
-   member, stepping over [excluding].  Otherwise one closure-free pass
-   keeps the eligible members in [t.picks] for [draw]. *)
-let eligible ?admit t ~src ~excluding set =
-  let n = Intset.cardinal set in
+   which the seeded experiments depend on.  The members are [set], or
+   with [level >= 0] [n]'s [n_refs] references at [level].  While no
+   peer is offline and no [admit] vetoes an edge, every member but
+   [excluding] is eligible: the count is the cardinal, and [draw] maps
+   its rank straight to the member, stepping over [excluding].
+   Otherwise one closure-free pass keeps the eligible members in
+   [t.picks] for [draw]. *)
+let eligible_in admit t ~src ~excluding set n level count =
   match admit with
   | None when Node.offline t.census = 0 ->
     t.direct <- true;
     t.pick_set <- set;
-    let skip = if excluding < 0 then -1 else Intset.rank set excluding in
+    t.pick_node <- n;
+    t.pick_level <- level;
+    let skip =
+      if excluding < 0 then -1
+      else if level < 0 then Intset.rank set excluding
+      else Node.refs_rank n ~level excluding
+    in
     t.pick_skip <- (if skip < 0 then max_int else skip);
-    if skip < 0 then n else n - 1
+    if skip < 0 then count else count - 1
   | _ ->
     t.direct <- false;
-    if Array.length t.picks < n then
-      t.picks <- Array.make (max n (2 * Array.length t.picks)) 0;
+    if Array.length t.picks < count then
+      t.picks <- Array.make (max count (2 * Array.length t.picks)) 0;
     let picks = t.picks and nodes = t.nodes in
-    let count = ref 0 in
-    for i = 0 to n - 1 do
-      let id = Intset.get set i in
+    let kept = ref 0 in
+    for i = 0 to count - 1 do
+      let id = if level < 0 then Intset.get set i else Node.refs_nth n ~level i in
       if
         id <> excluding
         && nodes.(id).Node.online
         && match admit with None -> true | Some admit -> admit src id
       then begin
-        picks.(!count) <- id;
-        incr count
+        picks.(!kept) <- id;
+        incr kept
       end
     done;
-    !count
+    !kept
+
+let eligible ?admit t ~src ~excluding set =
+  eligible_in admit t ~src ~excluding set t.nodes.(0) (-1) (Intset.cardinal set)
 
 let draw t rng count =
   let r = Rng.int rng count in
-  if t.direct then Intset.get t.pick_set (if r >= t.pick_skip then r + 1 else r)
+  if t.direct then begin
+    let i = if r >= t.pick_skip then r + 1 else r in
+    if t.pick_level < 0 then Intset.get t.pick_set i
+    else Node.refs_nth t.pick_node ~level:t.pick_level i
+  end
   else t.picks.(r)
 
 (* A uniform usable reference of [n] at [level], or -1. *)
 let pick ?admit t rng n ~level ~excluding =
+  let refs = Node.refs_count n ~level in
   let count =
-    if Node.refs_count n ~level = 0 then 0
-    else eligible ?admit t ~src:n.Node.id ~excluding n.Node.refs.(level)
+    if refs = 0 then 0 else eligible_in admit t ~src:n.Node.id ~excluding no_set n level refs
   in
   if count = 0 then -1 else draw t rng count
 
 let shuffled_refs rng n ~level into =
-  let len = Node.refs_count n ~level in
-  if len > 0 then Intset.blit n.Node.refs.(level) into;
+  let len = Node.refs_blit n ~level into in
   Rng.shuffle_ints_prefix rng into ~len;
   len
 

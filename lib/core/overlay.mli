@@ -54,6 +54,11 @@ val iter : t -> (Node.t -> unit) -> unit
     minus the census's offline count. *)
 val online_count : t -> int
 
+(** [compact_refs t] closes the gaps in the routing arena that [t]'s
+    nodes share ({!Node.compact_refs}): once after a construction, when
+    the tables stop growing.  No read can tell. *)
+val compact_refs : t -> unit
+
 (** Outcome of a routed lookup. *)
 type search_result = {
   responsible : Node.id option;  (** [None]: routing failed (dead refs) *)

@@ -791,6 +791,7 @@ type ref_op =
   | Reset of int * int  (** node, capacity *)
   | Has of int * int * int
   | Fill of int * int * int  (** node, level, count: [set_refs] of [0 .. count-1] *)
+  | Compact
 
 let ref_nodes = 5
 let ref_levels = 6
@@ -804,6 +805,7 @@ let print_ref_op = function
   | Reset (n, c) -> Printf.sprintf "reset %d cap %d" n c
   | Has (n, l, p) -> Printf.sprintf "has %d@%d %d" n l p
   | Fill (n, l, c) -> Printf.sprintf "fill %d@%d %d" n l c
+  | Compact -> "compact"
 
 (* Peers 0-39 (the nodes themselves among them, so self-references are
    exercised); now and then a fill of a few thousand ids, and rarely one
@@ -822,6 +824,7 @@ let gen_ref_op =
       (6, map3 (fun n l p -> Has (n, l, p)) node level peer);
       (4, map3 (fun n l c -> Fill (n, l, c)) node level (int_range 100 2000));
       (1, map3 (fun n l c -> Fill (n, l, c)) node level (int_range 16_380 16_400));
+      (2, return Compact);
     ]
 
 (* The node an operation writes, if any. *)
@@ -831,6 +834,7 @@ let ref_op_writes op n =
   | Fill (m, _, _) ->
     m = n
   | Has _ -> false
+  | Compact -> true
 
 (* The model: per node, a sorted list per level. *)
 let rec merge_sorted a b =
@@ -872,6 +876,9 @@ let apply_ref_op overlay model op =
     let ps = List.init c Fun.id in
     Node.set_refs (node n) ~level:l ps;
     model.(n).(l) <- model_add_all n [] ps;
+    true
+  | Compact ->
+    Overlay.compact_refs overlay;
     true
 
 (* Every read of every (node, level), one level past the model's too,
