@@ -68,6 +68,47 @@ let scale _reps =
 
 (* --- Bechamel micro-benchmarks of the hot kernels ---------------------- *)
 
+(* Routing storage after the paper's construction (uniform keys, default
+   parameters) at 1k and 6k peers: reference ids and levels per peer,
+   and the words ([Obj.reachable_words]) of the routing arena and the
+   level descriptors, per peer. *)
+let routing_storage () =
+  let module Round = Pgrid_construction.Round in
+  let module Node = Pgrid_core.Node in
+  let module Overlay = Pgrid_core.Overlay in
+  let rows =
+    List.map
+      (fun peers ->
+        let o =
+          (Round.run (Pgrid_prng.Rng.create ~seed) (Round.default_params ~peers)
+             ~spec:Pgrid_workload.Distribution.Uniform)
+            .Round.overlay
+        in
+        let ids = ref 0 and levels = ref 0 in
+        Overlay.iter o (fun n ->
+            let depth = Pgrid_keyspace.Path.length n.Node.path in
+            levels := !levels + depth;
+            for level = 0 to depth - 1 do
+              ids := !ids + Node.refs_count n ~level
+            done);
+        let words = Node.routing_words (Overlay.node o 0).Node.census in
+        let per x = float_of_int x /. float_of_int peers in
+        (peers, per !ids, per !levels, per words))
+      [ 1_000; 6_000 ]
+  in
+  Table.print ~title:"routing storage per peer"
+    ~columns:[ "peers"; "ids"; "levels"; "words" ]
+    ~rows:
+      (List.map
+         (fun (peers, ids, levels, words) ->
+           string_of_int peers
+           :: List.map (Table.fmt_float ~decimals:1) [ ids; levels; words ])
+         rows);
+  List.map
+    (fun (peers, _, _, words) ->
+      (Printf.sprintf "routing_words_per_peer/n=%d" peers, words, Experiment.Down))
+    rows
+
 let micro _reps =
   banner "Micro-benchmarks (Bechamel)";
   let open Bechamel in
@@ -216,6 +257,30 @@ let micro _reps =
        done;
        o)
   in
+  (* One uncached [Overlay.search] on the paper's construction of 1000
+     peers (uniform keys, default parameters), every peer online: about
+     four hops over tables of some 220 references per peer, too large
+     for the cache that holds the 256-peer overlay above.  Each run takes
+     the next of 4096 (origin, key) pairs. *)
+  let search_1k =
+    lazy
+      (let module Round = Pgrid_construction.Round in
+       let built =
+         Round.run (Pgrid_prng.Rng.create ~seed) (Round.default_params ~peers:1000)
+           ~spec:Pgrid_workload.Distribution.Uniform
+       in
+       let srng = Pgrid_prng.Rng.create ~seed:(seed + 2) in
+       let origins = Array.init 4096 (fun _ -> Pgrid_prng.Rng.int srng 1000) in
+       let targets =
+         Array.init 4096 (fun _ -> Pgrid_keyspace.Key.of_float (Pgrid_prng.Rng.float srng))
+       in
+       (built.Round.overlay, origins, targets, ref 0))
+  in
+  let search_1k_run (o, origins, targets, next) =
+    let i = !next land 4095 in
+    next := !next + 1;
+    ignore (Sys.opaque_identity (Pgrid_core.Overlay.search o ~from:origins.(i) targets.(i)))
+  in
   (* One routing step at a level of 40 references, the mean of the
      benchmark's overlays: peer 0 on path 0 refers to peers 1-40 on path
      1.  With every peer online the pick reads no reference; with peer 40
@@ -295,6 +360,9 @@ let micro _reps =
         Test.make_with_resource ~name:"census-refresh" Test.uniq
           ~allocate:(fun () -> Lazy.force census_overlay)
           ~free:ignore (Staged.stage census_refresh);
+        Test.make_with_resource ~name:"search-1k" Test.uniq
+          ~allocate:(fun () -> Lazy.force search_1k)
+          ~free:ignore (Staged.stage search_1k_run);
         Test.make_with_resource ~name:"health-check-1k" Test.uniq
           ~allocate:(fun () -> Lazy.force audit_overlay)
           ~free:ignore
@@ -344,7 +412,7 @@ let micro _reps =
     results;
   Table.print ~title:"hot kernels" ~columns:[ "benchmark"; "ns/run"; "r^2" ]
     ~rows:(List.sort compare !rows);
-  []
+  routing_storage ()
 
 (* --- identity manifest ---------------------------------------------------- *)
 

@@ -32,6 +32,10 @@ type report = {
 
 let node = Overlay.node
 
+(* The copies of one key the durability pass has seen: online, and in
+   all. *)
+type holding = { mutable on : int; mutable total : int }
+
 let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
   if n_min < 1 then invalid_arg "Health.check: n_min must be >= 1";
   (* The census covers every node, online or not: a partition whose
@@ -75,12 +79,20 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
   let doc_keys = Hashtbl.create 64 in
   Array.iter (fun (_, ks) -> Array.iter (fun k -> Hashtbl.replace doc_keys k ()) ks) docs;
   let postings = Hashtbl.create 256 in
-  let holders = Hashtbl.create 256 in
+  let holders : (Key.t, holding) Hashtbl.t = Hashtbl.create 256 in
   Overlay.iter overlay (fun n ->
       Node.fold n
         (fun k payloads () ->
-          let on, total = Option.value ~default:(0, 0) (Hashtbl.find_opt holders k) in
-          Hashtbl.replace holders k ((if n.Node.online then on + 1 else on), total + 1);
+          let h =
+            match Hashtbl.find_opt holders k with
+            | Some h -> h
+            | None ->
+              let h = { on = 0; total = 0 } in
+              Hashtbl.add holders k h;
+              h
+          in
+          if n.Node.online then h.on <- h.on + 1;
+          h.total <- h.total + 1;
           if Hashtbl.mem doc_keys k then
             List.iter (fun p -> Hashtbl.replace postings (k, p) ()) payloads)
         ());
@@ -90,8 +102,7 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
     keys;
   let riskv = ref [] in
   Hashtbl.iter
-    (fun k (on, total) ->
-      if on = 0 then riskv := Data_at_risk { key = k; holders = total } :: !riskv)
+    (fun k h -> if h.on = 0 then riskv := Data_at_risk { key = k; holders = h.total } :: !riskv)
     holders;
   (* Atomicity: a settled document must be indexed under all of its keys
      or none of them — a strict subset is a torn write.  Holders online
@@ -133,8 +144,8 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
       (fun k (m : Node.meta) ->
         if m.dead then
           match Hashtbl.find_opt holders k with
-          | Some (on, _) when on > 0 ->
-            resv := Resurrected_key { key = k; holders = on } :: !resv
+          | Some h when h.on > 0 ->
+            resv := Resurrected_key { key = k; holders = h.on } :: !resv
           | _ -> ())
       newest;
     (* Structural divergence: an online-inhabited path that is a strict

@@ -167,8 +167,8 @@ let divergence_level path key =
    peer is offline and no [admit] vetoes an edge, every member but
    [excluding] is eligible: the count is the cardinal, and [draw] maps
    its rank straight to the member, stepping over [excluding].
-   Otherwise one closure-free pass keeps the eligible members in
-   [t.picks] for [draw]. *)
+   Otherwise the members are copied into [t.picks] and one closure-free
+   pass keeps the eligible ones there, in order, for [draw]. *)
 let eligible_in admit t ~src ~excluding set n level count =
   match admit with
   | None when Node.offline t.census = 0 ->
@@ -188,9 +188,10 @@ let eligible_in admit t ~src ~excluding set n level count =
     if Array.length t.picks < count then
       t.picks <- Array.make (max count (2 * Array.length t.picks)) 0;
     let picks = t.picks and nodes = t.nodes in
+    if level < 0 then Intset.blit set picks else ignore (Node.refs_blit n ~level picks);
     let kept = ref 0 in
     for i = 0 to count - 1 do
-      let id = if level < 0 then Intset.get set i else Node.refs_nth n ~level i in
+      let id = picks.(i) in
       if
         id <> excluding
         && nodes.(id).Node.online
@@ -709,7 +710,7 @@ let integrity_errors t =
           else
             Node.refs_iter n ~level (fun id ->
                 let rp = (node t id).Node.path in
-                if Path.length rp > level && not (Path.is_prefix_of ~prefix:expected rp)
+                if (not (Path.is_prefix_of ~prefix:expected rp)) && Path.length rp > level
                 then incr errors)
         done);
   !errors

@@ -109,8 +109,11 @@ val divergence_level :
     node: the count is [Intset.cardinal set], less one when [excluding]
     is a member (found with [Intset.rank]), and {!draw} maps its rank
     straight to the member, stepping over [excluding].  Otherwise it
-    makes one closure-free pass over [set].  Both give the same count,
-    the same draw and the same member. *)
+    copies [set] into a buffer and makes one closure-free pass over the
+    copy.  Both give the same count, the same draw and the same member.
+    {!pick} runs the same kernel on a level's run of references
+    ({!Node.refs_count}, {!Node.refs_rank}, {!Node.refs_nth},
+    {!Node.refs_blit}). *)
 val eligible :
   ?admit:(Node.id -> Node.id -> bool) ->
   t ->

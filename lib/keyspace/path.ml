@@ -19,8 +19,8 @@ let make bits len = bits lor (1 lsl len)
 let root = 1
 let length p = msb p
 
-(* The bits without the marker. *)
-let bits p = p lxor (1 lsl length p)
+(* The bits without the marker, for a path of length [len]. *)
+let bits p len = p lxor (1 lsl len)
 
 let extend p b =
   if b <> 0 && b <> 1 then invalid_arg "Path.extend: bit must be 0 or 1";
@@ -47,8 +47,9 @@ let sibling p =
   p lxor 1
 
 let complement_at p level =
-  if level < 0 || level >= length p then invalid_arg "Path.complement_at";
-  sibling (prefix p (level + 1))
+  let len = length p in
+  if level < 0 || level >= len then invalid_arg "Path.complement_at";
+  (p lsr (len - level - 1)) lxor 1
 
 let is_prefix_of ~prefix:q p =
   let lq = length q and lp = length p in
@@ -74,8 +75,8 @@ let key_prefix k n =
   key_code k n
 
 let interval_keys p =
-  let shift = Key.bits - length p in
-  let b = bits p in
+  let len = length p in
+  let b = bits p len and shift = Key.bits - len in
   (b lsl shift, (b + 1) lsl shift)
 
 let interval p =
@@ -99,7 +100,7 @@ let mid p =
    length breaks that tie, prefix first.  O(1). *)
 let compare a b =
   let la = length a and lb = length b in
-  let c = Int.compare (bits a lsl (Key.bits - la)) (bits b lsl (Key.bits - lb)) in
+  let c = Int.compare (bits a la lsl (Key.bits - la)) (bits b lb lsl (Key.bits - lb)) in
   if c <> 0 then c else Int.compare la lb
 
 let equal = Int.equal
