@@ -355,8 +355,10 @@ let run t level =
 
 let levels t = Array.length t.runs
 
-(* The table keeps at least [level + 1] levels, doubling as it grows. *)
+(* The table keeps at least [level + 1] levels, doubling as it grows;
+   a run's header has 8 bits for its level. *)
 let ensure_levels t level =
+  if level > 0xff then invalid_arg "Node: routing level past 255";
   let n = Array.length t.runs in
   if level >= n then begin
     let grown = Array.make (max (level + 1) (2 * n)) 0 in

@@ -258,7 +258,7 @@ val levels : t -> int
 
 (** [add_ref t ~level peer] records a routing reference, growing the table
     as needed; duplicates and self-references are ignored. Requires
-    [level >= 0], and at most 2^20 - 1 references at one level
+    [0 <= level < 256], and at most 2^20 - 1 references at one level
     ([Invalid_argument] otherwise, as for the other writes). *)
 val add_ref : t -> level:int -> id -> unit
 

@@ -47,7 +47,10 @@ let test_node_refs () =
     (Node.refs_at n ~level:3);
   Alcotest.check (Alcotest.list Alcotest.int) "missing level" [] (Node.refs_at n ~level:9);
   Node.add_ref n ~level:40 7;
-  Alcotest.check (Alcotest.list Alcotest.int) "table grows" [ 7 ] (Node.refs_at n ~level:40)
+  Alcotest.check (Alcotest.list Alcotest.int) "table grows" [ 7 ] (Node.refs_at n ~level:40);
+  checki "levels grow past a write beyond them" 41 (Node.levels n);
+  Alcotest.check_raises "level past 255" (Invalid_argument "Node: routing level past 255")
+    (fun () -> Node.add_ref n ~level:256 7)
 
 let test_node_replicas () =
   let n = Node.create ~id:1 in
@@ -848,7 +851,7 @@ let rec merge_sorted a b =
 let model_add_all self l ps =
   List.filter (( <> ) self) (merge_sorted l (List.sort_uniq compare ps))
 
-let apply_ref_op overlay model op =
+let apply_ref_op overlay model levels op =
   let node = Overlay.node overlay in
   match op with
   | Add (n, l, p) ->
@@ -870,6 +873,7 @@ let apply_ref_op overlay model op =
   | Reset (n, c) ->
     Node.reset_refs (node n) ~capacity:c;
     Array.fill model.(n) 0 ref_levels [];
+    levels.(n) <- max 8 c;
     true
   | Has (n, l, p) -> Node.has_ref (node n) ~level:l p = List.mem p model.(n).(l)
   | Fill (n, l, c) ->
@@ -882,13 +886,15 @@ let apply_ref_op overlay model op =
     true
 
 (* Every read of every (node, level), one level past the model's too,
-   against the model; [step] seeds the shuffle.  A shuffle of more than
+   and every node's level count, against the model; [step] seeds the
+   shuffle.  A shuffle of more than
    4,096 ids is compared only on the node the step wrote ([touched]):
    the comparison would cost more than the rest of the check. *)
-let tables_agree overlay model ~touched step =
+let tables_agree overlay model levels ~touched step =
   let ok = ref true in
   for n = 0 to ref_nodes - 1 do
     let nd = Overlay.node overlay n in
+    if Node.levels nd <> levels.(n) then ok := false;
     for l = 0 to ref_levels do
       let want = if l < ref_levels then model.(n).(l) else [] in
       let expected = Array.of_list want in
@@ -924,11 +930,12 @@ let qcheck_routing_tables =
     (fun ops ->
       let overlay = Overlay.create (Rng.create ~seed:1) ~n:ref_nodes in
       let model = Array.init ref_nodes (fun _ -> Array.make ref_levels []) in
+      let levels = Array.make ref_nodes 8 in
       List.for_all Fun.id
         (List.mapi
            (fun step op ->
-             apply_ref_op overlay model op
-             && tables_agree overlay model ~touched:(ref_op_writes op) step)
+             apply_ref_op overlay model levels op
+             && tables_agree overlay model levels ~touched:(ref_op_writes op) step)
            ops))
 
 (* A routed search allocates its result and nothing per hop: at most
