@@ -796,8 +796,8 @@ type ref_op =
   | Fill of int * int * int  (** node, level, count: [set_refs] of [0 .. count-1] *)
   | Compact
 
-let ref_nodes = 5
-let ref_levels = 6
+let ref_nodes = 4
+let ref_levels = 3
 
 let print_ref_op = function
   | Add (n, l, p) -> Printf.sprintf "add %d@%d %d" n l p
@@ -938,6 +938,46 @@ let qcheck_routing_tables =
              && tables_agree overlay model levels ~touched:(ref_op_writes op) step)
            ops))
 
+(* A union whose growth compacts the arena first: node 1's reset leaves
+   a gap a little larger than the live runs, so making room for node 2
+   slides node 0's run (the source) down, and the merge into node 2's
+   moved run writes over the source's old place.  The merge must read
+   the source where the slide put it.  (The sizes fit the arena's
+   growth rule: a run gets half again the room it needs.) *)
+let test_union_across_compaction () =
+  let overlay = Overlay.create (Rng.create ~seed:1) ~n:3 in
+  let node = Overlay.node overlay in
+  let ids base n = List.init n (fun i -> base + i) in
+  Node.set_refs (node 1) ~level:0 (ids 100 26);
+  Node.set_refs (node 2) ~level:0 (ids 200 4);
+  Node.set_refs (node 0) ~level:0 (ids 300 20);
+  Node.reset_refs (node 1) ~capacity:0;
+  Node.union_refs (node 2) ~level:0 ~from:(node 0);
+  Alcotest.check (Alcotest.list Alcotest.int) "union" (ids 200 4 @ ids 300 20)
+    (Node.refs_at (node 2) ~level:0);
+  Alcotest.check (Alcotest.list Alcotest.int) "source kept" (ids 300 20)
+    (Node.refs_at (node 0) ~level:0)
+
+(* The same arena, but node 0's run is read by [refs_iter] while the
+   callback grows two other tables, as maintenance's adopt does: no
+   compaction may move the run being read, so both get every id. *)
+let test_iter_across_growth () =
+  let overlay = Overlay.create (Rng.create ~seed:1) ~n:4 in
+  let node = Overlay.node overlay in
+  let ids base n = List.init n (fun i -> base + i) in
+  Node.set_refs (node 1) ~level:0 (ids 100 26);
+  Node.set_refs (node 2) ~level:0 (ids 200 4);
+  Node.set_refs (node 0) ~level:0 (ids 300 20);
+  Node.reset_refs (node 1) ~capacity:0;
+  Node.refs_iter (node 0) ~level:0 (fun r ->
+      Node.add_ref (node 2) ~level:0 r;
+      Node.add_ref (node 3) ~level:0 r);
+  Overlay.compact_refs overlay;
+  Alcotest.check (Alcotest.list Alcotest.int) "first copy" (ids 200 4 @ ids 300 20)
+    (Node.refs_at (node 2) ~level:0);
+  Alcotest.check (Alcotest.list Alcotest.int) "second copy" (ids 300 20)
+    (Node.refs_at (node 3) ~level:0)
+
 (* A routed search allocates its result and nothing per hop: at most
    15 words, the result record, its [Some], the walk's own record and
    the store probe's option, where a hop that allocated one word would
@@ -997,6 +1037,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_divergence_level;
     QCheck_alcotest.to_alcotest qcheck_census;
     QCheck_alcotest.to_alcotest qcheck_routing_tables;
+    Alcotest.test_case "union across a compaction" `Quick test_union_across_compaction;
+    Alcotest.test_case "iteration across a growth" `Quick test_iter_across_growth;
     Alcotest.test_case "search allocates only its result" `Quick
       test_search_allocates_result_only;
   ]
