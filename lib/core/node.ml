@@ -562,7 +562,8 @@ let refs_at t ~level =
   let chunk = if d = 0 then [||] else t.census.chunks.(desc_chunk d) in
   List.init (desc_len d) (fun i -> chunk.(desc_off d + i))
 
-(* While a callback runs, no compaction moves the run being read. *)
+(* While a callback runs, no compaction moves the run being read.
+   [refs_iter] is the same loop without the accumulator. *)
 let refs_fold t ~level f acc =
   let d = run t level in
   let len = desc_len d in
@@ -586,7 +587,23 @@ let refs_fold t ~level f acc =
       raise e
   end
 
-let refs_iter t ~level f = refs_fold t ~level (fun () r -> f r) ()
+let refs_iter t ~level f =
+  let d = run t level in
+  let len = desc_len d in
+  if len > 0 then begin
+    let c = t.census in
+    let chunk = c.chunks.(desc_chunk d) and off = desc_off d in
+    c.reading <- c.reading + 1;
+    match
+      for i = off to off + len - 1 do
+        f (Array.unsafe_get chunk i)
+      done
+    with
+    | () -> c.reading <- c.reading - 1
+    | exception e ->
+      c.reading <- c.reading - 1;
+      raise e
+  end
 
 let remove_ref t ~level peer =
   let r = refs_rank t ~level peer in

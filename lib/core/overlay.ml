@@ -173,8 +173,8 @@ let eligible_in admit t ~src ~excluding set n level count =
   match admit with
   | None when Node.offline t.census = 0 ->
     t.direct <- true;
-    t.pick_set <- set;
-    t.pick_node <- n;
+    (* One pointer store (a write barrier) per pick, not two. *)
+    if level < 0 then t.pick_set <- set else t.pick_node <- n;
     t.pick_level <- level;
     let skip =
       if excluding < 0 then -1

@@ -5,15 +5,28 @@
    fits an immediate int: a path costs no block and no load. *)
 type t = int
 
+(* The index of the highest set bit of each byte value (0 for 0): [msb]
+   finds the highest non-zero byte in at most four compares and reads
+   the rest here, with no loop.  Paths of up to 16 bits, every overlay
+   this repository builds, take two compares. *)
+let byte_msb =
+  Bytes.init 256 (fun i ->
+      let r = ref 0 in
+      while i lsr (!r + 1) > 0 do
+        incr r
+      done;
+      Char.chr !r)
+
+let byte b = Char.code (Bytes.unsafe_get byte_msb b)
+
 let msb x =
-  let x = ref x and r = ref 0 in
-  if !x lsr 32 <> 0 then (x := !x lsr 32; r := 32);
-  if !x lsr 16 <> 0 then (x := !x lsr 16; r := !r + 16);
-  if !x lsr 8 <> 0 then (x := !x lsr 8; r := !r + 8);
-  if !x lsr 4 <> 0 then (x := !x lsr 4; r := !r + 4);
-  if !x lsr 2 <> 0 then (x := !x lsr 2; r := !r + 2);
-  if !x lsr 1 <> 0 then r := !r + 1;
-  !r
+  if x < 0x1_0000 then if x < 0x100 then byte (x land 0xff) else 8 + byte (x lsr 8)
+  else if x < 0x1_0000_0000 then
+    if x < 0x100_0000 then 16 + byte (x lsr 16) else 24 + byte (x lsr 24)
+  else if x < 0x1_0000_0000_0000 then
+    if x < 0x100_0000_0000 then 32 + byte (x lsr 32) else 40 + byte (x lsr 40)
+  else if x < 0x100_0000_0000_0000 then 48 + byte (x lsr 48)
+  else 56 + byte ((x lsr 56) land 0xff)
 
 let make bits len = bits lor (1 lsl len)
 let root = 1

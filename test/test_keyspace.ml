@@ -37,6 +37,27 @@ let test_key_bits_msb () =
   checki "bit 0 of 1/4" 0 (Key.bit (Key.of_float 0.25) 0);
   checki "bit 1 of 1/4" 1 (Key.bit (Key.of_float 0.25) 1)
 
+(* [Path.msb] against a bit loop: every power of two and its neighbours
+   up to [max_int], and a sweep of small values. *)
+let test_path_msb () =
+  let loop x =
+    let r = ref 0 in
+    while x lsr (!r + 1) > 0 do
+      incr r
+    done;
+    !r
+  in
+  for k = 0 to 61 do
+    let p = 1 lsl k in
+    List.iter
+      (fun x -> if x > 0 then checki (Printf.sprintf "msb %d" x) (loop x) (Path.msb x))
+      [ p - 1; p; p + 1; p lor (p - 1) ]
+  done;
+  checki "msb max_int" 61 (Path.msb max_int);
+  for x = 1 to 70_000 do
+    if Path.msb x <> loop x then Alcotest.failf "msb %d" x
+  done
+
 let test_key_to_string () =
   let s = Key.to_string (Key.of_float 0.5) in
   checki "length" Key.bits (String.length s);
@@ -317,6 +338,7 @@ let suite =
     Alcotest.test_case "key of_float clamps" `Quick test_key_of_float_clamps;
     Alcotest.test_case "key of_int bounds" `Quick test_key_of_int_bounds;
     Alcotest.test_case "key MSB bit order" `Quick test_key_bits_msb;
+    Alcotest.test_case "path msb = bit loop" `Quick test_path_msb;
     Alcotest.test_case "key to_string" `Quick test_key_to_string;
     Alcotest.test_case "path basics" `Quick test_path_basics;
     Alcotest.test_case "path root" `Quick test_path_root;
