@@ -432,7 +432,6 @@ let compact_refs c = if c.reading = 0 then compact_arena c
    last chunk doubles while it is shorter than [chunk_words]; a run that
    fits in no chunk gets one of its own. *)
 let alloc t level cap =
-  if cap > field then invalid_arg "Node: too many references at one level";
   let c = t.census in
   if c.gaps > c.live then compact_refs c;
   let need = cap + 1 in
@@ -442,7 +441,7 @@ let alloc t level cap =
     let old = c.chunks.(last) in
     let size = ref (Array.length old) in
     while !size < c.top + need do
-      size := 2 * !size
+      size := min chunk_words (2 * !size)
     done;
     let grown = Array.make !size 0 in
     Array.blit old 0 grown 0 c.top;
@@ -497,7 +496,8 @@ let reserve t level n ~keep =
       d
     end
     else begin
-      let fresh = alloc t level (n + (n / 2)) in
+      if n > field then invalid_arg "Node: too many references at one level";
+      let fresh = alloc t level (min field (n + (n / 2))) in
       (* [alloc] may have compacted: read the old run afresh. *)
       let d = t.runs.(level) in
       if d = 0 then fresh
