@@ -60,8 +60,8 @@ type t = {
   census : Node.census;  (* shared by every node, so offline peers are counted *)
   mutable picks : int array;  (* the members a scanning [eligible] kept last *)
   mutable direct : bool;  (* the last [eligible] kept no picks: [draw] reads its members *)
-  mutable pick_set : Intset.t;  (* those members: [pick_set], or with [pick_level >= 0] *)
-  mutable pick_node : Node.t;  (* the references of [pick_node] at [pick_level] *)
+  mutable pick_set : Intset.t;  (* with [pick_level < 0], the members [draw] reads *)
+  mutable pick_node : Node.t;  (* otherwise [pick_node]'s references at [pick_level] *)
   mutable pick_level : int;
   mutable pick_skip : int;  (* rank of the excluded member among them, or [max_int] *)
   entries : entry Codes.t;  (* the index, by [Path.code] *)
@@ -162,8 +162,8 @@ let divergence_level path key =
 
 (* The single reference-choice kernel: the draw and the choice of
    counting the eligible members, drawing a rank and scanning to it,
-   which the seeded experiments depend on.  The members are [set], or
-   with [level >= 0] [n]'s [n_refs] references at [level].  While no
+   which the seeded experiments depend on.  The [count] members are
+   [set]'s, or with [level >= 0] [n]'s references at [level].  While no
    peer is offline and no [admit] vetoes an edge, every member but
    [excluding] is eligible: the count is the cardinal, and [draw] maps
    its rank straight to the member, stepping over [excluding].
