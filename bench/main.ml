@@ -299,6 +299,26 @@ let micro _reps =
     let key = Pgrid_keyspace.Key.of_float 0.75 in
     fun () -> ignore (Sys.opaque_identity (Overlay.forward o src key))
   in
+  (* A storm hop's first candidate at the same 40-reference level, two
+     ways: the level copied and fully shuffled ([Overlay.shuffled_refs],
+     the legacy walk's choice), or copied and one candidate drawn
+     ([Overlay.draw_candidate], [Storm]'s). *)
+  let first_candidate ~shuffle =
+    let module Node = Pgrid_core.Node in
+    let module Overlay = Pgrid_core.Overlay in
+    let o = Overlay.create (Pgrid_prng.Rng.create ~seed) ~n:41 in
+    let src = Overlay.node o 0 in
+    for i = 1 to 40 do
+      Node.add_ref src ~level:0 i
+    done;
+    let buf = Array.make 40 0 in
+    if shuffle then fun () ->
+      ignore (Overlay.shuffled_refs rng src ~level:0 buf);
+      ignore (Sys.opaque_identity buf.(0))
+    else fun () ->
+      let len = Node.refs_blit src ~level:0 buf in
+      ignore (Sys.opaque_identity (Overlay.draw_candidate rng buf ~drawn:0 ~len))
+  in
   let sim_burst () =
     let s = Pgrid_simnet.Sim.create () in
     for i = 1 to 1000 do
@@ -340,6 +360,10 @@ let micro _reps =
           (Staged.stage (forward_fixture ~offline:false));
         Test.make ~name:"overlay-forward-40-offline"
           (Staged.stage (forward_fixture ~offline:true));
+        Test.make ~name:"first-candidate-40-shuffle"
+          (Staged.stage (first_candidate ~shuffle:true));
+        Test.make ~name:"first-candidate-40-draw"
+          (Staged.stage (first_candidate ~shuffle:false));
         Test.make ~name:"sim-1000-events" (Staged.stage sim_burst);
         Test.make ~name:"sim-timer-cancel" (Staged.stage sim_timer_cancel);
         Test.make ~name:"rng-int-64" (Staged.stage rng_ints);

@@ -228,6 +228,16 @@ let shuffled_refs rng n ~level into =
   Rng.shuffle_ints_prefix rng into ~len;
   len
 
+(* One step of a Fisher-Yates shuffle, taken when the caller needs it. *)
+let draw_candidate rng into ~drawn ~len =
+  if drawn < 0 || drawn >= len || len > Array.length into then
+    invalid_arg "Overlay.draw_candidate: bad drawn or len";
+  let j = drawn + Rng.int rng (len - drawn) in
+  let id = into.(j) in
+  into.(j) <- into.(drawn);
+  into.(drawn) <- id;
+  id
+
 let random_online t rng ~excluding =
   let n = t.count in
   let rec try_ attempts =
@@ -698,6 +708,9 @@ let anti_entropy t =
 
 let integrity_errors t =
   let errors = ref 0 in
+  (* Every peer's path in one int array, read once per reference instead
+     of through the referenced node's record. *)
+  let paths = Array.init t.count (fun i -> t.nodes.(i).Node.path) in
   (* A level may legitimately have no references when nobody populates the
      complement (empty key-space regions are never colonized). *)
   iter t (fun n ->
@@ -709,8 +722,7 @@ let integrity_errors t =
           end
           else
             Node.refs_iter n ~level (fun id ->
-                let rp = (node t id).Node.path in
-                if (not (Path.is_prefix_of ~prefix:expected rp)) && Path.length rp > level
+                if Path.diverges_from ~prefix:expected ~len:(level + 1) paths.(id)
                 then incr errors)
         done);
   !errors

@@ -153,8 +153,23 @@ val pick :
     it.  The caller owns [into] and reuses it from hop to hop, so a hop
     allocates nothing; the copy does not change when [n]'s references
     do.  [into] must hold at least [Node.refs_count n ~level] ids
-    ([Invalid_argument] otherwise). *)
+    ([Invalid_argument] otherwise).  Only [Net_engine]'s legacy query
+    walk shuffles this way, which keeps fig7-9 and table1 as recorded;
+    [Storm] draws its candidates one at a time with {!draw_candidate}. *)
 val shuffled_refs : Pgrid_prng.Rng.t -> Node.t -> level:int -> Node.id array -> int
+
+(** [draw_candidate rng into ~drawn ~len] is one step of a partial
+    Fisher-Yates shuffle of [into.(0 .. len - 1)]: it swaps a uniform
+    member of the untried [into.(drawn .. len - 1)] into [into.(drawn)]
+    and returns it, with one [Rng.int rng (len - drawn)] (no draw when
+    one candidate is left).  The draw-then-try hop's choice: a caller
+    that copies a level's references ({!Node.refs_blit}) and draws at
+    [drawn] = 0, 1, 2, ... as it needs candidates reveals a uniformly
+    random ordering of the level, one try at a time, and pays one draw
+    per try instead of [len - 1] for the whole level.  Positions below
+    [drawn] are left as they are.  Raises [Invalid_argument] unless
+    [0 <= drawn < len <= Array.length into]. *)
+val draw_candidate : Pgrid_prng.Rng.t -> Node.id array -> drawn:int -> len:int -> Node.id
 
 (** [random_online t rng ~excluding] draws peer ids uniformly
     ([Rng.int rng (size t)] per try) until one is online and differs

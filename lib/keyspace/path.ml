@@ -68,6 +68,10 @@ let is_prefix_of ~prefix:q p =
   let lq = length q and lp = length p in
   lq <= lp && p lsr (lp - lq) = q
 
+let diverges_from ~prefix:q ~len:lq p =
+  let lp = length p in
+  lq <= lp && p lsr (lp - lq) <> q
+
 (* Cut both paths to the shorter length [n]: their xor holds exactly the
    differing bits among the first [n] (the markers meet and cancel), and
    the highest one is the first that differs. *)

@@ -42,6 +42,12 @@ val complement_at : t -> int -> t
     (every path is a prefix of itself). *)
 val is_prefix_of : prefix:t -> t -> bool
 
+(** [diverges_from ~prefix ~len p], where [len = length prefix], is
+    [true] iff [p] has at least [len] bits and does not begin with
+    [prefix]: [not (is_prefix_of ~prefix p) && length p >= len], with
+    one length computed instead of three. *)
+val diverges_from : prefix:t -> len:int -> t -> bool
+
 (** [common_prefix_length a b] is the length of the longest shared
     prefix.  O(1). *)
 val common_prefix_length : t -> t -> int

@@ -37,11 +37,14 @@ type walk = {
   mutable refreshed : bool;
   mutable cur : int;
   mutable budget : int;
-  (* The candidates are [refs.(0 .. len - 1)], a snapshot the walk owns
-     ([Overlay.shuffled_refs]); [refs.(next .. len - 1)] are untried. *)
+  (* The candidates are [refs.(0 .. len - 1)], a snapshot the walk owns;
+     [refs.(next .. len - 1)] are untried.  They are drawn in try order
+     as the hop needs them ([Overlay.draw_candidate]): [refs.(0 .. drawn
+     - 1)] are fixed, and the rest is the undrawn pool, in no order. *)
   mutable refs : int array;
   mutable len : int;
   mutable next : int;
+  mutable drawn : int;
   mutable target : int;
   mutable backup : int;
   mutable attempt : int;  (* the primary's retry number *)
@@ -159,13 +162,24 @@ let is_probe t ~origin ~target =
 let abandon t ~origin ~target =
   match t.breaker with None -> () | Some br -> Breaker.abandon br ~origin ~target
 
-(* The hop's candidates: [w.cur]'s references at [w.level], shuffled
-   into the walk's buffer, which grows to the largest level it meets. *)
+(* The hop's candidates: [w.cur]'s references at [w.level], copied
+   into the walk's buffer, which grows to the largest level it meets,
+   and none drawn yet. *)
 let snapshot t w =
   let n = Overlay.node t.overlay w.cur in
   let need = Node.refs_count n ~level:w.level in
   if need > Array.length w.refs then w.refs <- Array.make (max need (2 * Array.length w.refs)) 0;
-  w.len <- Overlay.shuffled_refs t.rng n ~level:w.level w.refs
+  w.len <- Node.refs_blit n ~level:w.level w.refs;
+  w.drawn <- 0
+
+(* The hop's candidate at [i <= w.drawn]: a fixed one below [w.drawn],
+   else a uniform draw from the untried rest, fixed from now on. *)
+let candidate t w i =
+  if i < w.drawn then w.refs.(i)
+  else begin
+    w.drawn <- i + 1;
+    Overlay.draw_candidate t.rng w.refs ~drawn:i ~len:w.len
+  end
 
 (* Correction-on-use: the [n]th consecutive timeout on the link from
    [w.cur] to [target] evicts [target] from [w.cur]'s references at the
@@ -208,9 +222,8 @@ let finish t w success =
   t.idle.(t.idle_count) <- w;
   t.idle_count <- t.idle_count + 1
 
-(* Not an [Overlay.walk]: each hop is shuffle-then-try over
-   [Overlay.shuffled_refs], learning liveness from timed-out requests
-   instead of reading it. *)
+(* Not an [Overlay.walk]: each hop draws a candidate per try, learning
+   liveness from timed-out requests instead of reading it. *)
 let rec route t w cur budget =
   if budget = 0 then finish t w false
   else
@@ -238,7 +251,7 @@ and try_refs t w next =
       try_refs t w 0
     end
   else
-    let target = w.refs.(next) in
+    let target = candidate t w next in
     if not (admits t ~origin:w.cur ~target) then begin
       t.breaker_skips <- t.breaker_skips + 1;
       try_refs t w (next + 1)
@@ -331,7 +344,7 @@ and hedge t w =
   let refs = w.refs and next = w.next in
   (* Pick the first admitted sibling as the backup. *)
   let j = ref next in
-  while !j < w.len && not (admits t ~origin:w.cur ~target:refs.(!j)) do
+  while !j < w.len && not (admits t ~origin:w.cur ~target:(candidate t w !j)) do
     incr j
   done;
   if !j < w.len then begin
@@ -467,6 +480,7 @@ let fresh_walk t ~qid ~origin ~key ~issued_at =
         refs = Array.make 16 0;
         len = 0;
         next = 0;
+        drawn = 0;
         target = -1;
         backup = -1;
         attempt = 0;

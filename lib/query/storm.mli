@@ -103,12 +103,13 @@ val header_bytes : int
 
 (** [create ?telemetry sim rng overlay net cfg] installs the storm's
     handler on [net] (replacing any previous one) and returns the idle
-    engine.  [rng] drives per-hop reference shuffles
-    ({!Pgrid_core.Overlay.shuffled_refs} into the walk's own buffer, so
-    an eviction during the hop does not change its candidates), timeout
-    jitter and eviction refills; breaker state reads simulated time from [sim].  Every
-    message is accounted at {!header_bytes}.  Raises [Invalid_argument]
-    on a config outside the ranges above (NaN included). *)
+    engine.  [rng] draws each hop's candidates, one per try
+    ({!Pgrid_core.Overlay.draw_candidate} over a copy of the level in
+    the walk's own buffer, so an eviction during the hop does not change
+    its candidates), timeout jitter and eviction refills; breaker state
+    reads simulated time from [sim].  Every message is accounted at
+    {!header_bytes}.  Raises [Invalid_argument] on a config outside the
+    ranges above (NaN included). *)
 val create :
   ?telemetry:Pgrid_telemetry.Telemetry.t ->
   Pgrid_simnet.Sim.t ->

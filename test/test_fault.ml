@@ -350,11 +350,11 @@ let check_pin expected o =
 let test_hardened_pinned () =
   check_pin
     [
-      ("issued", "5837"); ("succeeded", "5831"); ("failed", "6");
-      ("mean_hops", "0x1.a060f03d1d05ap+0"); ("mean_latency", "0x1.c47a4d7cb1a9dp+0");
-      ("timeouts", "2111"); ("retries", "1260"); ("give_ups", "851");
-      ("evictions", "845"); ("breaker_opens", "0"); ("breaker_skips", "0");
-      ("messages_sent", "21254"); ("messages_dropped", "2103");
+      ("issued", "5861"); ("succeeded", "5857"); ("failed", "4");
+      ("mean_hops", "0x1.9f0e07c7b41fp+0"); ("mean_latency", "0x1.afd8b97c3d76bp+0");
+      ("timeouts", "1956"); ("retries", "1193"); ("give_ups", "763");
+      ("evictions", "756"); ("breaker_opens", "0"); ("breaker_skips", "0");
+      ("messages_sent", "21152"); ("messages_dropped", "1947");
     ]
     (fst (Lazy.force hardened_outcome))
 
@@ -362,11 +362,11 @@ let test_hardened_pinned () =
 let test_hardened_breaker_pinned () =
   check_pin
     [
-      ("issued", "5837"); ("succeeded", "5831"); ("failed", "6");
-      ("mean_hops", "0x1.a060f03d1d05ap+0"); ("mean_latency", "0x1.c47a4d7cb1a9dp+0");
-      ("timeouts", "2111"); ("retries", "1260"); ("give_ups", "851");
-      ("evictions", "845"); ("breaker_opens", "6"); ("breaker_skips", "0");
-      ("messages_sent", "21254"); ("messages_dropped", "2103");
+      ("issued", "5861"); ("succeeded", "5857"); ("failed", "4");
+      ("mean_hops", "0x1.9f0e07c7b41fp+0"); ("mean_latency", "0x1.afd8b97c3d76bp+0");
+      ("timeouts", "1956"); ("retries", "1193"); ("give_ups", "763");
+      ("evictions", "756"); ("breaker_opens", "8"); ("breaker_skips", "0");
+      ("messages_sent", "21152"); ("messages_dropped", "1947");
     ]
     (hardened_run ~breaker:Pgrid_simnet.Breaker.default_config ())
 

@@ -10,6 +10,9 @@ module Overlay = Pgrid_core.Overlay
 module Node = Pgrid_core.Node
 module Balance = Pgrid_core.Balance
 module Event = Pgrid_telemetry.Event
+module Telemetry = Pgrid_telemetry.Telemetry
+module Ring = Pgrid_telemetry.Ring
+module Sink = Pgrid_telemetry.Sink
 module Query = Pgrid_query.Query
 module Engine = Pgrid_query.Engine
 module Qcache = Pgrid_query.Qcache
@@ -359,7 +362,7 @@ let storm_perf_digest () =
 let test_storm_perf_config_pinned () =
   let first = storm_perf_digest () in
   Alcotest.(check string) "second run, same digest" first (storm_perf_digest ());
-  Alcotest.(check string) "pinned digest" "ef425e1ebe11465fb9d23e8f5b86a145" first
+  Alcotest.(check string) "pinned digest" "82e43a26f5dd6269ae2af5941059d7f8" first
 
 let test_storm_sheds_under_burst () =
   (* Service rate 1 msg/s against a same-instant burst: almost the whole
@@ -491,9 +494,9 @@ let test_storm_hedged_pinned () =
   Alcotest.(check (list (pair string int)))
     "stats"
     [
-      ("issued", 64); ("succeeded", 59); ("failed", 5); ("timeouts", 145);
-      ("retries", 54); ("give_ups", 91); ("hedges", 127); ("hedge_wins", 53);
-      ("breaker_opens", 70); ("breaker_skips", 22);
+      ("issued", 64); ("succeeded", 60); ("failed", 4); ("timeouts", 171);
+      ("retries", 65); ("give_ups", 106); ("hedges", 129); ("hedge_wins", 47);
+      ("breaker_opens", 86); ("breaker_skips", 20);
     ]
     [
       ("issued", s.Storm.issued); ("succeeded", s.Storm.succeeded);
@@ -512,26 +515,26 @@ let test_storm_hedged_pinned () =
   Alcotest.(check (list (float 0.)))
     "sorted latencies"
     [
-      0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x1.166000695146p-2;
-      0x1.75bdb92addf22p-2; 0x1.0557ce633ad48p-1; 0x1.36b2db2b5f46p-1;
-      0x1.46811d0021cbp-1; 0x1.49bd45b612f6p-1; 0x1.7cc961e92e52p-1;
-      0x1.7ec9a5b83ccp-1; 0x1.7f7b978b5763p-1; 0x1.9626225b8e618p-1;
-      0x1.acc565eaca32cp-1; 0x1.c1f77d262702p-1; 0x1.05fb54bd1bd6p+0;
-      0x1.224fc33c70d9p+0; 0x1.3bea8a98952ep+0; 0x1.3ee51a764b594p+0;
-      0x1.443ce4bad938p+0; 0x1.8ad748e51cd98p+0; 0x1.97b5755562d1p+0;
-      0x1.bbd7bb18732dp+0; 0x1.cbfb291612158p+0; 0x1.db14b6997532p+0;
-      0x1.0830e93b72e9cp+1; 0x1.092ffa3ac5c8cp+1; 0x1.350c75f9e5aa8p+1;
-      0x1.413615eb8bfbp+1; 0x1.60ef1968ec9c8p+1; 0x1.972d94b0a0ac8p+1;
-      0x1.a3853c647592p+1; 0x1.eaed73b1866dp+1; 0x1.f36799aa27d58p+1;
-      0x1.f4a122b370a28p+1; 0x1.fd6eee4062cb8p+1; 0x1.fdf8abb5d0adep+1;
-      0x1.069fc719259a2p+2; 0x1.0f4ac9064ccb2p+2; 0x1.14063eee476aap+2;
-      0x1.19aacd4a75d56p+2; 0x1.1bef3503125e6p+2; 0x1.23440924d140ap+2;
-      0x1.244aef4b99202p+2; 0x1.2457b1c523532p+2; 0x1.2c97399310377p+2;
-      0x1.2d550ee9cf56cp+2; 0x1.3042d95305f7cp+2; 0x1.334604af0b8ecp+2;
-      0x1.37244289a509cp+2; 0x1.382228bf8bddcp+2; 0x1.472f757103536p+2;
-      0x1.4bdaa20063f58p+2; 0x1.663f1a2f6fbc8p+2; 0x1.9c1620441398p+2;
-      0x1.c8b78df46d1a8p+2; 0x1.ddc5369d006ep+2; 0x1.11df271819f86p+3; 0x1.2p+3;
-      0x1.43947e3baac76p+3; 0x1.6ee057b678e86p+3; 0x1.7a1203a7278cep+3;
+      0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x0p+0; 0x1.2aab1aac6a84p-2;
+      0x1.62e349f18a88p-2; 0x1.75bdb92addf22p-2; 0x1.e41d82d5c9f8p-2;
+      0x1.e50833e0f308p-2; 0x1.3219f9a0bbfep-1; 0x1.8c7721231354p-1;
+      0x1.aad17118ef34p-1; 0x1.e442372f1b36p-1; 0x1.10013bc73478p+0;
+      0x1.113ada9d1584p+0; 0x1.20df8959c2f18p+0; 0x1.25603f9133f4p+0;
+      0x1.373af625cc47p+0; 0x1.39b8f00237348p+0; 0x1.7bcab18f9916p+0;
+      0x1.8ce09e3350b9p+0; 0x1.9f189aef51958p+0; 0x1.a44a098ad158cp+0;
+      0x1.bc59a27b10f06p+0; 0x1.d2a87f195c028p+0; 0x1.dff675cafb958p+0;
+      0x1.dfff7a34a335p+0; 0x1.f96833900c07p+0; 0x1.2fabe0472d258p+1;
+      0x1.9591f2fff2b9cp+1; 0x1.a5d956d17468p+1; 0x1.cba3cc4e89e48p+1;
+      0x1.d9cd51e871938p+1; 0x1.dd7b2568d29ep+1; 0x1.e1c2548cee02cp+1;
+      0x1.e9047c0cca2bap+1; 0x1.f5bc1b4b7239p+1; 0x1.01f8c9cc42dc8p+2;
+      0x1.04279a1992804p+2; 0x1.102ca913e5a7fp+2; 0x1.113753bc841e4p+2;
+      0x1.11b2fcc80f002p+2; 0x1.139236ba9bap+2; 0x1.15c792ea0c904p+2;
+      0x1.27d7b028a819p+2; 0x1.3741fe505bc9fp+2; 0x1.3efbb3d4cd58p+2;
+      0x1.43890cae92efcp+2; 0x1.458c0625ca1ep+2; 0x1.61c798e47167p+2;
+      0x1.8bd1c74149b6cp+2; 0x1.d47010a1f2da8p+2; 0x1.d8f91ad78ece8p+2;
+      0x1.e4618f8f2613p+2; 0x1.072ef71e6d192p+3; 0x1.0bbdaf89003dcp+3; 0x1.2p+3;
+      0x1.209b3d6f2a09ap+3; 0x1.26327ab0c133ap+3; 0x1.3658d6dca2026p+3;
+      0x1.66534333f2dc7p+3; 0x1.70bf7ac871bbcp+3; 0x1.fdee7190e4c7ep+3;
     ]
     latencies
 
@@ -579,8 +582,8 @@ let test_storm_evicting_pinned () =
   Alcotest.(check (list (pair string int)))
     "stats"
     [
-      ("issued", 90); ("succeeded", 84); ("failed", 6); ("timeouts", 217);
-      ("retries", 122); ("give_ups", 95); ("evictions", 87);
+      ("issued", 90); ("succeeded", 87); ("failed", 3); ("timeouts", 178);
+      ("retries", 102); ("give_ups", 76); ("evictions", 72);
     ]
     [
       ("issued", s.Storm.issued); ("succeeded", s.Storm.succeeded);
@@ -597,38 +600,198 @@ let test_storm_evicting_pinned () =
   Alcotest.(check (list (float 0.)))
     "sorted latencies"
     [
-      0x0p+0; 0x0p+0; 0x0p+0; 0x1.a5a4dc2cac478p-3; 0x1.c45e48cb644cp-3;
-      0x1.60c3b24a0cfp-2; 0x1.7892344ca086p-2; 0x1.805c9dee90378p-2;
-      0x1.8987292a32fcp-2; 0x1.b1c9ba56a20fp-2; 0x1.01142c8f5dc68p-1;
-      0x1.163ff652455c8p-1; 0x1.1851d08523788p-1; 0x1.253a06b9a96ap-1;
-      0x1.2eeb8fbf47ac4p-1; 0x1.3955a5c2d4fc3p-1; 0x1.4a3bcdd8c773p-1;
-      0x1.574cc53f02d3p-1; 0x1.7918204ca672p-1; 0x1.a1c2c925d9e9p-1;
-      0x1.a29c4d44ebf8p-1; 0x1.a48715774d19p-1; 0x1.ac10a69d97fbp-1;
-      0x1.b4efa5312244p-1; 0x1.eff378cd94dep-1; 0x1.10b641f0f82c8p+0;
-      0x1.3fc049c15ec4cp+0; 0x1.429cecfacc8c8p+0; 0x1.43b3c78780328p+0;
-      0x1.5624eca82505ap+0; 0x1.69ce7c8132f48p+0; 0x1.6ba8fcf9af028p+0;
-      0x1.7bef662dd7a5p+0; 0x1.8c1ecd12ad11p+0; 0x1.af2222d925cecp+0;
-      0x1.b99bcedf78748p+0; 0x1.ebcde2962fef8p+0; 0x1.ef38afe8fd25p+0;
-      0x1.041285d8775d2p+1; 0x1.053e4cbd5c74p+1; 0x1.1b47ab326cf78p+1;
-      0x1.48d0797177ffcp+1; 0x1.4f60d154af524p+1; 0x1.bd14be56c0ffp+1;
-      0x1.ed0c5d14c21b8p+1; 0x1.ffceea481004ap+1; 0x1.0a55e295b2e86p+2;
-      0x1.0dda9bee09df2p+2; 0x1.0ed1fb5980db2p+2; 0x1.0eea3a672d66dp+2;
-      0x1.180f27084490dp+2; 0x1.1b5c525475bf3p+2; 0x1.2497f4db867a9p+2;
-      0x1.2aaebf9526babp+2; 0x1.2b175bb1885f2p+2; 0x1.2cc2aef37fed8p+2;
-      0x1.37a0dc58444a9p+2; 0x1.387dccda4795dp+2; 0x1.3d603b4b00f7dp+2;
-      0x1.49905c49e8082p+2; 0x1.4fae516753f54p+2; 0x1.7121182639bcep+2;
-      0x1.77cf58101ee85p+2; 0x1.77da4cec761a4p+2; 0x1.8aa64176e5f03p+2;
-      0x1.f33e512167497p+2; 0x1.01e9010d38aep+3; 0x1.07ded6ee9043bp+3;
-      0x1.0e2e6fc882d52p+3; 0x1.0ec05dc9bb7ep+3; 0x1.0f29b1b982536p+3;
-      0x1.10030b8c3696fp+3; 0x1.12c6f7fa98f44p+3; 0x1.271f2bdf80f5ap+3;
-      0x1.3d329be5d64adp+3; 0x1.4fd6040754db6p+3; 0x1.6ea7927d01cf1p+3;
-      0x1.7c96aa8be625bp+3; 0x1.817a0ac1b38c8p+3; 0x1.a4b7ed96ca3b3p+3;
-      0x1.c44fda438d8edp+3; 0x1.d6a5094f46195p+3; 0x1.de8cb3218a84ep+3;
-      0x1.f76c3f2c3369cp+3; 0x1.034765a8e9012p+4; 0x1.0ff40145b634ap+4;
-      0x1.11b80e91f2f83p+4; 0x1.3dcd144d081d6p+4; 0x1.4c4171d7ff03p+4;
-      0x1.97983c89e9e2bp+4;
+      0x0p+0; 0x0p+0; 0x0p+0; 0x1.d35ef9788e04p-3; 0x1.57be0f53474cp-2;
+      0x1.861bdb61cbb9p-2; 0x1.8b94552794d9p-2; 0x1.940003499c93p-2;
+      0x1.abfdd7914286p-2; 0x1.fe4c61c3ec2p-2; 0x1.4c6a9bc9fd89p-1;
+      0x1.532194dbf65fp-1; 0x1.574cc53f02d3p-1; 0x1.59e7654c6181p-1;
+      0x1.615e1ad6c018p-1; 0x1.89fcf536e0498p-1; 0x1.8bd9318ef939p-1;
+      0x1.90b53e65bf67p-1; 0x1.92b106551105cp-1; 0x1.997867c22e44p-1;
+      0x1.bb967304b8e99p-1; 0x1.cce8678540e9p-1; 0x1.d18834def271p-1;
+      0x1.d2c8fa22e0cp-1; 0x1.10e0412d50636p+0; 0x1.1761d23c94da4p+0;
+      0x1.17f0626db0454p+0; 0x1.1dfbe7485a248p+0; 0x1.29d53019f4a5cp+0;
+      0x1.2f3e54d26497p+0; 0x1.330f2a72d233ap+0; 0x1.49348cb6a6b28p+0;
+      0x1.5b244954ecbd8p+0; 0x1.6ea60a8eefa68p+0; 0x1.717a7bca130cp+0;
+      0x1.b5d0efdf39b9p+0; 0x1.c2373a3ce1458p+0; 0x1.e1258deedff5p+0;
+      0x1.eea8aa946438p+0; 0x1.133c6b64093cep+1; 0x1.2001f8a42ccdcp+1;
+      0x1.2ac6d2f711973p+1; 0x1.3c7a3df78fe9ep+1; 0x1.4b32aabc12f54p+1;
+      0x1.5eeeae6c362dp+1; 0x1.b9533faaf5244p+1; 0x1.e5709a4763e78p+1;
+      0x1.e7de803f147bdp+1; 0x1.f8fa1600c200cp+1; 0x1.fee38aca836eap+1;
+      0x1.0429baa8e46ccp+2; 0x1.056902b2e58e7p+2; 0x1.05f7be620107cp+2;
+      0x1.0710c047ffc05p+2; 0x1.09794bf163431p+2; 0x1.09de627c53b64p+2;
+      0x1.10d2b8011e3f2p+2; 0x1.119c39162eaep+2; 0x1.180a8d94e6ecep+2;
+      0x1.1970a718f2c44p+2; 0x1.1c2d9c23ffd9ap+2; 0x1.1fc5ce11e12acp+2;
+      0x1.2bbc34eb8c2d3p+2; 0x1.3ced5f5f276ebp+2; 0x1.4e05e49a2a16ap+2;
+      0x1.542cd76c217b4p+2; 0x1.553911d7e02dcp+2; 0x1.75aee548e96e8p+2;
+      0x1.9c6d211a3c8b6p+2; 0x1.a55a45b6daba8p+2; 0x1.b8c0bae65331fp+2;
+      0x1.e3aaf1afe5706p+2; 0x1.e64850a1ce411p+2; 0x1.0968f2fc2b173p+3;
+      0x1.0b98b0d78a405p+3; 0x1.0d6f9af78c2f2p+3; 0x1.116c00a08b458p+3;
+      0x1.1505acc3448b2p+3; 0x1.1fe301f421398p+3; 0x1.2e64f14a0b388p+3;
+      0x1.413541b9078b8p+3; 0x1.4cdc8012f66ep+3; 0x1.936449fb77206p+3;
+      0x1.bf733b411d614p+3; 0x1.c15f59b12bcc5p+3; 0x1.dcd43d81a23dcp+3;
+      0x1.06bfb3948e61ap+4; 0x1.09c4ac94fb3acp+4; 0x1.0b29335b01716p+4;
+      0x1.5925b286353fdp+4;
     ]
     latencies
+
+(* A storm hop draws its candidates one per try
+   ([Overlay.draw_candidate] over a copy of the level), revealing a
+   uniformly random ordering of the level one try at a time. *)
+
+(* One lookup at a time through a storm over a 100-peer overlay with up
+   to 8 references per level and a third of the peers detached from a
+   lossless net; [check overlay key events] reads each lookup's events,
+   oldest first. *)
+let sequential_storm cfg ~seed check =
+  let rng = Rng.create ~seed in
+  let keys = Distribution.generate rng Distribution.Uniform ~n:1500 in
+  let overlay = Builder.index rng ~peers:100 ~keys ~d_max:50 ~n_min:5 ~refs_per_level:8 in
+  let sim = Sim.create () in
+  let net =
+    Net.create sim (Rng.create ~seed:(seed + 1)) ~nodes:(Overlay.size overlay)
+      ~latency:(Latency.Fixed 0.05) ~loss:0. ~bucket:60.
+  in
+  let tel = Telemetry.create () in
+  let ring = Ring.create ~capacity:4096 in
+  Telemetry.add_sink tel (Sink.ring ring);
+  let storm = Storm.create ~telemetry:tel sim (Rng.create ~seed:(seed + 2)) overlay net cfg in
+  let drng = Rng.create ~seed:(seed + 3) in
+  for i = 0 to Net.nodes net - 1 do
+    if Rng.float drng < 0.35 then Net.set_online net i false
+  done;
+  for _ = 1 to 80 do
+    let origin = Rng.int drng (Net.nodes net) in
+    let key = keys.(Rng.int drng (Array.length keys)) in
+    if Net.online net origin then begin
+      Ring.clear ring;
+      Storm.issue storm ~origin ~key;
+      Sim.run sim;
+      check overlay key (List.map (fun e -> e.Event.kind) (Ring.to_list ring))
+    end
+  done;
+  Storm.stats storm
+
+let hop_level overlay id key =
+  let n = Overlay.node overlay id in
+  match Overlay.divergence_level n.Node.path key with
+  | Some level -> (n, level)
+  | None -> Alcotest.fail "a hop left the responsible peer"
+
+let test_storm_candidate_order () =
+  (* Peer 0 refers to peers 1-40 at level 0, 1-7 at level 1 and 8 at
+     level 2. *)
+  let o = Overlay.create (Rng.create ~seed:1) ~n:41 in
+  let src = Overlay.node o 0 in
+  for i = 1 to 40 do
+    Node.add_ref src ~level:0 i
+  done;
+  for i = 1 to 7 do
+    Node.add_ref src ~level:1 i
+  done;
+  Node.add_ref src ~level:2 8;
+  let rng = Rng.create ~seed:5 in
+  let buf = Array.make 40 0 in
+  (* Drained, the draws are a permutation of the level, left in draw
+     order in the buffer; the last candidate costs no draw. *)
+  for _ = 1 to 50 do
+    for level = 0 to 2 do
+      let len = Node.refs_blit src ~level buf in
+      let drawn =
+        Array.init len (fun d ->
+            if d < len - 1 then Overlay.draw_candidate rng buf ~drawn:d ~len
+            else begin
+              let before = Rng.copy rng in
+              let id = Overlay.draw_candidate rng buf ~drawn:d ~len in
+              checkb "last candidate draws nothing" true (Rng.bits64 before = Rng.bits64 rng);
+              id
+            end)
+      in
+      Alcotest.(check (array int)) "buffer holds the draws in order" drawn (Array.sub buf 0 len);
+      Alcotest.(check (list int))
+        "drained level = its references" (Node.refs_at src ~level)
+        (List.sort compare (Array.to_list drawn))
+    done
+  done;
+  (* The first candidate is uniform: chi-square over 40,000 draws at 40
+     references, below 72.05 (39 degrees of freedom, p = 0.001). *)
+  let draws = 40_000 in
+  let counts = Array.make 41 0 in
+  for _ = 1 to draws do
+    let len = Node.refs_blit src ~level:0 buf in
+    let id = Overlay.draw_candidate rng buf ~drawn:0 ~len in
+    counts.(id) <- counts.(id) + 1
+  done;
+  let expected = float_of_int draws /. 40. in
+  let chi2 = ref 0. in
+  for id = 1 to 40 do
+    let d = float_of_int counts.(id) -. expected in
+    chi2 := !chi2 +. (d *. d /. expected)
+  done;
+  checkb (Printf.sprintf "first candidate uniform (chi-square %.1f)" !chi2) true (!chi2 < 72.05);
+  (* No hedges, retries or evictions, so a hop keeps one snapshot: it
+     tries each reference at most once, and a dead end has tried them
+     all. *)
+  let longest = ref 0 and dead_ends = ref 0 in
+  let cfg = { Storm.default_config with req_timeout = 1.; max_retries = 0 } in
+  ignore
+    (sequential_storm cfg ~seed:31 (fun overlay key events ->
+         let tried = Hashtbl.create 16 and cur = ref (-1) in
+         List.iter
+           (function
+             | Event.Query_issue { origin; _ } -> cur := origin
+             | Event.Timeout { src; dst; _ } ->
+               checki "timeout on the hop's peer" !cur src;
+               checkb "a hop tries a reference once" false (Hashtbl.mem tried dst);
+               Hashtbl.replace tried dst ();
+               longest := max !longest (Hashtbl.length tried)
+             | Event.Query_hop { dst; _ } ->
+               checkb "the answer came from an untried reference" false (Hashtbl.mem tried dst);
+               Hashtbl.reset tried;
+               cur := dst
+             | Event.Query_complete { success = false; _ } ->
+               incr dead_ends;
+               let n, level = hop_level overlay !cur key in
+               checki "a dead end tried its whole level" (Node.refs_count n ~level)
+                 (Hashtbl.length tried)
+             | _ -> ())
+           events));
+  checkb "some hop tried several references" true (!longest >= 3);
+  checkb "some lookup hit a dead end" true (!dead_ends > 0);
+  (* With hedges and breakers that open on one timeout and stay open, a
+     hedge's backup is a reference of the hop's level that the hop has
+     not tried and whose circuit never opened. *)
+  let hedges = ref 0 and opened = Hashtbl.create 64 in
+  let cfg =
+    {
+      Storm.default_config with
+      req_timeout = 1.;
+      max_retries = 1;
+      hedge_after = Some 0.4;
+      breaker = Some { Breaker.failures = 1; cooldown = 1e6 };
+    }
+  in
+  let s =
+    sequential_storm cfg ~seed:32 (fun overlay key events ->
+        let tried = Hashtbl.create 16 in
+        List.iter
+          (function
+            | Event.Timeout { dst; _ } -> Hashtbl.replace tried dst ()
+            | Event.Query_hop _ -> Hashtbl.reset tried
+            | Event.Breaker_open { origin; target; _ } -> Hashtbl.replace opened (origin, target) ()
+            | Event.Hedge_launch { origin; primary; backup; _ } ->
+              incr hedges;
+              let n, level = hop_level overlay origin key in
+              checkb "backup at the hop's level" true (Node.has_ref n ~level backup);
+              checkb "backup is not the primary" true (backup <> primary);
+              checkb "backup untried" false (Hashtbl.mem tried backup);
+              checkb "backup admitted" false (Hashtbl.mem opened (origin, backup));
+              Hashtbl.replace tried primary ();
+              Hashtbl.replace tried backup ()
+            | _ -> ())
+          events)
+  in
+  checki "every hedge checked" s.Storm.hedges !hedges;
+  checkb "hedges launched" true (!hedges > 0);
+  checkb "open circuits skipped" true (s.Storm.breaker_skips > 0)
 
 (* A hedge race's loser gets no verdict.  When the loser was a
    breaker's half-open probe, resolving the hop must release the probe;
@@ -1498,6 +1661,8 @@ let suite =
     Alcotest.test_case "storm breaker opens" `Quick test_storm_breaker_opens;
     Alcotest.test_case "storm hedged run pinned" `Quick test_storm_hedged_pinned;
     Alcotest.test_case "storm evicting run pinned" `Quick test_storm_evicting_pinned;
+    Alcotest.test_case "storm: candidates drawn one per try" `Quick
+      test_storm_candidate_order;
     Alcotest.test_case "storm rejects NaN parameters" `Quick test_storm_rejects_nan;
     Alcotest.test_case "storm rejects bad jitter, evict_after" `Quick
       test_storm_rejects_bad_jitter_evict;
