@@ -15,14 +15,17 @@
    check runs each named experiment at its smoke size, prints every claim
    with its verdict and exits 1 if any claim fails.
    identity prints one line per registry entry and per library run:
-   Experiment.digest of its output, then its name, size and seed.
-   test/identity/ diffs them against the committed manifests (dune
-   runtest: --smoke at 1 repetition; dune build @identity-full: default
-   size and repetitions).
+   Experiment.digest of its output, then its name, size and seed.  It
+   judges each run as check does, prints every failing claim and every
+   repeated metric name to stderr, and exits 1 after its last line if
+   there was one.  test/identity/ diffs the lines against the committed
+   manifests (dune runtest: --smoke at 1 repetition; dune build
+   @identity-full: default size and repetitions, with the --json report
+   that CI compares against the *_0001.json baselines).
    --smoke runs the simulation experiments at their smoke size.
    --json FILE writes a machine-readable report (wall-clock seconds per
-   target, every metric a target reports, Bechamel ns/run for the micro
-   kernels) for `bench/compare.exe` to diff against a baseline.
+   target or identity run, every metric it reports, Bechamel ns/run for
+   the micro kernels) for `bench/compare.exe` to diff against a baseline.
    --quota MS shortens the Bechamel per-kernel time quota (default 500).
    --scale-peers N,N,... sets the scale target's population sizes.
    --trace FILE.jsonl and --metrics (anywhere on the command line) route
@@ -51,20 +54,22 @@ let print_block = function
     print_newline ()
   | Table { title; columns; rows } -> Table.print ~title ~columns ~rows
 
-(* A registry entry: its banner, notes and tables; returns its metrics. *)
+let of_values values = { Experiment.blocks = []; metrics = values }
+
+(* A registry entry: its banner, notes and tables; returns its output. *)
 let experiment (e : Experiment.t) reps =
   banner e.title;
   List.iter note e.notes;
   let out = e.run ~reps ~smoke:!smoke ~seed in
   List.iter print_block out.blocks;
-  out.metrics
+  out
 
 let scale _reps =
   banner "Scale -- construction and event-loop throughput vs population";
   note "fig6-style construction (Uniform, default params) at growing sizes";
   note "plus a Net relay storm; peers/s and events/s are the headline numbers";
   Scale.print ~seed;
-  Scale.values ~seed
+  of_values (Scale.values ~seed)
 
 (* --- Bechamel micro-benchmarks of the hot kernels ---------------------- *)
 
@@ -436,7 +441,7 @@ let micro _reps =
     results;
   Table.print ~title:"hot kernels" ~columns:[ "benchmark"; "ns/run"; "r^2" ]
     ~rows:(List.sort compare !rows);
-  routing_storage ()
+  of_values (routing_storage ())
 
 (* --- identity manifest ---------------------------------------------------- *)
 
@@ -445,8 +450,6 @@ let micro _reps =
    and its seed. *)
 let manifest_line name size seed out =
   Printf.printf "%s  %s %s seed=%d\n%!" (Experiment.digest out) name size seed
-
-let of_values values = { Experiment.blocks = []; metrics = values }
 
 (* A 48-peer simnet run with the maintenance daemon and the transaction
    workload on: the daemon's processes, the legacy query loop and the
@@ -506,34 +509,44 @@ let net_engine_run ~seed =
     @ series "latency" (List.map (fun (x, mean, _) -> (x, mean)) o.Net_engine.latency_series))
 
 (* Both arms of a 128-peer overload storm: the storm, shedding, breakers
-   and hedging of the overload experiment at a size tier-1 can afford. *)
+   and hedging of the overload experiment at a size tier-1 can afford.
+   [on/issued@w] is the load the protected arm was offered in window [w]. *)
 let overload_arms ~seed =
   let arm protected =
     let issued, metrics =
       Figures.overload_arm ~peers:128 ~horizon:360. ~base_rate:10. ~peak_rate:120. ~protected
         ~seed ()
     in
-    List.mapi (fun w n -> (Printf.sprintf "issued@%d" w, float_of_int n, Experiment.Down)) issued
+    let tag = if protected then "on" else "off" in
+    List.mapi
+      (fun w n -> (Printf.sprintf "%s/issued@%d" tag w, float_of_int n, Experiment.Down))
+      issued
     @ metrics
   in
   of_values (arm true @ arm false)
 
-(* [identity reps]: one manifest line per registry entry, at the smoke
-   size under --smoke, then one per library run.  The smoke manifest
-   leaves out overload, whose smoke run takes a minute; the 128-peer
-   arms stand in for it. *)
-let identity reps =
-  let size =
-    (if !smoke then "smoke" else "full") ^ Option.fold ~none:"" ~some:(Printf.sprintf "/%d") reps
-  in
-  List.iter
-    (fun (e : Experiment.t) ->
-      if not (!smoke && e.name = "overload") then
-        manifest_line e.name size seed (e.run ~reps ~smoke:!smoke ~seed))
-    Experiment.all;
-  manifest_line "net-engine" "peers=48" 42 (net_engine_run ~seed:42);
-  manifest_line "overload-arms" "peers=128" 6 (overload_arms ~seed:6);
-  true
+(* Both arms are offered the same storm, window by window, over 24
+   windows; only the protected arm sheds and hedges, and its queues stay
+   shallower. *)
+let overload_arms_claims =
+  let open Experiment in
+  let claim lhs op rhs = { lhs; op; rhs } in
+  let m name = Metric name in
+  List.map
+    (fun prefix -> claim (Count prefix) Eq (Const 24.))
+    [ "on/issued@"; "off/issued@"; "on/goodput@"; "off/goodput@" ]
+  @ List.init 24 (fun w ->
+        let issued arm = m (Printf.sprintf "%s/issued@%d" arm w) in
+        claim (issued "on") Eq (issued "off"))
+  @ [
+      claim (m "on/issued") Eq (m "off/issued");
+      claim (m "on/sheds") Gt (Const 0.);
+      claim (m "off/sheds") Eq (Const 0.);
+      claim (m "off/queue_peak") Gt (m "on/queue_peak");
+      claim (m "on/hedges") Gt (Const 0.);
+      claim (m "on/shed_ratio") Ge (Const 0.);
+      claim (m "on/shed_ratio") Lt (Const 1.);
+    ]
 
 let targets =
   List.map (fun (e : Experiment.t) -> (e.name, experiment e)) Experiment.all
@@ -543,12 +556,43 @@ let targets =
    report. *)
 let run_target (name, f) reps =
   let t0 = Unix.gettimeofday () in
-  let values = f reps in
+  let out = f reps in
   let seconds = Unix.gettimeofday () -. t0 in
   Option.iter
-    (fun rep -> Report.add_wall rep { Report.name; reps; seconds; values })
+    (fun rep ->
+      Report.add_wall rep { Report.name; reps; seconds; values = out.Experiment.metrics })
     !report;
-  values
+  out
+
+(* [identity reps]: one manifest line per registry entry, at the smoke
+   size under --smoke, then one per library run, each run filed in the
+   report and judged.  A failing verdict goes to stderr with the run's
+   name; the pass still prints every line, and is true if none failed.
+   The smoke manifest leaves out overload, whose smoke size runs longer
+   than its full one; the 128-peer arms stand in for it. *)
+let identity reps =
+  let size =
+    (if !smoke then "smoke" else "full") ^ Option.fold ~none:"" ~some:(Printf.sprintf "/%d") reps
+  in
+  let judged name size seed claims run =
+    let out = run_target (name, run) reps in
+    manifest_line name size seed out;
+    let failed = List.filter (fun (holds, _) -> not holds) (Experiment.judge out.metrics claims) in
+    List.iter (fun (_, line) -> Printf.eprintf "%s: FAIL  %s\n%!" name line) failed;
+    failed = []
+  in
+  let registry =
+    List.filter_map
+      (fun (e : Experiment.t) ->
+        if !smoke && e.name = "overload" then None
+        else Some (judged e.name size seed e.claims (fun reps -> e.run ~reps ~smoke:!smoke ~seed)))
+      Experiment.all
+  in
+  let net_engine = judged "net-engine" "peers=48" 42 [] (fun _ -> net_engine_run ~seed:42) in
+  let arms =
+    judged "overload-arms" "peers=128" 6 overload_arms_claims (fun _ -> overload_arms ~seed:6)
+  in
+  List.for_all Fun.id (net_engine :: arms :: registry)
 
 (* Pull --trace FILE / --metrics / --json FILE / --quota MS / --smoke /
    --scale-peers N,... out of argv before positional parsing. *)
@@ -626,8 +670,8 @@ let check experiments =
   smoke := true;
   List.fold_left
     (fun ok (e : Experiment.t) ->
-      let metrics = run_target (e.name, experiment e) None in
-      let verdicts = List.map (Experiment.check metrics) e.claims in
+      let out = run_target (e.name, experiment e) None in
+      let verdicts = Experiment.judge out.metrics e.claims in
       Printf.printf "\nclaims of %s:\n" e.name;
       List.iter
         (fun (holds, line) -> Printf.printf "  %s  %s\n" (if holds then "pass" else "FAIL") line)

@@ -80,5 +80,5 @@ let write t ~path ~seed =
       ]
   in
   Json.to_file path doc;
-  Printf.printf "bench: report written to %s (%d targets, %d micro kernels)\n%!" path
+  Printf.eprintf "bench: report written to %s (%d targets, %d micro kernels)\n%!" path
     (List.length t.walls) (List.length t.micros)

@@ -48,6 +48,7 @@ type expr =
   | Const of float
   | Times of float * expr
   | Plus of expr * expr
+  | Count of string
 
 type op = Lt | Le | Eq | Ge | Gt
 type claim = { lhs : expr; op : op; rhs : expr }
@@ -59,6 +60,7 @@ let rec expr_text = function
   | Const x -> cell x
   | Times (k, e) -> cell k ^ " * " ^ expr_text e
   | Plus (a, b) -> expr_text a ^ " + " ^ expr_text b
+  | Count prefix -> "count(" ^ prefix ^ ")"
 
 let op_text = function Lt -> "<" | Le -> "<=" | Eq -> "==" | Ge -> ">=" | Gt -> ">"
 
@@ -73,6 +75,10 @@ let check metrics c =
     | Const x -> x
     | Times (k, e) -> k *. eval e
     | Plus (a, b) -> eval a +. eval b
+    | Count prefix -> (
+      match List.filter (fun (n, _, _) -> String.starts_with ~prefix n) metrics with
+      | [] -> raise (Missing prefix)
+      | named -> float_of_int (List.length named))
   in
   let text = String.concat " " [ expr_text c.lhs; op_text c.op; expr_text c.rhs ] in
   match (eval c.lhs, eval c.rhs) with
@@ -82,6 +88,16 @@ let check metrics c =
     in
     (holds, Printf.sprintf "%s  (%s %s %s)" text (cell l) (op_text c.op) (cell r))
   | exception Missing name -> (false, Printf.sprintf "%s  (no metric %s)" text name)
+
+let judge metrics claims =
+  let seen = Hashtbl.create 256 in
+  List.filter_map
+    (fun (name, _, _) ->
+      let times = 1 + Option.value (Hashtbl.find_opt seen name) ~default:0 in
+      Hashtbl.replace seen name times;
+      if times = 2 then Some (false, "metric " ^ name ^ " reported more than once") else None)
+    metrics
+  @ List.map (check metrics) claims
 
 (* --- tables -------------------------------------------------------------- *)
 
@@ -303,7 +319,18 @@ let all =
          daemon-off arm bleeds data";
       ]
       ~tables:(over_time "health and query success over time" "endurance summary")
-      ~claims:[ m "on/final_lost" <=. m "off/final_lost"; m "dominance/ge_frac" =. k 1. ]
+      ~claims:
+        [
+          m "on/final_lost" <=. m "off/final_lost";
+          m "dominance/ge_frac" =. k 1.;
+          (* Both arms face the same kill waves and are sampled alike; only
+             the daemon arm maintains. *)
+          m "on/kills" =. m "off/kills";
+          Count "on/score@" =. Count "off/score@";
+          m "on/exchanges" >. k 0.;
+          m "off/exchanges" =. k 0.;
+          m "off/rereplications" =. k 0.;
+        ]
       (fun ~smoke ~seed ->
         if smoke then Figures.survival ~horizon:1800. ~sample_every:60. ~seed ()
         else Figures.survival ~seed ());

@@ -37,13 +37,20 @@ type expr =
   | Const of float
   | Times of float * expr
   | Plus of expr * expr
+  | Count of string  (** how many metrics' names start with the string *)
 
 type op = Lt | Le | Eq | Ge | Gt
 type claim = { lhs : expr; op : op; rhs : expr }
 
 (** [check metrics c] is [(holds, line)]: [line] shows [c] and the values
-    it read.  A claim that reads a name [metrics] lacks does not hold. *)
+    it read.  A claim that reads a name [metrics] lacks, or counts a
+    prefix no name starts with, does not hold. *)
 val check : metric list -> claim -> bool * string
+
+(** [judge metrics claims] is every verdict on one run: a failing one
+    per name [metrics] reports more than once, then {!check} of each
+    claim.  [bench check] and [bench identity] both judge with it. *)
+val judge : metric list -> claim list -> (bool * string) list
 
 (** {1 Tables} *)
 

@@ -76,95 +76,6 @@ module Experiment = Pgrid_experiment.Experiment
 
 let bench_seed = 20050830
 
-(* Smoke runs, shared by every test that reads one experiment. *)
-let smoke_runs = Hashtbl.create 8
-
-let smoke name =
-  match Hashtbl.find_opt smoke_runs name with
-  | Some out -> out
-  | None ->
-    let out = (Experiment.find name).run ~reps:None ~smoke:true ~seed:bench_seed in
-    Hashtbl.add smoke_runs name out;
-    out
-
-let value metrics name =
-  match List.find_opt (fun (n, _, _) -> n = name) metrics with
-  | Some (_, v, _) -> v
-  | None -> Alcotest.failf "metric %s missing" name
-
-let samples metrics prefix =
-  List.length
-    (List.filter (fun (n, _, _) -> String.starts_with ~prefix n) metrics)
-
-let table_shape = function
-  | Experiment.Table { columns; rows; _ } -> (List.length columns, List.length rows)
-  | _ -> Alcotest.fail "table expected"
-
-let test_survival_smoke () =
-  (* Both arms sampled on a shared environment; the daemon arm must
-     never lose data the control arm keeps. *)
-  let out = smoke "survival" in
-  let v = value out.Experiment.metrics in
-  checki "31 samples per arm" 31 (samples out.metrics "on/score@");
-  checki "same sample count" 31 (samples out.metrics "off/score@");
-  checkb "kill waves match across arms" true (v "on/kills" = v "off/kills");
-  checkb "daemon arm did maintenance" true (v "on/exchanges" > 0.);
-  checkb "control arm did none" true
-    (v "off/exchanges" = 0. && v "off/rereplications" = 0.);
-  checkb "daemon arm loses nothing the control keeps" true
-    (v "on/final_lost" <= v "off/final_lost");
-  match out.blocks with
-  | [ series; summary ] ->
-    (* minutes + (score, success_pct, lost) x (on, off) *)
-    checki "series columns" 7 (fst (table_shape series));
-    checki "one row per sample" 31 (snd (table_shape series));
-    checki "summary columns: metric, on, off, dominance" 4 (fst (table_shape summary))
-  | _ -> Alcotest.fail "series and summary tables expected"
-
-(* The two 128-peer arms of a miniature overload storm. *)
-let overload_smoke =
-  lazy
-    (let arm protected =
-       Figures.overload_arm ~peers:128 ~horizon:360. ~base_rate:10. ~peak_rate:120.
-         ~protected ~seed:6 ()
-     in
-     (arm true, arm false))
-
-let test_overload_smoke () =
-  (* A miniature storm: both arms share the identical offered load; the
-     protected arm sheds and the unprotected arm builds backlog. *)
-  let (on_issued, on), (off_issued, off) = Lazy.force overload_smoke in
-  let metrics = on @ off in
-  let v = value metrics in
-  checki "24 windows per arm" 24 (samples metrics "on/goodput@");
-  checki "same window count" 24 (samples metrics "off/goodput@");
-  checki "24 offered-load windows" 24 (List.length on_issued);
-  checkb "identical offered load across arms" true (on_issued = off_issued);
-  checkb "same storm issued on both arms" true (v "on/issued" = v "off/issued");
-  checkb "protected arm sheds" true (v "on/sheds" > 0.);
-  checkb "unprotected arm never sheds" true (v "off/sheds" = 0.);
-  checkb "unprotected queues run deeper" true (v "off/queue_peak" > v "on/queue_peak");
-  checkb "protected arm hedges" true (v "on/hedges" > 0.);
-  checkb "shed ratio sane" true (v "on/shed_ratio" >= 0. && v "on/shed_ratio" < 1.);
-  (* minutes + (goodput, shed, backlog) x (on, off), one row per window *)
-  checkb "series table" true
-    (table_shape (Experiment.series ~title:"t" metrics) = (7, 24))
-
-(* The claims CI gates on, at the smoke size CI runs.  A claim that reads
-   a metric the experiment does not report fails rather than reading 0. *)
-let test_smoke_claims name () =
-  let out = smoke name in
-  let names = List.map (fun (n, _, _) -> n) out.Experiment.metrics in
-  checki "metric names are unique" (List.length names)
-    (List.length (List.sort_uniq compare names));
-  let e = Experiment.find name in
-  checkb "declares claims" true (e.claims <> []);
-  List.iter
-    (fun c ->
-      let holds, line = Experiment.check out.metrics c in
-      checkb line true holds)
-    e.claims
-
 (* The contents of a file of test/identity: [dune runtest] runs the suite
    in test/, [dune exec] from the root. *)
 let identity_file name =
@@ -219,15 +130,28 @@ let test_memoised_artifact_twice () =
   Alcotest.(check string) "second run" recorded (run ())
 
 let test_claim_reads_missing_metric () =
-  let metrics = [ ("on/lost", 0., Experiment.Down) ] in
-  let holds, line =
-    Experiment.check metrics
-      { Experiment.lhs = Metric "on/lsot"; op = Eq; rhs = Const 0. }
+  let metrics =
+    [
+      ("on/lost", 0., Experiment.Down);
+      ("on/score@0", 1., Down);
+      ("on/score@60", 1., Down);
+      ("off/score@0", 1., Down);
+    ]
   in
+  let check lhs op rhs = Experiment.check metrics { lhs; op; rhs } in
+  let holds, line = check (Metric "on/lsot") Eq (Const 0.) in
   checkb "a misspelled metric fails" false holds;
   checkb "and says which" true (Test_util.contains line "on/lsot");
-  checkb "the spelled one holds" true
-    (fst (Experiment.check metrics { lhs = Metric "on/lost"; op = Eq; rhs = Const 0. }));
+  checkb "the spelled one holds" true (fst (check (Metric "on/lost") Eq (Const 0.)));
+  checkb "a count counts names by prefix" true (fst (check (Count "on/score@") Eq (Const 2.)));
+  checkb "unequal counts differ" false (fst (check (Count "on/score@") Eq (Count "off/score@")));
+  let holds, line = check (Count "on/scroe@") Eq (Count "on/scroe@") in
+  checkb "a count of no name fails" false holds;
+  checkb "and says which prefix" true (Test_util.contains line "on/scroe@");
+  checkb "distinct names pass" true (Experiment.judge metrics [] = []);
+  (match Experiment.judge (metrics @ [ ("on/lost", 1., Down); ("on/lost", 2., Down) ]) [] with
+  | [ (false, line) ] -> checkb "a repeated name fails by name" true (Test_util.contains line "on/lost")
+  | verdicts -> Alcotest.failf "one failing verdict expected, got %d" (List.length verdicts));
   checkb "unknown names raise" true
     (match Experiment.find "nope" with _ -> false | exception Invalid_argument _ -> true)
 
@@ -279,8 +203,6 @@ let suite =
     Alcotest.test_case "fig5 shape" `Slow test_fig5_shape;
     Alcotest.test_case "fig6 rendering" `Quick test_fig6_table_rendering;
     Alcotest.test_case "planetlab artifacts" `Slow test_planetlab_artifacts;
-    Alcotest.test_case "survival smoke" `Slow test_survival_smoke;
-    Alcotest.test_case "overload smoke" `Slow test_overload_smoke;
     Alcotest.test_case "identity manifests complete" `Quick test_manifests_complete;
     Alcotest.test_case "memoised artifact twice" `Quick test_memoised_artifact_twice;
     Alcotest.test_case "ablation sequential" `Quick test_ablation_sequential;
@@ -289,7 +211,3 @@ let suite =
     Alcotest.test_case "claim reads missing metric" `Quick test_claim_reads_missing_metric;
     Alcotest.test_case "summary renderer" `Quick test_summary_renderer;
   ]
-  @ List.map
-      (fun name ->
-        Alcotest.test_case ("smoke claims: " ^ name) `Slow (test_smoke_claims name))
-      [ "resilience"; "survival"; "balance"; "txn"; "partition"; "queries" ]
